@@ -8,6 +8,7 @@ environment variable when set.
 
 from __future__ import annotations
 
+import cmath
 import csv
 import json
 
@@ -23,12 +24,16 @@ def _parse_scalar(token: str):
     if t in ("inf", "infinity", "oo"):
         return INF
     try:
-        return float(token)
+        value = float(token)
     except ValueError:
         try:
-            return complex(token)
+            value = complex(token)
         except ValueError:
             raise click.BadParameter(f"not a number or 'inf': {token!r}")
+    # float('nan') and float('1e400') parse; only the 'inf' names mean infinity
+    if not cmath.isfinite(value):
+        raise click.BadParameter(f"not a finite number: {token!r}")
+    return value
 
 
 def _format_scalar(v) -> str:
@@ -63,7 +68,7 @@ def expect(path: str, as_json: bool) -> None:
     The file holds the four points: {"A": ..., "W": ..., "A0": ...,
     "Winf": ..., "strong": bool}.  Points are given as {"chart": matrix},
     {"density": matrix}, {"basis_re": ..., "basis_im": ...}, or the
-    strings "zero" / "infinity"; matrices as {"n": int, "re": [[...]],
+    strings "zero" / "infinity" / "one"; matrices as {"n": int, "re": [[...]],
     "im": [[...]]} or plain nested lists.
     """
     try:
@@ -104,10 +109,9 @@ def crossratio(values) -> None:
 
 def _text_report(report: dict) -> str:
     lines = [
-        "property sweep: seed={seed} trials={trials} n={n} backend={backend}".format(
+        "property sweep: seed={seed} trials={trials} n={n}".format(
             seed=report["seed"], trials=report["trials"],
-            n=",".join(str(n) for n in report["n_list"]),
-            backend=report["backend"])
+            n=",".join(str(n) for n in report["n_list"]))
     ]
     for pid, res in report["properties"].items():
         status = "PASS" if res["ok"] else "FAIL"
@@ -137,26 +141,20 @@ def _text_report(report: dict) -> str:
               type=int, help="Sweep seed (env MATRYOSHKA_SEED).")
 @click.option("--tol", default=None, type=float,
               help="Override every property tolerance.")
-@click.option("--backend", default="float", show_default=True,
-              type=click.Choice(["float", "exact"]),
-              help="Numeric backend for the trials.")
 @click.option("--property", "property_ids", multiple=True,
               help="Run only these property ids (repeatable).")
 @click.option("--json/--text", "as_json", default=True,
               help="Machine-readable JSON (default) or a text table.")
 @click.pass_context
-def check(ctx, n_list, trials, seed, tol, backend, property_ids, as_json) -> None:
+def check(ctx, n_list, trials, seed, tol, property_ids, as_json) -> None:
     """Run the seeded property sweep and exit 0 iff every property passes."""
-    if backend == "exact":
-        raise click.ClickException(
-            "backend 'exact' is not available in this build; use --backend float")
     ns = tuple(n_list) if n_list else properties.DEFAULT_N_LIST
     if any(n < 1 for n in ns):
         raise click.ClickException("--n must be >= 1")
     try:
         report = properties.run_sweep(
             n_list=ns, trials=trials, seed=seed,
-            properties=list(property_ids) or None, tol=tol, backend=backend)
+            properties=list(property_ids) or None, tol=tol)
     except KeyError as exc:
         known = ", ".join(properties.property_ids())
         raise click.ClickException(f"{exc.args[0]}; known ids: {known}")

@@ -84,6 +84,18 @@ def point_eq(x: SubspacePoint, y: SubspacePoint, tol: float = TOL_EQ) -> bool:
     return algebra.almost_equal(x.projector, y.projector, tol=tol)
 
 
+def is_orthocomplement(x: np.ndarray, y: np.ndarray) -> bool:
+    """Whether span(y) is the orthocomplement of span(x); x, y orthonormal 2n x n.
+
+    For orthonormal bases ||P_y - (I - P_x)||_F = sqrt(2) ||x* y||_F, and
+    every rank-n orthogonal projector has Frobenius norm sqrt(n), so this
+    is point_eq(y, x-perp) at the same tolerance without building x-perp:
+    one n x n Gram matrix, no factorization.
+    """
+    gram = x.conj().T @ y
+    return bool(np.sqrt(2.0) * algebra.norm(gram) <= TOL_EQ * (1.0 + np.sqrt(x.shape[1])))
+
+
 # --- base points and charts -------------------------------------------------
 
 def zero_point(n: int) -> SubspacePoint:

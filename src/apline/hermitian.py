@@ -124,25 +124,27 @@ def poles(n: int) -> tuple[SubspacePoint, SubspacePoint]:
 def membership(x: SubspacePoint, space: str) -> bool:
     """Membership in R (tau-fixed), R' (x (+) Jx = A^2) or R_{N,S}.
 
-    For A = M(n, C) the chain of ambient Grassmannian universes
-    collapses: every stored point already has a rank-n complement, so
-    only the three Hermitian-geometry memberships carry information.
+    For A = M(n, C) the three spaces coincide, so all three names run
+    one test: the Lagrangian condition X* Omega X = 0 on the orthonormal
+    basis X of x.
+
+    * R: tau(x) is the orthocomplement of Omega X, so tau(x) == x means
+      x-perp = span(Omega X), and grassmann.is_orthocomplement decides
+      exactly that at the tolerance of point equality.
+    * R': for x in R, J X = -Omega X is an orthonormal basis of x-perp,
+      so [X | JX] is unitary: its singular value ratio is 1.
+    * R_{N,S}: a point of R meets N and S at 45 degrees, so its
+      transversality margin to either pole is sqrt(2) - 1, far above
+      grassmann.TRANSVERSALITY_RTOL.
+
+    Ambient Grassmannian universes collapse as well: every stored point
+    already has a rank-n complement.
     """
-    if space == "R":
-        return tau(x) == x
-    if space == "Rprime":
-        if not membership(x, "R"):
-            return False
-        s = np.linalg.svd(np.hstack([x.basis, j_matrix(x.n) @ x.basis]),
-                          compute_uv=False)
-        return bool(s[-1] > grassmann.TRANSVERSALITY_RTOL * s[0])
-    if space == "RNS":
-        if not membership(x, "R"):
-            return False
-        north, south = poles(x.n)
-        return (grassmann.is_transversal(x, north)
-                and grassmann.is_transversal(x, south))
-    raise ValueError(f"unknown space {space!r}; pick R, Rprime or RNS")
+    if space not in ("R", "Rprime", "RNS"):
+        raise ValueError(f"unknown space {space!r}; pick R, Rprime or RNS")
+    n = x.n
+    omega_x = np.vstack([x.basis[n:], -x.basis[:n]])
+    return grassmann.is_orthocomplement(x.basis, omega_x)
 
 
 # --- circle action -------------------------------------------------------------

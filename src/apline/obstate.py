@@ -31,7 +31,6 @@ from .errors import (
     NotAntipodalError,
     NotHermitianError,
     NotInChartError,
-    NotInUniverseError,
     NotPureError,
     NotStrongError,
     NotTransversalError,
@@ -84,16 +83,18 @@ def new_obstate(A: SubspacePoint, W: SubspacePoint, A0: SubspacePoint,
                        ("A and Winf", A, Winf)):
         if not grassmann.is_transversal(p, q):
             raise TransversalityError(f"{name} are not transversal")
-    if strong:
-        if Winf != hermitian.alpha(A0):
-            raise NotAntipodalError("strong obstate needs Winf = alpha(A0)")
-        if not hermitian.membership(A0, "RNS"):
-            raise NotInUniverseError("strong obstate needs A0 in R_{N,S}")
+    # A0 in R already puts it in R_{N,S} (see hermitian.membership)
+    if strong and not grassmann.is_orthocomplement(A0.basis, Winf.basis):
+        raise NotAntipodalError("strong obstate needs Winf = alpha(A0)")
     return Obstate(A, W, A0, Winf, bool(strong))
 
 
 def state_from_density(w) -> SubspacePoint:
-    """The state point of a density matrix w (Hermitian psd, any trace)."""
+    """The state point of a density matrix w (Hermitian, any trace).
+
+    Only Hermitian symmetry is checked; positivity is not required here
+    and is reported by report() as "positive" (is_positive).
+    """
     w = algebra.as_matrix(w)
     if not algebra.is_hermitian(w):
         raise NotHermitianError("density matrices must be Hermitian")
@@ -127,17 +128,17 @@ def expectation(o: Obstate) -> complex:
 
 
 def transport(o: Obstate, g: grassmann.ProjectiveMap) -> Obstate:
-    """Move every slot of an obstate by a projective map (revalidating)."""
+    """Move every slot of an obstate by a projective map (revalidating).
+
+    A strong obstate stays strong iff the moved Winf is still alpha of
+    the moved A0; new_obstate checks that the moved A0 is still in R.
+    """
+    ref_observable = apply_map(g, o.ref_observable)
+    ref_state = apply_map(g, o.ref_state)
+    strong = o.strong and grassmann.is_orthocomplement(ref_observable.basis,
+                                                       ref_state.basis)
     return new_obstate(apply_map(g, o.observable), apply_map(g, o.state),
-                       apply_map(g, o.ref_observable), apply_map(g, o.ref_state),
-                       strong=False if not o.strong else _still_strong(o, g))
-
-
-def _still_strong(o: Obstate, g: grassmann.ProjectiveMap) -> bool:
-    moved_ref = apply_map(g, o.ref_observable)
-    moved_inf = apply_map(g, o.ref_state)
-    return (hermitian.membership(moved_ref, "RNS")
-            and moved_inf == hermitian.alpha(moved_ref))
+                       ref_observable, ref_state, strong=strong)
 
 
 # --- strong-obstate normal form ------------------------------------------------
@@ -163,7 +164,10 @@ def _strong_normal_form(o: Obstate) -> tuple[np.ndarray, np.ndarray]:
 
 def variance(o: Obstate) -> float:
     """trace(a w a) - trace(a w)^2 in the tangent algebra at A0."""
-    a, w = _strong_normal_form(o)
+    return _variance(*_strong_normal_form(o))
+
+
+def _variance(a: np.ndarray, w: np.ndarray) -> float:
     second = np.trace(a @ w @ a).real
     first = np.trace(a @ w).real
     return float(second - first * first)
@@ -176,7 +180,10 @@ def distribution(o: Obstate) -> list[tuple[float, float]]:
     returns the pairs (lambda_i, trace(w P_i)), nearly-equal eigenvalues
     merged; weights sum to trace(w).
     """
-    a, w = _strong_normal_form(o)
+    return _distribution(*_strong_normal_form(o))
+
+
+def _distribution(a: np.ndarray, w: np.ndarray) -> list[tuple[float, float]]:
     vals, vecs = np.linalg.eigh(a)
     scale = 1.0 + float(np.abs(vals).max(initial=0.0))
     out: list[tuple[float, float]] = []
@@ -307,15 +314,17 @@ def pure_expectation(o: Obstate):
 
 # --- JSON ------------------------------------------------------------------------
 
+_NAMED_POINTS = {"zero": zero_point, "infinity": infinity_point,
+                 "one": grassmann.one_point}
+
+
 def _point_from_json(obj, role: str, n: int | None = None) -> SubspacePoint:
     if isinstance(obj, str):
         if n is None:
             raise ValueError(f"{role}: named points need n known from another slot")
-        if obj == "zero":
-            return zero_point(n)
-        if obj == "infinity":
-            return infinity_point(n)
-        raise ValueError(f"{role}: unknown named point {obj!r}")
+        if obj not in _NAMED_POINTS:
+            raise ValueError(f"{role}: unknown named point {obj!r}")
+        return _NAMED_POINTS[obj](n)
     if isinstance(obj, dict):
         if "chart" in obj:
             return point_from_chart(algebra.matrix_from_json(obj["chart"]))
@@ -324,14 +333,14 @@ def _point_from_json(obj, role: str, n: int | None = None) -> SubspacePoint:
         if "basis_re" in obj:
             return grassmann.point_from_json(obj)
     raise ValueError(f"{role}: expected a chart/density/basis point object "
-                     "or the names 'zero'/'infinity'")
+                     "or the names 'zero'/'infinity'/'one'")
 
 
 def obstate_from_json(obj: dict) -> Obstate:
     """Build an obstate from {"A":..., "W":..., "A0":..., "Winf":..., "strong":...}.
 
     Point slots accept {"chart": matrix}, {"density": matrix}, a raw
-    basis object, or (for the reference slots) "zero" / "infinity".
+    basis object, or (for the slots after A) "zero" / "infinity" / "one".
     """
     A = _point_from_json(obj["A"], "A")
     return new_obstate(A,
@@ -354,8 +363,9 @@ def report(o: Obstate) -> dict:
     """The full dictionary for one obstate, JSON-ready."""
     out: dict = {"expectation": _scalar_to_json(expectation(o))}
     if o.strong:
-        out["variance"] = variance(o)
-        out["distribution"] = [[v, w] for v, w in distribution(o)]
+        a, w = _strong_normal_form(o)
+        out["variance"] = _variance(a, w)
+        out["distribution"] = [[v, wt] for v, wt in _distribution(a, w)]
     pure = is_pure(o)
     out["pure"] = pure
     out["positive"] = is_positive(o)

@@ -347,14 +347,21 @@ def _t_circle_action(rng, n: int) -> float:
     return max(rs)
 
 
+def _meets_poles(x: grassmann.SubspacePoint) -> bool:
+    """Transversal to both poles N and S: the R_{N,S} clause."""
+    north, south = hermitian.poles(x.n)
+    return grassmann.is_transversal(x, north) and grassmann.is_transversal(x, south)
+
+
 def _t_unitary_universe(rng, n: int) -> float:
     u = algebra.random_unitary(n, rng)
     x = hermitian.unitary_to_point(u)
     rs = [
         _mres(hermitian.cayley_to_unitary(x), u),
         _bres(hermitian.membership(x, "R")),
-        _bres(hermitian.membership(x, "RNS")),
-        _bres(hermitian.membership(x, "Rprime")),
+        # R = R' = R_{N,S} for M(n, C): check the defining transversalities
+        _bres(_meets_poles(x)),
+        _bres(grassmann.is_transversal(x, hermitian.beta(x))),
     ]
     y = hermitian.random_r_point(n, rng)
     rs.append(_pres(hermitian.unitary_to_point(hermitian.cayley_to_unitary(y)), y))
@@ -376,7 +383,7 @@ def _t_affine_part(rng, n: int) -> float:
     x = grassmann.apply_map(k.inverse(), grassmann.point_from_chart(h))
     rs = [
         _bres(hermitian.membership(x, "R")),
-        _bres(hermitian.membership(x, "RNS")),
+        _bres(_meets_poles(x)),
         _bres(grassmann.is_transversal(x, a)),
     ]
     return max(rs)
@@ -413,8 +420,8 @@ def _t_equivariance(rng, n: int) -> float:
                     hermitian.s1_action(th, grassmann.apply_map(f, x))))
     rs.append(_pres(hermitian.alpha(grassmann.apply_map(f, x)),
                     grassmann.apply_map(f, hermitian.alpha(x))))
-    rs.append(_bres(hermitian.membership(
-        grassmann.apply_map(f, hermitian.random_r_point(n, rng)), "RNS")))
+    rs.append(_bres(_meets_poles(
+        grassmann.apply_map(f, hermitian.random_r_point(n, rng)))))
     return max(rs)
 
 
@@ -973,11 +980,8 @@ def run_property(spec: PropertySpec, n_list: Sequence[int], trials: int,
 def run_sweep(n_list: Sequence[int] = DEFAULT_N_LIST,
               trials: int = DEFAULT_TRIALS, seed: int = 0,
               properties: Optional[Iterable[str]] = None,
-              tol: Optional[float] = None, backend: str = "float") -> dict:
+              tol: Optional[float] = None) -> dict:
     """Run the registry and return a deterministic, JSON-ready report."""
-    if backend != "float":
-        raise ValueError(
-            f"backend {backend!r} is not available in this build; use 'float'")
     if properties is None:
         selected = list(_SPEC_LIST)
     else:
@@ -991,7 +995,6 @@ def run_sweep(n_list: Sequence[int] = DEFAULT_N_LIST,
         results[spec.pid] = run_property(spec, n_list, trials, seed, tol=tol)
     return {
         "schema": 1,
-        "backend": backend,
         "seed": int(seed),
         "n_list": [int(n) for n in n_list],
         "trials": int(trials),

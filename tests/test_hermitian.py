@@ -45,6 +45,83 @@ def test_membership_r_is_hermitian_graphs():
         hermitian.membership(grassmann.zero_point(2), "bogus")
 
 
+def _eq_threshold(n):
+    """Threshold of point_eq between two rank-n projectors, in Frobenius norm."""
+    return algebra.TOL_EQ * (1.0 + np.sqrt(n))
+
+
+def _unit(m):
+    return m / np.linalg.norm(m)
+
+
+def _r_points_near_threshold(n, count=5):
+    """R points pushed off R along a skew-Hermitian direction K.
+
+    The Gram matrix of x + eps Omega X K is eps (K* - K) = -2 eps K to
+    first order, so sqrt(2) ||X* Omega X|| lands at the requested
+    multiple of the threshold.
+    """
+    for _ in range(count):
+        x = hermitian.random_r_point(n, RNG)
+        k = algebra.random_matrix(n, RNG)
+        k = _unit(k - k.conj().T)
+        omega_x = hermitian.omega_matrix(n) @ x.basis
+        for factor in (0.1, 0.9, 1.1, 10.0):
+            eps = factor * _eq_threshold(n) / (2.0 * np.sqrt(2.0))
+            yield factor, grassmann.SubspacePoint(x.basis + eps * omega_x @ k)
+
+
+@pytest.mark.parametrize("n", [1, 2, 4, 8])
+def test_membership_equals_tau_fixed_reference(n):
+    points = [hermitian.random_r_point(n, RNG) for _ in range(10)]
+    points += [grassmann.random_point(n, RNG) for _ in range(10)]
+    near = list(_r_points_near_threshold(n))
+    points += [x for _, x in near]
+    for x in points:
+        want = hermitian.tau(x) == x
+        for space in ("R", "Rprime", "RNS"):
+            assert hermitian.membership(x, space) == want
+    # the perturbations really straddle the threshold
+    assert [hermitian.membership(x, "R") for _, x in near] == [
+        factor < 1.0 for factor, _ in near]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 8])
+def test_real_points_sit_far_from_the_rprime_and_pole_thresholds(n):
+    north, south = hermitian.poles(n)
+    points = [hermitian.random_r_point(n, RNG) for _ in range(10)]
+    for _ in range(5):
+        h = algebra.random_hermitian(n, RNG)
+        points += [grassmann.point_from_chart(h), grassmann.point_from_cochart(h)]
+    for x in points:
+        assert hermitian.membership(x, "RNS")
+        for pole in (north, south):
+            assert grassmann.transversality_margin(x, pole) == pytest.approx(
+                np.sqrt(2.0) - 1.0, abs=1e-9)
+        s = np.linalg.svd(np.hstack([x.basis, hermitian.j_matrix(n) @ x.basis]),
+                          compute_uv=False)
+        assert s[-1] / s[0] == pytest.approx(1.0, abs=1e-9)
+
+
+@pytest.mark.parametrize("n", [1, 2, 4, 8])
+def test_is_orthocomplement_equals_alpha_reference(n):
+    cases = []
+    for _ in range(5):
+        a = grassmann.random_point(n, RNG)
+        w = hermitian.alpha(a)
+        cases.append((a, w, True))
+        cases.append((a, grassmann.random_point(n, RNG), False))
+        # the Gram matrix of a against w + eps A K is eps K
+        k = _unit(algebra.random_matrix(n, RNG))
+        for factor in (0.1, 0.9, 1.1, 10.0):
+            eps = factor * _eq_threshold(n) / np.sqrt(2.0)
+            moved = grassmann.SubspacePoint(w.basis + eps * a.basis @ k)
+            cases.append((a, moved, factor < 1.0))
+    for a, w, expected in cases:
+        got = grassmann.is_orthocomplement(a.basis, w.basis)
+        assert got == (hermitian.alpha(a) == w) == expected
+
+
 def test_poles_are_off_the_real_locus():
     north, south = hermitian.poles(2)
     assert not hermitian.membership(north, "R")

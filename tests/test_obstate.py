@@ -199,3 +199,18 @@ def test_json_accepts_basis_points():
     o = obstate.obstate_from_json(payload)
     assert grassmann.point_eq(o.ref_observable, grassmann.zero_point(2))
     assert obstate.expectation(o) == pytest.approx(1.5)
+
+
+def test_json_accepts_the_named_point_one():
+    payload = {
+        "A": {"chart": [[2.0, 0.0], [0.0, 3.0]]},
+        "W": {"density": [[0.5, 0.0], [0.0, 0.5]]},
+        "A0": "one",
+        "Winf": {"chart": [[-1.0, 0.0], [0.0, -1.0]]},  # alpha(one)
+    }
+    o = obstate.obstate_from_json(payload)
+    assert grassmann.point_eq(o.ref_observable, grassmann.one_point(2))
+    assert o.strong
+    assert "variance" in obstate.report(o)
+    with pytest.raises(ValueError, match="unknown named point 'two'"):
+        obstate.obstate_from_json(dict(payload, A0="two"))

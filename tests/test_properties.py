@@ -28,7 +28,6 @@ def test_run_sweep_report_schema():
                                properties=["algebra.involution",
                                            "crossratio.chains"])
     assert rep["schema"] == 1
-    assert rep["backend"] == "float"
     assert rep["seed"] == 5
     assert set(rep["properties"]) == {"algebra.involution",
                                       "crossratio.chains"}
@@ -37,8 +36,6 @@ def test_run_sweep_report_schema():
 
 
 def test_run_sweep_rejects_unknown_backend_and_property():
-    with pytest.raises(ValueError):
-        properties.run_sweep(n_list=[2], trials=1, seed=0, backend="exact")
     with pytest.raises(KeyError):
         properties.run_sweep(n_list=[2], trials=1, seed=0,
                              properties=["no.such.property"])
