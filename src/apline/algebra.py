@@ -207,18 +207,24 @@ def matrix_to_json(a) -> dict:
 
 def matrix_from_json(obj) -> np.ndarray:
     """Decode {"n", "re", "im"} (im optional) or a plain nested real list."""
-    if isinstance(obj, (list, tuple)):
-        m = np.array(obj, dtype=complex)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise DimensionError(f"matrix JSON must be square, got {m.shape}")
-    else:
-        n = int(obj["n"])
-        re = np.array(obj["re"], dtype=float)
-        im = np.array(obj.get("im", np.zeros((n, n))), dtype=float)
-        if re.shape != (n, n) or im.shape != (n, n):
-            raise DimensionError(
-                f"matrix JSON claims n={n} but carries shapes {re.shape}/{im.shape}")
-        m = re + 1j * im
+    try:
+        if isinstance(obj, (list, tuple)):
+            m = np.array(obj, dtype=complex)
+            if m.ndim != 2 or m.shape[0] != m.shape[1]:
+                raise DimensionError(f"matrix JSON must be square, got {m.shape}")
+        elif isinstance(obj, dict):
+            n = int(obj["n"])
+            re = np.array(obj["re"], dtype=float)
+            im = np.array(obj.get("im", np.zeros((n, n))), dtype=float)
+            if re.shape != (n, n) or im.shape != (n, n):
+                raise DimensionError(
+                    f"matrix JSON claims n={n} but carries shapes {re.shape}/{im.shape}")
+            m = re + 1j * im
+        else:
+            raise ValueError("matrix JSON must be a nested list or an object, "
+                             f"got {type(obj).__name__}")
+    except TypeError as exc:  # null where a number belongs
+        raise ValueError(f"matrix JSON entries must be numbers: {exc}") from None
     if not np.all(np.isfinite(m)):
         raise ValueError("matrix JSON entries must be finite")
     return m

@@ -156,6 +156,8 @@ def fn_obstate_value(f: ClassicalFn, f1: ClassicalFn, f0: ClassicalFn,
 def fn_obstate(f: ClassicalFn, f1: ClassicalFn, f0: ClassicalFn,
                finf: ClassicalFn) -> ClassicalFn:
     """All fn_obstate_value coordinates at once."""
+    if not (f.size == f1.size == f0.size == finf.size):
+        raise DimensionError("fn_obstate arguments live on different site sets")
     return ClassicalFn([fn_obstate_value(f, f1, f0, finf, p)
                         for p in range(f.size)])
 

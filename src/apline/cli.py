@@ -197,7 +197,10 @@ def _load_classical_problem(path: str) -> dict:
         payload = json.load(fh)
     if not isinstance(payload, dict):
         raise click.ClickException(f"{path}: expected a JSON object")
-    return {name: _values_from_json(obj, name) for name, obj in payload.items()}
+    try:
+        return {name: _values_from_json(obj, name) for name, obj in payload.items()}
+    except (TypeError, ValueError) as exc:  # e.g. null, a list or "x" for a number
+        raise click.ClickException(f"{path}: malformed entry: {exc}")
 
 
 def _need(problem: dict, names, path: str) -> list:

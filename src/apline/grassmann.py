@@ -16,6 +16,7 @@ live in the cochart.
 from __future__ import annotations
 
 import warnings
+from functools import lru_cache
 
 import numpy as np
 
@@ -98,18 +99,21 @@ def is_orthocomplement(x: np.ndarray, y: np.ndarray) -> bool:
 
 # --- base points and charts -------------------------------------------------
 
+@lru_cache(maxsize=None)
 def zero_point(n: int) -> SubspacePoint:
-    """The base point 0 = [(1, 0)] = span[I; 0]."""
+    """The base point 0 = [(1, 0)] = span[I; 0]; one cached point per n, shared and read-only."""
     return SubspacePoint(np.vstack([np.eye(n), np.zeros((n, n))]))
 
 
+@lru_cache(maxsize=None)
 def infinity_point(n: int) -> SubspacePoint:
-    """The base point oo = [(0, 1)] = span[0; I]."""
+    """The base point oo = [(0, 1)] = span[0; I]; one cached point per n, shared and read-only."""
     return SubspacePoint(np.vstack([np.zeros((n, n)), np.eye(n)]))
 
 
+@lru_cache(maxsize=None)
 def one_point(n: int) -> SubspacePoint:
-    """The base point 1 = [(1, 1)] = span[I; I]."""
+    """The base point 1 = [(1, 1)] = span[I; I]; one cached point per n, shared and read-only."""
     return SubspacePoint(np.vstack([np.eye(n), np.eye(n)]))
 
 
@@ -336,9 +340,14 @@ def point_to_json(x: SubspacePoint) -> dict:
 
 
 def point_from_json(obj: dict) -> SubspacePoint:
-    re = np.array(obj["basis_re"], dtype=float)
-    n = int(obj["n"]) if "n" in obj else re.shape[-1]
-    im = np.array(obj.get("basis_im", np.zeros((2 * n, n))), dtype=float)
+    try:
+        re = np.array(obj["basis_re"], dtype=float)
+        if re.ndim != 2:
+            raise DimensionError(f"point JSON basis must be 2n x n, got shape {re.shape}")
+        n = int(obj["n"]) if "n" in obj else re.shape[-1]
+        im = np.array(obj.get("basis_im", np.zeros((2 * n, n))), dtype=float)
+    except TypeError as exc:  # null or an object where a number belongs
+        raise ValueError(f"point JSON entries must be numbers: {exc}") from None
     if re.shape != (2 * n, n) or im.shape != (2 * n, n):
         raise DimensionError(
             f"point JSON claims n={n} but carries shapes {re.shape}/{im.shape}")

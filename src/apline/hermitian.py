@@ -355,7 +355,11 @@ def chart_difference_rank(x: SubspacePoint, y: SubspacePoint,
     """Rank of chart_c(x) - chart_c(y), with the 1e-7 relative sv threshold."""
     if origin is None:
         origin = _origin_for(c)
-    diff = chart_in_frame(x, origin, c) - chart_in_frame(y, origin, c)
+    return _numerical_rank(chart_in_frame(x, origin, c) - chart_in_frame(y, origin, c))
+
+
+def _numerical_rank(diff: np.ndarray) -> int:
+    """Singular values above RANK_RTOL * sigma_max; a zero matrix has rank 0."""
     s = np.linalg.svd(diff, compute_uv=False)
     if s[0] == 0.0:
         return 0
@@ -423,13 +427,25 @@ class LineFamily:
 def line_family(x: SubspacePoint, y: SubspacePoint,
                 chart_point: SubspacePoint | None = None,
                 origin: SubspacePoint | None = None) -> LineFamily:
-    """Parametrize the intrinsic line through the rank-one pair (x, y)."""
-    if not is_rank_one_pair(x, y):
+    """Parametrize the intrinsic line through the rank-one pair (x, y).
+
+    The rank-one test is is_rank_one_pair's, run on the chart values it
+    would compute itself (default chart and origin); with the default
+    frame those values are the family's, so the chart search runs once.
+    """
+    if point_eq(x, y):
         raise NotRankOneError("intrinsic lines need a pair at arithmetic distance 1")
-    c = chart_point if chart_point is not None else common_chart_point(x, y)
-    o = origin if origin is not None else _origin_for(c)
+    c = common_chart_point(x, y)
+    o = _origin_for(c)
     mx = chart_in_frame(x, o, c)
     my = chart_in_frame(y, o, c)
+    if _numerical_rank(mx - my) != 1:
+        raise NotRankOneError("intrinsic lines need a pair at arithmetic distance 1")
+    if chart_point is not None or origin is not None:
+        c = chart_point if chart_point is not None else c
+        o = origin if origin is not None else _origin_for(c)
+        mx = chart_in_frame(x, o, c)
+        my = chart_in_frame(y, o, c)
     return LineFamily(np.hstack([o.basis, c.basis]), my, mx - my)
 
 

@@ -32,6 +32,7 @@ from .errors import (
     NotHermitianError,
     NotInChartError,
     NotPureError,
+    NotRankOneError,
     NotStrongError,
     NotTransversalError,
     TransversalityError,
@@ -52,6 +53,10 @@ EIG_CLUSTER_RTOL = 1e-8
 # Normalized smallest singular value below which a line point counts as
 # non-transversal to the observable during completion-point search.
 COMPLETION_TOL = 1e-6
+
+# Finite parameters of the completion scan: tangents of equispaced angles,
+# crowding towards the horizon point INF, which the scan adds last.
+_SCAN_GRID = np.tan(np.linspace(-1.5407, 1.5407, 41))
 
 
 @dataclass(frozen=True)
@@ -242,10 +247,13 @@ def _completion_parameter(fam: "hermitian.LineFamily", target: SubspacePoint):
 
     For a rank-one direction the determinant det [line(t) | target] is
     affine in t, so two samples determine the unique root (possibly at
-    t = INF).  A scan of the normalized smallest singular value over the
-    closed line guards the uniqueness claim: an identically degenerate
-    determinant, or a second near-zero well away from the root, raises
-    NonUniqueCompletionError.
+    t = INF).  An identically degenerate determinant, or a complex root,
+    raises NonUniqueCompletionError.  The normalized smallest singular
+    value is then scanned at the 41 finite _SCAN_GRID parameters and at
+    INF; a second near-root is caught only when the margin at one of
+    these 42 parameters, away from the root, falls below COMPLETION_TOL.
+    The scan is a guard against broken affineness, not a proof of
+    uniqueness: a stray root between grid parameters goes unseen.
     """
     def margin(t) -> float:
         s = np.linalg.svd(np.hstack([fam.raw_basis(t), target.basis]),
@@ -276,13 +284,28 @@ def _completion_parameter(fam: "hermitian.LineFamily", target: SubspacePoint):
         raise NonUniqueCompletionError(
             "completion-point refinement did not converge")  # pragma: no cover
     # scan the closed line for stray minima inconsistent with affineness
-    grid = [float(np.tan(th)) for th in np.linspace(-1.5407, 1.5407, 41)]
-    grid.append(INF)
-    for t in grid:
-        if margin(t) < COMPLETION_TOL and not _same_parameter(t, root):
-            raise NonUniqueCompletionError(
-                "several non-transversal points found on the line")
+    scan = zip(_SCAN_GRID.tolist() + [INF],
+               _scan_margins(fam, target).tolist() + [margin(INF)])
+    if any(m < COMPLETION_TOL and not _same_parameter(t, root) for t, m in scan):
+        raise NonUniqueCompletionError(
+            "several non-transversal points found on the line")
     return root
+
+
+def _scan_margins(fam: "hermitian.LineFamily", target: SubspacePoint) -> np.ndarray:
+    """The completion margin at every _SCAN_GRID parameter, one batched SVD.
+
+    Row k stacks frame @ [I; base + t_k direction] (fam.raw_basis(t_k))
+    beside target's basis; the margins equal the per-point ones bit for bit.
+    """
+    n = fam.n
+    m = fam.base + _SCAN_GRID[:, None, None] * fam.direction
+    eye = np.broadcast_to(np.eye(n), m.shape)
+    lines = fam.frame @ np.concatenate([eye, m], axis=1)
+    stack = np.concatenate(
+        [lines, np.broadcast_to(target.basis, lines.shape)], axis=2)
+    s = np.linalg.svd(stack, compute_uv=False)
+    return s[:, -1] / s[:, 0]
 
 
 def _same_parameter(s, t) -> bool:
@@ -304,9 +327,10 @@ def pure_expectation(o: Obstate):
     (W at 1, Winf at 0).  Agrees with expectation(o) whenever the
     latter's trace is real.
     """
-    if not is_pure(o):
-        raise NotPureError("pure_expectation needs a rank-one (W, Winf) pair")
-    fam = hermitian.line_family(o.state, o.ref_state)
+    try:
+        fam = hermitian.line_family(o.state, o.ref_state)
+    except NotRankOneError:
+        raise NotPureError("pure_expectation needs a rank-one (W, Winf) pair") from None
     t_a = _completion_parameter(fam, o.observable)
     t_a0 = _completion_parameter(fam, o.ref_observable)
     return classical_cr(t_a, 1.0, t_a0, 0.0)
@@ -342,6 +366,9 @@ def obstate_from_json(obj: dict) -> Obstate:
     Point slots accept {"chart": matrix}, {"density": matrix}, a raw
     basis object, or (for the slots after A) "zero" / "infinity" / "one".
     """
+    if not isinstance(obj, dict):
+        raise ValueError("obstate JSON must be an object with the slots A, W, A0, Winf, "
+                         f"got {type(obj).__name__}")
     A = _point_from_json(obj["A"], "A")
     return new_obstate(A,
                        _point_from_json(obj["W"], "W", A.n),
@@ -366,13 +393,17 @@ def report(o: Obstate) -> dict:
         a, w = _strong_normal_form(o)
         out["variance"] = _variance(a, w)
         out["distribution"] = [[v, wt] for v, wt in _distribution(a, w)]
-    pure = is_pure(o)
-    out["pure"] = pure
-    out["positive"] = is_positive(o)
-    out["cyclically_ordered"] = is_cyclically_ordered(o)
-    if pure:
-        try:
-            out["pure_expectation"] = _scalar_to_json(pure_expectation(o))
-        except NonUniqueCompletionError as exc:
-            out["pure_expectation_error"] = str(exc)
+    # one pure_expectation call decides purity and, when pure, the value
+    try:
+        pure_out = {"pure_expectation": _scalar_to_json(pure_expectation(o))}
+    except NotPureError:
+        pure_out = {}
+    except NonUniqueCompletionError as exc:
+        pure_out = {"pure_expectation_error": str(exc)}
+    out["pure"] = bool(pure_out)
+    positive = _ordered(o.ref_observable, o.state, o.ref_state)
+    out["positive"] = positive
+    out["cyclically_ordered"] = positive and _ordered(o.ref_observable, o.observable,
+                                                      o.ref_state)
+    out.update(pure_out)
     return out

@@ -105,3 +105,9 @@ def test_random_samplers_have_declared_shapes():
     assert algebra.is_psd(p)
     h = algebra.random_hermitian(5, RNG)
     assert algebra.is_hermitian(h)
+
+
+@pytest.mark.parametrize("obj", [5, None, "x", 1.5, True, {"n": None, "re": [[1.0]]}])
+def test_matrix_json_rejects_what_is_not_a_matrix(obj):
+    with pytest.raises(ValueError, match="matrix JSON"):
+        algebra.matrix_from_json(obj)

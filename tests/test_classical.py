@@ -191,3 +191,11 @@ def test_fn_expectation_composes_coordinates_and_pairing():
                                   classical.constant_fn(0.0, m),
                                   classical.constant_fn(INF, m))
     assert ev == pytest.approx(0.2 * 2.0 + 0.3 * 3.0 + 0.5 * 4.0)
+
+
+def test_fn_obstate_rejects_ragged_site_sets():
+    f = classical.ClassicalFn([1.0, 2.0])
+    short = classical.ClassicalFn([5.0])
+    with pytest.raises(DimensionError, match="different site sets"):
+        classical.fn_obstate(f, short, classical.constant_fn(0.0, 2),
+                             classical.constant_fn(INF, 2))

@@ -209,3 +209,48 @@ def test_declared_m_mismatch_is_an_error(tmp_path):
     res = runner.invoke(main, ["classical", "pairing", str(p)])
     assert res.exit_code != 0
     assert "declared m=2" in res.output
+
+
+_GOOD_SLOTS = {"W": {"density": [[1.0]]}, "A0": "zero", "Winf": "infinity"}
+
+
+@pytest.mark.parametrize("payload", [
+    [1, 2],
+    None,
+    "zero",
+    dict(_GOOD_SLOTS, A={"chart": "x"}),
+    dict(_GOOD_SLOTS, A={"chart": 5}),
+    dict(_GOOD_SLOTS, A={"chart": None}),
+    dict(_GOOD_SLOTS, A={"chart": {"n": None, "re": [[1.0]]}}),
+    dict(_GOOD_SLOTS, A={"basis_re": 5}),
+])
+def test_expect_malformed_payload_is_a_clean_error(tmp_path, payload):
+    path = tmp_path / "malformed.json"
+    path.write_text(json.dumps(payload))
+    res = runner.invoke(main, ["expect", str(path)])
+    assert res.exit_code == 1
+    assert res.output.startswith("Error: ")
+    assert "Traceback" not in res.output
+    assert isinstance(res.exception, SystemExit)
+
+
+def test_classical_obstate_ragged_csv_is_a_clean_error(tmp_path):
+    p = tmp_path / "ragged.csv"
+    p.write_text("f,1,2,3\nf1,5,5\nf0,0,0,0\nfinf,inf,inf,inf\n")
+    res = runner.invoke(main, ["classical", "obstate", str(p)])
+    assert res.exit_code == 1
+    assert "different site sets" in res.output
+    assert "Traceback" not in res.output
+    assert isinstance(res.exception, SystemExit)
+
+
+@pytest.mark.parametrize("entry", [{"values": [None]}, {"m": None, "values": [1]},
+                                   {"m": "x", "values": [1]}, [[1]], {"values": 5}])
+def test_classical_malformed_json_entry_is_a_clean_error(tmp_path, entry):
+    p = tmp_path / "malformed.json"
+    p.write_text(json.dumps({"mu": [1], "f": entry, "g": [1]}))
+    res = runner.invoke(main, ["classical", "pairing", str(p)])
+    assert res.exit_code == 1
+    assert "malformed entry" in res.output
+    assert "Traceback" not in res.output
+    assert isinstance(res.exception, SystemExit)

@@ -120,3 +120,10 @@ def test_point_json_roundtrip():
     x = grassmann.random_point(3, RNG)
     y = grassmann.point_from_json(grassmann.point_to_json(x))
     assert grassmann.point_eq(x, y)
+
+
+@pytest.mark.parametrize("obj", [{"basis_re": 5}, {"basis_re": None},
+                                 {"basis_re": [[1.0], [0.0]], "n": [1]}])
+def test_point_json_rejects_what_is_not_a_basis(obj):
+    with pytest.raises(ValueError, match="point JSON"):
+        grassmann.point_from_json(obj)

@@ -6,6 +6,7 @@ from apline.crossratio import INF, is_inf
 from apline.errors import (
     DimensionError,
     MembershipError,
+    NonUniqueCompletionError,
     NotAntipodalError,
     NotPureError,
     NotStrongError,
@@ -214,3 +215,119 @@ def test_json_accepts_the_named_point_one():
     assert "variance" in obstate.report(o)
     with pytest.raises(ValueError, match="unknown named point 'two'"):
         obstate.obstate_from_json(dict(payload, A0="two"))
+
+
+# --- the batched completion scan and the single chart search -----------------------
+
+def _per_point_margins(fam, target):
+    """The completion margins as the scan computed them one SVD at a time."""
+    out = []
+    for th in np.linspace(-1.5407, 1.5407, 41):
+        s = np.linalg.svd(np.hstack([fam.raw_basis(float(np.tan(th))), target.basis]),
+                          compute_uv=False)
+        out.append(float(s[-1] / s[0]))
+    return out
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 8])
+def test_batched_scan_margins_equal_the_per_point_margins_bitwise(n):
+    rng = np.random.default_rng(4000 + n)
+    assert obstate._SCAN_GRID.tolist() == [
+        float(np.tan(th)) for th in np.linspace(-1.5407, 1.5407, 41)]
+    for _ in range(6):
+        psi = rng.standard_normal((n, 1)) + 1j * rng.standard_normal((n, 1))
+        o = obstate.standard_obstate(algebra.random_hermitian(n, rng),
+                                     psi @ psi.conj().T / np.vdot(psi, psi).real)
+        # transported, so the line frame is a generic matrix, not a permutation
+        o = obstate.transport(o, hermitian.aut_omega_random(n, rng))
+        fam = hermitian.line_family(o.state, o.ref_state)
+        for target in (o.observable, o.ref_observable):
+            assert obstate._scan_margins(fam, target).tolist() == \
+                _per_point_margins(fam, target)
+
+
+def _two_root_family(r):
+    # line(t) = span[I; diag(t, t - r)] meets 0 = span[I; 0] at t = 0 and t = r
+    return hermitian.LineFamily(np.eye(4, dtype=complex),
+                                np.diag([0.0, -r]).astype(complex),
+                                np.eye(2, dtype=complex))
+
+
+def test_scan_catches_a_second_root_on_a_grid_parameter():
+    r = float(obstate._SCAN_GRID[30])
+    with pytest.raises(NonUniqueCompletionError, match="several non-transversal points"):
+        obstate._completion_parameter(_two_root_family(r), grassmann.zero_point(2))
+
+
+def test_scan_is_a_guard_not_a_proof():
+    # the same stray root halfway between two grid parameters goes unseen
+    r = float(obstate._SCAN_GRID[30] + obstate._SCAN_GRID[31]) / 2
+    assert obstate._completion_parameter(_two_root_family(r),
+                                         grassmann.zero_point(2)) == pytest.approx(0.0)
+
+
+def _report_from_public_calls(o):
+    out = {"expectation": obstate._scalar_to_json(obstate.expectation(o))}
+    if o.strong:
+        out["variance"] = obstate.variance(o)
+        out["distribution"] = [[v, w] for v, w in obstate.distribution(o)]
+    out["pure"] = obstate.is_pure(o)
+    out["positive"] = obstate.is_positive(o)
+    out["cyclically_ordered"] = obstate.is_cyclically_ordered(o)
+    if out["pure"]:
+        try:
+            out["pure_expectation"] = obstate._scalar_to_json(obstate.pure_expectation(o))
+        except NonUniqueCompletionError as exc:
+            out["pure_expectation_error"] = str(exc)
+    return out
+
+
+def test_report_equals_the_separate_public_calls():
+    rng = np.random.default_rng(2718)
+    seen = set()
+    for n in (1, 2, 3, 4):
+        for k in range(6):
+            a = algebra.random_hermitian(n, rng)
+            if k % 3 == 2:
+                a = a @ a + 0.1 * np.eye(n)   # positive: cyclically ordered states
+            psi = rng.standard_normal((n, 1)) + 1j * rng.standard_normal((n, 1))
+            w = (psi @ psi.conj().T / np.vdot(psi, psi).real if k % 2
+                 else algebra.random_density(n, rng))
+            for o in (obstate.standard_obstate(a, w),
+                      obstate.new_obstate(grassmann.point_from_chart(a),
+                                          obstate.state_from_density(w),
+                                          grassmann.zero_point(n),
+                                          grassmann.point_from_cochart(2 * np.eye(n)),
+                                          strong=False)):
+                rep = obstate.report(o)
+                assert rep == _report_from_public_calls(o)
+                seen.add((rep["pure"], rep["cyclically_ordered"]))
+    assert seen == {(p, c) for p in (False, True) for c in (False, True)}
+
+
+def test_report_keeps_the_completion_error(monkeypatch):
+    def no_unique_point(fam, target):
+        raise NonUniqueCompletionError("several non-transversal points found on the line")
+
+    monkeypatch.setattr(obstate, "_completion_parameter", no_unique_point)
+    o = obstate.standard_obstate(np.diag([1.0, 2.0]), np.diag([1.0, 0.0]))
+    rep = obstate.report(o)
+    assert rep == _report_from_public_calls(o)
+    assert rep["pure"] is True and "pure_expectation_error" in rep
+
+
+def test_base_points_are_cached_and_read_only():
+    for make in (grassmann.zero_point, grassmann.infinity_point, grassmann.one_point):
+        x = make(3)
+        assert make(3) is x
+        assert make(2) is not x
+        assert not x.basis.flags.writeable
+        assert not x.projector.flags.writeable
+        with pytest.raises(ValueError):
+            x.basis[0, 0] = 2.0
+
+
+def test_json_rejects_a_payload_that_is_not_an_object():
+    for payload in ([1, 2], None, "zero"):
+        with pytest.raises(ValueError, match="obstate JSON must be an object"):
+            obstate.obstate_from_json(payload)
