@@ -11,6 +11,14 @@ horizon is the point at infinity span[0; I].  The cochart sends w to
 the transposed graph span[w; I] (the graph of w over the second
 summand), whose horizon is the zero point; states of the obstate layer
 live in the cochart.
+
+Rank, invertibility and transversality are checked once, where they can
+fail: the public constructors (SubspacePoint, ProjectiveMap) and the
+guarded public functions check every input.  Inside the package,
+results whose rank the inputs already prove are built by the private
+constructors SubspacePoint._full_rank (QR only) and
+ProjectiveMap._invertible (no SVD); each call site states the proof in
+one line.  Both build the same bits as their public counterparts.
 """
 
 from __future__ import annotations
@@ -49,10 +57,24 @@ class SubspacePoint:
         if cols.ndim != 2 or cols.shape[0] != 2 * cols.shape[1]:
             raise DimensionError(
                 f"a point of the projective line needs a 2n x n basis, got {cols.shape}")
-        self.n = cols.shape[1]
         s = np.linalg.svd(cols, compute_uv=False)
         if s[-1] <= TOL_INV * max(s[0], 1e-300):
             raise SingularError("basis columns are rank deficient")
+        self._canonicalize(cols)
+
+    @classmethod
+    def _full_rank(cls, columns: np.ndarray) -> "SubspacePoint":
+        """The point spanned by 2n x n columns whose full rank the caller has proven.
+
+        Skips the rank SVD of __init__ and runs the same QR, so the basis
+        is bitwise equal to SubspacePoint(columns).basis.
+        """
+        x = cls.__new__(cls)
+        x._canonicalize(np.asarray(columns, dtype=complex))
+        return x
+
+    def _canonicalize(self, cols: np.ndarray) -> None:
+        self.n = cols.shape[1]
         q, _ = np.linalg.qr(cols)
         q.setflags(write=False)
         self.basis = q
@@ -117,10 +139,27 @@ def one_point(n: int) -> SubspacePoint:
     return SubspacePoint(np.vstack([np.eye(n), np.eye(n)]))
 
 
+def _graph_point(cols: np.ndarray, value: np.ndarray, chart: str) -> SubspacePoint:
+    """SubspacePoint(cols) for a graph basis [I; a] or [a; I] of the chart value a.
+
+    A graph basis always has full rank: its singular values are
+    sqrt(1 + s_i(a)^2).  So the rank check can reject it only for the
+    dynamic range of a, and the error says that.
+    """
+    try:
+        return SubspacePoint(cols)
+    except SingularError:
+        scale = np.linalg.svd(value, compute_uv=False)[0]
+        raise SingularError(
+            f"{chart} value of scale {scale:.3e} (largest singular value) is out of "
+            f"range: its graph basis has condition number at or above 1/TOL_INV = "
+            f"{1 / TOL_INV:.0e}") from None
+
+
 def point_from_chart(a) -> SubspacePoint:
     """The graph point of a: column span of [I; a]."""
     a = algebra.as_matrix(a)
-    return SubspacePoint(np.vstack([np.eye(a.shape[0]), a]))
+    return _graph_point(np.vstack([np.eye(a.shape[0]), a]), a, "chart")
 
 
 def chart_repr(x: SubspacePoint) -> np.ndarray:
@@ -144,7 +183,7 @@ def point_from_cochart(w) -> SubspacePoint:
     (the concatenated matrix [[I, w], [0, I]] is always invertible).
     """
     w = algebra.as_matrix(w)
-    return SubspacePoint(np.vstack([w, np.eye(w.shape[0])]))
+    return _graph_point(np.vstack([w, np.eye(w.shape[0])]), w, "cochart")
 
 
 def cochart_repr(x: SubspacePoint) -> np.ndarray:
@@ -189,6 +228,11 @@ def projector(x: SubspacePoint, a: SubspacePoint) -> np.ndarray:
     """
     if not is_transversal(x, a):
         raise NotTransversalError("projector needs transversal (image, kernel)")
+    return _projector(x, a)
+
+
+def _projector(x: SubspacePoint, a: SubspacePoint) -> np.ndarray:
+    """projector(x, a) for a pair the caller has already checked transversal."""
     n = x.n
     f = np.hstack([x.basis, a.basis])
     left = np.hstack([x.basis, np.zeros((2 * n, n))])
@@ -204,7 +248,8 @@ def m_operator(x: SubspacePoint, a: SubspacePoint, b: SubspacePoint,
     for (p, q) in ((x, a), (x, b), (z, a), (z, b)):
         if not is_transversal(p, q):
             raise NotTransversalError("m_operator needs x, z in U_a and U_b")
-    return projector(x, a) - projector(b, z)
+    # (x, a) and (z, b) were checked just above; [Z | B] and [B | Z] share singular values
+    return _projector(x, a) - _projector(b, z)
 
 
 def torsor_product(x: SubspacePoint, y: SubspacePoint, z: SubspacePoint,
@@ -233,7 +278,8 @@ def scalar_action(r, a: SubspacePoint, x: SubspacePoint,
         raise NotTransversalError("scalar_action needs transversal (x, a)")
     if not is_transversal(y, a):
         raise NotTransversalError("scalar_action needs y in U_a")
-    m = complex(r) * projector(a, x) + projector(x, a)
+    # (x, a) was checked above; [A | X] and [X | A] share singular values
+    m = complex(r) * _projector(a, x) + _projector(x, a)
     return SubspacePoint(m @ y.basis)
 
 
@@ -250,6 +296,19 @@ class ProjectiveMap:
             raise DimensionError(f"projective map rep must be 2n x 2n, got {rep.shape}")
         if not algebra.is_invertible(rep):
             raise SingularError("projective map rep is singular")
+        self._set_rep(rep)
+
+    @classmethod
+    def _invertible(cls, rep: np.ndarray) -> "ProjectiveMap":
+        """The map of a 2n x 2n rep whose invertibility the caller has proven.
+
+        Skips the SVD of __init__; the rep is still copied and made read-only.
+        """
+        g = cls.__new__(cls)
+        g._set_rep(np.asarray(rep, dtype=complex))
+        return g
+
+    def _set_rep(self, rep: np.ndarray) -> None:
         rep = rep.copy()
         rep.setflags(write=False)
         self.rep = rep
@@ -259,7 +318,8 @@ class ProjectiveMap:
         return self.rep.shape[0] // 2
 
     def inverse(self) -> "ProjectiveMap":
-        return ProjectiveMap(np.linalg.inv(self.rep))
+        # cond(G^{-1}) = cond(G), and G passed the invertibility check
+        return ProjectiveMap._invertible(np.linalg.inv(self.rep))
 
     def __matmul__(self, other) -> "ProjectiveMap":
         if not isinstance(other, ProjectiveMap):
@@ -296,7 +356,8 @@ def apply_map(g: ProjectiveMap, x: SubspacePoint) -> SubspacePoint:
     """The fractional-linear action: column span of rep(g) basis(x)."""
     if g.n != x.n:
         raise DimensionError(f"dimension mismatch: map n={g.n}, point n={x.n}")
-    return SubspacePoint(g.rep @ x.basis)
+    # X orthonormal: s_min(GX) / s_max(GX) >= s_min(G) / s_max(G) > TOL_INV
+    return SubspacePoint._full_rank(g.rep @ x.basis)
 
 
 # --- random draws -------------------------------------------------------------

@@ -56,35 +56,43 @@ from .grassmann import (
 RANK_RTOL = 1e-7
 
 
+@lru_cache(maxsize=None)
 def omega_matrix(n: int) -> np.ndarray:
-    """Form matrix of omega(u, v) = u1* v2 - u2* v1: [[0, I], [-I, 0]]."""
+    """Form matrix of omega(u, v) = u1* v2 - u2* v1: [[0, I], [-I, 0]]; cached per n, read-only."""
     eye = np.eye(n)
-    return np.block([[np.zeros((n, n)), eye], [-eye, np.zeros((n, n))]])
-
-
-def j_matrix(n: int) -> np.ndarray:
-    """J = [[0, -I], [I, 0]]; J^2 = -1."""
-    eye = np.eye(n)
-    return np.block([[np.zeros((n, n)), -eye], [eye, np.zeros((n, n))]])
+    omega = np.block([[np.zeros((n, n)), eye], [-eye, np.zeros((n, n))]])
+    omega.setflags(write=False)
+    return omega
 
 
 @lru_cache(maxsize=None)
-def _cayley_blocks(n: int) -> tuple[np.ndarray, np.ndarray]:
+def j_matrix(n: int) -> np.ndarray:
+    """J = [[0, -I], [I, 0]]; J^2 = -1.  Cached per n, read-only."""
+    eye = np.eye(n)
+    j = np.block([[np.zeros((n, n)), -eye], [eye, np.zeros((n, n))]])
+    j.setflags(write=False)
+    return j
+
+
+@lru_cache(maxsize=None)
+def _cayley_maps(n: int) -> tuple[ProjectiveMap, ProjectiveMap]:
+    """The maps C and C^{-1}; one cached pair per n, shared and read-only."""
     eye = np.eye(n)
     c = np.block([[1j * eye, -1j * eye], [eye, eye]])
-    return c, np.linalg.inv(c)
+    return ProjectiveMap(c), ProjectiveMap(np.linalg.inv(c))
 
 
 def cayley_matrix(n: int) -> ProjectiveMap:
     """The Cayley matrix C = [[i, -i], [1, 1]] blocks; C(0) = N, C(inf) = S."""
-    return ProjectiveMap(_cayley_blocks(n)[0])
+    return _cayley_maps(n)[0]
 
 
 def _null_space_point(rows: np.ndarray) -> SubspacePoint:
     """The n-dimensional null space of an n x 2n full-rank row matrix."""
     _, _, vh = np.linalg.svd(rows)
     n = rows.shape[0]
-    return SubspacePoint(vh[n:, :].conj().T)
+    # the rows of vh are orthonormal, so these columns are too
+    return SubspacePoint._full_rank(vh[n:, :].conj().T)
 
 
 def tau(x: SubspacePoint) -> SubspacePoint:
@@ -99,7 +107,8 @@ def alpha(x: SubspacePoint) -> SubspacePoint:
 
 def beta(x: SubspacePoint) -> SubspacePoint:
     """The point map [J]; equals alpha o tau = tau o alpha."""
-    return SubspacePoint(j_matrix(x.n) @ x.basis)
+    # J is unitary, so J X is orthonormal
+    return SubspacePoint._full_rank(j_matrix(x.n) @ x.basis)
 
 
 _INVOLUTIONS = {"tau": tau, "alpha": alpha, "beta": beta}
@@ -113,8 +122,12 @@ def involution(x: SubspacePoint, kind: str) -> SubspacePoint:
         raise ValueError(f"unknown involution {kind!r}; pick tau, alpha or beta") from None
 
 
+@lru_cache(maxsize=None)
 def poles(n: int) -> tuple[SubspacePoint, SubspacePoint]:
-    """North and south pole: N = [(i, 1)] = span[iI; I], S = [(-i, 1)]."""
+    """North and south pole: N = [(i, 1)] = span[iI; I], S = [(-i, 1)].
+
+    One cached pair per n, shared and read-only.
+    """
     eye = np.eye(n)
     north = SubspacePoint(np.vstack([1j * eye, eye]))
     south = SubspacePoint(np.vstack([-1j * eye, eye]))
@@ -160,7 +173,8 @@ def _pole_projectors(n: int) -> tuple[np.ndarray, np.ndarray]:
 def s1_action_map(theta: float, n: int) -> ProjectiveMap:
     """The invertible map e^{i theta} P(im N, ker S) + P(im S, ker N)."""
     p_north, p_south = _pole_projectors(n)
-    return ProjectiveMap(np.exp(1j * theta) * p_north + p_south)
+    # N is orthogonal to S: e^{i theta} P_N + P_S is unitary
+    return ProjectiveMap._invertible(np.exp(1j * theta) * p_north + p_south)
 
 
 def s1_action(theta: float, x: SubspacePoint) -> SubspacePoint:
@@ -183,8 +197,7 @@ def cayley_to_unitary(x: SubspacePoint) -> np.ndarray:
     """
     if not membership(x, "RNS"):
         raise NotInUniverseError("cayley_to_unitary needs a point of R_{N,S}")
-    _, c_inv = _cayley_blocks(x.n)
-    u = grassmann.chart_repr(apply_map(ProjectiveMap(c_inv), x))
+    u = grassmann.chart_repr(apply_map(_cayley_maps(x.n)[1], x))
     if not algebra.is_unitary(u, tol=1e-7):
         raise NotUnitaryError("Cayley chart value is not unitary")  # pragma: no cover
     return u
@@ -195,8 +208,7 @@ def unitary_to_point(u) -> SubspacePoint:
     u = algebra.as_matrix(u)
     if not algebra.is_unitary(u):
         raise NotUnitaryError("unitary_to_point needs a unitary matrix")
-    c, _ = _cayley_blocks(u.shape[0])
-    return apply_map(ProjectiveMap(c), point_from_chart(u))
+    return apply_map(cayley_matrix(u.shape[0]), point_from_chart(u))
 
 
 def random_r_point(n: int, rng) -> SubspacePoint:
@@ -221,7 +233,9 @@ def unitary_torsor(x: SubspacePoint, y: SubspacePoint,
         if not membership(p, "RNS"):
             raise NotInUniverseError("unitary_torsor needs points of R_{N,S}")
     north, south = poles(x.n)
-    return grassmann.torsor_product(x, y, z, south, north)
+    # torsor_product(x, y, z, south, north) less its pole checks: pole margins are sqrt(2) - 1
+    m = grassmann._projector(x, south) - grassmann._projector(north, z)
+    return SubspacePoint(m @ y.basis)
 
 
 def transport_to_zero(a: SubspacePoint) -> ProjectiveMap:
@@ -234,11 +248,12 @@ def transport_to_zero(a: SubspacePoint) -> ProjectiveMap:
     """
     u_a = cayley_to_unitary(a)
     n = a.n
-    c, c_inv = _cayley_blocks(n)
+    c, c_inv = (g.rep for g in _cayley_maps(n))
     d = np.zeros((2 * n, 2 * n), dtype=complex)
     d[:n, :n] = np.eye(n)
     d[n:, n:] = -u_a.conj().T
-    return ProjectiveMap(c @ d @ c_inv)
+    # C^{-1} = C*/2 and u_a is unitary (checked above), so (C/sqrt 2) d (C/sqrt 2)* is unitary
+    return ProjectiveMap._invertible(c @ d @ c_inv)
 
 
 def tangent_unit(a: SubspacePoint) -> SubspacePoint:

@@ -369,6 +369,9 @@ def obstate_from_json(obj: dict) -> Obstate:
     if not isinstance(obj, dict):
         raise ValueError("obstate JSON must be an object with the slots A, W, A0, Winf, "
                          f"got {type(obj).__name__}")
+    missing = [slot for slot in ("A", "W", "A0", "Winf") if slot not in obj]
+    if missing:
+        raise ValueError(f"obstate JSON is missing the slot(s) {', '.join(missing)}")
     A = _point_from_json(obj["A"], "A")
     return new_obstate(A,
                        _point_from_json(obj["W"], "W", A.n),

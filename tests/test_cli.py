@@ -254,3 +254,13 @@ def test_classical_malformed_json_entry_is_a_clean_error(tmp_path, entry):
     assert "malformed entry" in res.output
     assert "Traceback" not in res.output
     assert isinstance(res.exception, SystemExit)
+
+
+def test_expect_names_every_missing_slot(tmp_path):
+    path = tmp_path / "missing.json"
+    path.write_text(json.dumps({"A": {"chart": [[1]]}}))
+    res = runner.invoke(main, ["expect", str(path)])
+    assert res.exit_code == 1
+    assert "missing the slot(s) W, A0, Winf" in res.output
+    assert "Traceback" not in res.output
+    assert isinstance(res.exception, SystemExit)

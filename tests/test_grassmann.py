@@ -2,7 +2,12 @@ import numpy as np
 import pytest
 
 from apline import algebra, grassmann
-from apline.errors import NotHermitianError, NotInChartError, NotTransversalError
+from apline.errors import (
+    NotHermitianError,
+    NotInChartError,
+    NotTransversalError,
+    SingularError,
+)
 
 RNG = np.random.default_rng(77)
 
@@ -127,3 +132,80 @@ def test_point_json_roundtrip():
 def test_point_json_rejects_what_is_not_a_basis(obj):
     with pytest.raises(ValueError, match="point JSON"):
         grassmann.point_from_json(obj)
+
+
+@pytest.mark.parametrize("n", [1, 2, 4, 8, 16])
+def test_full_rank_constructor_matches_the_public_one_bitwise(n):
+    for _ in range(5):
+        cols = (RNG.standard_normal((2 * n, n))
+                + 1j * RNG.standard_normal((2 * n, n))) / np.sqrt(2)
+        want = grassmann.SubspacePoint(cols)
+        got = grassmann.SubspacePoint._full_rank(cols)
+        assert got.n == want.n == n
+        assert got.basis.tobytes() == want.basis.tobytes()
+        assert not got.basis.flags.writeable
+
+
+def test_public_constructors_still_reject_singular_input():
+    cols = np.ones((4, 2))
+    with pytest.raises(SingularError, match="rank deficient"):
+        grassmann.SubspacePoint(cols)
+    rep = np.eye(4)
+    rep[3, 3] = 0.0
+    with pytest.raises(SingularError, match="singular"):
+        grassmann.ProjectiveMap(rep)
+
+
+def test_proven_invertible_maps_are_read_only_copies():
+    g = grassmann.random_map(3, RNG)
+    inv = g.inverse()
+    assert inv.rep.tobytes() == np.linalg.inv(g.rep).tobytes()
+    assert not inv.rep.flags.writeable
+    rep = np.linalg.inv(g.rep)
+    h = grassmann.ProjectiveMap._invertible(rep)
+    rep[0, 0] += 1.0
+    assert h.rep[0, 0] != rep[0, 0]
+    assert not h.rep.flags.writeable
+
+
+def _generic_points(n, count):
+    return [grassmann.random_point(n, RNG) for _ in range(count)]
+
+
+def test_guarded_functions_reject_every_non_transversal_pair():
+    x, a, b, y, z = _generic_points(2, 5)
+    with pytest.raises(NotTransversalError):
+        grassmann.projector(x, x)
+    # m_operator(x, a, b, z) checks (x, a), (x, b), (z, a), (z, b)
+    for args in ((x, x, b, z), (x, a, x, z), (x, z, b, z), (x, a, z, z)):
+        with pytest.raises(NotTransversalError):
+            grassmann.m_operator(*args)
+    # scalar_action(r, a, x, y) checks (x, a) and (y, a)
+    for args in ((a, a, y), (a, x, a)):
+        with pytest.raises(NotTransversalError):
+            grassmann.scalar_action(2.0, *args)
+    # torsor_product(x, y, z, a, b) checks y, x and z against both a and b
+    for args in ((x, a, z, a, b), (x, b, z, a, b), (a, y, z, a, b),
+                 (b, y, z, a, b), (x, y, a, a, b), (x, y, b, a, b)):
+        with pytest.raises(NotTransversalError):
+            grassmann.torsor_product(*args)
+
+
+def test_m_operator_and_scalar_action_match_the_checked_projectors():
+    x, a, b, z, y = _generic_points(3, 5)
+    m = grassmann.m_operator(x, a, b, z)
+    want = grassmann.projector(x, a) - grassmann.projector(b, z)
+    assert m.tobytes() == want.tobytes()
+    got = grassmann.scalar_action(1.5, a, x, y)
+    ref = grassmann.SubspacePoint(
+        (1.5 * grassmann.projector(a, x) + grassmann.projector(x, a)) @ y.basis)
+    assert got.basis.tobytes() == ref.basis.tobytes()
+
+
+@pytest.mark.parametrize("to_point", [grassmann.point_from_chart,
+                                      grassmann.point_from_cochart])
+def test_out_of_range_chart_values_are_a_scale_error(to_point):
+    with pytest.raises(SingularError, match=r"scale 1\.000e\+11.*1/TOL_INV") as info:
+        to_point(np.diag([1.0, 1e11]))
+    assert "rank deficient" not in str(info.value)
+    to_point(np.diag([1.0, 1e9]))  # inside the range: accepted as before

@@ -292,3 +292,57 @@ def test_tangent_product_at_zero_is_matrix_multiplication():
     assert grassmann.point_eq(got, grassmann.point_from_chart(am @ bm))
     assert grassmann.point_eq(hermitian.tangent_unit(zero),
                               grassmann.one_point(n))
+
+
+@pytest.mark.parametrize("n", [1, 3])
+def test_unitary_torsor_equals_the_checked_torsor_product_bitwise(n):
+    rng = np.random.default_rng(2718 + n)
+    x, y, z = (hermitian.random_r_point(n, rng) for _ in range(3))
+    north, south = hermitian.poles(n)
+    got = hermitian.unitary_torsor(x, y, z)
+    want = grassmann.torsor_product(x, y, z, south, north)
+    assert got.basis.tobytes() == want.basis.tobytes()
+
+
+def test_unitary_torsor_rejects_points_outside_the_universe():
+    rng = np.random.default_rng(1414)
+    x, y, z = (hermitian.random_r_point(2, rng) for _ in range(3))
+    off = grassmann.random_point(2, rng)
+    north, _ = hermitian.poles(2)
+    for bad in (off, north):
+        for args in ((bad, y, z), (x, bad, z), (x, y, bad)):
+            with pytest.raises(NotInUniverseError):
+                hermitian.unitary_torsor(*args)
+
+
+@pytest.mark.parametrize("n", [1, 2, 5])
+def test_constant_points_maps_and_forms_are_shared_and_read_only(n):
+    north, south = hermitian.poles(n)
+    assert hermitian.poles(n)[0] is north and hermitian.poles(n)[1] is south
+    assert not north.basis.flags.writeable and not south.basis.flags.writeable
+    c = hermitian.cayley_matrix(n)
+    assert hermitian.cayley_matrix(n) is c
+    assert not c.rep.flags.writeable
+    c_inv = hermitian._cayley_maps(n)[1]
+    assert hermitian._cayley_maps(n)[1] is c_inv and not c_inv.rep.flags.writeable
+    assert np.allclose(c_inv.rep @ c.rep, np.eye(2 * n))
+    for form in (hermitian.omega_matrix, hermitian.j_matrix):
+        assert form(n) is form(n)
+        assert not form(n).flags.writeable
+    assert np.array_equal(hermitian.j_matrix(n) @ hermitian.j_matrix(n), -np.eye(2 * n))
+
+
+def test_involutions_and_circle_action_keep_their_bits():
+    rng = np.random.default_rng(1732)
+    n = 3
+    x = grassmann.random_point(n, rng)
+    assert (hermitian.beta(x).basis.tobytes()
+            == grassmann.SubspacePoint(hermitian.j_matrix(n) @ x.basis).basis.tobytes())
+    _, _, vh = np.linalg.svd(x.basis.conj().T)
+    assert (hermitian.alpha(x).basis.tobytes()
+            == grassmann.SubspacePoint(vh[n:, :].conj().T).basis.tobytes())
+    g = hermitian.s1_action_map(0.9, n)
+    north, south = hermitian.poles(n)
+    rep = (np.exp(0.9j) * grassmann.projector(north, south)
+           + grassmann.projector(south, north))
+    assert g.rep.tobytes() == rep.tobytes()
