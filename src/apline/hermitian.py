@@ -197,7 +197,14 @@ def cayley_to_unitary(x: SubspacePoint) -> np.ndarray:
     """
     if not membership(x, "RNS"):
         raise NotInUniverseError("cayley_to_unitary needs a point of R_{N,S}")
-    u = grassmann.chart_repr(apply_map(_cayley_maps(x.n)[1], x))
+    n = x.n
+    y = apply_map(_cayley_maps(n)[1], x).basis
+    # chart_repr of C^{-1} x less its invertibility SVD.  C^{-1} = C*/2 and
+    # C/sqrt 2 is unitary, so the top block of C^{-1} X is (X2 - i X1)/2, and
+    # (X2 - i X1)*(X2 - i X1) = I + i X* Omega X.  membership bounds
+    # ||X* Omega X|| by eps = TOL_EQ (1 + sqrt n) / sqrt 2, so after the QR the
+    # top block has sigma^2 in [(1 - eps)/2, (1 + eps)/2]: it is invertible.
+    u = y[n:, :] @ np.linalg.inv(y[:n, :])
     if not algebra.is_unitary(u, tol=1e-7):
         raise NotUnitaryError("Cayley chart value is not unitary")  # pragma: no cover
     return u
@@ -370,12 +377,12 @@ def chart_difference_rank(x: SubspacePoint, y: SubspacePoint,
     """Rank of chart_c(x) - chart_c(y), with the 1e-7 relative sv threshold."""
     if origin is None:
         origin = _origin_for(c)
-    return _numerical_rank(chart_in_frame(x, origin, c) - chart_in_frame(y, origin, c))
+    diff = chart_in_frame(x, origin, c) - chart_in_frame(y, origin, c)
+    return _rank_of(np.linalg.svd(diff, compute_uv=False))
 
 
-def _numerical_rank(diff: np.ndarray) -> int:
+def _rank_of(s: np.ndarray) -> int:
     """Singular values above RANK_RTOL * sigma_max; a zero matrix has rank 0."""
-    s = np.linalg.svd(diff, compute_uv=False)
     if s[0] == 0.0:
         return 0
     return int(np.count_nonzero(s > RANK_RTOL * s[0]))
@@ -402,35 +409,42 @@ class LineFamily:
     """The intrinsic line through a rank-one pair, parametrized in one frame.
 
     point(1) is the first pair member, point(0) the second, point(INF)
-    the completing point on the chart horizon.
+    the completing point on the chart horizon.  The direction's SVD
+    d = s u v^* is kept (u, s, vh); a direction whose numerical rank is
+    not one raises NotRankOneError, so every family is a line.
     """
 
-    __slots__ = ("frame", "base", "direction", "n")
+    __slots__ = ("frame", "base", "direction", "n", "u", "s", "vh")
 
     def __init__(self, frame: np.ndarray, base: np.ndarray, direction: np.ndarray):
+        u, s, vh = np.linalg.svd(direction)
+        if _rank_of(s) != 1:
+            raise NotRankOneError("intrinsic lines need a pair at arithmetic distance 1")
         self.frame = frame
         self.base = base
         self.direction = direction
         self.n = base.shape[0]
+        self.u = u[:, 0]
+        self.s = float(s[0])
+        self.vh = vh
 
     def raw_basis(self, t) -> np.ndarray:
         """Basis columns of point(t) without the orthonormalization pass.
 
-        For finite t the columns depend affinely on t, and because the
-        direction has rank one, so does their determinant against any
-        fixed complement — the fact the completion-point root-finder
-        rests on.
+        For finite t these are frame [I; base + t s u v^*]: a rank-one
+        update of point(0)'s columns, so by the matrix determinant lemma
+        their determinant against any fixed complement is affine in t.
+        INF reuses the stored factors and runs no SVD.
         """
         n = self.n
         if is_inf(t):
-            # Direction d has rank one, d = s * u v^*; as t grows the graph
-            # tilts into the horizon along u while staying put on v-perp.
-            u_, _, vh_ = np.linalg.svd(self.direction)
-            v_perp = vh_[1:, :].conj().T
+            # as t grows the graph tilts into the horizon along u while
+            # staying put on v-perp
+            v_perp = self.vh[1:, :].conj().T
             cols = np.zeros((2 * n, n), dtype=complex)
             cols[:n, : n - 1] = v_perp
             cols[n:, : n - 1] = self.base @ v_perp
-            cols[n:, n - 1:] = u_[:, :1]
+            cols[n:, n - 1] = self.u
             return self.frame @ cols
         m = self.base + float(t) * self.direction
         return self.frame @ np.vstack([np.eye(n), m])
@@ -445,23 +459,24 @@ def line_family(x: SubspacePoint, y: SubspacePoint,
     """Parametrize the intrinsic line through the rank-one pair (x, y).
 
     The rank-one test is is_rank_one_pair's, run on the chart values it
-    would compute itself (default chart and origin); with the default
-    frame those values are the family's, so the chart search runs once.
+    would compute itself (default chart and origin) by the LineFamily
+    constructor, whose SVD also gives the direction's factors; with the
+    default frame that family is the result, so the chart search and the
+    SVD run once.  An explicit chart_point or origin then re-frames the
+    pair, and the re-framed family factors its own direction.
     """
     if point_eq(x, y):
         raise NotRankOneError("intrinsic lines need a pair at arithmetic distance 1")
     c = common_chart_point(x, y)
     o = _origin_for(c)
-    mx = chart_in_frame(x, o, c)
     my = chart_in_frame(y, o, c)
-    if _numerical_rank(mx - my) != 1:
-        raise NotRankOneError("intrinsic lines need a pair at arithmetic distance 1")
-    if chart_point is not None or origin is not None:
-        c = chart_point if chart_point is not None else c
-        o = origin if origin is not None else _origin_for(c)
-        mx = chart_in_frame(x, o, c)
-        my = chart_in_frame(y, o, c)
-    return LineFamily(np.hstack([o.basis, c.basis]), my, mx - my)
+    fam = LineFamily(np.hstack([o.basis, c.basis]), my, chart_in_frame(x, o, c) - my)
+    if chart_point is None and origin is None:
+        return fam
+    c = chart_point if chart_point is not None else c
+    o = origin if origin is not None else _origin_for(c)
+    my = chart_in_frame(y, o, c)
+    return LineFamily(np.hstack([o.basis, c.basis]), my, chart_in_frame(x, o, c) - my)
 
 
 def intrinsic_line_point(x: SubspacePoint, y: SubspacePoint, t,

@@ -50,13 +50,9 @@ from .grassmann import (
 # are reported as one spectral point with merged weight.
 EIG_CLUSTER_RTOL = 1e-8
 
-# Normalized smallest singular value below which a line point counts as
-# non-transversal to the observable during completion-point search.
+# Normalized smallest singular value at or below which the completion
+# point counts as non-transversal to its target (the root's verification).
 COMPLETION_TOL = 1e-6
-
-# Finite parameters of the completion scan: tangents of equispaced angles,
-# crowding towards the horizon point INF, which the scan adds last.
-_SCAN_GRID = np.tan(np.linspace(-1.5407, 1.5407, 41))
 
 
 @dataclass(frozen=True)
@@ -245,87 +241,46 @@ def is_cyclically_ordered(o: Obstate) -> bool:
 def _completion_parameter(fam: "hermitian.LineFamily", target: SubspacePoint):
     """Parameter t where the line meets the non-transversality locus of target.
 
-    For a rank-one direction the determinant det [line(t) | target] is
-    affine in t, so two samples determine the unique root (possibly at
-    t = INF).  An identically degenerate determinant, or a complex root,
-    raises NonUniqueCompletionError.  The normalized smallest singular
-    value is then scanned at the 41 finite _SCAN_GRID parameters and at
-    INF; a second near-root is caught only when the margin at one of
-    these 42 parameters, away from the root, falls below COMPLETION_TOL.
-    The scan is a guard against broken affineness, not a proof of
-    uniqueness: a stray root between grid parameters goes unseen.
+    The line is line(t) = L0 + t q v^*, L0 = frame [I; base] and
+    q = s frame [0; u], for the direction d = s u v^* that fam carries.
+    With L0 = QR and M0 = [Q | T], T = target's basis, the matrix
+    determinant lemma gives det [line(t) | T] = det M0 det R (1 + t k),
+    k = v^* R^{-1} (M0^{-1} q)[:n].  So the root is t = -1/k, or INF when
+    k vanishes against max(1, |1 + k|), and it is unique.  Needs line(0)
+    transversal to target (new_obstate proves it for Winf against A and
+    A0), so that M0 is invertible.  A complex root raises
+    NonUniqueCompletionError, and the root is verified by the normalized
+    smallest singular value of [line(root) | T] against COMPLETION_TOL.
     """
-    def margin(t) -> float:
-        s = np.linalg.svd(np.hstack([fam.raw_basis(t), target.basis]),
-                          compute_uv=False)
-        return float(s[-1] / s[0])
-
-    cols0 = np.hstack([fam.raw_basis(0.0), target.basis])
-    cols1 = np.hstack([fam.raw_basis(1.0), target.basis])
-    d0 = np.linalg.det(cols0)
-    d1 = np.linalg.det(cols1)
-    scale = max(abs(d0), abs(d1))
-    # Hadamard bound keeps the degeneracy threshold scale-free: raw line
-    # bases are not normalized, so their determinants carry the chart size.
-    hadamard = max(float(np.prod(np.linalg.norm(c, axis=0))) for c in (cols0, cols1))
-    if scale < 1e-12 * max(hadamard, 1e-300):
-        raise NonUniqueCompletionError(
-            "the non-transversality locus contains the whole line")
-    slope = d1 - d0
-    if abs(slope) < 1e-12 * scale:
+    n = fam.n
+    q_basis, r = np.linalg.qr(fam.raw_basis(0.0))
+    q = fam.s * (fam.frame[:, n:] @ fam.u)
+    x = np.linalg.solve(np.hstack([q_basis, target.basis]), q)[:n]
+    k = complex(fam.vh[0] @ np.linalg.solve(r, x))
+    if abs(k) < 1e-12 * max(1.0, abs(1.0 + k)):
         root = INF
     else:
-        z = -d0 / slope
+        z = -1.0 / k
         if abs(z.imag) > 1e-6 * (1.0 + abs(z.real)):
             raise NonUniqueCompletionError(
                 "no real point of the line meets the non-transversality locus")
         root = float(z.real)
-    if margin(root) > COMPLETION_TOL:
+    s = np.linalg.svd(np.hstack([fam.raw_basis(root), target.basis]), compute_uv=False)
+    if s[-1] / s[0] > COMPLETION_TOL:
         raise NonUniqueCompletionError(
             "completion-point refinement did not converge")  # pragma: no cover
-    # scan the closed line for stray minima inconsistent with affineness
-    scan = zip(_SCAN_GRID.tolist() + [INF],
-               _scan_margins(fam, target).tolist() + [margin(INF)])
-    if any(m < COMPLETION_TOL and not _same_parameter(t, root) for t, m in scan):
-        raise NonUniqueCompletionError(
-            "several non-transversal points found on the line")
     return root
-
-
-def _scan_margins(fam: "hermitian.LineFamily", target: SubspacePoint) -> np.ndarray:
-    """The completion margin at every _SCAN_GRID parameter, one batched SVD.
-
-    Row k stacks frame @ [I; base + t_k direction] (fam.raw_basis(t_k))
-    beside target's basis; the margins equal the per-point ones bit for bit.
-    """
-    n = fam.n
-    m = fam.base + _SCAN_GRID[:, None, None] * fam.direction
-    eye = np.broadcast_to(np.eye(n), m.shape)
-    lines = fam.frame @ np.concatenate([eye, m], axis=1)
-    stack = np.concatenate(
-        [lines, np.broadcast_to(target.basis, lines.shape)], axis=2)
-    s = np.linalg.svd(stack, compute_uv=False)
-    return s[:, -1] / s[:, 0]
-
-
-def _same_parameter(s, t) -> bool:
-    if is_inf(s) or is_inf(t):
-        # large finite scan parameters crowd the horizon point
-        big = 1e5
-        s_big = is_inf(s) or abs(s) > big
-        t_big = is_inf(t) or abs(t) > big
-        return s_big and t_big
-    return abs(s - t) <= 1e-4 * (1.0 + abs(s) + abs(t))
 
 
 def pure_expectation(o: Obstate):
     """Expectation of a pure obstate as a classical 4-point cross-ratio.
 
-    Builds the intrinsic line through (W, Winf), locates the unique
-    points a, a0 where the line leaves the affine neighborhoods of A
-    and A0, and returns CR(a, W; a0, Winf) of the four line parameters
-    (W at 1, Winf at 0).  Agrees with expectation(o) whenever the
-    latter's trace is real.
+    Builds the intrinsic line through (W, Winf), locates the points a,
+    a0 where the line leaves the affine neighborhoods of A and A0 (each
+    the root of one rank-one determinant, in closed form by the matrix
+    determinant lemma; see _completion_parameter), and returns
+    CR(a, W; a0, Winf) of the four line parameters (W at 1, Winf at 0).
+    Agrees with expectation(o) whenever the latter's trace is real.
     """
     try:
         fam = hermitian.line_family(o.state, o.ref_state)

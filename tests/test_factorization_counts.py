@@ -8,7 +8,8 @@ those savings fails a test instead of only a timing.
 import numpy as np
 import pytest
 
-from apline import grassmann, hermitian
+from apline import algebra, grassmann, hermitian, obstate
+from apline.crossratio import INF
 
 
 @pytest.fixture
@@ -60,5 +61,29 @@ def test_cayley_to_unitary_runs_no_svd_on_the_constant_map(counts):
     hermitian.cayley_matrix(3)
     _reset(counts)
     hermitian.cayley_to_unitary(x)
-    # the one SVD left is chart_repr's invertibility check of the chart block
-    assert counts == {"svd": 1, "qr": 1}
+    # membership proves the chart block invertible, so no SVD is left
+    assert counts == {"svd": 0, "qr": 1}
+
+
+def _pure_obstate(n, seed):
+    rng = np.random.default_rng(seed)
+    psi = rng.standard_normal((n, 1)) + 1j * rng.standard_normal((n, 1))
+    return obstate.standard_obstate(algebra.random_hermitian(n, rng),
+                                     psi @ psi.conj().T / np.vdot(psi, psi).real)
+
+
+def test_pure_expectation_runs_one_rank_one_solve_per_target(counts):
+    o = _pure_obstate(4, 15)
+    _reset(counts)
+    obstate.pure_expectation(o)
+    # line_family: 4 chart-search margins, 2 chart-block checks, 1 direction SVD;
+    # per target: the QR of line(0) and the root's verification SVD
+    assert counts == {"svd": 9, "qr": 2}
+
+
+def test_line_family_horizon_point_runs_no_svd(counts):
+    o = _pure_obstate(4, 16)
+    fam = hermitian.line_family(o.state, o.ref_state)
+    _reset(counts)
+    fam.raw_basis(INF)
+    assert counts == {"svd": 0, "qr": 0}

@@ -234,6 +234,38 @@ def test_arithmetic_distance_counts_rank():
         x, grassmann.point_from_chart(h + np.outer([1, 0, 0, 0], [1, 0, 0, 0])))
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 6])
+def test_line_family_decides_rank_one_like_is_rank_one_pair(n):
+    # line_family takes the rank from the SVD that also factors the direction
+    # (compute_uv=True), is_rank_one_pair from a values-only SVD; on ranks
+    # 1..n and on second singular values at 0.5 to 2 times RANK_RTOL they agree
+    rng = np.random.default_rng(5000 + n)
+    h = algebra.random_hermitian(n, rng)
+    x = grassmann.point_from_chart(h)
+    diffs = []
+    for k in range(1, n + 1):
+        u = rng.standard_normal((n, k)) + 1j * rng.standard_normal((n, k))
+        v = rng.standard_normal((n, k)) + 1j * rng.standard_normal((n, k))
+        diffs.append(u @ v.conj().T)
+    if n > 1:
+        uq = algebra.random_unitary(n, rng)
+        vq = algebra.random_unitary(n, rng)
+        for ratio in (0.5, 0.9, 1.1, 2.0):
+            s = np.zeros(n)
+            s[0], s[1] = 1.0, ratio * hermitian.RANK_RTOL
+            diffs.append((uq * s) @ vq.conj().T)
+    for d in diffs:
+        values = hermitian._rank_of(np.linalg.svd(d, compute_uv=False))
+        assert hermitian._rank_of(np.linalg.svd(d)[1]) == values
+        y = grassmann.point_from_chart(h + d)
+        assert hermitian.is_rank_one_pair(x, y) == (values == 1)
+        if values == 1:
+            hermitian.line_family(x, y)
+        else:
+            with pytest.raises(NotRankOneError):
+                hermitian.line_family(x, y)
+
+
 def test_line_family_interpolates_its_pair():
     n = 2
     h = algebra.random_hermitian(n, RNG)

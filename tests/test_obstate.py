@@ -9,6 +9,7 @@ from apline.errors import (
     NonUniqueCompletionError,
     NotAntipodalError,
     NotPureError,
+    NotRankOneError,
     NotStrongError,
     TransversalityError,
 )
@@ -217,53 +218,77 @@ def test_json_accepts_the_named_point_one():
         obstate.obstate_from_json(dict(payload, A0="two"))
 
 
-# --- the batched completion scan and the single chart search -----------------------
+# --- the closed-form completion point and the single chart search -----------------
 
-def _per_point_margins(fam, target):
-    """The completion margins as the scan computed them one SVD at a time."""
-    out = []
-    for th in np.linspace(-1.5407, 1.5407, 41):
-        s = np.linalg.svd(np.hstack([fam.raw_basis(float(np.tan(th))), target.basis]),
-                          compute_uv=False)
-        out.append(float(s[-1] / s[0]))
-    return out
+def _transported_pure_obstate(n, seed):
+    rng = np.random.default_rng(seed)
+    a = algebra.random_hermitian(n, rng)
+    psi = rng.standard_normal((n, 1)) + 1j * rng.standard_normal((n, 1))
+    o = obstate.standard_obstate(a, psi @ psi.conj().T / np.vdot(psi, psi).real)
+    # an Aut(omega) transport can leave the line frame ill-conditioned
+    return obstate.transport(o, hermitian.aut_omega_random(n, rng))
+
+
+@pytest.mark.parametrize("n, seeds", [(2, 100), (4, 100), (6, 300)])
+def test_transported_pure_obstates_have_a_completion_point(n, seeds):
+    for seed in range(seeds):
+        o = _transported_pure_obstate(n, seed)
+        rep = obstate.report(o)
+        assert rep["pure"] is True and "pure_expectation_error" not in rep, seed
+        ev = obstate.expectation(o)
+        assert obstate.pure_expectation(o) == pytest.approx(ev.real, rel=1e-9), seed
+
+
+def _determinant_root(fam, target):
+    """The root of t -> det [raw_basis(t) | T] from its values at t = 0 and 1."""
+    d0, d1 = (np.linalg.det(np.hstack([fam.raw_basis(t), target.basis])) for t in (0.0, 1.0))
+    slope = d1 - d0
+    if abs(slope) < 1e-12 * max(abs(d0), abs(d1)):
+        return INF
+    return float((-d0 / slope).real)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 8])
-def test_batched_scan_margins_equal_the_per_point_margins_bitwise(n):
+def test_closed_form_root_equals_the_determinant_root(n):
     rng = np.random.default_rng(4000 + n)
-    assert obstate._SCAN_GRID.tolist() == [
-        float(np.tan(th)) for th in np.linspace(-1.5407, 1.5407, 41)]
-    for _ in range(6):
+    for _ in range(8):
         psi = rng.standard_normal((n, 1)) + 1j * rng.standard_normal((n, 1))
         o = obstate.standard_obstate(algebra.random_hermitian(n, rng),
                                      psi @ psi.conj().T / np.vdot(psi, psi).real)
-        # transported, so the line frame is a generic matrix, not a permutation
-        o = obstate.transport(o, hermitian.aut_omega_random(n, rng))
         fam = hermitian.line_family(o.state, o.ref_state)
         for target in (o.observable, o.ref_observable):
-            assert obstate._scan_margins(fam, target).tolist() == \
-                _per_point_margins(fam, target)
+            root = obstate._completion_parameter(fam, target)
+            expected = _determinant_root(fam, target)
+            if is_inf(expected):
+                assert is_inf(root)
+            else:
+                assert root == pytest.approx(expected, rel=1e-9, abs=1e-12)
 
 
-def _two_root_family(r):
-    # line(t) = span[I; diag(t, t - r)] meets 0 = span[I; 0] at t = 0 and t = r
-    return hermitian.LineFamily(np.eye(4, dtype=complex),
-                                np.diag([0.0, -r]).astype(complex),
-                                np.eye(2, dtype=complex))
+def test_a_rank_two_direction_is_not_a_line():
+    # span[I; diag(t, t - 1)] would meet 0 = span[I; 0] at t = 0 and t = 1
+    with pytest.raises(NotRankOneError):
+        hermitian.LineFamily(np.eye(4, dtype=complex), np.diag([0.0, -1.0]).astype(complex),
+                             np.eye(2, dtype=complex))
 
 
-def test_scan_catches_a_second_root_on_a_grid_parameter():
-    r = float(obstate._SCAN_GRID[30])
-    with pytest.raises(NonUniqueCompletionError, match="several non-transversal points"):
-        obstate._completion_parameter(_two_root_family(r), grassmann.zero_point(2))
+def _diagonal_family():
+    # line(t) = span[I; diag(t, 0)]: direction e1 e1*, horizon point span[e2; e1]
+    return hermitian.LineFamily(np.eye(4, dtype=complex), np.zeros((2, 2), dtype=complex),
+                                np.diag([1.0, 0.0]).astype(complex))
 
 
-def test_scan_is_a_guard_not_a_proof():
-    # the same stray root halfway between two grid parameters goes unseen
-    r = float(obstate._SCAN_GRID[30] + obstate._SCAN_GRID[31]) / 2
-    assert obstate._completion_parameter(_two_root_family(r),
-                                         grassmann.zero_point(2)) == pytest.approx(0.0)
+def test_a_constant_determinant_puts_the_root_at_inf():
+    # det [I, 0; diag(t, 0), I] = 1 for every finite t, so k = 0
+    assert is_inf(obstate._completion_parameter(_diagonal_family(),
+                                                grassmann.infinity_point(2)))
+
+
+def test_a_complex_root_has_no_completion_point():
+    # det [I, I; diag(t, 0), diag(i, 1)] = i - t vanishes only at t = i
+    target = grassmann.point_from_chart(np.diag([1j, 1.0]))
+    with pytest.raises(NonUniqueCompletionError, match="no real point"):
+        obstate._completion_parameter(_diagonal_family(), target)
 
 
 def _report_from_public_calls(o):
@@ -307,7 +332,8 @@ def test_report_equals_the_separate_public_calls():
 
 def test_report_keeps_the_completion_error(monkeypatch):
     def no_unique_point(fam, target):
-        raise NonUniqueCompletionError("several non-transversal points found on the line")
+        raise NonUniqueCompletionError(
+            "no real point of the line meets the non-transversality locus")
 
     monkeypatch.setattr(obstate, "_completion_parameter", no_unique_point)
     o = obstate.standard_obstate(np.diag([1.0, 2.0]), np.diag([1.0, 0.0]))
