@@ -215,7 +215,8 @@ def matrix_from_json(obj) -> np.ndarray:
         elif isinstance(obj, dict):
             n = int(obj["n"])
             re = np.array(obj["re"], dtype=float)
-            im = np.array(obj.get("im", np.zeros((n, n))), dtype=float)
+            # no default allocated from n: a huge n must fail the shape check, not allocate
+            im = np.array(obj["im"], dtype=float) if "im" in obj else np.zeros_like(re)
             if re.shape != (n, n) or im.shape != (n, n):
                 raise DimensionError(
                     f"matrix JSON claims n={n} but carries shapes {re.shape}/{im.shape}")
@@ -225,6 +226,8 @@ def matrix_from_json(obj) -> np.ndarray:
                              f"got {type(obj).__name__}")
     except TypeError as exc:  # null where a number belongs
         raise ValueError(f"matrix JSON entries must be numbers: {exc}") from None
+    except OverflowError as exc:  # n = Infinity, or an integer beyond float range
+        raise ValueError(f"matrix JSON entries must be finite: {exc}") from None
     if not np.all(np.isfinite(m)):
         raise ValueError("matrix JSON entries must be finite")
     return m

@@ -76,7 +76,8 @@ def expect(path: str, as_json: bool) -> None:
             payload = json.load(fh)
         o = obstate.obstate_from_json(payload)
         rep = obstate.report(o)
-    except (AplineError, ValueError, KeyError, json.JSONDecodeError) as exc:
+    # RecursionError: json.load on arrays or objects nested too deeply
+    except (AplineError, ValueError, KeyError, RecursionError) as exc:
         raise click.ClickException(f"{path}: {exc}")
     if as_json:
         _emit_json(rep)

@@ -406,9 +406,12 @@ def point_from_json(obj: dict) -> SubspacePoint:
         if re.ndim != 2:
             raise DimensionError(f"point JSON basis must be 2n x n, got shape {re.shape}")
         n = int(obj["n"]) if "n" in obj else re.shape[-1]
-        im = np.array(obj.get("basis_im", np.zeros((2 * n, n))), dtype=float)
+        # no default allocated from n: a huge n must fail the shape check, not allocate
+        im = np.array(obj["basis_im"], dtype=float) if "basis_im" in obj else np.zeros_like(re)
     except TypeError as exc:  # null or an object where a number belongs
         raise ValueError(f"point JSON entries must be numbers: {exc}") from None
+    except OverflowError as exc:  # n = Infinity, or an integer beyond float range
+        raise ValueError(f"point JSON entries must be finite: {exc}") from None
     if re.shape != (2 * n, n) or im.shape != (2 * n, n):
         raise DimensionError(
             f"point JSON claims n={n} but carries shapes {re.shape}/{im.shape}")

@@ -26,7 +26,6 @@ from __future__ import annotations
 from functools import lru_cache
 
 import numpy as np
-import scipy.linalg
 
 from . import algebra, grassmann
 from .algebra import TOL_EQ
@@ -303,6 +302,11 @@ def aut_omega_random(n: int, rng, scale: float = 0.5) -> ProjectiveMap:
     The exponential satisfies g* Omega g = Omega, hence acts on points
     preserving R.
     """
+    # scipy is imported only here and in u_group_random, so every other
+    # path starts without it; expm is looked up on scipy.linalg at each
+    # call, so a wrapper patched onto it sees every call
+    import scipy.linalg
+
     rng = algebra.rng_from(rng)
     a = scale * algebra.random_matrix(n, rng)
     b = scale * algebra.random_hermitian(n, rng)
@@ -317,6 +321,8 @@ def u_group_random(n: int, rng, scale: float = 0.7) -> ProjectiveMap:
     exp([[s, h], [-h, s]]) with s skew-Hermitian and h Hermitian is
     unitary, commutes with J, and preserves omega.
     """
+    import scipy.linalg
+
     rng = algebra.rng_from(rng)
     h = scale * algebra.random_hermitian(n, rng)
     a = algebra.random_matrix(n, rng)

@@ -238,13 +238,22 @@ def is_cyclically_ordered(o: Obstate) -> bool:
 
 # --- pure-state expectation through the intrinsic line ----------------------------
 
-def _completion_parameter(fam: "hermitian.LineFamily", target: SubspacePoint):
+def _line_factors(fam: "hermitian.LineFamily"):
+    """The factors of fam that every target shares: Q and R of line(0) = QR, and q.
+
+    line(t) = L0 + t q v^* with L0 = frame [I; base] and q = s frame [0; u],
+    for the direction d = s u v^* that fam carries.
+    """
+    q_basis, r = np.linalg.qr(fam.raw_basis(0.0))
+    return q_basis, r, fam.s * (fam.frame[:, fam.n:] @ fam.u)
+
+
+def _completion_parameter(fam: "hermitian.LineFamily", factors, target: SubspacePoint):
     """Parameter t where the line meets the non-transversality locus of target.
 
-    The line is line(t) = L0 + t q v^*, L0 = frame [I; base] and
-    q = s frame [0; u], for the direction d = s u v^* that fam carries.
-    With L0 = QR and M0 = [Q | T], T = target's basis, the matrix
-    determinant lemma gives det [line(t) | T] = det M0 det R (1 + t k),
+    With factors = (Q, R, q) from _line_factors and M0 = [Q | T],
+    T = target's basis, the matrix determinant lemma gives
+    det [line(t) | T] = det M0 det R (1 + t k),
     k = v^* R^{-1} (M0^{-1} q)[:n].  So the root is t = -1/k, or INF when
     k vanishes against max(1, |1 + k|), and it is unique.  Needs line(0)
     transversal to target (new_obstate proves it for Winf against A and
@@ -252,10 +261,8 @@ def _completion_parameter(fam: "hermitian.LineFamily", target: SubspacePoint):
     NonUniqueCompletionError, and the root is verified by the normalized
     smallest singular value of [line(root) | T] against COMPLETION_TOL.
     """
-    n = fam.n
-    q_basis, r = np.linalg.qr(fam.raw_basis(0.0))
-    q = fam.s * (fam.frame[:, n:] @ fam.u)
-    x = np.linalg.solve(np.hstack([q_basis, target.basis]), q)[:n]
+    q_basis, r, q = factors
+    x = np.linalg.solve(np.hstack([q_basis, target.basis]), q)[:fam.n]
     k = complex(fam.vh[0] @ np.linalg.solve(r, x))
     if abs(k) < 1e-12 * max(1.0, abs(1.0 + k)):
         root = INF
@@ -286,8 +293,9 @@ def pure_expectation(o: Obstate):
         fam = hermitian.line_family(o.state, o.ref_state)
     except NotRankOneError:
         raise NotPureError("pure_expectation needs a rank-one (W, Winf) pair") from None
-    t_a = _completion_parameter(fam, o.observable)
-    t_a0 = _completion_parameter(fam, o.ref_observable)
+    factors = _line_factors(fam)
+    t_a = _completion_parameter(fam, factors, o.observable)
+    t_a0 = _completion_parameter(fam, factors, o.ref_observable)
     return classical_cr(t_a, 1.0, t_a0, 0.0)
 
 

@@ -1,7 +1,14 @@
 import json
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from apline.cli import main
 
@@ -264,3 +271,144 @@ def test_expect_names_every_missing_slot(tmp_path):
     assert "missing the slot(s) W, A0, Winf" in res.output
     assert "Traceback" not in res.output
     assert isinstance(res.exception, SystemExit)
+
+
+@pytest.mark.parametrize("chart", [
+    '{"n": Infinity, "re": [[1]]}',
+    '{"n": 1e400, "re": [[1]]}',
+    "[[" + "1" + "0" * 400 + "]]",
+    '{"n": 10000000000, "re": [[1]]}',
+], ids=["infinite-n", "overflowing-n", "integer-beyond-float", "huge-n"])
+def test_expect_out_of_range_numbers_are_a_clean_error(tmp_path, chart):
+    # json.load reads Infinity, 1e400 and 400-digit integers; int() and float() overflow on them
+    path = tmp_path / "overflow.json"
+    path.write_text('{"A": {"chart": %s}, "W": {"density": [[1.0]]}, '
+                    '"A0": "zero", "Winf": "infinity"}' % chart)
+    res = runner.invoke(main, ["expect", str(path)])
+    assert res.exit_code == 1
+    assert "matrix JSON" in res.output
+    assert "Traceback" not in res.output
+    assert isinstance(res.exception, SystemExit)
+
+
+def test_expect_deeply_nested_json_is_a_clean_error(tmp_path):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000 + "]" * 100_000)
+    res = runner.invoke(main, ["expect", str(path)])
+    assert res.exit_code == 1
+    assert "recursion" in res.output
+    assert "Traceback" not in res.output
+    assert isinstance(res.exception, SystemExit)
+
+
+def test_expect_and_import_start_without_scipy():
+    # a fresh interpreter: this one may already hold scipy from other tests
+    script = textwrap.dedent("""
+        import sys
+        import numpy as np
+        from click.testing import CliRunner
+        import apline, apline.cli
+        from apline import hermitian
+        res = CliRunner().invoke(apline.cli.main, ["expect", "sample_inputs/expect_diag.json"])
+        assert res.exit_code == 0, res.output
+        assert "scipy" not in sys.modules
+        omega = hermitian.omega_matrix(2)
+        for g in (hermitian.u_group_random(2, 0), hermitian.aut_omega_random(2, 0)):
+            assert np.allclose(g.rep.conj().T @ omega @ g.rep, omega)
+        assert "scipy.linalg" in sys.modules
+    """)
+    root = Path(__file__).resolve().parents[1]
+    proc = subprocess.run([sys.executable, "-c", script], cwd=root, capture_output=True,
+                          text=True, env=dict(os.environ, PYTHONPATH=str(root / "src")),
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+
+
+# --- fuzz of the expect payload decoder -------------------------------------------
+
+_KEYS = st.sampled_from(["A", "W", "A0", "Winf", "strong", "chart", "density",
+                         "basis_re", "basis_im", "n", "re", "im"])
+_LEAVES = st.one_of(st.none(), st.booleans(), st.integers(-10**400, 10**400),
+                    st.floats(allow_nan=True, allow_infinity=True), st.text(max_size=4),
+                    st.sampled_from(["zero", "infinity", "one", "inf"]))
+_TREES = st.recursive(_LEAVES, lambda kids: st.one_of(
+    st.lists(kids, max_size=4), st.dictionaries(_KEYS | st.text(max_size=3), kids, max_size=4)),
+    max_leaves=12)
+_FINITE = st.one_of(st.floats(-4, 4), st.integers(-2, 2))
+
+
+@st.composite
+def _grid(draw, rows, cols, symmetric=False):
+    m = draw(st.lists(st.lists(_FINITE, min_size=cols, max_size=cols),
+                      min_size=rows, max_size=rows))
+    if symmetric:
+        m = [[m[min(i, j)][max(i, j)] for j in range(cols)] for i in range(rows)]
+    if draw(st.integers(0, 3)) == 3:
+        # one grid in four gets an entry of any JSON type: null, text, NaN, inf, huge ints
+        m[draw(st.integers(0, rows - 1))][draw(st.integers(0, cols - 1))] = draw(_LEAVES)
+    return m
+
+
+@st.composite
+def _matrices(draw, n, kind=None):
+    kind = kind or draw(st.sampled_from(["symmetric", "rank one", "any"]))
+    if kind == "rank one":
+        # a pure density psi psi^T: the report runs pure_expectation
+        psi = draw(st.lists(_FINITE, min_size=n, max_size=n))
+        m = [[a * b for b in psi] for a in psi]
+    else:
+        m = draw(_grid(n, n, symmetric=kind == "symmetric"))
+    if draw(st.booleans()):
+        return m
+    return {"n": draw(st.sampled_from([n, n, n + 1, 0, -1])), "re": m,
+            **({"im": draw(_grid(n, n))} if draw(st.booleans()) else {})}
+
+
+@st.composite
+def _bases(draw, n):
+    cols = draw(_grid(2 * n, n))
+    if n > 1 and draw(st.booleans()):
+        # rank deficient: the last column repeats the first
+        cols = [row[:-1] + row[:1] for row in cols]
+    obj = {"basis_re": cols}
+    if draw(st.booleans()):
+        obj["basis_im"] = draw(_grid(2 * n, n))
+    if draw(st.booleans()):
+        obj["n"] = draw(st.sampled_from([n, n + 1, 0]))
+    return obj
+
+
+def _points(n):
+    return st.one_of(
+        st.sampled_from(["zero", "infinity", "one", "two"]),
+        _matrices(n).map(lambda m: {"chart": m}),
+        _matrices(n).map(lambda m: {"density": m}),
+        _bases(n),
+        _TREES)
+
+
+@st.composite
+def _payloads(draw):
+    """A standard obstate, then up to two slots replaced by any point of any n or any tree."""
+    n = draw(st.integers(1, 3))
+    payload = {"A": {"chart": draw(_matrices(n, "symmetric"))},
+               "W": {"density": draw(_matrices(n, draw(st.sampled_from(["symmetric",
+                                                                         "rank one"]))))},
+               "A0": "zero", "Winf": "infinity"}
+    for _ in range(draw(st.integers(0, 2))):
+        payload[draw(st.sampled_from(sorted(payload)))] = draw(_points(draw(st.integers(1, 3))))
+    if draw(st.booleans()):
+        payload["strong"] = draw(_TREES)
+    if draw(st.integers(0, 5)) == 5:
+        del payload[draw(st.sampled_from(sorted(payload)))]
+    return payload
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(payload=st.one_of(_payloads(), _TREES))
+def test_expect_fuzz_ends_in_an_exit_code_never_a_traceback(tmp_path_factory, payload):
+    path = tmp_path_factory.getbasetemp() / "fuzz.json"
+    path.write_text(json.dumps(payload))
+    res = runner.invoke(main, ["expect", str(path)], catch_exceptions=False)
+    assert res.exit_code in (0, 1, 2)
+    assert "Traceback" not in res.output

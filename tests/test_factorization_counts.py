@@ -77,8 +77,8 @@ def test_pure_expectation_runs_one_rank_one_solve_per_target(counts):
     _reset(counts)
     obstate.pure_expectation(o)
     # line_family: 4 chart-search margins, 2 chart-block checks, 1 direction SVD;
-    # per target: the QR of line(0) and the root's verification SVD
-    assert counts == {"svd": 9, "qr": 2}
+    # one QR of line(0) shared by both targets; per target the root's verification SVD
+    assert counts == {"svd": 9, "qr": 1}
 
 
 def test_line_family_horizon_point_runs_no_svd(counts):

@@ -128,7 +128,10 @@ def test_point_json_roundtrip():
 
 
 @pytest.mark.parametrize("obj", [{"basis_re": 5}, {"basis_re": None},
-                                 {"basis_re": [[1.0], [0.0]], "n": [1]}])
+                                 {"basis_re": [[1.0], [0.0]], "n": [1]},
+                                 # json.load yields these; int() and float() overflow on them
+                                 {"basis_re": [[1.0], [0.0]], "n": float("inf")},
+                                 {"basis_re": [[10**400], [0.0]]}])
 def test_point_json_rejects_what_is_not_a_basis(obj):
     with pytest.raises(ValueError, match="point JSON"):
         grassmann.point_from_json(obj)

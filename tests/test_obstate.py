@@ -257,7 +257,7 @@ def test_closed_form_root_equals_the_determinant_root(n):
                                      psi @ psi.conj().T / np.vdot(psi, psi).real)
         fam = hermitian.line_family(o.state, o.ref_state)
         for target in (o.observable, o.ref_observable):
-            root = obstate._completion_parameter(fam, target)
+            root = obstate._completion_parameter(fam, obstate._line_factors(fam), target)
             expected = _determinant_root(fam, target)
             if is_inf(expected):
                 assert is_inf(root)
@@ -280,15 +280,17 @@ def _diagonal_family():
 
 def test_a_constant_determinant_puts_the_root_at_inf():
     # det [I, 0; diag(t, 0), I] = 1 for every finite t, so k = 0
-    assert is_inf(obstate._completion_parameter(_diagonal_family(),
+    fam = _diagonal_family()
+    assert is_inf(obstate._completion_parameter(fam, obstate._line_factors(fam),
                                                 grassmann.infinity_point(2)))
 
 
 def test_a_complex_root_has_no_completion_point():
     # det [I, I; diag(t, 0), diag(i, 1)] = i - t vanishes only at t = i
     target = grassmann.point_from_chart(np.diag([1j, 1.0]))
+    fam = _diagonal_family()
     with pytest.raises(NonUniqueCompletionError, match="no real point"):
-        obstate._completion_parameter(_diagonal_family(), target)
+        obstate._completion_parameter(fam, obstate._line_factors(fam), target)
 
 
 def _report_from_public_calls(o):
@@ -331,7 +333,7 @@ def test_report_equals_the_separate_public_calls():
 
 
 def test_report_keeps_the_completion_error(monkeypatch):
-    def no_unique_point(fam, target):
+    def no_unique_point(fam, factors, target):
         raise NonUniqueCompletionError(
             "no real point of the line meets the non-transversality locus")
 
