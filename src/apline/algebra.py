@@ -10,6 +10,7 @@ arrays (complex128); nothing here mutates its arguments.
 
 from __future__ import annotations
 
+import math
 from typing import NamedTuple
 
 import numpy as np
@@ -84,23 +85,37 @@ def herm_decompose(a):
     return h, k
 
 
+def _pow2_scale(a: np.ndarray) -> float:
+    """The power of two that brings the largest entry of a into [2**99, 2**100).
+
+    Scaling by it is exact, and the norms of the scaled matrix and of its
+    products are finite and far above 1, so a relative test whose norms
+    overflowed decides on the scaled copy as in exact arithmetic.
+    """
+    return 2.0 ** (100 - int(np.frexp(np.abs(a).max())[1]))
+
+
 def is_hermitian(a, tol: float = TOL_EQ) -> bool:
     a = as_matrix(a)
-    return norm(a - a.conj().T) <= tol * (1.0 + norm(a))
+    with np.errstate(over="ignore", invalid="ignore"):
+        gap, size = norm(a - a.conj().T), norm(a)
+    if not math.isfinite(gap + size):
+        return bool(np.isfinite(a).all()) and is_hermitian(a * _pow2_scale(a), tol)
+    return gap <= tol * (1.0 + size)
 
 
-def is_psd(a, tol: float = TOL_PSD) -> bool:
+def is_psd(a) -> bool:
     """Positive semidefinite test.
 
     Non-Hermitian input returns False (the order lives on Herm(A) only;
-    no silent symmetrization).  Eigenvalues above -tol * ||a|| count as
+    no silent symmetrization).  Eigenvalues above -TOL_PSD * ||a|| count as
     nonnegative.
     """
     a = as_matrix(a)
     if not is_hermitian(a):
         return False
     evals = np.linalg.eigvalsh((a + a.conj().T) / 2)
-    return bool(evals.min(initial=0.0) >= -tol * (1.0 + norm(a)))
+    return bool(evals.min(initial=0.0) >= -TOL_PSD * (1.0 + norm(a)))
 
 
 def leq(a, b) -> bool:
@@ -122,12 +137,21 @@ def inverse(a) -> np.ndarray:
 
 
 def is_unitary(a, tol: float = TOL_EQ) -> bool:
-    a = as_matrix(a)
-    n = a.shape[0]
-    eye = identity(n)
-    scale = 1.0 + norm(a) ** 2
-    return (norm(a.conj().T @ a - eye) <= tol * scale
-            and norm(a @ a.conj().T - eye) <= tol * scale)
+    return _is_unitary(as_matrix(a), 1.0, tol)
+
+
+def _is_unitary(a: np.ndarray, unit: float, tol: float) -> bool:
+    """a* a = unit^2 I = a a* at the relative tolerance."""
+    eye = unit * unit * identity(a.shape[0])
+    with np.errstate(over="ignore", invalid="ignore"):
+        left, right = norm(a.conj().T @ a - eye), norm(a @ a.conj().T - eye)
+    if not math.isfinite(left + right):
+        # a* a = I iff (c a)* (c a) = c^2 I: decide on the exact rescale c a
+        c = _pow2_scale(a)
+        return bool(np.isfinite(a).all()) and _is_unitary(c * a, c, tol)
+    # finite gaps bound ||a||^2 by sqrt(n) (||a* a - I|| + sqrt(n)): no overflow
+    scale = unit * unit + norm(a) ** 2
+    return left <= tol * scale and right <= tol * scale
 
 
 def trace_normalized(a) -> complex:
@@ -185,12 +209,11 @@ def q_operator_invertible(x) -> bool:
     return is_invertible(x)
 
 
-def is_pair_idempotent(e: PairElement, tol: float = TOL_EQ) -> bool:
+def is_pair_idempotent(e: PairElement) -> bool:
     """Check <e+ e- e+> = e+ and <e- e+ e-> = e-."""
     p, m = as_matrix(e.plus), as_matrix(e.minus)
     _check_same_dim(p, m)
-    return (almost_equal(p @ m @ p, p, tol=tol)
-            and almost_equal(m @ p @ m, m, tol=tol))
+    return almost_equal(p @ m @ p, p) and almost_equal(m @ p @ m, m)
 
 
 # --- JSON encoding ---------------------------------------------------------
@@ -205,6 +228,14 @@ def matrix_to_json(a) -> dict:
     }
 
 
+def size_from_json(value, what: str) -> int:
+    """A JSON size field: a whole number (an int, or a float like 2.0), never a bool."""
+    if isinstance(value, bool) or not (isinstance(value, int) or
+                                       isinstance(value, float) and value.is_integer()):
+        raise ValueError(f"{what} must be a whole number, got {value!r:.40}")
+    return int(value)
+
+
 def matrix_from_json(obj) -> np.ndarray:
     """Decode {"n", "re", "im"} (im optional) or a plain nested real list."""
     try:
@@ -213,7 +244,7 @@ def matrix_from_json(obj) -> np.ndarray:
             if m.ndim != 2 or m.shape[0] != m.shape[1]:
                 raise DimensionError(f"matrix JSON must be square, got {m.shape}")
         elif isinstance(obj, dict):
-            n = int(obj["n"])
+            n = size_from_json(obj["n"], "matrix JSON size n")
             re = np.array(obj["re"], dtype=float)
             # no default allocated from n: a huge n must fail the shape check, not allocate
             im = np.array(obj["im"], dtype=float) if "im" in obj else np.zeros_like(re)
@@ -226,7 +257,7 @@ def matrix_from_json(obj) -> np.ndarray:
                              f"got {type(obj).__name__}")
     except TypeError as exc:  # null where a number belongs
         raise ValueError(f"matrix JSON entries must be numbers: {exc}") from None
-    except OverflowError as exc:  # n = Infinity, or an integer beyond float range
+    except OverflowError as exc:  # an integer beyond float range
         raise ValueError(f"matrix JSON entries must be finite: {exc}") from None
     if not np.all(np.isfinite(m)):
         raise ValueError("matrix JSON entries must be finite")
@@ -253,9 +284,9 @@ def random_hermitian(n: int, rng) -> np.ndarray:
     return (a + a.conj().T) / 2
 
 
-def random_invertible(n: int, rng, max_tries: int = 100) -> np.ndarray:
+def random_invertible(n: int, rng) -> np.ndarray:
     rng = rng_from(rng)
-    for _ in range(max_tries):
+    for _ in range(100):
         a = random_matrix(n, rng)
         if is_invertible(a):
             return a

@@ -39,7 +39,7 @@ def _as_value(v) -> Value:
     return f
 
 
-def real_like(a, b, c, d, tol: float = 1e-9) -> bool:
+def real_like(a, b, c, d) -> bool:
     """True iff the four complex-projective values lie on a generalized circle.
 
     Concyclicity (lines count as circles through INF) is equivalent to the
@@ -50,7 +50,7 @@ def real_like(a, b, c, d, tol: float = 1e-9) -> bool:
     if is_inf(cr):
         return True
     cr = complex(cr)
-    return abs(cr.imag) <= tol * (1.0 + abs(cr))
+    return abs(cr.imag) <= 1e-9 * (1.0 + abs(cr))
 
 
 @dataclass(frozen=True)
@@ -84,7 +84,7 @@ class Measure:
     weights: tuple
 
     def __init__(self, weights: Sequence[float]):
-        ws = tuple(float(w) for w in weights)
+        ws = tuple(np.inf if is_inf(w) else float(w) for w in weights)
         if any(w < 0 or not np.isfinite(w) for w in ws):
             raise ValueError("weights must be finite and nonnegative")
         object.__setattr__(self, "weights", ws)

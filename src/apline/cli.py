@@ -14,7 +14,7 @@ import json
 
 import click
 
-from . import classical, obstate, properties
+from . import algebra, classical, obstate, properties
 from .crossratio import INF, classical_cr, is_inf
 from .errors import AplineError
 
@@ -33,6 +33,13 @@ def _parse_scalar(token: str):
     # float('nan') and float('1e400') parse; only the 'inf' names mean infinity
     if not cmath.isfinite(value):
         raise click.BadParameter(f"not a finite number: {token!r}")
+    return value
+
+
+def _parse_real(token: str):
+    value = _parse_scalar(token)
+    if isinstance(value, complex):
+        raise click.BadParameter(f"not a real number or 'inf': {token!r}")
     return value
 
 
@@ -173,34 +180,32 @@ def _values_from_json(obj, what: str) -> list:
         vals = obj.get("values", obj.get("weights"))
         if vals is None:
             raise click.ClickException(f"{what}: expected a 'values' list")
-        if "m" in obj and int(obj["m"]) != len(vals):
+        if "m" in obj and algebra.size_from_json(obj["m"], "m") != len(vals):
             raise click.ClickException(
                 f"{what}: declared m={obj['m']} but {len(vals)} values given")
     elif isinstance(obj, list):
         vals = obj
     else:
         raise click.ClickException(f"{what}: expected an object or a list")
-    return [_parse_scalar(v) if isinstance(v, str) else float(v) for v in vals]
+    return [_parse_real(v) if isinstance(v, str) else float(v) for v in vals]
 
 
 def _load_classical_problem(path: str) -> dict:
     """Named functions/measures from a JSON object or a name-prefixed CSV."""
-    if path.endswith(".csv"):
-        out: dict = {}
+    try:
         with open(path, newline="", encoding="utf-8") as fh:
-            for row in csv.reader(fh):
-                if not row or row[0].startswith("#"):
-                    continue
-                name, *tokens = row
-                out[name.strip()] = [_parse_scalar(t) for t in tokens]
-        return out
-    with open(path, encoding="utf-8") as fh:
-        payload = json.load(fh)
+            if path.endswith(".csv"):
+                return {row[0].strip(): [_parse_real(t) for t in row[1:]]
+                        for row in csv.reader(fh) if row and not row[0].startswith("#")}
+            payload = json.load(fh)
+    except (ValueError, RecursionError) as exc:  # not UTF-8, malformed or too deeply nested
+        raise click.ClickException(f"{path}: {exc}")
     if not isinstance(payload, dict):
         raise click.ClickException(f"{path}: expected a JSON object")
     try:
         return {name: _values_from_json(obj, name) for name, obj in payload.items()}
-    except (TypeError, ValueError) as exc:  # e.g. null, a list or "x" for a number
+    # e.g. null, a list or "x" for a number, or an integer beyond float range
+    except (TypeError, ValueError, OverflowError) as exc:
         raise click.ClickException(f"{path}: malformed entry: {exc}")
 
 

@@ -362,10 +362,10 @@ def apply_map(g: ProjectiveMap, x: SubspacePoint) -> SubspacePoint:
 
 # --- random draws -------------------------------------------------------------
 
-def random_point(n: int, rng, max_tries: int = 100) -> SubspacePoint:
+def random_point(n: int, rng) -> SubspacePoint:
     """A uniform-ish random point: canonicalized complex Gaussian 2n x n draw."""
     rng = algebra.rng_from(rng)
-    for _ in range(max_tries):
+    for _ in range(100):
         cols = (rng.standard_normal((2 * n, n))
                 + 1j * rng.standard_normal((2 * n, n))) / np.sqrt(2)
         try:
@@ -375,10 +375,10 @@ def random_point(n: int, rng, max_tries: int = 100) -> SubspacePoint:
     raise ResamplingExhausted("random_point: all draws were rank deficient")  # pragma: no cover
 
 
-def random_map(n: int, rng, max_tries: int = 100) -> ProjectiveMap:
+def random_map(n: int, rng) -> ProjectiveMap:
     """A random element of PGL(2, A), drawn until invertible."""
     rng = algebra.rng_from(rng)
-    for _ in range(max_tries):
+    for _ in range(100):
         rep = (rng.standard_normal((2 * n, 2 * n))
                + 1j * rng.standard_normal((2 * n, 2 * n))) / np.sqrt(2)
         try:
@@ -405,12 +405,12 @@ def point_from_json(obj: dict) -> SubspacePoint:
         re = np.array(obj["basis_re"], dtype=float)
         if re.ndim != 2:
             raise DimensionError(f"point JSON basis must be 2n x n, got shape {re.shape}")
-        n = int(obj["n"]) if "n" in obj else re.shape[-1]
+        n = algebra.size_from_json(obj["n"], "point JSON size n") if "n" in obj else re.shape[-1]
         # no default allocated from n: a huge n must fail the shape check, not allocate
         im = np.array(obj["basis_im"], dtype=float) if "basis_im" in obj else np.zeros_like(re)
     except TypeError as exc:  # null or an object where a number belongs
         raise ValueError(f"point JSON entries must be numbers: {exc}") from None
-    except OverflowError as exc:  # n = Infinity, or an integer beyond float range
+    except OverflowError as exc:  # an integer beyond float range
         raise ValueError(f"point JSON entries must be finite: {exc}") from None
     if re.shape != (2 * n, n) or im.shape != (2 * n, n):
         raise DimensionError(

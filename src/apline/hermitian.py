@@ -23,6 +23,7 @@ Convention notes (all verified by the calibration tests):
 
 from __future__ import annotations
 
+import itertools
 from functools import lru_cache
 
 import numpy as np
@@ -296,7 +297,7 @@ def tangent_product(base: SubspacePoint, x: SubspacePoint,
 
 # --- random symmetries ----------------------------------------------------------
 
-def aut_omega_random(n: int, rng, scale: float = 0.5) -> ProjectiveMap:
+def aut_omega_random(n: int, rng) -> ProjectiveMap:
     """exp of a random element [[a, b], [c, -a*]] (b, c Hermitian) of Der(omega).
 
     The exponential satisfies g* Omega g = Omega, hence acts on points
@@ -308,14 +309,14 @@ def aut_omega_random(n: int, rng, scale: float = 0.5) -> ProjectiveMap:
     import scipy.linalg
 
     rng = algebra.rng_from(rng)
-    a = scale * algebra.random_matrix(n, rng)
-    b = scale * algebra.random_hermitian(n, rng)
-    c = scale * algebra.random_hermitian(n, rng)
+    a = 0.5 * algebra.random_matrix(n, rng)
+    b = 0.5 * algebra.random_hermitian(n, rng)
+    c = 0.5 * algebra.random_hermitian(n, rng)
     m = np.block([[a, b], [c, -a.conj().T]])
     return ProjectiveMap(scipy.linalg.expm(m))
 
 
-def u_group_random(n: int, rng, scale: float = 0.7) -> ProjectiveMap:
+def u_group_random(n: int, rng) -> ProjectiveMap:
     """A random element of U = Aut(S, tau, alpha): unitary and J-commuting.
 
     exp([[s, h], [-h, s]]) with s skew-Hermitian and h Hermitian is
@@ -324,41 +325,30 @@ def u_group_random(n: int, rng, scale: float = 0.7) -> ProjectiveMap:
     import scipy.linalg
 
     rng = algebra.rng_from(rng)
-    h = scale * algebra.random_hermitian(n, rng)
+    h = 0.7 * algebra.random_hermitian(n, rng)
     a = algebra.random_matrix(n, rng)
-    s = scale * (a - a.conj().T) / 2
+    s = 0.7 * (a - a.conj().T) / 2
     m = np.block([[s, h], [-h, s]])
     return ProjectiveMap(scipy.linalg.expm(m))
 
 
 # --- arithmetic distance and intrinsic lines -------------------------------------
 
-def _chart_candidates(x: SubspacePoint, y: SubspacePoint, rng, count: int = 100):
-    yield infinity_point(x.n)
-    yield zero_point(x.n)
+def _transversal_to(points, rng) -> SubspacePoint:
+    """The first of infinity, 0 and 100 draws from rng that is transversal to every point."""
+    n = points[0].n
     rng = algebra.rng_from(rng)
-    for _ in range(count):
-        yield grassmann.random_point(x.n, rng)
+    for c in itertools.chain((infinity_point(n), zero_point(n)),
+                             (grassmann.random_point(n, rng) for _ in range(100))):
+        if all(grassmann.is_transversal(p, c) for p in points):
+            return c
+    raise NoCommonChartError("no point transversal to the given ones found")  # pragma: no cover
 
 
 def common_chart_point(x: SubspacePoint, y: SubspacePoint,
                        rng=None) -> SubspacePoint:
     """A point transversal to both x and y (tries infinity, 0, then random)."""
-    if rng is None:
-        rng = np.random.default_rng(0xA11E)
-    for c in _chart_candidates(x, y, rng):
-        if grassmann.is_transversal(x, c) and grassmann.is_transversal(y, c):
-            return c
-    raise NoCommonChartError("no point transversal to both arguments found")  # pragma: no cover
-
-
-def _origin_for(c: SubspacePoint, rng=None) -> SubspacePoint:
-    if rng is None:
-        rng = np.random.default_rng(0x0A11)
-    for o in _chart_candidates(c, c, rng):
-        if grassmann.is_transversal(o, c):
-            return o
-    raise NoCommonChartError("no origin transversal to the chart point found")  # pragma: no cover
+    return _transversal_to((x, y), np.random.default_rng(0xA11E) if rng is None else rng)
 
 
 def chart_in_frame(z: SubspacePoint, origin: SubspacePoint,
@@ -378,13 +368,17 @@ def chart_in_frame(z: SubspacePoint, origin: SubspacePoint,
     return q @ np.linalg.inv(p)
 
 
-def chart_difference_rank(x: SubspacePoint, y: SubspacePoint,
-                          c: SubspacePoint, origin: SubspacePoint | None = None) -> int:
+def _chart_values(x: SubspacePoint, y: SubspacePoint, c: SubspacePoint):
+    """The frame [B_o | B_c] of horizon c and its default origin o, chart_c(y) and
+    chart_c(x) - chart_c(y): the arguments of LineFamily."""
+    o = _transversal_to((c,), np.random.default_rng(0x0A11))
+    my = chart_in_frame(y, o, c)
+    return np.hstack([o.basis, c.basis]), my, chart_in_frame(x, o, c) - my
+
+
+def chart_difference_rank(x: SubspacePoint, y: SubspacePoint, c: SubspacePoint) -> int:
     """Rank of chart_c(x) - chart_c(y), with the 1e-7 relative sv threshold."""
-    if origin is None:
-        origin = _origin_for(c)
-    diff = chart_in_frame(x, origin, c) - chart_in_frame(y, origin, c)
-    return _rank_of(np.linalg.svd(diff, compute_uv=False))
+    return _rank_of(np.linalg.svd(_chart_values(x, y, c)[2], compute_uv=False))
 
 
 def _rank_of(s: np.ndarray) -> int:
@@ -460,34 +454,25 @@ class LineFamily:
 
 
 def line_family(x: SubspacePoint, y: SubspacePoint,
-                chart_point: SubspacePoint | None = None,
-                origin: SubspacePoint | None = None) -> LineFamily:
+                chart_point: SubspacePoint | None = None) -> LineFamily:
     """Parametrize the intrinsic line through the rank-one pair (x, y).
 
-    The rank-one test is is_rank_one_pair's, run on the chart values it
-    would compute itself (default chart and origin) by the LineFamily
-    constructor, whose SVD also gives the direction's factors; with the
-    default frame that family is the result, so the chart search and the
-    SVD run once.  An explicit chart_point or origin then re-frames the
-    pair, and the re-framed family factors its own direction.
+    The rank-one test is is_rank_one_pair's: the LineFamily constructor
+    runs it on the chart values in the common chart that
+    is_rank_one_pair would find, and its SVD also gives the direction's
+    factors.  Without chart_point that family is the result, so the
+    chart search and the SVD run once.  An explicit chart_point then
+    re-frames the pair, and the re-framed family factors its own
+    direction.
     """
     if point_eq(x, y):
         raise NotRankOneError("intrinsic lines need a pair at arithmetic distance 1")
-    c = common_chart_point(x, y)
-    o = _origin_for(c)
-    my = chart_in_frame(y, o, c)
-    fam = LineFamily(np.hstack([o.basis, c.basis]), my, chart_in_frame(x, o, c) - my)
-    if chart_point is None and origin is None:
-        return fam
-    c = chart_point if chart_point is not None else c
-    o = origin if origin is not None else _origin_for(c)
-    my = chart_in_frame(y, o, c)
-    return LineFamily(np.hstack([o.basis, c.basis]), my, chart_in_frame(x, o, c) - my)
+    fam = LineFamily(*_chart_values(x, y, common_chart_point(x, y)))
+    return fam if chart_point is None else LineFamily(*_chart_values(x, y, chart_point))
 
 
 def intrinsic_line_point(x: SubspacePoint, y: SubspacePoint, t,
-                         chart_point: SubspacePoint | None = None,
-                         origin: SubspacePoint | None = None) -> SubspacePoint:
+                         chart_point: SubspacePoint | None = None) -> SubspacePoint:
     """The point of the intrinsic real line [x, y] with parameter t.
 
     In a chart containing both points the line is the affine family
@@ -497,7 +482,7 @@ def intrinsic_line_point(x: SubspacePoint, y: SubspacePoint, t,
     rank-one condition); the parameter t itself is chart-relative, so
     pass chart_point explicitly whenever parameters must be compared.
     """
-    return line_family(x, y, chart_point, origin).point(t)
+    return line_family(x, y, chart_point).point(t)
 
 
 # --- cyclic order -----------------------------------------------------------------

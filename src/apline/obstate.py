@@ -111,12 +111,12 @@ def pure_state_point(psi) -> SubspacePoint:
     return point_from_cochart(psi @ psi.conj().T / nrm2)
 
 
-def standard_obstate(a, w, strong: bool = True) -> Obstate:
-    """The obstate of (Hermitian a, density w) in the reference frame (0, inf)."""
+def standard_obstate(a, w) -> Obstate:
+    """The strong obstate of (Hermitian a, density w) in the reference frame (0, inf)."""
     a = algebra.as_matrix(a)
     n = a.shape[0]
     return new_obstate(point_from_chart(a), state_from_density(w),
-                       zero_point(n), infinity_point(n), strong)
+                       zero_point(n), infinity_point(n))
 
 
 def expectation(o: Obstate) -> complex:

@@ -15,6 +15,7 @@ report contains no timestamps or environment data.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import math
 import warnings
 from dataclasses import dataclass
@@ -58,56 +59,68 @@ def _bres(ok: bool) -> float:
 
 # --- conditioned random draws -------------------------------------------------------
 
-def _transversal_pair(rng, n: int, margin: float = 1e-2, tries: int = 200):
+def _draw(draw: Callable, accept: Callable, tries: int, what: str):
+    """The first of tries values of draw() that accept takes; ResamplingExhausted(what) if none."""
     for _ in range(tries):
-        x = grassmann.random_point(n, rng)
-        a = grassmann.random_point(n, rng)
-        if grassmann.transversality_margin(x, a) > margin:
-            return x, a
-    raise ResamplingExhausted("no well-separated transversal pair found")
+        value = draw()
+        if accept(value):
+            return value
+    raise ResamplingExhausted(what)
 
 
-def _point_clear_of(rng, n: int, others: Sequence[grassmann.SubspacePoint],
-                    margin: float = 1e-2, tries: int = 300) -> grassmann.SubspacePoint:
-    for _ in range(tries):
-        x = grassmann.random_point(n, rng)
-        if all(grassmann.transversality_margin(x, c) > margin for c in others):
-            return x
-    raise ResamplingExhausted("no point transversal to all the given ones")
+def _transversal_pair(rng, n: int):
+    return _draw(lambda: (grassmann.random_point(n, rng), grassmann.random_point(n, rng)),
+                 lambda pair: grassmann.transversality_margin(*pair) > 1e-2, 200,
+                 "no well-separated transversal pair found")
 
 
-def _conditioned_map(rng, n: int, kmax: float = 2e3,
-                     tries: int = 60) -> grassmann.ProjectiveMap:
-    g = grassmann.random_map(n, rng)
-    for _ in range(tries):
-        if np.linalg.cond(g.rep) < kmax:
-            return g
-        g = grassmann.random_map(n, rng)
-    return g
+def _point_clear_of(rng, n: int, others) -> grassmann.SubspacePoint:
+    return _draw(lambda: grassmann.random_point(n, rng),
+                 lambda x: all(grassmann.transversality_margin(x, c) > 1e-2 for c in others), 300,
+                 "no point transversal to all the given ones")
 
 
-def _kernel_quadruple(rng, n: int, margin: float = 1e-2):
+def _conditioned_map(rng, n: int) -> grassmann.ProjectiveMap:
+    return _draw(lambda: grassmann.random_map(n, rng), lambda g: np.linalg.cond(g.rep) < 2e3,
+                 60, "no projective map with condition number below 2e3")
+
+
+def _kernel_quadruple(rng, n: int):
     """x, a, b, y with the transversality the kernel needs, margin-separated."""
-    for _ in range(300):
-        x, a, b, y = (grassmann.random_point(n, rng) for _ in range(4))
-        if (grassmann.transversality_margin(x, a) > margin
-                and grassmann.transversality_margin(b, x) > margin
-                and grassmann.transversality_margin(y, a) > margin):
-            return x, a, b, y
-    raise ResamplingExhausted("no kernel-admissible quadruple found")
+    return _draw(lambda: tuple(grassmann.random_point(n, rng) for _ in range(4)),
+                 lambda q: all(grassmann.transversality_margin(p, r) > 1e-2
+                               for p, r in ((q[0], q[1]), (q[2], q[0]), (q[3], q[1]))),
+                 300, "no kernel-admissible quadruple found")
 
 
-def _distinct_reals(rng, count: int, gap: float = 1e-2,
-                    avoid: Sequence[float] = ()) -> list:
+def _distinct_reals(rng, count: int, avoid: Sequence[float] = ()) -> list:
+    """count values of 3 N(0, 1), more than 1e-2 apart and from avoid, within 2000 draws."""
     vals: list = []
-    guard = list(avoid)
-    for _ in range(2000):
-        v = float(rng.standard_normal() * 3.0)
-        if all(abs(v - w) > gap for w in vals + guard):
+
+    def keep(v: float) -> bool:
+        if all(abs(v - w) > 1e-2 for w in vals + list(avoid)):
             vals.append(v)
-            if len(vals) == count:
-                return vals
-    raise ResamplingExhausted("could not draw separated real values")
+        return len(vals) == count
+
+    _draw(lambda: float(rng.standard_normal() * 3.0), keep, 2000,
+          "could not draw separated real values")
+    return vals
+
+
+def _real_mobius(rng, points: Sequence[float]):
+    """Images of points under a random real t -> (al t + be) / (ga t + de), and its det.
+
+    Drawn until |det| > 1e-2, every point is 5e-2 clear of the pole and
+    the images are pairwise at least 1e-9 apart.
+    """
+    def images(al, be, ga, de):
+        if abs(al * de - be * ga) > 1e-2 and all(abs(ga * t + de) > 5e-2 for t in points):
+            return [(al * t + be) / (ga * t + de) for t in points], al * de - be * ga
+        return None
+
+    return _draw(lambda: images(*rng.standard_normal(4)), lambda m: m is not None and all(
+        abs(p - q) >= 1e-9 for p, q in itertools.combinations(m[0], 2)),
+        100, "no real Mobius map clear of the points")
 
 
 # --- algebra ------------------------------------------------------------------------
@@ -279,13 +292,8 @@ def _t_chains(rng, n: int) -> float:
         _sres(classical_cr(b, a, c, d) * cr, 1.0),
     ]
     # invariance under a real scalar Mobius map, avoiding its pole
-    for _ in range(100):
-        al, be, ga, de = rng.standard_normal(4)
-        if abs(al * de - be * ga) > 1e-2 and all(
-                abs(ga * t + de) > 5e-2 for t in (a, b, c, d)):
-            mob = [(al * t + be) / (ga * t + de) for t in (a, b, c, d)]
-            rs.append(_sres(classical_cr(*mob), cr))
-            break
+    mob, _ = _real_mobius(rng, (a, b, c, d))
+    rs.append(_sres(classical_cr(*mob), cr))
     return max(rs)
 
 
@@ -437,16 +445,15 @@ def _t_tangent_algebra(rng, n: int) -> float:
     ]
     base = hermitian.random_r_point(n, rng)
     alo = hermitian.alpha(base)
-    pts = []
-    for _ in range(200):
-        h = algebra.random_hermitian(n, rng)
-        p = grassmann.point_from_chart(h)
+    pts: list = []
+
+    def keep(p: grassmann.SubspacePoint) -> bool:
         if grassmann.transversality_margin(p, alo) > 1e-2:
             pts.append(p)
-            if len(pts) == 3:
-                break
-    if len(pts) < 3:
-        raise ResamplingExhausted("no tangent-chart sample at this base")
+        return len(pts) == 3
+
+    _draw(lambda: grassmann.point_from_chart(algebra.random_hermitian(n, rng)), keep, 200,
+          "no tangent-chart sample at this base")
     x, y, z = pts
     unit = hermitian.tangent_unit(base)
     rs.append(_pres(hermitian.tangent_product(base, x, unit), x))
@@ -780,19 +787,11 @@ def _t_separation(rng, n: int) -> float:
         order = classical.cyclic_order(a, b, c)
         rs.append(_bres(classical.interval_contains(a, c, b) == order))
         # orientation: preserved by positive Mobius maps, reversed by negative
-        for _ in range(100):
-            al, be, ga, de = rng.standard_normal(4)
-            det = al * de - be * ga
-            if abs(det) > 1e-2 and all(
-                    abs(ga * t + de) > 5e-2 for t in (a, b, c)):
-                ma, mb, mc = ((al * t + be) / (ga * t + de) for t in (a, b, c))
-                if min(abs(ma - mb), abs(mb - mc), abs(ma - mc)) < 1e-9:
-                    continue
-                if det > 0:
-                    rs.append(_bres(classical.cyclic_order(ma, mb, mc) == order))
-                else:
-                    rs.append(_bres(classical.cyclic_order(mb, ma, mc) == order))
-                break
+        (ma, mb, mc), det = _real_mobius(rng, (a, b, c))
+        if det > 0:
+            rs.append(_bres(classical.cyclic_order(ma, mb, mc) == order))
+        else:
+            rs.append(_bres(classical.cyclic_order(mb, ma, mc) == order))
     return max(rs)
 
 

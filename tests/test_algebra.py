@@ -46,6 +46,18 @@ def test_unitary_detection():
     assert not algebra.is_unitary(2.0 * u)
 
 
+def test_hermitian_and_unitary_tests_decide_when_norms_overflow():
+    # entries beyond about 1e154 overflow the Frobenius norms to inf, and inf <= inf
+    h = algebra.random_hermitian(3, RNG)
+    a = algebra.random_matrix(3, RNG)
+    assert algebra.is_hermitian(1e300 * h)
+    assert not algebra.is_hermitian(1e300 * a)
+    assert not algebra.is_hermitian(np.array([[1e200, 0.0], [5e199, 1e200]]))
+    assert not algebra.is_hermitian(np.array([[1.0, np.inf], [0.0, 1.0]]))
+    for scale in (1e100, 1e160, 1e300):
+        assert not algebra.is_unitary(scale * algebra.random_unitary(3, RNG))
+
+
 def test_trace_normalized_is_tracial_and_normalized():
     a = algebra.random_matrix(3, RNG)
     b = algebra.random_matrix(3, RNG)
@@ -105,6 +117,13 @@ def test_random_samplers_have_declared_shapes():
     assert algebra.is_psd(p)
     h = algebra.random_hermitian(5, RNG)
     assert algebra.is_hermitian(h)
+
+
+@pytest.mark.parametrize("n", [1.5, "1", True, float("inf"), [1]])
+def test_matrix_json_size_must_be_a_whole_number(n):
+    with pytest.raises(ValueError, match="matrix JSON size n must be a whole number"):
+        algebra.matrix_from_json({"n": n, "re": [[1.0]]})
+    assert algebra.matrix_from_json({"n": 1.0, "re": [[2.0]]}).tolist() == [[2.0]]
 
 
 @pytest.mark.parametrize("obj", [5, None, "x", 1.5, True, {"n": None, "re": [[1.0]]}])

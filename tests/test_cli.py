@@ -412,3 +412,91 @@ def test_expect_fuzz_ends_in_an_exit_code_never_a_traceback(tmp_path_factory, pa
     res = runner.invoke(main, ["expect", str(path)], catch_exceptions=False)
     assert res.exit_code in (0, 1, 2)
     assert "Traceback" not in res.output
+
+
+def test_expect_overflowing_non_hermitian_density_is_named(tmp_path):
+    # the Frobenius norms of this density overflow to inf; the Hermitian test must still fail
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps({"A": {"chart": [[1.0, 0.0], [0.0, -1.0]]},
+                                "W": {"density": [[1e200, 0.0], [5e199, 1e200]]},
+                                "A0": "zero", "Winf": "infinity"}))
+    res = runner.invoke(main, ["expect", str(path)], catch_exceptions=False)
+    assert res.exit_code == 1
+    assert "density matrices must be Hermitian" in res.output
+
+
+@pytest.mark.parametrize("name, content, code, message", [
+    ("deep.json", b"[" * 100_000 + b"]" * 100_000, 1, "recursion"),
+    ("infinite-m.json", b'{"mu": [1], "f": {"m": Infinity, "values": [1]}, "g": [1]}', 1,
+     "m must be a whole number"),
+    ("huge.json", b'{"mu": [1], "f": [1' + b"0" * 400 + b'], "g": [1]}', 1, "too large"),
+    ("cut.json", b'{"mu": [1], "f": [1], "g": [1', 1, "delimiter"),
+    ("latin1.csv", b"mu,1\nf,\xff\ng,1\n", 1, "utf-8"),
+    ("inf-weight.json", b'{"mu": ["inf"], "f": [1], "g": [1]}', 1, "finite and nonnegative"),
+    ("complex.json", b'{"mu": [1], "f": ["1j"], "g": [1]}', 2, "not a real number"),
+    ("complex.csv", b"mu,1\nf,1+2j\ng,1\n", 2, "not a real number"),
+], ids=["nested-too-deeply", "infinite-m", "integer-beyond-float", "truncated-json",
+        "not-utf8", "infinite-weight", "complex-json-value", "complex-csv-value"])
+def test_classical_malformed_file_is_a_clean_error(tmp_path, name, content, code, message):
+    path = tmp_path / name
+    path.write_bytes(content)
+    res = runner.invoke(main, ["classical", "pairing", str(path)], catch_exceptions=False)
+    assert res.exit_code == code
+    assert "Error: " in res.output
+    assert message in res.output
+
+
+# --- fuzz of the classical files and the crossratio tokens -------------------------
+
+_NAMES = st.sampled_from(["mu", "f", "g", "f1", "f0", "finf", "h"])
+_SCALARS = st.one_of(_FINITE, _LEAVES, st.sampled_from(["inf", "-2", "0.5", "1j", "1e400"]))
+_ENTRIES = st.one_of(st.lists(_SCALARS, max_size=4), _TREES,
+                     st.fixed_dictionaries({"values": st.lists(_SCALARS, max_size=4),
+                                            "m": _LEAVES | st.integers(0, 4)}))
+
+
+@st.composite
+def _classical_files(draw):
+    """A problem both commands accept, up to two entries replaced by anything, as JSON or CSV."""
+    m = draw(st.integers(1, 4))
+    f1 = draw(st.lists(_FINITE, min_size=m, max_size=m))
+    problem = {"mu": draw(st.lists(st.floats(0, 4), min_size=m, max_size=m)),
+               "f1": f1, "f0": [v + 1 for v in f1],
+               "finf": draw(st.sampled_from([["inf"] * m, [v + 2 for v in f1]]))}
+    for name in ("f", "g", "h"):
+        problem[name] = draw(st.lists(_FINITE, min_size=m, max_size=m))
+    for _ in range(draw(st.integers(0, 2))):
+        problem[draw(_NAMES | st.text(max_size=3))] = draw(_ENTRIES)
+    if draw(st.integers(0, 5)) == 5:
+        del problem[draw(st.sampled_from(sorted(problem)))]
+    if draw(st.booleans()):
+        return "fuzz.json", json.dumps(problem).encode()
+    rows = [",".join([name] + ([str(v) for v in entry] if isinstance(entry, list)
+                               else [json.dumps(entry)]))
+            for name, entry in problem.items()]
+    return "fuzz.csv", "\n".join(rows).encode() + draw(st.sampled_from([b"", b"\n", b"\xff"]))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(command=st.sampled_from(["pairing", "obstate"]), file=_classical_files())
+def test_classical_fuzz_ends_in_an_exit_code_never_a_traceback(tmp_path_factory, command,
+                                                               file):
+    path = tmp_path_factory.getbasetemp() / file[0]
+    path.write_bytes(file[1])
+    res = runner.invoke(main, ["classical", command, str(path)], catch_exceptions=False)
+    assert res.exit_code in (0, 1, 2)
+    assert "Traceback" not in res.output
+
+
+_TOKENS = st.one_of(_FINITE.map(str), st.floats().map(str), st.integers().map(str),
+                    st.complex_numbers().map(str),
+                    st.sampled_from(["inf", "oo", "Infinity", "nan", "1j", "-0", "1e400"]),
+                    st.text(max_size=6))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(tokens=st.lists(_TOKENS, min_size=4, max_size=4) | st.lists(_TOKENS, max_size=6))
+def test_crossratio_fuzz_ends_in_an_exit_code_never_a_traceback(tokens):
+    res = runner.invoke(main, ["crossratio", "--", *tokens], catch_exceptions=False)
+    assert res.exit_code in (0, 1, 2)
+    assert "Traceback" not in res.output

@@ -137,6 +137,14 @@ def test_point_json_rejects_what_is_not_a_basis(obj):
         grassmann.point_from_json(obj)
 
 
+@pytest.mark.parametrize("n", [1.5, "1", True, float("nan")])
+def test_point_json_size_must_be_a_whole_number(n):
+    basis = {"basis_re": [[1.0], [0.0]]}
+    with pytest.raises(ValueError, match="point JSON size n must be a whole number"):
+        grassmann.point_from_json(dict(basis, n=n))
+    assert grassmann.point_from_json(dict(basis, n=1.0)).n == 1
+
+
 @pytest.mark.parametrize("n", [1, 2, 4, 8, 16])
 def test_full_rank_constructor_matches_the_public_one_bitwise(n):
     for _ in range(5):

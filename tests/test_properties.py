@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 
 from apline import properties
@@ -62,3 +63,12 @@ def test_trial_exceptions_become_failures_not_crashes():
     assert rep["fail_count"] == 2
     assert rep["worst_residual"] == "inf"
     assert "division" in rep["example_failure"]["error"]
+
+
+def test_a_sampler_that_never_accepts_is_a_reported_failure(monkeypatch):
+    # every projective map then looks ill-conditioned, so _conditioned_map runs out
+    monkeypatch.setattr(np.linalg, "cond", lambda a: np.inf)
+    rep = properties.run_property(properties.SPECS["crossratio.naturality"],
+                                  n_list=[2], trials=1, seed=0)
+    assert rep["fail_count"] == 1
+    assert rep["example_failure"]["error"].startswith("ResamplingExhausted: ")
