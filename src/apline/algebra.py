@@ -86,13 +86,15 @@ def herm_decompose(a):
 
 
 def _pow2_scale(a: np.ndarray) -> float:
-    """The power of two that brings the largest entry of a into [2**99, 2**100).
+    """The power of two that brings the largest real or imaginary part of a into [2**99, 2**100).
 
     Scaling by it is exact, and the norms of the scaled matrix and of its
     products are finite and far above 1, so a relative test whose norms
-    overflowed decides on the scaled copy as in exact arithmetic.
+    overflowed decides on the scaled copy as in exact arithmetic.  The
+    parts are taken apart because the modulus of a finite entry can overflow.
     """
-    return 2.0 ** (100 - int(np.frexp(np.abs(a).max())[1]))
+    top = max(np.abs(a.real).max(), np.abs(a.imag).max())
+    return 2.0 ** (100 - int(np.frexp(top)[1]))
 
 
 def is_hermitian(a, tol: float = TOL_EQ) -> bool:
@@ -109,13 +111,18 @@ def is_psd(a) -> bool:
 
     Non-Hermitian input returns False (the order lives on Herm(A) only;
     no silent symmetrization).  Eigenvalues above -TOL_PSD * ||a|| count as
-    nonnegative.
+    nonnegative.  When ||a|| overflows, the test decides on the exact
+    power-of-two rescale of a: positivity is invariant under positive scaling.
     """
     a = as_matrix(a)
     if not is_hermitian(a):
         return False
+    with np.errstate(over="ignore"):
+        size = norm(a)
+    if not math.isfinite(size):  # a is finite here: is_hermitian rejects inf and nan
+        return is_psd(a * _pow2_scale(a))
     evals = np.linalg.eigvalsh((a + a.conj().T) / 2)
-    return bool(evals.min(initial=0.0) >= -TOL_PSD * (1.0 + norm(a)))
+    return bool(evals.min(initial=0.0) >= -TOL_PSD * (1.0 + size))
 
 
 def leq(a, b) -> bool:

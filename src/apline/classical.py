@@ -14,6 +14,7 @@ operator engine at n = 1.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Sequence, Union
 
@@ -24,6 +25,7 @@ from .errors import (
     DegenerateReferenceError,
     DimensionError,
     IndeterminateError,
+    ValueOverflowError,
     ZeroWeightError,
 )
 
@@ -209,7 +211,8 @@ def pairing(mu: Measure, f: ClassicalFn, g: ClassicalFn) -> Value:
     A site with mu_p = 0 contributes nothing whatever the values; a
     site with mu_p > 0 and an INF factor against a nonzero factor makes
     the whole sum INF; 0 * INF against positive weight has no consistent
-    value and raises.
+    value and raises.  A finite sum that overflows the float range (to
+    inf, or to nan when overflows of both signs meet) raises too.
     """
     if not (mu.size == f.size == g.size):
         raise DimensionError("pairing arguments live on different site sets")
@@ -225,7 +228,12 @@ def pairing(mu: Measure, f: ClassicalFn, g: ClassicalFn) -> Value:
             infinite = True
             continue
         total += w * fv * gv
-    return INF if infinite else total
+    if infinite:
+        return INF
+    if not math.isfinite(total):
+        raise ValueOverflowError("pairing overflows the float range: the sum of "
+                                 "mu_p f_p g_p over finite values is not finite")
+    return total
 
 
 def density_pushforward(phi: Bijection, mu: Measure) -> ClassicalFn:

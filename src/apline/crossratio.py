@@ -149,6 +149,15 @@ def _graph_coords(frame: np.ndarray, point: SubspacePoint) -> tuple[np.ndarray, 
     return cd[:n, :], cd[n:, :]
 
 
+# Product of two transversality margins at or above which a graph block of
+# kernel is invertible by the margins alone (see _kernel).
+_MARGIN_PRODUCT_BOUND = 1e-6
+
+_KERNEL_PAIR_ERRORS = ("kernel needs transversal reference pair (x, a)",
+                 "kernel needs b in U_x",
+                 "kernel needs y in U_a")
+
+
 def kernel(x: SubspacePoint, a: SubspacePoint, b: SubspacePoint,
            y: SubspacePoint) -> EndoX:
     """The canonical kernel K_{x,a}(b, y) = beta o eta in End(x).
@@ -157,19 +166,34 @@ def kernel(x: SubspacePoint, a: SubspacePoint, b: SubspacePoint,
     the graph map of b and eta: x -> a the graph map of y, both w.r.t.
     the splitting A^2 = a (+) x.  CR(y, b; x, a) := K_{x,a}(b, y).
     """
-    if not grassmann.is_transversal(x, a):
-        raise NotTransversalError("kernel needs transversal reference pair (x, a)")
-    if not grassmann.is_transversal(b, x):
-        raise NotTransversalError("kernel needs b in U_x")
-    if not grassmann.is_transversal(y, a):
-        raise NotTransversalError("kernel needs y in U_a")
+    return _kernel(x, a, b, y)
+
+
+def _kernel(x: SubspacePoint, a: SubspacePoint, b: SubspacePoint, y: SubspacePoint,
+            margins=None) -> EndoX:
+    """kernel(x, a, b, y), given the margins of (x, a), (b, x), (y, a) or computing them.
+
+    Margins passed in were computed (and warned about) by the caller;
+    they are still compared with TRANSVERSALITY_RTOL here.
+    """
+    if margins is None:
+        margins = (grassmann._warned_margin(p, q) for p, q in ((x, a), (b, x), (y, a)))
+    checked = []
+    for margin, message in zip(margins, _KERNEL_PAIR_ERRORS):
+        if not margin > grassmann.TRANSVERSALITY_RTOL:
+            raise NotTransversalError(message)
+        checked.append(margin)
+    m_xa, m_bx, m_ya = checked
     frame = np.hstack([a.basis, x.basis])
     c, d = _graph_coords(frame, b)    # b = A c + X d, graph of beta: a -> x
-    if not algebra.is_invertible(c):  # cannot fail once b T x holds
+    # [B | X] = [A | X] [[c, 0], [d, I]], so cond(c) <= cond([B | X]) cond([A | X])
+    # and sigma_min(c) / sigma_max(c) >= m_bx m_xa: the check below cannot fail
+    if m_bx * m_xa < _MARGIN_PRODUCT_BOUND and not algebra.is_invertible(c):
         raise SingularError("graph decomposition of b is degenerate")
     beta = d @ np.linalg.inv(c)
     cy, dy = _graph_coords(frame, y)  # y = A cy + X dy, graph of eta: x -> a
-    if not algebra.is_invertible(dy):
+    # [A | Y] = [A | X] [[I, cy], [0, dy]]: likewise sigma_min(dy) / sigma_max(dy) >= m_ya m_xa
+    if m_ya * m_xa < _MARGIN_PRODUCT_BOUND and not algebra.is_invertible(dy):
         raise SingularError("graph decomposition of y is degenerate")
     eta = cy @ np.linalg.inv(dy)
     return EndoX(base_point=x, matrix=beta @ eta)

@@ -86,6 +86,10 @@ class IndeterminateError(AplineError, ArithmeticError):
     """0/0 or an unresolvable 0*inf arose in extended arithmetic."""
 
 
+class ValueOverflowError(AplineError, ArithmeticError):
+    """Finite inputs gave a result beyond the float range."""
+
+
 class DegenerateError(AplineError, ValueError):
     """Coincident arguments where distinct ones are required."""
 

@@ -139,13 +139,26 @@ def one_point(n: int) -> SubspacePoint:
     return SubspacePoint(np.vstack([np.eye(n), np.eye(n)]))
 
 
+# Frobenius norm of a chart value up to which its graph basis is built
+# without the rank SVD (see _graph_point).
+_GRAPH_NORM_BOUND = 1e6
+
+
 def _graph_point(cols: np.ndarray, value: np.ndarray, chart: str) -> SubspacePoint:
     """SubspacePoint(cols) for a graph basis [I; a] or [a; I] of the chart value a.
 
     A graph basis always has full rank: its singular values are
-    sqrt(1 + s_i(a)^2).  So the rank check can reject it only for the
-    dynamic range of a, and the error says that.
+    sqrt(1 + s_i(a)^2), so their ratio is at least 1/sqrt(1 + ||a||_F^2).
+    For ||a||_F <= _GRAPH_NORM_BOUND that is above 1e-6, four decades over
+    TOL_INV, and the rank check cannot fail; n max|a_ij| bounds ||a||_F
+    without squaring an entry.  A larger or non-finite value runs the
+    check, which can reject it only for the dynamic range of a, and the
+    error says that.
     """
+    with np.errstate(over="ignore", invalid="ignore"):
+        bound = value.shape[0] * np.abs(value).max(initial=0.0)
+    if value.size and bound <= _GRAPH_NORM_BOUND:
+        return SubspacePoint._full_rank(cols)
     try:
         return SubspacePoint(cols)
     except SingularError:
@@ -208,15 +221,24 @@ def transversality_margin(x: SubspacePoint, a: SubspacePoint) -> float:
 
 def is_transversal(x: SubspacePoint, a: SubspacePoint) -> bool:
     """True iff A^2 = x (+) a, i.e. [basis(x) | basis(a)] is invertible."""
+    return _warned_margin(x, a, stacklevel=3) > TRANSVERSALITY_RTOL
+
+
+def _warned_margin(x: SubspacePoint, a: SubspacePoint, stacklevel: int = 2) -> float:
+    """transversality_margin(x, a), warning as is_transversal does near the threshold.
+
+    For callers that keep the margin: the pair is transversal iff the
+    result is above TRANSVERSALITY_RTOL.
+    """
     margin = transversality_margin(x, a)
     if TRANSVERSALITY_RTOL < margin < 10 * TRANSVERSALITY_RTOL:
         warnings.warn(
             f"transversality margin {margin:.3e} is within a decade of the "
             f"threshold {TRANSVERSALITY_RTOL:.0e}",
             TransversalityWarning,
-            stacklevel=2,
+            stacklevel=stacklevel,
         )
-    return margin > TRANSVERSALITY_RTOL
+    return margin
 
 
 def projector(x: SubspacePoint, a: SubspacePoint) -> np.ndarray:

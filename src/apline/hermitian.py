@@ -335,12 +335,17 @@ def u_group_random(n: int, rng) -> ProjectiveMap:
 # --- arithmetic distance and intrinsic lines -------------------------------------
 
 def _transversal_to(points, rng) -> SubspacePoint:
-    """The first of infinity, 0 and 100 draws from rng that is transversal to every point."""
+    """The first of infinity, 0 and 100 draws from rng that is transversal to every point.
+
+    A candidate that is one of the points is skipped unchecked: [X | X] has
+    rank n, so its margin is at rounding level and the check cannot pass.
+    """
     n = points[0].n
     rng = algebra.rng_from(rng)
     for c in itertools.chain((infinity_point(n), zero_point(n)),
                              (grassmann.random_point(n, rng) for _ in range(100))):
-        if all(grassmann.is_transversal(p, c) for p in points):
+        if all(p is not c for p in points) and all(
+                grassmann.is_transversal(p, c) for p in points):
             return c
     raise NoCommonChartError("no point transversal to the given ones found")  # pragma: no cover
 
@@ -503,18 +508,26 @@ def cyclic_triple(a: SubspacePoint, b: SubspacePoint, c: SubspacePoint) -> bool:
     agreeing with the classical cyclic order at n = 1; correctness is
     asserted by the invariance tests, not by the formula.
     """
+    value = _order_chart(c)
+    va = value(a)
+    return algebra.is_psd(value(b) - va)
+
+
+def _order_chart(c: SubspacePoint):
+    """The map z -> the Hermitian matrix of z whose psd order is the order of U_c.
+
+    The horizon test and c's own chart run once, so several triples cut
+    at the same c share them.
+    """
     if point_eq(c, infinity_point(c.n)):
-        ma, mb = _hermitian_chart(a), _hermitian_chart(b)
-        return algebra.is_psd(mb - ma)
+        return _hermitian_chart
     mc = _hermitian_chart(c)
-    values = []
-    for z in (a, b):
+
+    def value(z: SubspacePoint) -> np.ndarray:
         if point_eq(z, infinity_point(z.n)):
-            values.append(np.zeros((z.n, z.n), dtype=complex))
-            continue
-        mz = _hermitian_chart(z)
-        gap = mc - mz
+            return np.zeros((z.n, z.n), dtype=complex)
+        gap = mc - _hermitian_chart(z)
         if not algebra.is_invertible(gap, tol=grassmann.TRANSVERSALITY_RTOL):
             raise NotTransversalError("cyclic order needs both points transversal to c")
-        values.append(np.linalg.inv(gap))
-    return algebra.is_psd(values[1] - values[0])
+        return np.linalg.inv(gap)
+    return value

@@ -18,12 +18,12 @@ transversal to 0 = span[I; 0] for every w.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import algebra, grassmann, hermitian
-from .crossratio import INF, classical_cr, is_inf, kernel
+from .crossratio import INF, _kernel, classical_cr, is_inf, kernel  # noqa: F401 - obstate.kernel stays importable
 from .errors import (
     DimensionError,
     MembershipError,
@@ -62,6 +62,9 @@ class Obstate:
     ref_observable: SubspacePoint
     ref_state: SubspacePoint
     strong: bool
+    # margins of [A0 | Winf], [W | A0], [A | Winf] as new_obstate checked them,
+    # in kernel order; a copy made otherwise starts without them
+    _margins: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def n(self) -> int:
@@ -79,15 +82,20 @@ def new_obstate(A: SubspacePoint, W: SubspacePoint, A0: SubspacePoint,
                                ("reference state Winf", Winf, "Rprime")):
         if not hermitian.membership(point, space):
             raise MembershipError(f"{name} is not a point of {space}")
+    margins = []
     for name, p, q in (("A0 and Winf", A0, Winf),
-                       ("A0 and W", A0, W),
+                       ("A0 and W", W, A0),
                        ("A and Winf", A, Winf)):
-        if not grassmann.is_transversal(p, q):
+        margin = grassmann._warned_margin(p, q)
+        if not margin > grassmann.TRANSVERSALITY_RTOL:
             raise TransversalityError(f"{name} are not transversal")
+        margins.append(margin)
     # A0 in R already puts it in R_{N,S} (see hermitian.membership)
     if strong and not grassmann.is_orthocomplement(A0.basis, Winf.basis):
         raise NotAntipodalError("strong obstate needs Winf = alpha(A0)")
-    return Obstate(A, W, A0, Winf, bool(strong))
+    o = Obstate(A, W, A0, Winf, bool(strong))
+    object.__setattr__(o, "_margins", tuple(margins))
+    return o
 
 
 def state_from_density(w) -> SubspacePoint:
@@ -123,9 +131,10 @@ def expectation(o: Obstate) -> complex:
     """trace of the operator cross-ratio CR(A, W; A0, Winf).
 
     Equals trace(w a) in the standard frame; invariant under transport
-    of all four slots by any automorphism of (S, tau).
+    of all four slots by any automorphism of (S, tau).  The kernel's three
+    transversalities are new_obstate's, so their margins are reused.
     """
-    return kernel(o.ref_observable, o.ref_state, o.state, o.observable).trace
+    return _kernel(o.ref_observable, o.ref_state, o.state, o.observable, o._margins).trace
 
 
 def transport(o: Obstate, g: grassmann.ProjectiveMap) -> Obstate:
@@ -208,18 +217,31 @@ def is_pure(o: Obstate) -> bool:
     return hermitian.is_rank_one_pair(o.state, o.ref_state)
 
 
-def _ordered(a: SubspacePoint, b: SubspacePoint, c: SubspacePoint) -> bool:
+# an endpoint on the horizon of the cut chart is not inside any of its intervals
+_ORDER_ERRORS = (NotInChartError, NotTransversalError, NotHermitianError)
+
+
+def _on_arc(o: Obstate, points):
+    """For each z of points, whether (A0, z, Winf) is cyclically ordered (lazily).
+
+    The cut at Winf and A0's order value are computed once for all of them.
+    """
     try:
-        return hermitian.cyclic_triple(a, b, c)
-    except (NotInChartError, NotTransversalError, NotHermitianError):
-        # an endpoint on the horizon of the cut chart is not inside any
-        # of its intervals
-        return False
+        value = hermitian._order_chart(o.ref_state)
+        base = value(o.ref_observable)
+    except _ORDER_ERRORS:
+        yield from (False for _ in points)
+        return
+    for z in points:
+        try:
+            yield algebra.is_psd(value(z) - base)
+        except _ORDER_ERRORS:
+            yield False
 
 
 def is_positive(o: Obstate) -> bool:
     """Whether (A0, W, Winf) is cyclically ordered."""
-    return _ordered(o.ref_observable, o.state, o.ref_state)
+    return all(_on_arc(o, (o.state,)))
 
 
 def is_cyclically_ordered(o: Obstate) -> bool:
@@ -232,8 +254,7 @@ def is_cyclically_ordered(o: Obstate) -> bool:
     expectation; the order used here is the one that makes the
     positivity consequence true.)
     """
-    return (_ordered(o.ref_observable, o.observable, o.ref_state)
-            and _ordered(o.ref_observable, o.state, o.ref_state))
+    return all(_on_arc(o, (o.observable, o.state)))
 
 
 # --- pure-state expectation through the intrinsic line ----------------------------
@@ -367,9 +388,9 @@ def report(o: Obstate) -> dict:
     except NonUniqueCompletionError as exc:
         pure_out = {"pure_expectation_error": str(exc)}
     out["pure"] = bool(pure_out)
-    positive = _ordered(o.ref_observable, o.state, o.ref_state)
+    on_arc = _on_arc(o, (o.state, o.observable))
+    positive = next(on_arc)
     out["positive"] = positive
-    out["cyclically_ordered"] = positive and _ordered(o.ref_observable, o.observable,
-                                                      o.ref_state)
+    out["cyclically_ordered"] = positive and next(on_arc)
     out.update(pure_out)
     return out

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -56,6 +58,21 @@ def test_hermitian_and_unitary_tests_decide_when_norms_overflow():
     assert not algebra.is_hermitian(np.array([[1.0, np.inf], [0.0, 1.0]]))
     for scale in (1e100, 1e160, 1e300):
         assert not algebra.is_unitary(scale * algebra.random_unitary(3, RNG))
+
+
+def test_psd_test_decides_when_the_norm_overflows():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert algebra.is_psd(np.diag([1e200, 1e200]))
+        assert not algebra.is_psd(np.diag([1e200, -1e200]))
+        assert algebra.is_psd(1e300 * np.ones((2, 2)))
+        assert not algebra.is_psd(np.array([[1e300, 2e300], [2e300, 1e300]]))
+        # an entry whose modulus overflows though both its parts are finite
+        off = 1.5e308 + 1.5e308j
+        big = np.array([[0.0, off], [np.conj(off), 0.0]])
+        assert algebra.is_hermitian(big)
+        assert not algebra.is_psd(big)
+        assert not algebra.is_psd(np.diag([np.inf, 1.0]))
 
 
 def test_trace_normalized_is_tracial_and_normalized():

@@ -6,9 +6,11 @@ from hypothesis import strategies as st
 from apline import classical
 from apline.crossratio import INF, is_inf
 from apline.errors import (
+    AplineError,
     DegenerateReferenceError,
     DimensionError,
     IndeterminateError,
+    ValueOverflowError,
     ZeroWeightError,
 )
 
@@ -127,6 +129,20 @@ def test_pairing_extended_arithmetic():
     # 0 * inf on a charged site has no value
     with pytest.raises(IndeterminateError):
         classical.pairing(mu, f, classical.ClassicalFn([0.0, 1.0]))
+
+
+def test_pairing_that_overflows_is_an_error_not_inf_or_nan():
+    one = classical.Measure([1.0])
+    big = classical.ClassicalFn([1e308])
+    with pytest.raises(ValueOverflowError, match="overflows the float range"):
+        classical.pairing(classical.Measure([1e308]), big, big)
+    with pytest.raises(ValueOverflowError):
+        classical.pairing(one, big, big)
+    with pytest.raises(ValueOverflowError):  # inf - inf: nan
+        classical.pairing(classical.Measure([1.0, 1.0]), classical.ClassicalFn([1e308, -1e308]),
+                          classical.ClassicalFn([1e308, 1e308]))
+    assert classical.pairing(one, big, classical.ClassicalFn([1.0])) == 1e308
+    assert issubclass(ValueOverflowError, AplineError)
 
 
 def test_pairing_middle_associativity():

@@ -500,3 +500,40 @@ def test_crossratio_fuzz_ends_in_an_exit_code_never_a_traceback(tokens):
     res = runner.invoke(main, ["crossratio", "--", *tokens], catch_exceptions=False)
     assert res.exit_code in (0, 1, 2)
     assert "Traceback" not in res.output
+
+
+# --- golden outputs of the bundled sample inputs --------------------------------------
+
+_ROOT = Path(__file__).resolve().parents[1]
+
+
+@pytest.mark.parametrize("args, golden", [
+    (["expect", "sample_inputs/expect_diag.json"], "expect_diag.txt"),
+    (["classical", "pairing", "sample_inputs/pairing.json"], "pairing.txt"),
+    (["classical", "obstate", "sample_inputs/classical_obstate.csv"], "classical_obstate.txt"),
+])
+def test_sample_inputs_print_their_golden_output_byte_for_byte(args, golden):
+    args = [str(_ROOT / a) if a.startswith("sample_inputs/") else a for a in args]
+    res = runner.invoke(main, args)
+    assert res.exit_code == 0, res.output
+    assert res.stdout_bytes == (_ROOT / "tests" / "golden" / golden).read_bytes()
+
+
+# --- a pairing that overflows the float range -----------------------------------------
+
+@pytest.mark.parametrize("command, content", [
+    ("pairing", {"mu": [1.0], "f": [1e308], "g": [1e308]}),
+    ("pairing", {"mu": [1.0, 1.0], "f": [1e308, -1e308], "g": [1e308, 1e308]}),
+    # coordinates (f - f0) / (f1 - f0) of 1e308 and -1e308, paired with h
+    ("obstate", {"f": [1e308], "f1": [1.0], "f0": [0.0], "finf": ["inf"],
+                 "mu": [1.0], "h": [1e308]}),
+    ("obstate", {"f": [1e308, -1e308], "f1": [1.0, 1.0], "f0": [0.0, 0.0],
+                 "finf": ["inf", "inf"], "mu": [1.0, 1.0], "h": [1e308, 1e308]}),
+])
+def test_classical_overflowing_pairing_is_a_clean_error(tmp_path, command, content):
+    path = tmp_path / "overflow.json"
+    path.write_text(json.dumps(content))
+    res = runner.invoke(main, ["classical", command, str(path)])
+    assert res.exit_code == 1
+    assert "overflows the float range" in res.output
+    assert "Traceback" not in res.output

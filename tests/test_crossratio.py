@@ -5,7 +5,13 @@ from hypothesis import strategies as st
 
 from apline import algebra, crossratio, grassmann
 from apline.crossratio import INF, classical_cr, is_inf, ratio
-from apline.errors import DegenerateError, DimensionError, IndeterminateError
+from apline.errors import (
+    DegenerateError,
+    DimensionError,
+    IndeterminateError,
+    NotTransversalError,
+    SingularError,
+)
 
 RNG = np.random.default_rng(424242)
 
@@ -131,3 +137,69 @@ def test_transition_probability_range_and_symmetry():
         grassmann.zero_point(1), grassmann.zero_point(1)) == pytest.approx(1.0)
     assert crossratio.transition_probability(
         grassmann.zero_point(1), grassmann.infinity_point(1)) == pytest.approx(0.0)
+
+
+# --- the margin bound that lets kernel skip its graph-block checks ----------------
+
+def _span(*cols):
+    return grassmann.SubspacePoint(np.column_stack(cols))
+
+
+def test_kernel_still_rejects_degenerate_graph_blocks_below_the_margin_bound():
+    # a and x meet at an angle of ~3e-6, so [A | X]^{-1} stretches by ~3e5: graph
+    # blocks of points transversal to x or a can then have condition above 1/TOL_INV
+    e = np.eye(4)
+    eps = 3e-6
+    a = _span(e[0], e[1])
+    x = _span(e[0] + eps * e[2], e[3])
+    frame = np.hstack([a.basis, x.basis])
+    cases = ((_span(e[2], eps * e[1] + e[3]), _span(e[0] + e[1] + e[2], e[1] - e[3]), "b"),
+             (_span(e[1], e[2] + e[3]), _span(e[2], e[1] + eps * e[3]), "y"))
+    for b, y, degenerate in cases:
+        m_xa, m_bx, m_ya = (grassmann.transversality_margin(p, q)
+                            for p, q in ((x, a), (b, x), (y, a)))
+        assert min(m_xa, m_bx, m_ya) > 10 * grassmann.TRANSVERSALITY_RTOL
+        block = (np.linalg.solve(frame, b.basis)[:2] if degenerate == "b"
+                 else np.linalg.solve(frame, y.basis)[2:])
+        assert not algebra.is_invertible(block)
+        assert min(m_bx, m_ya) * m_xa < crossratio._MARGIN_PRODUCT_BOUND
+        with pytest.raises(SingularError, match=f"decomposition of {degenerate} is degenerate"):
+            crossratio.kernel(x, a, b, y)
+
+
+@pytest.mark.filterwarnings("ignore::apline.grassmann.TransversalityWarning")
+@pytest.mark.parametrize("n", [1, 2, 4, 8])
+def test_kernel_skips_a_block_check_only_where_it_would_pass(n):
+    rng = np.random.default_rng(100 + n)
+
+    def draw():
+        return (rng.standard_normal((2 * n, n)) + 1j * rng.standard_normal((2 * n, n))) / np.sqrt(2)
+
+    def near(base):  # base tilted by a random scale between 1 and 1e-8
+        return base + 10.0 ** -rng.uniform(0, 8) * draw()
+
+    skipped = checked = 0
+    for _ in range(150):
+        a0 = draw()
+        x0 = near(a0)
+        x, a, b, y = (grassmann.SubspacePoint(c) for c in (x0, a0, near(x0), near(a0)))
+        m_xa, m_bx, m_ya = (grassmann.transversality_margin(p, q)
+                            for p, q in ((x, a), (b, x), (y, a)))
+        if min(m_xa, m_bx, m_ya) <= grassmann.TRANSVERSALITY_RTOL:
+            with pytest.raises(NotTransversalError):
+                crossratio.kernel(x, a, b, y)
+            continue
+        frame = np.hstack([a.basis, x.basis])
+        blocks = ((np.linalg.solve(frame, b.basis)[:n], m_bx * m_xa),
+                  (np.linalg.solve(frame, y.basis)[n:], m_ya * m_xa))
+        for block, bound in blocks:
+            s = np.linalg.svd(block, compute_uv=False)
+            assert s[-1] / s[0] >= 0.5 * bound  # the bound itself, with room for rounding
+            if bound >= crossratio._MARGIN_PRODUCT_BOUND:
+                assert algebra.is_invertible(block)
+                skipped += 1
+            else:
+                checked += 1
+        if all(bound >= crossratio._MARGIN_PRODUCT_BOUND for _, bound in blocks):
+            crossratio.kernel(x, a, b, y)
+    assert skipped and checked

@@ -8,7 +8,7 @@ those savings fails a test instead of only a timing.
 import numpy as np
 import pytest
 
-from apline import algebra, grassmann, hermitian, obstate
+from apline import algebra, crossratio, grassmann, hermitian, obstate
 from apline.crossratio import INF
 
 
@@ -76,9 +76,10 @@ def test_pure_expectation_runs_one_rank_one_solve_per_target(counts):
     o = _pure_obstate(4, 15)
     _reset(counts)
     obstate.pure_expectation(o)
-    # line_family: 4 chart-search margins, 2 chart-block checks, 1 direction SVD;
-    # one QR of line(0) shared by both targets; per target the root's verification SVD
-    assert counts == {"svd": 9, "qr": 1}
+    # line_family: 3 chart-search margins (the candidate infinity is Winf itself and is
+    # skipped), 2 chart-block checks, 1 direction SVD; one QR of line(0) shared by both
+    # targets; per target the root's verification SVD
+    assert counts == {"svd": 8, "qr": 1}
 
 
 def test_line_family_horizon_point_runs_no_svd(counts):
@@ -87,3 +88,52 @@ def test_line_family_horizon_point_runs_no_svd(counts):
     _reset(counts)
     fam.raw_basis(INF)
     assert counts == {"svd": 0, "qr": 0}
+
+
+def test_kernel_of_a_well_separated_quadruple_runs_only_its_three_margins(counts):
+    rng = np.random.default_rng(17)
+    x, a, b, y = (grassmann.random_point(4, rng) for _ in range(4))
+    _reset(counts)
+    crossratio.kernel(x, a, b, y)
+    # the margins bound both graph blocks' condition, so neither block runs its own SVD
+    assert counts == {"svd": 3, "qr": 0}
+
+
+@pytest.mark.parametrize("make", [grassmann.point_from_chart, grassmann.point_from_cochart])
+def test_graph_point_of_a_moderate_value_runs_no_svd(counts, make):
+    value = algebra.random_hermitian(4, np.random.default_rng(18))
+    _reset(counts)
+    make(value)
+    # a graph basis of a value with ||a||_F <= 1e6 has full rank by its singular values
+    assert counts == {"svd": 0, "qr": 1}
+
+
+def _warm(n):
+    grassmann.zero_point(n)
+    grassmann.infinity_point(n)
+    hermitian.poles(n)
+    hermitian.cayley_matrix(n)
+
+
+def test_standard_frame_mixed_report_svd_count(counts):
+    rng = np.random.default_rng(19)
+    o = obstate.standard_obstate(algebra.random_hermitian(4, rng),
+                                 algebra.random_density(4, rng))
+    _warm(4)
+    _reset(counts)
+    obstate.report(o)
+    # expectation reuses new_obstate's margins: 0; normal form: 2 chart blocks;
+    # pure test: 3 chart-search margins, 2 chart blocks, 1 direction SVD;
+    # cyclic order: the charts of A0, W and A, A0's once for both triples
+    assert counts == {"svd": 11, "qr": 3}
+
+
+def test_standard_frame_pure_report_svd_count(counts):
+    o = _pure_obstate(4, 20)
+    _warm(4)
+    _reset(counts)
+    obstate.report(o)
+    # normal form: 2; pure_expectation: 8 (see above); cyclic order: the charts of
+    # A0 and W, where span[w; I] of a singular w lies on the chart's horizon, so
+    # positive is False and A's chart is never taken
+    assert counts == {"svd": 12, "qr": 4}

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -220,3 +222,40 @@ def test_out_of_range_chart_values_are_a_scale_error(to_point):
         to_point(np.diag([1.0, 1e11]))
     assert "rank deficient" not in str(info.value)
     to_point(np.diag([1.0, 1e9]))  # inside the range: accepted as before
+
+
+@pytest.mark.parametrize("chart", ["chart", "cochart"])
+@pytest.mark.parametrize("n", [1, 2, 4])
+def test_graph_points_near_and_beyond_the_norm_bound_match_the_checked_path(chart, n):
+    # below ||a||_F = 1e6 the rank SVD is skipped; the result must be the point,
+    # or the error, that the checked constructor gives
+    rng = np.random.default_rng(40 + n)
+    to_point = grassmann.point_from_chart if chart == "chart" else grassmann.point_from_cochart
+    values = []
+    for size in (1e5, 3e5, 1e6 * (1 - 1e-9), 1e6, 1e6 * (1 + 1e-9), 3e6, 1e7,
+                 1e10, 1e11, 1e12, 1e15, 1e200):
+        h = algebra.random_hermitian(n, rng)
+        values.append(size * h / np.linalg.norm(h))
+        values.append(np.diag(np.r_[size, np.ones(n - 1)]))  # range from 1 to size
+    values += [np.full((n, n), np.nan), np.full((n, n), np.inf)]
+    rejected = 0
+    for a in values:
+        eye = np.eye(n)
+        cols = np.vstack([eye, a]) if chart == "chart" else np.vstack([a, eye])
+        try:
+            want = grassmann.SubspacePoint(cols)
+        except SingularError:
+            scale = np.linalg.svd(a, compute_uv=False)[0]
+            prefix = f"{chart} value of scale {scale:.3e} (largest singular value)"
+            with pytest.raises(SingularError, match="^" + re.escape(prefix)):
+                to_point(a)
+            rejected += 1
+            continue
+        except np.linalg.LinAlgError as exc:  # nan: the SVD's own error
+            with pytest.raises(type(exc), match=re.escape(str(exc))):
+                to_point(a)
+            continue
+        # inf passes the checked path too (with a nan basis); it is compared like the rest
+        assert to_point(a).basis.tobytes() == want.basis.tobytes()
+    # the ranges 1 to 1e11 and beyond; an n = 1 graph basis is one column
+    assert rejected == (0 if n == 1 else 4)

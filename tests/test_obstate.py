@@ -1,3 +1,6 @@
+import dataclasses
+import warnings
+
 import numpy as np
 import pytest
 
@@ -8,9 +11,12 @@ from apline.errors import (
     MembershipError,
     NonUniqueCompletionError,
     NotAntipodalError,
+    NotHermitianError,
+    NotInChartError,
     NotPureError,
     NotRankOneError,
     NotStrongError,
+    NotTransversalError,
     TransversalityError,
 )
 
@@ -359,3 +365,73 @@ def test_json_rejects_a_payload_that_is_not_an_object():
     for payload in ([1, 2], None, "zero"):
         with pytest.raises(ValueError, match="obstate JSON must be an object"):
             obstate.obstate_from_json(payload)
+
+
+def _obstates_of_every_kind():
+    """Standard, transported and weak obstates at n = 1..4, pure and mixed."""
+    rng = np.random.default_rng(1618)
+    for n in (1, 2, 3, 4):
+        for k in range(6):
+            a = algebra.random_hermitian(n, rng)
+            if k % 3 == 2:
+                a = a @ a + 0.1 * np.eye(n)
+            psi = rng.standard_normal((n, 1)) + 1j * rng.standard_normal((n, 1))
+            w = (psi @ psi.conj().T / np.vdot(psi, psi).real if k % 2
+                 else algebra.random_density(n, rng))
+            o = obstate.standard_obstate(a, w)
+            yield o
+            yield obstate.transport(o, hermitian.aut_omega_random(n, rng))
+            yield obstate.new_obstate(o.observable, o.state, grassmann.zero_point(n),
+                                      grassmann.point_from_cochart(2 * np.eye(n)),
+                                      strong=False)
+
+
+def _ordered(a, b, c):
+    """One cyclic-order triple on its own, an endpoint off the cut chart counting as False."""
+    try:
+        return hermitian.cyclic_triple(a, b, c)
+    except (NotHermitianError, NotInChartError, NotTransversalError):
+        return False
+
+
+def test_report_order_flags_match_the_public_predicates():
+    seen = set()
+    for o in _obstates_of_every_kind():
+        rep = obstate.report(o)
+        flags = (rep["positive"], rep["cyclically_ordered"])
+        assert flags == (obstate.is_positive(o), obstate.is_cyclically_ordered(o))
+        # and each triple evaluated alone, without the shared cut
+        state_on_arc = _ordered(o.ref_observable, o.state, o.ref_state)
+        assert flags == (state_on_arc, state_on_arc and _ordered(
+            o.ref_observable, o.observable, o.ref_state))
+        seen.add(flags)
+    assert seen == {(False, False), (True, False), (True, True)}
+
+
+def test_new_obstate_keeps_the_kernel_margins():
+    for o in _obstates_of_every_kind():
+        want = tuple(grassmann.transversality_margin(p, q) for p, q in (
+            (o.ref_observable, o.ref_state), (o.state, o.ref_observable),
+            (o.observable, o.ref_state)))
+        assert o._margins == want
+        # a copy or a hand-built obstate has none and computes them: same value, same bits
+        for bare in (dataclasses.replace(o),
+                     obstate.Obstate(o.observable, o.state, o.ref_observable,
+                                     o.ref_state, o.strong)):
+            assert bare._margins is None
+            assert bare == o
+            assert obstate.expectation(bare) == obstate.expectation(o)
+    assert "_margins" not in repr(o)
+
+
+def test_expectation_does_not_repeat_new_obstates_warning():
+    a = np.diag([1e7, 1.0])  # margin of (A, Winf) about 5e-8: within a decade of 1e-8
+    with pytest.warns(grassmann.TransversalityWarning):
+        o = obstate.standard_obstate(a, np.diag([0.5, 0.5]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", grassmann.TransversalityWarning)
+        ev = obstate.expectation(o)
+    assert ev == pytest.approx(np.trace(np.diag([0.5, 0.5]) @ a))
+    bare = obstate.Obstate(o.observable, o.state, o.ref_observable, o.ref_state, o.strong)
+    with pytest.warns(grassmann.TransversalityWarning):
+        assert obstate.expectation(bare) == ev
