@@ -65,13 +65,6 @@ def _check_same_dim(*mats) -> int:
     return n
 
 
-def mul(a, b) -> np.ndarray:
-    """Associative matrix product ab."""
-    a, b = as_matrix(a), as_matrix(b)
-    _check_same_dim(a, b)
-    return a @ b
-
-
 def adjoint(a) -> np.ndarray:
     """The involution a -> a* (conjugate transpose)."""
     return as_matrix(a).conj().T

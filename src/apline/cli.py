@@ -195,17 +195,18 @@ def _load_classical_problem(path: str) -> dict:
     try:
         with open(path, newline="", encoding="utf-8") as fh:
             if path.endswith(".csv"):
-                return {row[0].strip(): [_parse_real(t) for t in row[1:]]
-                        for row in csv.reader(fh) if row and not row[0].startswith("#")}
-            payload = json.load(fh)
+                payload = {row[0].strip(): row[1:]
+                           for row in csv.reader(fh) if row and not row[0].startswith("#")}
+            else:
+                payload = json.load(fh)
     except (ValueError, RecursionError) as exc:  # not UTF-8, malformed or too deeply nested
         raise click.ClickException(f"{path}: {exc}")
     if not isinstance(payload, dict):
         raise click.ClickException(f"{path}: expected a JSON object")
     try:
         return {name: _values_from_json(obj, name) for name, obj in payload.items()}
-    # e.g. null, a list or "x" for a number, or an integer beyond float range
-    except (TypeError, ValueError, OverflowError) as exc:
+    # e.g. null, a list, "x" or "1j" for a real number, or an integer beyond float range
+    except (TypeError, ValueError, OverflowError, click.BadParameter) as exc:
         raise click.ClickException(f"{path}: malformed entry: {exc}")
 
 

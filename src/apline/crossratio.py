@@ -30,7 +30,6 @@ from .errors import (
     DegenerateError,
     DimensionError,
     IndeterminateError,
-    NotTransversalError,
     SingularError,
 )
 from .grassmann import SubspacePoint
@@ -153,10 +152,6 @@ def _graph_coords(frame: np.ndarray, point: SubspacePoint) -> tuple[np.ndarray, 
 # kernel is invertible by the margins alone (see _kernel).
 _MARGIN_PRODUCT_BOUND = 1e-6
 
-_KERNEL_PAIR_ERRORS = ("kernel needs transversal reference pair (x, a)",
-                 "kernel needs b in U_x",
-                 "kernel needs y in U_a")
-
 
 def kernel(x: SubspacePoint, a: SubspacePoint, b: SubspacePoint,
            y: SubspacePoint) -> EndoX:
@@ -171,19 +166,13 @@ def kernel(x: SubspacePoint, a: SubspacePoint, b: SubspacePoint,
 
 def _kernel(x: SubspacePoint, a: SubspacePoint, b: SubspacePoint, y: SubspacePoint,
             margins=None) -> EndoX:
-    """kernel(x, a, b, y), given the margins of (x, a), (b, x), (y, a) or computing them.
-
-    Margins passed in were computed (and warned about) by the caller;
-    they are still compared with TRANSVERSALITY_RTOL here.
-    """
+    """kernel(x, a, b, y); margins of (x, a), (b, x), (y, a) passed in come checked."""
     if margins is None:
-        margins = (grassmann._warned_margin(p, q) for p, q in ((x, a), (b, x), (y, a)))
-    checked = []
-    for margin, message in zip(margins, _KERNEL_PAIR_ERRORS):
-        if not margin > grassmann.TRANSVERSALITY_RTOL:
-            raise NotTransversalError(message)
-        checked.append(margin)
-    m_xa, m_bx, m_ya = checked
+        margins = grassmann._require_transversal((
+            (x, a, "kernel needs transversal reference pair (x, a)"),
+            (b, x, "kernel needs b in U_x"),
+            (y, a, "kernel needs y in U_a")))
+    m_xa, m_bx, m_ya = margins
     frame = np.hstack([a.basis, x.basis])
     c, d = _graph_coords(frame, b)    # b = A c + X d, graph of beta: a -> x
     # [B | X] = [A | X] [[c, 0], [d, I]], so cond(c) <= cond([B | X]) cond([A | X])

@@ -18,6 +18,10 @@ class SingularError(AplineError, ValueError):
     """A matrix that must be invertible is singular (within tolerance)."""
 
 
+class NonFiniteError(AplineError, ValueError):
+    """An input that must be finite has an infinite or NaN entry."""
+
+
 class NotInChartError(AplineError, ValueError):
     """The point is not transversal to the horizon of the requested chart."""
 

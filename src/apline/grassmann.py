@@ -14,9 +14,9 @@ live in the cochart.
 
 Rank, invertibility and transversality are checked once, where they can
 fail: the public constructors (SubspacePoint, ProjectiveMap) and the
-guarded public functions check every input.  Inside the package,
-results whose rank the inputs already prove are built by the private
-constructors SubspacePoint._full_rank (QR only) and
+guarded public functions (through _require_transversal) check every input.
+Inside the package, results whose rank the inputs already prove are built
+by the private constructors SubspacePoint._full_rank (QR only) and
 ProjectiveMap._invertible (no SVD); each call site states the proof in
 one line.  Both build the same bits as their public counterparts.
 """
@@ -32,6 +32,7 @@ from . import algebra
 from .algebra import TOL_EQ, TOL_INV
 from .errors import (
     DimensionError,
+    NonFiniteError,
     NotInChartError,
     NotTransversalError,
     ResamplingExhausted,
@@ -57,6 +58,8 @@ class SubspacePoint:
         if cols.ndim != 2 or cols.shape[0] != 2 * cols.shape[1]:
             raise DimensionError(
                 f"a point of the projective line needs a 2n x n basis, got {cols.shape}")
+        if not np.isfinite(cols).all():
+            raise NonFiniteError("basis entries must be finite")
         s = np.linalg.svd(cols, compute_uv=False)
         if s[-1] <= TOL_INV * max(s[0], 1e-300):
             raise SingularError("basis columns are rank deficient")
@@ -102,9 +105,9 @@ class SubspacePoint:
         return f"SubspacePoint(n={self.n})"
 
 
-def point_eq(x: SubspacePoint, y: SubspacePoint, tol: float = TOL_EQ) -> bool:
-    """Basis-independent equality: ||P_x - P_y|| <= tol (relative)."""
-    return algebra.almost_equal(x.projector, y.projector, tol=tol)
+def point_eq(x: SubspacePoint, y: SubspacePoint) -> bool:
+    """Basis-independent equality: ||P_x - P_y|| <= TOL_EQ (relative)."""
+    return algebra.almost_equal(x.projector, y.projector)
 
 
 def is_orthocomplement(x: np.ndarray, y: np.ndarray) -> bool:
@@ -151,9 +154,9 @@ def _graph_point(cols: np.ndarray, value: np.ndarray, chart: str) -> SubspacePoi
     sqrt(1 + s_i(a)^2), so their ratio is at least 1/sqrt(1 + ||a||_F^2).
     For ||a||_F <= _GRAPH_NORM_BOUND that is above 1e-6, four decades over
     TOL_INV, and the rank check cannot fail; n max|a_ij| bounds ||a||_F
-    without squaring an entry.  A larger or non-finite value runs the
-    check, which can reject it only for the dynamic range of a, and the
-    error says that.
+    without squaring an entry.  A larger value runs the check, which can
+    reject it only for the dynamic range of a, and the error says that; a
+    non-finite value fails SubspacePoint's finiteness check instead.
     """
     with np.errstate(over="ignore", invalid="ignore"):
         bound = value.shape[0] * np.abs(value).max(initial=0.0)
@@ -221,24 +224,32 @@ def transversality_margin(x: SubspacePoint, a: SubspacePoint) -> float:
 
 def is_transversal(x: SubspacePoint, a: SubspacePoint) -> bool:
     """True iff A^2 = x (+) a, i.e. [basis(x) | basis(a)] is invertible."""
-    return _warned_margin(x, a, stacklevel=3) > TRANSVERSALITY_RTOL
+    try:
+        return bool(_require_transversal(((x, a, ""),)))
+    except NotTransversalError:
+        return False
 
 
-def _warned_margin(x: SubspacePoint, a: SubspacePoint, stacklevel: int = 2) -> float:
-    """transversality_margin(x, a), warning as is_transversal does near the threshold.
+def _require_transversal(pairs, error=NotTransversalError) -> tuple:
+    """The margins of the (x, a, message) triples in pairs, in order.
 
-    For callers that keep the margin: the pair is transversal iff the
-    result is above TRANSVERSALITY_RTOL.
+    Raises error(message) at the first pair that is not transversal, and
+    warns within a decade of the threshold (at the guarded function's caller).
     """
-    margin = transversality_margin(x, a)
-    if TRANSVERSALITY_RTOL < margin < 10 * TRANSVERSALITY_RTOL:
-        warnings.warn(
-            f"transversality margin {margin:.3e} is within a decade of the "
-            f"threshold {TRANSVERSALITY_RTOL:.0e}",
-            TransversalityWarning,
-            stacklevel=stacklevel,
-        )
-    return margin
+    margins = []
+    for x, a, message in pairs:
+        margin = transversality_margin(x, a)
+        if TRANSVERSALITY_RTOL < margin < 10 * TRANSVERSALITY_RTOL:
+            warnings.warn(
+                f"transversality margin {margin:.3e} is within a decade of the "
+                f"threshold {TRANSVERSALITY_RTOL:.0e}",
+                TransversalityWarning,
+                stacklevel=3,
+            )
+        if not margin > TRANSVERSALITY_RTOL:
+            raise error(message)
+        margins.append(margin)
+    return tuple(margins)
 
 
 def projector(x: SubspacePoint, a: SubspacePoint) -> np.ndarray:
@@ -248,8 +259,7 @@ def projector(x: SubspacePoint, a: SubspacePoint) -> np.ndarray:
     sub/superscript placements for image and kernel; here and at every
     call site the order is projector(image, kernel).
     """
-    if not is_transversal(x, a):
-        raise NotTransversalError("projector needs transversal (image, kernel)")
+    _require_transversal(((x, a, "projector needs transversal (image, kernel)"),))
     return _projector(x, a)
 
 
@@ -267,9 +277,8 @@ def m_operator(x: SubspacePoint, a: SubspacePoint, b: SubspacePoint,
 
     Invertible whenever x, z lie in U_a and U_b; its inverse is M_{zabx}.
     """
-    for (p, q) in ((x, a), (x, b), (z, a), (z, b)):
-        if not is_transversal(p, q):
-            raise NotTransversalError("m_operator needs x, z in U_a and U_b")
+    message = "m_operator needs x, z in U_a and U_b"
+    _require_transversal((p, q, message) for p, q in ((x, a), (x, b), (z, a), (z, b)))
     # (x, a) and (z, b) were checked just above; [Z | B] and [B | Z] share singular values
     return _projector(x, a) - _projector(b, z)
 
@@ -281,8 +290,8 @@ def torsor_product(x: SubspacePoint, y: SubspacePoint, z: SubspacePoint,
     Applies M_{xabz} to y.  With y fixed this is a group with neutral y;
     in the chart at (a, b) = (infinity, 0) it is the product x y^{-1} z.
     """
-    if not (is_transversal(y, a) and is_transversal(y, b)):
-        raise NotTransversalError("torsor_product needs y in U_a and U_b")
+    message = "torsor_product needs y in U_a and U_b"
+    _require_transversal(((y, a, message), (y, b, message)))
     m = m_operator(x, a, b, z)
     return SubspacePoint(m @ y.basis)
 
@@ -296,10 +305,8 @@ def scalar_action(r, a: SubspacePoint, x: SubspacePoint,
     fixed for r != 0 and r = 0 sends everything to the origin.  (In the
     standard frame a = infinity, x = 0 this is chart(c) -> chart(r c).)
     """
-    if not is_transversal(x, a):
-        raise NotTransversalError("scalar_action needs transversal (x, a)")
-    if not is_transversal(y, a):
-        raise NotTransversalError("scalar_action needs y in U_a")
+    _require_transversal(((x, a, "scalar_action needs transversal (x, a)"),
+                          (y, a, "scalar_action needs y in U_a")))
     # (x, a) was checked above; [A | X] and [X | A] share singular values
     m = complex(r) * _projector(a, x) + _projector(x, a)
     return SubspacePoint(m @ y.basis)
@@ -437,7 +444,4 @@ def point_from_json(obj: dict) -> SubspacePoint:
     if re.shape != (2 * n, n) or im.shape != (2 * n, n):
         raise DimensionError(
             f"point JSON claims n={n} but carries shapes {re.shape}/{im.shape}")
-    cols = re + 1j * im
-    if not np.all(np.isfinite(cols)):
-        raise ValueError("point JSON entries must be finite")
-    return SubspacePoint(cols)
+    return SubspacePoint(re + 1j * im)  # which rejects non-finite entries

@@ -285,10 +285,8 @@ def tangent_product(base: SubspacePoint, x: SubspacePoint,
     if not membership(base, "RNS"):
         raise NotInUniverseError("tangent_product needs base in R_{N,S}")
     ant = alpha(base)
-    for p in (x, y):
-        if not grassmann.is_transversal(p, ant):
-            raise NotTransversalError(
-                "tangent_product needs factors transversal to alpha(base)")
+    message = "tangent_product needs factors transversal to alpha(base)"
+    grassmann._require_transversal(((x, ant, message), (y, ant, message)))
     g = transport_to_zero(base)
     gx = grassmann.chart_repr(apply_map(g, x))
     gy = grassmann.chart_repr(apply_map(g, y))

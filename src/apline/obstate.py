@@ -82,19 +82,15 @@ def new_obstate(A: SubspacePoint, W: SubspacePoint, A0: SubspacePoint,
                                ("reference state Winf", Winf, "Rprime")):
         if not hermitian.membership(point, space):
             raise MembershipError(f"{name} is not a point of {space}")
-    margins = []
-    for name, p, q in (("A0 and Winf", A0, Winf),
-                       ("A0 and W", W, A0),
-                       ("A and Winf", A, Winf)):
-        margin = grassmann._warned_margin(p, q)
-        if not margin > grassmann.TRANSVERSALITY_RTOL:
-            raise TransversalityError(f"{name} are not transversal")
-        margins.append(margin)
+    margins = grassmann._require_transversal((
+        (A0, Winf, "A0 and Winf are not transversal"),
+        (W, A0, "A0 and W are not transversal"),
+        (A, Winf, "A and Winf are not transversal")), TransversalityError)
     # A0 in R already puts it in R_{N,S} (see hermitian.membership)
     if strong and not grassmann.is_orthocomplement(A0.basis, Winf.basis):
         raise NotAntipodalError("strong obstate needs Winf = alpha(A0)")
     o = Obstate(A, W, A0, Winf, bool(strong))
-    object.__setattr__(o, "_margins", tuple(margins))
+    object.__setattr__(o, "_margins", margins)
     return o
 
 

@@ -2,9 +2,9 @@
 
 Every invariant the library promises is addressable here by a stable id
 (``algebra.involution``, ``obstate.conservation``, ...).  Each property is
-a single trial function ``trial(rng, n) -> residual``; a residual at or
-below the property's tolerance counts as a pass.  Boolean facts report
-0.0 / 1.0 residuals.
+a single trial function ``trial(rng, n) -> residual``, declared by the
+``_prop`` decorator on it; a residual at or below the property's
+tolerance counts as a pass.  Boolean facts report 0.0 / 1.0 residuals.
 
 Determinism: trial ``i`` of property ``pid`` under sweep seed ``s`` draws
 from ``default_rng(sub_seed(s, pid, i))``, so reports are reproducible
@@ -29,6 +29,29 @@ from .errors import IndeterminateError, ResamplingExhausted
 
 DEFAULT_N_LIST = (1, 2, 3, 4, 6)
 DEFAULT_TRIALS = 100
+
+
+# --- registry -----------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class PropertySpec:
+    pid: str
+    summary: str
+    tolerance: float
+    trial: Callable[[np.random.Generator, int], float]
+    dims: Optional[tuple] = None  # restrict to these n when set
+
+
+# every property, in the order the trials below are defined
+_SPEC_LIST: list[PropertySpec] = []
+
+
+def _prop(pid: str, summary: str, tolerance: float, dims: Optional[tuple] = None):
+    """Register the decorated trial as the property pid in _SPEC_LIST."""
+    def register(trial):
+        _SPEC_LIST.append(PropertySpec(pid, summary, tolerance, trial, dims))
+        return trial
+    return register
 
 
 # --- residual helpers ---------------------------------------------------------------
@@ -125,6 +148,7 @@ def _real_mobius(rng, points: Sequence[float]):
 
 # --- algebra ------------------------------------------------------------------------
 
+@_prop("algebra.involution", "adjoint is an antimultiplicative conjugate-linear involution", 1e-12)
 def _t_involution(rng, n: int) -> float:
     a = algebra.random_matrix(n, rng)
     b = algebra.random_matrix(n, rng)
@@ -141,6 +165,8 @@ def _t_involution(rng, n: int) -> float:
     return max(rs)
 
 
+@_prop("algebra.pstar",
+       "a b a^* respects positivity; a^* a + b^* b invertible for invertible b", 1e-9)
 def _t_pstar(rng, n: int) -> float:
     a = algebra.random_matrix(n, rng)
     b = algebra.random_psd(n, rng)
@@ -154,6 +180,8 @@ def _t_pstar(rng, n: int) -> float:
     return max(rs)
 
 
+@_prop("algebra.homotope",
+       "u-homotope products: associativity and symmetric/antisymmetric split", 1e-12)
 def _t_homotope(rng, n: int) -> float:
     a, b, c, u = (algebra.random_matrix(n, rng) for _ in range(4))
     ha = algebra.homotope_assoc
@@ -174,6 +202,8 @@ def _t_homotope(rng, n: int) -> float:
     return max(rs)
 
 
+@_prop("algebra.trace",
+       "normalized trace is central, positive, and 1 on rank-one idempotents", 1e-12)
 def _t_trace(rng, n: int) -> float:
     a = algebra.random_matrix(n, rng)
     b = algebra.random_matrix(n, rng)
@@ -188,6 +218,8 @@ def _t_trace(rng, n: int) -> float:
 
 # --- grassmann ----------------------------------------------------------------------
 
+@_prop("grassmann.chart_roundtrip",
+       "graph charts and cocharts invert exactly; bases are gauge-free", 1e-10)
 def _t_chart_roundtrip(rng, n: int) -> float:
     a = algebra.random_matrix(n, rng)
     rs = [_mres(grassmann.chart_repr(grassmann.point_from_chart(a)), a)]
@@ -199,6 +231,8 @@ def _t_chart_roundtrip(rng, n: int) -> float:
     return max(rs)
 
 
+@_prop("grassmann.projector_laws",
+       "projector(x, a) is the idempotent with image x and kernel a", 1e-9)
 def _t_projector_laws(rng, n: int) -> float:
     x, a = _transversal_pair(rng, n)
     p = grassmann.projector(x, a)
@@ -211,6 +245,8 @@ def _t_projector_laws(rng, n: int) -> float:
     return max(rs)
 
 
+@_prop("grassmann.group_action",
+       "projective maps act associatively with identity and inverses", 1e-9)
 def _t_group_action(rng, n: int) -> float:
     g = _conditioned_map(rng, n)
     h = _conditioned_map(rng, n)
@@ -224,6 +260,8 @@ def _t_group_action(rng, n: int) -> float:
     return max(rs)
 
 
+@_prop("grassmann.torsor_group",
+       "torsor product: unit laws, inverses, and para-associativity", 1e-7)
 def _t_torsor_group(rng, n: int) -> float:
     a, b = _transversal_pair(rng, n)
     if rng.integers(2) == 0:
@@ -242,6 +280,8 @@ def _t_torsor_group(rng, n: int) -> float:
     return max(rs)
 
 
+@_prop("grassmann.scalar_action",
+       "dilation action is multiplicative with the right fixed points", 1e-9)
 def _t_scalar_action(rng, n: int) -> float:
     x, a = _transversal_pair(rng, n)
     y = _point_clear_of(rng, n, (a,))
@@ -263,6 +303,8 @@ def _t_scalar_action(rng, n: int) -> float:
 
 # --- crossratio ---------------------------------------------------------------------
 
+@_prop("crossratio.n1_reduction",
+       "operator cross-ratio reduces to the scalar one at n = 1", 1e-10, dims=(1,))
 def _t_n1_reduction(rng, n: int) -> float:
     x, a, b, y = _kernel_quadruple(rng, 1)
     k = crossratio.kernel(x, a, b, y)
@@ -273,6 +315,8 @@ def _t_n1_reduction(rng, n: int) -> float:
     return max(rs)
 
 
+@_prop("crossratio.naturality",
+       "kernel trace and determinant are invariant under projective maps", 1e-7)
 def _t_naturality(rng, n: int) -> float:
     x, a, b, y = _kernel_quadruple(rng, n)
     k = crossratio.kernel(x, a, b, y)
@@ -281,6 +325,8 @@ def _t_naturality(rng, n: int) -> float:
     return max(_sres(k.trace, gk.trace), _sres(k.det, gk.det))
 
 
+@_prop("crossratio.chains",
+       "scalar cross-ratio: normalization, symmetries, Mobius invariance", 1e-12)
 def _t_chains(rng, n: int) -> float:
     a, b, c, d = _distinct_reals(rng, 4, avoid=(0.0, 1.0))
     cr = classical_cr(a, b, c, d)
@@ -297,6 +343,8 @@ def _t_chains(rng, n: int) -> float:
     return max(rs)
 
 
+@_prop("crossratio.transition",
+       "transition probability is a symmetric cos^2 in [0, 1]", 1e-9, dims=(1,))
 def _t_transition(rng, n: int) -> float:
     v = rng.standard_normal((2, 1)) + 1j * rng.standard_normal((2, 1))
     u = rng.standard_normal((2, 1)) + 1j * rng.standard_normal((2, 1))
@@ -314,6 +362,8 @@ def _t_transition(rng, n: int) -> float:
 
 # --- hermitian ----------------------------------------------------------------------
 
+@_prop("hermitian.klein_four",
+       "tau, alpha, beta are commuting involutions with beta = alpha tau", 1e-9)
 def _t_klein_four(rng, n: int) -> float:
     x = grassmann.random_point(n, rng)
     t, al, be = hermitian.tau, hermitian.alpha, hermitian.beta
@@ -335,6 +385,8 @@ def _t_klein_four(rng, n: int) -> float:
     return max(rs)
 
 
+@_prop("hermitian.circle_action",
+       "circle action: additivity, pole fixing, quarter turn squares to beta", 1e-9)
 def _t_circle_action(rng, n: int) -> float:
     north, south = hermitian.poles(n)
     x = grassmann.random_point(n, rng)
@@ -361,6 +413,8 @@ def _meets_poles(x: grassmann.SubspacePoint) -> bool:
     return grassmann.is_transversal(x, north) and grassmann.is_transversal(x, south)
 
 
+@_prop("hermitian.unitary_universe",
+       "Cayley chart is a bijection between the chart universe and unitaries", 1e-9)
 def _t_unitary_universe(rng, n: int) -> float:
     u = algebra.random_unitary(n, rng)
     x = hermitian.unitary_to_point(u)
@@ -380,6 +434,8 @@ def _t_unitary_universe(rng, n: int) -> float:
     return max(rs)
 
 
+@_prop("hermitian.affine_part",
+       "points transversal to a universe point stay in the universe", 1e-9)
 def _t_affine_part(rng, n: int) -> float:
     a = hermitian.random_r_point(n, rng)
     g = hermitian.transport_to_zero(a)
@@ -397,6 +453,7 @@ def _t_affine_part(rng, n: int) -> float:
     return max(rs)
 
 
+@_prop("hermitian.cayley_hom", "the unitary torsor maps to u v^* w under the Cayley chart", 1e-8)
 def _t_cayley_hom(rng, n: int) -> float:
     x, y, z = (hermitian.random_r_point(n, rng) for _ in range(3))
     w = hermitian.unitary_torsor(x, y, z)
@@ -404,6 +461,7 @@ def _t_cayley_hom(rng, n: int) -> float:
     return _mres(hermitian.cayley_to_unitary(w), ux @ uy.conj().T @ uz)
 
 
+@_prop("hermitian.torsor_para", "unitary torsor satisfies para-associativity and unit laws", 1e-7)
 def _t_torsor_para(rng, n: int) -> float:
     x, y, z, w, v = (hermitian.random_r_point(n, rng) for _ in range(5))
     ut = hermitian.unitary_torsor
@@ -415,6 +473,8 @@ def _t_torsor_para(rng, n: int) -> float:
     return max(rs)
 
 
+@_prop("hermitian.equivariance",
+       "symmetry groups commute with the involutions and preserve universes", 1e-9)
 def _t_equivariance(rng, n: int) -> float:
     g = hermitian.aut_omega_random(n, rng)
     x = grassmann.random_point(n, rng)
@@ -433,6 +493,8 @@ def _t_equivariance(rng, n: int) -> float:
     return max(rs)
 
 
+@_prop("hermitian.tangent_algebra",
+       "transported chart multiplication: units, zeros, associativity", 1e-8)
 def _t_tangent_algebra(rng, n: int) -> float:
     zero = grassmann.zero_point(n)
     a = algebra.random_matrix(n, rng)
@@ -465,6 +527,7 @@ def _t_tangent_algebra(rng, n: int) -> float:
     return max(rs)
 
 
+@_prop("hermitian.distance", "arithmetic distance equals perturbation rank in every chart", 0.5)
 def _t_distance(rng, n: int) -> float:
     h = algebra.random_hermitian(n, rng)
     k = int(rng.integers(0, n + 1))
@@ -498,6 +561,7 @@ def _line_set_residual(p: grassmann.SubspacePoint, fam: hermitian.LineFamily,
     return resid
 
 
+@_prop("hermitian.line_chart", "intrinsic lines agree as closed point sets across charts", 1e-7)
 def _t_line_chart(rng, n: int) -> float:
     h = algebra.random_hermitian(n, rng)
     u = rng.standard_normal((n, 1)) + 1j * rng.standard_normal((n, 1))
@@ -520,6 +584,8 @@ def _t_line_chart(rng, n: int) -> float:
     return max(rs)
 
 
+@_prop("hermitian.cyclic_order",
+       "cyclic order is rotation-invariant and matches the scalar order at n = 1", 0.5)
 def _t_cyclic_order(rng, n: int) -> float:
     am = algebra.random_hermitian(n, rng)
     gap = algebra.random_psd(n, rng) + 0.2 * np.eye(n)
@@ -547,6 +613,8 @@ def _t_cyclic_order(rng, n: int) -> float:
 
 # --- obstate ------------------------------------------------------------------------
 
+@_prop("obstate.conservation",
+       "expectation in the standard frame is trace(w a), homogeneous in w", 1e-9)
 def _t_conservation(rng, n: int) -> float:
     a = algebra.random_hermitian(n, rng)
     w = algebra.random_density(n, rng)
@@ -560,6 +628,7 @@ def _t_conservation(rng, n: int) -> float:
     return max(rs)
 
 
+@_prop("obstate.pure_reduction", "vector states give <psi, a psi> and are pure", 1e-9)
 def _t_pure_reduction(rng, n: int) -> float:
     a = algebra.random_hermitian(n, rng)
     psi = rng.standard_normal((n, 1)) + 1j * rng.standard_normal((n, 1))
@@ -570,6 +639,8 @@ def _t_pure_reduction(rng, n: int) -> float:
     return max(rs)
 
 
+@_prop("obstate.invariance",
+       "expectation is unchanged by symplectic transport of all four points", 1e-7)
 def _t_ev_invariance(rng, n: int) -> float:
     a = algebra.random_hermitian(n, rng)
     w = algebra.random_density(n, rng)
@@ -584,6 +655,8 @@ def _t_ev_invariance(rng, n: int) -> float:
     return _sres(moved, base)
 
 
+@_prop("obstate.moments",
+       "distribution weights are a probability; moments match trace formulas", 1e-9)
 def _t_moments(rng, n: int) -> float:
     a = algebra.random_hermitian(n, rng)
     w = algebra.random_density(n, rng)
@@ -614,6 +687,9 @@ def _t_moments(rng, n: int) -> float:
     return max(rs)
 
 
+@_prop("obstate.pure_line",
+       "line-completion expectation agrees with the kernel trace on pure states",
+       1e-6, dims=(1, 2, 3, 4))
 def _t_pure_line(rng, n: int) -> float:
     a = algebra.random_hermitian(n, rng)
     psi = rng.standard_normal((n, 1)) + 1j * rng.standard_normal((n, 1))
@@ -626,6 +702,7 @@ def _t_pure_line(rng, n: int) -> float:
     return _sres(complex(pe), ev)
 
 
+@_prop("obstate.positivity", "cyclically ordered obstates have nonnegative real expectation", 1e-9)
 def _t_positivity(rng, n: int) -> float:
     q = algebra.random_matrix(n, rng)
     h = q @ q.conj().T
@@ -646,6 +723,8 @@ def _t_positivity(rng, n: int) -> float:
 
 # --- classical model ----------------------------------------------------------------
 
+@_prop("classical.pairing_axioms",
+       "site pairing: bilinear, middle-associative, positive, monotone", 1e-12)
 def _t_pairing_axioms(rng, n: int) -> float:
     m = int(rng.integers(2, 17))
     mu = classical.Measure(rng.uniform(0.1, 2.0, m).tolist())
@@ -690,6 +769,8 @@ def _t_pairing_axioms(rng, n: int) -> float:
     return max(rs)
 
 
+@_prop("classical.density_action",
+       "finite Radon-Nikodym densities: substitution, chain rule, invariance", 1e-12)
 def _t_density_action(rng, n: int) -> float:
     m = int(rng.integers(2, 17))
     mu = classical.Measure(rng.uniform(0.1, 3.0, m).tolist())
@@ -721,6 +802,8 @@ def _t_density_action(rng, n: int) -> float:
     return max(rs)
 
 
+@_prop("classical.fn_obstate",
+       "pointwise coordinates: frame normalization and exchange symmetry", 1e-10)
 def _t_fn_obstate(rng, n: int) -> float:
     m = int(rng.integers(2, 17))
     rows = []
@@ -768,6 +851,8 @@ def _t_fn_obstate(rng, n: int) -> float:
     return max(rs)
 
 
+@_prop("classical.separation",
+       "negative cross-ratio iff the pairs separate each other on the circle", 0.5)
 def _t_separation(rng, n: int) -> float:
     vals = _distinct_reals(rng, 4)
     if rng.uniform() < 0.25:
@@ -795,121 +880,7 @@ def _t_separation(rng, n: int) -> float:
     return max(rs)
 
 
-# --- registry -----------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class PropertySpec:
-    pid: str
-    summary: str
-    tolerance: float
-    trial: Callable[[np.random.Generator, int], float]
-    dims: Optional[tuple] = None  # restrict to these n when set
-
-
-_SPEC_LIST = [
-    PropertySpec("algebra.involution",
-                 "adjoint is an antimultiplicative conjugate-linear involution",
-                 1e-12, _t_involution),
-    PropertySpec("algebra.pstar",
-                 "a b a^* respects positivity; a^* a + b^* b invertible for invertible b",
-                 1e-9, _t_pstar),
-    PropertySpec("algebra.homotope",
-                 "u-homotope products: associativity and symmetric/antisymmetric split",
-                 1e-12, _t_homotope),
-    PropertySpec("algebra.trace",
-                 "normalized trace is central, positive, and 1 on rank-one idempotents",
-                 1e-12, _t_trace),
-    PropertySpec("grassmann.chart_roundtrip",
-                 "graph charts and cocharts invert exactly; bases are gauge-free",
-                 1e-10, _t_chart_roundtrip),
-    PropertySpec("grassmann.projector_laws",
-                 "projector(x, a) is the idempotent with image x and kernel a",
-                 1e-9, _t_projector_laws),
-    PropertySpec("grassmann.group_action",
-                 "projective maps act associatively with identity and inverses",
-                 1e-9, _t_group_action),
-    PropertySpec("grassmann.torsor_group",
-                 "torsor product: unit laws, inverses, and para-associativity",
-                 1e-7, _t_torsor_group),
-    PropertySpec("grassmann.scalar_action",
-                 "dilation action is multiplicative with the right fixed points",
-                 1e-9, _t_scalar_action),
-    PropertySpec("crossratio.n1_reduction",
-                 "operator cross-ratio reduces to the scalar one at n = 1",
-                 1e-10, _t_n1_reduction, dims=(1,)),
-    PropertySpec("crossratio.naturality",
-                 "kernel trace and determinant are invariant under projective maps",
-                 1e-7, _t_naturality),
-    PropertySpec("crossratio.chains",
-                 "scalar cross-ratio: normalization, symmetries, Mobius invariance",
-                 1e-12, _t_chains),
-    PropertySpec("crossratio.transition",
-                 "transition probability is a symmetric cos^2 in [0, 1]",
-                 1e-9, _t_transition, dims=(1,)),
-    PropertySpec("hermitian.klein_four",
-                 "tau, alpha, beta are commuting involutions with beta = alpha tau",
-                 1e-9, _t_klein_four),
-    PropertySpec("hermitian.circle_action",
-                 "circle action: additivity, pole fixing, quarter turn squares to beta",
-                 1e-9, _t_circle_action),
-    PropertySpec("hermitian.unitary_universe",
-                 "Cayley chart is a bijection between the chart universe and unitaries",
-                 1e-9, _t_unitary_universe),
-    PropertySpec("hermitian.affine_part",
-                 "points transversal to a universe point stay in the universe",
-                 1e-9, _t_affine_part),
-    PropertySpec("hermitian.cayley_hom",
-                 "the unitary torsor maps to u v^* w under the Cayley chart",
-                 1e-8, _t_cayley_hom),
-    PropertySpec("hermitian.torsor_para",
-                 "unitary torsor satisfies para-associativity and unit laws",
-                 1e-7, _t_torsor_para),
-    PropertySpec("hermitian.equivariance",
-                 "symmetry groups commute with the involutions and preserve universes",
-                 1e-9, _t_equivariance),
-    PropertySpec("hermitian.tangent_algebra",
-                 "transported chart multiplication: units, zeros, associativity",
-                 1e-8, _t_tangent_algebra),
-    PropertySpec("hermitian.distance",
-                 "arithmetic distance equals perturbation rank in every chart",
-                 0.5, _t_distance),
-    PropertySpec("hermitian.line_chart",
-                 "intrinsic lines agree as closed point sets across charts",
-                 1e-7, _t_line_chart),
-    PropertySpec("hermitian.cyclic_order",
-                 "cyclic order is rotation-invariant and matches the scalar order at n = 1",
-                 0.5, _t_cyclic_order),
-    PropertySpec("obstate.conservation",
-                 "expectation in the standard frame is trace(w a), homogeneous in w",
-                 1e-9, _t_conservation),
-    PropertySpec("obstate.pure_reduction",
-                 "vector states give <psi, a psi> and are pure",
-                 1e-9, _t_pure_reduction),
-    PropertySpec("obstate.invariance",
-                 "expectation is unchanged by symplectic transport of all four points",
-                 1e-7, _t_ev_invariance),
-    PropertySpec("obstate.moments",
-                 "distribution weights are a probability; moments match trace formulas",
-                 1e-9, _t_moments),
-    PropertySpec("obstate.pure_line",
-                 "line-completion expectation agrees with the kernel trace on pure states",
-                 1e-6, _t_pure_line, dims=(1, 2, 3, 4)),
-    PropertySpec("obstate.positivity",
-                 "cyclically ordered obstates have nonnegative real expectation",
-                 1e-9, _t_positivity),
-    PropertySpec("classical.pairing_axioms",
-                 "site pairing: bilinear, middle-associative, positive, monotone",
-                 1e-12, _t_pairing_axioms),
-    PropertySpec("classical.density_action",
-                 "finite Radon-Nikodym densities: substitution, chain rule, invariance",
-                 1e-12, _t_density_action),
-    PropertySpec("classical.fn_obstate",
-                 "pointwise coordinates: frame normalization and exchange symmetry",
-                 1e-10, _t_fn_obstate),
-    PropertySpec("classical.separation",
-                 "negative cross-ratio iff the pairs separate each other on the circle",
-                 0.5, _t_separation),
-]
+# --- the sweep ----------------------------------------------------------------------
 
 SPECS = {spec.pid: spec for spec in _SPEC_LIST}
 

@@ -433,8 +433,9 @@ def test_expect_overflowing_non_hermitian_density_is_named(tmp_path):
     ("cut.json", b'{"mu": [1], "f": [1], "g": [1', 1, "delimiter"),
     ("latin1.csv", b"mu,1\nf,\xff\ng,1\n", 1, "utf-8"),
     ("inf-weight.json", b'{"mu": ["inf"], "f": [1], "g": [1]}', 1, "finite and nonnegative"),
-    ("complex.json", b'{"mu": [1], "f": ["1j"], "g": [1]}', 2, "not a real number"),
-    ("complex.csv", b"mu,1\nf,1+2j\ng,1\n", 2, "not a real number"),
+    ("complex.json", b'{"mu": [1], "f": ["1j"], "g": [1]}', 1,
+     "malformed entry: not a real number"),
+    ("complex.csv", b"mu,1\nf,1+2j\ng,1\n", 1, "malformed entry: not a real number"),
 ], ids=["nested-too-deeply", "infinite-m", "integer-beyond-float", "truncated-json",
         "not-utf8", "infinite-weight", "complex-json-value", "complex-csv-value"])
 def test_classical_malformed_file_is_a_clean_error(tmp_path, name, content, code, message):

@@ -5,6 +5,8 @@ import pytest
 
 from apline import algebra, grassmann
 from apline.errors import (
+    AplineError,
+    NonFiniteError,
     NotHermitianError,
     NotInChartError,
     NotTransversalError,
@@ -251,11 +253,25 @@ def test_graph_points_near_and_beyond_the_norm_bound_match_the_checked_path(char
                 to_point(a)
             rejected += 1
             continue
-        except np.linalg.LinAlgError as exc:  # nan: the SVD's own error
-            with pytest.raises(type(exc), match=re.escape(str(exc))):
+        except NonFiniteError:  # nan and inf: named as such, never as a scale error
+            with pytest.raises(NonFiniteError, match="^basis entries must be finite$"):
                 to_point(a)
             continue
-        # inf passes the checked path too (with a nan basis); it is compared like the rest
         assert to_point(a).basis.tobytes() == want.basis.tobytes()
     # the ranges 1 to 1e11 and beyond; an n = 1 graph basis is one column
     assert rejected == (0 if n == 1 else 4)
+
+
+@pytest.mark.parametrize("build, value", [
+    (grassmann.SubspacePoint, np.array([[np.inf], [1.0]])),
+    (grassmann.SubspacePoint, np.array([[1.0, 0.0], [0.0, np.nan], [0.0, 1.0], [1.0, 0.0]])),
+    (grassmann.point_from_chart, np.diag([np.inf, 1.0])),
+    (grassmann.point_from_chart, np.diag([np.nan, 1.0])),
+    (grassmann.point_from_cochart, np.diag([1.0, -np.inf])),
+    (grassmann.point_from_cochart, np.full((1, 1), np.nan)),
+], ids=["basis-inf", "basis-nan", "chart-inf", "chart-nan", "cochart-inf", "cochart-nan"])
+def test_a_non_finite_basis_is_an_error_that_names_it(build, value):
+    # neither a NaN point nor numpy's LinAlgError: an AplineError that names the cause
+    with pytest.raises(AplineError, match="must be finite") as info:
+        build(value)
+    assert "scale" not in str(info.value)

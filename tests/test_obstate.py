@@ -180,6 +180,22 @@ def test_positivity_flags():
     assert not obstate.is_cyclically_ordered(o2)
 
 
+@pytest.mark.parametrize("n", [1, 2])
+def test_positive_means_on_the_open_arc(n):
+    # a state that meets Winf (a singular density) is not on the open arc from A0 to
+    # Winf: every pure state at n >= 2; at n = 1 every nonzero density is invertible
+    a = np.eye(n)
+    pure = np.zeros((n, n))
+    pure[0, 0] = 1.0
+    for w, is_pure, on_arc in ((pure, True, n == 1), (np.eye(n) / n, n == 1, True)):
+        o = obstate.standard_obstate(a, w)
+        rep = obstate.report(o)
+        assert rep["pure"] is is_pure
+        assert rep["positive"] is obstate.is_positive(o) is on_arc
+        assert rep["cyclically_ordered"] is obstate.is_cyclically_ordered(o) is on_arc
+        assert rep["expectation"] == pytest.approx(np.trace(w @ a).real)
+
+
 def test_report_and_json_roundtrip():
     payload = {
         "A": {"chart": [[1.0, 0.0], [0.0, -1.0]]},
