@@ -15,7 +15,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DimensionError, SingularError
+from .errors import DimensionError, NonFiniteError, SingularError
 
 # Tolerances of the double-precision backend.  Dimensions stay small
 # (n <= 16), which keeps conditioning mild enough for these to be safe.
@@ -124,9 +124,22 @@ def leq(a, b) -> bool:
 
 
 def is_invertible(a, tol: float = TOL_INV) -> bool:
+    """s_min(a) > tol * s_max(a); a NaN or infinite entry raises NonFiniteError.
+
+    Finiteness is read off the SVD, not checked first: LAPACK does not
+    converge on a NaN entry, and an infinite one gives NaN singular values.
+    """
     a = as_matrix(a)
-    s = np.linalg.svd(a, compute_uv=False)
-    return bool(s[-1] > tol * max(s[0], 1e-300))
+    try:
+        s = np.linalg.svd(a, compute_uv=False)
+    except np.linalg.LinAlgError:  # no convergence: decided below like a NaN output
+        s = np.full(1, np.nan)
+    if s[-1] > tol * max(s[0], 1e-300):
+        return True
+    # a finite a can still overflow s_max to inf, so the entries decide
+    if not np.isfinite(s).all() and not np.isfinite(a).all():
+        raise NonFiniteError("matrix entries must be finite")
+    return False
 
 
 def inverse(a) -> np.ndarray:
@@ -201,14 +214,6 @@ def pair_triple(x, y, z) -> np.ndarray:
     return x @ y @ z
 
 
-def q_operator_invertible(x) -> bool:
-    """Invertibility of y -> xyx.
-
-    For a matrix algebra Q_x = L_x R_x is invertible exactly when x is.
-    """
-    return is_invertible(x)
-
-
 def is_pair_idempotent(e: PairElement) -> bool:
     """Check <e+ e- e+> = e+ and <e- e+ e-> = e-."""
     p, m = as_matrix(e.plus), as_matrix(e.minus)
@@ -218,15 +223,6 @@ def is_pair_idempotent(e: PairElement) -> bool:
 
 # --- JSON encoding ---------------------------------------------------------
 # Repo-wide matrix encoding: {"n": int, "re": [[..]], "im": [[..]]}, row-major.
-
-def matrix_to_json(a) -> dict:
-    a = as_matrix(a)
-    return {
-        "n": a.shape[0],
-        "re": a.real.tolist(),
-        "im": a.imag.tolist(),
-    }
-
 
 def size_from_json(value, what: str) -> int:
     """A JSON size field: a whole number (an int, or a float like 2.0), never a bool."""

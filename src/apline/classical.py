@@ -188,19 +188,14 @@ def cyclic_order(a: Value, b: Value, c: Value) -> bool:
     return m(a) <= m(b)
 
 
-def interval_contains(a: Value, c: Value, b: Value) -> bool:
-    """Whether b lies in the interval ]a, c[, i.e. (a, b, c) is ordered."""
-    return cyclic_order(a, b, c)
-
-
 def separates(c: Value, d: Value, a: Value, b: Value) -> bool:
     """Whether the pair (c, d) separates the pair (a, b) on the circle.
 
     Equivalent to a negative cross-ratio CR(a, b; c, d) for four
     distinct points.
     """
-    return ((interval_contains(a, b, c) and interval_contains(b, a, d))
-            or (interval_contains(a, b, d) and interval_contains(b, a, c)))
+    return ((cyclic_order(a, c, b) and cyclic_order(b, d, a))
+            or (cyclic_order(a, d, b) and cyclic_order(b, c, a)))
 
 
 # --- the pairing and its invariance -------------------------------------------------
@@ -275,14 +270,6 @@ def density_action(phi: Bijection, mu: Measure, h: ClassicalFn) -> ClassicalFn:
         else:
             out.append(dv * hv)
     return ClassicalFn(out)
-
-
-def pairing_invariance_check(phi: Bijection, mu: Measure, f: ClassicalFn,
-                             h: ClassicalFn) -> tuple[Value, Value]:
-    """Both sides of the invariance identity, for the caller to compare."""
-    lhs = pairing(mu, fn_pullback(f, phi), density_action(phi, mu, h))
-    rhs = pairing(mu, f, h)
-    return lhs, rhs
 
 
 def fn_expectation(mu: Measure, f: ClassicalFn, h: ClassicalFn,

@@ -44,14 +44,12 @@ def _parse_real(token: str):
 
 
 def _format_scalar(v) -> str:
-    if is_inf(v):
+    """Text for a scalar in obstate._scalar_to_json's form: float, "infinity" or {"re", "im"}."""
+    if v == "infinity":
         return "inf"
-    if isinstance(v, complex):
-        if abs(v.imag) <= 1e-12 * (1.0 + abs(v)):
-            v = v.real
-        else:
-            return f"{v.real:.12g}{v.imag:+.12g}j"
-    return f"{float(v):.12g}"
+    if isinstance(v, dict):
+        return f"{v['re']:.12g}{v['im']:+.12g}j"
+    return f"{v:.12g}"
 
 
 def _emit_json(payload: dict) -> None:
@@ -108,7 +106,7 @@ def crossratio(values) -> None:
     """Classical cross-ratio (A, B; C, D) of four scalars ('inf' allowed)."""
     a, b, c, d = (_parse_scalar(v) for v in values)
     try:
-        click.echo(_format_scalar(classical_cr(a, b, c, d)))
+        click.echo(_format_scalar(obstate._scalar_to_json(classical_cr(a, b, c, d))))
     except AplineError as exc:
         raise click.ClickException(str(exc))
 
@@ -237,7 +235,7 @@ def classical_pairing(path: str) -> None:
                                   classical.ClassicalFn(g_v))
     except (AplineError, ValueError) as exc:
         raise click.ClickException(str(exc))
-    click.echo(_format_scalar(value))
+    click.echo(_format_scalar(obstate._scalar_to_json(value)))
 
 
 @classical_cmd.command("obstate")

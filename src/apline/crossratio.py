@@ -25,7 +25,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import algebra, grassmann
-from .algebra import TOL_EQ
 from .errors import (
     DegenerateError,
     DimensionError,
@@ -186,18 +185,6 @@ def _kernel(x: SubspacePoint, a: SubspacePoint, b: SubspacePoint, y: SubspacePoi
         raise SingularError("graph decomposition of y is degenerate")
     eta = cy @ np.linalg.inv(dy)
     return EndoX(base_point=x, matrix=beta @ eta)
-
-
-def scalar_cr_trace(y: SubspacePoint, b: SubspacePoint, x: SubspacePoint,
-                    a: SubspacePoint) -> complex:
-    """trace CR(y, b; x, a); invariant under GL(W) on all four slots."""
-    return kernel(x, a, b, y).trace
-
-
-def scalar_cr_det(y: SubspacePoint, b: SubspacePoint, x: SubspacePoint,
-                  a: SubspacePoint) -> complex:
-    """det CR(y, b; x, a); invariant under GL(W) on all four slots."""
-    return kernel(x, a, b, y).det
 
 
 def cp1_value(x: SubspacePoint):

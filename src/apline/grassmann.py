@@ -363,24 +363,6 @@ def identity_map(n: int) -> ProjectiveMap:
     return ProjectiveMap(np.eye(2 * n))
 
 
-def mobius_from_blocks(a, b, c, d) -> ProjectiveMap:
-    """The projective map acting on chart values as z -> (az + b)(cz + d)^{-1}.
-
-    The displayed fractional-linear formula is written for row
-    conventions; on column graphs [I; z] the representing matrix is the
-    block matrix [[d, c], [b, a]], since [[d, c], [b, a]] [I; z] =
-    [d + cz; b + az] spans the graph of (az + b)(cz + d)^{-1}.
-    """
-    a, b, c, d = (algebra.as_matrix(m) for m in (a, b, c, d))
-    n = a.shape[0]
-    rep = np.zeros((2 * n, 2 * n), dtype=complex)
-    rep[:n, :n] = d
-    rep[:n, n:] = c
-    rep[n:, :n] = b
-    rep[n:, n:] = a
-    return ProjectiveMap(rep)
-
-
 def apply_map(g: ProjectiveMap, x: SubspacePoint) -> SubspacePoint:
     """The fractional-linear action: column span of rep(g) basis(x)."""
     if g.n != x.n:
@@ -420,14 +402,6 @@ def random_map(n: int, rng) -> ProjectiveMap:
 # --- JSON ---------------------------------------------------------------------
 # SubspacePoint encoding: {"n": int, "basis_re": [[..]] (2n x n), "basis_im": [[..]]};
 # the basis is canonicalized on load.
-
-def point_to_json(x: SubspacePoint) -> dict:
-    return {
-        "n": x.n,
-        "basis_re": x.basis.real.tolist(),
-        "basis_im": x.basis.imag.tolist(),
-    }
-
 
 def point_from_json(obj: dict) -> SubspacePoint:
     try:

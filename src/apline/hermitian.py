@@ -29,18 +29,15 @@ from functools import lru_cache
 import numpy as np
 
 from . import algebra, grassmann
-from .algebra import TOL_EQ
 from .errors import (
-    DimensionError,
     NoCommonChartError,
     NotHermitianError,
-    NotInChartError,
     NotInUniverseError,
     NotRankOneError,
     NotTransversalError,
     NotUnitaryError,
 )
-from .crossratio import INF, is_inf
+from .crossratio import is_inf
 from .grassmann import (
     ProjectiveMap,
     SubspacePoint,
@@ -466,26 +463,13 @@ def line_family(x: SubspacePoint, y: SubspacePoint,
     factors.  Without chart_point that family is the result, so the
     chart search and the SVD run once.  An explicit chart_point then
     re-frames the pair, and the re-framed family factors its own
-    direction.
+    direction.  The completed line is chart-independent as a set, but
+    the parameter t of point(t) is not: pass chart_point to compare them.
     """
     if point_eq(x, y):
         raise NotRankOneError("intrinsic lines need a pair at arithmetic distance 1")
     fam = LineFamily(*_chart_values(x, y, common_chart_point(x, y)))
     return fam if chart_point is None else LineFamily(*_chart_values(x, y, chart_point))
-
-
-def intrinsic_line_point(x: SubspacePoint, y: SubspacePoint, t,
-                         chart_point: SubspacePoint | None = None) -> SubspacePoint:
-    """The point of the intrinsic real line [x, y] with parameter t.
-
-    In a chart containing both points the line is the affine family
-    t chart(x) + (1 - t) chart(y); t = 1 gives x, t = 0 gives y, and
-    t = INF gives the completing point on the chart horizon.  The
-    completed line is, as a set, independent of the chart (that is the
-    rank-one condition); the parameter t itself is chart-relative, so
-    pass chart_point explicitly whenever parameters must be compared.
-    """
-    return line_family(x, y, chart_point).point(t)
 
 
 # --- cyclic order -----------------------------------------------------------------

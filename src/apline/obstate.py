@@ -27,6 +27,7 @@ from .crossratio import INF, _kernel, classical_cr, is_inf, kernel  # noqa: F401
 from .errors import (
     DimensionError,
     MembershipError,
+    NonFiniteError,
     NonUniqueCompletionError,
     NotAntipodalError,
     NotHermitianError,
@@ -97,10 +98,12 @@ def new_obstate(A: SubspacePoint, W: SubspacePoint, A0: SubspacePoint,
 def state_from_density(w) -> SubspacePoint:
     """The state point of a density matrix w (Hermitian, any trace).
 
-    Only Hermitian symmetry is checked; positivity is not required here
-    and is reported by report() as "positive" (is_positive).
+    Only finiteness and Hermitian symmetry are checked; positivity is not
+    required here and is reported by report() as "positive" (is_positive).
     """
     w = algebra.as_matrix(w)
+    if not np.isfinite(w).all():  # is_hermitian is False on NaN: name the cause first
+        raise NonFiniteError("density entries must be finite")
     if not algebra.is_hermitian(w):
         raise NotHermitianError("density matrices must be Hermitian")
     return point_from_cochart(w)
@@ -361,6 +364,7 @@ def obstate_from_json(obj: dict) -> Obstate:
 
 
 def _scalar_to_json(v):
+    """A scalar as JSON: a float, "infinity", or {"re", "im"} when not real within 1e-12."""
     if is_inf(v):
         return "infinity"
     v = complex(v)

@@ -82,9 +82,11 @@ def test_cyclic_order_basics():
 
 
 def test_interval_contains_matches_cyclic_order():
-    assert classical.interval_contains(0.0, 5.0, 1.0)
-    assert not classical.interval_contains(0.0, 5.0, 7.0)
-    assert classical.interval_contains(5.0, 0.0, 7.0)  # wraps through INF
+    # b lies in the interval ]a, c[ iff (a, b, c) is cyclically ordered
+    assert classical.cyclic_order(0.0, 1.0, 5.0)
+    assert not classical.cyclic_order(0.0, 7.0, 5.0)
+    assert classical.cyclic_order(5.0, 7.0, 0.0)  # ]5, 0[ wraps through INF
+    assert classical.cyclic_order(5.0, INF, 0.0)
 
 
 @given(finite, finite, finite, finite)
@@ -194,8 +196,9 @@ def test_pairing_invariance_proposition():
     phi = classical.random_bijection(m, RNG)
     f = classical.ClassicalFn(RNG.standard_normal(m).tolist())
     h = classical.ClassicalFn(RNG.standard_normal(m).tolist())
-    lhs, rhs = classical.pairing_invariance_check(phi, mu, f, h)
-    assert lhs == pytest.approx(rhs)
+    lhs = classical.pairing(mu, classical.fn_pullback(f, phi),
+                            classical.density_action(phi, mu, h))
+    assert lhs == pytest.approx(classical.pairing(mu, f, h))
 
 
 def test_fn_expectation_composes_coordinates_and_pairing():

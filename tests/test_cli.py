@@ -307,8 +307,14 @@ def test_expect_and_import_start_without_scipy():
         import sys
         import numpy as np
         from click.testing import CliRunner
-        import apline, apline.cli
+        import apline
         from apline import hermitian
+        # the sweep harness and the classical model load only on use
+        assert "apline.properties" not in sys.modules
+        assert "apline.classical" not in sys.modules
+        # a name deleted from a module but left in __all__ fails here
+        assert [name for name in apline.__all__ if not hasattr(apline, name)] == []
+        import apline.cli
         res = CliRunner().invoke(apline.cli.main, ["expect", "sample_inputs/expect_diag.json"])
         assert res.exit_code == 0, res.output
         assert "scipy" not in sys.modules
@@ -412,6 +418,26 @@ def test_expect_fuzz_ends_in_an_exit_code_never_a_traceback(tmp_path_factory, pa
     res = runner.invoke(main, ["expect", str(path)], catch_exceptions=False)
     assert res.exit_code in (0, 1, 2)
     assert "Traceback" not in res.output
+
+
+def test_expect_text_prints_a_complex_expectation(tmp_path):
+    # a weak obstate whose expectation has an imaginary part above the 1e-12 snap
+    path = tmp_path / "complex.json"
+    path.write_text(json.dumps({
+        "A": {"chart": {"n": 2, "re": [[-9678.0, 19030.0], [19030.0, -17134.0]],
+                        "im": [[0.0, 5518.0], [-5518.0, 0.0]]}},
+        "W": {"density": [[0.5, 0.0], [0.0, 0.5]]},
+        "A0": {"chart": {"n": 2, "re": [[0.0, 0.0], [0.0, 2.0]],
+                         "im": [[0.0, -0.5], [0.5, 0.0]]}},
+        "Winf": {"chart": {"n": 2, "re": [[3693.0, 7414.5], [7414.5, 8118.0]],
+                           "im": [[0.0, -9751.0], [9751.0, 0.0]]}},
+        "strong": False}))
+    value = json.loads(runner.invoke(main, ["expect", str(path)]).output)["expectation"]
+    res = runner.invoke(main, ["expect", "--text", str(path)], catch_exceptions=False)
+    assert res.exit_code == 0
+    assert res.output.splitlines()[0] == (
+        f"expectation          {value['re']:.12g}{value['im']:+.12g}j")
+    assert abs(value["im"]) > 1e-12 * abs(value["re"])
 
 
 def test_expect_overflowing_non_hermitian_density_is_named(tmp_path):

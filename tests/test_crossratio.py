@@ -112,13 +112,6 @@ def test_kernel_standard_frame_is_wa():
     assert k.trace == pytest.approx(complex(np.trace(wm @ am)))
 
 
-def test_scalar_cr_helpers_match_kernel():
-    x, a, b, y = _kernel_quadruple(2)
-    k = crossratio.kernel(x, a, b, y)
-    assert crossratio.scalar_cr_trace(y, b, x, a) == pytest.approx(k.trace)
-    assert crossratio.scalar_cr_det(y, b, x, a) == pytest.approx(k.det)
-
-
 def test_cp1_value_and_dimension_guard():
     assert is_inf(crossratio.cp1_value(grassmann.infinity_point(1)))
     assert crossratio.cp1_value(grassmann.zero_point(1)) == 0.0

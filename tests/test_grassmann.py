@@ -3,11 +3,9 @@ import re
 import numpy as np
 import pytest
 
-from apline import algebra, grassmann
+from apline import algebra, grassmann, obstate
 from apline.errors import (
-    AplineError,
     NonFiniteError,
-    NotHermitianError,
     NotInChartError,
     NotTransversalError,
     SingularError,
@@ -116,18 +114,10 @@ def test_projective_map_group():
         grassmann.apply_map(grassmann.identity_map(n), x), x)
 
 
-def test_mobius_from_blocks_acts_on_charts():
-    # z -> (a z + b)(c z + d)^{-1} on 1x1 charts
-    m = grassmann.mobius_from_blocks([[2.0]], [[1.0]], [[1.0]], [[1.0]])
-    z = grassmann.point_from_chart(np.array([[3.0]]))
-    got = grassmann.apply_map(m, z)
-    want = (2.0 * 3.0 + 1.0) / (3.0 + 1.0)
-    assert np.allclose(grassmann.chart_repr(got), [[want]])
-
-
 def test_point_json_roundtrip():
     x = grassmann.random_point(3, RNG)
-    y = grassmann.point_from_json(grassmann.point_to_json(x))
+    obj = {"n": 3, "basis_re": x.basis.real.tolist(), "basis_im": x.basis.imag.tolist()}
+    y = grassmann.point_from_json(obj)
     assert grassmann.point_eq(x, y)
 
 
@@ -269,9 +259,19 @@ def test_graph_points_near_and_beyond_the_norm_bound_match_the_checked_path(char
     (grassmann.point_from_chart, np.diag([np.nan, 1.0])),
     (grassmann.point_from_cochart, np.diag([1.0, -np.inf])),
     (grassmann.point_from_cochart, np.full((1, 1), np.nan)),
-], ids=["basis-inf", "basis-nan", "chart-inf", "chart-nan", "cochart-inf", "cochart-nan"])
+    (grassmann.ProjectiveMap, np.diag([np.nan, 1.0])),
+    (grassmann.ProjectiveMap, np.diag([np.inf, 1.0])),
+    (algebra.is_invertible, np.diag([np.nan, 1.0])),
+    (algebra.is_invertible, np.diag([1.0, -np.inf])),
+    (algebra.inverse, np.diag([np.nan, 1.0])),
+    (algebra.inverse, np.diag([np.inf, 1.0])),
+    (obstate.state_from_density, np.diag([np.nan, 1.0])),
+    (obstate.state_from_density, np.diag([np.inf, 1.0])),
+], ids=["basis-inf", "basis-nan", "chart-inf", "chart-nan", "cochart-inf", "cochart-nan",
+        "map-nan", "map-inf", "is_invertible-nan", "is_invertible-inf", "inverse-nan",
+        "inverse-inf", "density-nan", "density-inf"])
 def test_a_non_finite_basis_is_an_error_that_names_it(build, value):
-    # neither a NaN point nor numpy's LinAlgError: an AplineError that names the cause
-    with pytest.raises(AplineError, match="must be finite") as info:
+    # not a NaN result, numpy's LinAlgError, "singular" or "not Hermitian": the real cause
+    with pytest.raises(NonFiniteError, match="must be finite") as info:
         build(value)
     assert "scale" not in str(info.value)

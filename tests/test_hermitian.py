@@ -290,7 +290,7 @@ def test_intrinsic_line_point_delegates():
     n = 2
     y = grassmann.point_from_chart(np.zeros((n, n)))
     x = grassmann.point_from_chart(np.diag([1.0, 0.0]))
-    mid = hermitian.intrinsic_line_point(x, y, 0.5)
+    mid = hermitian.line_family(x, y).point(0.5)
     assert grassmann.point_eq(mid, grassmann.point_from_chart(np.diag([0.5, 0.0])))
 
 
