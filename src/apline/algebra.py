@@ -232,15 +232,36 @@ def size_from_json(value, what: str) -> int:
     return int(value)
 
 
+_NON_NUMBERS = frozenset((str, bool, type(None)))
+
+
+def _reject_non_numbers(rows, what: str) -> None:
+    """Raise ValueError at a string, bool or null entry of JSON matrix rows.
+
+    numpy would read "1" and true as 1.0, "infinity" as inf and null as
+    nan, which the finiteness check would then name as the cause.  Two
+    levels are searched, all that a matrix has; deeper nesting fails the
+    decoder's shape check.
+    """
+    for row in rows if isinstance(rows, (list, tuple)) else (rows,):
+        row = row if isinstance(row, (list, tuple)) else (row,)
+        if not _NON_NUMBERS.isdisjoint(map(type, row)):
+            bad = next(v for v in row if type(v) in _NON_NUMBERS)
+            raise ValueError(f"{what} entries must be numbers, got {bad!r:.40}")
+
+
 def matrix_from_json(obj) -> np.ndarray:
     """Decode {"n", "re", "im"} (im optional) or a plain nested real list."""
     try:
         if isinstance(obj, (list, tuple)):
+            _reject_non_numbers(obj, "matrix JSON")
             m = np.array(obj, dtype=complex)
             if m.ndim != 2 or m.shape[0] != m.shape[1]:
                 raise DimensionError(f"matrix JSON must be square, got {m.shape}")
         elif isinstance(obj, dict):
             n = size_from_json(obj["n"], "matrix JSON size n")
+            for part in ("re", "im"):
+                _reject_non_numbers(obj.get(part, ()), "matrix JSON")
             re = np.array(obj["re"], dtype=float)
             # no default allocated from n: a huge n must fail the shape check, not allocate
             im = np.array(obj["im"], dtype=float) if "im" in obj else np.zeros_like(re)
@@ -251,7 +272,7 @@ def matrix_from_json(obj) -> np.ndarray:
         else:
             raise ValueError("matrix JSON must be a nested list or an object, "
                              f"got {type(obj).__name__}")
-    except TypeError as exc:  # null where a number belongs
+    except TypeError as exc:  # an object where a number belongs
         raise ValueError(f"matrix JSON entries must be numbers: {exc}") from None
     except OverflowError as exc:  # an integer beyond float range
         raise ValueError(f"matrix JSON entries must be finite: {exc}") from None

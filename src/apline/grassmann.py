@@ -19,12 +19,15 @@ Inside the package, results whose rank the inputs already prove are built
 by the private constructors SubspacePoint._full_rank (QR only) and
 ProjectiveMap._invertible (no SVD); each call site states the proof in
 one line.  Both build the same bits as their public counterparts.
+
+A value that one point alone determines is computed once per point:
+functions decorated with _memoized keep their result in the point's memo.
 """
 
 from __future__ import annotations
 
 import warnings
-from functools import lru_cache
+from functools import lru_cache, wraps
 
 import numpy as np
 
@@ -51,7 +54,7 @@ class TransversalityWarning(UserWarning):
 class SubspacePoint:
     """An n-dimensional subspace of C^{2n} with orthonormal stored basis."""
 
-    __slots__ = ("n", "basis", "_projector")
+    __slots__ = ("n", "basis", "_memo")
 
     def __init__(self, columns):
         cols = np.asarray(columns, dtype=complex)
@@ -81,16 +84,12 @@ class SubspacePoint:
         q, _ = np.linalg.qr(cols)
         q.setflags(write=False)
         self.basis = q
-        self._projector = None
+        self._memo = {}
 
     @property
     def projector(self) -> np.ndarray:
-        """Orthogonal projector onto the subspace (cached)."""
-        if self._projector is None:
-            p = self.basis @ self.basis.conj().T
-            p.setflags(write=False)
-            self._projector = p
-        return self._projector
+        """Orthogonal projector onto the subspace (cached, read-only)."""
+        return _orthogonal_projector(self)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, SubspacePoint):
@@ -103,6 +102,33 @@ class SubspacePoint:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"SubspacePoint(n={self.n})"
+
+
+_UNSET = object()
+
+
+def _memoized(fn):
+    """Cache fn(x) in the memo of the point x, which it lives and dies with.
+
+    Only for functions of x's read-only basis alone that cannot warn, so a
+    cached value is the bits a new call would compute and no warning is
+    lost.  An exception is not cached: every call raises it again.  A
+    cached array must be read-only.
+    """
+    @wraps(fn)
+    def cached(x: SubspacePoint):
+        value = x._memo.get(cached, _UNSET)
+        if value is _UNSET:
+            value = x._memo[cached] = fn(x)
+        return value
+    return cached
+
+
+@_memoized
+def _orthogonal_projector(x: SubspacePoint) -> np.ndarray:
+    p = x.basis @ x.basis.conj().T
+    p.setflags(write=False)
+    return p
 
 
 def point_eq(x: SubspacePoint, y: SubspacePoint) -> bool:
@@ -405,13 +431,16 @@ def random_map(n: int, rng) -> ProjectiveMap:
 
 def point_from_json(obj: dict) -> SubspacePoint:
     try:
+        for part in ("basis_re", "basis_im"):
+            if part in obj:
+                algebra._reject_non_numbers(obj[part], "point JSON")
         re = np.array(obj["basis_re"], dtype=float)
         if re.ndim != 2:
             raise DimensionError(f"point JSON basis must be 2n x n, got shape {re.shape}")
         n = algebra.size_from_json(obj["n"], "point JSON size n") if "n" in obj else re.shape[-1]
         # no default allocated from n: a huge n must fail the shape check, not allocate
         im = np.array(obj["basis_im"], dtype=float) if "basis_im" in obj else np.zeros_like(re)
-    except TypeError as exc:  # null or an object where a number belongs
+    except TypeError as exc:  # an object where a number belongs
         raise ValueError(f"point JSON entries must be numbers: {exc}") from None
     except OverflowError as exc:  # an integer beyond float range
         raise ValueError(f"point JSON entries must be finite: {exc}") from None

@@ -152,6 +152,12 @@ def membership(x: SubspacePoint, space: str) -> bool:
     """
     if space not in ("R", "Rprime", "RNS"):
         raise ValueError(f"unknown space {space!r}; pick R, Rprime or RNS")
+    return _is_lagrangian(x)
+
+
+@grassmann._memoized
+def _is_lagrangian(x: SubspacePoint) -> bool:
+    """The test of membership, whichever space it names; cached on x."""
     n = x.n
     omega_x = np.vstack([x.basis[n:], -x.basis[:n]])
     return grassmann.is_orthocomplement(x.basis, omega_x)
@@ -190,9 +196,16 @@ def cayley_to_unitary(x: SubspacePoint) -> np.ndarray:
     """The unitary matrix of a point of R_{N,S}: chart value of C^{-1} x.
 
     On chart points this is the classical Cayley transform
-    h -> (h + i)(h - i)^{-1}; it maps 0 to -1 and infinity to 1.
+    h -> (h + i)(h - i)^{-1}; it maps 0 to -1 and infinity to 1.  The
+    result is a new writable array.
     """
-    if not membership(x, "RNS"):
+    return _cayley_unitary(x).copy()
+
+
+@grassmann._memoized
+def _cayley_unitary(x: SubspacePoint) -> np.ndarray:
+    """cayley_to_unitary(x), read-only and cached on x."""
+    if not _is_lagrangian(x):
         raise NotInUniverseError("cayley_to_unitary needs a point of R_{N,S}")
     n = x.n
     y = apply_map(_cayley_maps(n)[1], x).basis
@@ -204,6 +217,7 @@ def cayley_to_unitary(x: SubspacePoint) -> np.ndarray:
     u = y[n:, :] @ np.linalg.inv(y[:n, :])
     if not algebra.is_unitary(u, tol=1e-7):
         raise NotUnitaryError("Cayley chart value is not unitary")  # pragma: no cover
+    u.setflags(write=False)
     return u
 
 
@@ -242,15 +256,16 @@ def unitary_torsor(x: SubspacePoint, y: SubspacePoint,
     return SubspacePoint(m @ y.basis)
 
 
+@grassmann._memoized
 def transport_to_zero(a: SubspacePoint) -> ProjectiveMap:
     """A symmetry g of (R, tau, alpha) with g(a) = 0, for a in R_{N,S}.
 
     Built in the Cayley chart as left multiplication by -u_a*: the
     representing matrix C diag(I, -u_a*) C^{-1} is unitary (C/sqrt(2)
     is), hence commutes with alpha; it preserves the form omega exactly,
-    hence commutes with tau.
+    hence commutes with tau.  The map is cached on a and shared.
     """
-    u_a = cayley_to_unitary(a)
+    u_a = _cayley_unitary(a)
     n = a.n
     c, c_inv = (g.rep for g in _cayley_maps(n))
     d = np.zeros((2 * n, 2 * n), dtype=complex)
@@ -332,13 +347,19 @@ def u_group_random(n: int, rng) -> ProjectiveMap:
 def _transversal_to(points, rng) -> SubspacePoint:
     """The first of infinity, 0 and 100 draws from rng that is transversal to every point.
 
-    A candidate that is one of the points is skipped unchecked: [X | X] has
-    rank n, so its margin is at rounding level and the check cannot pass.
+    rng is a Generator or a seed; a seed makes its generator only when
+    the search reaches the draws.  A candidate that is one of the points
+    is skipped unchecked: [X | X] has rank n, so its margin is at rounding
+    level and the check cannot pass.
     """
     n = points[0].n
-    rng = algebra.rng_from(rng)
-    for c in itertools.chain((infinity_point(n), zero_point(n)),
-                             (grassmann.random_point(n, rng) for _ in range(100))):
+
+    def draws():
+        gen = algebra.rng_from(rng)
+        for _ in range(100):
+            yield grassmann.random_point(n, gen)
+
+    for c in itertools.chain((infinity_point(n), zero_point(n)), draws()):
         if all(p is not c for p in points) and all(
                 grassmann.is_transversal(p, c) for p in points):
             return c
@@ -348,7 +369,7 @@ def _transversal_to(points, rng) -> SubspacePoint:
 def common_chart_point(x: SubspacePoint, y: SubspacePoint,
                        rng=None) -> SubspacePoint:
     """A point transversal to both x and y (tries infinity, 0, then random)."""
-    return _transversal_to((x, y), np.random.default_rng(0xA11E) if rng is None else rng)
+    return _transversal_to((x, y), 0xA11E if rng is None else rng)
 
 
 def chart_in_frame(z: SubspacePoint, origin: SubspacePoint,
@@ -371,7 +392,7 @@ def chart_in_frame(z: SubspacePoint, origin: SubspacePoint,
 def _chart_values(x: SubspacePoint, y: SubspacePoint, c: SubspacePoint):
     """The frame [B_o | B_c] of horizon c and its default origin o, chart_c(y) and
     chart_c(x) - chart_c(y): the arguments of LineFamily."""
-    o = _transversal_to((c,), np.random.default_rng(0x0A11))
+    o = _transversal_to((c,), 0x0A11)
     my = chart_in_frame(y, o, c)
     return np.hstack([o.basis, c.basis]), my, chart_in_frame(x, o, c) - my
 
@@ -474,11 +495,15 @@ def line_family(x: SubspacePoint, y: SubspacePoint,
 
 # --- cyclic order -----------------------------------------------------------------
 
+@grassmann._memoized
 def _hermitian_chart(z: SubspacePoint) -> np.ndarray:
+    """The Hermitian chart value of z, read-only and cached on z."""
     m = grassmann.chart_repr(z)
     if not algebra.is_hermitian(m, tol=1e-8):
         raise NotHermitianError("cyclic order needs points of R (Hermitian charts)")
-    return (m + m.conj().T) / 2
+    h = (m + m.conj().T) / 2
+    h.setflags(write=False)
+    return h
 
 
 def cyclic_triple(a: SubspacePoint, b: SubspacePoint, c: SubspacePoint) -> bool:
@@ -495,11 +520,12 @@ def cyclic_triple(a: SubspacePoint, b: SubspacePoint, c: SubspacePoint) -> bool:
     return algebra.is_psd(value(b) - va)
 
 
+@grassmann._memoized
 def _order_chart(c: SubspacePoint):
     """The map z -> the Hermitian matrix of z whose psd order is the order of U_c.
 
-    The horizon test and c's own chart run once, so several triples cut
-    at the same c share them.
+    The horizon test and c's own chart run once per c (the map is cached
+    on c), so every triple cut at the same c shares them.
     """
     if point_eq(c, infinity_point(c.n)):
         return _hermitian_chart

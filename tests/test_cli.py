@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import textwrap
+import warnings
 from pathlib import Path
 
 import pytest
@@ -289,6 +290,25 @@ def test_expect_out_of_range_numbers_are_a_clean_error(tmp_path, chart):
     assert "matrix JSON" in res.output
     assert "Traceback" not in res.output
     assert isinstance(res.exception, SystemExit)
+
+
+@pytest.mark.parametrize("chart", [
+    {"n": 1, "re": [["1"]]},
+    {"n": 1, "re": [[1.0]], "im": [["infinity"]]},
+    {"n": 1, "re": [[True]]},
+    [["1"]],
+], ids=["string-number", "string-infinity", "bool", "string-in-plain-list"])
+def test_expect_non_numeric_entries_are_a_clean_error(tmp_path, chart):
+    # numpy reads "1" and true as 1.0 and "infinity" as inf
+    path = tmp_path / "non_numeric.json"
+    path.write_text(json.dumps(dict(_GOOD_SLOTS, A={"chart": chart})))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        res = runner.invoke(main, ["expect", str(path)])
+    assert res.exit_code == 1
+    assert "matrix JSON entries must be numbers" in res.output
+    assert "Traceback" not in res.output
+    assert [str(w.message) for w in caught] == []
 
 
 def test_expect_deeply_nested_json_is_a_clean_error(tmp_path):

@@ -115,20 +115,29 @@ def _warm(n):
     hermitian.cayley_matrix(n)
 
 
-def test_standard_frame_mixed_report_svd_count(counts):
-    rng = np.random.default_rng(19)
-    o = obstate.standard_obstate(algebra.random_hermitian(4, rng),
-                                 algebra.random_density(4, rng))
+def _mixed_obstate(n, seed):
+    rng = np.random.default_rng(seed)
+    return obstate.standard_obstate(algebra.random_hermitian(n, rng),
+                                    algebra.random_density(n, rng))
+
+
+# The frame (0, infinity) caches its transport and A0's order chart on the shared base
+# points, so the cold counts are pinned on new base points and the warm counts after a
+# first report in the frame.
+
+def test_standard_frame_mixed_report_svd_count(counts, cold_base_points):
+    o = _mixed_obstate(4, 19)
     _warm(4)
     _reset(counts)
     obstate.report(o)
-    # expectation reuses new_obstate's margins: 0; normal form: 2 chart blocks;
-    # pure test: 3 chart-search margins, 2 chart blocks, 1 direction SVD;
-    # cyclic order: the charts of A0, W and A, A0's once for both triples
+    # expectation reuses new_obstate's margins: 0; normal form: 2 chart blocks, and
+    # the QRs of the frame's transport and of A and W moved by it; pure test: 3
+    # chart-search margins, 2 chart blocks, 1 direction SVD; cyclic order: the charts
+    # of A0, W and A, A0's once for both triples
     assert counts == {"svd": 11, "qr": 3}
 
 
-def test_standard_frame_pure_report_svd_count(counts):
+def test_standard_frame_pure_report_svd_count(counts, cold_base_points):
     o = _pure_obstate(4, 20)
     _warm(4)
     _reset(counts)
@@ -137,3 +146,21 @@ def test_standard_frame_pure_report_svd_count(counts):
     # A0 and W, where span[w; I] of a singular w lies on the chart's horizon, so
     # positive is False and A's chart is never taken
     assert counts == {"svd": 12, "qr": 4}
+
+
+def test_warm_frame_mixed_report_svd_count(counts, cold_base_points):
+    obstate.report(_mixed_obstate(4, 21))
+    o = _mixed_obstate(4, 19)
+    _reset(counts)
+    obstate.report(o)
+    # the cold count less the frame's transport (1 QR) and A0's chart (1 SVD)
+    assert counts == {"svd": 10, "qr": 2}
+
+
+def test_warm_frame_pure_report_svd_count(counts, cold_base_points):
+    obstate.report(_pure_obstate(4, 21))
+    o = _pure_obstate(4, 20)
+    _reset(counts)
+    obstate.report(o)
+    # likewise one QR and one SVD below the cold count
+    assert counts == {"svd": 11, "qr": 3}

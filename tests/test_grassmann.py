@@ -131,6 +131,16 @@ def test_point_json_rejects_what_is_not_a_basis(obj):
         grassmann.point_from_json(obj)
 
 
+@pytest.mark.parametrize("obj", [{"basis_re": [[1.0], ["0"]]},
+                                 {"basis_re": [[1.0], [0.0]], "basis_im": [[True], [0.0]]},
+                                 {"basis_re": [[1.0], [0.0]], "basis_im": [["infinity"], [0]]},
+                                 {"basis_re": [[1.0], [None]]}])
+def test_point_json_entries_must_be_numbers(obj):
+    # numpy reads "0" and true as numbers, "infinity" as inf and null as nan
+    with pytest.raises(ValueError, match="point JSON entries must be numbers"):
+        grassmann.point_from_json(obj)
+
+
 @pytest.mark.parametrize("n", [1.5, "1", True, float("nan")])
 def test_point_json_size_must_be_a_whole_number(n):
     basis = {"basis_re": [[1.0], [0.0]]}

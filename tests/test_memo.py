@@ -1,0 +1,132 @@
+"""The per-point memo: a cached value is the bits a new computation gives.
+
+Each memoized function is compared, after its memo is filled, with the
+same function on a new point built from the same columns; errors are
+raised again on every call; and reports, the CLI and the returned arrays
+do not change when the reference frame's work comes from the memo.
+"""
+
+import json
+from pathlib import Path
+
+import numpy as np
+import pytest
+from click.testing import CliRunner
+
+from apline import algebra, grassmann, hermitian, obstate
+from apline.cli import main
+from apline.errors import AplineError, NotInUniverseError
+from apline.grassmann import SubspacePoint
+
+_ROOT = Path(__file__).resolve().parents[1]
+
+
+def _frames(n):
+    """(name, columns of A0, columns of Winf) of the standard frame and a transported one."""
+    zero = np.vstack([np.eye(n), np.zeros((n, n))])
+    infinity = np.vstack([np.zeros((n, n)), np.eye(n)])
+    g = hermitian.u_group_random(n, np.random.default_rng(100 + n)).rep
+    return [("standard", zero, infinity), ("transported", g @ zero, g @ infinity)]
+
+
+def _bits(value) -> bytes:
+    if isinstance(value, grassmann.ProjectiveMap):
+        value = value.rep
+    return np.asarray(value).tobytes()
+
+
+def _outcome(fn, x):
+    """fn(x), or the type of the AplineError it raises."""
+    try:
+        return fn(x)
+    except AplineError as exc:
+        return type(exc)
+
+
+def _order_values(value, n):
+    """The outcomes of the order chart value on a few points of R."""
+    points = [grassmann.zero_point(n), grassmann.one_point(n),
+              hermitian.random_r_point(n, np.random.default_rng(n))]
+    return [_outcome(lambda z: _bits(value(z)), z) for z in points]
+
+
+@pytest.mark.parametrize("n", [1, 2, 4, 8])
+def test_memoized_values_are_bitwise_a_new_computation(n, cold_base_points):
+    cases = {
+        "projector": lambda x: _bits(x.projector),
+        "membership": lambda x: hermitian.membership(x, "R"),
+        "cayley_to_unitary": lambda x: _bits(hermitian.cayley_to_unitary(x)),
+        "transport_to_zero": lambda x: _bits(hermitian.transport_to_zero(x)),
+        "_hermitian_chart": lambda x: _bits(hermitian._hermitian_chart(x)),
+        "_order_chart": lambda x: _order_values(hermitian._order_chart(x), n),
+    }
+    named = {"standard": (grassmann.zero_point(n), grassmann.infinity_point(n))}
+    for frame, a0_cols, winf_cols in _frames(n):
+        shared = named.get(frame) or (SubspacePoint(a0_cols), SubspacePoint(winf_cols))
+        for x, cols in zip(shared, (a0_cols, winf_cols)):
+            for name, fn in cases.items():
+                first = _outcome(fn, x)
+                again = _outcome(fn, x)  # from the memo
+                fresh = _outcome(fn, SubspacePoint(cols))
+                assert again == first == fresh, (frame, name)
+
+
+def test_errors_are_raised_on_every_call():
+    x = grassmann.random_point(3, np.random.default_rng(7))
+    assert not hermitian.membership(x, "R")
+    for fn in (hermitian.cayley_to_unitary, hermitian.transport_to_zero):
+        for _ in range(3):
+            with pytest.raises(NotInUniverseError):
+                fn(x)
+
+
+def test_a_written_cayley_unitary_leaves_the_next_result_unchanged():
+    x = hermitian.random_r_point(3, np.random.default_rng(8))
+    u = hermitian.cayley_to_unitary(x)
+    expected = u.copy()
+    u[:] = 0.0
+    assert hermitian.cayley_to_unitary(x).tobytes() == expected.tobytes()
+
+
+def _matrix_json(m):
+    return {"n": m.shape[0], "re": m.real.tolist(), "im": m.imag.tolist()}
+
+
+def _pool(n=4, size=64, seed=2026):
+    """Standard-frame obstate payloads; every fourth state is pure."""
+    rng = np.random.default_rng(seed)
+    payloads = []
+    for i in range(size):
+        a = algebra.random_hermitian(n, rng)
+        if i % 4 == 3:
+            psi = algebra.random_matrix(n, rng)[:, :1]
+            w = psi @ psi.conj().T / np.vdot(psi, psi).real
+        else:
+            w = algebra.random_density(n, rng)
+        payloads.append({"A": {"chart": _matrix_json(a)}, "W": {"density": _matrix_json(w)},
+                         "A0": "zero", "Winf": "infinity"})
+    return payloads
+
+
+def _report_json(payload):
+    return json.dumps(obstate.report(obstate.obstate_from_json(payload)), sort_keys=True)
+
+
+def test_reports_from_a_cold_and_a_warm_frame_are_identical(cold_base_points):
+    pool = _pool()
+    cold = []
+    for payload in pool:
+        grassmann.zero_point.cache_clear()
+        grassmann.infinity_point.cache_clear()
+        cold.append(_report_json(payload))
+    warm = [_report_json(payload) for payload in pool]
+    assert warm == cold
+
+
+def test_expect_prints_its_golden_output_twice_in_one_process(cold_base_points):
+    runner = CliRunner()
+    golden = (_ROOT / "tests" / "golden" / "expect_diag.txt").read_bytes()
+    for _ in range(2):
+        res = runner.invoke(main, ["expect", str(_ROOT / "sample_inputs" / "expect_diag.json")])
+        assert res.exit_code == 0, res.output
+        assert res.stdout_bytes == golden
