@@ -93,6 +93,11 @@ from .obstate import (
 
 __version__ = "0.1.0"
 
+# Trials per property of the seeded sweep behind ``apline check``.  It is
+# defined here, not in apline.properties, so the CLI can show it as the
+# option default without loading the harness.
+DEFAULT_TRIALS = 100
+
 __all__ = [
     "AplineError",
     "EndoX",

@@ -22,6 +22,8 @@ one line.  Both build the same bits as their public counterparts.
 
 A value that one point alone determines is computed once per point:
 functions decorated with _memoized keep their result in the point's memo.
+So does a point's transversality margin to the shared base points 0 and
+infinity, which transversality_margin reads from the memo.
 """
 
 from __future__ import annotations
@@ -153,13 +155,25 @@ def is_orthocomplement(x: np.ndarray, y: np.ndarray) -> bool:
 @lru_cache(maxsize=None)
 def zero_point(n: int) -> SubspacePoint:
     """The base point 0 = [(1, 0)] = span[I; 0]; one cached point per n, shared and read-only."""
-    return SubspacePoint(np.vstack([np.eye(n), np.zeros((n, n))]))
+    return _base_point(np.vstack([np.eye(n), np.zeros((n, n))]), _margin_to_zero)
 
 
 @lru_cache(maxsize=None)
 def infinity_point(n: int) -> SubspacePoint:
     """The base point oo = [(0, 1)] = span[0; I]; one cached point per n, shared and read-only."""
-    return SubspacePoint(np.vstack([np.zeros((n, n)), np.eye(n)]))
+    return _base_point(np.vstack([np.zeros((n, n)), np.eye(n)]), _margin_to_infinity)
+
+
+def _base_point(columns: np.ndarray, margin_to_it) -> SubspacePoint:
+    """SubspacePoint(columns), whose memo names the memoized margin of any point to it.
+
+    transversality_margin reads that name, so telling a base point needs
+    no call of zero_point or infinity_point, which would build one.  The
+    key is this private function: a public one can be replaced by a wrapper.
+    """
+    a = SubspacePoint(columns)
+    a._memo[_base_point] = margin_to_it
+    return a
 
 
 @lru_cache(maxsize=None)
@@ -241,11 +255,30 @@ def cochart_repr(x: SubspacePoint) -> np.ndarray:
 # --- transversality and projectors ------------------------------------------
 
 def transversality_margin(x: SubspacePoint, a: SubspacePoint) -> float:
-    """sigma_min / sigma_max of the 2n x 2n concatenation [basis(x) | basis(a)]."""
+    """sigma_min / sigma_max of the 2n x 2n concatenation [basis(x) | basis(a)].
+
+    When a is the shared base point 0 or infinity, the margin is a value
+    of x alone and is cached on x.
+    """
     if x.n != a.n:
         raise DimensionError(f"dimension mismatch: {x.n} vs {a.n}")
+    margin_to_a = a._memo.get(_base_point)
+    return _margin(x, a) if margin_to_a is None else margin_to_a(x)
+
+
+def _margin(x: SubspacePoint, a: SubspacePoint) -> float:
     s = np.linalg.svd(np.hstack([x.basis, a.basis]), compute_uv=False)
     return float(s[-1] / max(s[0], 1e-300))
+
+
+@_memoized
+def _margin_to_zero(x: SubspacePoint) -> float:
+    return _margin(x, zero_point(x.n))
+
+
+@_memoized
+def _margin_to_infinity(x: SubspacePoint) -> float:
+    return _margin(x, infinity_point(x.n))
 
 
 def is_transversal(x: SubspacePoint, a: SubspacePoint) -> bool:

@@ -389,17 +389,23 @@ def chart_in_frame(z: SubspacePoint, origin: SubspacePoint,
     return q @ np.linalg.inv(p)
 
 
-def _chart_values(x: SubspacePoint, y: SubspacePoint, c: SubspacePoint):
-    """The frame [B_o | B_c] of horizon c and its default origin o, chart_c(y) and
+def _chart_origin(c: SubspacePoint) -> SubspacePoint:
+    """The default origin of the frame with horizon c."""
+    return _transversal_to((c,), 0x0A11)
+
+
+def _chart_values(x: SubspacePoint, y: SubspacePoint, c: SubspacePoint,
+                  o: SubspacePoint):
+    """The frame [B_o | B_c] of horizon c and origin o, chart_c(y) and
     chart_c(x) - chart_c(y): the arguments of LineFamily."""
-    o = _transversal_to((c,), 0x0A11)
     my = chart_in_frame(y, o, c)
     return np.hstack([o.basis, c.basis]), my, chart_in_frame(x, o, c) - my
 
 
 def chart_difference_rank(x: SubspacePoint, y: SubspacePoint, c: SubspacePoint) -> int:
     """Rank of chart_c(x) - chart_c(y), with the 1e-7 relative sv threshold."""
-    return _rank_of(np.linalg.svd(_chart_values(x, y, c)[2], compute_uv=False))
+    _, _, difference = _chart_values(x, y, c, _chart_origin(c))
+    return _rank_of(np.linalg.svd(difference, compute_uv=False))
 
 
 def _rank_of(s: np.ndarray) -> int:
@@ -474,6 +480,35 @@ class LineFamily:
         return SubspacePoint(self.raw_basis(t))
 
 
+# Factor below 1 / RANK_RTOL under which a bound on the condition number of a
+# chart difference proves its rank n: two decades of slack for rounding.
+_RANK_CERTIFICATE_SLACK = 1e-2
+
+
+def _has_full_chart_rank(x: SubspacePoint, y: SubspacePoint, c: SubspacePoint,
+                         o: SubspacePoint) -> bool:
+    """Whether four margins prove that chart_c(x) - chart_c(y) has rank n.
+
+    In the frame F = [O | C] of origin o and horizon c (orthonormal
+    blocks) a point has basis Z = F [p; q] and chart value q p^{-1}; let
+    D = chart_c(x) - chart_c(y) and m_pq = transversality_margin(p, q).
+    Then [Z_x | Z_y] = F [[I, 0], [chart_c(y), I]] [[p_x, p_y], [D p_x, 0]].
+    [Z | C] = F [[p, 0], [q, I]] gives ||chart_c(z)|| <= sqrt2 / m_zc, so
+    ||D|| <= sqrt2 / m_xc + sqrt2 / m_yc; ||p_x|| <= 1 / sigma_min(F) <= 1 / m_oc,
+    and (D p_x)^{-1} is a block of the inverse of the last factor, so
+    ||D^{-1}|| <= sqrt2 (1 + sqrt2 / m_yc) / (m_oc m_xy).  The rank is n
+    when that bound on cond(D) lies _RANK_CERTIFICATE_SLACK below
+    1 / RANK_RTOL, tested multiplied out, as a margin may be 0.  m_xy <= 1
+    is computed last, and only when the other three leave room.
+    """
+    m_xc = grassmann.transversality_margin(x, c)
+    m_yc = grassmann.transversality_margin(y, c)
+    m_oc = grassmann.transversality_margin(c, o)
+    bound = 2.0 * (m_xc + m_yc) * (m_yc + np.sqrt(2.0)) * RANK_RTOL
+    room = _RANK_CERTIFICATE_SLACK * m_xc * m_yc * m_yc * m_oc
+    return bound < room and bound < room * grassmann.transversality_margin(x, y)
+
+
 def line_family(x: SubspacePoint, y: SubspacePoint,
                 chart_point: SubspacePoint | None = None) -> LineFamily:
     """Parametrize the intrinsic line through the rank-one pair (x, y).
@@ -482,15 +517,23 @@ def line_family(x: SubspacePoint, y: SubspacePoint,
     runs it on the chart values in the common chart that
     is_rank_one_pair would find, and its SVD also gives the direction's
     factors.  Without chart_point that family is the result, so the
-    chart search and the SVD run once.  An explicit chart_point then
-    re-frames the pair, and the re-framed family factors its own
-    direction.  The completed line is chart-independent as a set, but
-    the parameter t of point(t) is not: pass chart_point to compare them.
+    chart search and the SVD run once.  For n >= 2 a pair whose margins
+    prove rank n (_has_full_chart_rank) is rejected before any chart
+    value is computed.  An explicit chart_point then re-frames the pair,
+    and the re-framed family factors its own direction.  The completed
+    line is chart-independent as a set, but the parameter t of point(t)
+    is not: pass chart_point to compare them.
     """
     if point_eq(x, y):
         raise NotRankOneError("intrinsic lines need a pair at arithmetic distance 1")
-    fam = LineFamily(*_chart_values(x, y, common_chart_point(x, y)))
-    return fam if chart_point is None else LineFamily(*_chart_values(x, y, chart_point))
+    c = common_chart_point(x, y)
+    o = _chart_origin(c)
+    if x.n >= 2 and _has_full_chart_rank(x, y, c, o):
+        raise NotRankOneError("intrinsic lines need a pair at arithmetic distance 1")
+    fam = LineFamily(*_chart_values(x, y, c, o))
+    if chart_point is None:
+        return fam
+    return LineFamily(*_chart_values(x, y, chart_point, _chart_origin(chart_point)))
 
 
 # --- cyclic order -----------------------------------------------------------------

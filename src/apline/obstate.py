@@ -348,6 +348,7 @@ def obstate_from_json(obj: dict) -> Obstate:
 
     Point slots accept {"chart": matrix}, {"density": matrix}, a raw
     basis object, or (for the slots after A) "zero" / "infinity" / "one".
+    The slot "strong" is JSON true or false; without it the obstate is strong.
     """
     if not isinstance(obj, dict):
         raise ValueError("obstate JSON must be an object with the slots A, W, A0, Winf, "
@@ -355,12 +356,15 @@ def obstate_from_json(obj: dict) -> Obstate:
     missing = [slot for slot in ("A", "W", "A0", "Winf") if slot not in obj]
     if missing:
         raise ValueError(f"obstate JSON is missing the slot(s) {', '.join(missing)}")
+    strong = obj.get("strong", True)
+    if not isinstance(strong, bool):  # bool("false") is True
+        raise ValueError(f"obstate JSON slot strong must be true or false, got {strong!r}")
     A = _point_from_json(obj["A"], "A")
     return new_obstate(A,
                        _point_from_json(obj["W"], "W", A.n),
                        _point_from_json(obj["A0"], "A0", A.n),
                        _point_from_json(obj["Winf"], "Winf", A.n),
-                       bool(obj.get("strong", True)))
+                       strong)
 
 
 def _scalar_to_json(v):

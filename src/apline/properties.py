@@ -23,12 +23,11 @@ from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
-from . import algebra, classical, crossratio, grassmann, hermitian, obstate
+from . import DEFAULT_TRIALS, algebra, classical, crossratio, grassmann, hermitian, obstate
 from .crossratio import INF, classical_cr, is_inf
 from .errors import IndeterminateError, ResamplingExhausted
 
 DEFAULT_N_LIST = (1, 2, 3, 4, 6)
-DEFAULT_TRIALS = 100
 
 
 # --- registry -----------------------------------------------------------------------

@@ -350,6 +350,47 @@ def test_expect_and_import_start_without_scipy():
     assert proc.returncode == 0, proc.stderr
 
 
+def test_cli_loads_the_sweep_harness_only_for_check():
+    # a fresh interpreter: this one may already hold the harness from other tests
+    script = textwrap.dedent("""
+        import sys
+        from click.testing import CliRunner
+        import apline.cli
+        assert "apline.properties" not in sys.modules
+        res = CliRunner().invoke(apline.cli.main, ["check", "--help"])
+        assert res.exit_code == 0, res.output
+        assert "default: 100" in res.output, res.output
+        assert "apline.properties" not in sys.modules
+        res = CliRunner().invoke(apline.cli.main, ["check", "--n", "1", "--trials", "1",
+                                                   "--property", "algebra.trace"])
+        assert res.exit_code == 0, res.output
+        from apline import properties
+        assert properties.DEFAULT_TRIALS == 100
+    """)
+    root = Path(__file__).resolve().parents[1]
+    proc = subprocess.run([sys.executable, "-c", script], cwd=root, capture_output=True,
+                          text=True, env=dict(os.environ, PYTHONPATH=str(root / "src")),
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.parametrize("strong", ["false", 0, 1, None])
+def test_expect_takes_only_a_json_boolean_for_strong(tmp_path, strong):
+    payload = {"A": {"chart": [[1.0, 0.0], [0.0, -1.0]]},
+               "W": {"density": [[0.75, 0.0], [0.0, 0.25]]},
+               "A0": "zero", "Winf": "infinity", "strong": strong}
+    path = tmp_path / "obstate.json"
+    path.write_text(json.dumps(payload))
+    res = runner.invoke(main, ["expect", str(path)])
+    assert res.exit_code == 1
+    assert "strong must be true or false" in res.output
+    assert "Traceback" not in res.output
+    weak = dict(payload, strong=False)
+    path.write_text(json.dumps(weak))
+    res = runner.invoke(main, ["expect", str(path)])
+    assert res.exit_code == 0 and "variance" not in json.loads(res.output)
+
+
 # --- fuzz of the expect payload decoder -------------------------------------------
 
 _KEYS = st.sampled_from(["A", "W", "A0", "Winf", "strong", "chart", "density",

@@ -72,14 +72,16 @@ def _pure_obstate(n, seed):
                                      psi @ psi.conj().T / np.vdot(psi, psi).real)
 
 
-def test_pure_expectation_runs_one_rank_one_solve_per_target(counts):
+def test_pure_expectation_runs_one_rank_one_solve_per_target(counts, cold_base_points):
     o = _pure_obstate(4, 15)
     _reset(counts)
     obstate.pure_expectation(o)
-    # line_family: 3 chart-search margins (the candidate infinity is Winf itself and is
-    # skipped), 2 chart-block checks, 1 direction SVD; one QR of line(0) shared by both
+    # line_family: of the 3 chart-search margins only (infinity, 0) runs, as (W, 0) and
+    # (0, infinity) are new_obstate's, cached on W and 0 (the candidate infinity is Winf
+    # itself and is skipped); the rank certificate's (W, Winf) margin, which fails on a
+    # pure pair; 2 chart-block checks, 1 direction SVD; one QR of line(0) shared by both
     # targets; per target the root's verification SVD
-    assert counts == {"svd": 8, "qr": 1}
+    assert counts == {"svd": 7, "qr": 1}
 
 
 def test_line_family_horizon_point_runs_no_svd(counts):
@@ -131,10 +133,11 @@ def test_standard_frame_mixed_report_svd_count(counts, cold_base_points):
     _reset(counts)
     obstate.report(o)
     # expectation reuses new_obstate's margins: 0; normal form: 2 chart blocks, and
-    # the QRs of the frame's transport and of A and W moved by it; pure test: 3
-    # chart-search margins, 2 chart blocks, 1 direction SVD; cyclic order: the charts
-    # of A0, W and A, A0's once for both triples
-    assert counts == {"svd": 11, "qr": 3}
+    # the QRs of the frame's transport and of A and W moved by it; pure test: the
+    # chart-search margin (infinity, 0) and the (W, Winf) margin, after which the rank
+    # certificate rejects the pair; cyclic order: the charts of A0, W and A, A0's once
+    # for both triples
+    assert counts == {"svd": 7, "qr": 3}
 
 
 def test_standard_frame_pure_report_svd_count(counts, cold_base_points):
@@ -142,10 +145,10 @@ def test_standard_frame_pure_report_svd_count(counts, cold_base_points):
     _warm(4)
     _reset(counts)
     obstate.report(o)
-    # normal form: 2; pure_expectation: 8 (see above); cyclic order: the charts of
+    # normal form: 2; pure_expectation: 7 (see above); cyclic order: the charts of
     # A0 and W, where span[w; I] of a singular w lies on the chart's horizon, so
     # positive is False and A's chart is never taken
-    assert counts == {"svd": 12, "qr": 4}
+    assert counts == {"svd": 11, "qr": 4}
 
 
 def test_warm_frame_mixed_report_svd_count(counts, cold_base_points):
@@ -153,8 +156,9 @@ def test_warm_frame_mixed_report_svd_count(counts, cold_base_points):
     o = _mixed_obstate(4, 19)
     _reset(counts)
     obstate.report(o)
-    # the cold count less the frame's transport (1 QR) and A0's chart (1 SVD)
-    assert counts == {"svd": 10, "qr": 2}
+    # the cold count less the frame's transport (1 QR), A0's chart and the margin
+    # (infinity, 0) cached on infinity (1 SVD each)
+    assert counts == {"svd": 5, "qr": 2}
 
 
 def test_warm_frame_pure_report_svd_count(counts, cold_base_points):
@@ -162,5 +166,5 @@ def test_warm_frame_pure_report_svd_count(counts, cold_base_points):
     o = _pure_obstate(4, 20)
     _reset(counts)
     obstate.report(o)
-    # likewise one QR and one SVD below the cold count
-    assert counts == {"svd": 11, "qr": 3}
+    # likewise one QR and two SVDs below the cold count
+    assert counts == {"svd": 9, "qr": 3}

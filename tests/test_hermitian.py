@@ -378,3 +378,70 @@ def test_involutions_and_circle_action_keep_their_bits():
     rep = (np.exp(0.9j) * grassmann.projector(north, south)
            + grassmann.projector(south, north))
     assert g.rep.tobytes() == rep.tobytes()
+
+
+# --- the rank certificate of line_family ---------------------------------------------
+
+def _certificate_pool():
+    """(frame kind, x, y) pairs at n = 2, 3, 4, 8: states against infinity in the
+    standard frame and moved by U, and pairs whose chart search reaches its draws."""
+    for n in (2, 3, 4, 8):
+        rng = np.random.default_rng(7100 + n)
+        infinity = grassmann.infinity_point(n)
+        states = [algebra.random_density(n, rng) for _ in range(6)]
+        for ratio in (1e-2, 1e-4, 1e-6, 1e-7, 1e-8, 0.0):
+            u = algebra.random_unitary(n, rng)
+            s = np.zeros(n)
+            s[0], s[1] = 1.0, ratio
+            states.append((u * s) @ u.conj().T)
+        for w in states:
+            x = grassmann.point_from_cochart((w + w.conj().T) / 2)
+            yield "standard", x, infinity
+            g = hermitian.u_group_random(n, rng)
+            yield "transported", grassmann.apply_map(g, x), grassmann.apply_map(g, infinity)
+        for _ in range(3):
+            # singular w and a: x is not transversal to infinity and y not to 0, so
+            # neither base point charts both
+            psi, phi = (rng.standard_normal((n, n - 1)) + 1j * rng.standard_normal((n, n - 1))
+                        for _ in range(2))
+            yield ("drawn", grassmann.point_from_cochart(psi @ psi.conj().T),
+                   grassmann.point_from_chart(phi @ phi.conj().T))
+
+
+def test_rank_certificate_fires_only_where_the_chart_values_are_not_rank_one():
+    fired = {"standard": 0, "transported": 0, "drawn": 0}
+    for kind, x, y in _certificate_pool():
+        c = hermitian.common_chart_point(x, y)
+        if kind == "drawn":
+            assert c is not grassmann.infinity_point(x.n) and c is not grassmann.zero_point(x.n)
+        o = hermitian._chart_origin(c)
+        if hermitian._has_full_chart_rank(x, y, c, o):
+            fired[kind] += 1
+            with pytest.raises(NotRankOneError):
+                hermitian.LineFamily(*hermitian._chart_values(x, y, c, o))
+            with pytest.raises(NotRankOneError):
+                hermitian.line_family(x, y)
+    assert min(fired.values()) > 0, fired
+
+
+def test_rank_certificate_survives_a_margin_of_zero():
+    # span[e1, e2] and span[e1, e4] share e1: [X | Y] has an exactly zero singular value
+    x = grassmann.zero_point(2)
+    y = grassmann.SubspacePoint(np.eye(4)[:, [0, 3]])
+    assert grassmann.transversality_margin(x, y) == 0.0
+    c = hermitian.common_chart_point(x, y)
+    assert not hermitian._has_full_chart_rank(x, y, c, hermitian._chart_origin(c))
+    assert hermitian.arithmetic_distance(x, y) == 1
+    fam = hermitian.line_family(x, y)
+    assert grassmann.point_eq(fam.point(1.0), x)
+
+
+def test_rank_certificate_is_not_run_at_n_1():
+    # at n = 1 rank n is rank one: every distinct pair spans a line
+    rng = np.random.default_rng(7101)
+    for _ in range(20):
+        x, y = grassmann.random_point(1, rng), grassmann.random_point(1, rng)
+        c = hermitian.common_chart_point(x, y)
+        assert hermitian._has_full_chart_rank(x, y, c, hermitian._chart_origin(c))
+        fam = hermitian.line_family(x, y)
+        assert grassmann.point_eq(fam.point(0.0), y)

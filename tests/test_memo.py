@@ -130,3 +130,32 @@ def test_expect_prints_its_golden_output_twice_in_one_process(cold_base_points):
         res = runner.invoke(main, ["expect", str(_ROOT / "sample_inputs" / "expect_diag.json")])
         assert res.exit_code == 0, res.output
         assert res.stdout_bytes == golden
+
+
+@pytest.mark.parametrize("n", [1, 2, 4, 8])
+def test_margins_to_the_base_points_are_bitwise_a_new_computation(n, cold_base_points):
+    rng = np.random.default_rng(200 + n)
+    points = [grassmann.random_point(n, rng), grassmann.one_point(n),
+              grassmann.zero_point(n), grassmann.infinity_point(n)]
+    for base, memoized in ((grassmann.zero_point(n), grassmann._margin_to_zero),
+                           (grassmann.infinity_point(n), grassmann._margin_to_infinity)):
+        for x in points:
+            fresh = grassmann._margin(x, base).hex()
+            first = grassmann.transversality_margin(x, base).hex()
+            assert memoized in x._memo
+            again = grassmann.transversality_margin(x, base).hex()
+            assert again == first == fresh
+    # any other second point is measured afresh and cached nowhere
+    x, a = points[0], grassmann.random_point(n, rng)
+    assert grassmann.transversality_margin(x, a) == grassmann._margin(x, a)
+    assert a._memo == {} and set(x._memo) == {grassmann._margin_to_zero,
+                                              grassmann._margin_to_infinity}
+
+
+def test_a_cached_margin_warns_on_every_call():
+    x = grassmann.point_from_cochart(np.diag([1.0, 1e-7]))  # margin to infinity about 5e-8
+    infinity = grassmann.infinity_point(2)
+    for _ in range(3):
+        with pytest.warns(grassmann.TransversalityWarning):
+            assert grassmann.is_transversal(x, infinity)
+    assert grassmann._margin_to_infinity in x._memo

@@ -451,3 +451,26 @@ def test_expectation_does_not_repeat_new_obstates_warning():
     bare = obstate.Obstate(o.observable, o.state, o.ref_observable, o.ref_state, o.strong)
     with pytest.warns(grassmann.TransversalityWarning):
         assert obstate.expectation(bare) == ev
+
+
+# (n, sigma_2 / sigma_1 of the density, pure in the standard frame, pure moved by U)
+_NEAR_PURE = [(2, 1e-6, False, False), (2, 1e-7, False, False), (2, 1e-8, True, True),
+              (4, 1e-6, False, True), (4, 1e-7, True, False), (4, 1e-8, True, True),
+              (8, 1e-6, False, False), (8, 1e-7, False, True), (8, 1e-8, True, True)]
+
+
+def test_pure_is_unchanged_near_the_rank_threshold():
+    # the values the chart path computes at the 1e-7 rank threshold, rounding and all;
+    # a rank certificate must leave them to it
+    got = []
+    for n in (2, 4, 8):
+        rng = np.random.default_rng(7200 + n)
+        for ratio in (1e-6, 1e-7, 1e-8):
+            u = algebra.random_unitary(n, rng)
+            s = np.zeros(n)
+            s[0], s[1] = 1.0, ratio
+            w = (u * s) @ u.conj().T
+            o = obstate.standard_obstate(algebra.random_hermitian(n, rng), (w + w.conj().T) / 2)
+            moved = obstate.transport(o, hermitian.u_group_random(n, rng))
+            got.append((n, ratio, obstate.report(o)["pure"], obstate.report(moved)["pure"]))
+    assert got == _NEAR_PURE
