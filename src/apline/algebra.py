@@ -29,8 +29,8 @@ def as_matrix(a) -> np.ndarray:
     m = np.array(a, dtype=complex)
     if m.ndim == 0:
         m = m.reshape(1, 1)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise DimensionError(f"expected a square matrix, got shape {m.shape}")
+    if m.ndim != 2 or m.shape[0] != m.shape[1] or not m.size:
+        raise DimensionError(f"expected a square matrix of size n >= 1, got shape {m.shape}")
     return m
 
 

@@ -25,6 +25,7 @@ from .errors import (
     DegenerateReferenceError,
     DimensionError,
     IndeterminateError,
+    NonFiniteError,
     ValueOverflowError,
     ZeroWeightError,
 )
@@ -37,7 +38,7 @@ def _as_value(v) -> Value:
         return INF
     f = float(v)
     if not np.isfinite(f):
-        raise ValueError("values must be finite floats or INF")
+        raise NonFiniteError("values must be finite floats or INF")
     return f
 
 

@@ -20,6 +20,7 @@ IEEE infinities are ever formed).
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,6 +30,7 @@ from .errors import (
     DegenerateError,
     DimensionError,
     IndeterminateError,
+    NonFiniteError,
     SingularError,
 )
 from .grassmann import SubspacePoint
@@ -65,7 +67,10 @@ def _homogeneous(v) -> tuple[complex, complex]:
     """Extended scalar -> homogeneous pair (p, q) with value p/q; INF -> (1, 0)."""
     if is_inf(v):
         return (1.0 + 0j, 0j)
-    return (complex(v), 1.0 + 0j)
+    z = complex(v)
+    if not cmath.isfinite(z):  # a float inf or nan is not the point INF
+        raise NonFiniteError("scalar values must be finite numbers or INF")
+    return (z, 1.0 + 0j)
 
 
 def _is_real_value(v) -> bool:
@@ -148,7 +153,7 @@ def _graph_coords(frame: np.ndarray, point: SubspacePoint) -> tuple[np.ndarray, 
 
 
 # Product of two transversality margins at or above which a graph block of
-# kernel is invertible by the margins alone (see _kernel).
+# kernel is invertible by the margins alone (see kernel).
 _MARGIN_PRODUCT_BOUND = 1e-6
 
 
@@ -160,18 +165,10 @@ def kernel(x: SubspacePoint, a: SubspacePoint, b: SubspacePoint,
     the graph map of b and eta: x -> a the graph map of y, both w.r.t.
     the splitting A^2 = a (+) x.  CR(y, b; x, a) := K_{x,a}(b, y).
     """
-    return _kernel(x, a, b, y)
-
-
-def _kernel(x: SubspacePoint, a: SubspacePoint, b: SubspacePoint, y: SubspacePoint,
-            margins=None) -> EndoX:
-    """kernel(x, a, b, y); margins of (x, a), (b, x), (y, a) passed in come checked."""
-    if margins is None:
-        margins = grassmann._require_transversal((
-            (x, a, "kernel needs transversal reference pair (x, a)"),
-            (b, x, "kernel needs b in U_x"),
-            (y, a, "kernel needs y in U_a")))
-    m_xa, m_bx, m_ya = margins
+    m_xa, m_bx, m_ya = grassmann._require_transversal((
+        (x, a, "kernel needs transversal reference pair (x, a)"),
+        (b, x, "kernel needs b in U_x"),
+        (y, a, "kernel needs y in U_a")))
     frame = np.hstack([a.basis, x.basis])
     c, d = _graph_coords(frame, b)    # b = A c + X d, graph of beta: a -> x
     # [B | X] = [A | X] [[c, 0], [d, I]], so cond(c) <= cond([B | X]) cond([A | X])

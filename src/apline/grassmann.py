@@ -60,9 +60,9 @@ class SubspacePoint:
 
     def __init__(self, columns):
         cols = np.asarray(columns, dtype=complex)
-        if cols.ndim != 2 or cols.shape[0] != 2 * cols.shape[1]:
+        if cols.ndim != 2 or cols.shape[0] != 2 * cols.shape[1] or not cols.size:
             raise DimensionError(
-                f"a point of the projective line needs a 2n x n basis, got {cols.shape}")
+                f"a point of the projective line needs a 2n x n basis, n >= 1, got {cols.shape}")
         if not np.isfinite(cols).all():
             raise NonFiniteError("basis entries must be finite")
         s = np.linalg.svd(cols, compute_uv=False)
@@ -364,10 +364,13 @@ def scalar_action(r, a: SubspacePoint, x: SubspacePoint,
     fixed for r != 0 and r = 0 sends everything to the origin.  (In the
     standard frame a = infinity, x = 0 this is chart(c) -> chart(r c).)
     """
+    r = complex(r)
+    if not np.isfinite(r):
+        raise NonFiniteError("scalar_action needs a finite scalar")
     _require_transversal(((x, a, "scalar_action needs transversal (x, a)"),
                           (y, a, "scalar_action needs y in U_a")))
     # (x, a) was checked above; [A | X] and [X | A] share singular values
-    m = complex(r) * _projector(a, x) + _projector(x, a)
+    m = r * _projector(a, x) + _projector(x, a)
     return SubspacePoint(m @ y.basis)
 
 
@@ -380,8 +383,8 @@ class ProjectiveMap:
 
     def __init__(self, rep):
         rep = np.asarray(rep, dtype=complex)
-        if rep.ndim != 2 or rep.shape[0] != rep.shape[1] or rep.shape[0] % 2:
-            raise DimensionError(f"projective map rep must be 2n x 2n, got {rep.shape}")
+        if rep.ndim != 2 or rep.shape[0] != rep.shape[1] or rep.shape[0] % 2 or not rep.size:
+            raise DimensionError(f"projective map rep must be 2n x 2n, n >= 1, got {rep.shape}")
         if not algebra.is_invertible(rep):
             raise SingularError("projective map rep is singular")
         self._set_rep(rep)

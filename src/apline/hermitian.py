@@ -31,6 +31,7 @@ import numpy as np
 from . import algebra, grassmann
 from .errors import (
     NoCommonChartError,
+    NonFiniteError,
     NotHermitianError,
     NotInUniverseError,
     NotRankOneError,
@@ -175,6 +176,8 @@ def _pole_projectors(n: int) -> tuple[np.ndarray, np.ndarray]:
 
 def s1_action_map(theta: float, n: int) -> ProjectiveMap:
     """The invertible map e^{i theta} P(im N, ker S) + P(im S, ker N)."""
+    if not np.isfinite(theta):
+        raise NonFiniteError("the circle action needs a finite angle")
     p_north, p_south = _pole_projectors(n)
     # N is orthogonal to S: e^{i theta} P_N + P_S is unitary
     return ProjectiveMap._invertible(np.exp(1j * theta) * p_north + p_south)
@@ -429,7 +432,12 @@ def arithmetic_distance(x: SubspacePoint, y: SubspacePoint, rng=None) -> int:
 
 
 def is_rank_one_pair(x: SubspacePoint, y: SubspacePoint) -> bool:
-    return arithmetic_distance(x, y) == 1
+    """Whether (x, y) is a rank-one pair: whether line_family(x, y) succeeds."""
+    try:
+        line_family(x, y)
+    except NotRankOneError:
+        return False
+    return True
 
 
 class LineFamily:
@@ -513,13 +521,13 @@ def line_family(x: SubspacePoint, y: SubspacePoint,
                 chart_point: SubspacePoint | None = None) -> LineFamily:
     """Parametrize the intrinsic line through the rank-one pair (x, y).
 
-    The rank-one test is is_rank_one_pair's: the LineFamily constructor
-    runs it on the chart values in the common chart that
-    is_rank_one_pair would find, and its SVD also gives the direction's
-    factors.  Without chart_point that family is the result, so the
-    chart search and the SVD run once.  For n >= 2 a pair whose margins
-    prove rank n (_has_full_chart_rank) is rejected before any chart
-    value is computed.  An explicit chart_point then re-frames the pair,
+    This is the one rank-one test (is_rank_one_pair asks it): the
+    LineFamily constructor takes the rank of the chart difference in the
+    common chart of arithmetic_distance, and its SVD also gives the
+    direction's factors.  Without chart_point that family is the result,
+    so the chart search and the SVD run once.  For n >= 2 a pair whose
+    margins prove rank n (_has_full_chart_rank) is rejected before any
+    chart value is computed.  An explicit chart_point then re-frames the pair,
     and the re-framed family factors its own direction.  The completed
     line is chart-independent as a set, but the parameter t of point(t)
     is not: pass chart_point to compare them.

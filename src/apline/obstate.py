@@ -18,12 +18,12 @@ transversal to 0 = span[I; 0] for every w.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import algebra, grassmann, hermitian
-from .crossratio import INF, _kernel, classical_cr, is_inf, kernel  # noqa: F401 - obstate.kernel stays importable
+from .crossratio import INF, classical_cr, is_inf, kernel
 from .errors import (
     DimensionError,
     MembershipError,
@@ -63,9 +63,6 @@ class Obstate:
     ref_observable: SubspacePoint
     ref_state: SubspacePoint
     strong: bool
-    # margins of [A0 | Winf], [W | A0], [A | Winf] as new_obstate checked them,
-    # in kernel order; a copy made otherwise starts without them
-    _margins: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def n(self) -> int:
@@ -83,16 +80,14 @@ def new_obstate(A: SubspacePoint, W: SubspacePoint, A0: SubspacePoint,
                                ("reference state Winf", Winf, "Rprime")):
         if not hermitian.membership(point, space):
             raise MembershipError(f"{name} is not a point of {space}")
-    margins = grassmann._require_transversal((
+    grassmann._require_transversal((
         (A0, Winf, "A0 and Winf are not transversal"),
         (W, A0, "A0 and W are not transversal"),
         (A, Winf, "A and Winf are not transversal")), TransversalityError)
     # A0 in R already puts it in R_{N,S} (see hermitian.membership)
     if strong and not grassmann.is_orthocomplement(A0.basis, Winf.basis):
         raise NotAntipodalError("strong obstate needs Winf = alpha(A0)")
-    o = Obstate(A, W, A0, Winf, bool(strong))
-    object.__setattr__(o, "_margins", margins)
-    return o
+    return Obstate(A, W, A0, Winf, bool(strong))
 
 
 def state_from_density(w) -> SubspacePoint:
@@ -112,10 +107,13 @@ def state_from_density(w) -> SubspacePoint:
 def pure_state_point(psi) -> SubspacePoint:
     """The state point of a unit ray: density psi psi* / <psi, psi>."""
     psi = np.asarray(psi, dtype=complex).reshape(-1, 1)
-    nrm2 = float(np.vdot(psi, psi).real)
-    if nrm2 == 0.0:
+    if not np.isfinite(psi).all():
+        raise NonFiniteError("pure states need a finite vector")
+    if not psi.any():
         raise ValueError("pure states need a nonzero vector")
-    return point_from_cochart(psi @ psi.conj().T / nrm2)
+    # an exact power-of-two rescale: the same bits, and <psi, psi> cannot overflow
+    psi = psi * algebra._pow2_scale(psi)
+    return point_from_cochart(psi @ psi.conj().T / float(np.vdot(psi, psi).real))
 
 
 def standard_obstate(a, w) -> Obstate:
@@ -130,10 +128,10 @@ def expectation(o: Obstate) -> complex:
     """trace of the operator cross-ratio CR(A, W; A0, Winf).
 
     Equals trace(w a) in the standard frame; invariant under transport
-    of all four slots by any automorphism of (S, tau).  The kernel's three
-    transversalities are new_obstate's, so their margins are reused.
+    of all four slots by any automorphism of (S, tau).  In the frame
+    (0, infinity) the kernel reads its three margins from the points' memos.
     """
-    return _kernel(o.ref_observable, o.ref_state, o.state, o.observable, o._margins).trace
+    return kernel(o.ref_observable, o.ref_state, o.state, o.observable).trace
 
 
 def transport(o: Obstate, g: grassmann.ProjectiveMap) -> Obstate:
@@ -212,7 +210,7 @@ def _distribution(a: np.ndarray, w: np.ndarray) -> list[tuple[float, float]]:
 # --- purity, positivity, cyclic order --------------------------------------------
 
 def is_pure(o: Obstate) -> bool:
-    """Whether (W, Winf) is a rank-one pair."""
+    """Whether (W, Winf) is a rank-one pair: line_family decides, as for report's "pure"."""
     return hermitian.is_rank_one_pair(o.state, o.ref_state)
 
 
@@ -220,27 +218,17 @@ def is_pure(o: Obstate) -> bool:
 _ORDER_ERRORS = (NotInChartError, NotTransversalError, NotHermitianError)
 
 
-def _on_arc(o: Obstate, points):
-    """For each z of points, whether (A0, z, Winf) is cyclically ordered (lazily).
-
-    The cut at Winf and A0's order value are computed once for all of them.
-    """
+def _on_arc(o: Obstate, z: SubspacePoint) -> bool:
+    """Whether (A0, z, Winf) is cyclically ordered."""
     try:
-        value = hermitian._order_chart(o.ref_state)
-        base = value(o.ref_observable)
+        return hermitian.cyclic_triple(o.ref_observable, z, o.ref_state)
     except _ORDER_ERRORS:
-        yield from (False for _ in points)
-        return
-    for z in points:
-        try:
-            yield algebra.is_psd(value(z) - base)
-        except _ORDER_ERRORS:
-            yield False
+        return False
 
 
 def is_positive(o: Obstate) -> bool:
     """Whether (A0, W, Winf) is cyclically ordered."""
-    return all(_on_arc(o, (o.state,)))
+    return _on_arc(o, o.state)
 
 
 def is_cyclically_ordered(o: Obstate) -> bool:
@@ -253,7 +241,7 @@ def is_cyclically_ordered(o: Obstate) -> bool:
     expectation; the order used here is the one that makes the
     positivity consequence true.)
     """
-    return all(_on_arc(o, (o.observable, o.state)))
+    return _on_arc(o, o.observable) and _on_arc(o, o.state)
 
 
 # --- pure-state expectation through the intrinsic line ----------------------------
@@ -392,9 +380,7 @@ def report(o: Obstate) -> dict:
     except NonUniqueCompletionError as exc:
         pure_out = {"pure_expectation_error": str(exc)}
     out["pure"] = bool(pure_out)
-    on_arc = _on_arc(o, (o.state, o.observable))
-    positive = next(on_arc)
-    out["positive"] = positive
-    out["cyclically_ordered"] = positive and next(on_arc)
+    out["positive"] = is_positive(o)
+    out["cyclically_ordered"] = out["positive"] and _on_arc(o, o.observable)
     out.update(pure_out)
     return out

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -158,6 +160,16 @@ def test_kernel_still_rejects_degenerate_graph_blocks_below_the_margin_bound():
         assert min(m_bx, m_ya) * m_xa < crossratio._MARGIN_PRODUCT_BOUND
         with pytest.raises(SingularError, match=f"decomposition of {degenerate} is degenerate"):
             crossratio.kernel(x, a, b, y)
+
+
+def test_kernel_warns_at_its_callers_line():
+    y = grassmann.point_from_chart(np.diag([1e7, 1.0]))  # margin to infinity about 5e-8
+    with warnings.catch_warnings(record=True) as record:
+        warnings.simplefilter("always")
+        crossratio.kernel(grassmann.zero_point(2), grassmann.infinity_point(2),
+                          grassmann.point_from_cochart(np.eye(2)), y)
+    assert [(r.category, r.filename) for r in record] == [
+        (grassmann.TransversalityWarning, __file__)]
 
 
 @pytest.mark.filterwarnings("ignore::apline.grassmann.TransversalityWarning")

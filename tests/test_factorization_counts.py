@@ -168,3 +168,40 @@ def test_warm_frame_pure_report_svd_count(counts, cold_base_points):
     obstate.report(o)
     # likewise one QR and two SVDs below the cold count
     assert counts == {"svd": 9, "qr": 3}
+
+
+def test_warm_mixed_is_pure_runs_no_svd(counts, cold_base_points):
+    o = _mixed_obstate(4, 19)
+    obstate.report(o)
+    _reset(counts)
+    assert not obstate.is_pure(o)
+    # line_family's decision, as for the report's pure: every margin of the chart
+    # search and of the rank certificate is cached on W, 0 and infinity
+    assert counts == {"svd": 0, "qr": 0}
+
+
+def _transported_obstate(seed):
+    return obstate.transport(_mixed_obstate(4, seed),
+                             hermitian.u_group_random(4, np.random.default_rng(seed)))
+
+
+def test_transported_frame_expectation_svd_count(counts, cold_base_points):
+    o = _transported_obstate(31)
+    _reset(counts)
+    obstate.expectation(o)
+    # the kernel's three margins: no slot is a base point whose memo could keep them
+    assert counts == {"svd": 3, "qr": 0}
+
+
+def test_transported_frame_report_svd_count(counts, cold_base_points):
+    obstate.report(_transported_obstate(30))
+    o = _transported_obstate(31)
+    _reset(counts)
+    obstate.report(o)
+    # expectation: 3 (see above); normal form: 2 chart blocks and the QRs of the
+    # transport and of A and W moved by it; pure test: the chart search's margins of
+    # W and Winf to infinity, the certificate's (W, Winf) margin, which leaves the rank
+    # to the chart path here, 2 chart blocks and the rank SVD; cyclic order cut at
+    # Winf: Winf's chart, then A0's and W's charts and gaps for the positive state,
+    # and A0's gap again with A's chart and gap for the observable
+    assert counts == {"svd": 19, "qr": 3}

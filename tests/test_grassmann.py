@@ -1,10 +1,13 @@
 import re
+import warnings
 
 import numpy as np
 import pytest
 
-from apline import algebra, grassmann, obstate
+from apline import algebra, classical, crossratio, grassmann, hermitian, obstate
+from apline.crossratio import INF
 from apline.errors import (
+    DimensionError,
     NonFiniteError,
     NotInChartError,
     NotTransversalError,
@@ -285,3 +288,66 @@ def test_a_non_finite_basis_is_an_error_that_names_it(build, value):
     with pytest.raises(NonFiniteError, match="must be finite") as info:
         build(value)
     assert "scale" not in str(info.value)
+
+
+def _circle_point():
+    return grassmann.point_from_chart(np.diag([1.0, -2.0]))
+
+
+def _scalar_action(r):
+    n = 2
+    return grassmann.scalar_action(r, grassmann.infinity_point(n), grassmann.zero_point(n),
+                                   grassmann.point_from_chart(np.eye(n)))
+
+
+_EMPTY = np.zeros((0, 0))
+
+
+@pytest.mark.parametrize("call, error, match", [
+    (lambda: hermitian.s1_action(np.nan, _circle_point()), NonFiniteError, "finite angle"),
+    (lambda: hermitian.s1_action(np.inf, _circle_point()), NonFiniteError, "finite angle"),
+    (lambda: hermitian.s1_action_map(np.nan, 2), NonFiniteError, "finite angle"),
+    (lambda: _scalar_action(np.inf), NonFiniteError, "finite scalar"),
+    (lambda: _scalar_action(np.nan), NonFiniteError, "finite scalar"),
+    (lambda: crossratio.classical_cr(np.nan, 0.0, 1.0, 2.0), NonFiniteError, "finite"),
+    (lambda: crossratio.classical_cr(np.inf, 0.0, 1.0, INF), NonFiniteError, "finite"),
+    (lambda: crossratio.ratio(np.nan, 1.0, 0.0), NonFiniteError, "finite"),
+    (lambda: crossratio.proj_equal(np.nan, 1.0), NonFiniteError, "finite"),
+    (lambda: crossratio.proj_equal(np.inf, INF), NonFiniteError, "finite"),
+    (lambda: classical.ClassicalFn([1.0, np.inf]), NonFiniteError,
+     "^values must be finite floats or INF$"),
+    (lambda: obstate.pure_state_point([np.inf, 1.0]), NonFiniteError, "finite vector"),
+    (lambda: obstate.pure_state_point([np.nan, 1.0]), NonFiniteError, "finite vector"),
+    (lambda: algebra.as_matrix(_EMPTY), DimensionError, "n >= 1"),
+    (lambda: algebra.is_invertible(_EMPTY), DimensionError, "n >= 1"),
+    (lambda: grassmann.SubspacePoint(_EMPTY), DimensionError, "n >= 1"),
+    (lambda: grassmann.ProjectiveMap(_EMPTY), DimensionError, "n >= 1"),
+    (lambda: grassmann.zero_point(0), DimensionError, "n >= 1"),
+    (lambda: grassmann.random_point(0, 5), DimensionError, "n >= 1"),
+    (lambda: grassmann.identity_map(0), DimensionError, "n >= 1"),
+    (lambda: obstate.standard_obstate(_EMPTY, _EMPTY), DimensionError, "n >= 1"),
+], ids=["s1-nan", "s1-inf", "s1-map-nan", "scalar-action-inf", "scalar-action-nan",
+        "cr-nan", "cr-float-inf", "ratio-nan", "proj-equal-nan", "proj-equal-float-inf",
+        "classical-value-inf", "pure-inf", "pure-nan", "as-matrix-n0", "is-invertible-n0",
+        "point-n0", "map-n0", "zero-point-n0", "random-point-n0", "identity-map-n0",
+        "standard-obstate-n0"])
+def test_a_boundary_input_is_a_typed_error(call, error, match):
+    # never a NaN result, a numpy RuntimeWarning or an IndexError
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(error, match=match):
+            call()
+
+
+def test_pure_state_point_rescales_its_vector_exactly():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # <psi, psi> of 1e200 entries would overflow
+        point = obstate.pure_state_point([1e200, 1e200])
+    want = grassmann.point_from_cochart(np.full((2, 2), 0.5))
+    assert point.basis.tobytes() == want.basis.tobytes()
+    rng = np.random.default_rng(78)
+    for k in range(50):  # a power-of-two rescale keeps the unscaled formula's bits
+        psi = (rng.standard_normal((1 + k % 5, 1)) + 1j * rng.standard_normal((1 + k % 5, 1))
+               ) * 10.0 ** rng.integers(-30, 30)
+        want = grassmann.point_from_cochart(psi @ psi.conj().T / np.vdot(psi, psi).real)
+        assert obstate.pure_state_point(psi).basis.tobytes() == want.basis.tobytes()

@@ -1,5 +1,4 @@
 import dataclasses
-import warnings
 
 import numpy as np
 import pytest
@@ -424,33 +423,24 @@ def test_report_order_flags_match_the_public_predicates():
     assert seen == {(False, False), (True, False), (True, True)}
 
 
-def test_new_obstate_keeps_the_kernel_margins():
+def test_expectation_of_a_copy_or_hand_built_obstate_has_the_same_bits():
     for o in _obstates_of_every_kind():
-        want = tuple(grassmann.transversality_margin(p, q) for p, q in (
-            (o.ref_observable, o.ref_state), (o.state, o.ref_observable),
-            (o.observable, o.ref_state)))
-        assert o._margins == want
-        # a copy or a hand-built obstate has none and computes them: same value, same bits
         for bare in (dataclasses.replace(o),
                      obstate.Obstate(o.observable, o.state, o.ref_observable,
                                      o.ref_state, o.strong)):
-            assert bare._margins is None
             assert bare == o
             assert obstate.expectation(bare) == obstate.expectation(o)
-    assert "_margins" not in repr(o)
 
 
-def test_expectation_does_not_repeat_new_obstates_warning():
+def test_expectation_warns_near_the_threshold_like_every_guarded_call():
     a = np.diag([1e7, 1.0])  # margin of (A, Winf) about 5e-8: within a decade of 1e-8
+    w = np.diag([0.5, 0.5])
     with pytest.warns(grassmann.TransversalityWarning):
-        o = obstate.standard_obstate(a, np.diag([0.5, 0.5]))
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", grassmann.TransversalityWarning)
+        o = obstate.standard_obstate(a, w)
+    with pytest.warns(grassmann.TransversalityWarning) as record:
         ev = obstate.expectation(o)
-    assert ev == pytest.approx(np.trace(np.diag([0.5, 0.5]) @ a))
-    bare = obstate.Obstate(o.observable, o.state, o.ref_observable, o.ref_state, o.strong)
-    with pytest.warns(grassmann.TransversalityWarning):
-        assert obstate.expectation(bare) == ev
+    assert ev == pytest.approx(np.trace(w @ a))
+    assert [r.filename for r in record] == [obstate.__file__]  # the kernel's caller
 
 
 # (n, sigma_2 / sigma_1 of the density, pure in the standard frame, pure moved by U)
