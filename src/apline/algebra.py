@@ -325,5 +325,7 @@ def random_psd(n: int, rng) -> np.ndarray:
 
 def random_density(n: int, rng) -> np.ndarray:
     """Random density matrix: normalized Wishart (psd, trace one, full rank a.s.)."""
+    if n < 1:
+        raise DimensionError(f"a density matrix needs size n >= 1, got {n}")
     w = random_psd(n, rng)
     return w / np.trace(w).real

@@ -14,7 +14,7 @@ import json
 
 import click
 
-from . import DEFAULT_TRIALS, algebra, classical, obstate
+from . import DEFAULT_TRIALS, algebra, obstate
 from .crossratio import INF, classical_cr, is_inf
 from .errors import AplineError
 
@@ -230,6 +230,8 @@ main.add_command(classical_cmd, name="classical")
 @click.argument("path", type=click.Path(exists=True, dir_okay=False))
 def classical_pairing(path: str) -> None:
     """Pairing sum(mu_p f_p g_p) from a file with entries mu, f, g."""
+    from . import classical  # the classical model loads only for its commands
+
     problem = _load_classical_problem(path)
     mu_w, f_v, g_v = _need(problem, ("mu", "f", "g"), path)
     try:
@@ -249,6 +251,8 @@ def classical_obstate(path: str) -> None:
     Needs entries f, f1, f0, finf; when mu and h are also present, the
     paired expectation is reported as well.
     """
+    from . import classical
+
     problem = _load_classical_problem(path)
     f_v, f1_v, f0_v, finf_v = _need(problem, ("f", "f1", "f0", "finf"), path)
     try:

@@ -145,13 +145,6 @@ class EndoX:
         return complex(np.linalg.det(self.matrix))
 
 
-def _graph_coords(frame: np.ndarray, point: SubspacePoint) -> tuple[np.ndarray, np.ndarray]:
-    """Solve frame [c; d] = basis(point); frame columns are [A | X]."""
-    n = point.n
-    cd = np.linalg.solve(frame, point.basis)
-    return cd[:n, :], cd[n:, :]
-
-
 # Product of two transversality margins at or above which a graph block of
 # kernel is invertible by the margins alone (see kernel).
 _MARGIN_PRODUCT_BOUND = 1e-6
@@ -169,14 +162,16 @@ def kernel(x: SubspacePoint, a: SubspacePoint, b: SubspacePoint,
         (x, a, "kernel needs transversal reference pair (x, a)"),
         (b, x, "kernel needs b in U_x"),
         (y, a, "kernel needs y in U_a")))
-    frame = np.hstack([a.basis, x.basis])
-    c, d = _graph_coords(frame, b)    # b = A c + X d, graph of beta: a -> x
+    n = x.n
+    # one solve of [A | X] [[c, cy], [d, dy]] = [B | Y]: b = A c + X d is the graph
+    # of beta: a -> x, and y = A cy + X dy the graph of eta: x -> a
+    coords = np.linalg.solve(np.hstack([a.basis, x.basis]), np.hstack([b.basis, y.basis]))
+    c, d, cy, dy = coords[:n, :n], coords[n:, :n], coords[:n, n:], coords[n:, n:]
     # [B | X] = [A | X] [[c, 0], [d, I]], so cond(c) <= cond([B | X]) cond([A | X])
     # and sigma_min(c) / sigma_max(c) >= m_bx m_xa: the check below cannot fail
     if m_bx * m_xa < _MARGIN_PRODUCT_BOUND and not algebra.is_invertible(c):
         raise SingularError("graph decomposition of b is degenerate")
     beta = d @ np.linalg.inv(c)
-    cy, dy = _graph_coords(frame, y)  # y = A cy + X dy, graph of eta: x -> a
     # [A | Y] = [A | X] [[I, cy], [0, dy]]: likewise sigma_min(dy) / sigma_max(dy) >= m_ya m_xa
     if m_ya * m_xa < _MARGIN_PRODUCT_BOUND and not algebra.is_invertible(dy):
         raise SingularError("graph decomposition of y is degenerate")

@@ -28,6 +28,7 @@ infinity, which transversality_margin reads from the memo.
 
 from __future__ import annotations
 
+import math
 import warnings
 from functools import lru_cache, wraps
 
@@ -42,10 +43,12 @@ from .errors import (
     NotTransversalError,
     ResamplingExhausted,
     SingularError,
+    ValueOverflowError,
 )
 
 # Smallest/largest singular value ratio of [basis(x) | basis(a)] above
-# which two points count as transversal.
+# which two points count as transversal: tan(theta_1 / 2) for their smallest
+# principal angle theta_1, computed from its sine (see transversality_margin).
 TRANSVERSALITY_RTOL = 1e-8
 
 
@@ -65,10 +68,10 @@ class SubspacePoint:
                 f"a point of the projective line needs a 2n x n basis, n >= 1, got {cols.shape}")
         if not np.isfinite(cols).all():
             raise NonFiniteError("basis entries must be finite")
-        s = np.linalg.svd(cols, compute_uv=False)
+        # cols = Q R with Q orthonormal, so cols and the n x n factor R share singular values
+        s = np.linalg.svd(self._canonicalize(cols), compute_uv=False)
         if s[-1] <= TOL_INV * max(s[0], 1e-300):
             raise SingularError("basis columns are rank deficient")
-        self._canonicalize(cols)
 
     @classmethod
     def _full_rank(cls, columns: np.ndarray) -> "SubspacePoint":
@@ -81,12 +84,23 @@ class SubspacePoint:
         x._canonicalize(np.asarray(columns, dtype=complex))
         return x
 
-    def _canonicalize(self, cols: np.ndarray) -> None:
+    def _canonicalize(self, cols: np.ndarray) -> np.ndarray:
+        """Store the orthonormal factor Q of cols = Q R and return R.
+
+        Finite columns near the float range can overflow in the QR; that
+        is an error naming their scale, never a NaN basis.
+        """
+        q, r = np.linalg.qr(cols)
+        if not (np.isfinite(q).all() and np.isfinite(r).all()):
+            scale = max(np.abs(cols.real).max(), np.abs(cols.imag).max())  # |z| could overflow
+            raise ValueOverflowError(
+                f"basis of scale {scale:.3e} (largest real or imaginary part) overflows "
+                f"the float range in its QR factorization")
         self.n = cols.shape[1]
-        q, _ = np.linalg.qr(cols)
         q.setflags(write=False)
         self.basis = q
         self._memo = {}
+        return r
 
     @property
     def projector(self) -> np.ndarray:
@@ -257,8 +271,13 @@ def cochart_repr(x: SubspacePoint) -> np.ndarray:
 def transversality_margin(x: SubspacePoint, a: SubspacePoint) -> float:
     """sigma_min / sigma_max of the 2n x 2n concatenation [basis(x) | basis(a)].
 
-    When a is the shared base point 0 or infinity, the margin is a value
-    of x alone and is cached on x.
+    For orthonormal X and A the singular values of [X | A] are
+    sqrt(1 +- cos theta_i) over the principal angles theta_i between the
+    points, so the ratio is tan(theta_1 / 2) = s / (1 + sqrt(1 - s^2)) for
+    the smallest angle theta_1 and its sine s = sigma_min(A - X (X* A)):
+    one 2n x n SVD, and no cancellation at small angles.  When a is the
+    shared base point 0 or infinity, the margin is a value of x alone and
+    is cached on x.
     """
     if x.n != a.n:
         raise DimensionError(f"dimension mismatch: {x.n} vs {a.n}")
@@ -267,8 +286,9 @@ def transversality_margin(x: SubspacePoint, a: SubspacePoint) -> float:
 
 
 def _margin(x: SubspacePoint, a: SubspacePoint) -> float:
-    s = np.linalg.svd(np.hstack([x.basis, a.basis]), compute_uv=False)
-    return float(s[-1] / max(s[0], 1e-300))
+    sines = np.linalg.svd(a.basis - x.basis @ (x.basis.conj().T @ a.basis), compute_uv=False)
+    s = min(float(sines[-1]), 1.0)
+    return s / (1.0 + math.sqrt(1.0 - s * s))
 
 
 @_memoized

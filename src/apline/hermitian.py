@@ -256,7 +256,9 @@ def unitary_torsor(x: SubspacePoint, y: SubspacePoint,
     north, south = poles(x.n)
     # torsor_product(x, y, z, south, north) less its pole checks: pole margins are sqrt(2) - 1
     m = grassmann._projector(x, south) - grassmann._projector(north, z)
-    return SubspacePoint(m @ y.basis)
+    # m = C [[0, u_z^-1], [u_x, 0]] C^-1 and C / sqrt 2 is unitary, so m is unitary up to
+    # membership's tolerance and m Y has condition number ~ 1
+    return SubspacePoint._full_rank(m @ y.basis)
 
 
 @grassmann._memoized

@@ -37,6 +37,7 @@ from .errors import (
     NotStrongError,
     NotTransversalError,
     TransversalityError,
+    ZeroWeightError,
 )
 from .grassmann import (
     SubspacePoint,
@@ -63,10 +64,6 @@ class Obstate:
     ref_observable: SubspacePoint
     ref_state: SubspacePoint
     strong: bool
-
-    @property
-    def n(self) -> int:
-        return self.observable.n
 
 
 def new_obstate(A: SubspacePoint, W: SubspacePoint, A0: SubspacePoint,
@@ -109,8 +106,10 @@ def pure_state_point(psi) -> SubspacePoint:
     psi = np.asarray(psi, dtype=complex).reshape(-1, 1)
     if not np.isfinite(psi).all():
         raise NonFiniteError("pure states need a finite vector")
+    if not psi.size:
+        raise DimensionError("pure states need a vector of length n >= 1")
     if not psi.any():
-        raise ValueError("pure states need a nonzero vector")
+        raise ZeroWeightError("pure states need a nonzero vector")
     # an exact power-of-two rescale: the same bits, and <psi, psi> cannot overflow
     psi = psi * algebra._pow2_scale(psi)
     return point_from_cochart(psi @ psi.conj().T / float(np.vdot(psi, psi).real))

@@ -146,3 +146,8 @@ def test_matrix_json_size_must_be_a_whole_number(n):
 def test_matrix_json_rejects_what_is_not_a_matrix(obj):
     with pytest.raises(ValueError, match="matrix JSON"):
         algebra.matrix_from_json(obj)
+
+
+def test_random_density_of_size_zero_is_a_dimension_error():
+    with pytest.raises(DimensionError, match="n >= 1"):
+        algebra.random_density(0, np.random.default_rng(0))

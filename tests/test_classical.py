@@ -90,7 +90,7 @@ def test_interval_contains_matches_cyclic_order():
 
 
 @given(finite, finite, finite, finite)
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=300, deadline=None, derandomize=True)
 def test_separation_iff_negative_cr(a, b, c, d):
     vals = (a, b, c, d)
     if any(abs(x - y) < 1e-3 for i, x in enumerate(vals)

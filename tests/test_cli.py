@@ -335,9 +335,11 @@ def test_expect_and_import_start_without_scipy():
         # a name deleted from a module but left in __all__ fails here
         assert [name for name in apline.__all__ if not hasattr(apline, name)] == []
         import apline.cli
+        assert "apline.classical" not in sys.modules
         res = CliRunner().invoke(apline.cli.main, ["expect", "sample_inputs/expect_diag.json"])
         assert res.exit_code == 0, res.output
         assert "scipy" not in sys.modules
+        assert "apline.classical" not in sys.modules
         omega = hermitian.omega_matrix(2)
         for g in (hermitian.u_group_random(2, 0), hermitian.aut_omega_random(2, 0)):
             assert np.allclose(g.rep.conj().T @ omega @ g.rep, omega)

@@ -43,7 +43,7 @@ def test_ratio_is_cr_with_inf():
 
 
 @given(finite, finite, finite, finite)
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=200, deadline=None, derandomize=True)
 def test_cr_pair_symmetries(a, b, c, d):
     if not separated(a, b, c, d):
         return
@@ -54,7 +54,7 @@ def test_cr_pair_symmetries(a, b, c, d):
 
 
 @given(finite, finite, finite)
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=200, deadline=None, derandomize=True)
 def test_cr_normalizes_the_standard_frame(a, b, c):
     if not separated(a, b, c):
         return

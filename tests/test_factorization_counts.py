@@ -52,8 +52,8 @@ def test_unitary_torsor_runs_no_pole_margin_svd(counts):
     hermitian.poles(3)
     _reset(counts)
     hermitian.unitary_torsor(x, y, z)
-    # the one SVD left is the rank check of the result point
-    assert counts == {"svd": 1, "qr": 1}
+    # m is unitary, so the result point needs no rank SVD either; the QR canonicalizes it
+    assert counts == {"svd": 0, "qr": 1}
 
 
 def test_cayley_to_unitary_runs_no_svd_on_the_constant_map(counts):
@@ -99,6 +99,21 @@ def test_kernel_of_a_well_separated_quadruple_runs_only_its_three_margins(counts
     crossratio.kernel(x, a, b, y)
     # the margins bound both graph blocks' condition, so neither block runs its own SVD
     assert counts == {"svd": 3, "qr": 0}
+
+
+def test_kernel_runs_one_solve(monkeypatch):
+    rng = np.random.default_rng(19)
+    x, a, b, y = (grassmann.random_point(4, rng) for _ in range(4))
+    solves = []
+    solve = np.linalg.solve
+
+    def counted(*args):
+        solves.append(args)
+        return solve(*args)
+    monkeypatch.setattr(np.linalg, "solve", counted)
+    crossratio.kernel(x, a, b, y)
+    # b and y share the frame [A | X], so one solve gives both graph decompositions
+    assert len(solves) == 1
 
 
 @pytest.mark.parametrize("make", [grassmann.point_from_chart, grassmann.point_from_cochart])

@@ -12,6 +12,7 @@ from apline.errors import (
     NotInChartError,
     NotTransversalError,
     SingularError,
+    ValueOverflowError,
 )
 
 RNG = np.random.default_rng(77)
@@ -162,6 +163,61 @@ def test_full_rank_constructor_matches_the_public_one_bitwise(n):
         assert got.n == want.n == n
         assert got.basis.tobytes() == want.basis.tobytes()
         assert not got.basis.flags.writeable
+
+
+@pytest.mark.parametrize("build, value", [
+    (grassmann.SubspacePoint, np.array([[1.5e308], [1.5e308]])),
+    (grassmann.SubspacePoint, np.array([[1e308], [1e308]])),
+    (grassmann.SubspacePoint, np.array([[1.5e308 + 1.5e308j], [1.0]])),
+    (grassmann.SubspacePoint, np.array([[1e308, 0.0], [1e308, 0.0], [0.0, 1.0], [0.0, 1.0]])),
+    (grassmann.point_from_cochart, np.full((2, 2), 1e308)),
+    (obstate.state_from_density, np.diag([1e308, 1e308])),
+    (lambda rep: grassmann.apply_map(grassmann.ProjectiveMap(rep), grassmann.one_point(1)),
+     np.diag([1.7e308, 1.7e308])),
+], ids=["column-1.5e308", "column-1e308", "complex-entry", "two-columns", "cochart", "density", "apply-map"])
+def test_a_basis_that_overflows_its_qr_is_a_scale_error_never_a_nan_basis(build, value):
+    # finite entries whose column norms overflow in the QR: named by scale, not a NaN basis
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueOverflowError, match=r"^basis of scale \d\.\d{3}e\+308 "):
+            build(value)
+
+
+def _concatenated_margin(x, a):
+    """The margin by its definition, sigma_min / sigma_max of the 2n x 2n [X | A]."""
+    s = np.linalg.svd(np.hstack([x.basis, a.basis]), compute_uv=False)
+    return float(s[-1] / max(s[0], 1e-300))
+
+
+@pytest.mark.parametrize("n", [1, 2, 4, 8, 16])
+def test_sine_margin_matches_the_half_angle_tangent_as_closely_as_the_concatenated_svd(n):
+    # X = [U; 0] and A = [C V; S V], with C and S the cosines and sines of principal
+    # angles whose smallest is theta, so the margin is tan(theta / 2); the constructor's
+    # QR keeps A's small rows to their own relative precision, so that value is exact
+    # to rounding.  At n = 1, [X | A] is a column permutation of a triangular 2 x 2,
+    # whose SVD is exact to rounding too; there the sine margin is held to its own
+    # bound: X* X = I holds to about eps, which adds to the sine in quadrature, a
+    # relative error of order (eps / theta)^2 (1e-16 at the threshold).
+    eps = np.finfo(float).eps
+    rng = np.random.default_rng([16, n])
+    for theta in list(np.logspace(-4, -11, 8)) + [2e-8 * (1 - 1e-3), 2e-8 * (1 + 1e-3)]:
+        want = np.tan(theta / 2)
+        worst_sine = worst_svd = 0.0
+        for _ in range(4):
+            angles = np.r_[theta, rng.uniform(theta, np.pi / 2, n - 1)]
+            v = algebra.random_unitary(n, rng)
+            x = np.vstack([algebra.random_unitary(n, rng), np.zeros((n, n))])
+            a = np.vstack([np.cos(angles)[:, None] * v, np.sin(angles)[:, None] * v])
+            pair = (grassmann.SubspacePoint(x), grassmann.SubspacePoint(a))
+            for p, q in (pair, pair[::-1]):
+                sine, svd = grassmann._margin(p, q), _concatenated_margin(p, q)
+                rtol = grassmann.TRANSVERSALITY_RTOL
+                assert (sine > rtol) == (svd > rtol) == (want > rtol)
+                sine_error = abs(sine - want) / want
+                worst_sine = max(worst_sine, sine_error)
+                worst_svd = max(worst_svd, abs(svd - want) / want)
+                assert n > 1 or sine_error <= 8 * (eps / theta) ** 2 + 8 * eps
+        assert n == 1 or worst_sine <= worst_svd
 
 
 def test_public_constructors_still_reject_singular_input():

@@ -17,6 +17,7 @@ from apline.errors import (
     NotStrongError,
     NotTransversalError,
     TransversalityError,
+    ZeroWeightError,
 )
 
 RNG = np.random.default_rng(11235)
@@ -464,3 +465,14 @@ def test_pure_is_unchanged_near_the_rank_threshold():
             moved = obstate.transport(o, hermitian.u_group_random(n, rng))
             got.append((n, ratio, obstate.report(o)["pure"], obstate.report(moved)["pure"]))
     assert got == _NEAR_PURE
+
+
+def test_pure_state_point_of_an_empty_vector_is_a_dimension_error():
+    with pytest.raises(DimensionError, match="n >= 1"):
+        obstate.pure_state_point([])
+
+
+def test_pure_state_point_of_the_zero_vector_is_a_typed_error():
+    # a ZeroWeightError is still the ValueError it was, with the same message
+    with pytest.raises(ZeroWeightError, match="^pure states need a nonzero vector$"):
+        obstate.pure_state_point([0.0, 0.0])
