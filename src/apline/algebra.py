@@ -15,7 +15,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DimensionError, NonFiniteError, SingularError
+from .errors import (DecodeError, DimensionError, NonFiniteError, SingularError,
+                     ValueOverflowError)
 
 # Tolerances of the double-precision backend.  Dimensions stay small
 # (n <= 16), which keeps conditioning mild enough for these to be safe.
@@ -86,8 +87,12 @@ def _pow2_scale(a: np.ndarray) -> float:
     overflowed decides on the scaled copy as in exact arithmetic.  The
     parts are taken apart because the modulus of a finite entry can overflow.
     """
-    top = max(np.abs(a.real).max(), np.abs(a.imag).max())
-    return 2.0 ** (100 - int(np.frexp(top)[1]))
+    return 2.0 ** (100 - int(np.frexp(_largest_part(a))[1]))
+
+
+def _largest_part(a: np.ndarray) -> float:
+    """The largest real or imaginary part of a: its scale, finite when a is (|z| can overflow)."""
+    return max(np.abs(a.real).max(), np.abs(a.imag).max())
 
 
 def is_hermitian(a, tol: float = TOL_EQ) -> bool:
@@ -128,6 +133,8 @@ def is_invertible(a, tol: float = TOL_INV) -> bool:
 
     Finiteness is read off the SVD, not checked first: LAPACK does not
     converge on a NaN entry, and an infinite one gives NaN singular values.
+    Finite entries whose singular values overflow raise ValueOverflowError
+    naming their scale: the ratio is unknown, not small.
     """
     a = as_matrix(a)
     try:
@@ -137,8 +144,12 @@ def is_invertible(a, tol: float = TOL_INV) -> bool:
     if s[-1] > tol * max(s[0], 1e-300):
         return True
     # a finite a can still overflow s_max to inf, so the entries decide
-    if not np.isfinite(s).all() and not np.isfinite(a).all():
-        raise NonFiniteError("matrix entries must be finite")
+    if not np.isfinite(s).all():
+        if not np.isfinite(a).all():
+            raise NonFiniteError("matrix entries must be finite")
+        raise ValueOverflowError(
+            f"matrix of scale {_largest_part(a):.3e} (largest real or imaginary part) "
+            "overflows the float range in its SVD")
     return False
 
 
@@ -221,63 +232,75 @@ def is_pair_idempotent(e: PairElement) -> bool:
     return almost_equal(p @ m @ p, p) and almost_equal(m @ p @ m, m)
 
 
-# --- JSON encoding ---------------------------------------------------------
-# Repo-wide matrix encoding: {"n": int, "re": [[..]], "im": [[..]]}, row-major.
+# --- JSON decoding ---------------------------------------------------------
+# The repo's JSON number format, read only here: a matrix is nested real rows or
+# {"n", "re", "im"}, a point's basis {"n", "basis_re", "basis_im"} (2n x n, n optional).
 
 def size_from_json(value, what: str) -> int:
     """A JSON size field: a whole number (an int, or a float like 2.0), never a bool."""
     if isinstance(value, bool) or not (isinstance(value, int) or
                                        isinstance(value, float) and value.is_integer()):
-        raise ValueError(f"{what} must be a whole number, got {value!r:.40}")
+        raise DecodeError(f"{what} must be a whole number, got {value!r:.40}")
     return int(value)
 
 
 _NON_NUMBERS = frozenset((str, bool, type(None)))
 
 
-def _reject_non_numbers(rows, what: str) -> None:
-    """Raise ValueError at a string, bool or null entry of JSON matrix rows.
+def _rows_from_json(rows, dtype, what: str) -> np.ndarray:
+    """np.array(rows, dtype) of finite JSON numbers; anything else raises DecodeError.
 
-    numpy would read "1" and true as 1.0, "infinity" as inf and null as
-    nan, which the finiteness check would then name as the cause.  Two
-    levels are searched, all that a matrix has; deeper nesting fails the
-    decoder's shape check.
+    String, bool and null entries are rejected first: numpy would read "1" and true
+    as 1.0, "infinity" as inf and null as nan.  Two levels are searched, all a matrix has.
     """
     for row in rows if isinstance(rows, (list, tuple)) else (rows,):
-        row = row if isinstance(row, (list, tuple)) else (row,)
-        if not _NON_NUMBERS.isdisjoint(map(type, row)):
-            bad = next(v for v in row if type(v) in _NON_NUMBERS)
-            raise ValueError(f"{what} entries must be numbers, got {bad!r:.40}")
+        for v in row if isinstance(row, (list, tuple)) else (row,):
+            if type(v) in _NON_NUMBERS:
+                raise DecodeError(f"{what} entries must be numbers, got {v!r:.40}")
+    try:
+        m = np.array(rows, dtype=dtype)
+    except TypeError as exc:  # an object where a number belongs
+        raise DecodeError(f"{what} entries must be numbers: {exc}") from None
+    except OverflowError as exc:  # an integer beyond float range
+        raise DecodeError(f"{what} entries must be finite: {exc}") from None
+    except ValueError as exc:  # rows of unequal length, or text below the second level
+        raise DecodeError(f"{what} must be equal-length rows of numbers: {exc}") from None
+    if not np.isfinite(m).all():
+        raise DecodeError(f"{what} entries must be finite")
+    return m
+
+
+def _complex_from_json(obj: dict, re_key: str, im_key: str, what: str, rows: int = 1):
+    """re + 1j * im, (rows n) x n, for the JSON object {re_key: re, im_key: im, "n": n}.
+
+    im defaults to zeros.  A matrix (rows = 1) states n; a basis (rows = 2) may leave
+    it to its column count.  A missing key raises DecodeError, a wrong shape DimensionError.
+    """
+    try:
+        n = size_from_json(obj["n"], f"{what} size n") if rows == 1 or "n" in obj else None
+        re = _rows_from_json(obj[re_key], float, what)
+    except KeyError as exc:
+        raise DecodeError(f"{what} is missing the key {exc}") from None
+    # no default allocated from n: a huge n must fail the shape check, not allocate
+    im = _rows_from_json(obj[im_key], float, what) if im_key in obj else np.zeros_like(re)
+    if rows == 2 and re.ndim != 2:
+        raise DimensionError(f"{what} basis must be 2n x n, got shape {re.shape}")
+    n = re.shape[1] if n is None else n
+    if re.shape != (rows * n, n) or im.shape != (rows * n, n):
+        raise DimensionError(f"{what} claims n={n} but carries shapes {re.shape}/{im.shape}")
+    return re + 1j * im
 
 
 def matrix_from_json(obj) -> np.ndarray:
     """Decode {"n", "re", "im"} (im optional) or a plain nested real list."""
-    try:
-        if isinstance(obj, (list, tuple)):
-            _reject_non_numbers(obj, "matrix JSON")
-            m = np.array(obj, dtype=complex)
-            if m.ndim != 2 or m.shape[0] != m.shape[1]:
-                raise DimensionError(f"matrix JSON must be square, got {m.shape}")
-        elif isinstance(obj, dict):
-            n = size_from_json(obj["n"], "matrix JSON size n")
-            for part in ("re", "im"):
-                _reject_non_numbers(obj.get(part, ()), "matrix JSON")
-            re = np.array(obj["re"], dtype=float)
-            # no default allocated from n: a huge n must fail the shape check, not allocate
-            im = np.array(obj["im"], dtype=float) if "im" in obj else np.zeros_like(re)
-            if re.shape != (n, n) or im.shape != (n, n):
-                raise DimensionError(
-                    f"matrix JSON claims n={n} but carries shapes {re.shape}/{im.shape}")
-            m = re + 1j * im
-        else:
-            raise ValueError("matrix JSON must be a nested list or an object, "
-                             f"got {type(obj).__name__}")
-    except TypeError as exc:  # an object where a number belongs
-        raise ValueError(f"matrix JSON entries must be numbers: {exc}") from None
-    except OverflowError as exc:  # an integer beyond float range
-        raise ValueError(f"matrix JSON entries must be finite: {exc}") from None
-    if not np.all(np.isfinite(m)):
-        raise ValueError("matrix JSON entries must be finite")
+    if isinstance(obj, dict):
+        return _complex_from_json(obj, "re", "im", "matrix JSON")
+    if not isinstance(obj, (list, tuple)):
+        raise DecodeError("matrix JSON must be a nested list or an object, "
+                          f"got {type(obj).__name__}")
+    m = _rows_from_json(obj, complex, "matrix JSON")
+    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        raise DimensionError(f"matrix JSON must be square, got {m.shape}")
     return m
 
 

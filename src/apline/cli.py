@@ -81,8 +81,8 @@ def expect(path: str, as_json: bool) -> None:
             payload = json.load(fh)
         o = obstate.obstate_from_json(payload)
         rep = obstate.report(o)
-    # RecursionError: json.load on arrays or objects nested too deeply
-    except (AplineError, ValueError, KeyError, RecursionError) as exc:
+    # json.load: ValueError on text that is not JSON, RecursionError on nesting too deep
+    except (AplineError, ValueError, RecursionError) as exc:
         raise click.ClickException(f"{path}: {exc}")
     if as_json:
         _emit_json(rep)

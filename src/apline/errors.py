@@ -14,6 +14,10 @@ class DimensionError(AplineError, ValueError):
     """Operands have incompatible or unsupported dimensions."""
 
 
+class DecodeError(AplineError, ValueError):
+    """A JSON input does not decode: a missing key, a malformed or non-finite entry."""
+
+
 class SingularError(AplineError, ValueError):
     """A matrix that must be invertible is singular (within tolerance)."""
 

@@ -92,10 +92,9 @@ class SubspacePoint:
         """
         q, r = np.linalg.qr(cols)
         if not (np.isfinite(q).all() and np.isfinite(r).all()):
-            scale = max(np.abs(cols.real).max(), np.abs(cols.imag).max())  # |z| could overflow
             raise ValueOverflowError(
-                f"basis of scale {scale:.3e} (largest real or imaginary part) overflows "
-                f"the float range in its QR factorization")
+                f"basis of scale {algebra._largest_part(cols):.3e} (largest real or imaginary "
+                "part) overflows the float range in its QR factorization")
         self.n = cols.shape[1]
         q.setflags(write=False)
         self.basis = q
@@ -480,27 +479,3 @@ def random_map(n: int, rng) -> ProjectiveMap:
             continue
     raise ResamplingExhausted("random_map: all draws were singular")  # pragma: no cover
 
-
-# --- JSON ---------------------------------------------------------------------
-# SubspacePoint encoding: {"n": int, "basis_re": [[..]] (2n x n), "basis_im": [[..]]};
-# the basis is canonicalized on load.
-
-def point_from_json(obj: dict) -> SubspacePoint:
-    try:
-        for part in ("basis_re", "basis_im"):
-            if part in obj:
-                algebra._reject_non_numbers(obj[part], "point JSON")
-        re = np.array(obj["basis_re"], dtype=float)
-        if re.ndim != 2:
-            raise DimensionError(f"point JSON basis must be 2n x n, got shape {re.shape}")
-        n = algebra.size_from_json(obj["n"], "point JSON size n") if "n" in obj else re.shape[-1]
-        # no default allocated from n: a huge n must fail the shape check, not allocate
-        im = np.array(obj["basis_im"], dtype=float) if "basis_im" in obj else np.zeros_like(re)
-    except TypeError as exc:  # an object where a number belongs
-        raise ValueError(f"point JSON entries must be numbers: {exc}") from None
-    except OverflowError as exc:  # an integer beyond float range
-        raise ValueError(f"point JSON entries must be finite: {exc}") from None
-    if re.shape != (2 * n, n) or im.shape != (2 * n, n):
-        raise DimensionError(
-            f"point JSON claims n={n} but carries shapes {re.shape}/{im.shape}")
-    return SubspacePoint(re + 1j * im)  # which rejects non-finite entries

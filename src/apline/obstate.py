@@ -25,6 +25,7 @@ import numpy as np
 from . import algebra, grassmann, hermitian
 from .crossratio import INF, classical_cr, is_inf, kernel
 from .errors import (
+    DecodeError,
     DimensionError,
     MembershipError,
     NonFiniteError,
@@ -307,6 +308,7 @@ def pure_expectation(o: Obstate):
 
 
 # --- JSON ------------------------------------------------------------------------
+# The slots are read here; their numbers by algebra's JSON reader.
 
 _NAMED_POINTS = {"zero": zero_point, "infinity": infinity_point,
                  "one": grassmann.one_point}
@@ -315,9 +317,9 @@ _NAMED_POINTS = {"zero": zero_point, "infinity": infinity_point,
 def _point_from_json(obj, role: str, n: int | None = None) -> SubspacePoint:
     if isinstance(obj, str):
         if n is None:
-            raise ValueError(f"{role}: named points need n known from another slot")
+            raise DecodeError(f"{role}: named points need n known from another slot")
         if obj not in _NAMED_POINTS:
-            raise ValueError(f"{role}: unknown named point {obj!r}")
+            raise DecodeError(f"{role}: unknown named point {obj!r}")
         return _NAMED_POINTS[obj](n)
     if isinstance(obj, dict):
         if "chart" in obj:
@@ -325,9 +327,10 @@ def _point_from_json(obj, role: str, n: int | None = None) -> SubspacePoint:
         if "density" in obj:
             return state_from_density(algebra.matrix_from_json(obj["density"]))
         if "basis_re" in obj:
-            return grassmann.point_from_json(obj)
-    raise ValueError(f"{role}: expected a chart/density/basis point object "
-                     "or the names 'zero'/'infinity'/'one'")
+            return SubspacePoint(algebra._complex_from_json(obj, "basis_re", "basis_im",
+                                                            "point JSON", rows=2))
+    raise DecodeError(f"{role}: expected a chart/density/basis point object "
+                      "or the names 'zero'/'infinity'/'one'")
 
 
 def obstate_from_json(obj: dict) -> Obstate:
@@ -336,16 +339,17 @@ def obstate_from_json(obj: dict) -> Obstate:
     Point slots accept {"chart": matrix}, {"density": matrix}, a raw
     basis object, or (for the slots after A) "zero" / "infinity" / "one".
     The slot "strong" is JSON true or false; without it the obstate is strong.
+    A payload that does not decode raises DecodeError.
     """
     if not isinstance(obj, dict):
-        raise ValueError("obstate JSON must be an object with the slots A, W, A0, Winf, "
-                         f"got {type(obj).__name__}")
+        raise DecodeError("obstate JSON must be an object with the slots A, W, A0, Winf, "
+                          f"got {type(obj).__name__}")
     missing = [slot for slot in ("A", "W", "A0", "Winf") if slot not in obj]
     if missing:
-        raise ValueError(f"obstate JSON is missing the slot(s) {', '.join(missing)}")
+        raise DecodeError(f"obstate JSON is missing the slot(s) {', '.join(missing)}")
     strong = obj.get("strong", True)
     if not isinstance(strong, bool):  # bool("false") is True
-        raise ValueError(f"obstate JSON slot strong must be true or false, got {strong!r}")
+        raise DecodeError(f"obstate JSON slot strong must be true or false, got {strong!r}")
     A = _point_from_json(obj["A"], "A")
     return new_obstate(A,
                        _point_from_json(obj["W"], "W", A.n),

@@ -118,15 +118,13 @@ def _kernel_quadruple(rng, n: int):
 def _distinct_reals(rng, count: int, avoid: Sequence[float] = ()) -> list:
     """count values of 3 N(0, 1), more than 1e-2 apart and from avoid, within 2000 draws."""
     vals: list = []
-
-    def keep(v: float) -> bool:
+    for _ in range(2000):
+        v = float(rng.standard_normal() * 3.0)
         if all(abs(v - w) > 1e-2 for w in vals + list(avoid)):
             vals.append(v)
-        return len(vals) == count
-
-    _draw(lambda: float(rng.standard_normal() * 3.0), keep, 2000,
-          "could not draw separated real values")
-    return vals
+            if len(vals) == count:
+                return vals
+    raise ResamplingExhausted("could not draw separated real values")
 
 
 def _real_mobius(rng, points: Sequence[float]):
@@ -506,14 +504,14 @@ def _t_tangent_algebra(rng, n: int) -> float:
     base = hermitian.random_r_point(n, rng)
     alo = hermitian.alpha(base)
     pts: list = []
-
-    def keep(p: grassmann.SubspacePoint) -> bool:
+    for _ in range(200):
+        p = grassmann.point_from_chart(algebra.random_hermitian(n, rng))
         if grassmann.transversality_margin(p, alo) > 1e-2:
             pts.append(p)
-        return len(pts) == 3
-
-    _draw(lambda: grassmann.point_from_chart(algebra.random_hermitian(n, rng)), keep, 200,
-          "no tangent-chart sample at this base")
+            if len(pts) == 3:
+                break
+    else:
+        raise ResamplingExhausted("no tangent-chart sample at this base")
     x, y, z = pts
     unit = hermitian.tangent_unit(base)
     rs.append(_pres(hermitian.tangent_product(base, x, unit), x))

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from apline import algebra
-from apline.errors import DimensionError, SingularError
+from apline.errors import DecodeError, DimensionError, SingularError
 
 RNG = np.random.default_rng(20240811)
 
@@ -137,7 +137,7 @@ def test_random_samplers_have_declared_shapes():
 
 @pytest.mark.parametrize("n", [1.5, "1", True, float("inf"), [1]])
 def test_matrix_json_size_must_be_a_whole_number(n):
-    with pytest.raises(ValueError, match="matrix JSON size n must be a whole number"):
+    with pytest.raises(DecodeError, match="matrix JSON size n must be a whole number"):
         algebra.matrix_from_json({"n": n, "re": [[1.0]]})
     assert algebra.matrix_from_json({"n": 1.0, "re": [[2.0]]}).tolist() == [[2.0]]
 

@@ -8,10 +8,12 @@ from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from apline import obstate
 from apline.cli import main
+from apline.errors import AplineError
 
 runner = CliRunner()
 
@@ -481,6 +483,31 @@ def test_expect_fuzz_ends_in_an_exit_code_never_a_traceback(tmp_path_factory, pa
     res = runner.invoke(main, ["expect", str(path)], catch_exceptions=False)
     assert res.exit_code in (0, 1, 2)
     assert "Traceback" not in res.output
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(payload=st.one_of(_payloads(), _TREES))
+@example(payload=dict(_GOOD_SLOTS, A={"chart": {"re": [[1.0]]}}))  # no "n": a KeyError once
+def test_decoder_fuzz_ends_in_an_obstate_or_an_apline_error(payload):
+    # the library decoder alone: no KeyError, TypeError or bare ValueError escapes it
+    try:
+        o = obstate.obstate_from_json(payload)
+    except AplineError:
+        return
+    assert isinstance(o, obstate.Obstate)
+
+
+@pytest.mark.parametrize("chart, message", [
+    ({"re": [[1.0]]}, "matrix JSON is missing the key 'n'"),
+    ({"n": 1}, "matrix JSON is missing the key 're'"),
+    ([[1.0, 0.0], [0.0]], "matrix JSON must be equal-length rows of numbers: "),
+], ids=["missing-n", "missing-re", "ragged-rows"])
+def test_expect_names_a_missing_key_or_ragged_rows(tmp_path, chart, message):
+    path = tmp_path / "p1.json"
+    path.write_text(json.dumps(dict(_GOOD_SLOTS, A={"chart": chart})))
+    res = runner.invoke(main, ["expect", str(path)])
+    assert res.exit_code == 1
+    assert f"Error: {path}: {message}" in res.output
 
 
 def test_expect_text_prints_a_complex_expectation(tmp_path):

@@ -7,6 +7,7 @@ import pytest
 from apline import algebra, classical, crossratio, grassmann, hermitian, obstate
 from apline.crossratio import INF
 from apline.errors import (
+    DecodeError,
     DimensionError,
     NonFiniteError,
     NotInChartError,
@@ -118,10 +119,15 @@ def test_projective_map_group():
         grassmann.apply_map(grassmann.identity_map(n), x), x)
 
 
+def _basis_from_json(obj):
+    # the raw-basis point form is read by the obstate slot decoder
+    return obstate._point_from_json(obj, "A")
+
+
 def test_point_json_roundtrip():
     x = grassmann.random_point(3, RNG)
     obj = {"n": 3, "basis_re": x.basis.real.tolist(), "basis_im": x.basis.imag.tolist()}
-    y = grassmann.point_from_json(obj)
+    y = _basis_from_json(obj)
     assert grassmann.point_eq(x, y)
 
 
@@ -132,7 +138,7 @@ def test_point_json_roundtrip():
                                  {"basis_re": [[10**400], [0.0]]}])
 def test_point_json_rejects_what_is_not_a_basis(obj):
     with pytest.raises(ValueError, match="point JSON"):
-        grassmann.point_from_json(obj)
+        _basis_from_json(obj)
 
 
 @pytest.mark.parametrize("obj", [{"basis_re": [[1.0], ["0"]]},
@@ -141,16 +147,16 @@ def test_point_json_rejects_what_is_not_a_basis(obj):
                                  {"basis_re": [[1.0], [None]]}])
 def test_point_json_entries_must_be_numbers(obj):
     # numpy reads "0" and true as numbers, "infinity" as inf and null as nan
-    with pytest.raises(ValueError, match="point JSON entries must be numbers"):
-        grassmann.point_from_json(obj)
+    with pytest.raises(DecodeError, match="point JSON entries must be numbers"):
+        _basis_from_json(obj)
 
 
 @pytest.mark.parametrize("n", [1.5, "1", True, float("nan")])
 def test_point_json_size_must_be_a_whole_number(n):
     basis = {"basis_re": [[1.0], [0.0]]}
-    with pytest.raises(ValueError, match="point JSON size n must be a whole number"):
-        grassmann.point_from_json(dict(basis, n=n))
-    assert grassmann.point_from_json(dict(basis, n=1.0)).n == 1
+    with pytest.raises(DecodeError, match="point JSON size n must be a whole number"):
+        _basis_from_json(dict(basis, n=n))
+    assert _basis_from_json(dict(basis, n=1.0)).n == 1
 
 
 @pytest.mark.parametrize("n", [1, 2, 4, 8, 16])
@@ -181,6 +187,16 @@ def test_a_basis_that_overflows_its_qr_is_a_scale_error_never_a_nan_basis(build,
         warnings.simplefilter("error")
         with pytest.raises(ValueOverflowError, match=r"^basis of scale \d\.\d{3}e\+308 "):
             build(value)
+
+
+@pytest.mark.parametrize("build", [algebra.is_invertible, algebra.inverse,
+                                   grassmann.ProjectiveMap], ids=["is_invertible", "inverse", "map"])
+def test_a_matrix_whose_svd_overflows_is_a_scale_error_not_singular(build):
+    # finite and perfectly conditioned, but the SVD returns [inf, inf]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueOverflowError, match=r"^matrix of scale 1\.500e\+308 "):
+            build(1.5e308 * np.array([[1.0, 1.0], [1.0, -1.0]]))
 
 
 def _concatenated_margin(x, a):
