@@ -133,7 +133,6 @@ class EndoX:
     are conjugation invariants of the underlying endomorphism).
     """
 
-    base_point: SubspacePoint
     matrix: np.ndarray
 
     @property
@@ -176,7 +175,7 @@ def kernel(x: SubspacePoint, a: SubspacePoint, b: SubspacePoint,
     if m_ya * m_xa < _MARGIN_PRODUCT_BOUND and not algebra.is_invertible(dy):
         raise SingularError("graph decomposition of y is degenerate")
     eta = cy @ np.linalg.inv(dy)
-    return EndoX(base_point=x, matrix=beta @ eta)
+    return EndoX(beta @ eta)
 
 
 def cp1_value(x: SubspacePoint):

@@ -22,8 +22,8 @@ one line.  Both build the same bits as their public counterparts.
 
 A value that one point alone determines is computed once per point:
 functions decorated with _memoized keep their result in the point's memo.
-So does a point's transversality margin to the shared base points 0 and
-infinity, which transversality_margin reads from the memo.
+So do the principal-angle sines of a point to the shared base points 0
+and infinity, which transversality_margin reads from the memo.
 """
 
 from __future__ import annotations
@@ -49,6 +49,7 @@ from .errors import (
 # Smallest/largest singular value ratio of [basis(x) | basis(a)] above
 # which two points count as transversal: tan(theta_1 / 2) for their smallest
 # principal angle theta_1, computed from its sine (see transversality_margin).
+# A principal angle whose tan(theta / 2) is at or below it counts as zero.
 TRANSVERSALITY_RTOL = 1e-8
 
 
@@ -168,24 +169,33 @@ def is_orthocomplement(x: np.ndarray, y: np.ndarray) -> bool:
 @lru_cache(maxsize=None)
 def zero_point(n: int) -> SubspacePoint:
     """The base point 0 = [(1, 0)] = span[I; 0]; one cached point per n, shared and read-only."""
-    return _base_point(np.vstack([np.eye(n), np.zeros((n, n))]), _margin_to_zero)
+    return _base_point(np.vstack([np.eye(n), np.zeros((n, n))]), _sines_to_zero)
 
 
 @lru_cache(maxsize=None)
 def infinity_point(n: int) -> SubspacePoint:
-    """The base point oo = [(0, 1)] = span[0; I]; one cached point per n, shared and read-only."""
-    return _base_point(np.vstack([np.zeros((n, n)), np.eye(n)]), _margin_to_infinity)
+    """The base point oo = [(0, 1)] = span[0; I]; one cached point per n, shared and read-only.
+
+    The sines between 0 and infinity, which every report in their frame
+    reads, are computed here, once per n.
+    """
+    infinity = _base_point(np.vstack([np.zeros((n, n)), np.eye(n)]), _sines_to_infinity)
+    zero = zero_point(n)
+    # the bits _sines_to_infinity(zero) and _sines_to_zero(infinity) compute
+    zero._memo[_sines_to_infinity] = _principal_sines(zero, infinity)
+    infinity._memo[_sines_to_zero] = _principal_sines(infinity, zero)
+    return infinity
 
 
-def _base_point(columns: np.ndarray, margin_to_it) -> SubspacePoint:
-    """SubspacePoint(columns), whose memo names the memoized margin of any point to it.
+def _base_point(columns: np.ndarray, sines_to_it) -> SubspacePoint:
+    """SubspacePoint(columns), whose memo names the memoized sines of any point to it.
 
-    transversality_margin reads that name, so telling a base point needs
-    no call of zero_point or infinity_point, which would build one.  The
-    key is this private function: a public one can be replaced by a wrapper.
+    _sines reads that name, so telling a base point needs no call of
+    zero_point or infinity_point, which would build one.  The key is this
+    private function: a public one can be replaced by a wrapper.
     """
     a = SubspacePoint(columns)
-    a._memo[_base_point] = margin_to_it
+    a._memo[_base_point] = sines_to_it
     return a
 
 
@@ -272,32 +282,50 @@ def transversality_margin(x: SubspacePoint, a: SubspacePoint) -> float:
 
     For orthonormal X and A the singular values of [X | A] are
     sqrt(1 +- cos theta_i) over the principal angles theta_i between the
-    points, so the ratio is tan(theta_1 / 2) = s / (1 + sqrt(1 - s^2)) for
-    the smallest angle theta_1 and its sine s = sigma_min(A - X (X* A)):
-    one 2n x n SVD, and no cancellation at small angles.  When a is the
-    shared base point 0 or infinity, the margin is a value of x alone and
-    is cached on x.
+    points, so the ratio is tan(theta_1 / 2) for the smallest angle
+    theta_1, computed from its sine (see _half_angle_tangent).  The sines
+    are those of _sines, which hermitian.arithmetic_distance counts, so
+    the margin passes TRANSVERSALITY_RTOL exactly when that distance is n.
     """
-    if x.n != a.n:
-        raise DimensionError(f"dimension mismatch: {x.n} vs {a.n}")
-    margin_to_a = a._memo.get(_base_point)
-    return _margin(x, a) if margin_to_a is None else margin_to_a(x)
+    return _half_angle_tangent(_sines(x, a)[-1])
 
 
-def _margin(x: SubspacePoint, a: SubspacePoint) -> float:
-    sines = np.linalg.svd(a.basis - x.basis @ (x.basis.conj().T @ a.basis), compute_uv=False)
-    s = min(float(sines[-1]), 1.0)
+def _half_angle_tangent(sine) -> float:
+    """tan(theta / 2) = s / (1 + sqrt(1 - s^2)) of an angle theta in [0, pi/2] with sine s.
+
+    No cancellation at small angles; a sine rounded above 1 counts as 1.
+    """
+    s = min(float(sine), 1.0)
     return s / (1.0 + math.sqrt(1.0 - s * s))
 
 
-@_memoized
-def _margin_to_zero(x: SubspacePoint) -> float:
-    return _margin(x, zero_point(x.n))
+def _sines(x: SubspacePoint, a: SubspacePoint) -> np.ndarray:
+    """The sines of the principal angles between x and a, in descending order.
+
+    When a is the shared base point 0 or infinity, they are a value of x
+    alone and are cached on x, read-only.
+    """
+    if x.n != a.n:
+        raise DimensionError(f"dimension mismatch: {x.n} vs {a.n}")
+    sines_to_a = a._memo.get(_base_point)
+    return _principal_sines(x, a) if sines_to_a is None else sines_to_a(x)
+
+
+def _principal_sines(x: SubspacePoint, a: SubspacePoint) -> np.ndarray:
+    """The singular values of A - X (X* A): the sines, from one 2n x n SVD (read-only)."""
+    sines = np.linalg.svd(a.basis - x.basis @ (x.basis.conj().T @ a.basis), compute_uv=False)
+    sines.setflags(write=False)
+    return sines
 
 
 @_memoized
-def _margin_to_infinity(x: SubspacePoint) -> float:
-    return _margin(x, infinity_point(x.n))
+def _sines_to_zero(x: SubspacePoint) -> np.ndarray:
+    return _principal_sines(x, zero_point(x.n))
+
+
+@_memoized
+def _sines_to_infinity(x: SubspacePoint) -> np.ndarray:
+    return _principal_sines(x, infinity_point(x.n))
 
 
 def is_transversal(x: SubspacePoint, a: SubspacePoint) -> bool:

@@ -7,6 +7,10 @@ between the real unitary universe R_{N,S} and the unitary group, the
 torsor law on R_{N,S}, tangent algebras, arithmetic distance, intrinsic
 lines, and the cyclic-order predicate on R.
 
+Arithmetic distance is counted from principal angles, with no chart,
+so no unitary change of frame moves it; distance 1 is the one rank-one
+decision, shared by line_family, is_rank_one_pair and obstate.is_pure.
+
 Convention notes (all verified by the calibration tests):
 
 * omega(u, v) = u1* v2 - u2* v1, with form matrix Omega = [[0, I], [-I, 0]];
@@ -49,8 +53,9 @@ from .grassmann import (
     zero_point,
 )
 
-# Singular values of a chart difference below RANK_RTOL * sigma_max
-# count as zero when computing arithmetic distance.
+# Singular values of a chart difference below RANK_RTOL * sigma_max count
+# as zero; only chart_difference_rank uses it (arithmetic_distance counts
+# principal angles against grassmann.TRANSVERSALITY_RTOL).
 RANK_RTOL = 1e-7
 
 
@@ -371,10 +376,9 @@ def _transversal_to(points, rng) -> SubspacePoint:
     raise NoCommonChartError("no point transversal to the given ones found")  # pragma: no cover
 
 
-def common_chart_point(x: SubspacePoint, y: SubspacePoint,
-                       rng=None) -> SubspacePoint:
-    """A point transversal to both x and y (tries infinity, 0, then random)."""
-    return _transversal_to((x, y), 0xA11E if rng is None else rng)
+def common_chart_point(x: SubspacePoint, y: SubspacePoint) -> SubspacePoint:
+    """A point transversal to both x and y (tries infinity, 0, then seeded random draws)."""
+    return _transversal_to((x, y), 0xA11E)
 
 
 def chart_in_frame(z: SubspacePoint, origin: SubspacePoint,
@@ -408,38 +412,31 @@ def _chart_values(x: SubspacePoint, y: SubspacePoint, c: SubspacePoint,
 
 
 def chart_difference_rank(x: SubspacePoint, y: SubspacePoint, c: SubspacePoint) -> int:
-    """Rank of chart_c(x) - chart_c(y), with the 1e-7 relative sv threshold."""
-    _, _, difference = _chart_values(x, y, c, _chart_origin(c))
-    return _rank_of(np.linalg.svd(difference, compute_uv=False))
+    """Rank of chart_c(x) - chart_c(y) at the RANK_RTOL relative sv threshold (0 if zero).
 
-
-def _rank_of(s: np.ndarray) -> int:
-    """Singular values above RANK_RTOL * sigma_max; a zero matrix has rank 0."""
-    if s[0] == 0.0:
-        return 0
-    return int(np.count_nonzero(s > RANK_RTOL * s[0]))
-
-
-def arithmetic_distance(x: SubspacePoint, y: SubspacePoint, rng=None) -> int:
-    """The rank of the difference of the two points in any common chart.
-
-    Searches infinity, 0, then seeded random points for a common chart;
-    the result does not depend on the chart found (Def. of arithmetic
-    distance; exercised by the chart-independence tests).
+    The explicit-chart reference for arithmetic_distance.
     """
-    if point_eq(x, y):
-        return 0
-    c = common_chart_point(x, y, rng)
-    return chart_difference_rank(x, y, c)
+    _, _, difference = _chart_values(x, y, c, _chart_origin(c))
+    s = np.linalg.svd(difference, compute_uv=False)
+    return 0 if s[0] == 0.0 else int(np.count_nonzero(s > RANK_RTOL * s[0]))
+
+
+def arithmetic_distance(x: SubspacePoint, y: SubspacePoint) -> int:
+    """n - dim(x meet y): the number of principal angles between x and y that are not zero.
+
+    An angle theta counts when tan(theta / 2) exceeds
+    grassmann.TRANSVERSALITY_RTOL, the test transversality_margin applies
+    to the smallest angle, so the distance is n exactly when
+    is_transversal(x, y).  One 2n x n SVD gives the sines, and no chart is
+    needed; principal angles, and so the count, are unitary invariants.
+    """
+    return sum(grassmann._half_angle_tangent(s) > grassmann.TRANSVERSALITY_RTOL
+               for s in grassmann._sines(x, y))
 
 
 def is_rank_one_pair(x: SubspacePoint, y: SubspacePoint) -> bool:
-    """Whether (x, y) is a rank-one pair: whether line_family(x, y) succeeds."""
-    try:
-        line_family(x, y)
-    except NotRankOneError:
-        return False
-    return True
+    """Whether (x, y) is a rank-one pair: arithmetic_distance(x, y) == 1."""
+    return arithmetic_distance(x, y) == 1
 
 
 class LineFamily:
@@ -447,16 +444,14 @@ class LineFamily:
 
     point(1) is the first pair member, point(0) the second, point(INF)
     the completing point on the chart horizon.  The direction's SVD
-    d = s u v^* is kept (u, s, vh); a direction whose numerical rank is
-    not one raises NotRankOneError, so every family is a line.
+    d = s u v^* is kept (u, s, vh).  line_family builds a family only
+    for a pair at arithmetic distance 1, whose direction has rank one.
     """
 
     __slots__ = ("frame", "base", "direction", "n", "u", "s", "vh")
 
     def __init__(self, frame: np.ndarray, base: np.ndarray, direction: np.ndarray):
         u, s, vh = np.linalg.svd(direction)
-        if _rank_of(s) != 1:
-            raise NotRankOneError("intrinsic lines need a pair at arithmetic distance 1")
         self.frame = frame
         self.base = base
         self.direction = direction
@@ -490,60 +485,21 @@ class LineFamily:
         return SubspacePoint(self.raw_basis(t))
 
 
-# Factor below 1 / RANK_RTOL under which a bound on the condition number of a
-# chart difference proves its rank n: two decades of slack for rounding.
-_RANK_CERTIFICATE_SLACK = 1e-2
-
-
-def _has_full_chart_rank(x: SubspacePoint, y: SubspacePoint, c: SubspacePoint,
-                         o: SubspacePoint) -> bool:
-    """Whether four margins prove that chart_c(x) - chart_c(y) has rank n.
-
-    In the frame F = [O | C] of origin o and horizon c (orthonormal
-    blocks) a point has basis Z = F [p; q] and chart value q p^{-1}; let
-    D = chart_c(x) - chart_c(y) and m_pq = transversality_margin(p, q).
-    Then [Z_x | Z_y] = F [[I, 0], [chart_c(y), I]] [[p_x, p_y], [D p_x, 0]].
-    [Z | C] = F [[p, 0], [q, I]] gives ||chart_c(z)|| <= sqrt2 / m_zc, so
-    ||D|| <= sqrt2 / m_xc + sqrt2 / m_yc; ||p_x|| <= 1 / sigma_min(F) <= 1 / m_oc,
-    and (D p_x)^{-1} is a block of the inverse of the last factor, so
-    ||D^{-1}|| <= sqrt2 (1 + sqrt2 / m_yc) / (m_oc m_xy).  The rank is n
-    when that bound on cond(D) lies _RANK_CERTIFICATE_SLACK below
-    1 / RANK_RTOL, tested multiplied out, as a margin may be 0.  m_xy <= 1
-    is computed last, and only when the other three leave room.
-    """
-    m_xc = grassmann.transversality_margin(x, c)
-    m_yc = grassmann.transversality_margin(y, c)
-    m_oc = grassmann.transversality_margin(c, o)
-    bound = 2.0 * (m_xc + m_yc) * (m_yc + np.sqrt(2.0)) * RANK_RTOL
-    room = _RANK_CERTIFICATE_SLACK * m_xc * m_yc * m_yc * m_oc
-    return bound < room and bound < room * grassmann.transversality_margin(x, y)
-
-
 def line_family(x: SubspacePoint, y: SubspacePoint,
                 chart_point: SubspacePoint | None = None) -> LineFamily:
     """Parametrize the intrinsic line through the rank-one pair (x, y).
 
-    This is the one rank-one test (is_rank_one_pair asks it): the
-    LineFamily constructor takes the rank of the chart difference in the
-    common chart of arithmetic_distance, and its SVD also gives the
-    direction's factors.  Without chart_point that family is the result,
-    so the chart search and the SVD run once.  For n >= 2 a pair whose
-    margins prove rank n (_has_full_chart_rank) is rejected before any
-    chart value is computed.  An explicit chart_point then re-frames the pair,
-    and the re-framed family factors its own direction.  The completed
-    line is chart-independent as a set, but the parameter t of point(t)
-    is not: pass chart_point to compare them.
+    Raises NotRankOneError unless arithmetic_distance(x, y) == 1, the one
+    rank-one decision (is_rank_one_pair, obstate.is_pure and the report's
+    "pure" ask it too).  The family is built in the chart with horizon
+    chart_point, by default common_chart_point(x, y).  The completed line
+    is chart-independent as a set, but the parameter t of point(t) is
+    not: pass chart_point to compare them.
     """
-    if point_eq(x, y):
+    if arithmetic_distance(x, y) != 1:
         raise NotRankOneError("intrinsic lines need a pair at arithmetic distance 1")
-    c = common_chart_point(x, y)
-    o = _chart_origin(c)
-    if x.n >= 2 and _has_full_chart_rank(x, y, c, o):
-        raise NotRankOneError("intrinsic lines need a pair at arithmetic distance 1")
-    fam = LineFamily(*_chart_values(x, y, c, o))
-    if chart_point is None:
-        return fam
-    return LineFamily(*_chart_values(x, y, chart_point, _chart_origin(chart_point)))
+    c = common_chart_point(x, y) if chart_point is None else chart_point
+    return LineFamily(*_chart_values(x, y, c, _chart_origin(c)))
 
 
 # --- cyclic order -----------------------------------------------------------------

@@ -210,7 +210,10 @@ def _distribution(a: np.ndarray, w: np.ndarray) -> list[tuple[float, float]]:
 # --- purity, positivity, cyclic order --------------------------------------------
 
 def is_pure(o: Obstate) -> bool:
-    """Whether (W, Winf) is a rank-one pair: line_family decides, as for report's "pure"."""
+    """Whether (W, Winf) is a rank-one pair: whether arithmetic_distance(W, Winf) == 1.
+
+    This is the decision of line_family, and so of report's "pure".
+    """
     return hermitian.is_rank_one_pair(o.state, o.ref_state)
 
 

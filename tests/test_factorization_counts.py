@@ -76,12 +76,12 @@ def test_pure_expectation_runs_one_rank_one_solve_per_target(counts, cold_base_p
     o = _pure_obstate(4, 15)
     _reset(counts)
     obstate.pure_expectation(o)
-    # line_family: of the 3 chart-search margins only (infinity, 0) runs, as (W, 0) and
-    # (0, infinity) are new_obstate's, cached on W and 0 (the candidate infinity is Winf
-    # itself and is skipped); the rank certificate's (W, Winf) margin, which fails on a
-    # pure pair; 2 chart-block checks, 1 direction SVD; one QR of line(0) shared by both
+    # line_family: the distance's sines of W to Winf = infinity; the chart search and
+    # the chart's origin read (W, 0) from new_obstate and (infinity, 0), (0, infinity)
+    # from the base points' set-up (the candidate infinity is Winf itself and is
+    # skipped); 2 chart-block checks, 1 direction SVD; one QR of line(0) shared by both
     # targets; per target the root's verification SVD
-    assert counts == {"svd": 7, "qr": 1}
+    assert counts == {"svd": 6, "qr": 1}
 
 
 def test_line_family_horizon_point_runs_no_svd(counts):
@@ -148,11 +148,10 @@ def test_standard_frame_mixed_report_svd_count(counts, cold_base_points):
     _reset(counts)
     obstate.report(o)
     # expectation reuses new_obstate's margins: 0; normal form: 2 chart blocks, and
-    # the QRs of the frame's transport and of A and W moved by it; pure test: the
-    # chart-search margin (infinity, 0) and the (W, Winf) margin, after which the rank
-    # certificate rejects the pair; cyclic order: the charts of A0, W and A, A0's once
-    # for both triples
-    assert counts == {"svd": 7, "qr": 3}
+    # the QRs of the frame's transport and of A and W moved by it; pure test: the sines
+    # of W to Winf, whose count rejects the pair; cyclic order: the charts of A0, W and
+    # A, A0's once for both triples
+    assert counts == {"svd": 6, "qr": 3}
 
 
 def test_standard_frame_pure_report_svd_count(counts, cold_base_points):
@@ -160,10 +159,10 @@ def test_standard_frame_pure_report_svd_count(counts, cold_base_points):
     _warm(4)
     _reset(counts)
     obstate.report(o)
-    # normal form: 2; pure_expectation: 7 (see above); cyclic order: the charts of
+    # normal form: 2; pure_expectation: 6 (see above); cyclic order: the charts of
     # A0 and W, where span[w; I] of a singular w lies on the chart's horizon, so
     # positive is False and A's chart is never taken
-    assert counts == {"svd": 11, "qr": 4}
+    assert counts == {"svd": 10, "qr": 4}
 
 
 def test_warm_frame_mixed_report_svd_count(counts, cold_base_points):
@@ -171,8 +170,7 @@ def test_warm_frame_mixed_report_svd_count(counts, cold_base_points):
     o = _mixed_obstate(4, 19)
     _reset(counts)
     obstate.report(o)
-    # the cold count less the frame's transport (1 QR), A0's chart and the margin
-    # (infinity, 0) cached on infinity (1 SVD each)
+    # the cold count less the frame's transport (1 QR) and A0's chart (1 SVD)
     assert counts == {"svd": 5, "qr": 2}
 
 
@@ -181,7 +179,7 @@ def test_warm_frame_pure_report_svd_count(counts, cold_base_points):
     o = _pure_obstate(4, 20)
     _reset(counts)
     obstate.report(o)
-    # likewise one QR and two SVDs below the cold count
+    # likewise one QR and one SVD below the cold count
     assert counts == {"svd": 9, "qr": 3}
 
 
@@ -190,8 +188,8 @@ def test_warm_mixed_is_pure_runs_no_svd(counts, cold_base_points):
     obstate.report(o)
     _reset(counts)
     assert not obstate.is_pure(o)
-    # line_family's decision, as for the report's pure: every margin of the chart
-    # search and of the rank certificate is cached on W, 0 and infinity
+    # the distance's decision, as for the report's pure: the sines of W to
+    # infinity are cached on W
     assert counts == {"svd": 0, "qr": 0}
 
 
@@ -214,9 +212,17 @@ def test_transported_frame_report_svd_count(counts, cold_base_points):
     _reset(counts)
     obstate.report(o)
     # expectation: 3 (see above); normal form: 2 chart blocks and the QRs of the
-    # transport and of A and W moved by it; pure test: the chart search's margins of
-    # W and Winf to infinity, the certificate's (W, Winf) margin, which leaves the rank
-    # to the chart path here, 2 chart blocks and the rank SVD; cyclic order cut at
-    # Winf: Winf's chart, then A0's and W's charts and gaps for the positive state,
-    # and A0's gap again with A's chart and gap for the observable
-    assert counts == {"svd": 19, "qr": 3}
+    # transport and of A and W moved by it; pure test: the sines of (W, Winf), with no
+    # chart; cyclic order cut at Winf: Winf's chart, then A0's and W's charts and gaps
+    # for the positive state, and A0's gap again with A's chart and gap for the
+    # observable
+    assert counts == {"svd": 14, "qr": 3}
+
+
+def test_arithmetic_distance_runs_one_svd(counts):
+    rng = np.random.default_rng(22)
+    x, y = (grassmann.random_point(4, rng) for _ in range(2))
+    _reset(counts)
+    hermitian.arithmetic_distance(x, y)
+    # the sines of the principal angles, from one 2n x n SVD; no chart is searched
+    assert counts == {"svd": 1, "qr": 0}

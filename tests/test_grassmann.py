@@ -226,7 +226,7 @@ def test_sine_margin_matches_the_half_angle_tangent_as_closely_as_the_concatenat
             a = np.vstack([np.cos(angles)[:, None] * v, np.sin(angles)[:, None] * v])
             pair = (grassmann.SubspacePoint(x), grassmann.SubspacePoint(a))
             for p, q in (pair, pair[::-1]):
-                sine, svd = grassmann._margin(p, q), _concatenated_margin(p, q)
+                sine, svd = grassmann.transversality_margin(p, q), _concatenated_margin(p, q)
                 rtol = grassmann.TRANSVERSALITY_RTOL
                 assert (sine > rtol) == (svd > rtol) == (want > rtol)
                 sine_error = abs(sine - want) / want

@@ -1,9 +1,13 @@
+import warnings
+
 import numpy as np
 import pytest
 
 from apline import algebra, grassmann, hermitian
 from apline.crossratio import INF
 from apline.errors import (
+    AplineError,
+    DimensionError,
     NotInUniverseError,
     NotRankOneError,
     NotTransversalError,
@@ -224,46 +228,143 @@ def test_arithmetic_distance_counts_rank():
     n = 4
     h = algebra.random_hermitian(n, RNG)
     x = grassmann.point_from_chart(h)
-    assert hermitian.arithmetic_distance(x, x, RNG) == 0
+    assert hermitian.arithmetic_distance(x, x) == 0
     for k in (1, 2, 3):
         u = RNG.standard_normal((n, k)) + 1j * RNG.standard_normal((n, k))
         v = RNG.standard_normal((n, k)) + 1j * RNG.standard_normal((n, k))
         y = grassmann.point_from_chart(h + u @ v.conj().T)
-        assert hermitian.arithmetic_distance(x, y, RNG) == k
+        assert hermitian.arithmetic_distance(x, y) == k
     assert hermitian.is_rank_one_pair(
         x, grassmann.point_from_chart(h + np.outer([1, 0, 0, 0], [1, 0, 0, 0])))
 
 
+# sin(theta) at tan(theta / 2) = TRANSVERSALITY_RTOL: the sine above which a
+# principal angle counts toward the arithmetic distance
+_SINE_THRESHOLD = 2 * grassmann.TRANSVERSALITY_RTOL / (1 + grassmann.TRANSVERSALITY_RTOL ** 2)
+
+
+def _tilted(x, angles):
+    """The point whose principal angles to x are the given ones: X cos + alpha(X) sin."""
+    angles = np.asarray(angles, dtype=float)
+    return grassmann.SubspacePoint(x.basis * np.cos(angles)
+                                   + hermitian.alpha(x).basis * np.sin(angles))
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 6])
 def test_line_family_decides_rank_one_like_is_rank_one_pair(n):
-    # line_family takes the rank from the SVD that also factors the direction
-    # (compute_uv=True), is_rank_one_pair from a values-only SVD; on ranks
-    # 1..n and on second singular values at 0.5 to 2 times RANK_RTOL they agree
+    # on chart differences of rank 1..n, and on a second principal angle whose
+    # sine is 0.5 and 2 times the sine threshold, is_rank_one_pair and
+    # line_family give the distance's decision
     rng = np.random.default_rng(5000 + n)
     h = algebra.random_hermitian(n, rng)
     x = grassmann.point_from_chart(h)
-    diffs = []
+    pairs = []
     for k in range(1, n + 1):
         u = rng.standard_normal((n, k)) + 1j * rng.standard_normal((n, k))
         v = rng.standard_normal((n, k)) + 1j * rng.standard_normal((n, k))
-        diffs.append(u @ v.conj().T)
+        pairs.append((grassmann.point_from_chart(h + u @ v.conj().T), k))
     if n > 1:
-        uq = algebra.random_unitary(n, rng)
-        vq = algebra.random_unitary(n, rng)
-        for ratio in (0.5, 0.9, 1.1, 2.0):
-            s = np.zeros(n)
-            s[0], s[1] = 1.0, ratio * hermitian.RANK_RTOL
-            diffs.append((uq * s) @ vq.conj().T)
-    for d in diffs:
-        values = hermitian._rank_of(np.linalg.svd(d, compute_uv=False))
-        assert hermitian._rank_of(np.linalg.svd(d)[1]) == values
-        y = grassmann.point_from_chart(h + d)
-        assert hermitian.is_rank_one_pair(x, y) == (values == 1)
-        if values == 1:
+        for ratio, k in ((0.5, 1), (2.0, 2)):
+            angles = np.zeros(n)
+            angles[0], angles[1] = 0.7, np.arcsin(ratio * _SINE_THRESHOLD)
+            pairs.append((_tilted(x, angles), k))
+    for y, k in pairs:
+        assert hermitian.arithmetic_distance(x, y) == k
+        assert hermitian.is_rank_one_pair(x, y) == (k == 1)
+        if k == 1:
             hermitian.line_family(x, y)
         else:
             with pytest.raises(NotRankOneError):
                 hermitian.line_family(x, y)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 6])
+def test_arithmetic_distance_does_not_change_under_a_unitary_change_of_frame(n):
+    rng = np.random.default_rng(5100 + n)
+    pairs = []
+    for k in range(n + 1):
+        x = grassmann.random_point(n, rng)
+        angles = np.zeros(n)
+        angles[:k] = rng.uniform(0.1, 1.5, k)
+        pairs.append((x, _tilted(x, angles), k))
+    # one angle a decade below or above the threshold, after n - 1 clear ones or
+    # after one clear angle
+    for clear in {n - 1, min(1, n - 1)}:
+        for ratio, tilt in ((0.1, 0), (10.0, 1)):
+            x = grassmann.random_point(n, rng)
+            angles = np.zeros(n)
+            angles[:clear] = 0.7
+            angles[clear] = np.arcsin(ratio * _SINE_THRESHOLD)
+            pairs.append((x, _tilted(x, angles), clear + tilt))
+    for x, y, k in pairs:
+        g = hermitian.u_group_random(n, rng)
+        gx, gy = grassmann.apply_map(g, x), grassmann.apply_map(g, y)
+        assert hermitian.arithmetic_distance(x, y) == k
+        assert hermitian.arithmetic_distance(gx, gy) == k
+        assert hermitian.is_rank_one_pair(x, y) == hermitian.is_rank_one_pair(gx, gy) == (k == 1)
+
+
+def test_distance_n_is_exactly_transversality():
+    # pairs that share k dimensions, tilted by 1e-10 to 1e-6: both sides of the threshold
+    rng = np.random.default_rng(5200)
+    seen = set()
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", grassmann.TransversalityWarning)
+        for i in range(2000):
+            n = 1 + i % 4
+            k = int(rng.integers(1, n + 1))
+            x = grassmann.random_point(n, rng)
+            other = rng.standard_normal((2 * n, n - k)) + 1j * rng.standard_normal((2 * n, n - k))
+            tilt = 10.0 ** rng.uniform(-10, -6)
+            push = rng.standard_normal((2 * n, n)) + 1j * rng.standard_normal((2 * n, n))
+            a = grassmann.SubspacePoint(np.hstack([x.basis[:, :k], other]) + tilt * push)
+            full = hermitian.arithmetic_distance(x, a) == n
+            assert full == grassmann.is_transversal(x, a), (i, tilt)
+            seen.add(full)
+    assert seen == {False, True}
+
+
+def test_arithmetic_distance_of_mixed_dimensions_names_both():
+    rng = np.random.default_rng(5300)
+    x, y = grassmann.random_point(2, rng), grassmann.random_point(3, rng)
+    for decide in (hermitian.arithmetic_distance, hermitian.is_rank_one_pair,
+                   hermitian.line_family):
+        with pytest.raises(DimensionError, match="2 vs 3"):
+            decide(x, y)
+
+
+def _degenerate_pairs():
+    """Equal points, exactly shared subspaces and antipodes, at n = 1, 2, 3, 5."""
+    for n in (1, 2, 3, 5):
+        rng = np.random.default_rng(5400 + n)
+        x = grassmann.random_point(n, rng)
+        zero, infinity = grassmann.zero_point(n), grassmann.infinity_point(n)
+        yield from ((x, x), (x, grassmann.SubspacePoint(x.basis)), (zero, zero),
+                    (zero, infinity), (infinity, zero), (x, hermitian.alpha(x)),
+                    (hermitian.alpha(x), x))
+        for k in range(1, n):
+            other = rng.standard_normal((2 * n, n - k)) + 1j * rng.standard_normal((2 * n, n - k))
+            y = grassmann.SubspacePoint(np.hstack([x.basis[:, :k], other]))
+            yield x, y
+            shared = np.hstack([zero.basis[:, :k], infinity.basis[:, k:]])
+            yield zero, grassmann.SubspacePoint(shared)
+
+
+def test_degenerate_pairs_give_a_distance_or_an_apline_error():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for x, y in _degenerate_pairs():
+            d = hermitian.arithmetic_distance(x, y)
+            assert type(d) is int and 0 <= d <= x.n
+            assert hermitian.is_rank_one_pair(x, y) == (d == 1)
+            try:
+                fam = hermitian.line_family(x, y)
+            except AplineError:
+                assert d != 1
+                continue
+            assert d == 1
+            for t in (0.0, 1.0, INF):
+                assert np.isfinite(fam.raw_basis(t)).all()
 
 
 def test_line_family_interpolates_its_pair():
@@ -380,48 +481,54 @@ def test_involutions_and_circle_action_keep_their_bits():
     assert g.rep.tobytes() == rep.tobytes()
 
 
-# --- the rank certificate of line_family ---------------------------------------------
+# --- the pairs of the former four-margin rank certificate ---------------------------
 
 def _certificate_pool():
-    """(frame kind, x, y) pairs at n = 2, 3, 4, 8: states against infinity in the
-    standard frame and moved by U, and pairs whose chart search reaches its draws."""
+    """(frame kind, x, y, distance) at n = 2, 3, 4, 8: states against infinity in the
+    standard frame and moved by U, and pairs whose chart search reaches its draws.
+
+    The distance of a state's pair is the rank of its density: n for a full-rank
+    density, 2 while its second singular value is 1e-7 or more (a sine five times
+    the threshold), else 1.
+    """
     for n in (2, 3, 4, 8):
         rng = np.random.default_rng(7100 + n)
         infinity = grassmann.infinity_point(n)
-        states = [algebra.random_density(n, rng) for _ in range(6)]
+        states = [(algebra.random_density(n, rng), n) for _ in range(6)]
         for ratio in (1e-2, 1e-4, 1e-6, 1e-7, 1e-8, 0.0):
             u = algebra.random_unitary(n, rng)
             s = np.zeros(n)
             s[0], s[1] = 1.0, ratio
-            states.append((u * s) @ u.conj().T)
-        for w in states:
+            states.append(((u * s) @ u.conj().T, 2 if ratio >= 1e-7 else 1))
+        for w, k in states:
             x = grassmann.point_from_cochart((w + w.conj().T) / 2)
-            yield "standard", x, infinity
+            yield "standard", x, infinity, k
             g = hermitian.u_group_random(n, rng)
-            yield "transported", grassmann.apply_map(g, x), grassmann.apply_map(g, infinity)
+            yield "transported", grassmann.apply_map(g, x), grassmann.apply_map(g, infinity), k
         for _ in range(3):
             # singular w and a: x is not transversal to infinity and y not to 0, so
-            # neither base point charts both
+            # neither base point charts both; generic, so x meets y only in 0
             psi, phi = (rng.standard_normal((n, n - 1)) + 1j * rng.standard_normal((n, n - 1))
                         for _ in range(2))
             yield ("drawn", grassmann.point_from_cochart(psi @ psi.conj().T),
-                   grassmann.point_from_chart(phi @ phi.conj().T))
+                   grassmann.point_from_chart(phi @ phi.conj().T), n)
 
 
 def test_rank_certificate_fires_only_where_the_chart_values_are_not_rank_one():
-    fired = {"standard": 0, "transported": 0, "drawn": 0}
-    for kind, x, y in _certificate_pool():
-        c = hermitian.common_chart_point(x, y)
+    # the distance decides every pair, in both frames, and line_family follows it
+    rejected = {"standard": 0, "transported": 0, "drawn": 0}
+    for kind, x, y, k in _certificate_pool():
         if kind == "drawn":
+            c = hermitian.common_chart_point(x, y)
             assert c is not grassmann.infinity_point(x.n) and c is not grassmann.zero_point(x.n)
-        o = hermitian._chart_origin(c)
-        if hermitian._has_full_chart_rank(x, y, c, o):
-            fired[kind] += 1
-            with pytest.raises(NotRankOneError):
-                hermitian.LineFamily(*hermitian._chart_values(x, y, c, o))
+        assert hermitian.arithmetic_distance(x, y) == k, (kind, x.n)
+        if k == 1:
+            hermitian.line_family(x, y)
+        else:
+            rejected[kind] += 1
             with pytest.raises(NotRankOneError):
                 hermitian.line_family(x, y)
-    assert min(fired.values()) > 0, fired
+    assert min(rejected.values()) > 0, rejected
 
 
 def test_rank_certificate_survives_a_margin_of_zero():
@@ -429,8 +536,6 @@ def test_rank_certificate_survives_a_margin_of_zero():
     x = grassmann.zero_point(2)
     y = grassmann.SubspacePoint(np.eye(4)[:, [0, 3]])
     assert grassmann.transversality_margin(x, y) == 0.0
-    c = hermitian.common_chart_point(x, y)
-    assert not hermitian._has_full_chart_rank(x, y, c, hermitian._chart_origin(c))
     assert hermitian.arithmetic_distance(x, y) == 1
     fam = hermitian.line_family(x, y)
     assert grassmann.point_eq(fam.point(1.0), x)
@@ -441,7 +546,6 @@ def test_rank_certificate_is_not_run_at_n_1():
     rng = np.random.default_rng(7101)
     for _ in range(20):
         x, y = grassmann.random_point(1, rng), grassmann.random_point(1, rng)
-        c = hermitian.common_chart_point(x, y)
-        assert hermitian._has_full_chart_rank(x, y, c, hermitian._chart_origin(c))
+        assert hermitian.arithmetic_distance(x, y) == 1
         fam = hermitian.line_family(x, y)
         assert grassmann.point_eq(fam.point(0.0), y)

@@ -135,21 +135,26 @@ def test_expect_prints_its_golden_output_twice_in_one_process(cold_base_points):
 @pytest.mark.parametrize("n", [1, 2, 4, 8])
 def test_margins_to_the_base_points_are_bitwise_a_new_computation(n, cold_base_points):
     rng = np.random.default_rng(200 + n)
-    points = [grassmann.random_point(n, rng), grassmann.one_point(n),
-              grassmann.zero_point(n), grassmann.infinity_point(n)]
-    for base, memoized in ((grassmann.zero_point(n), grassmann._margin_to_zero),
-                           (grassmann.infinity_point(n), grassmann._margin_to_infinity)):
+    zero, infinity = grassmann.zero_point(n), grassmann.infinity_point(n)
+    # building infinity computed the sines between the two base points
+    assert grassmann._sines_to_infinity in zero._memo
+    assert grassmann._sines_to_zero in infinity._memo
+    points = [grassmann.random_point(n, rng), grassmann.one_point(n), zero, infinity]
+    for base, memoized in ((zero, grassmann._sines_to_zero),
+                           (infinity, grassmann._sines_to_infinity)):
         for x in points:
-            fresh = grassmann._margin(x, base).hex()
-            first = grassmann.transversality_margin(x, base).hex()
-            assert memoized in x._memo
-            again = grassmann.transversality_margin(x, base).hex()
-            assert again == first == fresh
+            fresh = grassmann._principal_sines(x, base)
+            first = grassmann._sines(x, base)
+            assert memoized in x._memo and not first.flags.writeable
+            assert grassmann._sines(x, base) is first
+            assert first.tobytes() == fresh.tobytes()
+            margin = grassmann._half_angle_tangent(fresh[-1]).hex()
+            assert grassmann.transversality_margin(x, base).hex() == margin
     # any other second point is measured afresh and cached nowhere
     x, a = points[0], grassmann.random_point(n, rng)
-    assert grassmann.transversality_margin(x, a) == grassmann._margin(x, a)
-    assert a._memo == {} and set(x._memo) == {grassmann._margin_to_zero,
-                                              grassmann._margin_to_infinity}
+    assert grassmann._sines(x, a).tobytes() == grassmann._principal_sines(x, a).tobytes()
+    assert a._memo == {} and set(x._memo) == {grassmann._sines_to_zero,
+                                              grassmann._sines_to_infinity}
 
 
 def test_a_cached_margin_warns_on_every_call():
@@ -158,4 +163,4 @@ def test_a_cached_margin_warns_on_every_call():
     for _ in range(3):
         with pytest.warns(grassmann.TransversalityWarning):
             assert grassmann.is_transversal(x, infinity)
-    assert grassmann._margin_to_infinity in x._memo
+    assert grassmann._sines_to_infinity in x._memo

@@ -289,9 +289,11 @@ def test_closed_form_root_equals_the_determinant_root(n):
 
 def test_a_rank_two_direction_is_not_a_line():
     # span[I; diag(t, t - 1)] would meet 0 = span[I; 0] at t = 0 and t = 1
+    y = grassmann.point_from_chart(np.diag([0.0, -1.0]))
+    x = grassmann.point_from_chart(np.diag([1.0, 0.0]))
+    assert hermitian.arithmetic_distance(x, y) == 2
     with pytest.raises(NotRankOneError):
-        hermitian.LineFamily(np.eye(4, dtype=complex), np.diag([0.0, -1.0]).astype(complex),
-                             np.eye(2, dtype=complex))
+        hermitian.line_family(x, y)
 
 
 def _diagonal_family():
@@ -445,14 +447,15 @@ def test_expectation_warns_near_the_threshold_like_every_guarded_call():
 
 
 # (n, sigma_2 / sigma_1 of the density, pure in the standard frame, pure moved by U)
+# (n, second singular value of w, pure in the standard frame, pure after a transport):
+# a sine of 1e-7 or 1e-6 is five or fifty times the threshold, 1e-8 half of it
 _NEAR_PURE = [(2, 1e-6, False, False), (2, 1e-7, False, False), (2, 1e-8, True, True),
-              (4, 1e-6, False, True), (4, 1e-7, True, False), (4, 1e-8, True, True),
-              (8, 1e-6, False, False), (8, 1e-7, False, True), (8, 1e-8, True, True)]
+              (4, 1e-6, False, False), (4, 1e-7, False, False), (4, 1e-8, True, True),
+              (8, 1e-6, False, False), (8, 1e-7, False, False), (8, 1e-8, True, True)]
 
 
 def test_pure_is_unchanged_near_the_rank_threshold():
-    # the values the chart path computes at the 1e-7 rank threshold, rounding and all;
-    # a rank certificate must leave them to it
+    # near the threshold the decision is the principal-angle count in either frame
     got = []
     for n in (2, 4, 8):
         rng = np.random.default_rng(7200 + n)
@@ -464,7 +467,9 @@ def test_pure_is_unchanged_near_the_rank_threshold():
             o = obstate.standard_obstate(algebra.random_hermitian(n, rng), (w + w.conj().T) / 2)
             moved = obstate.transport(o, hermitian.u_group_random(n, rng))
             got.append((n, ratio, obstate.report(o)["pure"], obstate.report(moved)["pure"]))
+            assert obstate.is_pure(o) == got[-1][2] and obstate.is_pure(moved) == got[-1][3]
     assert got == _NEAR_PURE
+    assert all(pure == moved_pure for *_, pure, moved_pure in got)
 
 
 def test_pure_state_point_of_an_empty_vector_is_a_dimension_error():
