@@ -20,8 +20,9 @@ by the private constructors SubspacePoint._full_rank (QR only) and
 ProjectiveMap._invertible (no SVD); each call site states the proof in
 one line.  Both build the same bits as their public counterparts.
 
-A value that one point alone determines is computed once per point:
-functions decorated with _memoized keep their result in the point's memo.
+A value that one point alone determines, such as its chart value, is
+computed once per point: functions decorated with _memoized keep their
+result in the point's memo.
 So do the principal-angle sines of a point to the shared base points 0
 and infinity, which transversality_margin reads from the memo.
 """
@@ -244,14 +245,23 @@ def point_from_chart(a) -> SubspacePoint:
 def chart_repr(x: SubspacePoint) -> np.ndarray:
     """Left inverse of point_from_chart; requires x transversal to infinity.
 
-    With basis split [p; q], the chart value is q p^{-1}.
+    With basis split [p; q], the chart value is q p^{-1}.  It is computed
+    once per point (see _chart_value); the result is a new writable array.
     """
+    return _chart_value(x).copy()
+
+
+@_memoized
+def _chart_value(x: SubspacePoint) -> np.ndarray:
+    """chart_repr(x), read-only and cached on x; NotInChartError is raised on every call."""
     n = x.n
     p = x.basis[:n, :]
     q = x.basis[n:, :]
     if not algebra.is_invertible(p, tol=TRANSVERSALITY_RTOL):
         raise NotInChartError("point is not transversal to infinity")
-    return q @ np.linalg.inv(p)
+    value = q @ np.linalg.inv(p)
+    value.setflags(write=False)
+    return value
 
 
 def point_from_cochart(w) -> SubspacePoint:

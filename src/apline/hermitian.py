@@ -310,8 +310,8 @@ def tangent_product(base: SubspacePoint, x: SubspacePoint,
     message = "tangent_product needs factors transversal to alpha(base)"
     grassmann._require_transversal(((x, ant, message), (y, ant, message)))
     g = transport_to_zero(base)
-    gx = grassmann.chart_repr(apply_map(g, x))
-    gy = grassmann.chart_repr(apply_map(g, y))
+    gx = grassmann._chart_value(apply_map(g, x))
+    gy = grassmann._chart_value(apply_map(g, y))
     return apply_map(g.inverse(), point_from_chart(gx @ gy))
 
 
@@ -506,8 +506,8 @@ def line_family(x: SubspacePoint, y: SubspacePoint,
 
 @grassmann._memoized
 def _hermitian_chart(z: SubspacePoint) -> np.ndarray:
-    """The Hermitian chart value of z, read-only and cached on z."""
-    m = grassmann.chart_repr(z)
+    """The Hermitian part of z's memoized chart value, read-only and cached on z."""
+    m = grassmann._chart_value(z)
     if not algebra.is_hermitian(m, tol=1e-8):
         raise NotHermitianError("cyclic order needs points of R (Hermitian charts)")
     h = (m + m.conj().T) / 2

@@ -155,13 +155,19 @@ def _strong_normal_form(o: Obstate) -> tuple[np.ndarray, np.ndarray]:
 
     The transport commutes with alpha and preserves R, so it carries
     (A0, Winf) to (0, infinity) exactly; the observable then has a
-    Hermitian chart value and the state a Hermitian graph value.
+    Hermitian chart value and the state a Hermitian graph value.  When
+    A0 is the base point 0 itself (object identity, not equality) the
+    transport is the identity and is skipped: a is A's memoized chart
+    value, which the order test reuses.  Winf is never read.
     """
     if not o.strong:
         raise NotStrongError("second moments need a strong obstate")
-    g = hermitian.transport_to_zero(o.ref_observable)
-    a = grassmann.chart_repr(apply_map(g, o.observable))
-    w = grassmann.cochart_repr(apply_map(g, o.state))
+    A, W = o.observable, o.state
+    if o.ref_observable is not zero_point(A.n):
+        g = hermitian.transport_to_zero(o.ref_observable)
+        A, W = apply_map(g, A), apply_map(g, W)
+    a = grassmann._chart_value(A)
+    w = grassmann.cochart_repr(W)
     if not algebra.is_hermitian(a, tol=1e-7):
         raise NotHermitianError("transported observable has no Hermitian chart value")
     if not algebra.is_hermitian(w, tol=1e-7):

@@ -138,20 +138,20 @@ def _mixed_obstate(n, seed):
                                     algebra.random_density(n, rng))
 
 
-# The frame (0, infinity) caches its transport and A0's order chart on the shared base
-# points, so the cold counts are pinned on new base points and the warm counts after a
-# first report in the frame.
+# The frame (0, infinity) caches A0's order chart on the shared base points, so the cold
+# counts are pinned on new base points and the warm counts after a first report in the
+# frame.  Its normal form runs no transport: A0 is the base point 0 itself.
 
 def test_standard_frame_mixed_report_svd_count(counts, cold_base_points):
     o = _mixed_obstate(4, 19)
     _warm(4)
     _reset(counts)
     obstate.report(o)
-    # expectation reuses new_obstate's margins: 0; normal form: 2 chart blocks, and
-    # the QRs of the frame's transport and of A and W moved by it; pure test: the sines
-    # of W to Winf, whose count rejects the pair; cyclic order: the charts of A0, W and
-    # A, A0's once for both triples
-    assert counts == {"svd": 6, "qr": 3}
+    # expectation reuses new_obstate's margins: 0; normal form: A's chart block and W's
+    # cochart block, with no transport (A0 is 0 itself) and so no QR; pure test: the
+    # sines of W to Winf, whose count rejects the pair; cyclic order: the charts of A0
+    # and W, A0's once for both triples, and A's from the normal form's memo
+    assert counts == {"svd": 5, "qr": 0}
 
 
 def test_standard_frame_pure_report_svd_count(counts, cold_base_points):
@@ -159,10 +159,10 @@ def test_standard_frame_pure_report_svd_count(counts, cold_base_points):
     _warm(4)
     _reset(counts)
     obstate.report(o)
-    # normal form: 2; pure_expectation: 6 (see above); cyclic order: the charts of
-    # A0 and W, where span[w; I] of a singular w lies on the chart's horizon, so
-    # positive is False and A's chart is never taken
-    assert counts == {"svd": 10, "qr": 4}
+    # normal form: 2, with no transport and so no QR; pure_expectation: 6 and 1 QR (see
+    # above); cyclic order: the charts of A0 and W, where span[w; I] of a singular w
+    # lies on the chart's horizon, so positive is False and A's chart is not read again
+    assert counts == {"svd": 10, "qr": 1}
 
 
 def test_warm_frame_mixed_report_svd_count(counts, cold_base_points):
@@ -170,8 +170,8 @@ def test_warm_frame_mixed_report_svd_count(counts, cold_base_points):
     o = _mixed_obstate(4, 19)
     _reset(counts)
     obstate.report(o)
-    # the cold count less the frame's transport (1 QR) and A0's chart (1 SVD)
-    assert counts == {"svd": 5, "qr": 2}
+    # the cold count less A0's chart (1 SVD); the frame (0, infinity) has no transport
+    assert counts == {"svd": 4, "qr": 0}
 
 
 def test_warm_frame_pure_report_svd_count(counts, cold_base_points):
@@ -179,8 +179,8 @@ def test_warm_frame_pure_report_svd_count(counts, cold_base_points):
     o = _pure_obstate(4, 20)
     _reset(counts)
     obstate.report(o)
-    # likewise one QR and one SVD below the cold count
-    assert counts == {"svd": 9, "qr": 3}
+    # likewise one SVD below the cold count; the QR is pure_expectation's line(0)
+    assert counts == {"svd": 9, "qr": 1}
 
 
 def test_warm_mixed_is_pure_runs_no_svd(counts, cold_base_points):

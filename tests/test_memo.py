@@ -15,7 +15,7 @@ from click.testing import CliRunner
 
 from apline import algebra, grassmann, hermitian, obstate
 from apline.cli import main
-from apline.errors import AplineError, NotInUniverseError
+from apline.errors import AplineError, NotInChartError, NotInUniverseError
 from apline.grassmann import SubspacePoint
 
 _ROOT = Path(__file__).resolve().parents[1]
@@ -54,6 +54,7 @@ def _order_values(value, n):
 def test_memoized_values_are_bitwise_a_new_computation(n, cold_base_points):
     cases = {
         "projector": lambda x: _bits(x.projector),
+        "_chart_value": lambda x: _bits(grassmann._chart_value(x)),
         "membership": lambda x: hermitian.membership(x, "R"),
         "cayley_to_unitary": lambda x: _bits(hermitian.cayley_to_unitary(x)),
         "transport_to_zero": lambda x: _bits(hermitian.transport_to_zero(x)),
@@ -86,6 +87,39 @@ def test_a_written_cayley_unitary_leaves_the_next_result_unchanged():
     expected = u.copy()
     u[:] = 0.0
     assert hermitian.cayley_to_unitary(x).tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("n", [1, 2, 4, 8])
+def test_the_chart_value_is_bitwise_a_fresh_q_inv_p_and_read_only(n):
+    rng = np.random.default_rng(300 + n)
+    for x in (grassmann.random_point(n, rng), hermitian.random_r_point(n, rng),
+              grassmann.point_from_chart(algebra.random_hermitian(n, rng))):
+        value = grassmann._chart_value(x)
+        fresh = x.basis[n:, :] @ np.linalg.inv(x.basis[:n, :])
+        assert value.tobytes() == fresh.tobytes()
+        assert not value.flags.writeable
+        assert grassmann._chart_value(x) is value
+
+
+def test_chart_repr_returns_a_writable_copy_and_leaves_the_memo_untouched():
+    x = grassmann.random_point(3, np.random.default_rng(9))
+    value = grassmann._chart_value(x)
+    expected = value.tobytes()
+    chart = grassmann.chart_repr(x)
+    assert chart.flags.writeable and chart is not value
+    chart[:] = 0.0
+    assert grassmann._chart_value(x) is value and value.tobytes() == expected
+    assert grassmann.chart_repr(x).tobytes() == expected
+
+
+def test_a_point_off_the_chart_raises_on_every_call():
+    # span[w; I] of a singular w meets infinity
+    x = grassmann.point_from_cochart(np.diag([1.0, 0.0]))
+    for fn in (grassmann._chart_value, grassmann.chart_repr, hermitian._hermitian_chart):
+        for _ in range(3):
+            with pytest.raises(NotInChartError):
+                fn(x)
+    assert grassmann._chart_value not in x._memo
 
 
 def _matrix_json(m):
@@ -164,3 +198,32 @@ def test_a_cached_margin_warns_on_every_call():
         with pytest.warns(grassmann.TransversalityWarning):
             assert grassmann.is_transversal(x, infinity)
     assert grassmann._sines_to_infinity in x._memo
+
+
+def _memo_arrays(value):
+    """The arrays a memo value holds: itself or a map's rep."""
+    if isinstance(value, np.ndarray):
+        return [value]
+    if isinstance(value, grassmann.ProjectiveMap):
+        return [value.rep]
+    return []
+
+
+def test_every_cached_array_is_read_only(cold_base_points):
+    n = 4
+    rng = np.random.default_rng(400)
+    a = algebra.random_hermitian(n, rng)
+    psi = algebra.random_matrix(n, rng)[:, :1]
+    mixed = obstate.standard_obstate(a, algebra.random_density(n, rng))
+    pure = obstate.standard_obstate(a, psi @ psi.conj().T / np.vdot(psi, psi).real)
+    moved = obstate.transport(obstate.standard_obstate(a, algebra.random_density(n, rng)),
+                              hermitian.u_group_random(n, rng))
+    points = [grassmann.zero_point(n), grassmann.infinity_point(n)]
+    for o in (mixed, pure, moved):
+        obstate.report(o)
+        points += [o.observable, o.state, o.ref_observable, o.ref_state]
+    # the standard-frame normal form and order test share A's chart value
+    assert grassmann._chart_value in mixed.observable._memo
+    arrays = [arr for x in points for v in x._memo.values() for arr in _memo_arrays(v)]
+    assert len(arrays) > 20
+    assert not any(arr.flags.writeable for arr in arrays)

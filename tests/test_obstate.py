@@ -145,6 +145,33 @@ def test_distribution_clusters_degenerate_eigenvalues():
     assert obstate.variance(o) == pytest.approx(0.0, abs=1e-12)
 
 
+@pytest.mark.parametrize("pure", [False, True])
+def test_a_reference_point_equal_to_zero_but_not_zero_point_takes_the_transport(
+        monkeypatch, pure):
+    n = 4
+    rng = np.random.default_rng(60 + pure)
+    a = algebra.random_hermitian(n, rng)
+    if pure:
+        psi = algebra.random_matrix(n, rng)[:, :1]
+        w = psi @ psi.conj().T / np.vdot(psi, psi).real
+    else:
+        w = algebra.random_density(n, rng)
+    standard = obstate.standard_obstate(a, w)
+    equal = obstate.new_obstate(grassmann.point_from_chart(a), obstate.state_from_density(w),
+                                grassmann.point_from_chart(np.zeros((n, n))),
+                                grassmann.infinity_point(n))
+    assert equal.ref_observable == standard.ref_observable
+    transported = []
+    transport_to_zero = hermitian.transport_to_zero
+    monkeypatch.setattr(hermitian, "transport_to_zero",
+                        lambda x: transported.append(x) or transport_to_zero(x))
+    variance, dist = obstate.variance(standard), obstate.distribution(standard)
+    assert transported == []  # A0 is 0 itself: no transport
+    assert obstate.variance(equal) == pytest.approx(variance, rel=0, abs=1e-12)
+    assert transported == [equal.ref_observable]
+    assert np.allclose(obstate.distribution(equal), dist, rtol=0, atol=1e-12)
+
+
 def test_pure_expectation_agrees_with_kernel_trace():
     for n in (1, 2, 3):
         a = algebra.random_hermitian(n, RNG)
