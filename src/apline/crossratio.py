@@ -156,11 +156,30 @@ def kernel(x: SubspacePoint, a: SubspacePoint, b: SubspacePoint,
     b must be transversal to x and y transversal to a; beta: a -> x is
     the graph map of b and eta: x -> a the graph map of y, both w.r.t.
     the splitting A^2 = a (+) x.  CR(y, b; x, a) := K_{x,a}(b, y).
+
+    When x is the base point 0 and a the base point infinity (the objects
+    zero_point(n) and infinity_point(n), not points merely equal to them),
+    the kernel is cochart(b) chart(y), read from the points' memos; any
+    other pair runs one solve.  Both give the same matrix: each nonzero
+    real or imaginary part bit for bit, and a zero part zero (its sign
+    may differ).
     """
     m_xa, m_bx, m_ya = grassmann._require_transversal((
         (x, a, "kernel needs transversal reference pair (x, a)"),
         (b, x, "kernel needs b in U_x"),
         (y, a, "kernel needs y in U_a")))
+    if grassmann._is_zero_point(x) and grassmann._is_infinity_point(a):
+        # The QR gives 0 and infinity the bases [I; 0] and -[0; I], so [A | X] is a
+        # signed permutation and the solve below is exact: c = -q_b, d = p_b, cy = -q_y
+        # and dy = p_y.  Negation commutes with every rounding, so beta = -p_b q_b^-1
+        # and eta = -q_y p_y^-1, and the signs cancel in beta eta.  This holds bit for
+        # bit for every nonzero real and imaginary part; the solve's substitutions can
+        # flip the sign of an exact zero (diagonal charts show it), and no nonzero
+        # value depends on that sign.  The gate memoized the sines of b to 0 and of y
+        # to infinity, and its passing margins put them above
+        # grassmann._HORIZON_SINE_BOUND: the chart guards pass without an SVD, and the
+        # block checks below could not fail either.
+        return EndoX(grassmann._cochart_value(b) @ grassmann._chart_value(y))
     n = x.n
     # one solve of [A | X] [[c, cy], [d, dy]] = [B | Y]: b = A c + X d is the graph
     # of beta: a -> x, and y = A cy + X dy the graph of eta: x -> a

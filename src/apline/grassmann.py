@@ -200,6 +200,16 @@ def _base_point(columns: np.ndarray, sines_to_it) -> SubspacePoint:
     return a
 
 
+def _is_zero_point(x: SubspacePoint) -> bool:
+    """Whether x is a base point 0 built by zero_point, told by its memo tag (builds none)."""
+    return x._memo.get(_base_point) is _sines_to_zero
+
+
+def _is_infinity_point(x: SubspacePoint) -> bool:
+    """Whether x is a base point infinity built by infinity_point, told by its memo tag."""
+    return x._memo.get(_base_point) is _sines_to_infinity
+
+
 @lru_cache(maxsize=None)
 def one_point(n: int) -> SubspacePoint:
     """The base point 1 = [(1, 1)] = span[I; I]; one cached point per n, shared and read-only."""
@@ -253,13 +263,41 @@ def chart_repr(x: SubspacePoint) -> np.ndarray:
 
 @_memoized
 def _chart_value(x: SubspacePoint) -> np.ndarray:
-    """chart_repr(x), read-only and cached on x; NotInChartError is raised on every call."""
+    """chart_repr(x), read-only and cached on x; NotInChartError is raised on every call.
+
+    Memoized sines to infinity can settle the guard without its SVD (see _graph_value).
+    """
     n = x.n
-    p = x.basis[:n, :]
-    q = x.basis[n:, :]
-    if not algebra.is_invertible(p, tol=TRANSVERSALITY_RTOL):
-        raise NotInChartError("point is not transversal to infinity")
-    value = q @ np.linalg.inv(p)
+    return _graph_value(x.basis[n:, :], x.basis[:n, :], x._memo.get(_sines_to_infinity),
+                        "infinity")
+
+
+# Smallest memoized sine of a point to the horizon of a chart above which its
+# chart block passes the invertibility test without the SVD (see _graph_value).
+_HORIZON_SINE_BOUND = 1.5 * TRANSVERSALITY_RTOL
+
+
+def _graph_value(top: np.ndarray, block: np.ndarray, sines, horizon: str) -> np.ndarray:
+    """top block^-1 (read-only) for the blocks of a point's basis [p; q] in a chart.
+
+    Raises NotInChartError unless algebra.is_invertible(block,
+    tol=TRANSVERSALITY_RTOL).  As p* p + q* q = I, the singular values of
+    p are the sines of the principal angles to infinity, and those of q
+    the sines to 0.  So when the point's memo holds those sines to the
+    chart's horizon and the smallest is above _HORIZON_SINE_BOUND, the
+    test passes and its SVD is skipped.  Rounding moves the basis off
+    orthonormal, and each computed singular value (of the block and of the
+    sines' 2n x n matrix), by a few n eps, under 1e-11 for n <= 10^4; so
+    s_min(block) > 1.5e-8 - 1e-11 > TRANSVERSALITY_RTOL (1 + 1e-11) >
+    TRANSVERSALITY_RTOL s_max(block).  A passing margin tan(theta / 2) >
+    TRANSVERSALITY_RTOL gives the sine tan(theta / 2) (1 + cos theta) >
+    1.99 TRANSVERSALITY_RTOL, so every point a gate has passed against the
+    horizon skips the SVD.  The block is finite, so the test cannot raise.
+    """
+    if not (sines is not None and sines[-1] > _HORIZON_SINE_BOUND
+            or algebra.is_invertible(block, tol=TRANSVERSALITY_RTOL)):
+        raise NotInChartError(f"point is not transversal to {horizon}")
+    value = top @ np.linalg.inv(block)
     value.setflags(write=False)
     return value
 
@@ -276,13 +314,19 @@ def point_from_cochart(w) -> SubspacePoint:
 
 
 def cochart_repr(x: SubspacePoint) -> np.ndarray:
-    """Left inverse of point_from_cochart; requires x transversal to 0."""
+    """Left inverse of point_from_cochart; requires x transversal to 0.
+
+    With basis split [p; q], the cochart value is p q^{-1}.  It is computed
+    once per point (see _cochart_value); the result is a new writable array.
+    """
+    return _cochart_value(x).copy()
+
+
+@_memoized
+def _cochart_value(x: SubspacePoint) -> np.ndarray:
+    """cochart_repr(x), read-only and cached on x; NotInChartError is raised on every call."""
     n = x.n
-    p = x.basis[:n, :]
-    q = x.basis[n:, :]
-    if not algebra.is_invertible(q, tol=TRANSVERSALITY_RTOL):
-        raise NotInChartError("point is not transversal to zero")
-    return p @ np.linalg.inv(q)
+    return _graph_value(x.basis[:n, :], x.basis[n:, :], x._memo.get(_sines_to_zero), "zero")
 
 
 # --- transversality and projectors ------------------------------------------

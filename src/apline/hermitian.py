@@ -524,9 +524,14 @@ def cyclic_triple(a: SubspacePoint, b: SubspacePoint, c: SubspacePoint) -> bool:
     agreeing with the classical cyclic order at n = 1; correctness is
     asserted by the invariance tests, not by the formula.
     """
+    return _ordered_after(a, c)(b)
+
+
+def _ordered_after(a: SubspacePoint, c: SubspacePoint):
+    """The test b -> cyclic_triple(a, b, c), with a's order value computed once."""
     value = _order_chart(c)
     va = value(a)
-    return algebra.is_psd(value(b) - va)
+    return lambda b: algebra.is_psd(value(b) - va)
 
 
 @grassmann._memoized

@@ -129,7 +129,8 @@ def expectation(o: Obstate) -> complex:
 
     Equals trace(w a) in the standard frame; invariant under transport
     of all four slots by any automorphism of (S, tau).  In the frame
-    (0, infinity) the kernel reads its three margins from the points' memos.
+    (0, infinity) the kernel reads its three margins from the points' memos
+    and is w a, from the memoized cochart value of W and chart value of A.
     """
     return kernel(o.ref_observable, o.ref_state, o.state, o.observable).trace
 
@@ -156,18 +157,19 @@ def _strong_normal_form(o: Obstate) -> tuple[np.ndarray, np.ndarray]:
     The transport commutes with alpha and preserves R, so it carries
     (A0, Winf) to (0, infinity) exactly; the observable then has a
     Hermitian chart value and the state a Hermitian graph value.  When
-    A0 is the base point 0 itself (object identity, not equality) the
-    transport is the identity and is skipped: a is A's memoized chart
-    value, which the order test reuses.  Winf is never read.
+    A0 is the base point 0 itself (the object zero_point built, not a
+    point equal to it) the transport is the identity and is skipped: a
+    and w are the memoized chart values of A and W, which the kernel of
+    expectation and the order test read too.  Winf is never read.
     """
     if not o.strong:
         raise NotStrongError("second moments need a strong obstate")
     A, W = o.observable, o.state
-    if o.ref_observable is not zero_point(A.n):
+    if not grassmann._is_zero_point(o.ref_observable):
         g = hermitian.transport_to_zero(o.ref_observable)
         A, W = apply_map(g, A), apply_map(g, W)
     a = grassmann._chart_value(A)
-    w = grassmann.cochart_repr(W)
+    w = grassmann._cochart_value(W)
     if not algebra.is_hermitian(a, tol=1e-7):
         raise NotHermitianError("transported observable has no Hermitian chart value")
     if not algebra.is_hermitian(w, tol=1e-7):
@@ -227,17 +229,27 @@ def is_pure(o: Obstate) -> bool:
 _ORDER_ERRORS = (NotInChartError, NotTransversalError, NotHermitianError)
 
 
-def _on_arc(o: Obstate, z: SubspacePoint) -> bool:
-    """Whether (A0, z, Winf) is cyclically ordered."""
+def _arc(o: Obstate):
+    """The test z -> whether (A0, z, Winf) is cyclically ordered.
+
+    A0's order value is computed once, however many points are tested.
+    """
     try:
-        return hermitian.cyclic_triple(o.ref_observable, z, o.ref_state)
+        ordered = hermitian._ordered_after(o.ref_observable, o.ref_state)
     except _ORDER_ERRORS:
-        return False
+        return lambda z: False
+
+    def on_arc(z: SubspacePoint) -> bool:
+        try:
+            return ordered(z)
+        except _ORDER_ERRORS:
+            return False
+    return on_arc
 
 
 def is_positive(o: Obstate) -> bool:
     """Whether (A0, W, Winf) is cyclically ordered."""
-    return _on_arc(o, o.state)
+    return _arc(o)(o.state)
 
 
 def is_cyclically_ordered(o: Obstate) -> bool:
@@ -250,7 +262,8 @@ def is_cyclically_ordered(o: Obstate) -> bool:
     expectation; the order used here is the one that makes the
     positivity consequence true.)
     """
-    return _on_arc(o, o.observable) and _on_arc(o, o.state)
+    on_arc = _arc(o)
+    return on_arc(o.observable) and on_arc(o.state)
 
 
 # --- pure-state expectation through the intrinsic line ----------------------------
@@ -392,7 +405,8 @@ def report(o: Obstate) -> dict:
     except NonUniqueCompletionError as exc:
         pure_out = {"pure_expectation_error": str(exc)}
     out["pure"] = bool(pure_out)
-    out["positive"] = is_positive(o)
-    out["cyclically_ordered"] = out["positive"] and _on_arc(o, o.observable)
+    on_arc = _arc(o)
+    out["positive"] = on_arc(o.state)
+    out["cyclically_ordered"] = out["positive"] and on_arc(o.observable)
     out.update(pure_out)
     return out

@@ -208,3 +208,64 @@ def test_kernel_skips_a_block_check_only_where_it_would_pass(n):
         if all(bound >= crossratio._MARGIN_PRODUCT_BOUND for _, bound in blocks):
             crossratio.kernel(x, a, b, y)
     assert skipped and checked
+
+
+# --- the frame (0, infinity) ---------------------------------------------------------
+
+def _frame_copies(n):
+    """Points equal to 0 and infinity, built from the same columns but not the base points."""
+    zero = grassmann.SubspacePoint(np.vstack([np.eye(n), np.zeros((n, n))]))
+    infinity = grassmann.SubspacePoint(np.vstack([np.zeros((n, n)), np.eye(n)]))
+    return zero, infinity
+
+
+@pytest.fixture
+def solves(monkeypatch):
+    calls = []
+    solve = np.linalg.solve
+
+    def counted(*args):
+        calls.append(args)
+        return solve(*args)
+    monkeypatch.setattr(np.linalg, "solve", counted)
+    return calls
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 6, 8, 16])
+def test_kernel_in_the_frame_zero_infinity_is_bitwise_the_solve(n, solves):
+    rng = np.random.default_rng(500 + n)
+    zero, infinity = grassmann.zero_point(n), grassmann.infinity_point(n)
+    # the bases the proof in kernel names: [I; 0] and -[0; I]
+    assert (zero.basis == np.vstack([np.eye(n), np.zeros((n, n))])).all()
+    assert (infinity.basis == -np.vstack([np.zeros((n, n)), np.eye(n)])).all()
+    equal = _frame_copies(n)
+    for hermitian_charts in (True, False):
+        for _ in range(30):
+            if hermitian_charts:
+                a, w = algebra.random_hermitian(n, rng), algebra.random_density(n, rng)
+            else:
+                a, w = algebra.random_matrix(n, rng), algebra.random_matrix(n, rng)
+            b, y = grassmann.point_from_cochart(w), grassmann.point_from_chart(a)
+            del solves[:]
+            fast = crossratio.kernel(zero, infinity, b, y).matrix
+            assert not solves
+            solved = crossratio.kernel(*equal, b, y).matrix
+            assert len(solves) == 1
+            assert fast.tobytes() == solved.tobytes()
+
+
+def test_kernel_in_the_frame_zero_infinity_on_diagonal_charts_is_the_solve_up_to_zero_signs():
+    rng = np.random.default_rng(520)
+    for n in (1, 2, 3, 4):
+        zero, infinity = grassmann.zero_point(n), grassmann.infinity_point(n)
+        for _ in range(20):
+            a, w = np.diag(rng.standard_normal(n)), np.diag(np.abs(rng.standard_normal(n)))
+            b, y = grassmann.point_from_cochart(w), grassmann.point_from_chart(a)
+            fast = crossratio.kernel(zero, infinity, b, y)
+            solved = crossratio.kernel(*_frame_copies(n), b, y)
+            # an exact zero real or imaginary part may differ in sign, nothing else may
+            parts, solved_parts = fast.matrix.view(float), solved.matrix.view(float)
+            nonzero = parts != 0
+            assert np.array_equal(parts, solved_parts)
+            assert parts[nonzero].tobytes() == solved_parts[nonzero].tobytes()
+            assert repr((fast.trace, fast.det)) == repr((solved.trace, solved.det))

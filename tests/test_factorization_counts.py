@@ -140,18 +140,20 @@ def _mixed_obstate(n, seed):
 
 # The frame (0, infinity) caches A0's order chart on the shared base points, so the cold
 # counts are pinned on new base points and the warm counts after a first report in the
-# frame.  Its normal form runs no transport: A0 is the base point 0 itself.
+# frame.  Its normal form runs no transport: A0 is the base point 0 itself.  Its kernel is
+# cochart(W) chart(A), and the sines that new_obstate and the pure test memoized settle
+# every chart guard (A0's, A's and W's) without an SVD.
 
 def test_standard_frame_mixed_report_svd_count(counts, cold_base_points):
     o = _mixed_obstate(4, 19)
     _warm(4)
     _reset(counts)
     obstate.report(o)
-    # expectation reuses new_obstate's margins: 0; normal form: A's chart block and W's
-    # cochart block, with no transport (A0 is 0 itself) and so no QR; pure test: the
-    # sines of W to Winf, whose count rejects the pair; cyclic order: the charts of A0
-    # and W, A0's once for both triples, and A's from the normal form's memo
-    assert counts == {"svd": 5, "qr": 0}
+    # the pure test's sines of W to Winf, whose count rejects the pair, and nothing else:
+    # expectation reuses new_obstate's margins, and they settle the chart guards of A and
+    # W, which the kernel, the normal form and the order test share; A0's chart guard is
+    # settled by the sines between 0 and infinity, W's by the pure test's
+    assert counts == {"svd": 1, "qr": 0}
 
 
 def test_standard_frame_pure_report_svd_count(counts, cold_base_points):
@@ -159,10 +161,10 @@ def test_standard_frame_pure_report_svd_count(counts, cold_base_points):
     _warm(4)
     _reset(counts)
     obstate.report(o)
-    # normal form: 2, with no transport and so no QR; pure_expectation: 6 and 1 QR (see
-    # above); cyclic order: the charts of A0 and W, where span[w; I] of a singular w
-    # lies on the chart's horizon, so positive is False and A's chart is not read again
-    assert counts == {"svd": 10, "qr": 1}
+    # pure_expectation: 6 and 1 QR (see above); cyclic order: W's chart block, whose SVD
+    # runs because span[w; I] of a singular w lies on the chart's horizon (its smallest
+    # sine to infinity is 0), so positive is False and A's chart is not read
+    assert counts == {"svd": 7, "qr": 1}
 
 
 def test_warm_frame_mixed_report_svd_count(counts, cold_base_points):
@@ -170,8 +172,9 @@ def test_warm_frame_mixed_report_svd_count(counts, cold_base_points):
     o = _mixed_obstate(4, 19)
     _reset(counts)
     obstate.report(o)
-    # the cold count less A0's chart (1 SVD); the frame (0, infinity) has no transport
-    assert counts == {"svd": 4, "qr": 0}
+    # the cold count: A0's chart guard, the only one a warm frame could save, runs no SVD
+    # when cold either
+    assert counts == {"svd": 1, "qr": 0}
 
 
 def test_warm_frame_pure_report_svd_count(counts, cold_base_points):
@@ -179,8 +182,8 @@ def test_warm_frame_pure_report_svd_count(counts, cold_base_points):
     o = _pure_obstate(4, 20)
     _reset(counts)
     obstate.report(o)
-    # likewise one SVD below the cold count; the QR is pure_expectation's line(0)
-    assert counts == {"svd": 9, "qr": 1}
+    # likewise the cold count; the QR is pure_expectation's line(0)
+    assert counts == {"svd": 7, "qr": 1}
 
 
 def test_warm_mixed_is_pure_runs_no_svd(counts, cold_base_points):
@@ -213,10 +216,11 @@ def test_transported_frame_report_svd_count(counts, cold_base_points):
     obstate.report(o)
     # expectation: 3 (see above); normal form: 2 chart blocks and the QRs of the
     # transport and of A and W moved by it; pure test: the sines of (W, Winf), with no
-    # chart; cyclic order cut at Winf: Winf's chart, then A0's and W's charts and gaps
-    # for the positive state, and A0's gap again with A's chart and gap for the
-    # observable
-    assert counts == {"svd": 14, "qr": 3}
+    # chart; cyclic order cut at Winf: Winf's chart, then A0's chart and gap once for
+    # both triples, W's chart and gap for the positive state, and A's chart and gap for
+    # the observable.  No slot has memoized sines to a base point, so every chart guard
+    # runs its SVD
+    assert counts == {"svd": 13, "qr": 3}
 
 
 def test_arithmetic_distance_runs_one_svd(counts):
@@ -226,3 +230,23 @@ def test_arithmetic_distance_runs_one_svd(counts):
     hermitian.arithmetic_distance(x, y)
     # the sines of the principal angles, from one 2n x n SVD; no chart is searched
     assert counts == {"svd": 1, "qr": 0}
+
+
+@pytest.mark.parametrize("value, chart, base", [
+    (grassmann.point_from_cochart, grassmann.chart_repr, grassmann.infinity_point),
+    (grassmann.point_from_chart, grassmann.cochart_repr, grassmann.zero_point)])
+def test_a_chart_guard_runs_its_svd_unless_memoized_sines_settle_it(counts, value, chart, base):
+    # span[m; I] (span[I; m]) of m = diag(1, s) has smallest sine about s to infinity (0)
+    for s, settled in ((1e-3, True), (2.1e-8, True), (1.2e-8, False)):
+        assert (s > grassmann._HORIZON_SINE_BOUND) is settled
+        fresh, memoized = (value(np.diag([1.0, s])) for _ in range(2))
+        grassmann.transversality_margin(memoized, base(2))
+        _reset(counts)
+        chart(fresh)
+        # no sines in the memo: the guard's SVD
+        assert counts == {"svd": 1, "qr": 0}
+        _reset(counts)
+        chart(memoized)
+        # a smallest sine above the bound settles the guard; at or below it the SVD
+        # runs, and here passes (the sine is above TRANSVERSALITY_RTOL)
+        assert counts == {"svd": 0 if settled else 1, "qr": 0}

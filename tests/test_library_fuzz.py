@@ -1,0 +1,107 @@
+"""A derandomized fuzz of the library, called directly.
+
+The contract: every call ends in a value or an AplineError, never a numpy
+LinAlgError, a NaN or a RuntimeWarning (tier-1 turns RuntimeWarning into
+an error).  This slice aims at points near the horizons of 0 and infinity,
+where the chart guards and the kernel's gate decide, and checks that a
+guard settled by memoized sines decides as its SVD does.
+"""
+
+import warnings
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from apline import algebra, crossratio, grassmann, obstate
+from apline.errors import AplineError, NotTransversalError
+
+# 10-based exponents of the smallest singular value: dense around the transversality
+# threshold (a sine of about 2e-8) and the guards' sine bound, sparse elsewhere
+_EXPONENTS = st.one_of(st.floats(-8.3, -7.3), st.floats(-17.0, -2.0), st.just(None))
+
+
+def _near_singular(draw, n):
+    """An n x n matrix with one small singular value (zero for exponent None)."""
+    exponent = draw(_EXPONENTS)
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    s = np.r_[0.0 if exponent is None else 10.0 ** exponent, rng.uniform(0.5, 2.0, n - 1)]
+    u = algebra.random_unitary(n, rng)
+    v = u.conj().T if draw(st.booleans()) else algebra.random_unitary(n, rng)
+    return (u * s) @ v
+
+
+_N = st.sampled_from([1, 2, 3, 4])
+
+
+@st.composite
+def _near_singular_matrix(draw):
+    return _near_singular(draw, draw(_N))
+
+
+@st.composite
+def _near_singular_pair(draw):
+    n = draw(_N)
+    return _near_singular(draw, n), _near_singular(draw, n)
+
+
+def _outcome(fn):
+    """(fn()'s bits or its error's type and message, the warnings it gave)."""
+    with warnings.catch_warnings(record=True) as record:
+        warnings.simplefilter("always", grassmann.TransversalityWarning)
+        warnings.simplefilter("error", RuntimeWarning)
+        try:
+            value = np.asarray(fn())
+            assert not np.isnan(value).any()
+            value = value.tobytes()
+        except AplineError as exc:
+            value = (type(exc), str(exc))
+    return value, [(r.category, str(r.message)) for r in record]
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(_near_singular_matrix())
+def test_chart_guards_settled_by_memoized_sines_decide_as_their_svd(m):
+    n = m.shape[0]
+    # span[m; I] nears infinity, the chart's horizon, and span[I; m] nears 0, the cochart's
+    for make, read, horizon in ((grassmann.point_from_cochart, grassmann.chart_repr,
+                                 grassmann.infinity_point(n)),
+                                (grassmann.point_from_chart, grassmann.cochart_repr,
+                                 grassmann.zero_point(n))):
+        fresh, memoized = make(m), make(m)
+        grassmann.transversality_margin(memoized, horizon)
+        assert _outcome(lambda: read(memoized)) == _outcome(lambda: read(fresh))
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(_near_singular_pair())
+def test_the_kernel_in_the_frame_zero_infinity_decides_as_the_solve(pair):
+    mb, my = pair
+    n = mb.shape[0]
+    # b nears 0 (the pair (b, x) of the gate) and y nears infinity (the pair (y, a))
+    outcomes = [_outcome(lambda: crossratio.kernel(*frame, grassmann.point_from_chart(mb),
+                                                   grassmann.point_from_cochart(my)).matrix)
+                for frame in _frames(n)]
+    assert outcomes[0] == outcomes[1]
+
+
+def _frames(n):
+    """The base points (0, infinity), then points built from their bases, equal but not them."""
+    base = (grassmann.zero_point(n), grassmann.infinity_point(n))
+    return base, tuple(grassmann.SubspacePoint(p.basis) for p in base)
+
+
+def test_a_hand_built_obstate_failing_the_gate_gets_the_solves_error_and_warning():
+    n = 2
+    near = grassmann.point_from_chart(np.diag([1.0, 1e-7]))   # margin to 0 about 5e-8
+    off = grassmann.point_from_chart(np.diag([1.0, 0.0]))      # meets 0
+    beyond = grassmann.point_from_cochart(np.diag([1.0, 0.0]))  # meets infinity
+    fine = grassmann.point_from_chart(np.eye(n))
+    for A, W in ((fine, near), (fine, off), (beyond, fine), (beyond, near)):
+        # new_obstate would reject these slots; the kernel's gate must, on both paths
+        outcomes = [_outcome(lambda: obstate.expectation(obstate.Obstate(A, W, *frame, True)))
+                    for frame in _frames(n)]
+        assert outcomes[0] == outcomes[1]
+    # the last case: W passes with a warning, then A is off the chart
+    assert outcomes[0][0] == (NotTransversalError, "kernel needs y in U_a")
+    assert [category for category, _ in outcomes[0][1]] == [grassmann.TransversalityWarning]

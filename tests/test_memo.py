@@ -55,6 +55,7 @@ def test_memoized_values_are_bitwise_a_new_computation(n, cold_base_points):
     cases = {
         "projector": lambda x: _bits(x.projector),
         "_chart_value": lambda x: _bits(grassmann._chart_value(x)),
+        "_cochart_value": lambda x: _bits(grassmann._cochart_value(x)),
         "membership": lambda x: hermitian.membership(x, "R"),
         "cayley_to_unitary": lambda x: _bits(hermitian.cayley_to_unitary(x)),
         "transport_to_zero": lambda x: _bits(hermitian.transport_to_zero(x)),
@@ -89,27 +90,37 @@ def test_a_written_cayley_unitary_leaves_the_next_result_unchanged():
     assert hermitian.cayley_to_unitary(x).tobytes() == expected.tobytes()
 
 
+# (memoized value, public copy, the value from the blocks p, q of a basis [p; q]) of the
+# chart and of the cochart
+_CHARTS = ((grassmann._chart_value, grassmann.chart_repr, lambda p, q: q @ np.linalg.inv(p)),
+           (grassmann._cochart_value, grassmann.cochart_repr, lambda p, q: p @ np.linalg.inv(q)))
+
+
 @pytest.mark.parametrize("n", [1, 2, 4, 8])
 def test_the_chart_value_is_bitwise_a_fresh_q_inv_p_and_read_only(n):
+    # and the cochart value a fresh p inv(q)
     rng = np.random.default_rng(300 + n)
     for x in (grassmann.random_point(n, rng), hermitian.random_r_point(n, rng),
-              grassmann.point_from_chart(algebra.random_hermitian(n, rng))):
-        value = grassmann._chart_value(x)
-        fresh = x.basis[n:, :] @ np.linalg.inv(x.basis[:n, :])
-        assert value.tobytes() == fresh.tobytes()
-        assert not value.flags.writeable
-        assert grassmann._chart_value(x) is value
+              grassmann.point_from_chart(algebra.random_hermitian(n, rng)),
+              grassmann.point_from_cochart(algebra.random_density(n, rng))):
+        for memoized, _, fresh in _CHARTS:
+            value = memoized(x)
+            assert value.tobytes() == fresh(x.basis[:n, :], x.basis[n:, :]).tobytes()
+            assert not value.flags.writeable
+            assert memoized(x) is value
 
 
 def test_chart_repr_returns_a_writable_copy_and_leaves_the_memo_untouched():
+    # and so does cochart_repr
     x = grassmann.random_point(3, np.random.default_rng(9))
-    value = grassmann._chart_value(x)
-    expected = value.tobytes()
-    chart = grassmann.chart_repr(x)
-    assert chart.flags.writeable and chart is not value
-    chart[:] = 0.0
-    assert grassmann._chart_value(x) is value and value.tobytes() == expected
-    assert grassmann.chart_repr(x).tobytes() == expected
+    for memoized, public, _ in _CHARTS:
+        value = memoized(x)
+        expected = value.tobytes()
+        chart = public(x)
+        assert chart.flags.writeable and chart is not value
+        chart[:] = 0.0
+        assert memoized(x) is value and value.tobytes() == expected
+        assert public(x).tobytes() == expected
 
 
 def test_a_point_off_the_chart_raises_on_every_call():
@@ -120,6 +131,14 @@ def test_a_point_off_the_chart_raises_on_every_call():
             with pytest.raises(NotInChartError):
                 fn(x)
     assert grassmann._chart_value not in x._memo
+    # span[I; a] of a singular a meets 0, also once its sines to 0 are memoized
+    x = grassmann.point_from_chart(np.diag([1.0, 0.0]))
+    assert not grassmann.is_transversal(x, grassmann.zero_point(2))
+    for fn in (grassmann._cochart_value, grassmann.cochart_repr):
+        for _ in range(3):
+            with pytest.raises(NotInChartError, match="not transversal to zero"):
+                fn(x)
+    assert grassmann._cochart_value not in x._memo
 
 
 def _matrix_json(m):
@@ -222,8 +241,10 @@ def test_every_cached_array_is_read_only(cold_base_points):
     for o in (mixed, pure, moved):
         obstate.report(o)
         points += [o.observable, o.state, o.ref_observable, o.ref_state]
-    # the standard-frame normal form and order test share A's chart value
+    # the standard-frame kernel, normal form and order test share A's chart value and
+    # the kernel and normal form W's cochart value
     assert grassmann._chart_value in mixed.observable._memo
+    assert grassmann._cochart_value in mixed.state._memo
     arrays = [arr for x in points for v in x._memo.values() for arr in _memo_arrays(v)]
     assert len(arrays) > 20
     assert not any(arr.flags.writeable for arr in arrays)
