@@ -113,12 +113,21 @@ def is_psd(a) -> bool:
     power-of-two rescale of a: positivity is invariant under positive scaling.
     """
     a = as_matrix(a)
-    if not is_hermitian(a):
-        return False
+    return is_hermitian(a) and _is_psd(a)
+
+
+def _is_psd(a: np.ndarray) -> bool:
+    """is_psd(a) less its Hermitian test, for an a Hermitian by construction.
+
+    Such an a has entry (j, i) equal in value to the conjugate of entry (i, j),
+    so a - a* is zero and a finite a passes is_hermitian.  The symmetrization
+    stays: the two entries can differ in the sign of an exact zero, and the
+    eigenvalues eigvalsh computes depend on that sign.
+    """
     with np.errstate(over="ignore"):
         size = norm(a)
-    if not math.isfinite(size):  # a is finite here: is_hermitian rejects inf and nan
-        return is_psd(a * _pow2_scale(a))
+    if not math.isfinite(size):  # a non-finite entry fails is_hermitian
+        return bool(np.isfinite(a).all()) and _is_psd(a * _pow2_scale(a))
     evals = np.linalg.eigvalsh((a + a.conj().T) / 2)
     return bool(evals.min(initial=0.0) >= -TOL_PSD * (1.0 + size))
 

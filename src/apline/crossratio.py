@@ -175,10 +175,10 @@ def kernel(x: SubspacePoint, a: SubspacePoint, b: SubspacePoint,
         # and eta = -q_y p_y^-1, and the signs cancel in beta eta.  This holds bit for
         # bit for every nonzero real and imaginary part; the solve's substitutions can
         # flip the sign of an exact zero (diagonal charts show it), and no nonzero
-        # value depends on that sign.  The gate memoized the sines of b to 0 and of y
-        # to infinity, and its passing margins put them above
-        # grassmann._HORIZON_SINE_BOUND: the chart guards pass without an SVD, and the
-        # block checks below could not fail either.
+        # value depends on that sign.  The gate passed b against 0 and y against
+        # infinity, by their graph tags or by sines it memoized: either settles the
+        # chart guards without an SVD (see grassmann._guard), and the block checks
+        # below could not fail either.
         return EndoX(grassmann._cochart_value(b) @ grassmann._chart_value(y))
     n = x.n
     # one solve of [A | X] [[c, cy], [d, dy]] = [B | Y]: b = A c + X d is the graph

@@ -24,7 +24,9 @@ A value that one point alone determines, such as its chart value, is
 computed once per point: functions decorated with _memoized keep their
 result in the point's memo.
 So do the principal-angle sines of a point to the shared base points 0
-and infinity, which transversality_margin reads from the memo.
+and infinity, which transversality_margin reads from the memo.  A graph
+point's memo also names its chart's horizon, which the gate and the chart
+guard against that horizon accept without an SVD.
 """
 
 from __future__ import annotations
@@ -177,14 +179,17 @@ def zero_point(n: int) -> SubspacePoint:
 def infinity_point(n: int) -> SubspacePoint:
     """The base point oo = [(0, 1)] = span[0; I]; one cached point per n, shared and read-only.
 
-    The sines between 0 and infinity, which every report in their frame
-    reads, are computed here, once per n.
+    The sines between 0 and infinity, the chart value of 0 and the cochart
+    value of infinity, which reports in their frame read, are computed
+    here, once per n.
     """
     infinity = _base_point(np.vstack([np.zeros((n, n)), np.eye(n)]), _sines_to_infinity)
     zero = zero_point(n)
     # the bits _sines_to_infinity(zero) and _sines_to_zero(infinity) compute
     zero._memo[_sines_to_infinity] = _principal_sines(zero, infinity)
     infinity._memo[_sines_to_zero] = _principal_sines(infinity, zero)
+    _chart_value(zero)  # A0's order value; the sines just set settle both guards
+    _cochart_value(infinity)  # a pure state's line through infinity
     return infinity
 
 
@@ -217,11 +222,21 @@ def one_point(n: int) -> SubspacePoint:
 
 
 # Frobenius norm of a chart value up to which its graph basis is built
-# without the rank SVD (see _graph_point).
+# without the rank SVD and tagged with its chart's horizon (see _graph_point).
 _GRAPH_NORM_BOUND = 1e6
 
+# A lower bound on the transversality margin of a tagged graph point to its
+# horizon, which _require_transversal returns instead of the margin.
+_GRAPH_MARGIN_BOUND = 0.49 / _GRAPH_NORM_BOUND
 
-def _graph_point(cols: np.ndarray, value: np.ndarray, chart: str) -> SubspacePoint:
+# A memoized sine of a point to a base point and the matching computed
+# singular value of its chart block differ by under this slack: rounding moves
+# the basis off orthonormal, and each computed singular value, by a few n eps,
+# under 1e-11 for n <= 10^4.
+_SINE_ROUNDING = 1e-11
+
+
+def _graph_point(cols: np.ndarray, value: np.ndarray, sines_to_horizon) -> SubspacePoint:
     """SubspacePoint(cols) for a graph basis [I; a] or [a; I] of the chart value a.
 
     A graph basis always has full rank: its singular values are
@@ -231,14 +246,28 @@ def _graph_point(cols: np.ndarray, value: np.ndarray, chart: str) -> SubspacePoi
     without squaring an entry.  A larger value runs the check, which can
     reject it only for the dynamic range of a, and the error says that; a
     non-finite value fails SubspacePoint's finiteness check instead.
+
+    A point built under the bound is tagged with its chart's horizon (infinity
+    for [I; a], 0 for [a; I]) by the name sines_to_horizon of its memoized
+    sines to it, as _base_point tags a base point.  Its orthonormal basis is
+    [I; a](I + a* a)^(-1/2) (or [a; I](...)), so its sines to the horizon are
+    1/sqrt(1 + s_i(a)^2) >= 1/sqrt(1 + 1e12) > 0.9999e-6.  The QR's backward
+    error moves ||a|| by a relative 1e-9 at most, and a computed sine is off
+    by under _SINE_ROUNDING, so the computed margin tan(theta / 2) >= s / 2
+    exceeds (0.9999e-6 - 1e-11) / 2 > _GRAPH_MARGIN_BOUND = 4.9e-7, over ten
+    times the warning decade, and the point's block in the chart with that
+    horizon is invertible far above TRANSVERSALITY_RTOL (see _guard).
     """
     with np.errstate(over="ignore", invalid="ignore"):
         bound = value.shape[0] * np.abs(value).max(initial=0.0)
     if value.size and bound <= _GRAPH_NORM_BOUND:
-        return SubspacePoint._full_rank(cols)
+        x = SubspacePoint._full_rank(cols)
+        x._memo[_graph_point] = sines_to_horizon
+        return x
     try:
         return SubspacePoint(cols)
     except SingularError:
+        chart = "chart" if sines_to_horizon is _sines_to_infinity else "cochart"
         scale = np.linalg.svd(value, compute_uv=False)[0]
         raise SingularError(
             f"{chart} value of scale {scale:.3e} (largest singular value) is out of "
@@ -249,7 +278,7 @@ def _graph_point(cols: np.ndarray, value: np.ndarray, chart: str) -> SubspacePoi
 def point_from_chart(a) -> SubspacePoint:
     """The graph point of a: column span of [I; a]."""
     a = algebra.as_matrix(a)
-    return _graph_point(np.vstack([np.eye(a.shape[0]), a]), a, "chart")
+    return _graph_point(np.vstack([np.eye(a.shape[0]), a]), a, _sines_to_infinity)
 
 
 def chart_repr(x: SubspacePoint) -> np.ndarray:
@@ -265,41 +294,60 @@ def chart_repr(x: SubspacePoint) -> np.ndarray:
 def _chart_value(x: SubspacePoint) -> np.ndarray:
     """chart_repr(x), read-only and cached on x; NotInChartError is raised on every call.
 
-    Memoized sines to infinity can settle the guard without its SVD (see _graph_value).
+    The point's tag or memoized sines can settle the guard without its SVD (see _guard).
     """
     n = x.n
-    return _graph_value(x.basis[n:, :], x.basis[:n, :], x._memo.get(_sines_to_infinity),
-                        "infinity")
+    value = _graph_value(x.basis[n:, :], x.basis[:n, :], _guard(x, _sines_to_infinity),
+                         "infinity")
+    value.setflags(write=False)
+    return value
 
 
 # Smallest memoized sine of a point to the horizon of a chart above which its
-# chart block passes the invertibility test without the SVD (see _graph_value).
+# chart block passes the invertibility test without the SVD (see _guard).
 _HORIZON_SINE_BOUND = 1.5 * TRANSVERSALITY_RTOL
 
 
-def _graph_value(top: np.ndarray, block: np.ndarray, sines, horizon: str) -> np.ndarray:
-    """top block^-1 (read-only) for the blocks of a point's basis [p; q] in a chart.
+def _guard(x: SubspacePoint, sines_to_horizon):
+    """The invertibility test of _graph_value on x's block in the chart whose horizon
+    sines_to_horizon names, as x's memo settles it: True, False, or None (unsettled).
+
+    As p* p + q* q = I for x's basis [p; q], the singular values of p are the
+    sines of the principal angles to infinity, and those of q the sines to 0;
+    computed, they differ from x's memoized sines by under d = _SINE_ROUNDING.
+    - A graph point tagged with the horizon has every sine above 0.9999e-6 (see
+      _graph_point): the test passes.
+    - A smallest sine above _HORIZON_SINE_BOUND gives s_min(block) > 1.5e-8 -
+      d > TRANSVERSALITY_RTOL (1 + d) >= TRANSVERSALITY_RTOL s_max(block): the
+      test passes.  A passing margin tan(theta / 2) > TRANSVERSALITY_RTOL gives
+      the sine tan(theta / 2) (1 + cos theta) > 1.99 TRANSVERSALITY_RTOL, so
+      every point a gate has measured against the horizon passes here.
+    - s_min + d < TRANSVERSALITY_RTOL (s_max - d) gives s_min(block) <
+      TRANSVERSALITY_RTOL s_max(block): the test fails.
+    """
+    if x._memo.get(_graph_point) is sines_to_horizon:
+        return True
+    sines = x._memo.get(sines_to_horizon)
+    if sines is None:
+        return None
+    if sines[-1] > _HORIZON_SINE_BOUND:
+        return True
+    d = _SINE_ROUNDING
+    return False if sines[-1] + d < TRANSVERSALITY_RTOL * (sines[0] - d) else None
+
+
+def _graph_value(top: np.ndarray, block: np.ndarray, settled, horizon: str) -> np.ndarray:
+    """top block^-1 for the blocks of a point's basis [p; q] in a chart (a new array).
 
     Raises NotInChartError unless algebra.is_invertible(block,
-    tol=TRANSVERSALITY_RTOL).  As p* p + q* q = I, the singular values of
-    p are the sines of the principal angles to infinity, and those of q
-    the sines to 0.  So when the point's memo holds those sines to the
-    chart's horizon and the smallest is above _HORIZON_SINE_BOUND, the
-    test passes and its SVD is skipped.  Rounding moves the basis off
-    orthonormal, and each computed singular value (of the block and of the
-    sines' 2n x n matrix), by a few n eps, under 1e-11 for n <= 10^4; so
-    s_min(block) > 1.5e-8 - 1e-11 > TRANSVERSALITY_RTOL (1 + 1e-11) >
-    TRANSVERSALITY_RTOL s_max(block).  A passing margin tan(theta / 2) >
-    TRANSVERSALITY_RTOL gives the sine tan(theta / 2) (1 + cos theta) >
-    1.99 TRANSVERSALITY_RTOL, so every point a gate has passed against the
-    horizon skips the SVD.  The block is finite, so the test cannot raise.
+    tol=TRANSVERSALITY_RTOL); settled, when not None, is that test's result
+    as the point's memo proves it (see _guard), and the SVD is skipped.  The
+    block is finite, so the test cannot raise.
     """
-    if not (sines is not None and sines[-1] > _HORIZON_SINE_BOUND
-            or algebra.is_invertible(block, tol=TRANSVERSALITY_RTOL)):
+    if not (algebra.is_invertible(block, tol=TRANSVERSALITY_RTOL) if settled is None
+            else settled):
         raise NotInChartError(f"point is not transversal to {horizon}")
-    value = top @ np.linalg.inv(block)
-    value.setflags(write=False)
-    return value
+    return top @ np.linalg.inv(block)
 
 
 def point_from_cochart(w) -> SubspacePoint:
@@ -310,7 +358,7 @@ def point_from_cochart(w) -> SubspacePoint:
     (the concatenated matrix [[I, w], [0, I]] is always invertible).
     """
     w = algebra.as_matrix(w)
-    return _graph_point(np.vstack([w, np.eye(w.shape[0])]), w, "cochart")
+    return _graph_point(np.vstack([w, np.eye(w.shape[0])]), w, _sines_to_zero)
 
 
 def cochart_repr(x: SubspacePoint) -> np.ndarray:
@@ -326,7 +374,9 @@ def cochart_repr(x: SubspacePoint) -> np.ndarray:
 def _cochart_value(x: SubspacePoint) -> np.ndarray:
     """cochart_repr(x), read-only and cached on x; NotInChartError is raised on every call."""
     n = x.n
-    return _graph_value(x.basis[:n, :], x.basis[n:, :], x._memo.get(_sines_to_zero), "zero")
+    value = _graph_value(x.basis[:n, :], x.basis[n:, :], _guard(x, _sines_to_zero), "zero")
+    value.setflags(write=False)
+    return value
 
 
 # --- transversality and projectors ------------------------------------------
@@ -395,9 +445,17 @@ def _require_transversal(pairs, error=NotTransversalError) -> tuple:
 
     Raises error(message) at the first pair that is not transversal, and
     warns within a decade of the threshold (at the guarded function's caller).
+    A pair of a graph point x tagged with its horizon and the base-point object
+    a of that horizon passes with no SVD and no warning: its margin is above
+    _GRAPH_MARGIN_BOUND (see _graph_point), which is returned in its place.
+    A point merely equal to a graph point or to a base point is measured.
     """
     margins = []
     for x, a, message in pairs:
+        horizon = x._memo.get(_graph_point)
+        if horizon is not None and a._memo.get(_base_point) is horizon and x.n == a.n:
+            margins.append(_GRAPH_MARGIN_BOUND)
+            continue
         margin = transversality_margin(x, a)
         if TRANSVERSALITY_RTOL < margin < 10 * TRANSVERSALITY_RTOL:
             warnings.warn(

@@ -37,6 +37,7 @@ from .errors import (
     NoCommonChartError,
     NonFiniteError,
     NotHermitianError,
+    NotInChartError,
     NotInUniverseError,
     NotRankOneError,
     NotTransversalError,
@@ -385,17 +386,30 @@ def chart_in_frame(z: SubspacePoint, origin: SubspacePoint,
                    c: SubspacePoint) -> np.ndarray:
     """The chart value of z in the frame (origin, c): m with z = [B_o | B_c][I; m].
 
-    Requires z transversal to c.  Differences of chart values transform
-    by equivalences under any change of frame with the same horizon c,
-    so their rank is a function of (z1, z2, c) alone.
+    Requires z transversal to c, tested as grassmann._graph_value tests a
+    chart block (NotTransversalError otherwise); the result is a new array.
+    Differences of chart values transform by equivalences under any change
+    of frame with the same horizon c, so their rank is a function of
+    (z1, z2, c) alone.
+
+    When (origin, c) are the base-point objects (infinity, 0) or (0, infinity),
+    the value is -cochart(z) or -chart(z), read from z's memo, whose tag or
+    sines can settle the guard (see grassmann._guard).  The frame is then a
+    signed permutation, and the solve would give [p; q] = [-Z2; Z1] or
+    [Z1; -Z2] for z's basis [Z1; Z2]; so, as for the kernel's two paths
+    (proof in crossratio.kernel), both give each nonzero real and imaginary
+    part bit for bit, and an exact zero may carry the other sign.
     """
-    frame = np.hstack([origin.basis, c.basis])
-    pq = np.linalg.solve(frame, z.basis)
-    n = z.n
-    p, q = pq[:n, :], pq[n:, :]
-    if not algebra.is_invertible(p, tol=grassmann.TRANSVERSALITY_RTOL):
-        raise NotTransversalError("point is not transversal to the chart horizon")
-    return q @ np.linalg.inv(p)
+    try:
+        if grassmann._is_zero_point(c) and grassmann._is_infinity_point(origin):
+            return -grassmann._cochart_value(z)
+        if grassmann._is_infinity_point(c) and grassmann._is_zero_point(origin):
+            return -grassmann._chart_value(z)
+        pq = np.linalg.solve(np.hstack([origin.basis, c.basis]), z.basis)
+        n = z.n
+        return grassmann._graph_value(pq[n:, :], pq[:n, :], None, "the chart horizon")
+    except NotInChartError:
+        raise NotTransversalError("point is not transversal to the chart horizon") from None
 
 
 def _chart_origin(c: SubspacePoint) -> SubspacePoint:
@@ -528,10 +542,16 @@ def cyclic_triple(a: SubspacePoint, b: SubspacePoint, c: SubspacePoint) -> bool:
 
 
 def _ordered_after(a: SubspacePoint, c: SubspacePoint):
-    """The test b -> cyclic_triple(a, b, c), with a's order value computed once."""
+    """The test b -> cyclic_triple(a, b, c), with a's order value computed once.
+
+    Cut at infinity the order values are Hermitian charts (m + m*)/2, whose
+    entry (j, i) is the conjugate of entry (i, j) in value, and so is a
+    difference of two of them: the psd test skips is_psd's Hermitian test.
+    """
     value = _order_chart(c)
     va = value(a)
-    return lambda b: algebra.is_psd(value(b) - va)
+    psd = algebra._is_psd if value is _hermitian_chart else algebra.is_psd
+    return lambda b: psd(value(b) - va)
 
 
 @grassmann._memoized

@@ -129,8 +129,10 @@ def expectation(o: Obstate) -> complex:
 
     Equals trace(w a) in the standard frame; invariant under transport
     of all four slots by any automorphism of (S, tau).  In the frame
-    (0, infinity) the kernel reads its three margins from the points' memos
-    and is w a, from the memoized cochart value of W and chart value of A.
+    (0, infinity) the kernel's gate runs no SVD for A and W built as graph
+    points (their tags settle it, and the base points' memos the pair
+    (A0, Winf)), and the kernel is w a, from the memoized cochart value of W
+    and chart value of A.
     """
     return kernel(o.ref_observable, o.ref_state, o.state, o.observable).trace
 

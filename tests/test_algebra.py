@@ -75,6 +75,35 @@ def test_psd_test_decides_when_the_norm_overflows():
         assert not algebra.is_psd(np.diag([np.inf, 1.0]))
 
 
+def _exactly_hermitian(m):
+    """(m + m*)/2: entry (j, i) is the conjugate of entry (i, j) in value."""
+    return (m + m.conj().T) / 2
+
+
+def test_the_psd_test_of_exactly_hermitian_matrices_is_is_psd():
+    rng = np.random.default_rng(32)
+    cases = []
+    for n in (1, 2, 4):
+        u = algebra.random_unitary(n, rng)
+        # the smallest eigenvalue at +-TOL_PSD, and on both sides of the threshold
+        # -TOL_PSD (1 + ||a||) with the other eigenvalues 1
+        edge = -algebra.TOL_PSD * (1.0 + np.sqrt(n - 1.0))
+        for lam in (algebra.TOL_PSD, -algebra.TOL_PSD, edge * (1 - 1e-6), edge * (1 + 1e-6),
+                    0.0, -1.0):
+            a = _exactly_hermitian((u * np.r_[np.ones(n - 1), lam]) @ u.conj().T)
+            # a difference of two exactly Hermitian matrices, as the order test forms
+            shift = _exactly_hermitian(algebra.random_matrix(n, rng))
+            d = _exactly_hermitian(a + shift) - shift
+            cases += [a, d, 1e300 * a, -1e300 * a]
+    cases += [np.diag([np.inf, 1.0]), np.diag([np.nan, 1.0]),
+              np.array([[0.0, 1.5e308 + 1.5e308j], [1.5e308 - 1.5e308j, 0.0]])]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        decisions = [algebra.is_psd(a) for a in cases]
+        assert [algebra._is_psd(a) for a in cases] == decisions
+    assert 0 < sum(decisions) < len(decisions)
+
+
 def test_trace_normalized_is_tracial_and_normalized():
     a = algebra.random_matrix(3, RNG)
     b = algebra.random_matrix(3, RNG)

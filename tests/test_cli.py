@@ -148,6 +148,12 @@ def test_check_exact_backend_is_a_clean_error():
     assert "No such option" in res.output
 
 
+def test_check_rejects_a_size_below_one():
+    res = runner.invoke(main, ["check", "--n", "0"])
+    assert res.exit_code == 1
+    assert "--n must be >= 1" in res.output
+
+
 def test_check_tol_override_can_fail():
     # an absurd tolerance turns numerically-fine trials into failures
     res = runner.invoke(main, ["check", "--n", "2", "--trials", "3",

@@ -1,8 +1,9 @@
-"""Pinned SVD/QR counts of the hot geometry paths.
+"""Pinned factorization counts of the hot geometry paths.
 
-Each rank or transversality check costs a factorization.  These counts
-pin the checks that the inputs already prove away, so losing one of
-those savings fails a test instead of only a timing.
+Each rank or transversality check costs a factorization (SVD, QR, inverse,
+solve or eigenvalues).  These counts pin the checks that the inputs already
+prove away, so losing one of those savings fails a test instead of only a
+timing.
 """
 
 import numpy as np
@@ -10,11 +11,20 @@ import pytest
 
 from apline import algebra, crossratio, grassmann, hermitian, obstate
 from apline.crossratio import INF
+from apline.errors import DimensionError, NotInChartError
+
+
+_COUNTED = ("svd", "qr", "inv", "solve", "eigvalsh")
+
+
+def _tally(**pinned):
+    """The counts of every counted np.linalg function: the pinned ones, else 0."""
+    return {name: pinned.get(name, 0) for name in _COUNTED}
 
 
 @pytest.fixture
 def counts(monkeypatch):
-    tally = {"svd": 0, "qr": 0}
+    tally = _tally()
     for name in tally:
         original = getattr(np.linalg, name)
 
@@ -36,14 +46,15 @@ def test_apply_map_runs_one_qr_and_no_svd(counts):
     x = grassmann.random_point(3, rng)
     _reset(counts)
     grassmann.apply_map(g, x)
-    assert counts == {"svd": 0, "qr": 1}
+    assert counts == _tally(qr=1)
 
 
 def test_inverse_runs_no_svd(counts):
     g = grassmann.random_map(3, np.random.default_rng(12))
     _reset(counts)
     g.inverse()
-    assert counts["svd"] == 0
+    # the rep's inverse, and no SVD of it
+    assert counts == _tally(inv=1)
 
 
 def test_unitary_torsor_runs_no_pole_margin_svd(counts):
@@ -52,8 +63,9 @@ def test_unitary_torsor_runs_no_pole_margin_svd(counts):
     hermitian.poles(3)
     _reset(counts)
     hermitian.unitary_torsor(x, y, z)
-    # m is unitary, so the result point needs no rank SVD either; the QR canonicalizes it
-    assert counts == {"svd": 0, "qr": 1}
+    # m is unitary, so the result point needs no rank SVD either; the QR canonicalizes it,
+    # and each of m's two projectors inverts its 2n x 2n frame
+    assert counts == _tally(qr=1, inv=2)
 
 
 def test_cayley_to_unitary_runs_no_svd_on_the_constant_map(counts):
@@ -61,8 +73,9 @@ def test_cayley_to_unitary_runs_no_svd_on_the_constant_map(counts):
     hermitian.cayley_matrix(3)
     _reset(counts)
     hermitian.cayley_to_unitary(x)
-    # membership proves the chart block invertible, so no SVD is left
-    assert counts == {"svd": 0, "qr": 1}
+    # membership proves the chart block invertible, so no SVD is left: the QR of C^-1 x
+    # and the inverse of its chart block
+    assert counts == _tally(qr=1, inv=1)
 
 
 def _pure_obstate(n, seed):
@@ -76,12 +89,14 @@ def test_pure_expectation_runs_one_rank_one_solve_per_target(counts, cold_base_p
     o = _pure_obstate(4, 15)
     _reset(counts)
     obstate.pure_expectation(o)
-    # line_family: the distance's sines of W to Winf = infinity; the chart search and
-    # the chart's origin read (W, 0) from new_obstate and (infinity, 0), (0, infinity)
-    # from the base points' set-up (the candidate infinity is Winf itself and is
-    # skipped); 2 chart-block checks, 1 direction SVD; one QR of line(0) shared by both
-    # targets; per target the root's verification SVD
-    assert counts == {"svd": 6, "qr": 1}
+    # line_family: the SVD of the distance's sines of W to Winf = infinity; the chart
+    # search settles (W, 0) by W's tag and (infinity, 0), (0, infinity) by the base
+    # points' set-up (the candidate infinity is Winf itself and is skipped); the frame
+    # is (infinity, 0), so the chart values are -cochart(W), an inverse whose guard W's
+    # tag settles, and -cochart(infinity), computed with the base points; the direction
+    # SVD.  One QR of line(0) shared by both targets; per target the two solves of the
+    # closed-form root and its verification SVD
+    assert counts == _tally(svd=4, qr=1, inv=1, solve=4)
 
 
 def test_line_family_horizon_point_runs_no_svd(counts):
@@ -89,7 +104,7 @@ def test_line_family_horizon_point_runs_no_svd(counts):
     fam = hermitian.line_family(o.state, o.ref_state)
     _reset(counts)
     fam.raw_basis(INF)
-    assert counts == {"svd": 0, "qr": 0}
+    assert counts == _tally()
 
 
 def test_kernel_of_a_well_separated_quadruple_runs_only_its_three_margins(counts):
@@ -97,8 +112,9 @@ def test_kernel_of_a_well_separated_quadruple_runs_only_its_three_margins(counts
     x, a, b, y = (grassmann.random_point(4, rng) for _ in range(4))
     _reset(counts)
     crossratio.kernel(x, a, b, y)
-    # the margins bound both graph blocks' condition, so neither block runs its own SVD
-    assert counts == {"svd": 3, "qr": 0}
+    # the margins bound both graph blocks' condition, so neither block runs its own SVD:
+    # the three margins, one solve for both graph decompositions and the blocks' inverses
+    assert counts == _tally(svd=3, inv=2, solve=1)
 
 
 def test_kernel_runs_one_solve(monkeypatch):
@@ -122,7 +138,7 @@ def test_graph_point_of_a_moderate_value_runs_no_svd(counts, make):
     _reset(counts)
     make(value)
     # a graph basis of a value with ||a||_F <= 1e6 has full rank by its singular values
-    assert counts == {"svd": 0, "qr": 1}
+    assert counts == _tally(qr=1)
 
 
 def _warm(n):
@@ -140,20 +156,36 @@ def _mixed_obstate(n, seed):
 
 # The frame (0, infinity) caches A0's order chart on the shared base points, so the cold
 # counts are pinned on new base points and the warm counts after a first report in the
-# frame.  Its normal form runs no transport: A0 is the base point 0 itself.  Its kernel is
-# cochart(W) chart(A), and the sines that new_obstate and the pure test memoized settle
-# every chart guard (A0's, A's and W's) without an SVD.
+# frame.  Its normal form runs no transport: A0 is the base point 0 itself.  Its gate
+# passes A and W by their graph tags, and its kernel is cochart(W) chart(A): one inverse
+# each, whose guards the tags settle.  The chart value of 0 (A0's order value) and the
+# cochart value of infinity are computed with the base points, so the cold and the warm
+# counts match.  W's chart guard is settled by the pure test's sines, pass or fail.
+
+
+def test_decoding_a_standard_frame_payload_runs_no_svd(counts, cold_base_points):
+    _warm(4)
+    rng = np.random.default_rng(23)
+    payload = {"A": {"chart": algebra.random_hermitian(4, rng).tolist()},
+               "W": {"density": algebra.random_density(4, rng).tolist()},
+               "A0": "zero", "Winf": "infinity"}
+    _reset(counts)
+    obstate.obstate_from_json(payload)
+    # the QRs of A's and W's graph bases; the gate reads (A0, Winf) from the base points
+    # and passes (W, A0) and (A, Winf) by the graph tags, and membership and the
+    # antipodal test are Gram matrices
+    assert counts == _tally(qr=2)
 
 def test_standard_frame_mixed_report_svd_count(counts, cold_base_points):
     o = _mixed_obstate(4, 19)
     _warm(4)
     _reset(counts)
     obstate.report(o)
-    # the pure test's sines of W to Winf, whose count rejects the pair, and nothing else:
-    # expectation reuses new_obstate's margins, and they settle the chart guards of A and
-    # W, which the kernel, the normal form and the order test share; A0's chart guard is
-    # settled by the sines between 0 and infinity, W's by the pure test's
-    assert counts == {"svd": 1, "qr": 0}
+    # the pure test's sines of W to Winf, whose count rejects the pair, are the one SVD.
+    # Inverses: the kernel's cochart(W) and chart(A), which the normal form and A's order
+    # value share, then W's chart for its order value.  The two psd tests (positive,
+    # cyclically_ordered) compute eigenvalues
+    assert counts == _tally(svd=1, inv=3, eigvalsh=2)
 
 
 def test_standard_frame_pure_report_svd_count(counts, cold_base_points):
@@ -161,10 +193,12 @@ def test_standard_frame_pure_report_svd_count(counts, cold_base_points):
     _warm(4)
     _reset(counts)
     obstate.report(o)
-    # pure_expectation: 6 and 1 QR (see above); cyclic order: W's chart block, whose SVD
-    # runs because span[w; I] of a singular w lies on the chart's horizon (its smallest
-    # sine to infinity is 0), so positive is False and A's chart is not read
-    assert counts == {"svd": 7, "qr": 1}
+    # pure_expectation: 4 SVDs, 1 QR and 4 solves (see above), and no inverse, as W's
+    # cochart is the kernel's; the kernel's 2 inverses.  W's chart guard fails without an
+    # SVD: span[w; I] of a singular w lies on the chart's horizon, and the pure test's
+    # sines prove it (smallest about 0, largest about 0.7).  So positive is False, A's
+    # order value is not read, and no psd test runs
+    assert counts == _tally(svd=4, qr=1, inv=2, solve=4)
 
 
 def test_warm_frame_mixed_report_svd_count(counts, cold_base_points):
@@ -172,9 +206,8 @@ def test_warm_frame_mixed_report_svd_count(counts, cold_base_points):
     o = _mixed_obstate(4, 19)
     _reset(counts)
     obstate.report(o)
-    # the cold count: A0's chart guard, the only one a warm frame could save, runs no SVD
-    # when cold either
-    assert counts == {"svd": 1, "qr": 0}
+    # the cold count: the base points' values a warm frame could save are computed with them
+    assert counts == _tally(svd=1, inv=3, eigvalsh=2)
 
 
 def test_warm_frame_pure_report_svd_count(counts, cold_base_points):
@@ -183,7 +216,7 @@ def test_warm_frame_pure_report_svd_count(counts, cold_base_points):
     _reset(counts)
     obstate.report(o)
     # likewise the cold count; the QR is pure_expectation's line(0)
-    assert counts == {"svd": 7, "qr": 1}
+    assert counts == _tally(svd=4, qr=1, inv=2, solve=4)
 
 
 def test_warm_mixed_is_pure_runs_no_svd(counts, cold_base_points):
@@ -193,7 +226,7 @@ def test_warm_mixed_is_pure_runs_no_svd(counts, cold_base_points):
     assert not obstate.is_pure(o)
     # the distance's decision, as for the report's pure: the sines of W to
     # infinity are cached on W
-    assert counts == {"svd": 0, "qr": 0}
+    assert counts == _tally()
 
 
 def _transported_obstate(seed):
@@ -205,8 +238,9 @@ def test_transported_frame_expectation_svd_count(counts, cold_base_points):
     o = _transported_obstate(31)
     _reset(counts)
     obstate.expectation(o)
-    # the kernel's three margins: no slot is a base point whose memo could keep them
-    assert counts == {"svd": 3, "qr": 0}
+    # the kernel's three margins: no slot is a base point whose memo could keep them, nor
+    # a graph point tagged with one; its solve and the two graph blocks' inverses
+    assert counts == _tally(svd=3, inv=2, solve=1)
 
 
 def test_transported_frame_report_svd_count(counts, cold_base_points):
@@ -214,13 +248,15 @@ def test_transported_frame_report_svd_count(counts, cold_base_points):
     o = _transported_obstate(31)
     _reset(counts)
     obstate.report(o)
-    # expectation: 3 (see above); normal form: 2 chart blocks and the QRs of the
-    # transport and of A and W moved by it; pure test: the sines of (W, Winf), with no
-    # chart; cyclic order cut at Winf: Winf's chart, then A0's chart and gap once for
-    # both triples, W's chart and gap for the positive state, and A's chart and gap for
-    # the observable.  No slot has memoized sines to a base point, so every chart guard
-    # runs its SVD
-    assert counts == {"svd": 13, "qr": 3}
+    # expectation: 3 SVDs, 1 solve and 2 inverses (see above); normal form: the QR of
+    # C^-1 A0 and the inverse of its chart block for the transport, the QRs of A and W
+    # moved by it, and their 2 chart blocks (an SVD and an inverse each); pure test: the
+    # sines of (W, Winf), with no chart; cyclic order cut at Winf: Winf's chart, then
+    # A0's chart and gap once for both triples, W's chart and gap for the positive state,
+    # and A's chart and gap for the observable (an SVD and an inverse each), and the two
+    # psd tests.  No slot has memoized sines to a base point or a graph tag, so every
+    # chart guard runs its SVD
+    assert counts == _tally(svd=13, qr=3, inv=12, solve=1, eigvalsh=2)
 
 
 def test_arithmetic_distance_runs_one_svd(counts):
@@ -229,7 +265,7 @@ def test_arithmetic_distance_runs_one_svd(counts):
     _reset(counts)
     hermitian.arithmetic_distance(x, y)
     # the sines of the principal angles, from one 2n x n SVD; no chart is searched
-    assert counts == {"svd": 1, "qr": 0}
+    assert counts == _tally(svd=1)
 
 
 @pytest.mark.parametrize("value, chart, base", [
@@ -244,9 +280,86 @@ def test_a_chart_guard_runs_its_svd_unless_memoized_sines_settle_it(counts, valu
         _reset(counts)
         chart(fresh)
         # no sines in the memo: the guard's SVD
-        assert counts == {"svd": 1, "qr": 0}
+        assert counts == _tally(svd=1, inv=1)
         _reset(counts)
         chart(memoized)
         # a smallest sine above the bound settles the guard; at or below it the SVD
         # runs, and here passes (the sine is above TRANSVERSALITY_RTOL)
-        assert counts == {"svd": 0 if settled else 1, "qr": 0}
+        assert counts == _tally(svd=0 if settled else 1, inv=1)
+
+
+@pytest.mark.parametrize("make, base", [(grassmann.point_from_chart, grassmann.infinity_point),
+                                        (grassmann.point_from_cochart, grassmann.zero_point)])
+@pytest.mark.parametrize("n", [1, 2, 4, 8])
+def test_a_graph_point_at_the_norm_bound_passes_its_horizon_gate_by_its_tag(counts, make,
+                                                                            base, n):
+    # ||a||_2 = n max|a_ij| = 1e6 for a constant matrix: the largest value the tag covers
+    a = np.full((n, n), 1e6 / n)
+    assert n * np.abs(a).max() == 1e6
+    x, horizon = make(a), base(n)
+    _reset(counts)
+    margins = grassmann._require_transversal(((x, horizon, "gate"),))
+    assert counts == _tally() and margins == (grassmann._GRAPH_MARGIN_BOUND,)
+    # the bound is proven: the margin measured afresh (about 5e-7) is not below it
+    assert grassmann.transversality_margin(x, horizon) >= margins[0]
+
+
+@pytest.mark.parametrize("make, base", [(grassmann.point_from_chart, grassmann.infinity_point),
+                                        (grassmann.point_from_cochart, grassmann.zero_point)])
+def test_a_horizon_gate_is_measured_unless_a_tagged_point_meets_its_base_point(counts, make,
+                                                                               base):
+    n = 2
+    tagged = make(np.full((n, n), 1e6 / n))
+    other = (grassmann.zero_point if base is grassmann.infinity_point
+             else grassmann.infinity_point)(n)
+    for x, a in ((make(np.full((n, n), 1e6 * (1 + 1e-9) / n)), base(n)),  # above the bound
+                 (grassmann.SubspacePoint(tagged.basis), base(n)),  # equal, not built as a graph
+                 (tagged, grassmann.SubspacePoint(base(n).basis)),  # equal to the base point
+                 (make(np.eye(n)), other)):  # the base point of the other horizon
+        _reset(counts)
+        margins = grassmann._require_transversal(((x, a, "gate"),))
+        assert counts == _tally(svd=1)
+        assert margins == (grassmann.transversality_margin(x, a),)
+    # the base point of the tag's horizon at another n is a dimension mismatch
+    with pytest.raises(DimensionError):
+        grassmann._require_transversal(((tagged, base(n + 1), "gate"),))
+
+
+@pytest.mark.parametrize("n", [2, 4, 8])
+def test_memoized_sines_prove_a_pure_state_off_the_chart_as_its_svd_does(counts, n):
+    rng = np.random.default_rng(24 + n)
+    psi = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    fresh, memoized = (obstate.pure_state_point(psi) for _ in range(2))
+    # the pure test's sines: the smallest is about 0, the largest about 0.7
+    sines = grassmann._sines(memoized, grassmann.infinity_point(n))
+    assert sines[-1] < 1e-12 and sines[0] > 0.5
+    errors = []
+    for x, svds in ((fresh, 1), (memoized, 0)):
+        _reset(counts)
+        with pytest.raises(NotInChartError) as info:
+            grassmann.chart_repr(x)
+        assert counts == _tally(svd=svds)
+        errors.append(str(info.value))
+    assert errors[0] == errors[1] == "point is not transversal to infinity"
+
+
+@pytest.mark.parametrize("s, fails", [(0.0, True), (5e-9, True), (8e-9, False),
+                                      (1.2e-8, False)])
+def test_the_failure_certificate_fires_only_where_the_svd_fails(counts, s, fails):
+    # span[m; I] of m = diag(1, s) has sines to infinity about 0.71 and s: the guard's
+    # relative test fails for s below about 0.71 TRANSVERSALITY_RTOL
+    fresh, memoized = (grassmann.point_from_cochart(np.diag([1.0, s])) for _ in range(2))
+    grassmann._sines(memoized, grassmann.infinity_point(2))
+    values, svds = [], []
+    for x in (fresh, memoized):
+        _reset(counts)
+        try:
+            values.append(grassmann.chart_repr(x).tobytes())
+        except NotInChartError as exc:
+            values.append(str(exc))
+        svds.append(counts["svd"])
+    assert values[0] == values[1]
+    assert isinstance(values[0], str) is fails
+    # the fresh point runs the guard's SVD; the memoized one only when the sines do not
+    # decide (neither above the pass bound nor proving failure)
+    assert svds == [1, 0 if fails else 1]

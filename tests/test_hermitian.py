@@ -8,6 +8,7 @@ from apline.crossratio import INF
 from apline.errors import (
     AplineError,
     DimensionError,
+    NotHermitianError,
     NotInUniverseError,
     NotRankOneError,
     NotTransversalError,
@@ -413,6 +414,46 @@ def test_cyclic_triple_needs_gap_invertibility():
     b = grassmann.point_from_chart(np.eye(n))
     with pytest.raises(NotTransversalError):
         hermitian.cyclic_triple(a, b, b)
+
+
+def test_cyclic_order_rejects_a_point_without_a_hermitian_chart():
+    n = 2
+    a = grassmann.point_from_chart(np.array([[0.0, 1.0], [0.0, 0.0]]))
+    b = grassmann.point_from_chart(np.eye(n))
+    with pytest.raises(NotHermitianError, match="Hermitian charts"):
+        hermitian.cyclic_triple(a, b, grassmann.infinity_point(n))
+
+
+def test_only_the_order_cut_at_infinity_skips_the_hermitian_test(monkeypatch):
+    n = 2
+    a = grassmann.point_from_chart(np.zeros((n, n)))
+    b = grassmann.point_from_chart(np.eye(n))
+    c = grassmann.point_from_chart(2.0 * np.eye(n))
+    cuts = (grassmann.infinity_point(n), c)
+    assert all(hermitian.cyclic_triple(a, b, cut) for cut in cuts)  # fills the memos
+    tested = []
+    is_hermitian = algebra.is_hermitian
+    monkeypatch.setattr(algebra, "is_hermitian", lambda m, *args, **kwargs: (
+        tested.append(m) or is_hermitian(m, *args, **kwargs)))
+    # cut at infinity the order values are Hermitian charts, whose difference is
+    # Hermitian by construction; cut at c they are inverses, and is_psd tests them
+    for cut, tests in zip(cuts, (0, 1)):
+        tested.clear()
+        assert hermitian.cyclic_triple(a, b, cut)
+        assert len(tested) == tests
+
+
+def test_chart_in_frame_rejects_a_point_on_the_horizon_on_both_paths():
+    n = 2
+    on_infinity = grassmann.point_from_cochart(np.diag([1.0, 0.0]))
+    zero, infinity = grassmann.zero_point(n), grassmann.infinity_point(n)
+    for origin in (zero, grassmann.SubspacePoint(zero.basis)):
+        with pytest.raises(NotTransversalError,
+                           match="^point is not transversal to the chart horizon$"):
+            hermitian.chart_in_frame(on_infinity, origin, infinity)
+    with pytest.raises(NotTransversalError,
+                       match="^point is not transversal to the chart horizon$"):
+        hermitian.chart_in_frame(on_infinity, zero, grassmann.SubspacePoint(infinity.basis))
 
 
 def test_tangent_product_at_zero_is_matrix_multiplication():

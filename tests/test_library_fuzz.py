@@ -4,16 +4,18 @@ The contract: every call ends in a value or an AplineError, never a numpy
 LinAlgError, a NaN or a RuntimeWarning (tier-1 turns RuntimeWarning into
 an error).  This slice aims at points near the horizons of 0 and infinity,
 where the chart guards and the kernel's gate decide, and checks that a
-guard settled by memoized sines decides as its SVD does.
+guard or a gate settled by memoized sines or a graph point's tag decides as
+its SVD does.
 """
 
+import json
 import warnings
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from apline import algebra, crossratio, grassmann, obstate
+from apline import algebra, crossratio, grassmann, hermitian, obstate
 from apline.errors import AplineError, NotTransversalError
 
 # 10-based exponents of the smallest singular value: dense around the transversality
@@ -105,3 +107,62 @@ def test_a_hand_built_obstate_failing_the_gate_gets_the_solves_error_and_warning
     # the last case: W passes with a warning, then A is off the chart
     assert outcomes[0][0] == (NotTransversalError, "kernel needs y in U_a")
     assert [category for category, _ in outcomes[0][1]] == [grassmann.TransversalityWarning]
+
+
+def _untagged(p):
+    """A point with p's basis, bit for bit, and an empty memo: equal to p but not p."""
+    q = grassmann.SubspacePoint.__new__(grassmann.SubspacePoint)
+    q.n, q.basis, q._memo = p.n, p.basis, {}
+    return q
+
+
+@st.composite
+def _hermitian_pair(draw):
+    """Hermitian near-singular a and w of one size, a scaled across the graph norm bound."""
+    n = draw(_N)
+    a, w = (_hermitian_near_singular(draw, n) for _ in range(2))
+    # scales on both sides of the tag's bound and of the gate's warning band and threshold
+    return a * 10.0 ** draw(st.sampled_from([-2.0, 0.0, 5.5, 6.0, 6.5, 7.0, 7.5, 8.5])), w @ w
+
+
+def _hermitian_near_singular(draw, n):
+    m = _near_singular(draw, n)
+    return (m + m.conj().T) / 2
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(_hermitian_pair())
+def test_a_hand_built_obstate_reports_the_same_with_tagged_and_untagged_slots(pair):
+    a, w = pair
+    n = a.shape[0]
+    frame = (grassmann.zero_point(n), grassmann.infinity_point(n))
+
+    def report(tag_a, tag_w):
+        # new graph points per report, so no memo is shared between the paths
+        A, W = grassmann.point_from_chart(a), grassmann.point_from_cochart(w)
+        o = obstate.Obstate(A if tag_a else _untagged(A), W if tag_w else _untagged(W),
+                            *frame, True)
+        text = json.dumps(obstate.report(o), sort_keys=True)  # floats as exact reprs
+        assert "NaN" not in text
+        return np.frombuffer(text.encode(), dtype=np.uint8)
+
+    outcomes = [_outcome(lambda: report(tag_a, tag_w))
+                for tag_a in (True, False) for tag_w in (True, False)]
+    assert all(outcome == outcomes[0] for outcome in outcomes)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(_near_singular_matrix(), st.booleans())
+def test_chart_in_frame_reads_the_base_frame_as_the_solve_does(m, memoized):
+    n = m.shape[0]
+    zero, infinity = grassmann.zero_point(n), grassmann.infinity_point(n)
+    for make in (grassmann.point_from_chart, grassmann.point_from_cochart):
+        for frame in ((infinity, zero), (zero, infinity)):
+            z = make(m)
+            if memoized:
+                grassmann.transversality_margin(z, frame[1])
+            # the base points, then points with their bases that are not them
+            outcomes = [_outcome(lambda: hermitian.chart_in_frame(z, *f) + 0.0)
+                        for f in (frame, tuple(_untagged(p) for p in frame))]
+            # + 0.0 turns -0.0 into 0.0: the two may differ in the sign of an exact zero
+            assert outcomes[0] == outcomes[1]

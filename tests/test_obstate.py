@@ -172,6 +172,24 @@ def test_a_reference_point_equal_to_zero_but_not_zero_point_takes_the_transport(
     assert np.allclose(obstate.distribution(equal), dist, rtol=0, atol=1e-12)
 
 
+@pytest.mark.parametrize("slot, message", [
+    ("observable", "transported observable has no Hermitian chart value"),
+    ("state", "transported state has no Hermitian graph value")])
+def test_the_normal_form_rejects_a_hand_built_slot_without_a_hermitian_value(slot, message):
+    n = 2
+    skew = np.array([[1.0, 1.0], [0.0, 1.0]])
+    slots = {"observable": grassmann.point_from_chart(np.eye(n)),
+             "state": grassmann.point_from_cochart(0.5 * np.eye(n))}
+    # new_obstate rejects such a slot by membership; a hand-built obstate meets the
+    # normal form's own test
+    slots[slot] = (grassmann.point_from_chart if slot == "observable"
+                   else grassmann.point_from_cochart)(skew)
+    o = obstate.Obstate(slots["observable"], slots["state"], grassmann.zero_point(n),
+                        grassmann.infinity_point(n), True)
+    with pytest.raises(NotHermitianError, match="^" + message + "$"):
+        obstate.variance(o)
+
+
 def test_pure_expectation_agrees_with_kernel_trace():
     for n in (1, 2, 3):
         a = algebra.random_hermitian(n, RNG)
