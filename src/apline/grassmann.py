@@ -27,12 +27,16 @@ So do the principal-angle sines of a point to the shared base points 0
 and infinity, which transversality_margin reads from the memo.  A graph
 point's memo also names its chart's horizon, which the gate and the chart
 guard against that horizon accept without an SVD.
+A value of an ordered pair of points (x, a), such as their sines or the
+projector with image x and kernel a, is kept in x's memo while a lives,
+keyed by the object a and holding it only weakly (see _pair_value).
 """
 
 from __future__ import annotations
 
 import math
 import warnings
+import weakref
 from functools import lru_cache, wraps
 
 import numpy as np
@@ -63,7 +67,7 @@ class TransversalityWarning(UserWarning):
 class SubspacePoint:
     """An n-dimensional subspace of C^{2n} with orthonormal stored basis."""
 
-    __slots__ = ("n", "basis", "_memo")
+    __slots__ = ("n", "basis", "_memo", "__weakref__")
 
     def __init__(self, columns):
         cols = np.asarray(columns, dtype=complex)
@@ -132,7 +136,9 @@ def _memoized(fn):
     Only for functions of x's read-only basis alone that cannot warn, so a
     cached value is the bits a new call would compute and no warning is
     lost.  An exception is not cached: every call raises it again.  A
-    cached array must be read-only.
+    cached array must be read-only; a cached point (an involution's image)
+    is shared by every caller.  A value of x and a second point is cached
+    by _pair_value instead.
     """
     @wraps(fn)
     def cached(x: SubspacePoint):
@@ -141,6 +147,37 @@ def _memoized(fn):
             value = x._memo[cached] = fn(x)
         return value
     return cached
+
+
+def _pair_value(fn, x: SubspacePoint, a: SubspacePoint):
+    """fn(x, a), cached in x's memo for as long as the object a lives.
+
+    The table x._memo[fn] maps id(a) to (a weak reference to a, the value),
+    and an entry is read only while its reference still gives a.  Like
+    _memoized, only for functions of the two read-only bases alone that
+    cannot warn and return read-only arrays; an exception is not cached.
+    When a dies, its reference's callback removes the entry.  The callback
+    reaches x only through a weak reference, so the cache forms no
+    reference cycle, a long-lived point such as a base point keeps no dead
+    entries, and x and a are each freed by reference counting alone.
+    """
+    table = x._memo.get(fn)
+    if table is None:
+        table = x._memo[fn] = {}
+    key = id(a)
+    entry = table.get(key)
+    if entry is not None and entry[0]() is a:
+        return entry[1]
+    value = fn(x, a)
+
+    # a's reference calls this when a dies; the defaults bind x weakly, and no cell of
+    # this frame is made on the hit path
+    def forget(ref, x_ref=weakref.ref(x), fn=fn, key=key):
+        x = x_ref()
+        if x is not None:
+            x._memo.get(fn, {}).pop(key, None)
+    table[key] = (weakref.ref(a, forget), value)
+    return value
 
 
 @_memoized
@@ -404,15 +441,18 @@ def _half_angle_tangent(sine) -> float:
 
 
 def _sines(x: SubspacePoint, a: SubspacePoint) -> np.ndarray:
-    """The sines of the principal angles between x and a, in descending order.
+    """The sines of the principal angles between x and a, in descending order (read-only).
 
     When a is the shared base point 0 or infinity, they are a value of x
-    alone and are cached on x, read-only.
+    alone and are cached on x; for any other a they are cached on x while
+    a lives (see _pair_value).
     """
     if x.n != a.n:
         raise DimensionError(f"dimension mismatch: {x.n} vs {a.n}")
     sines_to_a = a._memo.get(_base_point)
-    return _principal_sines(x, a) if sines_to_a is None else sines_to_a(x)
+    if sines_to_a is None:
+        return _pair_value(_principal_sines, x, a)
+    return sines_to_a(x)
 
 
 def _principal_sines(x: SubspacePoint, a: SubspacePoint) -> np.ndarray:
@@ -475,18 +515,28 @@ def projector(x: SubspacePoint, a: SubspacePoint) -> np.ndarray:
 
     Computed as [X|A] diag(I, 0) [X|A]^{-1}.  The source uses both
     sub/superscript placements for image and kernel; here and at every
-    call site the order is projector(image, kernel).
+    call site the order is projector(image, kernel).  The result is a new
+    writable array.
     """
     _require_transversal(((x, a, "projector needs transversal (image, kernel)"),))
-    return _projector(x, a)
+    return _projector(x, a).copy()
 
 
 def _projector(x: SubspacePoint, a: SubspacePoint) -> np.ndarray:
-    """projector(x, a) for a pair the caller has already checked transversal."""
+    """projector(x, a) for a pair the caller has already checked transversal.
+
+    Read-only, and cached on x while a lives (see _pair_value).
+    """
+    return _pair_value(_projector_matrix, x, a)
+
+
+def _projector_matrix(x: SubspacePoint, a: SubspacePoint) -> np.ndarray:
     n = x.n
     f = np.hstack([x.basis, a.basis])
     left = np.hstack([x.basis, np.zeros((2 * n, n))])
-    return left @ np.linalg.inv(f)
+    p = left @ np.linalg.inv(f)
+    p.setflags(write=False)
+    return p
 
 
 def m_operator(x: SubspacePoint, a: SubspacePoint, b: SubspacePoint,

@@ -99,18 +99,24 @@ def _null_space_point(rows: np.ndarray) -> SubspacePoint:
     return SubspacePoint._full_rank(vh[n:, :].conj().T)
 
 
+@grassmann._memoized
 def tau(x: SubspacePoint) -> SubspacePoint:
-    """The omega-orthocomplement; on the chart, tau(a) = a*."""
+    """The omega-orthocomplement; on the chart, tau(a) = a*.  Cached on x and shared."""
     return _null_space_point(x.basis.conj().T @ omega_matrix(x.n))
 
 
+@grassmann._memoized
 def alpha(x: SubspacePoint) -> SubspacePoint:
-    """The standard orthocomplement (antipode); on the chart at n = 1: z -> -1/conj(z)."""
+    """The standard orthocomplement (antipode); on the chart at n = 1: z -> -1/conj(z).
+
+    Cached on x and shared, like tau and beta.
+    """
     return _null_space_point(x.basis.conj().T)
 
 
+@grassmann._memoized
 def beta(x: SubspacePoint) -> SubspacePoint:
-    """The point map [J]; equals alpha o tau = tau o alpha."""
+    """The point map [J]; equals alpha o tau = tau o alpha.  Cached on x and shared."""
     # J is unitary, so J X is orthonormal
     return SubspacePoint._full_rank(j_matrix(x.n) @ x.basis)
 
@@ -172,20 +178,14 @@ def _is_lagrangian(x: SubspacePoint) -> bool:
 
 # --- circle action -------------------------------------------------------------
 
-@lru_cache(maxsize=None)
-def _pole_projectors(n: int) -> tuple[np.ndarray, np.ndarray]:
-    north, south = poles(n)
-    p_north = grassmann.projector(north, south)
-    p_south = grassmann.projector(south, north)
-    return p_north, p_south
-
-
 def s1_action_map(theta: float, n: int) -> ProjectiveMap:
     """The invertible map e^{i theta} P(im N, ker S) + P(im S, ker N)."""
     if not np.isfinite(theta):
         raise NonFiniteError("the circle action needs a finite angle")
-    p_north, p_south = _pole_projectors(n)
-    # N is orthogonal to S: e^{i theta} P_N + P_S is unitary
+    north, south = poles(n)
+    # N is orthogonal to S, so their margin is 1 and e^{i theta} P_N + P_S is unitary; the
+    # shared poles keep both projectors
+    p_north, p_south = grassmann._projector(north, south), grassmann._projector(south, north)
     return ProjectiveMap._invertible(np.exp(1j * theta) * p_north + p_south)
 
 

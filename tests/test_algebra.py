@@ -1,3 +1,4 @@
+import json
 import warnings
 
 import numpy as np
@@ -180,3 +181,14 @@ def test_matrix_json_rejects_what_is_not_a_matrix(obj):
 def test_random_density_of_size_zero_is_a_dimension_error():
     with pytest.raises(DimensionError, match="n >= 1"):
         algebra.random_density(0, np.random.default_rng(0))
+
+
+@pytest.mark.parametrize("entry, message", [
+    ({}, "entries must be numbers: "),          # an object where a number belongs
+    (10 ** 400, "entries must be finite: "),    # an integer beyond float range
+    (json.loads("1e999"), "entries must be finite$"),  # JSON's overflowing float is inf
+], ids=["object", "huge-integer", "infinity"])
+def test_matrix_json_rejects_an_entry_that_is_no_finite_number(entry, message):
+    for obj in ([[entry]], {"n": 1, "re": [[entry]]}, {"n": 1, "re": [[0.0]], "im": [[entry]]}):
+        with pytest.raises(DecodeError, match=message):
+            algebra.matrix_from_json(obj)

@@ -238,9 +238,10 @@ def test_transported_frame_expectation_svd_count(counts, cold_base_points):
     o = _transported_obstate(31)
     _reset(counts)
     obstate.expectation(o)
-    # the kernel's three margins: no slot is a base point whose memo could keep them, nor
-    # a graph point tagged with one; its solve and the two graph blocks' inverses
-    assert counts == _tally(svd=3, inv=2, solve=1)
+    # no slot is a base point or a graph point tagged with one, but the kernel's three
+    # margins are the pairs new_obstate measured, whose sines the first point of each pair
+    # keeps while the second lives: no SVD.  Its solve and the two graph blocks' inverses
+    assert counts == _tally(inv=2, solve=1)
 
 
 def test_transported_frame_report_svd_count(counts, cold_base_points):
@@ -248,7 +249,7 @@ def test_transported_frame_report_svd_count(counts, cold_base_points):
     o = _transported_obstate(31)
     _reset(counts)
     obstate.report(o)
-    # expectation: 3 SVDs, 1 solve and 2 inverses (see above); normal form: the QR of
+    # expectation: 1 solve and 2 inverses (see above); normal form: the QR of
     # C^-1 A0 and the inverse of its chart block for the transport, the QRs of A and W
     # moved by it, and their 2 chart blocks (an SVD and an inverse each); pure test: the
     # sines of (W, Winf), with no chart; cyclic order cut at Winf: Winf's chart, then
@@ -256,7 +257,32 @@ def test_transported_frame_report_svd_count(counts, cold_base_points):
     # and A's chart and gap for the observable (an SVD and an inverse each), and the two
     # psd tests.  No slot has memoized sines to a base point or a graph tag, so every
     # chart guard runs its SVD
-    assert counts == _tally(svd=13, qr=3, inv=12, solve=1, eigvalsh=2)
+    assert counts == _tally(svd=10, qr=3, inv=12, solve=1, eigvalsh=2)
+
+
+def test_a_repeated_torsor_product_runs_only_its_result_point(counts):
+    rng = np.random.default_rng(32)
+    x, y, z, a, b = (grassmann.random_point(4, rng) for _ in range(5))
+    grassmann.torsor_product(x, y, z, a, b)
+    _reset(counts)
+    grassmann.torsor_product(x, y, z, a, b)
+    # the six margins and both projectors of m are kept on the pairs' first points; the
+    # new point m y is built by the public constructor: its QR and rank SVD
+    assert counts == _tally(svd=1, qr=1)
+
+
+def test_a_repeated_tangent_product_runs_no_alpha_svd_and_no_repeated_margin(counts):
+    rng = np.random.default_rng(33)
+    base = hermitian.random_r_point(4, rng)
+    x, y, w = (grassmann.random_point(4, rng) for _ in range(3))
+    hermitian.tangent_product(base, x, y)
+    _reset(counts)
+    hermitian.tangent_product(base, x, w)
+    # alpha(base) and transport_to_zero(base) are cached on base, and the margin of
+    # (x, alpha(base)) on x: only w's margin is measured.  The two moved factors (a QR
+    # each) have no memoized sines, so each chart guard runs its SVD before its inverse;
+    # the inverse of g, the product's graph point (a QR, no SVD) and its move back (a QR)
+    assert counts == _tally(svd=3, qr=4, inv=3)
 
 
 def test_arithmetic_distance_runs_one_svd(counts):

@@ -12,6 +12,7 @@ from apline.errors import (
     NotInUniverseError,
     NotRankOneError,
     NotTransversalError,
+    NotUnitaryError,
 )
 
 RNG = np.random.default_rng(3133)
@@ -590,3 +591,20 @@ def test_rank_certificate_is_not_run_at_n_1():
         assert hermitian.arithmetic_distance(x, y) == 1
         fam = hermitian.line_family(x, y)
         assert grassmann.point_eq(fam.point(0.0), y)
+
+
+def test_unitary_to_point_rejects_a_matrix_that_is_not_unitary():
+    with pytest.raises(NotUnitaryError, match="unitary_to_point needs a unitary matrix"):
+        hermitian.unitary_to_point(2.0 * np.eye(2))
+
+
+def test_tangent_unit_and_product_reject_a_base_outside_the_universe_on_every_call():
+    rng = np.random.default_rng(61)
+    base, x, y = (grassmann.random_point(3, rng) for _ in range(3))
+    assert not hermitian.membership(base, "RNS")
+    hermitian.alpha(base)  # cached on base: the membership check still runs first
+    for _ in range(3):
+        with pytest.raises(NotInUniverseError, match="tangent_unit needs"):
+            hermitian.tangent_unit(base)
+        with pytest.raises(NotInUniverseError, match="tangent_product needs"):
+            hermitian.tangent_product(base, x, y)

@@ -6,7 +6,9 @@ raised again on every call; and reports, the CLI and the returned arrays
 do not change when the reference frame's work comes from the memo.
 """
 
+import gc
 import json
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -203,11 +205,16 @@ def test_margins_to_the_base_points_are_bitwise_a_new_computation(n, cold_base_p
             assert first.tobytes() == fresh.tobytes()
             margin = grassmann._half_angle_tangent(fresh[-1]).hex()
             assert grassmann.transversality_margin(x, base).hex() == margin
-    # any other second point is measured afresh and cached nowhere
+    # any other second point is measured once and cached on the first point, under its
+    # own key, while it lives; nothing is cached on the second point
     x, a = points[0], grassmann.random_point(n, rng)
-    assert grassmann._sines(x, a).tobytes() == grassmann._principal_sines(x, a).tobytes()
+    first = grassmann._sines(x, a)
+    assert first.tobytes() == grassmann._principal_sines(x, a).tobytes()
+    assert grassmann._sines(x, a) is first and not first.flags.writeable
     assert a._memo == {} and set(x._memo) == {grassmann._sines_to_zero,
-                                              grassmann._sines_to_infinity}
+                                              grassmann._sines_to_infinity,
+                                              grassmann._principal_sines}
+    assert list(x._memo[grassmann._principal_sines]) == [id(a)]
 
 
 def test_a_cached_margin_warns_on_every_call():
@@ -220,11 +227,13 @@ def test_a_cached_margin_warns_on_every_call():
 
 
 def _memo_arrays(value):
-    """The arrays a memo value holds: itself or a map's rep."""
+    """The arrays a memo value holds: itself, a map's rep or a pair table's values."""
     if isinstance(value, np.ndarray):
         return [value]
     if isinstance(value, grassmann.ProjectiveMap):
         return [value.rep]
+    if isinstance(value, dict):
+        return [arr for _, v in value.values() for arr in _memo_arrays(v)]
     return []
 
 
@@ -245,6 +254,163 @@ def test_every_cached_array_is_read_only(cold_base_points):
     # the kernel and normal form W's cochart value
     assert grassmann._chart_value in mixed.observable._memo
     assert grassmann._cochart_value in mixed.state._memo
+    # the moved frame's gate and kernel share the sines of (W, A0) in W's pair table
+    assert id(moved.ref_observable) in moved.state._memo[grassmann._principal_sines]
+    x, a = (grassmann.random_point(n, rng) for _ in range(2))
+    grassmann.projector(x, a)
+    assert id(a) in x._memo[grassmann._projector_matrix]
+    points += [x, a, hermitian.tau(x), hermitian.alpha(x), hermitian.beta(x)]
     arrays = [arr for x in points for v in x._memo.values() for arr in _memo_arrays(v)]
     assert len(arrays) > 20
     assert not any(arr.flags.writeable for arr in arrays)
+
+
+# --- values of a pair of points ---------------------------------------------------
+
+@pytest.fixture
+def no_gc():
+    """Run the test with the cyclic garbage collector off: only reference counts free."""
+    gc.disable()
+    yield
+    gc.enable()
+
+
+def _pair_table(x, fn):
+    return x._memo.get(fn, {})
+
+
+# (a fresh computation, whose name keys the pair table, and the cached value) of the sines
+# and the projector
+_PAIR_VALUES = ((grassmann._principal_sines, grassmann._sines),
+                (grassmann._projector_matrix, grassmann._projector))
+
+
+@pytest.mark.parametrize("n", [1, 2, 4, 8])
+def test_a_cached_pair_value_is_bitwise_a_fresh_computation_and_read_only(n):
+    rng = np.random.default_rng(500 + n)
+    x, a = grassmann.random_point(n, rng), hermitian.random_r_point(n, rng)
+    for fresh, cached in _PAIR_VALUES:
+        value = cached(x, a)
+        assert not value.flags.writeable
+        assert cached(x, a) is value  # from the memo
+        assert value.tobytes() == fresh(x, a).tobytes()
+        assert list(_pair_table(x, fresh)) == [id(a)] and fresh not in a._memo
+
+
+def test_a_pair_its_reverse_and_a_point_with_itself_get_their_own_entries():
+    rng = np.random.default_rng(510)
+    x, a = (grassmann.random_point(3, rng) for _ in range(2))
+    pairs = ((x, a), (a, x), (x, x))
+    sines = [grassmann._sines(p, q) for p, q in pairs]
+    assert set(_pair_table(x, grassmann._principal_sines)) == {id(a), id(x)}
+    assert list(_pair_table(a, grassmann._principal_sines)) == [id(x)]
+    for (p, q), value in zip(pairs, sines):
+        assert grassmann._sines(p, q) is value
+        assert value.tobytes() == grassmann._principal_sines(p, q).tobytes()
+    # [X | X] has rank n: every sine of x to itself is at rounding level
+    assert sines[2][0] < 1e-12 < sines[0][-1]
+    # image and kernel exchanged: the complementary projector, kept apart
+    p, q = grassmann._projector(x, a), grassmann._projector(a, x)
+    assert p is not q and np.allclose(p + q, np.eye(6))
+    assert list(_pair_table(a, grassmann._projector_matrix)) == [id(x)]
+
+
+def test_an_entry_disappears_when_its_partner_dies(no_gc):
+    rng = np.random.default_rng(520)
+    x, a, b = (grassmann.random_point(2, rng) for _ in range(3))
+    for _, cached in _PAIR_VALUES:
+        cached(x, a)
+        cached(x, b)
+    del a
+    for key, _ in _PAIR_VALUES:
+        assert list(_pair_table(x, key)) == [id(b)]
+    del b
+    for key, _ in _PAIR_VALUES:
+        assert _pair_table(x, key) == {}
+
+
+def test_a_long_lived_base_point_keeps_no_entry_of_a_dead_partner(no_gc, cold_base_points):
+    n = 2
+    zero = grassmann.zero_point(n)
+    references = weakref.getweakrefcount(zero)
+    rng = np.random.default_rng(530)
+    for _ in range(1000):
+        a = grassmann.random_point(n, rng)
+        grassmann._sines(zero, a)
+        grassmann._projector(zero, a)
+        grassmann._projector(a, zero)  # a's entry refers to zero weakly
+        assert id(a) in _pair_table(zero, grassmann._projector_matrix)
+    del a
+    for key, _ in _PAIR_VALUES:
+        assert _pair_table(zero, key) == {}
+    # the dead partners' references to zero died with their tables
+    assert weakref.getweakrefcount(zero) == references
+
+
+def test_an_entry_whose_reference_gives_another_point_is_no_hit():
+    rng = np.random.default_rng(535)
+    x, a, other = (grassmann.random_point(2, rng) for _ in range(3))
+    stale = np.zeros(2)
+    x._memo[grassmann._principal_sines] = {id(a): (weakref.ref(other), stale)}
+    sines = grassmann._sines(x, a)
+    assert sines is not stale
+    assert sines.tobytes() == grassmann._principal_sines(x, a).tobytes()
+    assert grassmann._sines(x, a) is sines
+
+
+def _linked_pair(rng):
+    """Two points whose memos hold every kind of pair entry, between them and to x's images."""
+    x, a = (grassmann.random_point(2, rng) for _ in range(2))
+    for p, q in ((x, a), (a, x), (x, x)):
+        grassmann._sines(p, q)
+        if p is not q:  # [X | X] is singular: x is no kernel of a projector onto x
+            grassmann._projector(p, q)
+    for involution in (hermitian.tau, hermitian.alpha, hermitian.beta):
+        image = involution(x)
+        grassmann._sines(x, image)
+        grassmann._sines(image, x)
+    return x, a
+
+
+@pytest.mark.parametrize("first", [0, 1])
+def test_a_point_and_its_partner_are_freed_by_reference_counting(no_gc, first):
+    points = list(_linked_pair(np.random.default_rng(540)))
+    images = [involution(points[0]) for involution in (hermitian.tau, hermitian.alpha,
+                                                       hermitian.beta)]
+    refs = [weakref.ref(p) for p in points + images]
+    del images
+    points.pop(first)
+    assert refs[first]() is None and refs[1 - first]() is not None
+    points.pop()
+    assert [ref() for ref in refs] == [None] * 5
+
+
+def test_a_cached_pair_margin_warns_on_every_call():
+    x = grassmann.point_from_cochart(np.diag([1.0, 1e-7]))  # margin to infinity about 5e-8
+    a = SubspacePoint(grassmann.infinity_point(2).basis)  # equal to infinity, no base point
+    for _ in range(3):
+        with pytest.warns(grassmann.TransversalityWarning):
+            assert grassmann.is_transversal(x, a)
+    assert list(_pair_table(x, grassmann._principal_sines)) == [id(a)]
+
+
+def test_projector_returns_a_writable_copy_and_leaves_the_memo_untouched():
+    rng = np.random.default_rng(550)
+    x, a = (grassmann.random_point(3, rng) for _ in range(2))
+    value = grassmann._projector(x, a)
+    expected = value.tobytes()
+    p = grassmann.projector(x, a)
+    assert p.flags.writeable and p is not value
+    p[:] = 0.0
+    assert grassmann._projector(x, a) is value and value.tobytes() == expected
+    assert grassmann.projector(x, a).tobytes() == expected
+
+
+@pytest.mark.parametrize("n", [1, 2, 4])
+def test_the_involutions_are_cached_and_bitwise_a_fresh_build(n):
+    rng = np.random.default_rng(560 + n)
+    for x in (grassmann.random_point(n, rng), hermitian.random_r_point(n, rng)):
+        for involution in (hermitian.tau, hermitian.alpha, hermitian.beta):
+            image = involution(x)
+            assert involution(x) is image  # from the memo
+            assert image.basis.tobytes() == involution.__wrapped__(x).basis.tobytes()

@@ -526,3 +526,18 @@ def test_pure_state_point_of_the_zero_vector_is_a_typed_error():
     # a ZeroWeightError is still the ValueError it was, with the same message
     with pytest.raises(ZeroWeightError, match="^pure states need a nonzero vector$"):
         obstate.pure_state_point([0.0, 0.0])
+
+
+def test_no_point_is_on_the_arc_when_winf_has_no_chart_value():
+    # Winf = span[w; I] with w = diag(1, 0) meets infinity, so it has no Hermitian chart
+    # to cut the order at: no state or observable is on the arc from A0 to Winf
+    a0 = grassmann.point_from_chart(np.diag([-1.0, 0.0]))
+    winf = grassmann.point_from_cochart(np.diag([1.0, 0.0]))
+    assert grassmann.point_eq(winf, hermitian.alpha(a0))
+    o = obstate.new_obstate(grassmann.point_from_chart(np.zeros((2, 2))),
+                            obstate.state_from_density(np.eye(2) / 2), a0, winf)
+    with pytest.raises(NotInChartError):
+        hermitian.cyclic_triple(a0, o.state, winf)
+    assert not obstate.is_positive(o) and not obstate.is_cyclically_ordered(o)
+    rep = obstate.report(o)
+    assert rep["positive"] is False and rep["cyclically_ordered"] is False
