@@ -11,6 +11,7 @@ arrays (complex128); nothing here mutates its arguments.
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -147,7 +148,7 @@ def is_invertible(a, tol: float = TOL_INV) -> bool:
     """
     a = as_matrix(a)
     try:
-        s = np.linalg.svd(a, compute_uv=False)
+        s = singular_values(a)
     except np.linalg.LinAlgError:  # no convergence: decided below like a NaN output
         s = np.full(1, np.nan)
     if s[-1] > tol * max(s[0], 1e-300):
@@ -166,7 +167,105 @@ def inverse(a) -> np.ndarray:
     a = as_matrix(a)
     if not is_invertible(a):
         raise SingularError("matrix is singular within tolerance")
-    return np.linalg.inv(a)
+    return proven_inverse(a)
+
+
+# --- the linalg seam --------------------------------------------------------
+# Every thin QR, singular-value SVD and proven inverse of the library runs here,
+# bitwise equal to np.linalg.qr, np.linalg.svd(a, compute_uv=False) and
+# np.linalg.inv.  At n <= 16 most of a numpy linalg call is its Python wrapper, so
+# the LAPACK gufuncs under those wrappers are called directly, under the wrappers'
+# own error state; the QR's geqrf stays on np.linalg.qr(a, mode="raw"), where
+# tracers and counters see it.  Where numpy lacks these gufuncs, the public
+# wrappers run instead.
+
+try:
+    from numpy.linalg._umath_linalg import inv as _inv_gufunc
+    from numpy.linalg._umath_linalg import qr_reduced as _qr_reduced_gufunc
+    from numpy.linalg._umath_linalg import svd as _svd_gufunc
+except ImportError:  # pragma: no cover - depends on the numpy version
+    _inv_gufunc = _qr_reduced_gufunc = _svd_gufunc = None
+
+
+def _raiser(message: str):
+    """A numpy error-state callback that raises LinAlgError(message), as numpy's wrappers do."""
+    def raise_linalg_error(err, flag):
+        raise np.linalg.LinAlgError(message)
+    return raise_linalg_error
+
+
+_SINGULAR = _raiser("Singular matrix")
+_SVD_FAILED = _raiser("SVD did not converge")
+_QR_FAILED = _raiser("Incorrect argument found while performing QR factorization")
+
+
+def _lapack_errstate(callback) -> np.errstate:
+    """numpy's error state around a LAPACK gufunc: a failed factorization calls callback."""
+    return np.errstate(call=callback, invalid="call", over="ignore", divide="ignore",
+                       under="ignore")
+
+
+@lru_cache(maxsize=None)
+def _below_diagonal(rows: int, cols: int) -> np.ndarray:
+    """The mask np.triu clears: the entries strictly below the diagonal (read-only)."""
+    mask = np.tri(rows, cols, -1, dtype=bool)
+    mask.setflags(write=False)
+    return mask
+
+
+def thin_qr(a: np.ndarray, with_r: bool = False):
+    """(Q, R) of the thin QR a = Q R of an m x n array a, m >= n; R is None unless with_r.
+
+    Bitwise np.linalg.qr(a).  One geqrf, through np.linalg.qr(a, mode="raw"),
+    leaves R on and above the diagonal of its packed factor and the reflectors
+    below it; Q is formed from those reflectors, and R is built only when asked.
+    Finite columns near the float range can overflow in the factorization: that
+    raises ValueOverflowError naming their scale, never returns a NaN factor.  A
+    non-finite reflector makes Q non-finite, so testing Q and the packed factor
+    is testing Q and R.
+    """
+    if _qr_reduced_gufunc is None:
+        q, packed = np.linalg.qr(a)
+    else:
+        h, tau = np.linalg.qr(a, mode="raw")
+        packed = h.T
+        with _lapack_errstate(_QR_FAILED):
+            q = _qr_reduced_gufunc(packed, tau,
+                                   signature="DD->D" if packed.dtype.kind == "c" else "dd->d")
+    if not (np.isfinite(q).all() and np.isfinite(packed).all()):
+        raise ValueOverflowError(
+            f"basis of scale {_largest_part(a):.3e} (largest real or imaginary part) "
+            "overflows the float range in its QR factorization")
+    if not with_r:
+        return q, None
+    if _qr_reduced_gufunc is None:
+        return q, packed
+    k = q.shape[-1]
+    return q, np.where(_below_diagonal(k, packed.shape[-1]), 0.0, packed[:k])
+
+
+def singular_values(a: np.ndarray) -> np.ndarray:
+    """The singular values of a, in descending order: bitwise np.linalg.svd(a, compute_uv=False).
+
+    An SVD that does not converge (LAPACK's answer to a NaN entry) raises
+    LinAlgError, as numpy does.
+    """
+    if _svd_gufunc is None:
+        return np.linalg.svd(a, compute_uv=False)
+    with _lapack_errstate(_SVD_FAILED):
+        return _svd_gufunc(a, signature="D->d" if a.dtype.kind == "c" else "d->d")
+
+
+def proven_inverse(a: np.ndarray) -> np.ndarray:
+    """a^-1 for a square a whose invertibility the caller has proven: bitwise np.linalg.inv(a).
+
+    No invertibility test runs here (inverse() is the checked form).  An exactly
+    singular a raises LinAlgError, as numpy does, with no RuntimeWarning.
+    """
+    if _inv_gufunc is None:
+        return np.linalg.inv(a)
+    with _lapack_errstate(_SINGULAR):
+        return _inv_gufunc(a, signature="D->D" if a.dtype.kind == "c" else "d->d")
 
 
 def is_unitary(a, tol: float = TOL_EQ) -> bool:
@@ -345,7 +444,7 @@ def random_invertible(n: int, rng) -> np.ndarray:
 def random_unitary(n: int, rng) -> np.ndarray:
     """Haar-ish unitary: QR of a Ginibre matrix with phases normalized."""
     rng = rng_from(rng)
-    q, r = np.linalg.qr(random_matrix(n, rng))
+    q, r = thin_qr(random_matrix(n, rng), with_r=True)
     d = np.diagonal(r)
     return q * (d / np.abs(d))
 

@@ -189,11 +189,11 @@ def kernel(x: SubspacePoint, a: SubspacePoint, b: SubspacePoint,
     # and sigma_min(c) / sigma_max(c) >= m_bx m_xa: the check below cannot fail
     if m_bx * m_xa < _MARGIN_PRODUCT_BOUND and not algebra.is_invertible(c):
         raise SingularError("graph decomposition of b is degenerate")
-    beta = d @ np.linalg.inv(c)
+    beta = d @ algebra.proven_inverse(c)
     # [A | Y] = [A | X] [[I, cy], [0, dy]]: likewise sigma_min(dy) / sigma_max(dy) >= m_ya m_xa
     if m_ya * m_xa < _MARGIN_PRODUCT_BOUND and not algebra.is_invertible(dy):
         raise SingularError("graph decomposition of y is degenerate")
-    eta = cy @ np.linalg.inv(dy)
+    eta = cy @ algebra.proven_inverse(dy)
     return EndoX(beta @ eta)
 
 

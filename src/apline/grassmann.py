@@ -50,7 +50,6 @@ from .errors import (
     NotTransversalError,
     ResamplingExhausted,
     SingularError,
-    ValueOverflowError,
 )
 
 # Smallest/largest singular value ratio of [basis(x) | basis(a)] above
@@ -77,7 +76,7 @@ class SubspacePoint:
         if not np.isfinite(cols).all():
             raise NonFiniteError("basis entries must be finite")
         # cols = Q R with Q orthonormal, so cols and the n x n factor R share singular values
-        s = np.linalg.svd(self._canonicalize(cols), compute_uv=False)
+        s = algebra.singular_values(self._canonicalize(cols, with_r=True))
         if s[-1] <= TOL_INV * max(s[0], 1e-300):
             raise SingularError("basis columns are rank deficient")
 
@@ -92,17 +91,13 @@ class SubspacePoint:
         x._canonicalize(np.asarray(columns, dtype=complex))
         return x
 
-    def _canonicalize(self, cols: np.ndarray) -> np.ndarray:
-        """Store the orthonormal factor Q of cols = Q R and return R.
+    def _canonicalize(self, cols: np.ndarray, with_r: bool = False):
+        """Store the orthonormal factor Q of cols = Q R, and return R if with_r (else None).
 
         Finite columns near the float range can overflow in the QR; that
-        is an error naming their scale, never a NaN basis.
+        is an error naming their scale, never a NaN basis (see algebra.thin_qr).
         """
-        q, r = np.linalg.qr(cols)
-        if not (np.isfinite(q).all() and np.isfinite(r).all()):
-            raise ValueOverflowError(
-                f"basis of scale {algebra._largest_part(cols):.3e} (largest real or imaginary "
-                "part) overflows the float range in its QR factorization")
+        q, r = algebra.thin_qr(cols, with_r)
         self.n = cols.shape[1]
         q.setflags(write=False)
         self.basis = q
@@ -305,7 +300,7 @@ def _graph_point(cols: np.ndarray, value: np.ndarray, sines_to_horizon) -> Subsp
         return SubspacePoint(cols)
     except SingularError:
         chart = "chart" if sines_to_horizon is _sines_to_infinity else "cochart"
-        scale = np.linalg.svd(value, compute_uv=False)[0]
+        scale = algebra.singular_values(value)[0]
         raise SingularError(
             f"{chart} value of scale {scale:.3e} (largest singular value) is out of "
             f"range: its graph basis has condition number at or above 1/TOL_INV = "
@@ -384,7 +379,7 @@ def _graph_value(top: np.ndarray, block: np.ndarray, settled, horizon: str) -> n
     if not (algebra.is_invertible(block, tol=TRANSVERSALITY_RTOL) if settled is None
             else settled):
         raise NotInChartError(f"point is not transversal to {horizon}")
-    return top @ np.linalg.inv(block)
+    return top @ algebra.proven_inverse(block)
 
 
 def point_from_cochart(w) -> SubspacePoint:
@@ -457,7 +452,7 @@ def _sines(x: SubspacePoint, a: SubspacePoint) -> np.ndarray:
 
 def _principal_sines(x: SubspacePoint, a: SubspacePoint) -> np.ndarray:
     """The singular values of A - X (X* A): the sines, from one 2n x n SVD (read-only)."""
-    sines = np.linalg.svd(a.basis - x.basis @ (x.basis.conj().T @ a.basis), compute_uv=False)
+    sines = algebra.singular_values(a.basis - x.basis @ (x.basis.conj().T @ a.basis))
     sines.setflags(write=False)
     return sines
 
@@ -534,7 +529,7 @@ def _projector_matrix(x: SubspacePoint, a: SubspacePoint) -> np.ndarray:
     n = x.n
     f = np.hstack([x.basis, a.basis])
     left = np.hstack([x.basis, np.zeros((2 * n, n))])
-    p = left @ np.linalg.inv(f)
+    p = left @ algebra.proven_inverse(f)
     p.setflags(write=False)
     return p
 
@@ -619,7 +614,7 @@ class ProjectiveMap:
 
     def inverse(self) -> "ProjectiveMap":
         # cond(G^{-1}) = cond(G), and G passed the invertibility check
-        return ProjectiveMap._invertible(np.linalg.inv(self.rep))
+        return ProjectiveMap._invertible(algebra.proven_inverse(self.rep))
 
     def __matmul__(self, other) -> "ProjectiveMap":
         if not isinstance(other, ProjectiveMap):

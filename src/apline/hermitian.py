@@ -83,7 +83,8 @@ def _cayley_maps(n: int) -> tuple[ProjectiveMap, ProjectiveMap]:
     """The maps C and C^{-1}; one cached pair per n, shared and read-only."""
     eye = np.eye(n)
     c = np.block([[1j * eye, -1j * eye], [eye, eye]])
-    return ProjectiveMap(c), ProjectiveMap(np.linalg.inv(c))
+    # c / sqrt 2 is unitary, so c is invertible
+    return ProjectiveMap(c), ProjectiveMap(algebra.proven_inverse(c))
 
 
 def cayley_matrix(n: int) -> ProjectiveMap:
@@ -223,7 +224,7 @@ def _cayley_unitary(x: SubspacePoint) -> np.ndarray:
     # (X2 - i X1)*(X2 - i X1) = I + i X* Omega X.  membership bounds
     # ||X* Omega X|| by eps = TOL_EQ (1 + sqrt n) / sqrt 2, so after the QR the
     # top block has sigma^2 in [(1 - eps)/2, (1 + eps)/2]: it is invertible.
-    u = y[n:, :] @ np.linalg.inv(y[:n, :])
+    u = y[n:, :] @ algebra.proven_inverse(y[:n, :])
     if not algebra.is_unitary(u, tol=1e-7):
         raise NotUnitaryError("Cayley chart value is not unitary")  # pragma: no cover
     u.setflags(write=False)
@@ -431,7 +432,7 @@ def chart_difference_rank(x: SubspacePoint, y: SubspacePoint, c: SubspacePoint) 
     The explicit-chart reference for arithmetic_distance.
     """
     _, _, difference = _chart_values(x, y, c, _chart_origin(c))
-    s = np.linalg.svd(difference, compute_uv=False)
+    s = algebra.singular_values(difference)
     return 0 if s[0] == 0.0 else int(np.count_nonzero(s > RANK_RTOL * s[0]))
 
 
@@ -571,5 +572,5 @@ def _order_chart(c: SubspacePoint):
         gap = mc - _hermitian_chart(z)
         if not algebra.is_invertible(gap, tol=grassmann.TRANSVERSALITY_RTOL):
             raise NotTransversalError("cyclic order needs both points transversal to c")
-        return np.linalg.inv(gap)
+        return algebra.proven_inverse(gap)
     return value

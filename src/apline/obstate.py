@@ -276,7 +276,7 @@ def _line_factors(fam: "hermitian.LineFamily"):
     line(t) = L0 + t q v^* with L0 = frame [I; base] and q = s frame [0; u],
     for the direction d = s u v^* that fam carries.
     """
-    q_basis, r = np.linalg.qr(fam.raw_basis(0.0))
+    q_basis, r = algebra.thin_qr(fam.raw_basis(0.0), with_r=True)
     return q_basis, r, fam.s * (fam.frame[:, fam.n:] @ fam.u)
 
 
@@ -304,7 +304,7 @@ def _completion_parameter(fam: "hermitian.LineFamily", factors, target: Subspace
             raise NonUniqueCompletionError(
                 "no real point of the line meets the non-transversality locus")
         root = float(z.real)
-    s = np.linalg.svd(np.hstack([fam.raw_basis(root), target.basis]), compute_uv=False)
+    s = algebra.singular_values(np.hstack([fam.raw_basis(root), target.basis]))
     if s[-1] / s[0] > COMPLETION_TOL:
         raise NonUniqueCompletionError(
             "completion-point refinement did not converge")  # pragma: no cover

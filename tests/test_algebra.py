@@ -1,11 +1,15 @@
+import ast
 import json
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import apline
 from apline import algebra
-from apline.errors import DecodeError, DimensionError, SingularError
+from apline.errors import (DecodeError, DimensionError, NonFiniteError, SingularError,
+                           ValueOverflowError)
 
 RNG = np.random.default_rng(20240811)
 
@@ -192,3 +196,162 @@ def test_matrix_json_rejects_an_entry_that_is_no_finite_number(entry, message):
     for obj in ([[entry]], {"n": 1, "re": [[entry]]}, {"n": 1, "re": [[0.0]], "im": [[entry]]}):
         with pytest.raises(DecodeError, match=message):
             algebra.matrix_from_json(obj)
+
+
+# --- lines no other test runs -------------------------------------------------
+
+def test_as_matrix_reads_a_scalar_as_a_one_by_one_matrix():
+    m = algebra.as_matrix(2.5)
+    assert m.shape == (1, 1) and m.dtype == complex and m[0, 0] == 2.5
+
+
+def test_almost_equal_of_different_shapes_is_a_dimension_error():
+    with pytest.raises(DimensionError, match=r"^shape mismatch: \(2, 2\) vs \(3, 3\)$"):
+        algebra.almost_equal(np.eye(2), np.eye(3))
+
+
+def test_a_homotope_of_mixed_sizes_is_a_dimension_error():
+    with pytest.raises(DimensionError, match="^dimension mismatch: 2 vs 3$"):
+        algebra.homotope_assoc(np.eye(2), np.eye(3), np.eye(2))
+
+
+# --- the linalg seam ------------------------------------------------------------
+
+_SEAM_N = (1, 2, 3, 4, 6, 8, 16)
+
+
+def _draw(shape, dtype, seed):
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal(shape)
+    return a + 1j * rng.standard_normal(shape) if dtype is complex else a
+
+
+def _layouts(a):
+    """a as the call sites pass it: C-ordered, F-ordered, and a strided view."""
+    wide = np.zeros((a.shape[0], 2 * a.shape[1]), dtype=a.dtype)
+    wide[:, ::2] = a
+    return {"C": np.ascontiguousarray(a), "F": np.asfortranarray(a), "strided": wide[:, ::2]}
+
+
+def _same_bits(got, want):
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+def _check_seam(n, dtype, seed):
+    tall, square = _draw((2 * n, n), dtype, seed), _draw((n, n), dtype, seed + 1)
+    for name, a in (*_layouts(tall).items(), *_layouts(square).items()):
+        want_q, want_r = np.linalg.qr(a)
+        q, r = algebra.thin_qr(a, with_r=True)
+        _same_bits(q, want_q)
+        _same_bits(r, want_r)
+        q_alone, no_r = algebra.thin_qr(a)
+        _same_bits(q_alone, want_q)
+        assert no_r is None
+        _same_bits(algebra.singular_values(a), np.linalg.svd(a, compute_uv=False))
+    for a in _layouts(square).values():
+        _same_bits(algebra.proven_inverse(a), np.linalg.inv(a))
+
+
+@pytest.mark.parametrize("dtype", [complex, float], ids=["complex128", "float64"])
+@pytest.mark.parametrize("n", _SEAM_N)
+def test_the_seam_is_bitwise_numpy(n, dtype):
+    _check_seam(n, dtype, 100 * n)
+
+
+@pytest.mark.parametrize("dtype", [complex, float], ids=["complex128", "float64"])
+@pytest.mark.parametrize("n", _SEAM_N)
+def test_the_seam_without_the_gufuncs_is_bitwise_numpy(monkeypatch, n, dtype):
+    for name in ("_svd_gufunc", "_inv_gufunc", "_qr_reduced_gufunc"):
+        monkeypatch.setattr(algebra, name, None)
+    _check_seam(n, dtype, 100 * n + 50)
+
+
+@pytest.mark.parametrize("n", [2, 4, 16])
+def test_the_seam_is_bitwise_numpy_on_the_call_sites_inputs(n):
+    rng = np.random.default_rng(n)
+    x, a = (algebra.thin_qr(_draw((2 * n, n), complex, seed))[0] for seed in (n, n + 1))
+    # the sine residual of grassmann._principal_sines
+    residual = a - x @ (x.conj().T @ a)
+    _same_bits(algebra.singular_values(residual), np.linalg.svd(residual, compute_uv=False))
+    # the null space basis of hermitian._null_space_point (F-ordered)
+    _, _, vh = np.linalg.svd(rng.standard_normal((n, 2 * n)) + 0j)
+    null = vh[n:, :].conj().T
+    _same_bits(algebra.thin_qr(null)[0], np.linalg.qr(null)[0])
+    # the top block of a basis, as hermitian._cayley_unitary inverts it
+    _same_bits(algebra.proven_inverse(x[:n, :]), np.linalg.inv(x[:n, :]))
+
+
+@pytest.mark.parametrize("entry", [np.nan, np.inf, complex(0.0, np.nan)],
+                         ids=["nan", "inf", "complex-nan"])
+def test_a_non_finite_matrix_still_fails_the_invertibility_test_by_name(entry):
+    a = np.eye(3, dtype=complex)
+    a[1, 2] = entry
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonFiniteError, match="must be finite"):
+            algebra.is_invertible(a)
+
+
+def test_singular_values_fail_as_numpy_does_on_a_nan_entry():
+    a = np.full((2, 2), np.nan)
+    with pytest.raises(np.linalg.LinAlgError) as want:
+        np.linalg.svd(a, compute_uv=False)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(np.linalg.LinAlgError) as got:
+            algebra.singular_values(a)
+    assert str(got.value) == str(want.value) == "SVD did not converge"
+
+
+def test_finite_entries_that_overflow_are_scale_errors_in_the_svd_and_the_qr():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueOverflowError, match=r"^matrix of scale 1\.500e\+308 .* SVD$"):
+            algebra.is_invertible(1.5e308 * np.array([[1.0, 1.0], [1.0, -1.0]]))
+        for with_r in (False, True):
+            with pytest.raises(ValueOverflowError,
+                               match=r"^basis of scale 1\.500e\+308 .* QR factorization$"):
+                algebra.thin_qr(np.array([[1.5e308], [1.5e308]], dtype=complex), with_r)
+
+
+@pytest.mark.parametrize("dtype", [complex, float], ids=["complex128", "float64"])
+def test_an_exactly_singular_proven_inverse_is_numpys_error_without_a_warning(dtype):
+    a = np.array([[1.0, 2.0], [2.0, 4.0]], dtype=dtype)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(np.linalg.LinAlgError, match="^Singular matrix$"):
+            algebra.proven_inverse(a)
+
+
+# Outside algebra, no library module may call the numpy functions the seam stands in for,
+# so none can bypass its error policy or its counting.  properties.py is the test harness.
+_SEAM_EXEMPT = {"algebra", "properties"}
+
+
+def _seam_bypasses(tree):
+    """Lines of the calls np.linalg.qr/inv(...) and np.linalg.svd(..., compute_uv=False)."""
+    for node in ast.walk(tree):
+        if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and isinstance(node.func.value, ast.Attribute)
+                and node.func.value.attr == "linalg"):
+            continue
+        name = node.func.attr
+        values_only = any(k.arg == "compute_uv" and isinstance(k.value, ast.Constant)
+                          and k.value.value is False for k in node.keywords)
+        if name in ("qr", "inv") or name == "svd" and values_only:
+            yield f"linalg.{name}:{node.lineno}"
+
+
+def _seam_scan():
+    return {path.stem: list(_seam_bypasses(ast.parse(path.read_text(encoding="utf-8"))))
+            for path in sorted(Path(apline.__file__).parent.glob("*.py"))}
+
+
+def test_no_library_module_bypasses_the_linalg_seam():
+    found = _seam_scan()
+    assert {module: sites for module, sites in found.items()
+            if sites and module not in _SEAM_EXEMPT} == {}
+    # the scan sees such calls where they are: the seam's own fallbacks
+    assert {site.split(":")[0] for site in found["algebra"]} == {
+        "linalg.qr", "linalg.inv", "linalg.svd"}

@@ -16,22 +16,34 @@ from apline.errors import DimensionError, NotInChartError
 
 _COUNTED = ("svd", "qr", "inv", "solve", "eigvalsh")
 
+# The linalg seam calls two LAPACK gufuncs directly (see algebra.singular_values and
+# algebra.proven_inverse); they are counted where the seam binds them, beside the
+# np.linalg calls.  Its QRs run through np.linalg.qr.
+_SEAM = (("_svd_gufunc", "svd"), ("_inv_gufunc", "inv"))
+
 
 def _tally(**pinned):
-    """The counts of every counted np.linalg function: the pinned ones, else 0."""
+    """The counts of every counted factorization: the pinned ones, else 0."""
     return {name: pinned.get(name, 0) for name in _COUNTED}
 
 
 @pytest.fixture
 def counts(monkeypatch):
     tally = _tally()
-    for name in tally:
-        original = getattr(np.linalg, name)
 
-        def counted(*args, _name=name, _original=original, **kwargs):
-            tally[_name] += 1
-            return _original(*args, **kwargs)
-        monkeypatch.setattr(np.linalg, name, counted)
+    def count(owner, attr, name):
+        original = getattr(owner, attr)
+        if original is None:  # the seam runs np.linalg, which is counted already
+            return
+
+        def counted(*args, **kwargs):
+            tally[name] += 1
+            return original(*args, **kwargs)
+        monkeypatch.setattr(owner, attr, counted)
+    for name in _COUNTED:
+        count(np.linalg, name, name)
+    for attr, name in _SEAM:
+        count(algebra, attr, name)
     return tally
 
 

@@ -423,3 +423,8 @@ def test_pure_state_point_rescales_its_vector_exactly():
                ) * 10.0 ** rng.integers(-30, 30)
         want = grassmann.point_from_cochart(psi @ psi.conj().T / np.vdot(psi, psi).real)
         assert obstate.pure_state_point(psi).basis.tobytes() == want.basis.tobytes()
+
+
+def test_a_map_applied_to_a_point_of_another_size_is_a_dimension_error():
+    with pytest.raises(DimensionError, match=r"^dimension mismatch: map n=2, point n=3$"):
+        grassmann.apply_map(grassmann.identity_map(2), grassmann.zero_point(3))
