@@ -11,6 +11,7 @@ arrays (complex128); nothing here mutates its arguments.
 from __future__ import annotations
 
 import math
+import operator
 from functools import lru_cache
 from typing import NamedTuple
 
@@ -36,11 +37,27 @@ def as_matrix(a) -> np.ndarray:
     return m
 
 
+def check_size(n, what: str = "a size") -> int:
+    """n as an int, when it is a whole number n >= 1 (an int or a numpy integer).
+
+    Anything else raises DimensionError: the one check of every function that
+    takes a size n, so -1, 0 and 2.5 never reach numpy.
+    """
+    try:
+        size = operator.index(n)
+    except TypeError:
+        size = 0
+    if size < 1:
+        raise DimensionError(f"{what} must be a whole number n >= 1, got {n!r:.40}")
+    return size
+
+
 def identity(n: int) -> np.ndarray:
-    return np.eye(n, dtype=complex)
+    return np.eye(check_size(n), dtype=complex)
 
 
 def zero(n: int) -> np.ndarray:
+    n = check_size(n)
     return np.zeros((n, n), dtype=complex)
 
 
@@ -49,14 +66,14 @@ def norm(a) -> float:
     return float(np.linalg.norm(a))
 
 
-def almost_equal(a, b, tol: float = TOL_EQ) -> bool:
-    """Relative Frobenius comparison: ||a - b|| <= tol * (1 + max(||a||, ||b||))."""
+def almost_equal(a, b) -> bool:
+    """Relative Frobenius comparison: ||a - b|| <= TOL_EQ * (1 + max(||a||, ||b||))."""
     a = np.asarray(a, dtype=complex)
     b = np.asarray(b, dtype=complex)
     if a.shape != b.shape:
         raise DimensionError(f"shape mismatch: {a.shape} vs {b.shape}")
     scale = 1.0 + max(norm(a), norm(b))
-    return norm(a - b) <= tol * scale
+    return norm(a - b) <= TOL_EQ * scale
 
 
 def _check_same_dim(*mats) -> int:
@@ -423,6 +440,7 @@ def rng_from(seed_or_rng) -> np.random.Generator:
 
 def random_matrix(n: int, rng) -> np.ndarray:
     """Complex Ginibre draw: independent standard complex Gaussian entries."""
+    n = check_size(n)
     rng = rng_from(rng)
     return (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) / np.sqrt(2)
 
@@ -456,7 +474,5 @@ def random_psd(n: int, rng) -> np.ndarray:
 
 def random_density(n: int, rng) -> np.ndarray:
     """Random density matrix: normalized Wishart (psd, trace one, full rank a.s.)."""
-    if n < 1:
-        raise DimensionError(f"a density matrix needs size n >= 1, got {n}")
     w = random_psd(n, rng)
     return w / np.trace(w).real

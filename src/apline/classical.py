@@ -20,6 +20,7 @@ from typing import Callable, Sequence, Union
 
 import numpy as np
 
+from .algebra import rng_from
 from .crossratio import INF, Infinity, classical_cr, is_inf
 from .errors import (
     DegenerateReferenceError,
@@ -134,8 +135,7 @@ class Bijection:
 
 
 def random_bijection(m: int, rng) -> Bijection:
-    rng = np.random.default_rng(rng) if not isinstance(rng, np.random.Generator) else rng
-    return Bijection(rng.permutation(m).tolist())
+    return Bijection(rng_from(rng).permutation(m).tolist())
 
 
 # --- the pointwise obstate value ---------------------------------------------------

@@ -176,7 +176,7 @@ def kernel(x: SubspacePoint, a: SubspacePoint, b: SubspacePoint,
         # bit for every nonzero real and imaginary part; the solve's substitutions can
         # flip the sign of an exact zero (diagonal charts show it), and no nonzero
         # value depends on that sign.  The gate passed b against 0 and y against
-        # infinity, by their graph tags or by sines it memoized: either settles the
+        # infinity, by their graph tags or by sines it cached: either settles the
         # chart guards without an SVD (see grassmann._guard), and the block checks
         # below could not fail either.
         return EndoX(grassmann._cochart_value(b) @ grassmann._chart_value(y))

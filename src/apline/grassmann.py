@@ -22,14 +22,13 @@ one line.  Both build the same bits as their public counterparts.
 
 A value that one point alone determines, such as its chart value, is
 computed once per point: functions decorated with _memoized keep their
-result in the point's memo.
-So do the principal-angle sines of a point to the shared base points 0
-and infinity, which transversality_margin reads from the memo.  A graph
-point's memo also names its chart's horizon, which the gate and the chart
-guard against that horizon accept without an SVD.
-A value of an ordered pair of points (x, a), such as their sines or the
-projector with image x and kernel a, is kept in x's memo while a lives,
-keyed by the object a and holding it only weakly (see _pair_value).
+result in the point's memo.  A value of an ordered pair of points (x, a),
+such as their principal-angle sines or the projector with image x and
+kernel a, is kept in x's memo while a lives, keyed by the object a and
+holding it only weakly (see _pair_value); sines to the base points 0 and
+infinity are kept there too.  The memo also holds two name tags: a base
+point's own name, and a graph point's chart horizon, which the gate and
+the chart guard against that horizon accept without an SVD.
 """
 
 from __future__ import annotations
@@ -204,7 +203,8 @@ def is_orthocomplement(x: np.ndarray, y: np.ndarray) -> bool:
 @lru_cache(maxsize=None)
 def zero_point(n: int) -> SubspacePoint:
     """The base point 0 = [(1, 0)] = span[I; 0]; one cached point per n, shared and read-only."""
-    return _base_point(np.vstack([np.eye(n), np.zeros((n, n))]), _sines_to_zero)
+    n = algebra.check_size(n)
+    return _base_point(np.vstack([np.eye(n), np.zeros((n, n))]), "zero")
 
 
 @lru_cache(maxsize=None)
@@ -215,41 +215,41 @@ def infinity_point(n: int) -> SubspacePoint:
     value of infinity, which reports in their frame read, are computed
     here, once per n.
     """
-    infinity = _base_point(np.vstack([np.zeros((n, n)), np.eye(n)]), _sines_to_infinity)
+    n = algebra.check_size(n)
+    infinity = _base_point(np.vstack([np.zeros((n, n)), np.eye(n)]), "infinity")
     zero = zero_point(n)
-    # the bits _sines_to_infinity(zero) and _sines_to_zero(infinity) compute
-    zero._memo[_sines_to_infinity] = _principal_sines(zero, infinity)
-    infinity._memo[_sines_to_zero] = _principal_sines(infinity, zero)
-    _chart_value(zero)  # A0's order value; the sines just set settle both guards
+    _sines(zero, infinity)
+    _sines(infinity, zero)
+    _chart_value(zero)  # A0's order value; the sines just cached settle both guards
     _cochart_value(infinity)  # a pure state's line through infinity
     return infinity
 
 
-def _base_point(columns: np.ndarray, sines_to_it) -> SubspacePoint:
-    """SubspacePoint(columns), whose memo names the memoized sines of any point to it.
+def _base_point(columns: np.ndarray, name: str) -> SubspacePoint:
+    """SubspacePoint(columns), whose memo holds its name, "zero" or "infinity".
 
-    _sines reads that name, so telling a base point needs no call of
-    zero_point or infinity_point, which would build one.  The key is this
-    private function: a public one can be replaced by a wrapper.
+    The gate and _guard read that name, so telling a base point needs no
+    call of zero_point or infinity_point, which would build one.
     """
     a = SubspacePoint(columns)
-    a._memo[_base_point] = sines_to_it
+    a._memo[_base_point] = name
     return a
 
 
 def _is_zero_point(x: SubspacePoint) -> bool:
     """Whether x is a base point 0 built by zero_point, told by its memo tag (builds none)."""
-    return x._memo.get(_base_point) is _sines_to_zero
+    return x._memo.get(_base_point) == "zero"
 
 
 def _is_infinity_point(x: SubspacePoint) -> bool:
     """Whether x is a base point infinity built by infinity_point, told by its memo tag."""
-    return x._memo.get(_base_point) is _sines_to_infinity
+    return x._memo.get(_base_point) == "infinity"
 
 
 @lru_cache(maxsize=None)
 def one_point(n: int) -> SubspacePoint:
     """The base point 1 = [(1, 1)] = span[I; I]; one cached point per n, shared and read-only."""
+    n = algebra.check_size(n)
     return SubspacePoint(np.vstack([np.eye(n), np.eye(n)]))
 
 
@@ -261,14 +261,14 @@ _GRAPH_NORM_BOUND = 1e6
 # horizon, which _require_transversal returns instead of the margin.
 _GRAPH_MARGIN_BOUND = 0.49 / _GRAPH_NORM_BOUND
 
-# A memoized sine of a point to a base point and the matching computed
+# A cached sine of a point to a base point and the matching computed
 # singular value of its chart block differ by under this slack: rounding moves
 # the basis off orthonormal, and each computed singular value, by a few n eps,
 # under 1e-11 for n <= 10^4.
 _SINE_ROUNDING = 1e-11
 
 
-def _graph_point(cols: np.ndarray, value: np.ndarray, sines_to_horizon) -> SubspacePoint:
+def _graph_point(cols: np.ndarray, value: np.ndarray, horizon: str) -> SubspacePoint:
     """SubspacePoint(cols) for a graph basis [I; a] or [a; I] of the chart value a.
 
     A graph basis always has full rank: its singular values are
@@ -279,10 +279,10 @@ def _graph_point(cols: np.ndarray, value: np.ndarray, sines_to_horizon) -> Subsp
     reject it only for the dynamic range of a, and the error says that; a
     non-finite value fails SubspacePoint's finiteness check instead.
 
-    A point built under the bound is tagged with its chart's horizon (infinity
-    for [I; a], 0 for [a; I]) by the name sines_to_horizon of its memoized
-    sines to it, as _base_point tags a base point.  Its orthonormal basis is
-    [I; a](I + a* a)^(-1/2) (or [a; I](...)), so its sines to the horizon are
+    A point built under the bound is tagged with the name of its chart's
+    horizon ("infinity" for [I; a], "zero" for [a; I]), the name _base_point
+    gives that base point.  Its orthonormal basis is [I; a](I + a* a)^(-1/2)
+    (or [a; I](...)), so its sines to the horizon are
     1/sqrt(1 + s_i(a)^2) >= 1/sqrt(1 + 1e12) > 0.9999e-6.  The QR's backward
     error moves ||a|| by a relative 1e-9 at most, and a computed sine is off
     by under _SINE_ROUNDING, so the computed margin tan(theta / 2) >= s / 2
@@ -294,12 +294,12 @@ def _graph_point(cols: np.ndarray, value: np.ndarray, sines_to_horizon) -> Subsp
         bound = value.shape[0] * np.abs(value).max(initial=0.0)
     if value.size and bound <= _GRAPH_NORM_BOUND:
         x = SubspacePoint._full_rank(cols)
-        x._memo[_graph_point] = sines_to_horizon
+        x._memo[_graph_point] = horizon
         return x
     try:
         return SubspacePoint(cols)
     except SingularError:
-        chart = "chart" if sines_to_horizon is _sines_to_infinity else "cochart"
+        chart = "chart" if horizon == "infinity" else "cochart"
         scale = algebra.singular_values(value)[0]
         raise SingularError(
             f"{chart} value of scale {scale:.3e} (largest singular value) is out of "
@@ -310,7 +310,7 @@ def _graph_point(cols: np.ndarray, value: np.ndarray, sines_to_horizon) -> Subsp
 def point_from_chart(a) -> SubspacePoint:
     """The graph point of a: column span of [I; a]."""
     a = algebra.as_matrix(a)
-    return _graph_point(np.vstack([np.eye(a.shape[0]), a]), a, _sines_to_infinity)
+    return _graph_point(np.vstack([np.eye(a.shape[0]), a]), a, "infinity")
 
 
 def chart_repr(x: SubspacePoint) -> np.ndarray:
@@ -326,27 +326,29 @@ def chart_repr(x: SubspacePoint) -> np.ndarray:
 def _chart_value(x: SubspacePoint) -> np.ndarray:
     """chart_repr(x), read-only and cached on x; NotInChartError is raised on every call.
 
-    The point's tag or memoized sines can settle the guard without its SVD (see _guard).
+    The point's tag or cached sines can settle the guard without its SVD (see _guard).
     """
     n = x.n
-    value = _graph_value(x.basis[n:, :], x.basis[:n, :], _guard(x, _sines_to_infinity),
-                         "infinity")
+    value = _graph_value(x.basis[n:, :], x.basis[:n, :], _guard(x, "infinity"), "infinity")
     value.setflags(write=False)
     return value
 
 
-# Smallest memoized sine of a point to the horizon of a chart above which its
+# Smallest cached sine of a point to the horizon of a chart above which its
 # chart block passes the invertibility test without the SVD (see _guard).
 _HORIZON_SINE_BOUND = 1.5 * TRANSVERSALITY_RTOL
 
 
-def _guard(x: SubspacePoint, sines_to_horizon):
+def _guard(x: SubspacePoint, horizon: str):
     """The invertibility test of _graph_value on x's block in the chart whose horizon
-    sines_to_horizon names, as x's memo settles it: True, False, or None (unsettled).
+    is the base point named horizon, as x's memo settles it: True, False, or None.
 
     As p* p + q* q = I for x's basis [p; q], the singular values of p are the
     sines of the principal angles to infinity, and those of q the sines to 0;
-    computed, they differ from x's memoized sines by under d = _SINE_ROUNDING.
+    computed, they differ from x's cached sines by under d = _SINE_ROUNDING.
+    They are read from x's pair table, under a live partner with the name
+    horizon.  No base point is built here: infinity_point calls this before
+    its own cache entry exists, and a call of it would re-enter it.
     - A graph point tagged with the horizon has every sine above 0.9999e-6 (see
       _graph_point): the test passes.
     - A smallest sine above _HORIZON_SINE_BOUND gives s_min(block) > 1.5e-8 -
@@ -357,10 +359,14 @@ def _guard(x: SubspacePoint, sines_to_horizon):
     - s_min + d < TRANSVERSALITY_RTOL (s_max - d) gives s_min(block) <
       TRANSVERSALITY_RTOL s_max(block): the test fails.
     """
-    if x._memo.get(_graph_point) is sines_to_horizon:
+    if x._memo.get(_graph_point) == horizon:
         return True
-    sines = x._memo.get(sines_to_horizon)
-    if sines is None:
+    # a copy of the entries: a partner freed during the scan edits the table
+    for ref, sines in tuple(x._memo.get(_principal_sines, {}).values()):
+        a = ref()
+        if a is not None and a._memo.get(_base_point) == horizon:
+            break
+    else:
         return None
     if sines[-1] > _HORIZON_SINE_BOUND:
         return True
@@ -390,7 +396,7 @@ def point_from_cochart(w) -> SubspacePoint:
     (the concatenated matrix [[I, w], [0, I]] is always invertible).
     """
     w = algebra.as_matrix(w)
-    return _graph_point(np.vstack([w, np.eye(w.shape[0])]), w, _sines_to_zero)
+    return _graph_point(np.vstack([w, np.eye(w.shape[0])]), w, "zero")
 
 
 def cochart_repr(x: SubspacePoint) -> np.ndarray:
@@ -406,7 +412,7 @@ def cochart_repr(x: SubspacePoint) -> np.ndarray:
 def _cochart_value(x: SubspacePoint) -> np.ndarray:
     """cochart_repr(x), read-only and cached on x; NotInChartError is raised on every call."""
     n = x.n
-    value = _graph_value(x.basis[:n, :], x.basis[n:, :], _guard(x, _sines_to_zero), "zero")
+    value = _graph_value(x.basis[:n, :], x.basis[n:, :], _guard(x, "zero"), "zero")
     value.setflags(write=False)
     return value
 
@@ -438,16 +444,11 @@ def _half_angle_tangent(sine) -> float:
 def _sines(x: SubspacePoint, a: SubspacePoint) -> np.ndarray:
     """The sines of the principal angles between x and a, in descending order (read-only).
 
-    When a is the shared base point 0 or infinity, they are a value of x
-    alone and are cached on x; for any other a they are cached on x while
-    a lives (see _pair_value).
+    Cached on x while a lives (see _pair_value), a base point included.
     """
     if x.n != a.n:
         raise DimensionError(f"dimension mismatch: {x.n} vs {a.n}")
-    sines_to_a = a._memo.get(_base_point)
-    if sines_to_a is None:
-        return _pair_value(_principal_sines, x, a)
-    return sines_to_a(x)
+    return _pair_value(_principal_sines, x, a)
 
 
 def _principal_sines(x: SubspacePoint, a: SubspacePoint) -> np.ndarray:
@@ -455,16 +456,6 @@ def _principal_sines(x: SubspacePoint, a: SubspacePoint) -> np.ndarray:
     sines = algebra.singular_values(a.basis - x.basis @ (x.basis.conj().T @ a.basis))
     sines.setflags(write=False)
     return sines
-
-
-@_memoized
-def _sines_to_zero(x: SubspacePoint) -> np.ndarray:
-    return _principal_sines(x, zero_point(x.n))
-
-
-@_memoized
-def _sines_to_infinity(x: SubspacePoint) -> np.ndarray:
-    return _principal_sines(x, infinity_point(x.n))
 
 
 def is_transversal(x: SubspacePoint, a: SubspacePoint) -> bool:
@@ -488,7 +479,7 @@ def _require_transversal(pairs, error=NotTransversalError) -> tuple:
     margins = []
     for x, a, message in pairs:
         horizon = x._memo.get(_graph_point)
-        if horizon is not None and a._memo.get(_base_point) is horizon and x.n == a.n:
+        if horizon is not None and a._memo.get(_base_point) == horizon and x.n == a.n:
             margins.append(_GRAPH_MARGIN_BOUND)
             continue
         margin = transversality_margin(x, a)
@@ -626,7 +617,7 @@ class ProjectiveMap:
 
 
 def identity_map(n: int) -> ProjectiveMap:
-    return ProjectiveMap(np.eye(2 * n))
+    return ProjectiveMap(np.eye(2 * algebra.check_size(n)))
 
 
 def apply_map(g: ProjectiveMap, x: SubspacePoint) -> SubspacePoint:
@@ -641,6 +632,7 @@ def apply_map(g: ProjectiveMap, x: SubspacePoint) -> SubspacePoint:
 
 def random_point(n: int, rng) -> SubspacePoint:
     """A uniform-ish random point: canonicalized complex Gaussian 2n x n draw."""
+    n = algebra.check_size(n)
     rng = algebra.rng_from(rng)
     for _ in range(100):
         cols = (rng.standard_normal((2 * n, n))
@@ -654,6 +646,7 @@ def random_point(n: int, rng) -> SubspacePoint:
 
 def random_map(n: int, rng) -> ProjectiveMap:
     """A random element of PGL(2, A), drawn until invertible."""
+    n = algebra.check_size(n)
     rng = algebra.rng_from(rng)
     for _ in range(100):
         rep = (rng.standard_normal((2 * n, 2 * n))

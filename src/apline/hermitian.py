@@ -34,6 +34,7 @@ import numpy as np
 
 from . import algebra, grassmann
 from .errors import (
+    DimensionError,
     NoCommonChartError,
     NonFiniteError,
     NotHermitianError,
@@ -60,9 +61,17 @@ from .grassmann import (
 RANK_RTOL = 1e-7
 
 
+def _same_n(*points: SubspacePoint) -> None:
+    """DimensionError unless every point has the same n."""
+    sizes = [p.n for p in points]
+    if len(set(sizes)) > 1:
+        raise DimensionError(f"points of mixed dimensions: n = {sizes}")
+
+
 @lru_cache(maxsize=None)
 def omega_matrix(n: int) -> np.ndarray:
     """Form matrix of omega(u, v) = u1* v2 - u2* v1: [[0, I], [-I, 0]]; cached per n, read-only."""
+    n = algebra.check_size(n)
     eye = np.eye(n)
     omega = np.block([[np.zeros((n, n)), eye], [-eye, np.zeros((n, n))]])
     omega.setflags(write=False)
@@ -72,6 +81,7 @@ def omega_matrix(n: int) -> np.ndarray:
 @lru_cache(maxsize=None)
 def j_matrix(n: int) -> np.ndarray:
     """J = [[0, -I], [I, 0]]; J^2 = -1.  Cached per n, read-only."""
+    n = algebra.check_size(n)
     eye = np.eye(n)
     j = np.block([[np.zeros((n, n)), -eye], [eye, np.zeros((n, n))]])
     j.setflags(write=False)
@@ -81,6 +91,7 @@ def j_matrix(n: int) -> np.ndarray:
 @lru_cache(maxsize=None)
 def _cayley_maps(n: int) -> tuple[ProjectiveMap, ProjectiveMap]:
     """The maps C and C^{-1}; one cached pair per n, shared and read-only."""
+    n = algebra.check_size(n)
     eye = np.eye(n)
     c = np.block([[1j * eye, -1j * eye], [eye, eye]])
     # c / sqrt 2 is unitary, so c is invertible
@@ -139,6 +150,7 @@ def poles(n: int) -> tuple[SubspacePoint, SubspacePoint]:
 
     One cached pair per n, shared and read-only.
     """
+    n = algebra.check_size(n)
     eye = np.eye(n)
     north = SubspacePoint(np.vstack([1j * eye, eye]))
     south = SubspacePoint(np.vstack([-1j * eye, eye]))
@@ -257,6 +269,7 @@ def unitary_torsor(x: SubspacePoint, y: SubspacePoint,
     pair order is fixed by the Cayley-chart calibration (see module
     docstring).
     """
+    _same_n(x, y, z)
     for p in (x, y, z):
         if not membership(p, "RNS"):
             raise NotInUniverseError("unitary_torsor needs points of R_{N,S}")
@@ -401,6 +414,7 @@ def chart_in_frame(z: SubspacePoint, origin: SubspacePoint,
     (proof in crossratio.kernel), both give each nonzero real and imaginary
     part bit for bit, and an exact zero may carry the other sign.
     """
+    _same_n(z, origin, c)
     try:
         if grassmann._is_zero_point(c) and grassmann._is_infinity_point(origin):
             return -grassmann._cochart_value(z)
@@ -539,6 +553,7 @@ def cyclic_triple(a: SubspacePoint, b: SubspacePoint, c: SubspacePoint) -> bool:
     agreeing with the classical cyclic order at n = 1; correctness is
     asserted by the invariance tests, not by the formula.
     """
+    _same_n(a, b, c)
     return _ordered_after(a, c)(b)
 
 

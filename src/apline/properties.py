@@ -25,7 +25,7 @@ import numpy as np
 
 from . import DEFAULT_TRIALS, algebra, classical, crossratio, grassmann, hermitian, obstate
 from .crossratio import INF, classical_cr, is_inf
-from .errors import IndeterminateError, ResamplingExhausted
+from .errors import DimensionError, IndeterminateError, ResamplingExhausted
 
 DEFAULT_N_LIST = (1, 2, 3, 4, 6)
 
@@ -946,7 +946,15 @@ def run_sweep(n_list: Sequence[int] = DEFAULT_N_LIST,
               trials: int = DEFAULT_TRIALS, seed: int = 0,
               properties: Optional[Iterable[str]] = None,
               tol: Optional[float] = None) -> dict:
-    """Run the registry and return a deterministic, JSON-ready report."""
+    """Run the registry and return a deterministic, JSON-ready report.
+
+    Every size in n_list, and trials, must be a whole number >= 1, and n_list
+    must name at least one size (DimensionError otherwise).
+    """
+    n_list = [algebra.check_size(n) for n in n_list]
+    if not n_list:
+        raise DimensionError("the sweep needs at least one size n")
+    trials = algebra.check_size(trials, "trials")
     if properties is None:
         selected = list(_SPEC_LIST)
     else:
@@ -961,8 +969,8 @@ def run_sweep(n_list: Sequence[int] = DEFAULT_N_LIST,
     return {
         "schema": 1,
         "seed": int(seed),
-        "n_list": [int(n) for n in n_list],
-        "trials": int(trials),
+        "n_list": n_list,
+        "trials": trials,
         "properties": results,
         "ok": all(r["ok"] for r in results.values()),
     }

@@ -355,3 +355,61 @@ def test_no_library_module_bypasses_the_linalg_seam():
     # the scan sees such calls where they are: the seam's own fallbacks
     assert {site.split(":")[0] for site in found["algebra"]} == {
         "linalg.qr", "linalg.inv", "linalg.svd"}
+
+
+def _bad_size_calls():
+    """(id, call) of every entry point that takes a size, each given one bad size."""
+    from apline import grassmann, hermitian, properties
+    rng = np.random.default_rng(0)
+    return [
+        ("zero-point-negative", lambda: grassmann.zero_point(-1)),
+        ("zero-point-fraction", lambda: grassmann.zero_point(2.5)),
+        ("infinity-point-negative", lambda: grassmann.infinity_point(-1)),
+        ("one-point-negative", lambda: grassmann.one_point(-1)),
+        ("identity-map-negative", lambda: grassmann.identity_map(-1)),
+        ("random-point-fraction", lambda: grassmann.random_point(2.5, rng)),
+        ("random-map-fraction", lambda: grassmann.random_map(1.5, rng)),
+        ("poles-negative", lambda: hermitian.poles(-2)),
+        ("omega-matrix-negative", lambda: hermitian.omega_matrix(-1)),
+        ("j-matrix-zero", lambda: hermitian.j_matrix(0)),
+        ("cayley-matrix-zero", lambda: hermitian.cayley_matrix(0)),
+        ("identity-negative", lambda: algebra.identity(-1)),
+        ("zero-fraction", lambda: algebra.zero(1.5)),
+        ("random-matrix-negative", lambda: algebra.random_matrix(-1, rng)),
+        ("random-matrix-zero", lambda: algebra.random_matrix(0, rng)),
+        ("random-hermitian-zero", lambda: algebra.random_hermitian(0, rng)),
+        ("random-psd-zero", lambda: algebra.random_psd(0, rng)),
+        ("random-unitary-zero", lambda: algebra.random_unitary(0, rng)),
+        ("random-invertible-zero", lambda: algebra.random_invertible(0, rng)),
+        ("random-density-zero", lambda: algebra.random_density(0, rng)),
+        ("sweep-trials-zero", lambda: properties.run_sweep(n_list=[1], trials=0)),
+        ("sweep-n-zero", lambda: properties.run_sweep(n_list=[1, 0], trials=1)),
+    ]
+
+
+@pytest.mark.parametrize("case", range(len(_bad_size_calls())),
+                         ids=[name for name, _ in _bad_size_calls()])
+def test_a_size_that_is_no_whole_number_at_least_one_is_a_dimension_error(case):
+    # never numpy's ValueError, a TypeError or an empty array
+    _, call = _bad_size_calls()[case]
+    with pytest.raises(DimensionError, match="must be a whole number n >= 1, got "):
+        call()
+
+
+def test_a_sweep_of_no_size_is_a_dimension_error():
+    from apline import properties
+    with pytest.raises(DimensionError, match="^the sweep needs at least one size n$"):
+        properties.run_sweep(n_list=())
+
+
+def test_check_size_takes_ints_and_numpy_integers():
+    assert algebra.check_size(3) == 3 and type(algebra.check_size(np.int64(3))) is int
+    for bad in (2.0, "2", None):
+        with pytest.raises(DimensionError):
+            algebra.check_size(bad)
+
+
+def test_almost_equal_compares_at_tol_eq():
+    one = np.eye(2)
+    assert algebra.almost_equal(one, one * (1 + 0.5 * algebra.TOL_EQ))
+    assert not algebra.almost_equal(one, one * (1 + 5 * algebra.TOL_EQ))

@@ -218,3 +218,33 @@ def test_fn_obstate_rejects_ragged_site_sets():
     with pytest.raises(DimensionError, match="different site sets"):
         classical.fn_obstate(f, short, classical.constant_fn(0.0, 2),
                              classical.constant_fn(INF, 2))
+
+
+def test_four_values_with_an_infinite_cross_ratio_are_real_like():
+    assert is_inf(classical.classical_cr(0.0, 1.0, 2.0, 0.0))
+    assert classical.real_like(0.0, 1.0, 2.0, 0.0)
+    assert classical.real_like(0.0, 1j, 2.0, 0.0)  # an infinite value counts as real
+
+
+def test_bijections_on_different_site_sets_do_not_compose():
+    with pytest.raises(DimensionError, match="different site sets"):
+        classical.Bijection([1, 0]).compose(classical.Bijection([0, 1, 2]))
+
+
+def test_an_infinite_endpoint_at_the_cut_infinity_is_indeterminate():
+    for a, b in ((INF, 1.0), (1.0, INF)):
+        with pytest.raises(IndeterminateError, match="avoid the cut point"):
+            classical.cyclic_order(a, b, INF)
+
+
+def test_a_pushforward_on_another_site_set_is_a_dimension_error():
+    with pytest.raises(DimensionError, match="measure and bijection"):
+        classical.density_pushforward(classical.Bijection([1, 0]), classical.Measure([1.0] * 3))
+
+
+def test_the_density_action_keeps_an_infinite_density_value_infinite():
+    phi = classical.Bijection([1, 0])
+    h = classical.density_action(phi, classical.Measure([1.0, 2.0]),
+                                 classical.ClassicalFn([INF, 3.0]))
+    # phi' = (2, 1/2), and h o phi^-1 = (3, INF)
+    assert h.values == (6.0, INF)

@@ -660,3 +660,23 @@ def test_classical_overflowing_pairing_is_a_clean_error(tmp_path, command, conte
     assert res.exit_code == 1
     assert "overflows the float range" in res.output
     assert "Traceback" not in res.output
+
+
+def test_classical_file_that_is_no_json_object_is_a_clean_error(tmp_path):
+    path = tmp_path / "list.json"
+    path.write_text("[1, 2, 3]")
+    res = runner.invoke(main, ["classical", "pairing", str(path)], catch_exceptions=False)
+    assert res.exit_code == 1
+    assert "expected a JSON object" in res.output
+
+
+def test_check_text_names_the_first_failure_of_a_failing_property():
+    # no residual of the trial is below an absurd tolerance
+    res = runner.invoke(main, ["check", "--text", "--tol", "1e-30", "--n", "2", "--trials", "1",
+                               "--property", "grassmann.chart_roundtrip"],
+                        catch_exceptions=False)
+    assert res.exit_code == 1
+    lines = res.output.splitlines()
+    assert lines[1].startswith("  [FAIL] grassmann.chart_roundtrip")
+    assert lines[2].startswith("         first failure: trial=0 n=2 sub_seed=")
+    assert lines[-1] == "FAILURES PRESENT (0/1)"

@@ -269,3 +269,15 @@ def test_kernel_in_the_frame_zero_infinity_on_diagonal_charts_is_the_solve_up_to
             assert np.array_equal(parts, solved_parts)
             assert parts[nonzero].tobytes() == solved_parts[nonzero].tobytes()
             assert repr((fast.trace, fast.det)) == repr((solved.trace, solved.det))
+
+
+def test_infinity_prints_as_inf_and_hashes_as_one_value():
+    assert repr(INF) == "inf" and crossratio.Infinity() is INF
+    assert hash(INF) == hash(crossratio.Infinity())
+    assert {INF: 1}[crossratio.Infinity()] == 1
+
+
+def test_transition_probability_needs_n_1():
+    x, y = grassmann.random_point(2, RNG), grassmann.random_point(2, RNG)
+    with pytest.raises(DimensionError, match="n = 1 only"):
+        crossratio.transition_probability(x, y)

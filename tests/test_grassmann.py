@@ -428,3 +428,16 @@ def test_pure_state_point_rescales_its_vector_exactly():
 def test_a_map_applied_to_a_point_of_another_size_is_a_dimension_error():
     with pytest.raises(DimensionError, match=r"^dimension mismatch: map n=2, point n=3$"):
         grassmann.apply_map(grassmann.identity_map(2), grassmann.zero_point(3))
+
+
+def test_a_point_equals_no_non_point_and_no_point_of_another_size():
+    x = grassmann.zero_point(2)
+    assert x.__eq__(object()) is NotImplemented and x != "zero"
+    assert x != grassmann.zero_point(3)
+
+
+def test_a_map_composes_only_with_a_map():
+    g = grassmann.identity_map(2)
+    assert g.__matmul__(np.eye(4)) is NotImplemented
+    with pytest.raises(TypeError):
+        g @ grassmann.zero_point(2)

@@ -608,3 +608,35 @@ def test_tangent_unit_and_product_reject_a_base_outside_the_universe_on_every_ca
             hermitian.tangent_unit(base)
         with pytest.raises(NotInUniverseError, match="tangent_product needs"):
             hermitian.tangent_product(base, x, y)
+
+
+def _mixed_n_calls():
+    """(id, call) of the public functions of points given points of two sizes n = 2, 3."""
+    x2, y2 = grassmann.point_from_chart(np.eye(2)), grassmann.point_from_chart(2 * np.eye(2))
+    x3, y3 = grassmann.point_from_chart(np.eye(3)), grassmann.point_from_chart(2 * np.eye(3))
+    zero2, infinity2 = grassmann.zero_point(2), grassmann.infinity_point(2)
+    # a rank-one pair at n = 2
+    r2, s2 = grassmann.point_from_chart(np.diag([1.0, 0.0])), grassmann.point_from_chart(
+        np.zeros((2, 2)))
+    u2, u3 = hermitian.unitary_to_point(np.eye(2)), hermitian.unitary_to_point(np.eye(3))
+    return [
+        ("chart-in-frame-infinity-zero", lambda: hermitian.chart_in_frame(x3, infinity2, zero2)),
+        ("chart-in-frame-zero-infinity", lambda: hermitian.chart_in_frame(x3, zero2, infinity2)),
+        ("chart-in-frame-other", lambda: hermitian.chart_in_frame(x3, grassmann.one_point(2),
+                                                                  zero2)),
+        ("cyclic-triple-cut-at-infinity", lambda: hermitian.cyclic_triple(x3, y3, infinity2)),
+        ("cyclic-triple-finite-cut", lambda: hermitian.cyclic_triple(x3, y3, zero2)),
+        ("cyclic-triple-mixed-a-b", lambda: hermitian.cyclic_triple(x2, y3, infinity2)),
+        ("chart-difference-rank", lambda: hermitian.chart_difference_rank(x2, y2, x3)),
+        ("line-family-chart-point", lambda: hermitian.line_family(r2, s2, chart_point=x3)),
+        ("unitary-torsor", lambda: hermitian.unitary_torsor(u2, u3, u2)),
+    ]
+
+
+@pytest.mark.parametrize("case", range(len(_mixed_n_calls())),
+                         ids=[name for name, _ in _mixed_n_calls()])
+def test_points_of_mixed_sizes_are_a_dimension_error(case):
+    # never a value, and never numpy's untyped ValueError
+    _, call = _mixed_n_calls()[case]
+    with pytest.raises(DimensionError, match="^points of mixed dimensions: n = "):
+        call()

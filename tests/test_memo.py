@@ -6,6 +6,7 @@ raised again on every call; and reports, the CLI and the returned arrays
 do not change when the reference frame's work comes from the memo.
 """
 
+import ast
 import gc
 import json
 import weakref
@@ -15,6 +16,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
+import apline
 from apline import algebra, grassmann, hermitian, obstate
 from apline.cli import main
 from apline.errors import AplineError, NotInChartError, NotInUniverseError
@@ -191,30 +193,27 @@ def test_expect_prints_its_golden_output_twice_in_one_process(cold_base_points):
 def test_margins_to_the_base_points_are_bitwise_a_new_computation(n, cold_base_points):
     rng = np.random.default_rng(200 + n)
     zero, infinity = grassmann.zero_point(n), grassmann.infinity_point(n)
-    # building infinity computed the sines between the two base points
-    assert grassmann._sines_to_infinity in zero._memo
-    assert grassmann._sines_to_zero in infinity._memo
+    # building infinity computed the sines between the two base points, in their pair tables
+    assert list(_sines_table(zero)) == [id(infinity)]
+    assert list(_sines_table(infinity)) == [id(zero)]
     points = [grassmann.random_point(n, rng), grassmann.one_point(n), zero, infinity]
-    for base, memoized in ((zero, grassmann._sines_to_zero),
-                           (infinity, grassmann._sines_to_infinity)):
+    for base in (zero, infinity):
         for x in points:
             fresh = grassmann._principal_sines(x, base)
             first = grassmann._sines(x, base)
-            assert memoized in x._memo and not first.flags.writeable
+            assert id(base) in _sines_table(x) and not first.flags.writeable
             assert grassmann._sines(x, base) is first
             assert first.tobytes() == fresh.tobytes()
             margin = grassmann._half_angle_tangent(fresh[-1]).hex()
             assert grassmann.transversality_margin(x, base).hex() == margin
     # any other second point is measured once and cached on the first point, under its
-    # own key, while it lives; nothing is cached on the second point
+    # own key, beside the base points, while it lives; nothing is cached on the second point
     x, a = points[0], grassmann.random_point(n, rng)
     first = grassmann._sines(x, a)
     assert first.tobytes() == grassmann._principal_sines(x, a).tobytes()
     assert grassmann._sines(x, a) is first and not first.flags.writeable
-    assert a._memo == {} and set(x._memo) == {grassmann._sines_to_zero,
-                                              grassmann._sines_to_infinity,
-                                              grassmann._principal_sines}
-    assert list(x._memo[grassmann._principal_sines]) == [id(a)]
+    assert a._memo == {} and set(x._memo) == {grassmann._principal_sines}
+    assert sorted(_sines_table(x)) == sorted([id(zero), id(infinity), id(a)])
 
 
 def test_a_cached_margin_warns_on_every_call():
@@ -223,7 +222,32 @@ def test_a_cached_margin_warns_on_every_call():
     for _ in range(3):
         with pytest.warns(grassmann.TransversalityWarning):
             assert grassmann.is_transversal(x, infinity)
-    assert grassmann._sines_to_infinity in x._memo
+    assert id(infinity) in _sines_table(x)
+
+
+def test_memo_tags_are_names(cold_base_points):
+    eye = np.eye(2)
+    tags = {
+        "zero": grassmann.zero_point(2)._memo[grassmann._base_point],
+        "infinity": grassmann.infinity_point(2)._memo[grassmann._base_point],
+        "chart": grassmann.point_from_chart(eye)._memo[grassmann._graph_point],
+        "cochart": grassmann.point_from_cochart(eye)._memo[grassmann._graph_point],
+    }
+    assert tags == {"zero": "zero", "infinity": "infinity", "chart": "infinity",
+                    "cochart": "zero"}
+
+
+def test_the_chart_guard_reads_sines_to_a_named_base_point_and_builds_none(cold_base_points):
+    n = 3
+    x = grassmann.random_point(n, np.random.default_rng(250))
+    assert grassmann._guard(x, "infinity") is None and grassmann._guard(x, "zero") is None
+    assert grassmann.zero_point.cache_info().currsize == 0
+    assert grassmann.infinity_point.cache_info().currsize == 0
+    # a partner merely equal to infinity carries no name
+    grassmann._sines(x, SubspacePoint(np.vstack([np.zeros((n, n)), np.eye(n)])))
+    assert grassmann._guard(x, "infinity") is None
+    grassmann._sines(x, grassmann.infinity_point(n))
+    assert grassmann._guard(x, "infinity") is True and grassmann._guard(x, "zero") is None
 
 
 def _memo_arrays(value):
@@ -277,6 +301,11 @@ def no_gc():
 
 def _pair_table(x, fn):
     return x._memo.get(fn, {})
+
+
+def _sines_table(x):
+    """x's pair table of sines: id(partner) -> (a weak reference to it, the sines)."""
+    return _pair_table(x, grassmann._principal_sines)
 
 
 # (a fresh computation, whose name keys the pair table, and the cached value) of the sines
@@ -414,3 +443,20 @@ def test_the_involutions_are_cached_and_bitwise_a_fresh_build(n):
             image = involution(x)
             assert involution(x) is image  # from the memo
             assert image.basis.tobytes() == involution.__wrapped__(x).basis.tobytes()
+
+
+def _memo_sites(tree):
+    """Lines that read or write a point's memo: the attribute _memo, or the string "_memo"."""
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and node.attr == "_memo"
+                or isinstance(node, ast.Constant) and node.value == "_memo"):
+            yield node.lineno
+
+
+def test_only_grassmann_reads_or_writes_a_point_memo():
+    # one module owns the one store: other modules reach it through grassmann's functions
+    found = {path.stem: list(_memo_sites(ast.parse(path.read_text(encoding="utf-8"))))
+             for path in sorted(Path(apline.__file__).parent.glob("*.py"))}
+    assert {module: lines for module, lines in found.items()
+            if lines and module != "grassmann"} == {}
+    assert found["grassmann"]  # the scan sees the memo where it is
