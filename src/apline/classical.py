@@ -235,16 +235,22 @@ def pairing(mu: Measure, f: ClassicalFn, g: ClassicalFn) -> Value:
 def density_pushforward(phi: Bijection, mu: Measure) -> ClassicalFn:
     """phi'(q) = mu(phi^{-1}(q)) / mu(q): the density of phi_* mu against mu.
 
-    Defined only where mu is strictly positive.
+    Defined only where mu is strictly positive.  A ratio of two positive
+    weights that underflows to 0 or overflows to inf raises ValueOverflowError.
     """
     if mu.size != phi.size:
         raise DimensionError("measure and bijection live on different site sets")
+    if 0.0 in mu.weights:
+        raise ZeroWeightError("pushforward density needs strictly positive weights")
     inv = phi.inverse()
     out = []
     for q in range(mu.size):
-        if mu.weights[q] == 0.0:
-            raise ZeroWeightError("pushforward density needs strictly positive weights")
-        out.append(mu.weights[inv(q)] / mu.weights[q])
+        ratio = mu.weights[inv(q)] / mu.weights[q]
+        if ratio == 0.0 or math.isinf(ratio):
+            raise ValueOverflowError(
+                f"pushforward density at site {q}: the weight ratio {mu.weights[inv(q)]!r} / "
+                f"{mu.weights[q]!r} lies outside the float range")
+        out.append(ratio)
     return ClassicalFn(out)
 
 
@@ -267,7 +273,7 @@ def density_action(phi: Bijection, mu: Measure, h: ClassicalFn) -> ClassicalFn:
     for q in range(mu.size):
         dv, hv = deriv[q], moved[q]
         if is_inf(hv):
-            out.append(INF if dv != 0.0 else 0.0)
+            out.append(INF)  # dv > 0: density_pushforward rejects a ratio that underflows
         else:
             out.append(dv * hv)
     return ClassicalFn(out)

@@ -188,7 +188,15 @@ def _values_from_json(obj, what: str) -> list:
         vals = obj
     else:
         raise click.ClickException(f"{what}: expected an object or a list")
-    return [_parse_real(v) if isinstance(v, str) else float(v) for v in vals]
+    return [_real_from_json(v) for v in vals]
+
+
+def _real_from_json(v) -> float:
+    if isinstance(v, str):
+        return _parse_real(v)
+    if isinstance(v, bool):  # float() would read JSON true and false as 1 and 0
+        raise click.BadParameter(f"not a real number: {json.dumps(v)}")
+    return float(v)
 
 
 def _load_classical_problem(path: str) -> dict:

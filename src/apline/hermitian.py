@@ -554,38 +554,46 @@ def cyclic_triple(a: SubspacePoint, b: SubspacePoint, c: SubspacePoint) -> bool:
     asserted by the invariance tests, not by the formula.
     """
     _same_n(a, b, c)
-    return _ordered_after(a, c)(b)
+    return _ordered(a, b, c)
 
 
-def _ordered_after(a: SubspacePoint, c: SubspacePoint):
-    """The test b -> cyclic_triple(a, b, c), with a's order value computed once.
+def _ordered(a: SubspacePoint, b: SubspacePoint, c: SubspacePoint) -> bool:
+    """cyclic_triple(a, b, c) for points of one n: a's order value, then b's, cut at c.
 
     Cut at infinity the order values are Hermitian charts (m + m*)/2, whose
     entry (j, i) is the conjugate of entry (i, j) in value, and so is a
     difference of two of them: the psd test skips is_psd's Hermitian test.
     """
-    value = _order_chart(c)
-    va = value(a)
-    psd = algebra._is_psd if value is _hermitian_chart else algebra.is_psd
-    return lambda b: psd(value(b) - va)
+    va = _order_value(a, c)
+    psd = algebra._is_psd if _cut_at_infinity(c) else algebra.is_psd
+    return psd(_order_value(b, c) - va)
 
 
 @grassmann._memoized
-def _order_chart(c: SubspacePoint):
-    """The map z -> the Hermitian matrix of z whose psd order is the order of U_c.
+def _cut_at_infinity(c: SubspacePoint) -> bool:
+    return point_eq(c, infinity_point(c.n))
 
-    The horizon test and c's own chart run once per c (the map is cached
-    on c), so every triple cut at the same c shares them.
+
+def _order_value(z: SubspacePoint, c: SubspacePoint) -> np.ndarray:
+    """The Hermitian matrix of z whose psd order is the order of U_c.
+
+    Cut at infinity it is z's memoized Hermitian chart.  At a finite cut it
+    is (c - z)^{-1} of the Hermitian charts, c's computed first, or 0 for
+    z = infinity: a value of the pair (z, c), cached on z while c lives.
     """
-    if point_eq(c, infinity_point(c.n)):
-        return _hermitian_chart
-    mc = _hermitian_chart(c)
+    if _cut_at_infinity(c):
+        return _hermitian_chart(z)
+    return grassmann._pair_value(_finite_order_value, z, c)
 
-    def value(z: SubspacePoint) -> np.ndarray:
-        if point_eq(z, infinity_point(z.n)):
-            return np.zeros((z.n, z.n), dtype=complex)
+
+def _finite_order_value(z: SubspacePoint, c: SubspacePoint) -> np.ndarray:
+    mc = _hermitian_chart(c)
+    if point_eq(z, infinity_point(z.n)):
+        value = np.zeros((z.n, z.n), dtype=complex)
+    else:
         gap = mc - _hermitian_chart(z)
         if not algebra.is_invertible(gap, tol=grassmann.TRANSVERSALITY_RTOL):
             raise NotTransversalError("cyclic order needs both points transversal to c")
-        return algebra.proven_inverse(gap)
+        value = algebra.proven_inverse(gap)
+    value.setflags(write=False)
     return value

@@ -231,27 +231,17 @@ def is_pure(o: Obstate) -> bool:
 _ORDER_ERRORS = (NotInChartError, NotTransversalError, NotHermitianError)
 
 
-def _arc(o: Obstate):
-    """The test z -> whether (A0, z, Winf) is cyclically ordered.
-
-    A0's order value is computed once, however many points are tested.
-    """
+def _on_arc(o: Obstate, z: SubspacePoint) -> bool:
+    """Whether (A0, z, Winf) is cyclically ordered; A0's cached order value is computed once."""
     try:
-        ordered = hermitian._ordered_after(o.ref_observable, o.ref_state)
+        return hermitian._ordered(o.ref_observable, z, o.ref_state)
     except _ORDER_ERRORS:
-        return lambda z: False
-
-    def on_arc(z: SubspacePoint) -> bool:
-        try:
-            return ordered(z)
-        except _ORDER_ERRORS:
-            return False
-    return on_arc
+        return False
 
 
 def is_positive(o: Obstate) -> bool:
     """Whether (A0, W, Winf) is cyclically ordered."""
-    return _arc(o)(o.state)
+    return _on_arc(o, o.state)
 
 
 def is_cyclically_ordered(o: Obstate) -> bool:
@@ -264,8 +254,7 @@ def is_cyclically_ordered(o: Obstate) -> bool:
     expectation; the order used here is the one that makes the
     positivity consequence true.)
     """
-    on_arc = _arc(o)
-    return on_arc(o.observable) and on_arc(o.state)
+    return _on_arc(o, o.observable) and _on_arc(o, o.state)
 
 
 # --- pure-state expectation through the intrinsic line ----------------------------
@@ -407,8 +396,7 @@ def report(o: Obstate) -> dict:
     except NonUniqueCompletionError as exc:
         pure_out = {"pure_expectation_error": str(exc)}
     out["pure"] = bool(pure_out)
-    on_arc = _arc(o)
-    out["positive"] = on_arc(o.state)
-    out["cyclically_ordered"] = out["positive"] and on_arc(o.observable)
+    out["positive"] = _on_arc(o, o.state)
+    out["cyclically_ordered"] = out["positive"] and _on_arc(o, o.observable)
     out.update(pure_out)
     return out

@@ -81,50 +81,52 @@ def _bres(ok: bool) -> float:
 
 # --- conditioned random draws -------------------------------------------------------
 
-def _draw(draw: Callable, accept: Callable, tries: int, what: str):
-    """The first of tries values of draw() that accept takes; ResamplingExhausted(what) if none."""
+def _draw(draw: Callable, accept: Callable, tries: int, what: str, count: Optional[int] = None):
+    """The first value of draw() that accept(value, taken) takes, within tries draws in all.
+
+    With count, the first count such values as a list; taken holds the ones
+    before.  ResamplingExhausted(what) when the draws run out: the one rejection site.
+    """
+    taken: list = []
     for _ in range(tries):
         value = draw()
-        if accept(value):
-            return value
+        if accept(value, taken):
+            taken.append(value)
+            if len(taken) == (count or 1):
+                return taken if count else value
     raise ResamplingExhausted(what)
 
 
 def _transversal_pair(rng, n: int):
     return _draw(lambda: (grassmann.random_point(n, rng), grassmann.random_point(n, rng)),
-                 lambda pair: grassmann.transversality_margin(*pair) > 1e-2, 200,
+                 lambda pair, _: grassmann.transversality_margin(*pair) > 1e-2, 200,
                  "no well-separated transversal pair found")
 
 
 def _point_clear_of(rng, n: int, others) -> grassmann.SubspacePoint:
     return _draw(lambda: grassmann.random_point(n, rng),
-                 lambda x: all(grassmann.transversality_margin(x, c) > 1e-2 for c in others), 300,
-                 "no point transversal to all the given ones")
+                 lambda x, _: all(grassmann.transversality_margin(x, c) > 1e-2 for c in others),
+                 300, "no point transversal to all the given ones")
 
 
 def _conditioned_map(rng, n: int) -> grassmann.ProjectiveMap:
-    return _draw(lambda: grassmann.random_map(n, rng), lambda g: np.linalg.cond(g.rep) < 2e3,
+    return _draw(lambda: grassmann.random_map(n, rng), lambda g, _: np.linalg.cond(g.rep) < 2e3,
                  60, "no projective map with condition number below 2e3")
 
 
 def _kernel_quadruple(rng, n: int):
     """x, a, b, y with the transversality the kernel needs, margin-separated."""
     return _draw(lambda: tuple(grassmann.random_point(n, rng) for _ in range(4)),
-                 lambda q: all(grassmann.transversality_margin(p, r) > 1e-2
-                               for p, r in ((q[0], q[1]), (q[2], q[0]), (q[3], q[1]))),
+                 lambda q, _: all(grassmann.transversality_margin(p, r) > 1e-2
+                                  for p, r in ((q[0], q[1]), (q[2], q[0]), (q[3], q[1]))),
                  300, "no kernel-admissible quadruple found")
 
 
 def _distinct_reals(rng, count: int, avoid: Sequence[float] = ()) -> list:
     """count values of 3 N(0, 1), more than 1e-2 apart and from avoid, within 2000 draws."""
-    vals: list = []
-    for _ in range(2000):
-        v = float(rng.standard_normal() * 3.0)
-        if all(abs(v - w) > 1e-2 for w in vals + list(avoid)):
-            vals.append(v)
-            if len(vals) == count:
-                return vals
-    raise ResamplingExhausted("could not draw separated real values")
+    return _draw(lambda: float(rng.standard_normal() * 3.0),
+                 lambda v, taken: all(abs(v - w) > 1e-2 for w in [*taken, *avoid]),
+                 2000, "could not draw separated real values", count)
 
 
 def _real_mobius(rng, points: Sequence[float]):
@@ -138,7 +140,7 @@ def _real_mobius(rng, points: Sequence[float]):
             return [(al * t + be) / (ga * t + de) for t in points], al * de - be * ga
         return None
 
-    return _draw(lambda: images(*rng.standard_normal(4)), lambda m: m is not None and all(
+    return _draw(lambda: images(*rng.standard_normal(4)), lambda m, _: m is not None and all(
         abs(p - q) >= 1e-9 for p, q in itertools.combinations(m[0], 2)),
         100, "no real Mobius map clear of the points")
 
@@ -503,16 +505,9 @@ def _t_tangent_algebra(rng, n: int) -> float:
     ]
     base = hermitian.random_r_point(n, rng)
     alo = hermitian.alpha(base)
-    pts: list = []
-    for _ in range(200):
-        p = grassmann.point_from_chart(algebra.random_hermitian(n, rng))
-        if grassmann.transversality_margin(p, alo) > 1e-2:
-            pts.append(p)
-            if len(pts) == 3:
-                break
-    else:
-        raise ResamplingExhausted("no tangent-chart sample at this base")
-    x, y, z = pts
+    x, y, z = _draw(lambda: grassmann.point_from_chart(algebra.random_hermitian(n, rng)),
+                    lambda p, _: grassmann.transversality_margin(p, alo) > 1e-2,
+                    200, "no tangent-chart sample at this base", 3)
     unit = hermitian.tangent_unit(base)
     rs.append(_pres(hermitian.tangent_product(base, x, unit), x))
     rs.append(_pres(hermitian.tangent_product(base, unit, x), x))
@@ -889,56 +884,51 @@ def sub_seed(seed: int, pid: str, trial: int) -> int:
     return int.from_bytes(digest[:8], "big")
 
 
+def _sizes(n_list: Sequence[int], trials: int):
+    """n_list and trials as ints: whole numbers >= 1, n_list not empty (else DimensionError)."""
+    n_list = [algebra.check_size(n) for n in n_list]
+    if not n_list:
+        raise DimensionError("the sweep needs at least one size n")
+    return n_list, algebra.check_size(trials, "trials")
+
+
 def run_property(spec: PropertySpec, n_list: Sequence[int], trials: int,
                  seed: int, tol: Optional[float] = None) -> dict:
+    """Run trials of spec over the sizes of n_list that spec.dims allows.
+
+    When n_list names none of them, the trials run over spec.dims.  The
+    sizes and trials are checked as in run_sweep (DimensionError).
+    """
+    n_list, trials = _sizes(n_list, trials)
     tolerance = spec.tolerance if tol is None else float(tol)
-    ns = [n for n in n_list if spec.dims is None or n in spec.dims]
-    if not ns:
-        ns = list(spec.dims) if spec.dims else list(n_list)
-    pass_count = 0
-    fail_count = 0
-    worst = 0.0
-    worst_is_inf = False
-    example = None
+    ns = [n for n in n_list if spec.dims is None or n in spec.dims] or list(spec.dims or n_list)
+    outcomes = []  # (residual, error) of each trial
     for i in range(trials):
-        n = ns[i % len(ns)]
-        s = sub_seed(seed, spec.pid, i)
-        rng = np.random.default_rng(s)
-        error = None
+        rng = np.random.default_rng(sub_seed(seed, spec.pid, i))
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", grassmann.TransversalityWarning)
             try:
-                residual = float(spec.trial(rng, n))
+                outcomes.append((float(spec.trial(rng, ns[i % len(ns)])), None))
             except Exception as exc:  # noqa: BLE001 - a raising trial is a failure
-                residual = float("inf")
-                error = f"{type(exc).__name__}: {exc}"
-        if np.isfinite(residual):
-            worst = max(worst, residual)
-        else:
-            worst_is_inf = True
-        if residual <= tolerance:
-            pass_count += 1
-        else:
-            fail_count += 1
-            if example is None:
-                example = {
-                    "trial": i,
-                    "n": n,
-                    "sub_seed": s,
-                    "residual": residual if np.isfinite(residual) else "inf",
-                }
-                if error is not None:
-                    example["error"] = error
+                outcomes.append((float("inf"), f"{type(exc).__name__}: {exc}"))
+    failed = [i for i, (residual, _) in enumerate(outcomes) if not residual <= tolerance]
+    finite = [residual for residual, _ in outcomes if np.isfinite(residual)]
     result = {
         "summary": spec.summary,
         "tolerance": tolerance,
-        "pass_count": pass_count,
-        "fail_count": fail_count,
-        "worst_residual": "inf" if worst_is_inf else worst,
-        "ok": fail_count == 0,
+        "pass_count": trials - len(failed),
+        "fail_count": len(failed),
+        "worst_residual": max([0.0] + finite) if len(finite) == trials else "inf",
+        "ok": not failed,
     }
-    if example is not None:
-        result["example_failure"] = example
+    if failed:
+        i = failed[0]
+        residual, error = outcomes[i]
+        result["example_failure"] = example = {
+            "trial": i, "n": ns[i % len(ns)], "sub_seed": sub_seed(seed, spec.pid, i),
+            "residual": residual if np.isfinite(residual) else "inf"}
+        if error is not None:
+            example["error"] = error
     return result
 
 
@@ -951,10 +941,7 @@ def run_sweep(n_list: Sequence[int] = DEFAULT_N_LIST,
     Every size in n_list, and trials, must be a whole number >= 1, and n_list
     must name at least one size (DimensionError otherwise).
     """
-    n_list = [algebra.check_size(n) for n in n_list]
-    if not n_list:
-        raise DimensionError("the sweep needs at least one size n")
-    trials = algebra.check_size(trials, "trials")
+    n_list, trials = _sizes(n_list, trials)
     if properties is None:
         selected = list(_SPEC_LIST)
     else:

@@ -248,3 +248,19 @@ def test_the_density_action_keeps_an_infinite_density_value_infinite():
                                  classical.ClassicalFn([INF, 3.0]))
     # phi' = (2, 1/2), and h o phi^-1 = (3, INF)
     assert h.values == (6.0, INF)
+
+
+def test_a_pushforward_density_that_underflows_is_an_overflow_error():
+    mu = classical.Measure([1e-200, 1.0, 1e200])
+    phi = classical.Bijection([2, 0, 1])  # the ratio at site 2 is 1e-200 / 1e200
+    with pytest.raises(ValueOverflowError, match="site 2: .* outside the float range"):
+        classical.density_pushforward(phi, mu)
+    # the density action no longer maps an infinite value to 0 there
+    with pytest.raises(ValueOverflowError, match="outside the float range"):
+        classical.density_action(phi, mu, classical.ClassicalFn([1.0, 1.0, INF]))
+
+
+def test_a_pushforward_density_that_overflows_is_an_overflow_error():
+    mu = classical.Measure([5e-324, 1e308])
+    with pytest.raises(ValueOverflowError, match="site 0: .* outside the float range"):
+        classical.density_pushforward(classical.Bijection([1, 0]), mu)

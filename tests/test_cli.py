@@ -558,8 +558,13 @@ def test_expect_overflowing_non_hermitian_density_is_named(tmp_path):
     ("complex.json", b'{"mu": [1], "f": ["1j"], "g": [1]}', 1,
      "malformed entry: not a real number"),
     ("complex.csv", b"mu,1\nf,1+2j\ng,1\n", 1, "malformed entry: not a real number"),
+    ("bool.json", b'{"mu": [1, 1], "f": [true, false], "g": [1, 1]}', 1,
+     "malformed entry: not a real number: true"),
+    ("bool-weight.json", b'{"mu": [false], "f": [1], "g": [1]}', 1,
+     "malformed entry: not a real number: false"),
 ], ids=["nested-too-deeply", "infinite-m", "integer-beyond-float", "truncated-json",
-        "not-utf8", "infinite-weight", "complex-json-value", "complex-csv-value"])
+        "not-utf8", "infinite-weight", "complex-json-value", "complex-csv-value",
+        "boolean-value", "boolean-weight"])
 def test_classical_malformed_file_is_a_clean_error(tmp_path, name, content, code, message):
     path = tmp_path / name
     path.write_bytes(content)

@@ -272,6 +272,18 @@ def test_transported_frame_report_svd_count(counts, cold_base_points):
     assert counts == _tally(svd=10, qr=3, inv=12, solve=1, eigvalsh=2)
 
 
+def test_order_tests_after_a_transported_report_run_no_svd_and_no_inverse(counts,
+                                                                         cold_base_points):
+    o = _transported_obstate(31)
+    report = obstate.report(o)
+    _reset(counts)
+    flags = (obstate.is_positive(o), obstate.is_cyclically_ordered(o), obstate.is_positive(o))
+    assert flags == (report["positive"], report["cyclically_ordered"], report["positive"])
+    # the report left the order values of A0, W and A cut at Winf in their pair tables, so
+    # each test reads them and runs only its psd test (A is off the arc, so W is not tested)
+    assert counts == _tally(eigvalsh=3)
+
+
 def test_a_repeated_torsor_product_runs_only_its_result_point(counts):
     rng = np.random.default_rng(32)
     x, y, z, a, b = (grassmann.random_point(4, rng) for _ in range(5))

@@ -47,15 +47,15 @@ def _outcome(fn, x):
         return type(exc)
 
 
-def _order_values(value, n):
-    """The outcomes of the order chart value on a few points of R."""
-    points = [grassmann.zero_point(n), grassmann.one_point(n),
-              hermitian.random_r_point(n, np.random.default_rng(n))]
-    return [_outcome(lambda z: _bits(value(z)), z) for z in points]
+def _order_values(c, points):
+    """The outcomes of the order values of points, cut at c."""
+    return [_outcome(lambda z: _bits(hermitian._order_value(z, c)), z) for z in points]
 
 
 @pytest.mark.parametrize("n", [1, 2, 4, 8])
 def test_memoized_values_are_bitwise_a_new_computation(n, cold_base_points):
+    points = [grassmann.zero_point(n), grassmann.one_point(n),
+              hermitian.random_r_point(n, np.random.default_rng(n))]
     cases = {
         "projector": lambda x: _bits(x.projector),
         "_chart_value": lambda x: _bits(grassmann._chart_value(x)),
@@ -64,7 +64,8 @@ def test_memoized_values_are_bitwise_a_new_computation(n, cold_base_points):
         "cayley_to_unitary": lambda x: _bits(hermitian.cayley_to_unitary(x)),
         "transport_to_zero": lambda x: _bits(hermitian.transport_to_zero(x)),
         "_hermitian_chart": lambda x: _bits(hermitian._hermitian_chart(x)),
-        "_order_chart": lambda x: _order_values(hermitian._order_chart(x), n),
+        # each point's order value cut at x: a Hermitian chart, or a pair value on the point
+        "_order_value": lambda x: _order_values(x, points),
     }
     named = {"standard": (grassmann.zero_point(n), grassmann.infinity_point(n))}
     for frame, a0_cols, winf_cols in _frames(n):

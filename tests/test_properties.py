@@ -1,9 +1,13 @@
+import ast
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from apline import properties
+from apline import algebra, classical, grassmann, hermitian, obstate, properties
+from apline.crossratio import INF
+from apline.errors import DimensionError, IndeterminateError
 
 
 def test_registry_covers_every_module():
@@ -72,3 +76,66 @@ def test_a_sampler_that_never_accepts_is_a_reported_failure(monkeypatch):
                                   n_list=[2], trials=1, seed=0)
     assert rep["fail_count"] == 1
     assert rep["example_failure"]["error"].startswith("ResamplingExhausted: ")
+
+
+@pytest.mark.parametrize("n_list, trials, message", [
+    ((), 3, "the sweep needs at least one size n"),
+    ((1,), 0, "trials must be a whole number n >= 1"),
+    ((0,), 1, "a size must be a whole number n >= 1"),
+    ((2.5,), 1, "a size must be a whole number n >= 1"),
+], ids=["no-size", "no-trial", "size-0", "size-2.5"])
+def test_run_property_checks_its_sizes_as_run_sweep_does(n_list, trials, message):
+    runs = (lambda: properties.run_property(properties.SPECS["algebra.trace"], n_list, trials, 0),
+            lambda: properties.run_sweep(n_list, trials, 0, properties=["algebra.trace"]))
+    for run in runs:
+        with pytest.raises(DimensionError, match=message):
+            run()
+
+
+def test_only_draw_raises_resampling_exhausted():
+    # every sampler draws until accepted through _draw, the harness's one rejection site
+    tree = ast.parse(Path(properties.__file__).read_text(encoding="utf-8"))
+    raisers = {fn.name for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef)
+               for node in ast.walk(fn) if isinstance(node, ast.Raise) and node.exc is not None
+               and "ResamplingExhausted" in ast.dump(node.exc)}
+    assert raisers == {"_draw"}
+
+
+def test_draw_takes_count_values_in_draw_order_or_runs_out():
+    values = iter(range(10))
+    odd = properties._draw(lambda: next(values), lambda v, taken: v % 2 == 1, 6, "odd", 2)
+    assert odd == [1, 3] and next(values) == 4
+    # accept sees the values taken before; the tries count every draw
+    values = iter(range(10))
+    with pytest.raises(properties.ResamplingExhausted, match="^rising$"):
+        properties._draw(lambda: next(values) % 3, lambda v, taken: v > max(taken, default=-1),
+                         5, "rising", 4)
+
+
+def test_a_point_of_the_line_on_the_chart_horizon_is_measured_projectively():
+    h = algebra.random_hermitian(2, np.random.default_rng(40))
+    u = np.array([[1.0], [1j]])
+    x, y = grassmann.point_from_chart(h + u @ u.conj().T), grassmann.point_from_chart(h)
+    infinity = grassmann.infinity_point(2)
+    fam = hermitian.line_family(x, y, chart_point=infinity)
+    at_infinity = fam.point(INF)
+    assert not grassmann.is_transversal(at_infinity, infinity)
+    assert properties._line_set_residual(at_infinity, fam, infinity) == 0.0
+
+
+def test_an_infinite_pure_expectation_against_a_finite_expectation_fails_pure_line(
+        monkeypatch):
+    monkeypatch.setattr(obstate, "pure_expectation", lambda o: INF)
+    assert properties._t_pure_line(np.random.default_rng(41), 2) == 1.0
+
+
+def test_a_pairing_that_gives_0_times_inf_a_value_fails_the_pairing_axioms(monkeypatch):
+    pairing = classical.pairing
+
+    def lenient(mu, f, g):
+        try:
+            return pairing(mu, f, g)
+        except IndeterminateError:
+            return 0.0
+    monkeypatch.setattr(classical, "pairing", lenient)
+    assert properties._t_pairing_axioms(np.random.default_rng(42), 1) == 1.0
