@@ -114,12 +114,24 @@ def _largest_part(a: np.ndarray) -> float:
 
 
 def is_hermitian(a, tol: float = TOL_EQ) -> bool:
-    a = as_matrix(a)
+    gap, size = hermitian_gap(as_matrix(a))
+    return gap <= tol * (1.0 + size)
+
+
+def hermitian_gap(a: np.ndarray) -> tuple[float, float]:
+    """(||a - a*||, ||a||): is_hermitian(a, tol) is gap <= tol (1 + size).
+
+    When a norm overflows, they are the norms of the exact power-of-two
+    rescale of a, on which the test decides as in exact arithmetic.  A
+    non-finite a gives NaN, which fails the test at every tolerance.
+    """
     with np.errstate(over="ignore", invalid="ignore"):
         gap, size = norm(a - a.conj().T), norm(a)
-    if not math.isfinite(gap + size):
-        return bool(np.isfinite(a).all()) and is_hermitian(a * _pow2_scale(a), tol)
-    return gap <= tol * (1.0 + size)
+    if math.isfinite(gap + size):
+        return gap, size
+    if not np.isfinite(a).all():
+        return math.nan, math.nan
+    return hermitian_gap(a * _pow2_scale(a))
 
 
 def is_psd(a) -> bool:

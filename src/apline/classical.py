@@ -266,6 +266,8 @@ def density_action(phi: Bijection, mu: Measure, h: ClassicalFn) -> ClassicalFn:
     Satisfies the chain rule (phi o psi).h = phi.(psi.h) and makes the
     pairing invariant: pairing(mu, phi.f-as-plain-relabel, phi.h) =
     pairing(mu, f, h) when f transforms as a function and h as a density.
+    A finite product phi'(q) h(phi^{-1}(q)) that overflows raises
+    ValueOverflowError.
     """
     deriv = density_pushforward(phi, mu)
     moved = fn_pullback(h, phi)
@@ -274,8 +276,13 @@ def density_action(phi: Bijection, mu: Measure, h: ClassicalFn) -> ClassicalFn:
         dv, hv = deriv[q], moved[q]
         if is_inf(hv):
             out.append(INF)  # dv > 0: density_pushforward rejects a ratio that underflows
-        else:
-            out.append(dv * hv)
+            continue
+        product = dv * hv
+        if math.isinf(product):
+            raise ValueOverflowError(
+                f"density action at site {q}: the product {dv!r} * {hv!r} of the pushforward "
+                f"density and the moved value lies outside the float range")
+        out.append(product)
     return ClassicalFn(out)
 
 

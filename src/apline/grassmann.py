@@ -26,7 +26,8 @@ result in the point's memo.  A value of an ordered pair of points (x, a),
 such as their principal-angle sines or the projector with image x and
 kernel a, is kept in x's memo while a lives, keyed by the object a and
 holding it only weakly (see _pair_value); sines to the base points 0 and
-infinity are kept there too.  The memo also holds two name tags: a base
+infinity are kept there too, and so is the image of x under a live
+projective map (see apply_map).  The memo also holds two name tags: a base
 point's own name, and a graph point's chart horizon, which the gate and
 the chart guard against that horizon accept without an SVD.
 """
@@ -143,13 +144,15 @@ def _memoized(fn):
     return cached
 
 
-def _pair_value(fn, x: SubspacePoint, a: SubspacePoint):
+def _pair_value(fn, x: SubspacePoint, a):
     """fn(x, a), cached in x's memo for as long as the object a lives.
 
-    The table x._memo[fn] maps id(a) to (a weak reference to a, the value),
-    and an entry is read only while its reference still gives a.  Like
-    _memoized, only for functions of the two read-only bases alone that
-    cannot warn and return read-only arrays; an exception is not cached.
+    The second object a is a point or a ProjectiveMap.  The table
+    x._memo[fn] maps id(a) to (a weak reference to a, the value), and an
+    entry is read only while its reference still gives a.  Like _memoized,
+    only for functions of x's read-only basis and a's read-only basis or rep
+    alone that cannot warn; a value is a read-only array or a point (a map's
+    image of x), shared by every caller.  An exception is not cached.
     When a dies, its reference's callback removes the entry.  The callback
     reaches x only through a weak reference, so the cache forms no
     reference cycle, a long-lived point such as a base point keeps no dead
@@ -332,6 +335,22 @@ def _chart_value(x: SubspacePoint) -> np.ndarray:
     value = _graph_value(x.basis[n:, :], x.basis[:n, :], _guard(x, "infinity"), "infinity")
     value.setflags(write=False)
     return value
+
+
+@_memoized
+def _hermitian_parts(x: SubspacePoint) -> tuple:
+    """(gap, size, h) of x's chart value a, cached on x: the floats of algebra.hermitian_gap(a)
+    and the symmetrization h = (a + a*) / 2 (read-only).
+
+    A Hermitian test of a at any tolerance tol is gap <= tol (1 + size) on the
+    same two floats, so a is tested and symmetrized once whatever the callers'
+    tolerances.  NotInChartError is raised on every call.
+    """
+    a = _chart_value(x)
+    gap, size = algebra.hermitian_gap(a)
+    h = (a + a.conj().T) / 2
+    h.setflags(write=False)
+    return gap, size, h
 
 
 # Smallest cached sine of a point to the horizon of a chart above which its
@@ -574,7 +593,7 @@ def scalar_action(r, a: SubspacePoint, x: SubspacePoint,
 class ProjectiveMap:
     """An element of PGL(2, A): an invertible 2n x 2n matrix up to scalar."""
 
-    __slots__ = ("rep",)
+    __slots__ = ("rep", "_inverse", "__weakref__")
 
     def __init__(self, rep):
         rep = np.asarray(rep, dtype=complex)
@@ -598,14 +617,22 @@ class ProjectiveMap:
         rep = rep.copy()
         rep.setflags(write=False)
         self.rep = rep
+        self._inverse = None
 
     @property
     def n(self) -> int:
         return self.rep.shape[0] // 2
 
     def inverse(self) -> "ProjectiveMap":
-        # cond(G^{-1}) = cond(G), and G passed the invertibility check
-        return ProjectiveMap._invertible(algebra.proven_inverse(self.rep))
+        """The inverse map: computed once per map, then the same object on every call.
+
+        The inverse holds no reference back to this map, so the two form no
+        cycle and each is freed by reference counting alone.
+        """
+        if self._inverse is None:
+            # cond(G^{-1}) = cond(G), and G passed the invertibility check
+            self._inverse = ProjectiveMap._invertible(algebra.proven_inverse(self.rep))
+        return self._inverse
 
     def __matmul__(self, other) -> "ProjectiveMap":
         if not isinstance(other, ProjectiveMap):
@@ -621,9 +648,18 @@ def identity_map(n: int) -> ProjectiveMap:
 
 
 def apply_map(g: ProjectiveMap, x: SubspacePoint) -> SubspacePoint:
-    """The fractional-linear action: column span of rep(g) basis(x)."""
+    """The fractional-linear action: column span of rep(g) basis(x).
+
+    The image is cached on x while g lives (see _pair_value): a repeated
+    transport of the live pair returns the same point, shared by every caller
+    with the values its memo keeps.  An overflowing QR raises on every call.
+    """
     if g.n != x.n:
         raise DimensionError(f"dimension mismatch: map n={g.n}, point n={x.n}")
+    return _pair_value(_image, x, g)
+
+
+def _image(x: SubspacePoint, g: ProjectiveMap) -> SubspacePoint:
     # X orthonormal: s_min(GX) / s_max(GX) >= s_min(G) / s_max(G) > TOL_INV
     return SubspacePoint._full_rank(g.rep @ x.basis)
 

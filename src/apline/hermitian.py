@@ -288,7 +288,9 @@ def transport_to_zero(a: SubspacePoint) -> ProjectiveMap:
     Built in the Cayley chart as left multiplication by -u_a*: the
     representing matrix C diag(I, -u_a*) C^{-1} is unitary (C/sqrt(2)
     is), hence commutes with alpha; it preserves the form omega exactly,
-    hence commutes with tau.  The map is cached on a and shared.
+    hence commutes with tau.  The map is cached on a and shared, and so
+    are its inverse (see ProjectiveMap.inverse) and, while a lives, each
+    point's image under it (see apply_map).
     """
     u_a = _cayley_unitary(a)
     n = a.n
@@ -533,14 +535,11 @@ def line_family(x: SubspacePoint, y: SubspacePoint,
 
 # --- cyclic order -----------------------------------------------------------------
 
-@grassmann._memoized
 def _hermitian_chart(z: SubspacePoint) -> np.ndarray:
-    """The Hermitian part of z's memoized chart value, read-only and cached on z."""
-    m = grassmann._chart_value(z)
-    if not algebra.is_hermitian(m, tol=1e-8):
+    """The Hermitian part of z's chart value, read-only and cached on z (see _hermitian_parts)."""
+    gap, size, h = grassmann._hermitian_parts(z)
+    if not gap <= 1e-8 * (1.0 + size):  # algebra.is_hermitian at tol 1e-8
         raise NotHermitianError("cyclic order needs points of R (Hermitian charts)")
-    h = (m + m.conj().T) / 2
-    h.setflags(write=False)
     return h
 
 

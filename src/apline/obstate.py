@@ -161,8 +161,10 @@ def _strong_normal_form(o: Obstate) -> tuple[np.ndarray, np.ndarray]:
     Hermitian chart value and the state a Hermitian graph value.  When
     A0 is the base point 0 itself (the object zero_point built, not a
     point equal to it) the transport is the identity and is skipped: a
-    and w are the memoized chart values of A and W, which the kernel of
-    expectation and the order test read too.  Winf is never read.
+    and w come from the memoized chart values of A and W, which the kernel
+    of expectation and the order test read too, and a is the Hermitian part
+    the order test reads.  Otherwise the moved A and W are cached on A and
+    W while the transport lives (see apply_map).  Winf is never read.
     """
     if not o.strong:
         raise NotStrongError("second moments need a strong obstate")
@@ -170,13 +172,14 @@ def _strong_normal_form(o: Obstate) -> tuple[np.ndarray, np.ndarray]:
     if not grassmann._is_zero_point(o.ref_observable):
         g = hermitian.transport_to_zero(o.ref_observable)
         A, W = apply_map(g, A), apply_map(g, W)
-    a = grassmann._chart_value(A)
+    # A's chart value tested and symmetrized once, with the order test's (see _hermitian_parts)
+    gap, size, a = grassmann._hermitian_parts(A)
     w = grassmann._cochart_value(W)
-    if not algebra.is_hermitian(a, tol=1e-7):
+    if not gap <= 1e-7 * (1.0 + size):  # algebra.is_hermitian at tol 1e-7
         raise NotHermitianError("transported observable has no Hermitian chart value")
     if not algebra.is_hermitian(w, tol=1e-7):
         raise NotHermitianError("transported state has no Hermitian graph value")
-    return (a + a.conj().T) / 2, (w + w.conj().T) / 2
+    return a, (w + w.conj().T) / 2
 
 
 def variance(o: Obstate) -> float:

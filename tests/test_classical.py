@@ -260,6 +260,17 @@ def test_a_pushforward_density_that_underflows_is_an_overflow_error():
         classical.density_action(phi, mu, classical.ClassicalFn([1.0, 1.0, INF]))
 
 
+def test_a_density_action_product_that_overflows_is_an_overflow_error():
+    phi = classical.Bijection([1, 0])
+    mu = classical.Measure([1e-100, 1.0])
+    # phi' = (1e100, 1e-100) and h o phi^-1 = (1e300, 1.0): the product at site 0 is 1e400
+    with pytest.raises(ValueOverflowError,
+                       match=r"site 0: the product 1e\+100 \* 1e\+300 .* outside the float range"):
+        classical.density_action(phi, mu, classical.ClassicalFn([1.0, 1e300]))
+    h = classical.density_action(phi, mu, classical.ClassicalFn([1.0, 1e200]))
+    assert h.values == (1e100 * 1e200, 1e-100)
+
+
 def test_a_pushforward_density_that_overflows_is_an_overflow_error():
     mu = classical.Measure([5e-324, 1e308])
     with pytest.raises(ValueOverflowError, match="site 0: .* outside the float range"):

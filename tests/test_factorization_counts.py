@@ -9,7 +9,7 @@ timing.
 import numpy as np
 import pytest
 
-from apline import algebra, crossratio, grassmann, hermitian, obstate
+from apline import algebra, crossratio, grassmann, hermitian, obstate, properties
 from apline.crossratio import INF
 from apline.errors import DimensionError, NotInChartError
 
@@ -57,16 +57,20 @@ def test_apply_map_runs_one_qr_and_no_svd(counts):
     g = grassmann.random_map(3, rng)
     x = grassmann.random_point(3, rng)
     _reset(counts)
-    grassmann.apply_map(g, x)
+    image = grassmann.apply_map(g, x)
     assert counts == _tally(qr=1)
+    # a repeat while g lives returns the image cached on x and runs nothing
+    assert grassmann.apply_map(g, x) is image and counts == _tally(qr=1)
 
 
 def test_inverse_runs_no_svd(counts):
     g = grassmann.random_map(3, np.random.default_rng(12))
     _reset(counts)
-    g.inverse()
+    inverse = g.inverse()
     # the rep's inverse, and no SVD of it
     assert counts == _tally(inv=1)
+    # a second call returns the same map and runs nothing
+    assert g.inverse() is inverse and counts == _tally(inv=1)
 
 
 def test_unitary_torsor_runs_no_pole_margin_svd(counts):
@@ -302,11 +306,40 @@ def test_a_repeated_tangent_product_runs_no_alpha_svd_and_no_repeated_margin(cou
     hermitian.tangent_product(base, x, y)
     _reset(counts)
     hermitian.tangent_product(base, x, w)
-    # alpha(base) and transport_to_zero(base) are cached on base, and the margin of
-    # (x, alpha(base)) on x: only w's margin is measured.  The two moved factors (a QR
-    # each) have no memoized sines, so each chart guard runs its SVD before its inverse;
-    # the inverse of g, the product's graph point (a QR, no SVD) and its move back (a QR)
-    assert counts == _tally(svd=3, qr=4, inv=3)
+    # alpha(base) and transport_to_zero(base) are cached on base, the margin of
+    # (x, alpha(base)) and the moved factor g x on x, with its chart value, and g's inverse
+    # on g: only w's margin is measured.  The new moved factor g w (a QR) has no memoized
+    # sines, so its chart guard runs its SVD before its inverse; the product's graph point
+    # (a QR, no SVD) and its move back (a QR)
+    assert counts == _tally(svd=2, qr=3, inv=1)
+
+
+@pytest.fixture
+def seam_calls(monkeypatch):
+    """Calls of the linalg seam's three routines, by name."""
+    tally = dict.fromkeys(("thin_qr", "singular_values", "proven_inverse"), 0)
+
+    def count(name):
+        original = getattr(algebra, name)
+
+        def counted(*args, **kwargs):
+            tally[name] += 1
+            return original(*args, **kwargs)
+        monkeypatch.setattr(algebra, name, counted)
+    for name in tally:
+        count(name)
+    return tally
+
+
+def test_the_tangent_algebra_trials_transport_each_live_pair_once(seam_calls):
+    spec = properties.SPECS["hermitian.tangent_algebra"]
+    properties.run_property(spec, properties.DEFAULT_N_LIST, 10, 0)  # fills the per-n caches
+    _reset(seam_calls)
+    properties.run_property(spec, properties.DEFAULT_N_LIST, 10, 0)
+    # each repeated tangent_product reads its factor moved by g = transport_to_zero(base), the
+    # factor's chart value and g's inverse from the memos: without them the trials ran
+    # {thin_qr 451, singular_values 251, proven_inverse 250}
+    assert seam_calls == {"thin_qr": 381, "singular_values": 181, "proven_inverse": 110}
 
 
 def test_arithmetic_distance_runs_one_svd(counts):

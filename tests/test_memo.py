@@ -19,7 +19,8 @@ from click.testing import CliRunner
 import apline
 from apline import algebra, grassmann, hermitian, obstate
 from apline.cli import main
-from apline.errors import AplineError, NotInChartError, NotInUniverseError
+from apline.errors import (AplineError, NotHermitianError, NotInChartError,
+                           NotInUniverseError, ValueOverflowError)
 from apline.grassmann import SubspacePoint
 
 _ROOT = Path(__file__).resolve().parents[1]
@@ -37,6 +38,12 @@ def _bits(value) -> bytes:
     if isinstance(value, grassmann.ProjectiveMap):
         value = value.rep
     return np.asarray(value).tobytes()
+
+
+def _parts(parts):
+    """The bits of a chart value's Hermitian parts: its gap, its size and its symmetrization."""
+    gap, size, h = parts
+    return gap.hex(), size.hex(), _bits(h)
 
 
 def _outcome(fn, x):
@@ -64,6 +71,7 @@ def test_memoized_values_are_bitwise_a_new_computation(n, cold_base_points):
         "cayley_to_unitary": lambda x: _bits(hermitian.cayley_to_unitary(x)),
         "transport_to_zero": lambda x: _bits(hermitian.transport_to_zero(x)),
         "_hermitian_chart": lambda x: _bits(hermitian._hermitian_chart(x)),
+        "_hermitian_parts": lambda x: _parts(grassmann._hermitian_parts(x)),
         # each point's order value cut at x: a Hermitian chart, or a pair value on the point
         "_order_value": lambda x: _order_values(x, points),
     }
@@ -252,11 +260,16 @@ def test_the_chart_guard_reads_sines_to_a_named_base_point_and_builds_none(cold_
 
 
 def _memo_arrays(value):
-    """The arrays a memo value holds: itself, a map's rep or a pair table's values."""
+    """The arrays a memo value holds: itself, a map's rep and its inverse's, an image's
+    basis, a tuple's items or a pair table's values."""
     if isinstance(value, np.ndarray):
         return [value]
     if isinstance(value, grassmann.ProjectiveMap):
-        return [value.rep]
+        return [value.rep] + _memo_arrays(value._inverse)
+    if isinstance(value, SubspacePoint):
+        return [value.basis]
+    if isinstance(value, tuple):
+        return [arr for v in value for arr in _memo_arrays(v)]
     if isinstance(value, dict):
         return [arr for _, v in value.values() for arr in _memo_arrays(v)]
     return []
@@ -281,12 +294,19 @@ def test_every_cached_array_is_read_only(cold_base_points):
     assert grassmann._cochart_value in mixed.state._memo
     # the moved frame's gate and kernel share the sines of (W, A0) in W's pair table
     assert id(moved.ref_observable) in moved.state._memo[grassmann._principal_sines]
+    # the moved frame's normal form keeps A moved to 0 on A while the transport lives
+    g = hermitian.transport_to_zero(moved.ref_observable)
+    assert id(g) in moved.observable._memo[grassmann._image]
     x, a = (grassmann.random_point(n, rng) for _ in range(2))
     grassmann.projector(x, a)
     assert id(a) in x._memo[grassmann._projector_matrix]
-    points += [x, a, hermitian.tau(x), hermitian.alpha(x), hermitian.beta(x)]
+    h = grassmann.random_map(n, rng)
+    grassmann.apply_map(h.inverse(), grassmann.apply_map(h, x))
+    points += [x, a, hermitian.tau(x), hermitian.alpha(x), hermitian.beta(x),
+               grassmann.apply_map(h, x)]
     arrays = [arr for x in points for v in x._memo.values() for arr in _memo_arrays(v)]
     assert len(arrays) > 20
+    assert any(arr is grassmann.apply_map(h, x).basis for arr in arrays)
     assert not any(arr.flags.writeable for arr in arrays)
 
 
@@ -461,3 +481,107 @@ def test_only_grassmann_reads_or_writes_a_point_memo():
     assert {module: lines for module, lines in found.items()
             if lines and module != "grassmann"} == {}
     assert found["grassmann"]  # the scan sees the memo where it is
+
+
+# --- images of a point under a map ------------------------------------------------
+
+def _image_table(x):
+    """x's pair table of images: id(map) -> (a weak reference to it, the image)."""
+    return _pair_table(x, grassmann._image)
+
+
+@pytest.mark.parametrize("n", [1, 2, 4, 8])
+def test_a_cached_image_is_bitwise_a_fresh_transport_with_a_read_only_basis(n):
+    rng = np.random.default_rng(600 + n)
+    g = grassmann.random_map(n, rng)
+    for x in (grassmann.random_point(n, rng), hermitian.random_r_point(n, rng)):
+        image = grassmann.apply_map(g, x)
+        assert grassmann.apply_map(g, x) is image  # from the memo
+        fresh = SubspacePoint._full_rank(g.rep @ x.basis)
+        assert image.basis.tobytes() == fresh.basis.tobytes()
+        assert not image.basis.flags.writeable
+        assert list(_image_table(x)) == [id(g)] and grassmann._image not in image._memo
+    # the inverse: computed once, bitwise the inverse of the rep, and read-only
+    inverse = g.inverse()
+    assert g.inverse() is inverse
+    assert inverse.rep.tobytes() == algebra.proven_inverse(g.rep).tobytes()
+    assert not inverse.rep.flags.writeable
+
+
+def test_each_map_gets_its_own_image_entry_which_dies_with_the_map(no_gc):
+    rng = np.random.default_rng(610)
+    x = grassmann.random_point(2, rng)
+    g, h = (grassmann.random_map(2, rng) for _ in range(2))
+    gx, hx = grassmann.apply_map(g, x), grassmann.apply_map(h, x)
+    assert gx is not hx and not grassmann.point_eq(gx, hx)
+    assert set(_image_table(x)) == {id(g), id(h)}
+    assert grassmann.apply_map(g, x) is gx and grassmann.apply_map(h, x) is hx
+    image = weakref.ref(gx)
+    del g, gx
+    assert list(_image_table(x)) == [id(h)]
+    assert image() is None  # the entry held the image, and died with the map
+    del h
+    assert _image_table(x) == {}
+
+
+def test_a_long_lived_base_point_keeps_no_image_of_a_dead_map(no_gc, cold_base_points):
+    n = 2
+    zero = grassmann.zero_point(n)
+    references = weakref.getweakrefcount(zero)
+    rng = np.random.default_rng(620)
+    for _ in range(1000):
+        g = grassmann.random_map(n, rng)
+        grassmann.apply_map(g.inverse(), grassmann.apply_map(g, zero))
+        assert id(g) in _image_table(zero)
+    del g
+    assert _image_table(zero) == {}
+    assert weakref.getweakrefcount(zero) == references
+
+
+@pytest.mark.parametrize("first", ["point", "map"])
+def test_a_point_its_map_and_the_image_are_freed_by_reference_counting(no_gc, first):
+    rng = np.random.default_rng(630)
+    held = {"point": grassmann.random_point(2, rng), "map": grassmann.random_map(2, rng)}
+    x, g = held["point"], held["map"]
+    image = grassmann.apply_map(g, x)
+    back = grassmann.apply_map(g.inverse(), image)  # on the image, keyed by the inverse
+    grassmann._sines(image, x)
+    grassmann._sines(x, image)
+    refs = {name: weakref.ref(obj) for name, obj in
+            (("point", x), ("map", g), ("image", image), ("inverse", g.inverse()),
+             ("back", back))}
+    del x, g, image, back
+    # the memos hold the image and its move back while the point and the map both live
+    assert all(ref() is not None for ref in refs.values())
+    held.pop(first)
+    dead = {"point": {"point", "image", "back"},
+            "map": {"map", "inverse", "image", "back"}}[first]
+    assert {name for name, ref in refs.items() if ref() is None} == dead
+    held.clear()
+    assert [ref() for ref in refs.values()] == [None] * 5
+
+
+def test_an_overflowing_transport_raises_on_every_call():
+    g = grassmann.ProjectiveMap(np.diag([1.7e308, 1.7e308]))
+    x = SubspacePoint(np.array([[1.0], [1.0]]))
+    for _ in range(3):
+        with pytest.raises(ValueOverflowError, match=r"^basis of scale "):
+            grassmann.apply_map(g, x)
+    assert _image_table(x) == {}
+
+
+def test_one_hermitian_test_of_a_chart_value_decides_each_tolerance():
+    # a chart value whose relative gap ||a - a*|| / (1 + ||a||) lies between 1e-8 and 1e-7:
+    # the normal form's test (1e-7) passes, the order test's (1e-8) fails
+    h = algebra.random_hermitian(2, np.random.default_rng(640))
+    a = h + 3e-8 * (1.0 + np.linalg.norm(h)) * np.array([[0.0, 1.0], [-1.0, 0.0]])
+    x = grassmann.point_from_chart(a)
+    gap, size, sym = grassmann._hermitian_parts(x)
+    chart = grassmann._chart_value(x)
+    assert (gap, size) == algebra.hermitian_gap(chart)
+    assert algebra.is_hermitian(chart, tol=1e-7) and not algebra.is_hermitian(chart, tol=1e-8)
+    assert sym.tobytes() == ((chart + chart.conj().T) / 2).tobytes()
+    for _ in range(2):
+        with pytest.raises(NotHermitianError):
+            hermitian._hermitian_chart(x)
+    assert grassmann._hermitian_parts(x)[2] is sym
