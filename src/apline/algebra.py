@@ -175,13 +175,21 @@ def is_invertible(a, tol: float = TOL_INV) -> bool:
     Finite entries whose singular values overflow raise ValueOverflowError
     naming their scale: the ratio is unknown, not small.
     """
-    a = as_matrix(a)
+    return invertible_cond(as_matrix(a), tol) is not None
+
+
+def invertible_cond(a: np.ndarray, tol: float = TOL_INV) -> float | None:
+    """s_max(a) / s_min(a) of a square array a that passes is_invertible(a, tol), else None.
+
+    The one SVD of is_invertible, with its decision and its errors; the
+    ratio is below 1 / tol, so it is finite.
+    """
     try:
         s = singular_values(a)
     except np.linalg.LinAlgError:  # no convergence: decided below like a NaN output
         s = np.full(1, np.nan)
     if s[-1] > tol * max(s[0], 1e-300):
-        return True
+        return float(s[0] / s[-1])
     # a finite a can still overflow s_max to inf, so the entries decide
     if not np.isfinite(s).all():
         if not np.isfinite(a).all():
@@ -189,7 +197,7 @@ def is_invertible(a, tol: float = TOL_INV) -> bool:
         raise ValueOverflowError(
             f"matrix of scale {_largest_part(a):.3e} (largest real or imaginary part) "
             "overflows the float range in its SVD")
-    return False
+    return None
 
 
 def inverse(a) -> np.ndarray:

@@ -29,7 +29,9 @@ holding it only weakly (see _pair_value); sines to the base points 0 and
 infinity are kept there too, and so is the image of x under a live
 projective map (see apply_map).  The memo also holds two name tags: a base
 point's own name, and a graph point's chart horizon, which the gate and
-the chart guard against that horizon accept without an SVD.
+the chart guard against that horizon accept without an SVD.  An image
+under a map holds a source tag, weak references to the map and the point,
+from which the gate bounds the margin of two images under one map.
 """
 
 from __future__ import annotations
@@ -152,7 +154,9 @@ def _pair_value(fn, x: SubspacePoint, a):
     entry is read only while its reference still gives a.  Like _memoized,
     only for functions of x's read-only basis and a's read-only basis or rep
     alone that cannot warn; a value is a read-only array or a point (a map's
-    image of x), shared by every caller.  An exception is not cached.
+    image of x), shared by every caller.  The one value that is not the bits
+    a new call would compute is the gate's first answer for two images
+    (see _moved_pair_margin).  An exception is not cached.
     When a dies, its reference's callback removes the entry.  The callback
     reaches x only through a weak reference, so the cache forms no
     reference cycle, a long-lived point such as a base point keeps no dead
@@ -346,7 +350,16 @@ def _hermitian_parts(x: SubspacePoint) -> tuple:
     same two floats, so a is tested and symmetrized once whatever the callers'
     tolerances.  NotInChartError is raised on every call.
     """
-    a = _chart_value(x)
+    return _gap_size_symmetrization(_chart_value(x))
+
+
+@_memoized
+def _cochart_hermitian_parts(x: SubspacePoint) -> tuple:
+    """_hermitian_parts of x's cochart value, cached on x; NotInChartError on every call."""
+    return _gap_size_symmetrization(_cochart_value(x))
+
+
+def _gap_size_symmetrization(a: np.ndarray) -> tuple:
     gap, size = algebra.hermitian_gap(a)
     h = (a + a.conj().T) / 2
     h.setflags(write=False)
@@ -485,6 +498,76 @@ def is_transversal(x: SubspacePoint, a: SubspacePoint) -> bool:
         return False
 
 
+def _cached_sine(x: SubspacePoint, a: SubspacePoint):
+    """The smallest sine of (x, a) kept in x's or a's pair table, or None (computes nothing).
+
+    Principal angles are symmetric, so either order's sines serve.
+    """
+    for p, q in ((x, a), (a, x)):
+        entry = p._memo.get(_principal_sines, {}).get(id(q))
+        if entry is not None and entry[0]() is q:
+            return entry[1][-1]
+    return None
+
+
+def _moved_pair_slack(cond: float) -> float:
+    """The rounding slack of a sine of two images under a map of condition number cond.
+
+    d = _SINE_ROUNDING for the moved pair's computed sine, 2 d cond for the
+    rounding of G X and of one Householder QR in both images, and d for the
+    computed cond (see _moved_pair_bound).
+    """
+    return _SINE_ROUNDING * (2.0 + 2.0 * cond)
+
+
+def _moved_pair_margin(x: SubspacePoint, a: SubspacePoint):
+    """A proven lower bound on transversality_margin(x, a) for two images, or None.
+
+    The first answer for two images is kept in x's pair table while a lives
+    (see _moved_pair_bound).  A bound stays proven when the map or a source
+    dies; after None the gate measures the pair, and keeps its sines.
+    """
+    if apply_map not in x._memo or apply_map not in a._memo:
+        return None
+    return _pair_value(_moved_pair_bound, x, a)
+
+
+def _moved_pair_bound(x: SubspacePoint, a: SubspacePoint):
+    """A lower bound on transversality_margin(x, a) for two images under one live map, proven
+    from a cached sine of their sources; or None, when no bound is known.
+
+    For complementary subspaces X and A the oblique projector P onto X along
+    A has 2-norm 1 / sin theta_min(X, A) (Ipsen & Meyer 1995; Szyld 2006), and
+    the projector onto GX along GA is G P G^-1.  So for G of condition number
+    k, sin theta_min(GX, GA) >= sin theta_min(X, A) / k.  In floating point,
+    with d = _SINE_ROUNDING:
+    - the cached sine s of the sources is within d of the exact sine of their
+      stored bases, and the map's cond (from its SVD, or proven by its
+      builder) is off by a relative few n eps k, which moves s / k by under d;
+    - the image's stored basis spans G X + E, where the rounding of G X and
+      of one Householder QR gives ||E|| <= few n eps ||G||; relative to
+      s_min(G X) >= s_min(G) that moves each image by under d k in sine;
+    - the images' computed sine is within d of their exact one.
+    So the sine the gate would compute is at least (s - d) / k -
+    _moved_pair_slack(k), and its half-angle tangent, which is increasing,
+    bounds the margin from below.  The bound is returned only above
+    10 TRANSVERSALITY_RTOL plus the slack: the margin passes and is above the
+    warning decade.  A dead map or source, images under two maps, sources
+    without a cached sine or a map without cond give None.
+    """
+    x_source, a_source = x._memo[apply_map], a._memo[apply_map]
+    g = x_source[0]()
+    if g is None or g is not a_source[0]() or g._cond is None:
+        return None
+    x0, a0 = x_source[1](), a_source[1]()
+    sine = None if x0 is None or a0 is None else _cached_sine(x0, a0)
+    if sine is None:
+        return None
+    slack = _moved_pair_slack(g._cond)
+    bound = _half_angle_tangent(max((sine - _SINE_ROUNDING) / g._cond - slack, 0.0))
+    return bound if bound > 10 * TRANSVERSALITY_RTOL + slack else None
+
+
 def _require_transversal(pairs, error=NotTransversalError) -> tuple:
     """The margins of the (x, a, message) triples in pairs, in order.
 
@@ -493,13 +576,21 @@ def _require_transversal(pairs, error=NotTransversalError) -> tuple:
     A pair of a graph point x tagged with its horizon and the base-point object
     a of that horizon passes with no SVD and no warning: its margin is above
     _GRAPH_MARGIN_BOUND (see _graph_point), which is returned in its place.
-    A point merely equal to a graph point or to a base point is measured.
+    So does a pair of two images under one live map whose sources' sine is
+    cached, when that sine proves a margin above the warning decade: the
+    bound is returned (see _moved_pair_margin) and no sine is cached.  A point
+    merely equal to a graph point or to a base point is measured, and so is
+    every other pair.
     """
     margins = []
     for x, a, message in pairs:
         horizon = x._memo.get(_graph_point)
         if horizon is not None and a._memo.get(_base_point) == horizon and x.n == a.n:
             margins.append(_GRAPH_MARGIN_BOUND)
+            continue
+        bound = _moved_pair_margin(x, a)
+        if bound is not None:
+            margins.append(bound)
             continue
         margin = transversality_margin(x, a)
         if TRANSVERSALITY_RTOL < margin < 10 * TRANSVERSALITY_RTOL:
@@ -566,7 +657,42 @@ def torsor_product(x: SubspacePoint, y: SubspacePoint, z: SubspacePoint,
     message = "torsor_product needs y in U_a and U_b"
     _require_transversal(((y, a, message), (y, b, message)))
     m = m_operator(x, a, b, z)
+    cond = _m_operator_cond(x, a, b, z)
+    if cond is not None and cond <= _TORSOR_COND_BOUND:
+        # Y orthonormal: s_min(M Y) / s_max(M Y) >= 1 / cond(M) >= 1e-5 (see _m_operator_cond)
+        return SubspacePoint._full_rank(m @ y.basis)
     return SubspacePoint(m @ y.basis)
+
+
+# Condition bound of M_{xabz} up to which torsor_product builds M Y without the rank SVD.
+_TORSOR_COND_BOUND = 1e5
+
+
+def _m_operator_cond(x: SubspacePoint, a: SubspacePoint, b: SubspacePoint,
+                     z: SubspacePoint):
+    """An upper bound on cond(M) for M = M_{xabz}, from the sines m_operator's gate cached;
+    None where one of them is not cached.
+
+    An oblique projector P(image p, kernel q) has 2-norm 1 / s_pq, the sine of
+    the smallest principal angle of (p, q) (see _moved_pair_bound), and M has
+    the inverse M_{zabx} = P(z, a) - P(b, x).  So
+    cond(M) <= (1 / s_xa + 1 / s_bz)(1 / s_za + 1 / s_bx) =: B1 B2, over
+    exact sines at least the cached ones less d = _SINE_ROUNDING.  Each
+    computed projector is off by under d / s^2 for n <= 10^3 (its frame's
+    inverse has a relative error of a few n eps times cond <= 2 / s, and norm
+    sqrt 2 / s), so the computed M is off by under d B1^2, and with
+    B1 B2 <= _TORSOR_COND_BOUND (so B1 <= 5e4, as B2 >= 2) the smallest
+    singular value of M Y moves by under a relative d B1^2 B2 <= 0.05.  The
+    rank test's ratio stays above 0.95 / (1.05 1e5) > 9e-6, five decades over
+    TOL_INV: it cannot fail.
+    """
+    bounds = []
+    for p, q in ((x, a), (b, z), (z, a), (b, x)):
+        sine = _cached_sine(p, q)
+        if sine is None or not sine > _SINE_ROUNDING:
+            return None
+        bounds.append(1.0 / (sine - _SINE_ROUNDING))
+    return (bounds[0] + bounds[1]) * (bounds[2] + bounds[3])
 
 
 def scalar_action(r, a: SubspacePoint, x: SubspacePoint,
@@ -590,33 +716,52 @@ def scalar_action(r, a: SubspacePoint, x: SubspacePoint,
 
 # --- the projective group ----------------------------------------------------
 
-class ProjectiveMap:
-    """An element of PGL(2, A): an invertible 2n x 2n matrix up to scalar."""
+# An upper bound on the condition number of a rep proven unitary up to rounding,
+# which ProjectiveMap._invertible takes from hermitian's unitary constructions.
+# Rounding the products of unitary factors moves the singular values by a few
+# n eps; a rep built from a Cayley unitary u_a adds membership's bound:
+# ||X* Omega X|| <= e = TOL_EQ (1 + sqrt n) / sqrt 2 puts the singular values of
+# u_a in [sqrt((1 - e)/(1 + e)), sqrt((1 + e)/(1 - e))], so its condition number
+# is under 1 + 3 e < 1 + 1e-6 for n <= 10^4 (see hermitian._cayley_unitary).
+_UNITARY_COND = 1.0 + 1e-6
 
-    __slots__ = ("rep", "_inverse", "__weakref__")
+
+class ProjectiveMap:
+    """An element of PGL(2, A): an invertible 2n x 2n matrix up to scalar.
+
+    A map keeps an upper bound on the condition number s_max / s_min of its
+    rep, or None where none is known: the ratio from the invertibility SVD
+    of the public constructor, or the one its private builder's caller
+    proves.  The transversality gate reads it (see _moved_pair_bound).
+    """
+
+    __slots__ = ("rep", "_cond", "_inverse", "__weakref__")
 
     def __init__(self, rep):
         rep = np.asarray(rep, dtype=complex)
         if rep.ndim != 2 or rep.shape[0] != rep.shape[1] or rep.shape[0] % 2 or not rep.size:
             raise DimensionError(f"projective map rep must be 2n x 2n, n >= 1, got {rep.shape}")
-        if not algebra.is_invertible(rep):
+        cond = algebra.invertible_cond(rep)
+        if cond is None:
             raise SingularError("projective map rep is singular")
-        self._set_rep(rep)
+        self._set_rep(rep, cond)
 
     @classmethod
-    def _invertible(cls, rep: np.ndarray) -> "ProjectiveMap":
+    def _invertible(cls, rep: np.ndarray, cond: float | None) -> "ProjectiveMap":
         """The map of a 2n x 2n rep whose invertibility the caller has proven.
 
         Skips the SVD of __init__; the rep is still copied and made read-only.
+        cond is a proven upper bound on the rep's condition number, or None.
         """
         g = cls.__new__(cls)
-        g._set_rep(np.asarray(rep, dtype=complex))
+        g._set_rep(np.asarray(rep, dtype=complex), cond)
         return g
 
-    def _set_rep(self, rep: np.ndarray) -> None:
+    def _set_rep(self, rep: np.ndarray, cond: float | None) -> None:
         rep = rep.copy()
         rep.setflags(write=False)
         self.rep = rep
+        self._cond = cond
         self._inverse = None
 
     @property
@@ -630,8 +775,10 @@ class ProjectiveMap:
         cycle and each is freed by reference counting alone.
         """
         if self._inverse is None:
-            # cond(G^{-1}) = cond(G), and G passed the invertibility check
-            self._inverse = ProjectiveMap._invertible(algebra.proven_inverse(self.rep))
+            # cond(G^{-1}) = cond(G), and G passed the invertibility check; the computed
+            # inverse's relative error, a few n eps cond(G), is in _moved_pair_slack
+            self._inverse = ProjectiveMap._invertible(algebra.proven_inverse(self.rep),
+                                                      self._cond)
         return self._inverse
 
     def __matmul__(self, other) -> "ProjectiveMap":
@@ -661,7 +808,10 @@ def apply_map(g: ProjectiveMap, x: SubspacePoint) -> SubspacePoint:
 
 def _image(x: SubspacePoint, g: ProjectiveMap) -> SubspacePoint:
     # X orthonormal: s_min(GX) / s_max(GX) >= s_min(G) / s_max(G) > TOL_INV
-    return SubspacePoint._full_rank(g.rep @ x.basis)
+    image = SubspacePoint._full_rank(g.rep @ x.basis)
+    # the image's source tag, both references weak: the image holds neither g nor x
+    image._memo[apply_map] = (weakref.ref(g), weakref.ref(x))
+    return image
 
 
 # --- random draws -------------------------------------------------------------

@@ -93,9 +93,11 @@ def _cayley_maps(n: int) -> tuple[ProjectiveMap, ProjectiveMap]:
     """The maps C and C^{-1}; one cached pair per n, shared and read-only."""
     n = algebra.check_size(n)
     eye = np.eye(n)
-    c = np.block([[1j * eye, -1j * eye], [eye, eye]])
-    # c / sqrt 2 is unitary, so c is invertible
-    return ProjectiveMap(c), ProjectiveMap(algebra.proven_inverse(c))
+    c = ProjectiveMap._invertible(np.block([[1j * eye, -1j * eye], [eye, eye]]),
+                                  grassmann._UNITARY_COND)
+    # c / sqrt 2 is unitary (exact entries), so c is invertible with condition number 1;
+    # its inverse, C*/2 up to rounding, inherits it
+    return c, c.inverse()
 
 
 def cayley_matrix(n: int) -> ProjectiveMap:
@@ -199,7 +201,8 @@ def s1_action_map(theta: float, n: int) -> ProjectiveMap:
     # N is orthogonal to S, so their margin is 1 and e^{i theta} P_N + P_S is unitary; the
     # shared poles keep both projectors
     p_north, p_south = grassmann._projector(north, south), grassmann._projector(south, north)
-    return ProjectiveMap._invertible(np.exp(1j * theta) * p_north + p_south)
+    return ProjectiveMap._invertible(np.exp(1j * theta) * p_north + p_south,
+                                     grassmann._UNITARY_COND)
 
 
 def s1_action(theta: float, x: SubspacePoint) -> SubspacePoint:
@@ -298,8 +301,9 @@ def transport_to_zero(a: SubspacePoint) -> ProjectiveMap:
     d = np.zeros((2 * n, 2 * n), dtype=complex)
     d[:n, :n] = np.eye(n)
     d[n:, n:] = -u_a.conj().T
-    # C^{-1} = C*/2 and u_a is unitary (checked above), so (C/sqrt 2) d (C/sqrt 2)* is unitary
-    return ProjectiveMap._invertible(c @ d @ c_inv)
+    # C^{-1} = C*/2 and u_a is unitary (checked above), so (C/sqrt 2) d (C/sqrt 2)* is unitary,
+    # up to membership's bound on u_a (see grassmann._UNITARY_COND)
+    return ProjectiveMap._invertible(c @ d @ c_inv, grassmann._UNITARY_COND)
 
 
 def tangent_unit(a: SubspacePoint) -> SubspacePoint:

@@ -172,14 +172,15 @@ def _strong_normal_form(o: Obstate) -> tuple[np.ndarray, np.ndarray]:
     if not grassmann._is_zero_point(o.ref_observable):
         g = hermitian.transport_to_zero(o.ref_observable)
         A, W = apply_map(g, A), apply_map(g, W)
-    # A's chart value tested and symmetrized once, with the order test's (see _hermitian_parts)
+    # A's chart value and W's cochart value are each tested and symmetrized once per point,
+    # A's with the order test's (see grassmann._hermitian_parts); algebra.is_hermitian at 1e-7
     gap, size, a = grassmann._hermitian_parts(A)
-    w = grassmann._cochart_value(W)
-    if not gap <= 1e-7 * (1.0 + size):  # algebra.is_hermitian at tol 1e-7
+    w_gap, w_size, w = grassmann._cochart_hermitian_parts(W)
+    if not gap <= 1e-7 * (1.0 + size):
         raise NotHermitianError("transported observable has no Hermitian chart value")
-    if not algebra.is_hermitian(w, tol=1e-7):
+    if not w_gap <= 1e-7 * (1.0 + w_size):
         raise NotHermitianError("transported state has no Hermitian graph value")
-    return a, (w + w.conj().T) / 2
+    return a, w
 
 
 def variance(o: Obstate) -> float:

@@ -6,12 +6,15 @@ prove away, so losing one of those savings fails a test instead of only a
 timing.
 """
 
+import warnings
+
 import numpy as np
 import pytest
 
 from apline import algebra, crossratio, grassmann, hermitian, obstate, properties
 from apline.crossratio import INF
-from apline.errors import DimensionError, NotInChartError
+from apline.errors import (DimensionError, NonFiniteError, NotInChartError,
+                           NotTransversalError, SingularError, ValueOverflowError)
 
 
 _COUNTED = ("svd", "qr", "inv", "solve", "eigvalsh")
@@ -146,6 +149,68 @@ def test_kernel_runs_one_solve(monkeypatch):
     crossratio.kernel(x, a, b, y)
     # b and y share the frame [A | X], so one solve gives both graph decompositions
     assert len(solves) == 1
+
+
+def _conditioned_map(n, rng):
+    """A map U diag(s) V with unitary U, V and s in [1/e, e]: condition number at most e^2."""
+    u, v = (algebra.random_unitary(2 * n, rng) for _ in range(2))
+    return grassmann.ProjectiveMap((u * np.exp(rng.uniform(-1.0, 1.0, 2 * n))) @ v)
+
+
+def test_kernel_of_a_quadruple_moved_by_one_map_runs_no_margin_svd(counts):
+    rng = np.random.default_rng(34)
+    x, a, b, y = (grassmann.random_point(4, rng) for _ in range(4))
+    g = _conditioned_map(4, rng)
+    crossratio.kernel(x, a, b, y)
+    moved = [grassmann.apply_map(g, p) for p in (x, a, b, y)]
+    _reset(counts)
+    crossratio.kernel(*moved)
+    # each moved margin is bounded by its sources' sine, cached by the first kernel's gate,
+    # over cond(g); the bounds' products pass the margin-product test, so neither graph
+    # block runs its SVD: the solve and the blocks' inverses
+    assert counts == _tally(inv=2, solve=1)
+
+
+@pytest.mark.parametrize("pid, calls", [
+    # torsor_product's result point needs no rank SVD under the gate's condition bound of m
+    # (without it: 320 singular values)
+    ("grassmann.torsor_group", {"thin_qr": 190, "singular_values": 200, "proven_inverse": 120}),
+    # the moved quadruple's three margins are bounds (without them: 110 singular values)
+    ("crossratio.naturality", {"thin_qr": 80, "singular_values": 80, "proven_inverse": 40}),
+    # the moved pair (A0, Winf) is bounded from the sines of (0, infinity) (without: 40)
+    ("obstate.invariance", {"thin_qr": 60, "singular_values": 30, "proven_inverse": 40}),
+])
+def test_the_moved_pair_and_torsor_trials_skip_their_proven_svds(seam_calls, pid, calls):
+    spec = properties.SPECS[pid]
+    properties.run_property(spec, properties.DEFAULT_N_LIST, 10, 0)  # fills the per-n caches
+    _reset(seam_calls)
+    properties.run_property(spec, properties.DEFAULT_N_LIST, 10, 0)
+    assert seam_calls == calls
+
+
+def test_projective_map_runs_one_svd_and_keeps_its_condition_number(counts):
+    rep = _conditioned_map(3, np.random.default_rng(35)).rep
+    _reset(counts)
+    g = grassmann.ProjectiveMap(rep)
+    assert counts == _tally(svd=1)
+    s = np.linalg.svd(rep, compute_uv=False)
+    assert g._cond == s[0] / s[-1]
+    assert g.inverse()._cond == g._cond
+    assert grassmann.identity_map(3)._cond == 1.0
+
+
+@pytest.mark.parametrize("rep, error, match", [
+    (np.diag([1.0, np.nan]), NonFiniteError, "matrix entries must be finite"),
+    (1.5e308 * np.array([[1.0, 1.0], [1.0, -1.0]]), ValueOverflowError,
+     r"^matrix of scale 1\.500e\+308 .* SVD$"),
+    (np.diag([1.0, 0.0]), SingularError, "^projective map rep is singular$"),
+], ids=["nan", "overflow", "singular"])
+def test_projective_map_keeps_its_errors_from_its_one_svd(counts, rep, error, match):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(error, match=match):
+            grassmann.ProjectiveMap(rep)
+    assert counts == _tally(svd=1)
 
 
 @pytest.mark.parametrize("make", [grassmann.point_from_chart, grassmann.point_from_cochart])
@@ -295,8 +360,8 @@ def test_a_repeated_torsor_product_runs_only_its_result_point(counts):
     _reset(counts)
     grassmann.torsor_product(x, y, z, a, b)
     # the six margins and both projectors of m are kept on the pairs' first points; the
-    # new point m y is built by the public constructor: its QR and rank SVD
-    assert counts == _tally(svd=1, qr=1)
+    # new point m y needs no rank SVD, as the gate's sines bound cond(m): its QR
+    assert counts == _tally(qr=1)
 
 
 def test_a_repeated_tangent_product_runs_no_alpha_svd_and_no_repeated_margin(counts):
@@ -446,3 +511,112 @@ def test_the_failure_certificate_fires_only_where_the_svd_fails(counts, s, fails
     # the fresh point runs the guard's SVD; the memoized one only when the sines do not
     # decide (neither above the pass bound nor proving failure)
     assert svds == [1, 0 if fails else 1]
+
+
+# --- the gate of a moved pair ---------------------------------------------------------
+
+def _moved_pair(n, rng, cache=True):
+    """(x, a, g, g x, g a): two random points, a map of condition number at most e^2 and the
+    images, with the sources' sines cached unless not cache."""
+    x, a = (grassmann.random_point(n, rng) for _ in range(2))
+    g = _conditioned_map(n, rng)
+    if cache:
+        grassmann._sines(x, a)
+    return x, a, g, grassmann.apply_map(g, x), grassmann.apply_map(g, a)
+
+
+def _line_pair(sine):
+    """Sources x = span[1; 0] and a = span[1; t] of n = 1 with the given smallest sine, moved
+    by the identity map (condition number 1): (gx, ga, the held objects)."""
+    t = sine / np.sqrt(1.0 - sine * sine)
+    x, a = (grassmann.SubspacePoint(np.array([[1.0], [v]])) for v in (0.0, t))
+    g = grassmann.identity_map(1)
+    grassmann._sines(x, a)
+    return grassmann.apply_map(g, x), grassmann.apply_map(g, a), (x, a, g)
+
+
+def _dead_map(rng):
+    x, a, g, gx, ga = _moved_pair(3, rng)
+    return gx, ga, (x, a)  # g dies on return
+
+
+def _dead_source(rng):
+    x, a, g, gx, ga = _moved_pair(3, rng)
+    return gx, ga, (a, g)  # x dies on return
+
+
+def _uncached(rng):
+    x, a, g, gx, ga = _moved_pair(3, rng, cache=False)
+    return gx, ga, (x, a, g)
+
+
+def _two_maps(rng):
+    x, a, g, gx, ga = _moved_pair(3, rng)
+    h = _conditioned_map(3, rng)
+    return gx, grassmann.apply_map(h, a), (x, a, g, h)
+
+
+def _large_cond(rng):
+    x, a = (grassmann.random_point(3, rng) for _ in range(2))
+    g = grassmann.ProjectiveMap(np.diag([1e4] * 3 + [1e-4] * 3))  # condition number 1e8
+    grassmann._sines(x, a)
+    return grassmann.apply_map(g, x), grassmann.apply_map(g, a), (x, a, g)
+
+
+def _within_the_slack(rng):
+    # the bound tan(theta / 2) of the sine s - d - slack lands in (1e-7, 1e-7 + slack]
+    slack = grassmann._moved_pair_slack(1.0)
+    gx, ga, held = _line_pair(2e-7 + 2 * slack + grassmann._SINE_ROUNDING)
+    s = grassmann._cached_sine(*held[:2])
+    bound = grassmann._half_angle_tangent(s - grassmann._SINE_ROUNDING - slack)
+    assert 10 * grassmann.TRANSVERSALITY_RTOL < bound <= 10 * grassmann.TRANSVERSALITY_RTOL + slack
+    return gx, ga, held
+
+
+def _in_the_warning_decade(rng):
+    return _line_pair(1e-7)  # margin about 5e-8
+
+
+def _equal_sources(rng):
+    x = grassmann.random_point(3, rng)
+    a = grassmann.SubspacePoint(x.basis)  # a second object, the same point: sine 0
+    g = _conditioned_map(3, rng)
+    grassmann._sines(x, a)
+    return grassmann.apply_map(g, x), grassmann.apply_map(g, a), (x, a, g)
+
+
+@pytest.mark.parametrize("build", [_dead_map, _dead_source, _uncached, _two_maps, _large_cond,
+                                   _within_the_slack, _in_the_warning_decade, _equal_sources])
+def test_a_moved_pair_without_a_proven_bound_is_measured_with_its_decision_and_warning(counts,
+                                                                                      build):
+    gx, ga, held = build(np.random.default_rng(36))
+    _reset(counts)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            outcome = grassmann._require_transversal(((gx, ga, "gate"),))
+        except NotTransversalError as exc:
+            outcome = str(exc)
+    assert counts == _tally(svd=1)
+    # the measured margin decides and warns as it always has
+    margin = grassmann.transversality_margin(gx, ga)
+    rtol = grassmann.TRANSVERSALITY_RTOL
+    assert outcome == ((margin,) if margin > rtol else "gate")
+    assert [type(w.message) for w in caught] == (
+        [grassmann.TransversalityWarning] if rtol < margin < 10 * rtol else [])
+    assert build not in (_in_the_warning_decade, _equal_sources) or margin < 10 * rtol
+
+
+def test_a_moved_pair_bound_is_below_the_margin_and_outlives_the_map(counts):
+    rng = np.random.default_rng(37)
+    x, a, g, gx, ga = _moved_pair(4, rng)
+    _reset(counts)
+    (bound,) = grassmann._require_transversal(((gx, ga, "gate"),))
+    assert counts == _tally()
+    # the bound is kept with the pair: a later gate reads it after the map has died
+    del g
+    assert grassmann._require_transversal(((gx, ga, "gate"),)) == (bound,)
+    assert counts == _tally()
+    # a proven lower bound of the exact margin, which the gate did not cache
+    assert id(ga) not in gx._memo.get(grassmann._principal_sines, {})
+    assert 10 * grassmann.TRANSVERSALITY_RTOL < bound <= grassmann.transversality_margin(gx, ga)

@@ -252,7 +252,7 @@ def test_proven_invertible_maps_are_read_only_copies():
     assert inv.rep.tobytes() == np.linalg.inv(g.rep).tobytes()
     assert not inv.rep.flags.writeable
     rep = np.linalg.inv(g.rep)
-    h = grassmann.ProjectiveMap._invertible(rep)
+    h = grassmann.ProjectiveMap._invertible(rep, None)
     rep[0, 0] += 1.0
     assert h.rep[0, 0] != rep[0, 0]
     assert not h.rep.flags.writeable

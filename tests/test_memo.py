@@ -72,6 +72,7 @@ def test_memoized_values_are_bitwise_a_new_computation(n, cold_base_points):
         "transport_to_zero": lambda x: _bits(hermitian.transport_to_zero(x)),
         "_hermitian_chart": lambda x: _bits(hermitian._hermitian_chart(x)),
         "_hermitian_parts": lambda x: _parts(grassmann._hermitian_parts(x)),
+        "_cochart_hermitian_parts": lambda x: _parts(grassmann._cochart_hermitian_parts(x)),
         # each point's order value cut at x: a Hermitian chart, or a pair value on the point
         "_order_value": lambda x: _order_values(x, points),
     }
@@ -244,6 +245,11 @@ def test_memo_tags_are_names(cold_base_points):
     }
     assert tags == {"zero": "zero", "infinity": "infinity", "chart": "infinity",
                     "cochart": "zero"}
+    # an image's source tag, under apply_map: weak references to its map and its source
+    x, g = grassmann.one_point(2), grassmann.identity_map(2)
+    map_ref, source_ref = grassmann.apply_map(g, x)._memo[grassmann.apply_map]
+    assert isinstance(map_ref, weakref.ref) and isinstance(source_ref, weakref.ref)
+    assert (map_ref(), source_ref()) == (g, x)
 
 
 def test_the_chart_guard_reads_sines_to_a_named_base_point_and_builds_none(cold_base_points):
@@ -568,6 +574,39 @@ def test_an_overflowing_transport_raises_on_every_call():
         with pytest.raises(ValueOverflowError, match=r"^basis of scale "):
             grassmann.apply_map(g, x)
     assert _image_table(x) == {}
+
+
+def test_an_image_its_map_and_its_source_are_freed_by_reference_counting(no_gc):
+    rng = np.random.default_rng(635)
+    x, a = (grassmann.random_point(2, rng) for _ in range(2))
+    g = grassmann.ProjectiveMap(algebra.random_unitary(4, rng))
+    grassmann._sines(x, a)
+    gx, ga = grassmann.apply_map(g, x), grassmann.apply_map(g, a)
+    # the gate keeps its bound on the images, which tag their map and source weakly
+    assert grassmann._require_transversal(((gx, ga, "gate"),)) == (
+        _pair_table(gx, grassmann._moved_pair_bound)[id(ga)][1],)
+    refs = [weakref.ref(obj) for obj in (x, a, g, gx, ga)]
+    del x, a, g, gx, ga
+    assert [ref() for ref in refs] == [None] * 5
+
+
+def test_the_state_is_tested_and_symmetrized_once_per_obstate(monkeypatch, cold_base_points):
+    rng = np.random.default_rng(645)
+    o = obstate.standard_obstate(algebra.random_hermitian(4, rng), algebra.random_density(4, rng))
+    w = grassmann._cochart_value(o.state)
+    tested = []
+    hermitian_gap = algebra.hermitian_gap
+
+    def recorded(a):
+        tested.append(a.tobytes())
+        return hermitian_gap(a)
+    monkeypatch.setattr(algebra, "hermitian_gap", recorded)
+    first = obstate.report(o)
+    obstate.variance(o)
+    obstate.distribution(o)
+    assert obstate.report(o) == first
+    # W's cochart value is tested (and symmetrized) once, like A's chart value
+    assert tested.count(w.tobytes()) == 1
 
 
 def test_one_hermitian_test_of_a_chart_value_decides_each_tolerance():
