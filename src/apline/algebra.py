@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 import operator
-from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -212,16 +211,18 @@ def inverse(a) -> np.ndarray:
 # bitwise equal to np.linalg.qr, np.linalg.svd(a, compute_uv=False) and
 # np.linalg.inv.  At n <= 16 most of a numpy linalg call is its Python wrapper, so
 # the LAPACK gufuncs under those wrappers are called directly, under the wrappers'
-# own error state; the QR's geqrf stays on np.linalg.qr(a, mode="raw"), where
+# own error state.  A QR that only stores Q runs both of its gufuncs (geqrf, then
+# ungqr) under one such state; a QR whose R is read stays on np.linalg.qr, where
 # tracers and counters see it.  Where numpy lacks these gufuncs, the public
 # wrappers run instead.
 
 try:
     from numpy.linalg._umath_linalg import inv as _inv_gufunc
+    from numpy.linalg._umath_linalg import qr_r_raw as _qr_r_raw_gufunc
     from numpy.linalg._umath_linalg import qr_reduced as _qr_reduced_gufunc
     from numpy.linalg._umath_linalg import svd as _svd_gufunc
 except ImportError:  # pragma: no cover - depends on the numpy version
-    _inv_gufunc = _qr_reduced_gufunc = _svd_gufunc = None
+    _inv_gufunc = _qr_r_raw_gufunc = _qr_reduced_gufunc = _svd_gufunc = None
 
 
 def _raiser(message: str):
@@ -242,43 +243,34 @@ def _lapack_errstate(callback) -> np.errstate:
                        under="ignore")
 
 
-@lru_cache(maxsize=None)
-def _below_diagonal(rows: int, cols: int) -> np.ndarray:
-    """The mask np.triu clears: the entries strictly below the diagonal (read-only)."""
-    mask = np.tri(rows, cols, -1, dtype=bool)
-    mask.setflags(write=False)
-    return mask
-
-
 def thin_qr(a: np.ndarray, with_r: bool = False):
     """(Q, R) of the thin QR a = Q R of an m x n array a, m >= n; R is None unless with_r.
 
-    Bitwise np.linalg.qr(a).  One geqrf, through np.linalg.qr(a, mode="raw"),
-    leaves R on and above the diagonal of its packed factor and the reflectors
-    below it; Q is formed from those reflectors, and R is built only when asked.
-    Finite columns near the float range can overflow in the factorization: that
-    raises ValueOverflowError naming their scale, never returns a NaN factor.  A
-    non-finite reflector makes Q non-finite, so testing Q and the packed factor
-    is testing Q and R.
+    Bitwise np.linalg.qr(a) for the library's complex128 and float64 arrays.
+    With R, that is the call itself.  Q alone is what np.linalg.qr does
+    inside its wrapper: geqrf writes R and the reflectors into a copy of a
+    in numpy's common type and returns tau, and ungqr forms Q from them.
+    numpy runs each gufunc under its own copy of one error state, and a
+    failure (LAPACK's info != 0, raised as the invalid flag) raises before
+    the second runs, so one state around both is the same.  Finite columns
+    near the float range can overflow in the factorization: that raises
+    ValueOverflowError naming their scale, never returns a NaN factor.  A
+    non-finite reflector makes Q non-finite, so testing Q and the packed
+    factor is testing Q and R.
     """
-    if _qr_reduced_gufunc is None:
+    if with_r or _qr_r_raw_gufunc is None:
         q, packed = np.linalg.qr(a)
     else:
-        h, tau = np.linalg.qr(a, mode="raw")
-        packed = h.T
+        complex_ = a.dtype.kind == "c"
+        packed = a.astype(np.complex128 if complex_ else np.float64)  # geqrf overwrites it
         with _lapack_errstate(_QR_FAILED):
-            q = _qr_reduced_gufunc(packed, tau,
-                                   signature="DD->D" if packed.dtype.kind == "c" else "dd->d")
+            tau = _qr_r_raw_gufunc(packed, signature="D->D" if complex_ else "d->d")
+            q = _qr_reduced_gufunc(packed, tau, signature="DD->D" if complex_ else "dd->d")
     if not (np.isfinite(q).all() and np.isfinite(packed).all()):
         raise ValueOverflowError(
             f"basis of scale {_largest_part(a):.3e} (largest real or imaginary part) "
             "overflows the float range in its QR factorization")
-    if not with_r:
-        return q, None
-    if _qr_reduced_gufunc is None:
-        return q, packed
-    k = q.shape[-1]
-    return q, np.where(_below_diagonal(k, packed.shape[-1]), 0.0, packed[:k])
+    return q, (packed if with_r else None)
 
 
 def singular_values(a: np.ndarray) -> np.ndarray:

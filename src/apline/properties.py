@@ -110,7 +110,8 @@ def _point_clear_of(rng, n: int, others) -> grassmann.SubspacePoint:
 
 
 def _conditioned_map(rng, n: int) -> grassmann.ProjectiveMap:
-    return _draw(lambda: grassmann.random_map(n, rng), lambda g, _: np.linalg.cond(g.rep) < 2e3,
+    # g._cond is s_max/s_min of the SVD ProjectiveMap(rep) ran: np.linalg.cond(g.rep)
+    return _draw(lambda: grassmann.random_map(n, rng), lambda g, _: g._cond < 2e3,
                  60, "no projective map with condition number below 2e3")
 
 

@@ -262,7 +262,7 @@ def test_the_seam_is_bitwise_numpy(n, dtype):
 @pytest.mark.parametrize("dtype", [complex, float], ids=["complex128", "float64"])
 @pytest.mark.parametrize("n", _SEAM_N)
 def test_the_seam_without_the_gufuncs_is_bitwise_numpy(monkeypatch, n, dtype):
-    for name in ("_svd_gufunc", "_inv_gufunc", "_qr_reduced_gufunc"):
+    for name in ("_svd_gufunc", "_inv_gufunc", "_qr_r_raw_gufunc", "_qr_reduced_gufunc"):
         monkeypatch.setattr(algebra, name, None)
     _check_seam(n, dtype, 100 * n + 50)
 

@@ -19,10 +19,11 @@ from apline.errors import (DimensionError, NonFiniteError, NotInChartError,
 
 _COUNTED = ("svd", "qr", "inv", "solve", "eigvalsh")
 
-# The linalg seam calls two LAPACK gufuncs directly (see algebra.singular_values and
-# algebra.proven_inverse); they are counted where the seam binds them, beside the
-# np.linalg calls.  Its QRs run through np.linalg.qr.
-_SEAM = (("_svd_gufunc", "svd"), ("_inv_gufunc", "inv"))
+# The linalg seam calls LAPACK gufuncs directly (see algebra.thin_qr,
+# algebra.singular_values and algebra.proven_inverse); they are counted where the seam
+# binds them, beside the np.linalg calls.  A QR that stores Q alone is its geqrf
+# gufunc; a QR whose R is read runs through np.linalg.qr.
+_SEAM = (("_svd_gufunc", "svd"), ("_inv_gufunc", "inv"), ("_qr_r_raw_gufunc", "qr"))
 
 
 def _tally(**pinned):
@@ -64,6 +65,22 @@ def test_apply_map_runs_one_qr_and_no_svd(counts):
     assert counts == _tally(qr=1)
     # a repeat while g lives returns the image cached on x and runs nothing
     assert grassmann.apply_map(g, x) is image and counts == _tally(qr=1)
+
+
+@pytest.mark.parametrize("dtype", [complex, float], ids=["complex128", "float64"])
+def test_a_q_only_qr_skips_numpys_wrapper_and_enters_one_error_state(monkeypatch, dtype):
+    wrapper_calls, states = [], []
+    qr, errstate = np.linalg.qr, algebra._lapack_errstate
+    monkeypatch.setattr(np.linalg, "qr", lambda *args: wrapper_calls.append(args) or qr(*args))
+    monkeypatch.setattr(algebra, "_lapack_errstate",
+                        lambda callback: states.append(callback) or errstate(callback))
+    a = np.random.default_rng(36).standard_normal((8, 4)).astype(dtype)
+    algebra.thin_qr(a)
+    # geqrf and ungqr run under one error state, with no np.linalg.qr
+    assert (len(wrapper_calls), states) == (0, [algebra._QR_FAILED])
+    algebra.thin_qr(a, with_r=True)
+    # a QR whose R is read is np.linalg.qr itself
+    assert (len(wrapper_calls), len(states)) == (1, 1)
 
 
 def test_inverse_runs_no_svd(counts):

@@ -71,7 +71,13 @@ def test_trial_exceptions_become_failures_not_crashes():
 
 def test_a_sampler_that_never_accepts_is_a_reported_failure(monkeypatch):
     # every projective map then looks ill-conditioned, so _conditioned_map runs out
-    monkeypatch.setattr(np.linalg, "cond", lambda a: np.inf)
+    random_map = grassmann.random_map
+
+    def ill_conditioned(n, rng):
+        g = random_map(n, rng)
+        g._cond = np.inf
+        return g
+    monkeypatch.setattr(grassmann, "random_map", ill_conditioned)
     rep = properties.run_property(properties.SPECS["crossratio.naturality"],
                                   n_list=[2], trials=1, seed=0)
     assert rep["fail_count"] == 1
