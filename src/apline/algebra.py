@@ -75,12 +75,14 @@ def almost_equal(a, b) -> bool:
     return norm(a - b) <= TOL_EQ * scale
 
 
-def _check_same_dim(*mats) -> int:
+def _same_dim_matrices(*args) -> tuple:
+    """as_matrix of each argument; DimensionError unless they share one n."""
+    mats = tuple(as_matrix(a) for a in args)
     n = mats[0].shape[0]
     for m in mats[1:]:
         if m.shape[0] != n:
             raise DimensionError(f"dimension mismatch: {n} vs {m.shape[0]}")
-    return n
+    return mats
 
 
 def adjoint(a) -> np.ndarray:
@@ -113,12 +115,16 @@ def _largest_part(a: np.ndarray) -> float:
 
 
 def is_hermitian(a, tol: float = TOL_EQ) -> bool:
-    gap, size = hermitian_gap(as_matrix(a))
+    return _hermitian_within(*hermitian_gap(as_matrix(a)), tol)
+
+
+def _hermitian_within(gap: float, size: float, tol: float) -> bool:
+    """The Hermitian rule on hermitian_gap's two floats: gap <= tol (1 + size); NaN fails."""
     return gap <= tol * (1.0 + size)
 
 
 def hermitian_gap(a: np.ndarray) -> tuple[float, float]:
-    """(||a - a*||, ||a||): is_hermitian(a, tol) is gap <= tol (1 + size).
+    """(||a - a*||, ||a||): is_hermitian(a, tol) is _hermitian_within(gap, size, tol).
 
     When a norm overflows, they are the norms of the exact power-of-two
     rescale of a, on which the test decides as in exact arithmetic.  A
@@ -167,21 +173,21 @@ def leq(a, b) -> bool:
 
 
 def is_invertible(a, tol: float = TOL_INV) -> bool:
-    """s_min(a) > tol * s_max(a); a NaN or infinite entry raises NonFiniteError.
-
-    Finiteness is read off the SVD, not checked first: LAPACK does not
-    converge on a NaN entry, and an infinite one gives NaN singular values.
-    Finite entries whose singular values overflow raise ValueOverflowError
-    naming their scale: the ratio is unknown, not small.
-    """
+    """s_min(a) > tol * s_max(a), with invertible_cond's errors."""
     return invertible_cond(as_matrix(a), tol) is not None
 
 
 def invertible_cond(a: np.ndarray, tol: float = TOL_INV) -> float | None:
     """s_max(a) / s_min(a) of a square array a that passes is_invertible(a, tol), else None.
 
-    The one SVD of is_invertible, with its decision and its errors; the
-    ratio is below 1 / tol, so it is finite.
+    The one rank rule of the package, s_min > tol s_max, with its SVD:
+    is_invertible, inverse, ProjectiveMap and SubspacePoint's rank test all
+    decide here, and the ratio is below 1 / tol, so it is finite.  A NaN or
+    infinite entry raises NonFiniteError, read off the SVD, not checked
+    first: LAPACK does not converge on a NaN entry, and an infinite one
+    gives NaN singular values.  Finite entries whose singular values
+    overflow raise ValueOverflowError naming their scale: the ratio is
+    unknown, not small.
     """
     try:
         s = singular_values(a)
@@ -201,7 +207,7 @@ def invertible_cond(a: np.ndarray, tol: float = TOL_INV) -> float | None:
 
 def inverse(a) -> np.ndarray:
     a = as_matrix(a)
-    if not is_invertible(a):
+    if invertible_cond(a) is None:
         raise SingularError("matrix is singular within tolerance")
     return proven_inverse(a)
 
@@ -328,22 +334,19 @@ def trace_normalized(a) -> complex:
 
 def homotope_assoc(a, u, b) -> np.ndarray:
     """The u-homotope product a . b = aub."""
-    a, u, b = as_matrix(a), as_matrix(u), as_matrix(b)
-    _check_same_dim(a, u, b)
+    a, u, b = _same_dim_matrices(a, u, b)
     return a @ u @ b
 
 
 def homotope_lie(a, u, b) -> np.ndarray:
     """The u-homotope bracket [a, b] = aub - bua."""
-    a, u, b = as_matrix(a), as_matrix(u), as_matrix(b)
-    _check_same_dim(a, u, b)
+    a, u, b = _same_dim_matrices(a, u, b)
     return a @ u @ b - b @ u @ a
 
 
 def homotope_jordan(a, u, b) -> np.ndarray:
     """The u-homotope Jordan product (aub + bua)/2."""
-    a, u, b = as_matrix(a), as_matrix(u), as_matrix(b)
-    _check_same_dim(a, u, b)
+    a, u, b = _same_dim_matrices(a, u, b)
     return (a @ u @ b + b @ u @ a) / 2
 
 
@@ -357,15 +360,13 @@ class PairElement(NamedTuple):
 
 def pair_triple(x, y, z) -> np.ndarray:
     """The triple product <xyz> of the pair (A, A): plain xyz."""
-    x, y, z = as_matrix(x), as_matrix(y), as_matrix(z)
-    _check_same_dim(x, y, z)
+    x, y, z = _same_dim_matrices(x, y, z)
     return x @ y @ z
 
 
 def is_pair_idempotent(e: PairElement) -> bool:
     """Check <e+ e- e+> = e+ and <e- e+ e-> = e-."""
-    p, m = as_matrix(e.plus), as_matrix(e.minus)
-    _check_same_dim(p, m)
+    p, m = _same_dim_matrices(e.plus, e.minus)
     return almost_equal(p @ m @ p, p) and almost_equal(m @ p @ m, m)
 
 

@@ -167,6 +167,8 @@ def check(ctx, n_list, trials, seed, tol, property_ids, as_json) -> None:
     except KeyError as exc:
         known = ", ".join(properties.property_ids())
         raise click.ClickException(f"{exc.args[0]}; known ids: {known}")
+    except AplineError as exc:  # e.g. a NaN or infinite --tol
+        raise click.ClickException(str(exc))
     if as_json:
         _emit_json(report)
     else:

@@ -86,12 +86,6 @@ def proj_equal(u, v) -> bool:
     return _det(_homogeneous(u), _homogeneous(v)) == 0
 
 
-def _as_value(z: complex, real: bool):
-    if real:
-        return float(z.real)
-    return z
-
-
 def classical_cr(a, b, c, d):
     """The classical cross-ratio CR(a, b; c, d) = (c-a)(d-b)/((c-b)(d-a)).
 
@@ -109,7 +103,7 @@ def classical_cr(a, b, c, d):
             raise IndeterminateError(
                 "cross-ratio is 0/0: fewer than three distinct values")
         return INF
-    return _as_value(num / den, real)
+    return float((num / den).real) if real else num / den
 
 
 def ratio(c, b, a):

@@ -78,8 +78,7 @@ class SubspacePoint:
         if not np.isfinite(cols).all():
             raise NonFiniteError("basis entries must be finite")
         # cols = Q R with Q orthonormal, so cols and the n x n factor R share singular values
-        s = algebra.singular_values(self._canonicalize(cols, with_r=True))
-        if s[-1] <= TOL_INV * max(s[0], 1e-300):
+        if algebra.invertible_cond(self._canonicalize(cols, with_r=True)) is None:
             raise SingularError("basis columns are rank deficient")
 
     @classmethod
@@ -343,13 +342,9 @@ def _chart_value(x: SubspacePoint) -> np.ndarray:
 
 @_memoized
 def _hermitian_parts(x: SubspacePoint) -> tuple:
-    """(gap, size, h) of x's chart value a, cached on x: the floats of algebra.hermitian_gap(a)
-    and the symmetrization h = (a + a*) / 2 (read-only).
-
-    A Hermitian test of a at any tolerance tol is gap <= tol (1 + size) on the
-    same two floats, so a is tested and symmetrized once whatever the callers'
-    tolerances.  NotInChartError is raised on every call.
-    """
+    """(gap, size, h) of x's chart value a, cached on x: algebra.hermitian_gap(a), on which
+    algebra._hermitian_within decides at every tolerance, so a is tested once whatever the
+    callers' tolerances, and h = (a + a*) / 2 (read-only).  NotInChartError on every call."""
     return _gap_size_symmetrization(_chart_value(x))
 
 
@@ -719,10 +714,8 @@ def scalar_action(r, a: SubspacePoint, x: SubspacePoint,
 # An upper bound on the condition number of a rep proven unitary up to rounding,
 # which ProjectiveMap._invertible takes from hermitian's unitary constructions.
 # Rounding the products of unitary factors moves the singular values by a few
-# n eps; a rep built from a Cayley unitary u_a adds membership's bound:
-# ||X* Omega X|| <= e = TOL_EQ (1 + sqrt n) / sqrt 2 puts the singular values of
-# u_a in [sqrt((1 - e)/(1 + e)), sqrt((1 + e)/(1 - e))], so its condition number
-# is under 1 + 3 e < 1 + 1e-6 for n <= 10^4 (see hermitian._cayley_unitary).
+# n eps, and a rep built from a Cayley unitary u_a adds its condition number, under
+# 1 + 3 TOL_EQ (1 + sqrt n) / sqrt 2 < 1 + 1e-6 for n <= 10^4 (see hermitian._cayley_unitary).
 _UNITARY_COND = 1.0 + 1e-6
 
 
@@ -791,7 +784,7 @@ class ProjectiveMap:
 
 
 def identity_map(n: int) -> ProjectiveMap:
-    return ProjectiveMap(np.eye(2 * algebra.check_size(n)))
+    return ProjectiveMap._invertible(np.eye(2 * algebra.check_size(n)), 1.0)  # cond(I) = 1
 
 
 def apply_map(g: ProjectiveMap, x: SubspacePoint) -> SubspacePoint:

@@ -173,12 +173,12 @@ def _strong_normal_form(o: Obstate) -> tuple[np.ndarray, np.ndarray]:
         g = hermitian.transport_to_zero(o.ref_observable)
         A, W = apply_map(g, A), apply_map(g, W)
     # A's chart value and W's cochart value are each tested and symmetrized once per point,
-    # A's with the order test's (see grassmann._hermitian_parts); algebra.is_hermitian at 1e-7
+    # A's with the order test's (see grassmann._hermitian_parts), at tolerance 1e-7
     gap, size, a = grassmann._hermitian_parts(A)
     w_gap, w_size, w = grassmann._cochart_hermitian_parts(W)
-    if not gap <= 1e-7 * (1.0 + size):
+    if not algebra._hermitian_within(gap, size, 1e-7):
         raise NotHermitianError("transported observable has no Hermitian chart value")
-    if not w_gap <= 1e-7 * (1.0 + w_size):
+    if not algebra._hermitian_within(w_gap, w_size, 1e-7):
         raise NotHermitianError("transported state has no Hermitian graph value")
     return a, w
 

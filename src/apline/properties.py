@@ -17,6 +17,7 @@ from __future__ import annotations
 import hashlib
 import itertools
 import math
+import operator
 import warnings
 from dataclasses import dataclass
 from typing import Callable, Iterable, Optional, Sequence
@@ -25,7 +26,7 @@ import numpy as np
 
 from . import DEFAULT_TRIALS, algebra, classical, crossratio, grassmann, hermitian, obstate
 from .crossratio import INF, classical_cr, is_inf
-from .errors import DimensionError, IndeterminateError, ResamplingExhausted
+from .errors import DimensionError, IndeterminateError, NonFiniteError, ResamplingExhausted
 
 DEFAULT_N_LIST = (1, 2, 3, 4, 6)
 
@@ -885,12 +886,19 @@ def sub_seed(seed: int, pid: str, trial: int) -> int:
     return int.from_bytes(digest[:8], "big")
 
 
-def _sizes(n_list: Sequence[int], trials: int):
-    """n_list and trials as ints: whole numbers >= 1, n_list not empty (else DimensionError)."""
+def _arguments(n_list: Sequence[int], trials: int, seed: int, tol: Optional[float]):
+    """(n_list, trials, seed, tol) read once, before any trial runs (see run_sweep)."""
     n_list = [algebra.check_size(n) for n in n_list]
     if not n_list:
         raise DimensionError("the sweep needs at least one size n")
-    return n_list, algebra.check_size(trials, "trials")
+    try:
+        seed = operator.index(seed)  # so the report's seed is the one its sub-seeds read
+    except TypeError:
+        raise DimensionError(f"the seed must be a whole number, got {seed!r:.40}") from None
+    if tol is not None and not math.isfinite(tol := float(tol)):
+        # NaN would fail every trial and infinity pass every one, and neither is JSON
+        raise NonFiniteError(f"the tolerance override must be finite, got {tol}")
+    return n_list, algebra.check_size(trials, "trials"), seed, tol
 
 
 def run_property(spec: PropertySpec, n_list: Sequence[int], trials: int,
@@ -898,10 +906,10 @@ def run_property(spec: PropertySpec, n_list: Sequence[int], trials: int,
     """Run trials of spec over the sizes of n_list that spec.dims allows.
 
     When n_list names none of them, the trials run over spec.dims.  The
-    sizes and trials are checked as in run_sweep (DimensionError).
+    arguments are checked as in run_sweep.
     """
-    n_list, trials = _sizes(n_list, trials)
-    tolerance = spec.tolerance if tol is None else float(tol)
+    n_list, trials, seed, tol = _arguments(n_list, trials, seed, tol)
+    tolerance = spec.tolerance if tol is None else tol
     ns = [n for n in n_list if spec.dims is None or n in spec.dims] or list(spec.dims or n_list)
     outcomes = []  # (residual, error) of each trial
     for i in range(trials):
@@ -939,24 +947,21 @@ def run_sweep(n_list: Sequence[int] = DEFAULT_N_LIST,
               tol: Optional[float] = None) -> dict:
     """Run the registry and return a deterministic, JSON-ready report.
 
-    Every size in n_list, and trials, must be a whole number >= 1, and n_list
-    must name at least one size (DimensionError otherwise).
+    Every size in n_list, and trials, must be a whole number >= 1, n_list
+    must name at least one size, and the seed must be a whole number
+    (DimensionError otherwise); a tolerance override must be finite
+    (NonFiniteError otherwise).
     """
-    n_list, trials = _sizes(n_list, trials)
-    if properties is None:
-        selected = list(_SPEC_LIST)
-    else:
-        wanted = list(properties)
-        unknown = [pid for pid in wanted if pid not in SPECS]
-        if unknown:
-            raise KeyError(f"unknown property ids: {', '.join(sorted(unknown))}")
-        selected = [spec for spec in _SPEC_LIST if spec.pid in wanted]
-    results = {}
-    for spec in selected:
-        results[spec.pid] = run_property(spec, n_list, trials, seed, tol=tol)
+    n_list, trials, seed, tol = _arguments(n_list, trials, seed, tol)
+    wanted = None if properties is None else list(properties)
+    unknown = [pid for pid in wanted or () if pid not in SPECS]
+    if unknown:
+        raise KeyError(f"unknown property ids: {', '.join(sorted(unknown))}")
+    selected = [spec for spec in _SPEC_LIST if wanted is None or spec.pid in wanted]
+    results = {spec.pid: run_property(spec, n_list, trials, seed, tol) for spec in selected}
     return {
         "schema": 1,
-        "seed": int(seed),
+        "seed": seed,
         "n_list": n_list,
         "trials": trials,
         "properties": results,

@@ -168,6 +168,16 @@ def test_check_tol_override_can_fail():
     assert "sub_seed" in fail["example_failure"]
 
 
+@pytest.mark.parametrize("tol", ["nan", "inf", "-inf", "1e999"])
+def test_check_rejects_a_non_finite_tol_before_any_trial(tol):
+    res = runner.invoke(main, ["check", "--n", "1", "--trials", "1",
+                               "--property", "algebra.trace", "--tol", tol])
+    assert res.exit_code == 1
+    assert "Error: the tolerance override must be finite" in res.output
+    # no report: its "tolerance" would be NaN or Infinity, which is not JSON
+    assert "NaN" not in res.stdout and "Infinity" not in res.stdout
+
+
 def test_classical_pairing_and_obstate(tmp_path):
     pairing = {
         "mu": {"m": 3, "weights": [1, 1, 1]},

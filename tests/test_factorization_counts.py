@@ -112,6 +112,29 @@ def test_cayley_to_unitary_runs_no_svd_on_the_constant_map(counts):
     # membership proves the chart block invertible, so no SVD is left: the QR of C^-1 x
     # and the inverse of its chart block
     assert counts == _tally(qr=1, inv=1)
+    # the QR's basis is used in place: no image point of C^-1 x is built or cached on x
+    assert grassmann._image not in x._memo
+
+
+def test_proven_unitaries_are_not_tested_again(monkeypatch):
+    tested = []
+    is_unitary = algebra.is_unitary
+    monkeypatch.setattr(algebra, "is_unitary",
+                        lambda *args, **kwargs: tested.append(args) or is_unitary(*args, **kwargs))
+    rng = np.random.default_rng(37)
+    # random_unitary's Q is unitary by construction, and membership proves a Cayley unitary
+    x = hermitian.random_r_point(3, rng)
+    u = hermitian.cayley_to_unitary(x)
+    hermitian.transport_to_zero(hermitian.random_r_point(3, rng))
+    assert tested == []
+    # the public boundary still tests the matrix it is given
+    hermitian.unitary_to_point(u)
+    assert len(tested) == 1
+
+
+def test_identity_map_runs_no_svd(counts):
+    g = grassmann.identity_map(3)
+    assert counts == _tally() and g._cond == 1.0
 
 
 def _pure_obstate(n, seed):

@@ -246,6 +246,13 @@ def test_public_constructors_still_reject_singular_input():
         grassmann.ProjectiveMap(rep)
 
 
+def test_a_basis_whose_rank_svd_overflows_names_its_scale():
+    # full rank, and its QR is finite, but s_max of R overflows: the rank is unknown, not low
+    cols = np.array([[1.3e308, 1.3e308], [0.0, 1.3e308], [0.0, 0.0], [0.0, 0.0]])
+    with pytest.raises(ValueOverflowError, match=r"scale 1\.300e\+308 .* SVD$"):
+        grassmann.SubspacePoint(cols)
+
+
 def test_proven_invertible_maps_are_read_only_copies():
     g = grassmann.random_map(3, RNG)
     inv = g.inverse()

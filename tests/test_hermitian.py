@@ -640,3 +640,28 @@ def test_points_of_mixed_sizes_are_a_dimension_error(case):
     _, call = _mixed_n_calls()[case]
     with pytest.raises(DimensionError, match="^points of mixed dimensions: n = "):
         call()
+
+
+def test_sampled_and_cayley_points_keep_the_bits_of_their_checked_forms():
+    n = 3
+    x = hermitian.random_r_point(n, np.random.default_rng(29))
+    want = hermitian.unitary_to_point(algebra.random_unitary(n, np.random.default_rng(29)))
+    assert x.basis.tobytes() == want.basis.tobytes()
+    c_inv = hermitian._cayley_maps(n)[1]
+    u = hermitian.cayley_to_unitary(x)
+    assert u.tobytes() == grassmann.chart_repr(grassmann.apply_map(c_inv, x)).tobytes()
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 6, 8, 16])
+def test_the_cayley_unitary_of_a_member_near_the_threshold_meets_its_proven_bound(n):
+    # _cayley_unitary runs no unitarity test: for a member whose Gram norm
+    # g = ||X* Omega X||_F passes the threshold, ||u* u - I||_F = ||u u* - I||_F <= 2g / (1 - g)
+    near = [x for factor, x in _r_points_near_threshold(n) if factor == 0.9]
+    assert len(near) == 5
+    for x in near:
+        assert hermitian.membership(x, "RNS")
+        g = np.linalg.norm(x.basis.conj().T @ hermitian.omega_matrix(n) @ x.basis)
+        u = hermitian.cayley_to_unitary(x)
+        bound = 2.0 * g / (1.0 - g) + 1e-13 * n
+        for gram in (u.conj().T @ u, u @ u.conj().T):
+            assert np.linalg.norm(gram - np.eye(n)) <= bound

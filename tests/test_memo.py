@@ -609,6 +609,25 @@ def test_the_state_is_tested_and_symmetrized_once_per_obstate(monkeypatch, cold_
     assert tested.count(w.tobytes()) == 1
 
 
+def test_the_order_and_the_normal_form_decide_by_algebras_hermitian_rule(monkeypatch,
+                                                                          cold_base_points):
+    rng = np.random.default_rng(646)
+    o = obstate.standard_obstate(algebra.random_hermitian(3, rng), algebra.random_density(3, rng))
+    a, b = (grassmann.point_from_chart(algebra.random_hermitian(3, rng)) for _ in range(2))
+    tolerances = []
+    within = algebra._hermitian_within
+
+    def recorded(gap, size, tol):
+        tolerances.append(tol)
+        return within(gap, size, tol)
+    monkeypatch.setattr(algebra, "_hermitian_within", recorded)
+    hermitian.cyclic_triple(a, b, grassmann.infinity_point(3))
+    assert tolerances == [1e-8, 1e-8]
+    tolerances.clear()
+    obstate.variance(o)
+    assert tolerances == [1e-7, 1e-7]
+
+
 def test_one_hermitian_test_of_a_chart_value_decides_each_tolerance():
     # a chart value whose relative gap ||a - a*|| / (1 + ||a||) lies between 1e-8 and 1e-7:
     # the normal form's test (1e-7) passes, the order test's (1e-8) fails

@@ -7,7 +7,7 @@ import pytest
 
 from apline import algebra, classical, grassmann, hermitian, obstate, properties
 from apline.crossratio import INF
-from apline.errors import DimensionError, IndeterminateError
+from apline.errors import DimensionError, IndeterminateError, NonFiniteError
 
 
 def test_registry_covers_every_module():
@@ -96,6 +96,40 @@ def test_run_property_checks_its_sizes_as_run_sweep_does(n_list, trials, message
     for run in runs:
         with pytest.raises(DimensionError, match=message):
             run()
+
+
+@pytest.mark.parametrize("arguments, error, message", [
+    # NaN failed trials of residual 0.0 and infinity passed every trial, and neither is JSON
+    ({"tol": np.nan}, NonFiniteError, "^the tolerance override must be finite"),
+    ({"tol": np.inf}, NonFiniteError, "^the tolerance override must be finite"),
+    ({"tol": -np.inf}, NonFiniteError, "^the tolerance override must be finite"),
+    # a report of seed 1.5 read "seed": 1 while every sub-seed was drawn from "1.5:..."
+    ({"seed": 1.5}, DimensionError, "^the seed must be a whole number"),
+    ({"seed": "x"}, DimensionError, "^the seed must be a whole number"),
+    ({"seed": None}, DimensionError, "^the seed must be a whole number"),
+], ids=["tol-nan", "tol-inf", "tol-minus-inf", "seed-float", "seed-text", "seed-none"])
+def test_a_bad_seed_or_tolerance_raises_before_any_trial_runs(monkeypatch, arguments, error,
+                                                                message):
+    drawn = []
+    monkeypatch.setattr(properties, "sub_seed", lambda *args: drawn.append(args) or 0)
+    args = {"n_list": [2], "trials": 2, "seed": 0, **arguments}
+    for run in (lambda: properties.run_property(properties.SPECS["algebra.trace"], **args),
+                lambda: properties.run_sweep(properties=["algebra.trace"], **args)):
+        with pytest.raises(error, match=message):
+            run()
+    assert drawn == []
+
+
+def test_a_negative_tolerance_override_is_kept_and_fails_every_trial():
+    rep = properties.run_property(properties.SPECS["algebra.trace"], [2], 2, 0, tol=-1.0)
+    assert (rep["tolerance"], rep["fail_count"], rep["ok"]) == (-1.0, 2, False)
+
+
+def test_a_numpy_integer_seed_reports_and_reproduces_as_its_int():
+    args = dict(n_list=[2], trials=2, properties=["algebra.trace", "crossratio.chains"])
+    rep = properties.run_sweep(seed=np.int64(7), **args)
+    assert rep == properties.run_sweep(seed=7, **args)
+    assert type(rep["seed"]) is int
 
 
 def test_only_draw_raises_resampling_exhausted():
