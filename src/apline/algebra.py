@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 import operator
+from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -181,8 +182,9 @@ def invertible_cond(a: np.ndarray, tol: float = TOL_INV) -> float | None:
     """s_max(a) / s_min(a) of a square array a that passes is_invertible(a, tol), else None.
 
     The one rank rule of the package, s_min > tol s_max, with its SVD:
-    is_invertible, inverse, ProjectiveMap and SubspacePoint's rank test all
-    decide here, and the ratio is below 1 / tol, so it is finite.  A NaN or
+    is_invertible, inverse and ProjectiveMap decide here, and so does
+    SubspacePoint's rank test where _triangular_full_rank's bound does not.
+    The ratio is below 1 / tol, so it is finite.  A NaN or
     infinite entry raises NonFiniteError, read off the SVD, not checked
     first: LAPACK does not converge on a NaN entry, and an infinite one
     gives NaN singular values.  Finite entries whose singular values
@@ -205,6 +207,48 @@ def invertible_cond(a: np.ndarray, tol: float = TOL_INV) -> float | None:
     return None
 
 
+def _triangular_full_rank(f: np.ndarray) -> bool:
+    """Whether R = np.triu(f[:n]) passes the rank rule s_min > TOL_INV max(s_max, 1e-300).
+
+    f is the second factor thin_qr returns for a finite m x n array, so R is
+    that array's n x n factor.  R's diagonal and Frobenius norm prove full
+    rank for all but near-singular R, with no SVD; the rest run
+    invertible_cond(R), with its decisions and errors.  The proof, for
+    singular values s_1 >= ... >= s_n of R:
+    1. s_1 ... s_n = |det R| = |r_11 ... r_nn|;
+    2. AM-GM on s_1, ..., s_(n-1), whose squares sum to at most ||R||_F^2,
+       gives s_n >= |det R| ((n - 1) / ||R||_F^2)^((n - 1) / 2);
+    3. s_1 <= ||R||_F, so s_n / s_1 >= L = prod(|r_ii| / ||R||_F) (n - 1)^((n - 1) / 2).
+    4. The SVD's computed singular values lie within p(n) u s_1 of the exact
+       ones (u = 2^-53), and the computed L within a relative n^3 u of L (its
+       sum of n (n + 1) squares, raised to the power n / 2, and 3n more
+       roundings): together below 1e-12 at n <= 16, far inside the factor 2
+       below.  So a computed L > 2 TOL_INV passes the SVD's rule too, and a
+       sum of squares above 1e-300 puts s_1 far above the rule's floor.
+    A sum of squares that overflows (inf: vdot raises no floating-point
+    warning) or lies at or below 1e-300, where subnormal squares lose
+    digits, and an L that underflows to 0 (a zero diagonal entry) prove
+    nothing, and the SVD decides.
+    """
+    n = f.shape[1]
+    top = f[:n]
+    upper = top.reshape(-1)[_upper_triangle(n)].view(np.float64)
+    squares = float(np.vdot(upper, upper))
+    if 1e-300 < squares < math.inf:
+        ratios = np.abs(top.diagonal()) / math.sqrt(squares)
+        if np.multiply.reduce(ratios) * (n - 1) ** ((n - 1) / 2) > 2 * TOL_INV:
+            return True
+    return invertible_cond(np.triu(top)) is not None
+
+
+@lru_cache(maxsize=None)
+def _upper_triangle(n: int) -> np.ndarray:
+    """The C-order flat indices of the upper triangle of an n x n array (read-only)."""
+    indices = np.flatnonzero(np.triu(np.ones((n, n), dtype=bool)))
+    indices.setflags(write=False)
+    return indices
+
+
 def inverse(a) -> np.ndarray:
     a = as_matrix(a)
     if invertible_cond(a) is None:
@@ -217,10 +261,10 @@ def inverse(a) -> np.ndarray:
 # bitwise equal to np.linalg.qr, np.linalg.svd(a, compute_uv=False) and
 # np.linalg.inv.  At n <= 16 most of a numpy linalg call is its Python wrapper, so
 # the LAPACK gufuncs under those wrappers are called directly, under the wrappers'
-# own error state.  A QR that only stores Q runs both of its gufuncs (geqrf, then
-# ungqr) under one such state; a QR whose R is read stays on np.linalg.qr, where
-# tracers and counters see it.  Where numpy lacks these gufuncs, the public
-# wrappers run instead.
+# own error state.  A QR runs both of its gufuncs (geqrf, then ungqr) under one
+# such state and returns geqrf's packed factor, whose upper triangle is R; only a
+# caller that solves with R asks np.linalg.qr for it.  Where numpy lacks these
+# gufuncs, the public wrappers run instead.
 
 try:
     from numpy.linalg._umath_linalg import inv as _inv_gufunc
@@ -250,19 +294,20 @@ def _lapack_errstate(callback) -> np.errstate:
 
 
 def thin_qr(a: np.ndarray, with_r: bool = False):
-    """(Q, R) of the thin QR a = Q R of an m x n array a, m >= n; R is None unless with_r.
+    """(Q, F) of the thin QR a = Q R of an m x n array a, m >= n, with R = np.triu(F[:n]).
 
-    Bitwise np.linalg.qr(a) for the library's complex128 and float64 arrays.
-    With R, that is the call itself.  Q alone is what np.linalg.qr does
-    inside its wrapper: geqrf writes R and the reflectors into a copy of a
-    in numpy's common type and returns tau, and ungqr forms Q from them.
-    numpy runs each gufunc under its own copy of one error state, and a
-    failure (LAPACK's info != 0, raised as the invalid flag) raises before
-    the second runs, so one state around both is the same.  Finite columns
-    near the float range can overflow in the factorization: that raises
-    ValueOverflowError naming their scale, never returns a NaN factor.  A
-    non-finite reflector makes Q non-finite, so testing Q and the packed
-    factor is testing Q and R.
+    Bitwise np.linalg.qr(a) for the library's complex128 and float64 arrays:
+    Q is its Q, and np.triu(F[:n]) its R.  With with_r, that is the call
+    itself and F is R.  Otherwise it is what np.linalg.qr does inside its
+    wrapper, less the triu: geqrf writes R and the reflectors into a copy F
+    of a in numpy's common type and returns tau, and ungqr forms Q from
+    them.  numpy runs each gufunc under its own copy of one error state,
+    and a failure (LAPACK's info != 0, raised as the invalid flag) raises
+    before the second runs, so one state around both is the same.  Without
+    the gufuncs, F is numpy's R.  Finite columns near the float range can
+    overflow in the factorization: that raises ValueOverflowError naming
+    their scale, never returns a NaN factor.  A non-finite reflector makes
+    Q non-finite, so testing Q and F is testing Q and R.
     """
     if with_r or _qr_r_raw_gufunc is None:
         q, packed = np.linalg.qr(a)
@@ -276,7 +321,7 @@ def thin_qr(a: np.ndarray, with_r: bool = False):
         raise ValueOverflowError(
             f"basis of scale {_largest_part(a):.3e} (largest real or imaginary part) "
             "overflows the float range in its QR factorization")
-    return q, (packed if with_r else None)
+    return q, packed
 
 
 def singular_values(a: np.ndarray) -> np.ndarray:
@@ -473,11 +518,17 @@ def random_invertible(n: int, rng) -> np.ndarray:
 
 
 def random_unitary(n: int, rng) -> np.ndarray:
-    """Haar-ish unitary: QR of a Ginibre matrix with phases normalized."""
+    """Haar-ish unitary: QR of a Ginibre matrix with phases normalized.
+
+    The phases are R's diagonal over its modulus, read off the QR's packed
+    factor.  A zero diagonal entry (a draw of probability zero) gets phase
+    1, so Q diag(phases) stays unitary.
+    """
     rng = rng_from(rng)
-    q, r = thin_qr(random_matrix(n, rng), with_r=True)
-    d = np.diagonal(r)
-    return q * (d / np.abs(d))
+    q, packed = thin_qr(random_matrix(n, rng))
+    d = packed.diagonal()
+    size = np.abs(d)
+    return q * np.divide(d, size, out=np.ones_like(d), where=size > 0)
 
 
 def random_psd(n: int, rng) -> np.ndarray:

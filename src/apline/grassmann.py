@@ -77,33 +77,35 @@ class SubspacePoint:
                 f"a point of the projective line needs a 2n x n basis, n >= 1, got {cols.shape}")
         if not np.isfinite(cols).all():
             raise NonFiniteError("basis entries must be finite")
-        # cols = Q R with Q orthonormal, so cols and the n x n factor R share singular values
-        if algebra.invertible_cond(self._canonicalize(cols, with_r=True)) is None:
+        # cols = Q R with Q orthonormal, so cols and the n x n factor R share singular values;
+        # R's diagonal and norm settle the rank rule, or else its SVD does
+        if not algebra._triangular_full_rank(self._canonicalize(cols)):
             raise SingularError("basis columns are rank deficient")
 
     @classmethod
     def _full_rank(cls, columns: np.ndarray) -> "SubspacePoint":
         """The point spanned by 2n x n columns whose full rank the caller has proven.
 
-        Skips the rank SVD of __init__ and runs the same QR, so the basis
+        Skips the rank test of __init__ and runs the same QR, so the basis
         is bitwise equal to SubspacePoint(columns).basis.
         """
         x = cls.__new__(cls)
         x._canonicalize(np.asarray(columns, dtype=complex))
         return x
 
-    def _canonicalize(self, cols: np.ndarray, with_r: bool = False):
-        """Store the orthonormal factor Q of cols = Q R, and return R if with_r (else None).
+    def _canonicalize(self, cols: np.ndarray) -> np.ndarray:
+        """Store the orthonormal factor Q of cols = Q R; return the QR's packed factor F.
 
-        Finite columns near the float range can overflow in the QR; that
-        is an error naming their scale, never a NaN basis (see algebra.thin_qr).
+        R is np.triu(F[:n]), bitwise numpy's (see algebra.thin_qr).  Finite
+        columns near the float range can overflow in the QR; that is an
+        error naming their scale, never a NaN basis.
         """
-        q, r = algebra.thin_qr(cols, with_r)
+        q, packed = algebra.thin_qr(cols)
         self.n = cols.shape[1]
         q.setflags(write=False)
         self.basis = q
         self._memo = {}
-        return r
+        return packed
 
     @property
     def projector(self) -> np.ndarray:
@@ -260,7 +262,7 @@ def one_point(n: int) -> SubspacePoint:
 
 
 # Frobenius norm of a chart value up to which its graph basis is built
-# without the rank SVD and tagged with its chart's horizon (see _graph_point).
+# without the rank test and tagged with its chart's horizon (see _graph_point).
 _GRAPH_NORM_BOUND = 1e6
 
 # A lower bound on the transversality margin of a tagged graph point to its
@@ -659,7 +661,7 @@ def torsor_product(x: SubspacePoint, y: SubspacePoint, z: SubspacePoint,
     return SubspacePoint(m @ y.basis)
 
 
-# Condition bound of M_{xabz} up to which torsor_product builds M Y without the rank SVD.
+# Condition bound of M_{xabz} up to which torsor_product builds M Y without the rank test.
 _TORSOR_COND_BOUND = 1e5
 
 

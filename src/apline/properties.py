@@ -895,9 +895,15 @@ def _arguments(n_list: Sequence[int], trials: int, seed: int, tol: Optional[floa
         seed = operator.index(seed)  # so the report's seed is the one its sub-seeds read
     except TypeError:
         raise DimensionError(f"the seed must be a whole number, got {seed!r:.40}") from None
-    if tol is not None and not math.isfinite(tol := float(tol)):
-        # NaN would fail every trial and infinity pass every one, and neither is JSON
-        raise NonFiniteError(f"the tolerance override must be finite, got {tol}")
+    if tol is not None:
+        try:
+            tol = float(tol)
+        except (TypeError, ValueError):
+            raise DimensionError(
+                f"the tolerance override must be a number, got {tol!r:.40}") from None
+        if not math.isfinite(tol):
+            # NaN would fail every trial and infinity pass every one, and neither is JSON
+            raise NonFiniteError(f"the tolerance override must be finite, got {tol}")
     return n_list, algebra.check_size(trials, "trials"), seed, tol
 
 
@@ -948,9 +954,9 @@ def run_sweep(n_list: Sequence[int] = DEFAULT_N_LIST,
     """Run the registry and return a deterministic, JSON-ready report.
 
     Every size in n_list, and trials, must be a whole number >= 1, n_list
-    must name at least one size, and the seed must be a whole number
-    (DimensionError otherwise); a tolerance override must be finite
-    (NonFiniteError otherwise).
+    must name at least one size, the seed must be a whole number and a
+    tolerance override a number (DimensionError otherwise), and the
+    override must be finite (NonFiniteError otherwise).
     """
     n_list, trials, seed, tol = _arguments(n_list, trials, seed, tol)
     wanted = None if properties is None else list(properties)

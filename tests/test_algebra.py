@@ -1,4 +1,5 @@
 import ast
+import hashlib
 import json
 import warnings
 from pathlib import Path
@@ -245,9 +246,10 @@ def _check_seam(n, dtype, seed):
         q, r = algebra.thin_qr(a, with_r=True)
         _same_bits(q, want_q)
         _same_bits(r, want_r)
-        q_alone, no_r = algebra.thin_qr(a)
-        _same_bits(q_alone, want_q)
-        assert no_r is None
+        q_packed, packed = algebra.thin_qr(a)
+        _same_bits(q_packed, want_q)
+        # R is the upper triangle of the packed factor's first n rows, as numpy reads it
+        _same_bits(np.triu(packed[:n]), want_r)
         _same_bits(algebra.singular_values(a), np.linalg.svd(a, compute_uv=False))
     for a in _layouts(square).values():
         _same_bits(algebra.proven_inverse(a), np.linalg.inv(a))
@@ -265,6 +267,43 @@ def test_the_seam_without_the_gufuncs_is_bitwise_numpy(monkeypatch, n, dtype):
     for name in ("_svd_gufunc", "_inv_gufunc", "_qr_r_raw_gufunc", "_qr_reduced_gufunc"):
         monkeypatch.setattr(algebra, name, None)
     _check_seam(n, dtype, 100 * n + 50)
+
+
+# sha256 of the tobytes() of random_unitary(n, seed) for n in _SEAM_N and seeds 0, 1, 7, as
+# it was computed from np.linalg.qr's R
+_RANDOM_UNITARY_DIGEST = "1efb6c77580f121d84b8f8cb98967601128d45e206da06f8e71c40f0eb46e8b9"
+
+
+@pytest.mark.parametrize("gufuncs", [True, False], ids=["gufuncs", "no-gufuncs"])
+def test_random_unitary_keeps_its_bits_when_its_phases_come_from_the_packed_factor(
+        monkeypatch, gufuncs):
+    if not gufuncs:
+        for name in ("_svd_gufunc", "_inv_gufunc", "_qr_r_raw_gufunc", "_qr_reduced_gufunc"):
+            monkeypatch.setattr(algebra, name, None)
+    digest = hashlib.sha256()
+    for n in _SEAM_N:
+        for seed in (0, 1, 7):
+            digest.update(algebra.random_unitary(n, seed).tobytes())
+    assert digest.hexdigest() == _RANDOM_UNITARY_DIGEST
+
+
+def test_random_unitary_gives_a_zero_diagonal_entry_of_r_phase_one(monkeypatch):
+    want = algebra.random_unitary(4, 5)
+    q, _ = algebra.thin_qr(algebra.random_matrix(4, 5))
+    geqrf = algebra._qr_r_raw_gufunc
+
+    def zero_first_pivot(packed, **kwargs):
+        tau = geqrf(packed, **kwargs)
+        packed[0, 0] = 0.0  # R[0, 0]; the reflectors, and so Q, are unchanged
+        return tau
+    monkeypatch.setattr(algebra, "_qr_r_raw_gufunc", zero_first_pivot)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        u = algebra.random_unitary(4, 5)
+    # the first column is Q's, times phase 1; every other column keeps its bits
+    _same_bits(u[:, 0], q[:, 0])
+    _same_bits(u[:, 1:], want[:, 1:])
+    assert algebra.is_unitary(u)
 
 
 @pytest.mark.parametrize("n", [2, 4, 16])

@@ -21,8 +21,8 @@ _COUNTED = ("svd", "qr", "inv", "solve", "eigvalsh")
 
 # The linalg seam calls LAPACK gufuncs directly (see algebra.thin_qr,
 # algebra.singular_values and algebra.proven_inverse); they are counted where the seam
-# binds them, beside the np.linalg calls.  A QR that stores Q alone is its geqrf
-# gufunc; a QR whose R is read runs through np.linalg.qr.
+# binds them, beside the np.linalg calls.  A QR is its geqrf gufunc, unless it is the one
+# that solves with R and runs through np.linalg.qr.
 _SEAM = (("_svd_gufunc", "svd"), ("_inv_gufunc", "inv"), ("_qr_r_raw_gufunc", "qr"))
 
 
@@ -79,8 +79,32 @@ def test_a_q_only_qr_skips_numpys_wrapper_and_enters_one_error_state(monkeypatch
     # geqrf and ungqr run under one error state, with no np.linalg.qr
     assert (len(wrapper_calls), states) == (0, [algebra._QR_FAILED])
     algebra.thin_qr(a, with_r=True)
-    # a QR whose R is read is np.linalg.qr itself
+    # a QR that solves with R (obstate._line_factors) is np.linalg.qr itself
     assert (len(wrapper_calls), len(states)) == (1, 1)
+
+
+def test_a_public_point_proves_its_rank_from_r_and_runs_the_svd_only_near_singular(
+        monkeypatch, counts):
+    wrapper_calls = []
+    qr = np.linalg.qr
+    monkeypatch.setattr(np.linalg, "qr", lambda *args: wrapper_calls.append(args) or qr(*args))
+    rng = np.random.default_rng(38)
+    cols = rng.standard_normal((8, 4)) + 1j * rng.standard_normal((8, 4))
+    _reset(counts)
+    grassmann.SubspacePoint(cols)
+    # the QR's geqrf, with no np.linalg.qr and no singular_values: the bound on R decides
+    assert counts == _tally(qr=1) and wrapper_calls == []
+    # column sets of condition number about 1e9 and 1e11 are past the bound: the SVD decides
+    u, _, vh = np.linalg.svd(cols, full_matrices=False)
+    for exponent, singular in ((-9, False), (-11, True)):
+        _reset(counts)
+        try:
+            grassmann.SubspacePoint((u * np.logspace(0, exponent, 4)) @ vh)
+        except SingularError:
+            assert singular
+        else:
+            assert not singular
+        assert counts == _tally(qr=1, svd=1) and wrapper_calls == []
 
 
 def test_inverse_runs_no_svd(counts):
@@ -213,10 +237,12 @@ def test_kernel_of_a_quadruple_moved_by_one_map_runs_no_margin_svd(counts):
 
 @pytest.mark.parametrize("pid, calls", [
     # torsor_product's result point needs no rank SVD under the gate's condition bound of m
-    # (without it: 320 singular values)
-    ("grassmann.torsor_group", {"thin_qr": 190, "singular_values": 200, "proven_inverse": 120}),
-    # the moved quadruple's three margins are bounds (without them: 110 singular values)
-    ("crossratio.naturality", {"thin_qr": 80, "singular_values": 80, "proven_inverse": 40}),
+    # (without it: 320 singular values), and R's diagonal proves the random points' rank
+    # (with their rank SVDs: 200)
+    ("grassmann.torsor_group", {"thin_qr": 190, "singular_values": 130, "proven_inverse": 120}),
+    # the moved quadruple's three margins are bounds (without them: 110 singular values), and
+    # R's diagonal proves the random points' rank (with their rank SVDs: 80)
+    ("crossratio.naturality", {"thin_qr": 80, "singular_values": 40, "proven_inverse": 40}),
     # the moved pair (A0, Winf) is bounded from the sines of (0, infinity) (without: 40)
     ("obstate.invariance", {"thin_qr": 60, "singular_values": 30, "proven_inverse": 40}),
 ])

@@ -253,6 +253,53 @@ def test_a_basis_whose_rank_svd_overflows_names_its_scale():
         grassmann.SubspacePoint(cols)
 
 
+def _graded_columns(n, rng, exponent):
+    """A 2n x n column set U diag(s) V with s_max = 1 and s_min = 10^-exponent, V unitary."""
+    u, _ = np.linalg.qr(rng.standard_normal((2 * n, n)) + 1j * rng.standard_normal((2 * n, n)))
+    v = algebra.random_unitary(n, rng)
+    s = 10.0 ** -np.concatenate([[0.0], np.sort(rng.uniform(0.0, exponent, n - 1))[::-1]])
+    if n > 1:
+        s[-1] = 10.0 ** -exponent
+    return (u * s) @ v
+
+
+def _svd_decides_full_rank(cols):
+    """The rank rule on numpy's R of cols, decided by its SVD."""
+    return algebra.invertible_cond(np.linalg.qr(cols)[1]) is not None
+
+
+def _decides_full_rank(cols):
+    try:
+        grassmann.SubspacePoint(cols)
+    except SingularError:
+        return False
+    return True
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 6, 8, 16])
+def test_a_public_point_decides_its_rank_as_the_svd_of_r_does(n):
+    rng = np.random.default_rng(40 + n)
+    # condition numbers from 1 to 1e12, dense around 1 / TOL_INV = 1e10, at moderate scales;
+    # at tiny and huge scales the bound proves nothing and the SVD decides
+    graded = [(e, 2.0 ** rng.integers(-20, 20)) for e in np.concatenate(
+        [rng.uniform(0.0, 12.0, 80), rng.uniform(9.5, 10.5, 80)])]
+    extreme = [(e, scale) for e in (0.0, 3.0, 9.9, 10.1, 12.0) for scale in (1e-200, 1e200)]
+    decisions = []
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for exponent, scale in graded + extreme:
+            cols = _graded_columns(n, rng, exponent) * scale
+            decision = _decides_full_rank(cols)
+            assert decision is _svd_decides_full_rank(cols)
+            decisions.append(decision)
+        # an exactly rank-deficient set: a zero column
+        cols = _graded_columns(n, rng, 0.0)
+        cols[:, -1] = 0.0
+        assert not _decides_full_rank(cols) and not _svd_decides_full_rank(cols)
+    # both decisions occur where there is a condition number to grade
+    assert n == 1 or len(set(decisions)) == 2
+
+
 def test_proven_invertible_maps_are_read_only_copies():
     g = grassmann.random_map(3, RNG)
     inv = g.inverse()

@@ -107,7 +107,11 @@ def test_run_property_checks_its_sizes_as_run_sweep_does(n_list, trials, message
     ({"seed": 1.5}, DimensionError, "^the seed must be a whole number"),
     ({"seed": "x"}, DimensionError, "^the seed must be a whole number"),
     ({"seed": None}, DimensionError, "^the seed must be a whole number"),
-], ids=["tol-nan", "tol-inf", "tol-minus-inf", "seed-float", "seed-text", "seed-none"])
+    # float() raised a bare ValueError and TypeError on these
+    ({"tol": "x"}, DimensionError, "^the tolerance override must be a number, got 'x'$"),
+    ({"tol": [1e-3]}, DimensionError, r"^the tolerance override must be a number, got \[0\.001\]$"),
+], ids=["tol-nan", "tol-inf", "tol-minus-inf", "seed-float", "seed-text", "seed-none",
+        "tol-text", "tol-list"])
 def test_a_bad_seed_or_tolerance_raises_before_any_trial_runs(monkeypatch, arguments, error,
                                                                 message):
     drawn = []
