@@ -67,13 +67,27 @@ def norm(a) -> float:
 
 
 def almost_equal(a, b) -> bool:
-    """Relative Frobenius comparison: ||a - b|| <= TOL_EQ * (1 + max(||a||, ||b||))."""
+    """Relative Frobenius comparison: ||a - b|| <= TOL_EQ * (1 + max(||a||, ||b||)).
+
+    When a norm overflows, the test decides on one exact power-of-two rescale
+    of a and b, as in exact arithmetic.  A non-finite entry fails it.
+    """
     a = np.asarray(a, dtype=complex)
     b = np.asarray(b, dtype=complex)
     if a.shape != b.shape:
         raise DimensionError(f"shape mismatch: {a.shape} vs {b.shape}")
-    scale = 1.0 + max(norm(a), norm(b))
-    return norm(a - b) <= TOL_EQ * scale
+    with np.errstate(over="ignore", invalid="ignore"):
+        gap, size = norm(a - b), max(norm(a), norm(b))
+    if math.isfinite(gap + size):
+        return gap <= TOL_EQ * (1.0 + size)
+    if not (np.isfinite(a).all() and np.isfinite(b).all()):
+        return False
+    # A sum of squares overflowed, so max(||a||, ||b||) >= ||a - b|| / 2 > 6e153, where
+    # 1 + max rounds to max: the test is ||a - b|| <= TOL_EQ max(||a||, ||b||), which one
+    # exact power-of-two scale of both keeps.  The scaled max is above 2**99, where 1 +
+    # max rounds to max too.
+    c = _pow2_scale(a if _largest_part(a) >= _largest_part(b) else b)
+    return almost_equal(c * a, c * b)
 
 
 def _same_dim_matrices(*args) -> tuple:
@@ -164,7 +178,7 @@ def _is_psd(a: np.ndarray) -> bool:
         size = norm(a)
     if not math.isfinite(size):  # a non-finite entry fails is_hermitian
         return bool(np.isfinite(a).all()) and _is_psd(a * _pow2_scale(a))
-    evals = np.linalg.eigvalsh((a + a.conj().T) / 2)
+    evals = eigvalsh((a + a.conj().T) / 2)
     return bool(evals.min(initial=0.0) >= -TOL_PSD * (1.0 + size))
 
 
@@ -257,40 +271,90 @@ def inverse(a) -> np.ndarray:
 
 
 # --- the linalg seam --------------------------------------------------------
-# Every thin QR, singular-value SVD and proven inverse of the library runs here,
-# bitwise equal to np.linalg.qr, np.linalg.svd(a, compute_uv=False) and
-# np.linalg.inv.  At n <= 16 most of a numpy linalg call is its Python wrapper, so
-# the LAPACK gufuncs under those wrappers are called directly, under the wrappers'
-# own error state.  A QR runs both of its gufuncs (geqrf, then ungqr) under one
-# such state and returns geqrf's packed factor, whose upper triangle is R; only a
-# caller that solves with R asks np.linalg.qr for it.  Where numpy lacks these
-# gufuncs, the public wrappers run instead.
+# Every LAPACK call of the library runs here, bitwise equal to its numpy wrapper:
+# thin QRs (np.linalg.qr), singular values (np.linalg.svd(a, compute_uv=False)),
+# proven inverses (np.linalg.inv), solves (np.linalg.solve), Hermitian
+# eigen-decompositions and eigenvalues (np.linalg.eigh and eigvalsh, which read
+# the lower triangle) and determinants (np.linalg.det).  The exceptions are the
+# two full SVDs (hermitian's LineFamily and _null_space_point), which call
+# np.linalg.svd, and the sweep harness in properties.  At n <= 16 most of a numpy
+# linalg call is its Python wrapper, so the LAPACK gufuncs under those wrappers are
+# called directly, at the wrappers' signatures, under the wrappers' own error state.
+# A QR runs both of its gufuncs (geqrf, then ungqr) under one such state and returns
+# geqrf's packed factor, whose upper triangle is R; only a caller that solves with R
+# asks np.linalg.qr for it.  Where numpy lacks these gufuncs, the public wrappers
+# run instead.
 
 try:
+    from numpy.linalg._umath_linalg import det as _det_gufunc
+    from numpy.linalg._umath_linalg import eigh_lo as _eigh_gufunc
+    from numpy.linalg._umath_linalg import eigvalsh_lo as _eigvalsh_gufunc
     from numpy.linalg._umath_linalg import inv as _inv_gufunc
     from numpy.linalg._umath_linalg import qr_r_raw as _qr_r_raw_gufunc
     from numpy.linalg._umath_linalg import qr_reduced as _qr_reduced_gufunc
+    from numpy.linalg._umath_linalg import solve as _solve_gufunc
+    from numpy.linalg._umath_linalg import solve1 as _solve1_gufunc
     from numpy.linalg._umath_linalg import svd as _svd_gufunc
 except ImportError:  # pragma: no cover - depends on the numpy version
-    _inv_gufunc = _qr_r_raw_gufunc = _qr_reduced_gufunc = _svd_gufunc = None
+    _det_gufunc = _eigh_gufunc = _eigvalsh_gufunc = _inv_gufunc = None
+    _qr_r_raw_gufunc = _qr_reduced_gufunc = _solve_gufunc = _solve1_gufunc = None
+    _svd_gufunc = None
+
+# numpy's wrappers run each gufunc inside np.errstate(call=callback, invalid="call",
+# over="ignore", divide="ignore", under="ignore").  Entering it builds an error state
+# with _make_extobj from the current one and sets it in _extobj_contextvar; leaving
+# it resets that variable.  Here each state is built once, at import, and set and
+# reset around the gufunc the same way.  It is the same state: the call and all four
+# error modes are given, so the one field taken from the state current at the build
+# is bufsize, which sizes the buffers of casting ufunc loops and never changes a bit
+# of these gufuncs' results (an exact-signature gufunc casts whole operands).  Where
+# numpy lacks those internals, np.errstate itself is entered.
+try:
+    from numpy._core._multiarray_umath import _make_extobj
+    from numpy._core._ufunc_config import _extobj_contextvar
+except ImportError:  # pragma: no cover - depends on the numpy version
+    _make_extobj = _extobj_contextvar = None
+
+_LAPACK_ERRORS = {"invalid": "call", "over": "ignore", "divide": "ignore", "under": "ignore"}
 
 
-def _raiser(message: str):
-    """A numpy error-state callback that raises LinAlgError(message), as numpy's wrappers do."""
+def _lapack_state(message: str):
+    """The error state of a LAPACK gufunc that raises LinAlgError(message) on failure.
+
+    A failed call (LAPACK's info != 0) raises the invalid flag, whose
+    callback raises, as numpy's wrappers do.
+    """
     def raise_linalg_error(err, flag):
         raise np.linalg.LinAlgError(message)
-    return raise_linalg_error
+    if _make_extobj is None:  # pragma: no cover - depends on the numpy version
+        return raise_linalg_error
+    return _make_extobj(call=raise_linalg_error, all=None, **_LAPACK_ERRORS)
 
 
-_SINGULAR = _raiser("Singular matrix")
-_SVD_FAILED = _raiser("SVD did not converge")
-_QR_FAILED = _raiser("Incorrect argument found while performing QR factorization")
+if _make_extobj is None:  # pragma: no cover - depends on the numpy version
+    def _enter(callback):
+        state = np.errstate(call=callback, **_LAPACK_ERRORS)
+        state.__enter__()
+        return state
+
+    def _leave(state):
+        state.__exit__(None, None, None)
+else:
+    _enter, _leave = _extobj_contextvar.set, _extobj_contextvar.reset
+
+_SINGULAR = _lapack_state("Singular matrix")
+_SVD_FAILED = _lapack_state("SVD did not converge")
+_QR_FAILED = _lapack_state("Incorrect argument found while performing QR factorization")
+_EIGH_FAILED = _lapack_state("Eigenvalues did not converge")
 
 
-def _lapack_errstate(callback) -> np.errstate:
-    """numpy's error state around a LAPACK gufunc: a failed factorization calls callback."""
-    return np.errstate(call=callback, invalid="call", over="ignore", divide="ignore",
-                       under="ignore")
+def _lapack(state, gufunc, *args, signature: str):
+    """gufunc(*args, signature=signature) under the error state state, as numpy runs it."""
+    token = _enter(state)
+    try:
+        return gufunc(*args, signature=signature)
+    finally:
+        _leave(token)
 
 
 def thin_qr(a: np.ndarray, with_r: bool = False):
@@ -314,9 +378,12 @@ def thin_qr(a: np.ndarray, with_r: bool = False):
     else:
         complex_ = a.dtype.kind == "c"
         packed = a.astype(np.complex128 if complex_ else np.float64)  # geqrf overwrites it
-        with _lapack_errstate(_QR_FAILED):
+        token = _enter(_QR_FAILED)
+        try:
             tau = _qr_r_raw_gufunc(packed, signature="D->D" if complex_ else "d->d")
             q = _qr_reduced_gufunc(packed, tau, signature="DD->D" if complex_ else "dd->d")
+        finally:
+            _leave(token)
     if not (np.isfinite(q).all() and np.isfinite(packed).all()):
         raise ValueOverflowError(
             f"basis of scale {_largest_part(a):.3e} (largest real or imaginary part) "
@@ -332,8 +399,8 @@ def singular_values(a: np.ndarray) -> np.ndarray:
     """
     if _svd_gufunc is None:
         return np.linalg.svd(a, compute_uv=False)
-    with _lapack_errstate(_SVD_FAILED):
-        return _svd_gufunc(a, signature="D->d" if a.dtype.kind == "c" else "d->d")
+    return _lapack(_SVD_FAILED, _svd_gufunc, a,
+                   signature="D->d" if a.dtype.kind == "c" else "d->d")
 
 
 def proven_inverse(a: np.ndarray) -> np.ndarray:
@@ -344,8 +411,53 @@ def proven_inverse(a: np.ndarray) -> np.ndarray:
     """
     if _inv_gufunc is None:
         return np.linalg.inv(a)
-    with _lapack_errstate(_SINGULAR):
-        return _inv_gufunc(a, signature="D->D" if a.dtype.kind == "c" else "d->d")
+    return _lapack(_SINGULAR, _inv_gufunc, a,
+                   signature="D->D" if a.dtype.kind == "c" else "d->d")
+
+
+def solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """x with a x = b for a square a and a 1-D or 2-D b: bitwise np.linalg.solve(a, b).
+
+    numpy's rules: a 1-D b runs the solve1 gufunc, and the solve is complex
+    when a or b is.  An exactly singular a raises LinAlgError, as numpy does,
+    with no RuntimeWarning.
+    """
+    if _solve_gufunc is None:
+        return np.linalg.solve(a, b)
+    complex_ = a.dtype.kind == "c" or b.dtype.kind == "c"
+    return _lapack(_SINGULAR, _solve1_gufunc if b.ndim == 1 else _solve_gufunc, a, b,
+                   signature="DD->D" if complex_ else "dd->d")
+
+
+def eigh(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(eigenvalues, eigenvectors) of a Hermitian a: bitwise np.linalg.eigh(a).
+
+    The eigenvalues ascend, and only a's lower triangle is read.  No
+    convergence raises LinAlgError, as numpy does.
+    """
+    if _eigh_gufunc is None:
+        return np.linalg.eigh(a)
+    return _lapack(_EIGH_FAILED, _eigh_gufunc, a,
+                   signature="D->dD" if a.dtype.kind == "c" else "d->dd")
+
+
+def eigvalsh(a: np.ndarray) -> np.ndarray:
+    """The eigenvalues of a Hermitian a, ascending: bitwise np.linalg.eigvalsh(a).
+
+    Only a's lower triangle is read.  No convergence raises LinAlgError, as
+    numpy does.
+    """
+    if _eigvalsh_gufunc is None:
+        return np.linalg.eigvalsh(a)
+    return _lapack(_EIGH_FAILED, _eigvalsh_gufunc, a,
+                   signature="D->d" if a.dtype.kind == "c" else "d->d")
+
+
+def det(a: np.ndarray):
+    """The determinant of a square a: bitwise np.linalg.det(a), which enters no error state."""
+    if _det_gufunc is None:
+        return np.linalg.det(a)
+    return _det_gufunc(a, signature="D->D" if a.dtype.kind == "c" else "d->d")
 
 
 def is_unitary(a, tol: float = TOL_EQ) -> bool:
@@ -410,9 +522,21 @@ def pair_triple(x, y, z) -> np.ndarray:
 
 
 def is_pair_idempotent(e: PairElement) -> bool:
-    """Check <e+ e- e+> = e+ and <e- e+ e-> = e-."""
+    """Check <e+ e- e+> = e+ and <e- e+ e-> = e-, at almost_equal's tolerance.
+
+    Finite entries whose triple products overflow raise ValueOverflowError
+    naming their scale: their distance from e+ and e- is unknown.  A
+    non-finite entry fails the test.
+    """
     p, m = _same_dim_matrices(e.plus, e.minus)
-    return almost_equal(p @ m @ p, p) and almost_equal(m @ p @ m, m)
+    with np.errstate(over="ignore", invalid="ignore"):
+        pmp, mpm = p @ m @ p, m @ p @ m
+    if not (np.isfinite(pmp).all() and np.isfinite(mpm).all()) and (
+            np.isfinite(p).all() and np.isfinite(m).all()):
+        raise ValueOverflowError(
+            f"pair of scales {_largest_part(p):.3e} and {_largest_part(m):.3e} (largest real "
+            "or imaginary parts) overflows the float range in its triple products")
+    return almost_equal(pmp, p) and almost_equal(mpm, m)
 
 
 # --- JSON decoding ---------------------------------------------------------

@@ -135,7 +135,7 @@ class EndoX:
 
     @property
     def det(self) -> complex:
-        return complex(np.linalg.det(self.matrix))
+        return complex(algebra.det(self.matrix))
 
 
 # Product of two transversality margins at or above which a graph block of
@@ -177,7 +177,7 @@ def kernel(x: SubspacePoint, a: SubspacePoint, b: SubspacePoint,
     n = x.n
     # one solve of [A | X] [[c, cy], [d, dy]] = [B | Y]: b = A c + X d is the graph
     # of beta: a -> x, and y = A cy + X dy the graph of eta: x -> a
-    coords = np.linalg.solve(np.hstack([a.basis, x.basis]), np.hstack([b.basis, y.basis]))
+    coords = algebra.solve(np.hstack([a.basis, x.basis]), np.hstack([b.basis, y.basis]))
     c, d, cy, dy = coords[:n, :n], coords[n:, :n], coords[:n, n:], coords[n:, n:]
     # [B | X] = [A | X] [[c, 0], [d, I]], so cond(c) <= cond([B | X]) cond([A | X])
     # and sigma_min(c) / sigma_max(c) >= m_bx m_xa: the check below cannot fail

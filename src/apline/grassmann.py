@@ -191,6 +191,8 @@ def _orthogonal_projector(x: SubspacePoint) -> np.ndarray:
 
 def point_eq(x: SubspacePoint, y: SubspacePoint) -> bool:
     """Basis-independent equality: ||P_x - P_y|| <= TOL_EQ (relative)."""
+    # orthogonal projectors of orthonormal bases have entries of modulus at most 1 and
+    # norm sqrt(n), so no norm here overflows and almost_equal needs no rescale
     return algebra.almost_equal(x.projector, y.projector)
 
 

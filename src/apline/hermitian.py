@@ -428,7 +428,7 @@ def chart_in_frame(z: SubspacePoint, origin: SubspacePoint,
             return -grassmann._cochart_value(z)
         if grassmann._is_infinity_point(c) and grassmann._is_zero_point(origin):
             return -grassmann._chart_value(z)
-        pq = np.linalg.solve(np.hstack([origin.basis, c.basis]), z.basis)
+        pq = algebra.solve(np.hstack([origin.basis, c.basis]), z.basis)
         n = z.n
         return grassmann._graph_value(pq[n:, :], pq[:n, :], None, "the chart horizon")
     except NotInChartError:

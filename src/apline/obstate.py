@@ -189,8 +189,8 @@ def variance(o: Obstate) -> float:
 
 
 def _variance(a: np.ndarray, w: np.ndarray) -> float:
-    second = np.trace(a @ w @ a).real
-    first = np.trace(a @ w).real
+    second = (a @ w @ a).trace().real
+    first = (a @ w).trace().real
     return float(second - first * first)
 
 
@@ -205,7 +205,7 @@ def distribution(o: Obstate) -> list[tuple[float, float]]:
 
 
 def _distribution(a: np.ndarray, w: np.ndarray) -> list[tuple[float, float]]:
-    vals, vecs = np.linalg.eigh(a)
+    vals, vecs = algebra.eigh(a)
     scale = 1.0 + float(np.abs(vals).max(initial=0.0))
     out: list[tuple[float, float]] = []
     i = 0
@@ -214,8 +214,10 @@ def _distribution(a: np.ndarray, w: np.ndarray) -> list[tuple[float, float]]:
         while j < len(vals) and vals[j] - vals[j - 1] <= EIG_CLUSTER_RTOL * scale:
             j += 1
         block = vecs[:, i:j]
-        weight = float(np.trace(block.conj().T @ w @ block).real)
-        value = float(vals[i:j].mean())
+        weight = float((block.conj().T @ w @ block).trace().real)
+        # one eigenvalue's mean() is vals[i] + 0.0 bit for bit: numpy's sum starts at
+        # +0.0, so -0.0 becomes +0.0
+        value = float(vals[i]) + 0.0 if j == i + 1 else float(vals[i:j].mean())
         out.append((value, weight))
         i = j
     return out
@@ -289,8 +291,8 @@ def _completion_parameter(fam: "hermitian.LineFamily", factors, target: Subspace
     smallest singular value of [line(root) | T] against COMPLETION_TOL.
     """
     q_basis, r, q = factors
-    x = np.linalg.solve(np.hstack([q_basis, target.basis]), q)[:fam.n]
-    k = complex(fam.vh[0] @ np.linalg.solve(r, x))
+    x = algebra.solve(np.hstack([q_basis, target.basis]), q)[:fam.n]
+    k = complex(fam.vh[0] @ algebra.solve(r, x))
     if abs(k) < 1e-12 * max(1.0, abs(1.0 + k)):
         root = INF
     else:

@@ -20,10 +20,14 @@ from apline.errors import (DimensionError, NonFiniteError, NotInChartError,
 _COUNTED = ("svd", "qr", "inv", "solve", "eigvalsh")
 
 # The linalg seam calls LAPACK gufuncs directly (see algebra.thin_qr,
-# algebra.singular_values and algebra.proven_inverse); they are counted where the seam
-# binds them, beside the np.linalg calls.  A QR is its geqrf gufunc, unless it is the one
-# that solves with R and runs through np.linalg.qr.
-_SEAM = (("_svd_gufunc", "svd"), ("_inv_gufunc", "inv"), ("_qr_r_raw_gufunc", "qr"))
+# algebra.singular_values, algebra.proven_inverse, algebra.solve and algebra.eigvalsh);
+# they are counted where the seam binds them, beside the np.linalg calls.  A QR is its
+# geqrf gufunc, unless it is the one that solves with R and runs through np.linalg.qr.
+# A solve is either solve gufunc, as numpy picks them by the right-hand side's ndim.
+# Eigen-decompositions and determinants are not counted.
+_SEAM = (("_svd_gufunc", "svd"), ("_inv_gufunc", "inv"), ("_qr_r_raw_gufunc", "qr"),
+         ("_solve_gufunc", "solve"), ("_solve1_gufunc", "solve"),
+         ("_eigvalsh_gufunc", "eigvalsh"))
 
 
 def _tally(**pinned):
@@ -69,18 +73,23 @@ def test_apply_map_runs_one_qr_and_no_svd(counts):
 
 @pytest.mark.parametrize("dtype", [complex, float], ids=["complex128", "float64"])
 def test_a_q_only_qr_skips_numpys_wrapper_and_enters_one_error_state(monkeypatch, dtype):
-    wrapper_calls, states = [], []
-    qr, errstate = np.linalg.qr, algebra._lapack_errstate
-    monkeypatch.setattr(np.linalg, "qr", lambda *args: wrapper_calls.append(args) or qr(*args))
-    monkeypatch.setattr(algebra, "_lapack_errstate",
-                        lambda callback: states.append(callback) or errstate(callback))
+    from numpy._core import _ufunc_config
     a = np.random.default_rng(36).standard_normal((8, 4)).astype(dtype)
+    wrapper_calls, states, built = [], [], []
+    qr, enter, make = np.linalg.qr, algebra._enter, _ufunc_config._make_extobj
+    monkeypatch.setattr(np.linalg, "qr", lambda *args: wrapper_calls.append(args) or qr(*args))
+    monkeypatch.setattr(algebra, "_enter", lambda state: states.append(state) or enter(state))
+    # every np.errstate entered builds its state here
+    monkeypatch.setattr(_ufunc_config, "_make_extobj",
+                        lambda **kwargs: built.append(kwargs) or make(**kwargs))
     algebra.thin_qr(a)
-    # geqrf and ungqr run under one error state, with no np.linalg.qr
-    assert (len(wrapper_calls), states) == (0, [algebra._QR_FAILED])
+    # geqrf and ungqr run under one error state, the one built at import: no np.linalg.qr
+    # and no np.errstate
+    assert (len(wrapper_calls), states, built) == (0, [algebra._QR_FAILED], [])
     algebra.thin_qr(a, with_r=True)
-    # a QR that solves with R (obstate._line_factors) is np.linalg.qr itself
-    assert (len(wrapper_calls), len(states)) == (1, 1)
+    # a QR that solves with R (obstate._line_factors) is np.linalg.qr itself, which enters
+    # an np.errstate of its own around each of its two gufuncs
+    assert (len(wrapper_calls), len(states), len(built)) == (1, 1, 2)
 
 
 def test_a_public_point_proves_its_rank_from_r_and_runs_the_svd_only_near_singular(
@@ -204,12 +213,12 @@ def test_kernel_runs_one_solve(monkeypatch):
     rng = np.random.default_rng(19)
     x, a, b, y = (grassmann.random_point(4, rng) for _ in range(4))
     solves = []
-    solve = np.linalg.solve
+    solve = algebra.solve
 
     def counted(*args):
         solves.append(args)
         return solve(*args)
-    monkeypatch.setattr(np.linalg, "solve", counted)
+    monkeypatch.setattr(algebra, "solve", counted)
     crossratio.kernel(x, a, b, y)
     # b and y share the frame [A | X], so one solve gives both graph decompositions
     assert len(solves) == 1
