@@ -638,7 +638,7 @@ def random_invertible(n: int, rng) -> np.ndarray:
         a = random_matrix(n, rng)
         if is_invertible(a):
             return a
-    raise SingularError("could not draw an invertible matrix")  # pragma: no cover
+    raise SingularError("could not draw an invertible matrix")
 
 
 def random_unitary(n: int, rng) -> np.ndarray:

@@ -121,7 +121,7 @@ class SubspacePoint:
 
     __hash__ = None  # float-tolerant equality is not hashable
 
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+    def __repr__(self) -> str:
         return f"SubspacePoint(n={self.n})"
 
 
@@ -655,43 +655,7 @@ def torsor_product(x: SubspacePoint, y: SubspacePoint, z: SubspacePoint,
     """
     message = "torsor_product needs y in U_a and U_b"
     _require_transversal(((y, a, message), (y, b, message)))
-    m = m_operator(x, a, b, z)
-    cond = _m_operator_cond(x, a, b, z)
-    if cond is not None and cond <= _TORSOR_COND_BOUND:
-        # Y orthonormal: s_min(M Y) / s_max(M Y) >= 1 / cond(M) >= 1e-5 (see _m_operator_cond)
-        return SubspacePoint._full_rank(m @ y.basis)
-    return SubspacePoint(m @ y.basis)
-
-
-# Condition bound of M_{xabz} up to which torsor_product builds M Y without the rank test.
-_TORSOR_COND_BOUND = 1e5
-
-
-def _m_operator_cond(x: SubspacePoint, a: SubspacePoint, b: SubspacePoint,
-                     z: SubspacePoint):
-    """An upper bound on cond(M) for M = M_{xabz}, from the sines m_operator's gate cached;
-    None where one of them is not cached.
-
-    An oblique projector P(image p, kernel q) has 2-norm 1 / s_pq, the sine of
-    the smallest principal angle of (p, q) (see _moved_pair_bound), and M has
-    the inverse M_{zabx} = P(z, a) - P(b, x).  So
-    cond(M) <= (1 / s_xa + 1 / s_bz)(1 / s_za + 1 / s_bx) =: B1 B2, over
-    exact sines at least the cached ones less d = _SINE_ROUNDING.  Each
-    computed projector is off by under d / s^2 for n <= 10^3 (its frame's
-    inverse has a relative error of a few n eps times cond <= 2 / s, and norm
-    sqrt 2 / s), so the computed M is off by under d B1^2, and with
-    B1 B2 <= _TORSOR_COND_BOUND (so B1 <= 5e4, as B2 >= 2) the smallest
-    singular value of M Y moves by under a relative d B1^2 B2 <= 0.05.  The
-    rank test's ratio stays above 0.95 / (1.05 1e5) > 9e-6, five decades over
-    TOL_INV: it cannot fail.
-    """
-    bounds = []
-    for p, q in ((x, a), (b, z), (z, a), (b, x)):
-        sine = _cached_sine(p, q)
-        if sine is None or not sine > _SINE_ROUNDING:
-            return None
-        bounds.append(1.0 / (sine - _SINE_ROUNDING))
-    return (bounds[0] + bounds[1]) * (bounds[2] + bounds[3])
+    return SubspacePoint(m_operator(x, a, b, z) @ y.basis)
 
 
 def scalar_action(r, a: SubspacePoint, x: SubspacePoint,
@@ -783,7 +747,7 @@ class ProjectiveMap:
             return NotImplemented
         return ProjectiveMap(self.rep @ other.rep)
 
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+    def __repr__(self) -> str:
         return f"ProjectiveMap(n={self.n})"
 
 
@@ -822,9 +786,9 @@ def random_point(n: int, rng) -> SubspacePoint:
                 + 1j * rng.standard_normal((2 * n, n))) / np.sqrt(2)
         try:
             return SubspacePoint(cols)
-        except SingularError:  # pragma: no cover - measure-zero event
+        except SingularError:  # a measure-zero event
             continue
-    raise ResamplingExhausted("random_point: all draws were rank deficient")  # pragma: no cover
+    raise ResamplingExhausted("random_point: all draws were rank deficient")
 
 
 def random_map(n: int, rng) -> ProjectiveMap:
@@ -836,7 +800,7 @@ def random_map(n: int, rng) -> ProjectiveMap:
                + 1j * rng.standard_normal((2 * n, 2 * n))) / np.sqrt(2)
         try:
             return ProjectiveMap(rep)
-        except SingularError:  # pragma: no cover - measure-zero event
+        except SingularError:  # a measure-zero event
             continue
-    raise ResamplingExhausted("random_map: all draws were singular")  # pragma: no cover
+    raise ResamplingExhausted("random_map: all draws were singular")
 

@@ -396,7 +396,7 @@ def _transversal_to(points, rng) -> SubspacePoint:
         if all(p is not c for p in points) and all(
                 grassmann.is_transversal(p, c) for p in points):
             return c
-    raise NoCommonChartError("no point transversal to the given ones found")  # pragma: no cover
+    raise NoCommonChartError("no point transversal to the given ones found")
 
 
 def common_chart_point(x: SubspacePoint, y: SubspacePoint) -> SubspacePoint:

@@ -160,11 +160,16 @@ def _strong_normal_form(o: Obstate) -> tuple[np.ndarray, np.ndarray]:
     (A0, Winf) to (0, infinity) exactly; the observable then has a
     Hermitian chart value and the state a Hermitian graph value.  When
     A0 is the base point 0 itself (the object zero_point built, not a
-    point equal to it) the transport is the identity and is skipped: a
-    and w come from the memoized chart values of A and W, which the kernel
-    of expectation and the order test read too, and a is the Hermitian part
-    the order test reads.  Otherwise the moved A and W are cached on A and
-    W while the transport lives (see apply_map).  Winf is never read.
+    point equal to it) the transport is skipped: a and w come from the
+    memoized chart values of A and W, which the kernel of expectation and
+    the order test read too, and a is the Hermitian part the order test
+    reads.  The skip is exact in exact arithmetic, where the transport of 0
+    is the identity, but the computed transport's rep is I only up to
+    rounding, so a transported (a, w) differs from these in its last bits.
+    The skip thus fixes the standard frame's bits, and it stays out of the
+    shortcut audit, which switches off only shortcuts that keep every bit.
+    Otherwise the moved A and W are cached on A and W while the transport
+    lives (see apply_map).  Winf is never read.
     """
     if not o.strong:
         raise NotStrongError("second moments need a strong obstate")

@@ -684,3 +684,11 @@ def test_the_order_and_pair_predicates_decide_at_scales_two_to_the_plus_minus_10
     assert algebra.is_pair_idempotent(algebra.PairElement(p, 1e-200 * np.eye(2)))
     nan = np.full((2, 2), np.nan)
     assert not algebra.is_pair_idempotent(algebra.PairElement(nan, np.eye(2)))
+
+
+def test_random_invertible_gives_up_with_a_typed_error_after_its_draws(monkeypatch):
+    draws = []
+    monkeypatch.setattr(algebra, "is_invertible", lambda a: draws.append(a) or False)
+    with pytest.raises(SingularError, match="^could not draw an invertible matrix$"):
+        algebra.random_invertible(2, 0)
+    assert len(draws) == 100

@@ -245,14 +245,13 @@ def test_kernel_of_a_quadruple_moved_by_one_map_runs_no_margin_svd(counts):
 
 
 @pytest.mark.parametrize("pid, calls", [
-    # torsor_product's result point needs no rank SVD under the gate's condition bound of m
-    # (without it: 320 singular values), and R's diagonal proves the random points' rank
-    # (with their rank SVDs: 200)
+    # R's diagonal proves the rank of the random points and of torsor_product's result
+    # points, so none runs a rank SVD (tests/test_shortcut_audit.py counts them)
     ("grassmann.torsor_group", {"thin_qr": 190, "singular_values": 130, "proven_inverse": 120}),
-    # the moved quadruple's three margins are bounds (without them: 110 singular values), and
-    # R's diagonal proves the random points' rank (with their rank SVDs: 80)
+    # the moved quadruple's three margins are bounds, and R's diagonal proves the random
+    # points' rank
     ("crossratio.naturality", {"thin_qr": 80, "singular_values": 40, "proven_inverse": 40}),
-    # the moved pair (A0, Winf) is bounded from the sines of (0, infinity) (without: 40)
+    # the moved pair (A0, Winf) is bounded from the sines of (0, infinity)
     ("obstate.invariance", {"thin_qr": 60, "singular_values": 30, "proven_inverse": 40}),
 ])
 def test_the_moved_pair_and_torsor_trials_skip_their_proven_svds(seam_calls, pid, calls):
@@ -435,7 +434,7 @@ def test_a_repeated_torsor_product_runs_only_its_result_point(counts):
     _reset(counts)
     grassmann.torsor_product(x, y, z, a, b)
     # the six margins and both projectors of m are kept on the pairs' first points; the
-    # new point m y needs no rank SVD, as the gate's sines bound cond(m): its QR
+    # new point m y needs no rank SVD, as R's diagonal proves its rank: its QR
     assert counts == _tally(qr=1)
 
 

@@ -12,6 +12,7 @@ from apline.errors import (
     NonFiniteError,
     NotInChartError,
     NotTransversalError,
+    ResamplingExhausted,
     SingularError,
     ValueOverflowError,
 )
@@ -495,3 +496,25 @@ def test_a_map_composes_only_with_a_map():
     assert g.__matmul__(np.eye(4)) is NotImplemented
     with pytest.raises(TypeError):
         g @ grassmann.zero_point(2)
+
+
+def test_random_point_gives_up_with_a_typed_error_after_its_draws(monkeypatch):
+    draws = []
+    monkeypatch.setattr(algebra, "_triangular_full_rank", lambda f: draws.append(f) or False)
+    with pytest.raises(ResamplingExhausted,
+                       match="^random_point: all draws were rank deficient$"):
+        grassmann.random_point(2, 0)
+    assert len(draws) == 100
+
+
+def test_random_map_gives_up_with_a_typed_error_after_its_draws(monkeypatch):
+    draws = []
+    monkeypatch.setattr(algebra, "invertible_cond", lambda rep: draws.append(rep))  # None: singular
+    with pytest.raises(ResamplingExhausted, match="^random_map: all draws were singular$"):
+        grassmann.random_map(2, 0)
+    assert len(draws) == 100
+
+
+def test_points_and_maps_show_their_size():
+    assert repr(grassmann.zero_point(3)) == "SubspacePoint(n=3)"
+    assert repr(grassmann.identity_map(2)) == "ProjectiveMap(n=2)"

@@ -8,6 +8,7 @@ from apline.crossratio import INF
 from apline.errors import (
     AplineError,
     DimensionError,
+    NoCommonChartError,
     NotHermitianError,
     NotInUniverseError,
     NotRankOneError,
@@ -665,3 +666,13 @@ def test_the_cayley_unitary_of_a_member_near_the_threshold_meets_its_proven_boun
         bound = 2.0 * g / (1.0 - g) + 1e-13 * n
         for gram in (u.conj().T @ u, u @ u.conj().T):
             assert np.linalg.norm(gram - np.eye(n)) <= bound
+
+
+def test_common_chart_point_gives_up_with_a_typed_error_after_its_draws(monkeypatch):
+    tried = []
+    monkeypatch.setattr(grassmann, "is_transversal", lambda p, c: tried.append(c) or False)
+    x, y = (grassmann.random_point(2, RNG) for _ in range(2))
+    with pytest.raises(NoCommonChartError, match="^no point transversal to the given ones found$"):
+        hermitian.common_chart_point(x, y)
+    # infinity, 0 and the 100 draws, each tried against x only
+    assert len(tried) == 102

@@ -541,3 +541,27 @@ def test_no_point_is_on_the_arc_when_winf_has_no_chart_value():
     assert not obstate.is_positive(o) and not obstate.is_cyclically_ordered(o)
     rep = obstate.report(o)
     assert rep["positive"] is False and rep["cyclically_ordered"] is False
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 6])
+def test_the_standard_frame_skips_a_transport_that_moves_only_rounding_bits(n):
+    # transport_to_zero(0) is the identity in exact arithmetic, not in floating point
+    deviation = np.abs(hermitian.transport_to_zero(grassmann.zero_point(n)).rep
+                       - np.eye(2 * n)).max()
+    assert 0.0 < deviation <= np.finfo(float).eps
+    # a point with 0's basis bit for bit and an empty memo: equal to 0, but not the base point
+    zero = grassmann.SubspacePoint.__new__(grassmann.SubspacePoint)
+    zero.n, zero.basis, zero._memo = n, grassmann.zero_point(n).basis, {}
+    rng = np.random.default_rng(2718 + n)
+    moved_bits, worst = 0, 0.0
+    for _ in range(40):
+        o = obstate.standard_obstate(algebra.random_hermitian(n, rng),
+                                     algebra.random_density(n, rng))
+        skipped = obstate._strong_normal_form(o)
+        transported = obstate._strong_normal_form(
+            obstate.Obstate(o.observable, o.state, zero, o.ref_state, True))
+        for s, t in zip(skipped, transported):
+            moved_bits += s.tobytes() != t.tobytes()
+            worst = max(worst, np.linalg.norm(s - t) / np.linalg.norm(s))
+    # the skip fixes the standard frame's bits, which the transport would move by rounding
+    assert moved_bits > 0 and worst < 1e-15
