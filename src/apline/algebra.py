@@ -199,22 +199,22 @@ def invertible_cond(a: np.ndarray, tol: float = TOL_INV) -> float | None:
     is_invertible, inverse and ProjectiveMap decide here, and so does
     SubspacePoint's rank test where _triangular_full_rank's bound does not.
     The ratio is below 1 / tol, so it is finite.  A NaN or
-    infinite entry raises NonFiniteError, read off the SVD, not checked
-    first: LAPACK does not converge on a NaN entry, and an infinite one
-    gives NaN singular values.  Finite entries whose singular values
-    overflow raise ValueOverflowError naming their scale: the ratio is
-    unknown, not small.
+    infinite entry raises NonFiniteError, checked before the SVD: LAPACK
+    does not converge on a NaN entry, and on an all-infinite row its
+    scaling routine rejects an argument and prints that to stdout.  Finite
+    entries whose singular values overflow raise ValueOverflowError naming
+    their scale: the ratio is unknown, not small.
     """
+    if not np.isfinite(a).all():
+        raise NonFiniteError("matrix entries must be finite")
     try:
         s = singular_values(a)
     except np.linalg.LinAlgError:  # no convergence: decided below like a NaN output
         s = np.full(1, np.nan)
     if s[-1] > tol * max(s[0], 1e-300):
         return float(s[0] / s[-1])
-    # a finite a can still overflow s_max to inf, so the entries decide
+    # the entries are finite, so a non-finite singular value is an overflow
     if not np.isfinite(s).all():
-        if not np.isfinite(a).all():
-            raise NonFiniteError("matrix entries must be finite")
         raise ValueOverflowError(
             f"matrix of scale {_largest_part(a):.3e} (largest real or imaginary part) "
             "overflows the float range in its SVD")

@@ -15,6 +15,7 @@ operator engine at n = 1.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Callable, Sequence, Union
 
@@ -26,7 +27,9 @@ from .errors import (
     DegenerateReferenceError,
     DimensionError,
     IndeterminateError,
+    NegativeWeightError,
     NonFiniteError,
+    NotAPermutationError,
     ValueOverflowError,
     ZeroWeightError,
 )
@@ -89,8 +92,10 @@ class Measure:
 
     def __init__(self, weights: Sequence[float]):
         ws = tuple(np.inf if is_inf(w) else float(w) for w in weights)
-        if any(w < 0 or not np.isfinite(w) for w in ws):
-            raise ValueError("weights must be finite and nonnegative")
+        for p, w in enumerate(ws):
+            if not np.isfinite(w) or w < 0:
+                error = NegativeWeightError if np.isfinite(w) else NonFiniteError
+                raise error(f"weights must be finite and nonnegative: {w} at site {p}")
         object.__setattr__(self, "weights", ws)
 
     @property
@@ -109,9 +114,17 @@ class Bijection:
     images: tuple
 
     def __init__(self, images: Sequence[int]):
-        imgs = tuple(int(i) for i in images)
+        # operator.index takes integers only, so 1.7 is not truncated nor "1" parsed; a bool
+        # is an int to Python but not a site
+        given = tuple(images)
+        try:
+            imgs = tuple(operator.index(i) for i in given)
+        except TypeError:
+            imgs = None
+        if imgs is None or any(isinstance(i, (bool, np.bool_)) for i in given):
+            raise NotAPermutationError("bijection images must be integers")
         if sorted(imgs) != list(range(len(imgs))):
-            raise ValueError("not a permutation of 0..m-1")
+            raise NotAPermutationError("not a permutation of 0..m-1")
         object.__setattr__(self, "images", imgs)
 
     @property

@@ -108,3 +108,11 @@ class DegenerateReferenceError(DegenerateError):
 
 class ZeroWeightError(AplineError, ValueError):
     """A density operation needs a strictly positive measure."""
+
+
+class NegativeWeightError(AplineError, ValueError):
+    """A measure has a negative weight."""
+
+
+class NotAPermutationError(AplineError, ValueError):
+    """The images of a bijection are not a permutation of the sites 0..m-1."""

@@ -22,7 +22,11 @@ Convention notes (all verified by the calibration tests):
 * unitary_torsor uses the pair order (S, N), which is the order that
   realizes the Cayley-chart law u_x u_y* u_z (the Cayley matrix sends
   0 -> N and infinity -> S, so the chart pair (infinity, 0) downstairs
-  is (S, N) upstairs).
+  is (S, N) upstairs).  It works in the pole frame: N and S are
+  orthogonal, so each projector of the pair law is one n x n solve
+  against N* X or S* Z, and every point of R_{N,S} meets both poles at
+  45 degrees, so both are 1 / sqrt 2 times a unitary up to membership's
+  tolerance.
 """
 
 from __future__ import annotations
@@ -270,20 +274,29 @@ def unitary_torsor(x: SubspacePoint, y: SubspacePoint,
                    z: SubspacePoint) -> SubspacePoint:
     """The torsor law x ._y z on R_{N,S}; u_{x ._y z} = u_x u_y* u_z.
 
-    Realized as the (S, N)-pair group law of the projective line; the
-    pair order is fixed by the Cayley-chart calibration (see module
-    docstring).
+    Realized as the (S, N)-pair group law of the projective line,
+    M_{xSNz} Y = (P(im x, ker S) - P(im N, ker z)) Y, computed in the pole
+    frame: N* S = 0 for the pole bases, so P(im x, ker S) = X (N* X)^-1 N*
+    and P(im N, ker z) = I - Z (S* Z)^-1 S*, two n x n solves.  The pair
+    order is fixed by the Cayley-chart calibration (see module docstring).
     """
     _same_n(x, y, z)
     for p in (x, y, z):
         if not membership(p, "RNS"):
             raise NotInUniverseError("unitary_torsor needs points of R_{N,S}")
     north, south = poles(x.n)
-    # torsor_product(x, y, z, south, north) less its pole checks: pole margins are sqrt(2) - 1
-    m = grassmann._projector(x, south) - grassmann._projector(north, z)
-    # m = C [[0, u_z^-1], [u_x, 0]] C^-1 and C / sqrt 2 is unitary, so m is unitary up to
-    # membership's tolerance and m Y has condition number ~ 1
-    return SubspacePoint._full_rank(m @ y.basis)
+    n_adj, s_adj = north.basis.conj().T, south.basis.conj().T
+    # [N | S] is unitary (N* S = 0 to a few eps_machine), so N N* + S S* = I, and
+    # S S* - N N* = -i Omega.  For an orthonormal basis X of a point of R_{N,S}, membership
+    # bounds ||X* Omega X||_F by eps = TOL_EQ (1 + sqrt n) / sqrt 2, so
+    # (N* X)* (N* X) = (I - E) / 2 and (S* X)* (S* X) = (I + E) / 2 with ||E||_F <= eps:
+    # N* X and S* X are 1 / sqrt 2 times a unitary up to eps, and both solves below have
+    # condition number at most sqrt((1 + eps) / (1 - eps)) = 1 + O(eps)
+    my = (x.basis @ algebra.solve(n_adj @ x.basis, n_adj @ y.basis) - y.basis
+          + z.basis @ algebra.solve(s_adj @ z.basis, s_adj @ y.basis))
+    # M = C [[0, u_z^-1], [u_x, 0]] C^-1 and C / sqrt 2 is unitary, so M is unitary up to
+    # membership's tolerance and M Y has condition number ~ 1
+    return SubspacePoint._full_rank(my)
 
 
 @grassmann._memoized

@@ -309,7 +309,7 @@ def _completion_parameter(fam: "hermitian.LineFamily", factors, target: Subspace
     s = algebra.singular_values(np.hstack([fam.raw_basis(root), target.basis]))
     if s[-1] / s[0] > COMPLETION_TOL:
         raise NonUniqueCompletionError(
-            "completion-point refinement did not converge")  # pragma: no cover
+            "completion-point refinement did not converge")
     return root
 
 

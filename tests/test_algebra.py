@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import apline
-from apline import algebra
+from apline import algebra, grassmann
 from apline.errors import (DecodeError, DimensionError, NonFiniteError, SingularError,
                            ValueOverflowError)
 
@@ -476,6 +476,27 @@ def test_a_non_finite_matrix_still_fails_the_invertibility_test_by_name(entry):
         warnings.simplefilter("error")
         with pytest.raises(NonFiniteError, match="must be finite"):
             algebra.is_invertible(a)
+
+
+def _infinite_row(n=4):
+    a = np.eye(n)
+    a[1] = np.inf
+    return a
+
+
+@pytest.mark.parametrize("call", [
+    pytest.param(lambda: grassmann.ProjectiveMap(np.full((4, 4), np.inf)), id="map-all-inf"),
+    pytest.param(lambda: algebra.is_invertible(_infinite_row()), id="is-invertible-inf-row"),
+    pytest.param(lambda: algebra.inverse(_infinite_row()), id="inverse-inf-row"),
+    pytest.param(lambda: algebra.inverse(np.diag([np.inf, 1, 1, 1])), id="inverse-inf-diag"),
+    pytest.param(lambda: algebra.is_invertible(np.full((3, 3), np.nan)), id="is-invertible-nan"),
+])
+def test_a_non_finite_matrix_is_named_before_lapack_can_print(capfd, call):
+    # LAPACK's scaling routine prints "** On entry to DLASCL ..." to file descriptor 1 on an
+    # all-infinite row; the finiteness test runs first, so nothing reaches it
+    with pytest.raises(NonFiniteError, match="matrix entries must be finite"):
+        call()
+    assert capfd.readouterr() == ("", "")
 
 
 def test_singular_values_fail_as_numpy_does_on_a_nan_entry():

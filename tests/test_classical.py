@@ -10,6 +10,9 @@ from apline.errors import (
     DegenerateReferenceError,
     DimensionError,
     IndeterminateError,
+    NegativeWeightError,
+    NonFiniteError,
+    NotAPermutationError,
     ValueOverflowError,
     ZeroWeightError,
 )
@@ -275,3 +278,54 @@ def test_a_pushforward_density_that_overflows_is_an_overflow_error():
     mu = classical.Measure([5e-324, 1e308])
     with pytest.raises(ValueOverflowError, match="site 0: .* outside the float range"):
         classical.density_pushforward(classical.Bijection([1, 0]), mu)
+
+
+# --- typed errors of the public constructors -------------------------------------------
+
+@pytest.mark.parametrize("images", [
+    pytest.param([0.5, 1.7], id="floats-are-not-truncated"),
+    pytest.param(["1", "0"], id="strings-are-not-parsed"),
+    pytest.param([True, False], id="booleans"),
+    pytest.param([np.True_, np.False_], id="numpy-booleans"),
+    pytest.param([1.0, 0.0], id="integral-floats"),
+])
+def test_a_bijection_takes_integer_images_only(images):
+    with pytest.raises(NotAPermutationError, match="images must be integers"):
+        classical.Bijection(images)
+
+
+def test_a_bijection_reads_numpy_integers_exactly():
+    assert classical.Bijection(np.array([2, 0, 1])).images == (2, 0, 1)
+    assert all(type(i) is int for i in classical.Bijection(np.array([1, 0])).images)
+
+
+@pytest.mark.parametrize("images", [
+    pytest.param([0, 0], id="repeated-image"),
+    pytest.param([1, 2], id="image-off-the-sites"),
+    pytest.param([-1, 0], id="negative-image"),
+])
+def test_a_bijection_that_is_not_a_permutation_is_a_typed_error(images):
+    with pytest.raises(NotAPermutationError, match="not a permutation") as info:
+        classical.Bijection(images)
+    assert isinstance(info.value, ValueError)
+
+
+@pytest.mark.parametrize("weights", [
+    pytest.param([float("nan")], id="nan"),
+    pytest.param([1.0, float("inf")], id="infinite"),
+    pytest.param([INF], id="projective-infinity"),
+    pytest.param([-float("inf")], id="negative-infinite"),
+])
+def test_a_non_finite_weight_is_a_non_finite_error(weights):
+    with pytest.raises(NonFiniteError, match="weights must be finite and nonnegative: .*n"):
+        classical.Measure(weights)
+
+
+@pytest.mark.parametrize("weights", [
+    pytest.param([-1.0], id="negative"),
+    pytest.param([1.0, -5e-324], id="negative-subnormal"),
+])
+def test_a_negative_weight_is_a_typed_error(weights):
+    with pytest.raises(NegativeWeightError, match=r"nonnegative: -.* at site \d") as info:
+        classical.Measure(weights)
+    assert isinstance(info.value, (AplineError, ValueError))

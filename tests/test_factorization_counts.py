@@ -132,9 +132,33 @@ def test_unitary_torsor_runs_no_pole_margin_svd(counts):
     hermitian.poles(3)
     _reset(counts)
     hermitian.unitary_torsor(x, y, z)
-    # m is unitary, so the result point needs no rank SVD either; the QR canonicalizes it,
-    # and each of m's two projectors inverts its 2n x 2n frame
-    assert counts == _tally(qr=1, inv=2)
+    # M is unitary, so the result point needs no rank SVD either; the QR canonicalizes it,
+    # and each of M's two projectors is an n x n solve in the pole frame: N* X and S* Z,
+    # whose condition number membership bounds by 1 + O(eps)
+    assert counts == _tally(qr=1, solve=2)
+
+
+@pytest.mark.parametrize("n", [3, 16])
+def test_unitary_torsor_runs_no_2n_by_2n_lapack_call(monkeypatch, n):
+    rng = np.random.default_rng(130 + n)
+    x, y, z = (hermitian.random_r_point(n, rng) for _ in range(3))
+    hermitian.poles(n)
+    shapes = []
+
+    def record(owner, attr):
+        original = getattr(owner, attr)
+        if original is not None:
+            monkeypatch.setattr(owner, attr, lambda *args, **kwargs: (
+                shapes.append(np.shape(args[0])) or original(*args, **kwargs)))
+    # every LAPACK gufunc of the seam, and every np.linalg factorization
+    for attr in dir(algebra):
+        if attr.endswith("_gufunc"):
+            record(algebra, attr)
+    for name in (*_COUNTED, "eigh", "det"):
+        record(np.linalg, name)
+    hermitian.unitary_torsor(x, y, z)
+    # the two solves are n x n, and the QR of M Y (geqrf, then ungqr) is 2n x n
+    assert sorted(shapes) == [(n, n), (n, n), (2 * n, n), (2 * n, n)]
 
 
 def test_cayley_to_unitary_runs_no_svd_on_the_constant_map(counts):
@@ -273,18 +297,19 @@ def test_projective_map_runs_one_svd_and_keeps_its_condition_number(counts):
     assert grassmann.identity_map(3)._cond == 1.0
 
 
-@pytest.mark.parametrize("rep, error, match", [
-    (np.diag([1.0, np.nan]), NonFiniteError, "matrix entries must be finite"),
+@pytest.mark.parametrize("rep, error, match, svds", [
+    # a non-finite entry is named before the SVD, which LAPACK would print about
+    (np.diag([1.0, np.nan]), NonFiniteError, "matrix entries must be finite", 0),
     (1.5e308 * np.array([[1.0, 1.0], [1.0, -1.0]]), ValueOverflowError,
-     r"^matrix of scale 1\.500e\+308 .* SVD$"),
-    (np.diag([1.0, 0.0]), SingularError, "^projective map rep is singular$"),
+     r"^matrix of scale 1\.500e\+308 .* SVD$", 1),
+    (np.diag([1.0, 0.0]), SingularError, "^projective map rep is singular$", 1),
 ], ids=["nan", "overflow", "singular"])
-def test_projective_map_keeps_its_errors_from_its_one_svd(counts, rep, error, match):
+def test_projective_map_keeps_its_errors_from_its_one_svd(counts, rep, error, match, svds):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(error, match=match):
             grassmann.ProjectiveMap(rep)
-    assert counts == _tally(svd=1)
+    assert counts == _tally(svd=svds)
 
 
 @pytest.mark.parametrize("make", [grassmann.point_from_chart, grassmann.point_from_cochart])

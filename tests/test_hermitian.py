@@ -470,14 +470,19 @@ def test_tangent_product_at_zero_is_matrix_multiplication():
                               grassmann.one_point(n))
 
 
-@pytest.mark.parametrize("n", [1, 3])
-def test_unitary_torsor_equals_the_checked_torsor_product_bitwise(n):
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 6, 16])
+def test_unitary_torsor_agrees_with_the_checked_torsor_product(n):
     rng = np.random.default_rng(2718 + n)
     x, y, z = (hermitian.random_r_point(n, rng) for _ in range(3))
     north, south = hermitian.poles(n)
     got = hermitian.unitary_torsor(x, y, z)
+    # the pole-frame solves against the checked (S, N) group law and its two 2n x 2n inverses
     want = grassmann.torsor_product(x, y, z, south, north)
-    assert got.basis.tobytes() == want.basis.tobytes()
+    assert np.linalg.norm(got.projector - want.projector) <= 1e-13
+    ux, uy, uz = (hermitian.cayley_to_unitary(p) for p in (x, y, z))
+    expected = ux @ uy.conj().T @ uz
+    assert (np.linalg.norm(hermitian.cayley_to_unitary(got) - expected)
+            <= 1e-13 * (1 + np.linalg.norm(expected)))
 
 
 def test_unitary_torsor_rejects_points_outside_the_universe():

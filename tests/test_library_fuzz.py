@@ -16,7 +16,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from apline import algebra, crossratio, grassmann, hermitian, obstate
-from apline.errors import AplineError, NotTransversalError
+from apline.errors import (AplineError, DimensionError, NotInUniverseError,
+                           NotTransversalError)
 
 # 10-based exponents of the smallest singular value: dense around the transversality
 # threshold (a sine of about 2e-8) and the guards' sine bound, sparse elsewhere
@@ -166,3 +167,92 @@ def test_chart_in_frame_reads_the_base_frame_as_the_solve_does(m, memoized):
                         for f in (frame, tuple(_untagged(p) for p in frame))]
             # + 0.0 turns -0.0 into 0.0: the two may differ in the sign of an exact zero
             assert outcomes[0] == outcomes[1]
+
+
+# --- the unitary torsor and the Cayley unitary near the edge of R_{N,S} ---------------
+
+# the factor f of membership's tolerance by which a point is moved off R: inside, at the
+# edge on both sides, and outside
+_IN_R = st.sampled_from([0.0, 0.5, 0.99])
+_OFF_R = st.sampled_from([0.0, 0.5, 0.99, 1.01, 2.0])
+_SLOTS = st.sampled_from(["near", "near", "near", "north", "south", "other-n"])
+
+
+def _membership_tol(n):
+    """membership's bound on ||X* Omega X||_F for an orthonormal basis X (is_orthocomplement)."""
+    return algebra.TOL_EQ * (1.0 + np.sqrt(n)) / np.sqrt(2.0)
+
+
+def _near_r_point(draw, n, factors):
+    """(a point whose Lagrangian residual is f times membership's tolerance, f).
+
+    For X in R and a skew-Hermitian K with ||K||_F = 1, X + d Omega X K is orthonormal up to
+    d^2 and has X'* Omega X' = -2 d K up to d^2, so d = f tol / 2 puts the residual at f tol.
+    Its basis is handed to SubspacePoint at a scale 2^-500, 1 or 2^500.
+    """
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    x = hermitian.random_r_point(n, rng).basis
+    k = algebra.random_matrix(n, rng)
+    k = (k - k.conj().T) / np.linalg.norm(k - k.conj().T)
+    f = draw(factors)
+    moved = x + f * _membership_tol(n) / 2 * np.vstack([x[n:], -x[:n]]) @ k
+    return grassmann.SubspacePoint(moved * 2.0 ** draw(st.sampled_from([-500, 0, 500]))), f
+
+
+@st.composite
+def _torsor_arguments(draw):
+    """Three (point, inside) arguments: moved off R by a factor f, a pole, or of another n.
+
+    inside tells whether the point is within membership's tolerance.  Half the cases draw
+    three points of one n inside it, which have a torsor.
+    """
+    n = draw(st.sampled_from([1, 2, 3, 4, 6]))
+    inside = draw(st.booleans())
+    args = []
+    for slot in (draw(_SLOTS) if not inside else "near" for _ in range(3)):
+        if slot in ("north", "south"):
+            args.append((hermitian.poles(n)[slot == "south"], False))
+        else:
+            p, f = _near_r_point(draw, n if slot == "near" else n % 4 + 1,
+                                 _IN_R if inside else _OFF_R)
+            args.append((p, f < 1))
+    return args
+
+
+def _checked(fn):
+    """fn()'s value, or the AplineError it raised; no RuntimeWarning, no other error."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        try:
+            return fn()
+        except AplineError as exc:
+            return exc
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(_torsor_arguments())
+def test_the_unitary_torsor_and_the_cayley_unitary_near_the_edge_of_the_universe(args):
+    points = [p for p, _ in args]
+    us = []
+    for p, inside in args:
+        u = _checked(lambda: hermitian.cayley_to_unitary(p))
+        if inside:
+            # membership's bound eps gives ||u* u - I||_F <= 2 eps / (1 - eps) (_cayley_unitary)
+            assert np.linalg.norm(u.conj().T @ u - np.eye(p.n)) <= 2.5 * _membership_tol(p.n)
+            us.append(u)
+        else:
+            assert isinstance(u, NotInUniverseError)
+    w = _checked(lambda: hermitian.unitary_torsor(*points))
+    if len({p.n for p in points}) > 1:
+        assert isinstance(w, DimensionError)
+    elif len(us) < 3:
+        assert isinstance(w, NotInUniverseError)
+    else:
+        n = w.n
+        # the inputs' Lagrangian residuals add up, so w may sit just outside membership's
+        # tolerance: read u_w as the chart value of C^-1 w, with no membership test
+        b = w.basis
+        assert np.linalg.norm(b.conj().T @ np.vstack([b[n:], -b[:n]])) <= 3.5 * _membership_tol(n)
+        got = grassmann.chart_repr(grassmann.apply_map(hermitian.cayley_matrix(n).inverse(), w))
+        want = us[0] @ us[1].conj().T @ us[2]
+        assert np.linalg.norm(got - want) <= 1e-7 * (1.0 + np.linalg.norm(want))

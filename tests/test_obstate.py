@@ -362,6 +362,20 @@ def test_a_complex_root_has_no_completion_point():
         obstate._completion_parameter(fam, obstate._line_factors(fam), target)
 
 
+def test_a_root_that_fails_its_verification_is_a_completion_error(monkeypatch):
+    # a computed root's normalized smallest singular value is a rounding residual, never
+    # exactly 0 here, so a tolerance of 0 rejects the closed-form root
+    psi = np.array([[1.0], [2.0 + 1.0j]])
+    o = obstate.standard_obstate(np.diag([1.0, 3.0]), psi @ psi.conj().T / 6.0)
+    assert np.isfinite(complex(obstate.pure_expectation(o)))
+    monkeypatch.setattr(obstate, "COMPLETION_TOL", 0.0)
+    with pytest.raises(NonUniqueCompletionError,
+                       match="^completion-point refinement did not converge$"):
+        obstate.pure_expectation(o)
+    assert (obstate.report(o)["pure_expectation_error"]
+            == "completion-point refinement did not converge")
+
+
 def _report_from_public_calls(o):
     out = {"expectation": obstate._scalar_to_json(obstate.expectation(o))}
     if o.strong:
