@@ -30,6 +30,7 @@ from .errors import (
     NegativeWeightError,
     NonFiniteError,
     NotAPermutationError,
+    NotARealError,
     ValueOverflowError,
     ZeroWeightError,
 )
@@ -37,10 +38,21 @@ from .errors import (
 Value = Union[float, Infinity]
 
 
+def _as_real(v, what: str) -> float:
+    """float(v) for a real number v, else NotARealError: the one reader of values and weights."""
+    # float() would parse "1", count a bool as 0 or 1 and drop a numpy complex's imaginary part
+    if not isinstance(v, (str, bytes, bool, np.bool_, complex, np.complexfloating)):
+        try:
+            return float(v)
+        except (TypeError, ValueError):  # None, a Python complex, a list
+            pass
+    raise NotARealError(f"{what} must be real numbers, got {v!r:.40}")
+
+
 def _as_value(v) -> Value:
     if is_inf(v):
         return INF
-    f = float(v)
+    f = _as_real(v, "values")
     if not np.isfinite(f):
         raise NonFiniteError("values must be finite floats or INF")
     return f
@@ -91,7 +103,7 @@ class Measure:
     weights: tuple
 
     def __init__(self, weights: Sequence[float]):
-        ws = tuple(np.inf if is_inf(w) else float(w) for w in weights)
+        ws = tuple(np.inf if is_inf(w) else _as_real(w, "weights") for w in weights)
         for p, w in enumerate(ws):
             if not np.isfinite(w) or w < 0:
                 error = NegativeWeightError if np.isfinite(w) else NonFiniteError

@@ -114,5 +114,9 @@ class NegativeWeightError(AplineError, ValueError):
     """A measure has a negative weight."""
 
 
+class NotARealError(AplineError, ValueError):
+    """A classical value or weight is no real number: a string, a bool, None or a complex."""
+
+
 class NotAPermutationError(AplineError, ValueError):
     """The images of a bijection are not a permutation of the sites 0..m-1."""

@@ -22,11 +22,9 @@ Convention notes (all verified by the calibration tests):
 * unitary_torsor uses the pair order (S, N), which is the order that
   realizes the Cayley-chart law u_x u_y* u_z (the Cayley matrix sends
   0 -> N and infinity -> S, so the chart pair (infinity, 0) downstairs
-  is (S, N) upstairs).  It works in the pole frame: N and S are
-  orthogonal, so each projector of the pair law is one n x n solve
-  against N* X or S* Z, and every point of R_{N,S} meets both poles at
-  45 degrees, so both are 1 / sqrt 2 times a unitary up to membership's
-  tolerance.
+  is (S, N) upstairs).
+* The Cayley frame is read in closed form from the exact pole columns
+  N0 = [iI; I] and S0 = [-iI; I], as C^{-1} = C*/2 (see _pole_blocks).
 """
 
 from __future__ import annotations
@@ -93,20 +91,12 @@ def j_matrix(n: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def _cayley_maps(n: int) -> tuple[ProjectiveMap, ProjectiveMap]:
-    """The maps C and C^{-1}; one cached pair per n, shared and read-only."""
-    n = algebra.check_size(n)
-    eye = np.eye(n)
-    c = ProjectiveMap._invertible(np.block([[1j * eye, -1j * eye], [eye, eye]]),
-                                  grassmann._UNITARY_COND)
-    # c / sqrt 2 is unitary (exact entries), so c is invertible with condition number 1;
-    # its inverse, C*/2 up to rounding, inherits it
-    return c, c.inverse()
-
-
 def cayley_matrix(n: int) -> ProjectiveMap:
-    """The Cayley matrix C = [[i, -i], [1, 1]] blocks; C(0) = N, C(inf) = S."""
-    return _cayley_maps(n)[0]
+    """The Cayley matrix C = [[i, -i], [1, 1]] blocks; C(0) = N, C(inf) = S.  Cached per n."""
+    eye = np.eye(algebra.check_size(n))
+    # C / sqrt 2 is unitary (exact entries), so C is invertible with condition number 1
+    return ProjectiveMap._invertible(np.block([[1j * eye, -1j * eye], [eye, eye]]),
+                                     grassmann._UNITARY_COND)
 
 
 def _null_space_point(rows: np.ndarray) -> SubspacePoint:
@@ -152,10 +142,7 @@ def involution(x: SubspacePoint, kind: str) -> SubspacePoint:
 
 @lru_cache(maxsize=None)
 def poles(n: int) -> tuple[SubspacePoint, SubspacePoint]:
-    """North and south pole: N = [(i, 1)] = span[iI; I], S = [(-i, 1)].
-
-    One cached pair per n, shared and read-only.
-    """
+    """North and south pole N = span[iI; I], S = span[-iI; I]; one cached pair per n, read-only."""
     n = algebra.check_size(n)
     eye = np.eye(n)
     north = SubspacePoint(np.vstack([1j * eye, eye]))
@@ -221,12 +208,27 @@ def s1_action(theta: float, x: SubspacePoint) -> SubspacePoint:
 
 # --- Cayley transform and the unitary universe ---------------------------------
 
-def cayley_to_unitary(x: SubspacePoint) -> np.ndarray:
-    """The unitary matrix of a point of R_{N,S}: chart value of C^{-1} x.
+def _pole_blocks(x: SubspacePoint) -> tuple[np.ndarray, np.ndarray]:
+    """(A, B) = (N0* X, S0* X) = (X2 - i X1, X2 + i X1) for the basis X = [X1; X2] of x.
 
-    On chart points this is the classical Cayley transform
-    h -> (h + i)(h - i)^{-1}; it maps 0 to -1 and infinity to 1.  The
-    result is a new writable array.
+    N0 = [iI; I] and S0 = [-iI; I] are the exact pole columns and C^{-1} = C*/2,
+    so 2 C^{-1} X = [A; B].  N0* S0 = 0, N0 N0* + S0 S0* = 2I and S0 S0* - N0 N0* =
+    -2i Omega, so A* A = I - E and B* B = I + E for E = -i X* Omega X, and for x in
+    R_{N,S} membership bounds ||E||_F by eps = TOL_EQ (1 + sqrt n) / sqrt 2: A and B
+    have condition number at most sqrt((1 + eps) / (1 - eps)), and u = B A^-1 has
+    u* u - I = A^-* (2E) A^-1, so ||u* u - I||_F = ||u u* - I||_F <= 2 eps / (1 - eps)
+    and cond(u) < 1 + 3 eps, up to a few n eps_machine.
+    """
+    n = x.n
+    top, bottom = x.basis[:n], x.basis[n:]
+    return bottom - 1j * top, bottom + 1j * top
+
+
+def cayley_to_unitary(x: SubspacePoint) -> np.ndarray:
+    """The unitary matrix of a point of R_{N,S}: chart value of C^{-1} x, a new writable array.
+
+    On chart points this is the classical Cayley transform h -> (h + i)(h - i)^{-1};
+    it maps 0 to -1 and infinity to 1.
     """
     return _cayley_unitary(x).copy()
 
@@ -236,19 +238,18 @@ def _cayley_unitary(x: SubspacePoint) -> np.ndarray:
     """cayley_to_unitary(x), read-only and cached on x."""
     if not _is_lagrangian(x):
         raise NotInUniverseError("cayley_to_unitary needs a point of R_{N,S}")
-    n = x.n
-    # the basis of C^{-1} x from apply_map's QR, with no image point: none is read again
-    y, _ = algebra.thin_qr(_cayley_maps(n)[1].rep @ x.basis)
-    # chart_repr of C^{-1} x less its invertibility SVD, and unitary by proof, not by test.
-    # C / sqrt 2 is unitary, so X = C Y W / sqrt 2 for Y = [T; B] and a unitary W, and as
-    # C* Omega C = diag(-2i, 2i), X* Omega X = -i W* E W with E = T* T - B* B.  membership
-    # bounds ||E|| by eps = TOL_EQ (1 + sqrt n) / sqrt 2, and T* T + B* B = I gives
-    # T* T = (I + E) / 2: T is invertible, and u = B T^-1 has u* u = (T T*)^-1 - I, with
-    # eigenvalues (1 - e_i) / (1 + e_i) over those e_i of E.  So cond(u) < 1 + 3 eps, and
-    # ||u* u - I||_F = ||u u* - I||_F <= 2 eps / (1 - eps), up to a few n eps_machine.
-    u = y[n:, :] @ algebra.proven_inverse(y[:n, :])
+    a, b = _pole_blocks(x)
+    # the chart value of C^{-1} x, unitary by proof (see _pole_blocks), not by test
+    u = b @ algebra.proven_inverse(a)
     u.setflags(write=False)
     return u
+
+
+def _r_point(u: np.ndarray) -> SubspacePoint:
+    """The R_{N,S} point C [I; u] = [i(I - u); I + u] of a unitary u (up to rounding)."""
+    eye = np.eye(u.shape[0])
+    # the columns' Gram matrix is 4I + 2(u* u - I), so they have full rank
+    return SubspacePoint._full_rank(np.vstack([1j * (eye - u), eye + u]))
 
 
 def unitary_to_point(u) -> SubspacePoint:
@@ -256,44 +257,35 @@ def unitary_to_point(u) -> SubspacePoint:
     u = algebra.as_matrix(u)
     if not algebra.is_unitary(u):
         raise NotUnitaryError("unitary_to_point needs a unitary matrix")
-    return apply_map(cayley_matrix(u.shape[0]), point_from_chart(u))
+    return _r_point(u)
 
 
 def random_r_point(n: int, rng) -> SubspacePoint:
-    """A random point of R: the image of a Haar-ish random unitary.
+    """A random point of R: unitary_to_point of a Haar-ish random unitary, less its test.
 
-    There is no canonical retraction from arbitrary points onto R, so R
-    is sampled through its unitary parametrization: unitary_to_point less
-    its test, as random_unitary's Householder Q times unit phases is
-    unitary to a few n eps (Higham, Accuracy and Stability, ch. 19).
+    R has no canonical retraction from arbitrary points, so it is sampled through its
+    unitary parametrization; random_unitary's Householder Q times unit phases is unitary
+    to a few n eps (Higham, Accuracy and Stability, ch. 19).
     """
-    return apply_map(cayley_matrix(n), point_from_chart(algebra.random_unitary(n, rng)))
+    return _r_point(algebra.random_unitary(n, rng))
 
 
 def unitary_torsor(x: SubspacePoint, y: SubspacePoint,
                    z: SubspacePoint) -> SubspacePoint:
     """The torsor law x ._y z on R_{N,S}; u_{x ._y z} = u_x u_y* u_z.
 
-    Realized as the (S, N)-pair group law of the projective line,
-    M_{xSNz} Y = (P(im x, ker S) - P(im N, ker z)) Y, computed in the pole
-    frame: N* S = 0 for the pole bases, so P(im x, ker S) = X (N* X)^-1 N*
-    and P(im N, ker z) = I - Z (S* Z)^-1 S*, two n x n solves.  The pair
-    order is fixed by the Cayley-chart calibration (see module docstring).
+    Realized as the (S, N)-pair group law M_{xSNz} Y = (P(im x, ker S) - P(im N, ker z)) Y
+    (pair order: see module docstring) in the pole frame: N0* S0 = 0, so P(im x, ker S) =
+    X (N0* X)^-1 N0* and P(im N, ker z) = I - Z (S0* Z)^-1 S0*, two n x n solves.  Members
+    near the edge of R_{N,S} can give a result off it, as their Lagrangian residuals add
+    up (three at 0.99 of membership's tolerance gave up to 2.97 times it).
     """
     _same_n(x, y, z)
-    for p in (x, y, z):
-        if not membership(p, "RNS"):
-            raise NotInUniverseError("unitary_torsor needs points of R_{N,S}")
-    north, south = poles(x.n)
-    n_adj, s_adj = north.basis.conj().T, south.basis.conj().T
-    # [N | S] is unitary (N* S = 0 to a few eps_machine), so N N* + S S* = I, and
-    # S S* - N N* = -i Omega.  For an orthonormal basis X of a point of R_{N,S}, membership
-    # bounds ||X* Omega X||_F by eps = TOL_EQ (1 + sqrt n) / sqrt 2, so
-    # (N* X)* (N* X) = (I - E) / 2 and (S* X)* (S* X) = (I + E) / 2 with ||E||_F <= eps:
-    # N* X and S* X are 1 / sqrt 2 times a unitary up to eps, and both solves below have
-    # condition number at most sqrt((1 + eps) / (1 - eps)) = 1 + O(eps)
-    my = (x.basis @ algebra.solve(n_adj @ x.basis, n_adj @ y.basis) - y.basis
-          + z.basis @ algebra.solve(s_adj @ z.basis, s_adj @ y.basis))
+    if not all(membership(p, "RNS") for p in (x, y, z)):
+        raise NotInUniverseError("unitary_torsor needs points of R_{N,S}")
+    (nx, _), (ny, sy), (_, sz) = (_pole_blocks(p) for p in (x, y, z))
+    # N0* X and S0* Z are unitary up to eps, so both solves are well conditioned
+    my = x.basis @ algebra.solve(nx, ny) - y.basis + z.basis @ algebra.solve(sz, sy)
     # M = C [[0, u_z^-1], [u_x, 0]] C^-1 and C / sqrt 2 is unitary, so M is unitary up to
     # membership's tolerance and M Y has condition number ~ 1
     return SubspacePoint._full_rank(my)
@@ -303,22 +295,19 @@ def unitary_torsor(x: SubspacePoint, y: SubspacePoint,
 def transport_to_zero(a: SubspacePoint) -> ProjectiveMap:
     """A symmetry g of (R, tau, alpha) with g(a) = 0, for a in R_{N,S}.
 
-    Built in the Cayley chart as left multiplication by -u_a*: the
-    representing matrix C diag(I, -u_a*) C^{-1} is unitary (C/sqrt(2)
-    is), hence commutes with alpha; it preserves the form omega exactly,
-    hence commutes with tau.  The map is cached on a and shared, and so
-    are its inverse (see ProjectiveMap.inverse) and, while a lives, each
-    point's image under it (see apply_map).
+    Built in the Cayley chart as left multiplication by d = -u_a*: the representing
+    matrix C diag(I, d) C^{-1} = (1/2) [[I + d, i(I - d)], [-i(I - d), I + d]] is
+    unitary (C/sqrt(2) is), hence commutes with alpha; it preserves the form omega
+    exactly, hence commutes with tau.  At a = 0, u_a = -I and the rep is I exactly.
+    The map is cached on a and shared, and so are its inverse (see ProjectiveMap.inverse)
+    and, while a lives, each point's image under it (see apply_map).
     """
-    u_a = _cayley_unitary(a)
-    n = a.n
-    c, c_inv = (g.rep for g in _cayley_maps(n))
-    d = np.zeros((2 * n, 2 * n), dtype=complex)
-    d[:n, :n] = np.eye(n)
-    d[n:, n:] = -u_a.conj().T
-    # C^{-1} = C*/2 and u_a is unitary (proven in _cayley_unitary), so (C/sqrt 2) d (C/sqrt 2)*
-    # is unitary, up to membership's bound on u_a (see grassmann._UNITARY_COND)
-    return ProjectiveMap._invertible(c @ d @ c_inv, grassmann._UNITARY_COND)
+    d = -_cayley_unitary(a).conj().T
+    eye = np.eye(a.n)
+    plus, minus = eye + d, 1j * (eye - d)
+    # unitary up to u_a's proven bound (see _pole_blocks and grassmann._UNITARY_COND)
+    return ProjectiveMap._invertible(0.5 * np.block([[plus, minus], [-minus, plus]]),
+                                     grassmann._UNITARY_COND)
 
 
 def tangent_unit(a: SubspacePoint) -> SubspacePoint:
@@ -448,15 +437,10 @@ def chart_in_frame(z: SubspacePoint, origin: SubspacePoint,
         raise NotTransversalError("point is not transversal to the chart horizon") from None
 
 
-def _chart_origin(c: SubspacePoint) -> SubspacePoint:
-    """The default origin of the frame with horizon c."""
-    return _transversal_to((c,), 0x0A11)
-
-
-def _chart_values(x: SubspacePoint, y: SubspacePoint, c: SubspacePoint,
-                  o: SubspacePoint):
-    """The frame [B_o | B_c] of horizon c and origin o, chart_c(y) and
+def _chart_values(x: SubspacePoint, y: SubspacePoint, c: SubspacePoint):
+    """The frame [B_o | B_c] of horizon c and its default origin o, chart_c(y) and
     chart_c(x) - chart_c(y): the arguments of LineFamily."""
+    o = _transversal_to((c,), 0x0A11)
     my = chart_in_frame(y, o, c)
     return np.hstack([o.basis, c.basis]), my, chart_in_frame(x, o, c) - my
 
@@ -466,7 +450,7 @@ def chart_difference_rank(x: SubspacePoint, y: SubspacePoint, c: SubspacePoint) 
 
     The explicit-chart reference for arithmetic_distance.
     """
-    _, _, difference = _chart_values(x, y, c, _chart_origin(c))
+    _, _, difference = _chart_values(x, y, c)
     s = algebra.singular_values(difference)
     return 0 if s[0] == 0.0 else int(np.count_nonzero(s > RANK_RTOL * s[0]))
 
@@ -549,7 +533,7 @@ def line_family(x: SubspacePoint, y: SubspacePoint,
     if arithmetic_distance(x, y) != 1:
         raise NotRankOneError("intrinsic lines need a pair at arithmetic distance 1")
     c = common_chart_point(x, y) if chart_point is None else chart_point
-    return LineFamily(*_chart_values(x, y, c, _chart_origin(c)))
+    return LineFamily(*_chart_values(x, y, c))
 
 
 # --- cyclic order -----------------------------------------------------------------

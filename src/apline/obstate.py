@@ -163,9 +163,9 @@ def _strong_normal_form(o: Obstate) -> tuple[np.ndarray, np.ndarray]:
     point equal to it) the transport is skipped: a and w come from the
     memoized chart values of A and W, which the kernel of expectation and
     the order test read too, and a is the Hermitian part the order test
-    reads.  The skip is exact in exact arithmetic, where the transport of 0
-    is the identity, but the computed transport's rep is I only up to
-    rounding, so a transported (a, w) differs from these in its last bits.
+    reads.  The transport of 0 is the identity, its computed rep too (see
+    hermitian.transport_to_zero), but apply_map's QR re-canonicalizes each
+    moved basis, so a transported (a, w) differs from these in its last bits.
     The skip thus fixes the standard frame's bits, and it stays out of the
     shortcut audit, which switches off only shortcuts that keep every bit.
     Otherwise the moved A and W are cached on A and W while the transport

@@ -463,8 +463,9 @@ def test_the_seam_is_bitwise_numpy_on_the_call_sites_inputs(n):
     _, _, vh = np.linalg.svd(rng.standard_normal((n, 2 * n)) + 0j)
     null = vh[n:, :].conj().T
     _same_bits(algebra.thin_qr(null)[0], np.linalg.qr(null)[0])
-    # the top block of a basis, as hermitian._cayley_unitary inverts it
-    _same_bits(algebra.proven_inverse(x[:n, :]), np.linalg.inv(x[:n, :]))
+    # the pole block N0* X = X2 - i X1 of a basis, as hermitian._cayley_unitary inverts it
+    block = x[n:, :] - 1j * x[:n, :]
+    _same_bits(algebra.proven_inverse(block), np.linalg.inv(block))
 
 
 @pytest.mark.parametrize("entry", [np.nan, np.inf, complex(0.0, np.nan)],

@@ -13,6 +13,7 @@ from apline.errors import (
     NegativeWeightError,
     NonFiniteError,
     NotAPermutationError,
+    NotARealError,
     ValueOverflowError,
     ZeroWeightError,
 )
@@ -329,3 +330,30 @@ def test_a_negative_weight_is_a_typed_error(weights):
     with pytest.raises(NegativeWeightError, match=r"nonnegative: -.* at site \d") as info:
         classical.Measure(weights)
     assert isinstance(info.value, (AplineError, ValueError))
+
+
+@pytest.mark.parametrize("value", [
+    pytest.param("1", id="numeric-string-is-not-parsed"),
+    pytest.param("x", id="string"),
+    pytest.param(True, id="boolean"),
+    pytest.param(np.True_, id="numpy-boolean"),
+    pytest.param(None, id="none"),
+    pytest.param(1j, id="complex"),
+    pytest.param(np.complex128(1.0), id="numpy-complex-with-zero-imaginary-part"),
+])
+@pytest.mark.parametrize("make, rule", [
+    pytest.param(classical.Measure, "weights must be real numbers", id="weight"),
+    pytest.param(classical.ClassicalFn, "values must be real numbers", id="value"),
+])
+def test_a_classical_value_that_is_no_real_number_is_a_typed_error(make, rule, value):
+    # one reader for weights and values: never float()'s parse, count or bare TypeError
+    with pytest.raises(NotARealError, match=f"^{rule}, got ") as info:
+        make([1.0, value])
+    assert isinstance(info.value, AplineError) and isinstance(info.value, ValueError)
+
+
+def test_classical_values_read_real_numbers_of_every_type():
+    got = classical.ClassicalFn([1, np.int64(-2), np.float32(0.5), INF]).values
+    assert got[:3] == (1.0, -2.0, 0.5) and all(type(v) is float for v in got[:3])
+    assert is_inf(got[3])
+    assert classical.Measure([2, np.float64(0.25)]).weights == (2.0, 0.25)

@@ -166,10 +166,10 @@ def test_cayley_to_unitary_runs_no_svd_on_the_constant_map(counts):
     hermitian.cayley_matrix(3)
     _reset(counts)
     hermitian.cayley_to_unitary(x)
-    # membership proves the chart block invertible, so no SVD is left: the QR of C^-1 x
-    # and the inverse of its chart block
-    assert counts == _tally(qr=1, inv=1)
-    # the QR's basis is used in place: no image point of C^-1 x is built or cached on x
+    # C^-1 = C*/2 exactly, so 2 C^-1 X = [N0* X; S0* X] needs no QR, and membership proves
+    # N0* X invertible, so no SVD is left: the inverse of N0* X
+    assert counts == _tally(inv=1)
+    # no image point of C^-1 x is built or cached on x
     assert grassmann._image not in x._memo
 
 
@@ -429,15 +429,14 @@ def test_transported_frame_report_svd_count(counts, cold_base_points):
     o = _transported_obstate(31)
     _reset(counts)
     obstate.report(o)
-    # expectation: 1 solve and 2 inverses (see above); normal form: the QR of
-    # C^-1 A0 and the inverse of its chart block for the transport, the QRs of A and W
-    # moved by it, and their 2 chart blocks (an SVD and an inverse each); pure test: the
-    # sines of (W, Winf), with no chart; cyclic order cut at Winf: Winf's chart, then
-    # A0's chart and gap once for both triples, W's chart and gap for the positive state,
-    # and A's chart and gap for the observable (an SVD and an inverse each), and the two
-    # psd tests.  No slot has memoized sines to a base point or a graph tag, so every
+    # expectation: 1 solve and 2 inverses (see above); normal form: the inverse of N0* A0
+    # for the transport, the QRs of A and W moved by it, and their 2 chart blocks (an SVD
+    # and an inverse each); pure test: the sines of (W, Winf), with no chart; cyclic order
+    # cut at Winf: Winf's chart, then A0's chart and gap once for both triples, W's chart
+    # and gap for the positive state, and A's chart and gap for the observable (an SVD and
+    # an inverse each), and the two psd tests.  No slot has memoized sines to a base point or a graph tag, so every
     # chart guard runs its SVD
-    assert counts == _tally(svd=10, qr=3, inv=12, solve=1, eigvalsh=2)
+    assert counts == _tally(svd=10, qr=2, inv=12, solve=1, eigvalsh=2)
 
 
 def test_order_tests_after_a_transported_report_run_no_svd_and_no_inverse(counts,
@@ -501,9 +500,9 @@ def test_the_tangent_algebra_trials_transport_each_live_pair_once(seam_calls):
     _reset(seam_calls)
     properties.run_property(spec, properties.DEFAULT_N_LIST, 10, 0)
     # each repeated tangent_product reads its factor moved by g = transport_to_zero(base), the
-    # factor's chart value and g's inverse from the memos: without them the trials ran
-    # {thin_qr 451, singular_values 251, proven_inverse 250}
-    assert seam_calls == {"thin_qr": 381, "singular_values": 181, "proven_inverse": 110}
+    # factor's chart value and g's inverse from the memos, and each trial's R_{N,S} point
+    # is built as C [I; u] by one QR, with no graph point moved by C
+    assert seam_calls == {"thin_qr": 361, "singular_values": 181, "proven_inverse": 110}
 
 
 def test_arithmetic_distance_runs_one_svd(counts):

@@ -558,11 +558,11 @@ def test_no_point_is_on_the_arc_when_winf_has_no_chart_value():
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 6])
-def test_the_standard_frame_skips_a_transport_that_moves_only_rounding_bits(n):
-    # transport_to_zero(0) is the identity in exact arithmetic, not in floating point
+def test_the_standard_frame_skips_a_transport_whose_image_qr_moves_rounding_bits(n):
+    # transport_to_zero(0) is the identity, in floating point too: u_0 = -I exactly
     deviation = np.abs(hermitian.transport_to_zero(grassmann.zero_point(n)).rep
                        - np.eye(2 * n)).max()
-    assert 0.0 < deviation <= np.finfo(float).eps
+    assert deviation == 0.0
     # a point with 0's basis bit for bit and an empty memo: equal to 0, but not the base point
     zero = grassmann.SubspacePoint.__new__(grassmann.SubspacePoint)
     zero.n, zero.basis, zero._memo = n, grassmann.zero_point(n).basis, {}
@@ -577,5 +577,6 @@ def test_the_standard_frame_skips_a_transport_that_moves_only_rounding_bits(n):
         for s, t in zip(skipped, transported):
             moved_bits += s.tobytes() != t.tobytes()
             worst = max(worst, np.linalg.norm(s - t) / np.linalg.norm(s))
-    # the skip fixes the standard frame's bits, which the transport would move by rounding
+    # the skip fixes the standard frame's bits, which the QR of each moved basis would move
+    # by rounding, although the rep is I
     assert moved_bits > 0 and worst < 1e-15

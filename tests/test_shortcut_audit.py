@@ -95,18 +95,14 @@ _SWITCHES = {
 }
 
 
-def _new_base_points():
-    for cached in (grassmann.zero_point, grassmann.infinity_point, grassmann.one_point,
-                   hermitian.poles):
-        cached.cache_clear()
-
-
 @pytest.fixture(autouse=True)
-def new_base_points():
-    """Start on new base points, and leave none whose memo was filled under a switch."""
-    _new_base_points()
-    yield
-    _new_base_points()
+def new_base_points(cold_base_points):
+    """Start on new base points, and leave none whose memo was filled under a switch.
+
+    Its value clears them (see conftest.cold_base_points).
+    """
+    yield cold_base_points
+    cold_base_points()
 
 
 @pytest.fixture
@@ -173,9 +169,9 @@ def test_every_switch_has_a_bite_case():
 
 @pytest.mark.parametrize("switch, pid, on, off", _BITES,
                          ids=[f"{switch}-{pid}" for switch, pid, *_ in _BITES])
-def test_each_switch_bites(monkeypatch, switch, pid, on, off):
+def test_each_switch_bites(monkeypatch, new_base_points, switch, pid, on, off):
     assert _warm_seam_calls(pid) == on
-    _new_base_points()
+    new_base_points()
     _SWITCHES[switch](monkeypatch)
     assert _warm_seam_calls(pid) == off
 
@@ -276,10 +272,10 @@ _DIFFERENTIALS = {
 
 
 @pytest.fixture
-def shortcuts_on(name):
+def shortcuts_on(name, new_base_points):
     """The differential's outputs with every shortcut on; then new base points for the rest."""
     outputs = _DIFFERENTIALS[name]()
-    _new_base_points()
+    new_base_points()
     return outputs
 
 
