@@ -10,6 +10,7 @@ arrays (complex128); nothing here mutates its arguments.
 
 from __future__ import annotations
 
+import cmath
 import math
 import operator
 from functools import lru_cache
@@ -26,6 +27,8 @@ TOL_EQ = 1e-9    # relative Frobenius tolerance for approximate equality
 TOL_PSD = 1e-9   # eigenvalue floor for positivity, relative to ||a||
 TOL_INV = 1e-10  # smallest/largest singular value ratio for invertibility
 
+_SQRT2 = math.sqrt(2.0)  # np.sqrt(2)'s bits, read without a ufunc call
+
 
 def as_matrix(a) -> np.ndarray:
     """Coerce to a square complex matrix (complex128, C-contiguous copy)."""
@@ -38,13 +41,14 @@ def as_matrix(a) -> np.ndarray:
 
 
 def check_size(n, what: str = "a size") -> int:
-    """n as an int, when it is a whole number n >= 1 (an int or a numpy integer).
+    """n as an int, when it is a whole number n >= 1 (an int or a numpy integer, not a bool).
 
     Anything else raises DimensionError: the one check of every function that
-    takes a size n, so -1, 0 and 2.5 never reach numpy.
+    takes a size n, so -1, 0, 2.5 and True never reach numpy.
     """
     try:
-        size = operator.index(n)
+        # operator.index reads True as 1; numpy's bool it already rejects
+        size = 0 if isinstance(n, bool) else operator.index(n)
     except TypeError:
         size = 0
     if size < 1:
@@ -62,8 +66,33 @@ def zero(n: int) -> np.ndarray:
 
 
 def norm(a) -> float:
-    """Frobenius norm."""
+    """Frobenius norm: float(np.linalg.norm(a)), bit for bit and with its warnings.
+
+    For a float64 or complex128 array these are np.linalg.norm's own steps,
+    less its Python wrapper: ravel in memory order, the sum of squares of
+    the real and imaginary parts by dot (which warns on overflow), then the
+    square root, which IEEE rounds correctly in math.sqrt as in np.sqrt.
+    """
+    if type(a) is np.ndarray and a.dtype.char in "dD":
+        x = a.ravel(order="K")
+        if x.dtype.char == "d":
+            return math.sqrt(x.dot(x))
+        re, im = x.real, x.imag
+        return math.sqrt(re.dot(re) + im.dot(im))
     return float(np.linalg.norm(a))
+
+
+def _all_finite(a: np.ndarray) -> bool:
+    """bool(np.isfinite(a).all()) for a float or complex array, proven by one dot when true.
+
+    A NaN or infinite entry x makes its term conj(x) x of np.vdot(a, a) NaN
+    or infinite (its real part is |x|^2), and no finite term cancels it:
+    the real parts of the terms are |x|^2 >= 0.  So a finite sum proves
+    every entry finite.  A sum that overflows, from finite entries near
+    the float range, proves nothing, and the mask decides.  vdot raises no
+    floating-point warning.
+    """
+    return cmath.isfinite(np.vdot(a, a)) or bool(np.isfinite(a).all())
 
 
 def almost_equal(a, b) -> bool:
@@ -76,8 +105,11 @@ def almost_equal(a, b) -> bool:
     b = np.asarray(b, dtype=complex)
     if a.shape != b.shape:
         raise DimensionError(f"shape mismatch: {a.shape} vs {b.shape}")
-    with np.errstate(over="ignore", invalid="ignore"):
+    token = _set_errors(over="ignore", invalid="ignore")
+    try:
         gap, size = norm(a - b), max(norm(a), norm(b))
+    finally:
+        _leave(token)
     if math.isfinite(gap + size):
         return gap <= TOL_EQ * (1.0 + size)
     if not (np.isfinite(a).all() and np.isfinite(b).all()):
@@ -145,8 +177,11 @@ def hermitian_gap(a: np.ndarray) -> tuple[float, float]:
     rescale of a, on which the test decides as in exact arithmetic.  A
     non-finite a gives NaN, which fails the test at every tolerance.
     """
-    with np.errstate(over="ignore", invalid="ignore"):
+    token = _set_errors(over="ignore", invalid="ignore")
+    try:
         gap, size = norm(a - a.conj().T), norm(a)
+    finally:
+        _leave(token)
     if math.isfinite(gap + size):
         return gap, size
     if not np.isfinite(a).all():
@@ -174,8 +209,11 @@ def _is_psd(a: np.ndarray) -> bool:
     stays: the two entries can differ in the sign of an exact zero, and the
     eigenvalues eigvalsh computes depend on that sign.
     """
-    with np.errstate(over="ignore"):
+    token = _set_errors(over="ignore")
+    try:
         size = norm(a)
+    finally:
+        _leave(token)
     if not math.isfinite(size):  # a non-finite entry fails is_hermitian
         return bool(np.isfinite(a).all()) and _is_psd(a * _pow2_scale(a))
     evals = eigvalsh((a + a.conj().T) / 2)
@@ -205,7 +243,7 @@ def invertible_cond(a: np.ndarray, tol: float = TOL_INV) -> float | None:
     entries whose singular values overflow raise ValueOverflowError naming
     their scale: the ratio is unknown, not small.
     """
-    if not np.isfinite(a).all():
+    if not _all_finite(a):
         raise NonFiniteError("matrix entries must be finite")
     try:
         s = singular_values(a)
@@ -331,16 +369,29 @@ def _lapack_state(message: str):
     return _make_extobj(call=raise_linalg_error, all=None, **_LAPACK_ERRORS)
 
 
+# The predicates that ignore an overflow (almost_equal, hermitian_gap, _is_psd,
+# _is_unitary, is_pair_idempotent and grassmann's _graph_point) set only some error
+# modes and keep the caller's others, so their state cannot be built at import.
+# _set_errors(**modes) builds it when called, from the current state, exactly as
+# entering np.errstate(**modes) does, and sets it the seam's way; _leave(token)
+# resets it, in a finally.
+
 if _make_extobj is None:  # pragma: no cover - depends on the numpy version
-    def _enter(callback):
-        state = np.errstate(call=callback, **_LAPACK_ERRORS)
+    def _set_errors(**modes):
+        state = np.errstate(**modes)
         state.__enter__()
         return state
+
+    def _enter(callback):
+        return _set_errors(call=callback, **_LAPACK_ERRORS)
 
     def _leave(state):
         state.__exit__(None, None, None)
 else:
     _enter, _leave = _extobj_contextvar.set, _extobj_contextvar.reset
+
+    def _set_errors(**modes):
+        return _enter(_make_extobj(**modes))
 
 _SINGULAR = _lapack_state("Singular matrix")
 _SVD_FAILED = _lapack_state("SVD did not converge")
@@ -384,7 +435,7 @@ def thin_qr(a: np.ndarray, with_r: bool = False):
             q = _qr_reduced_gufunc(packed, tau, signature="DD->D" if complex_ else "dd->d")
         finally:
             _leave(token)
-    if not (np.isfinite(q).all() and np.isfinite(packed).all()):
+    if not (_all_finite(q) and _all_finite(packed)):
         raise ValueOverflowError(
             f"basis of scale {_largest_part(a):.3e} (largest real or imaginary part) "
             "overflows the float range in its QR factorization")
@@ -467,8 +518,11 @@ def is_unitary(a, tol: float = TOL_EQ) -> bool:
 def _is_unitary(a: np.ndarray, unit: float, tol: float) -> bool:
     """a* a = unit^2 I = a a* at the relative tolerance."""
     eye = unit * unit * identity(a.shape[0])
-    with np.errstate(over="ignore", invalid="ignore"):
+    token = _set_errors(over="ignore", invalid="ignore")
+    try:
         left, right = norm(a.conj().T @ a - eye), norm(a @ a.conj().T - eye)
+    finally:
+        _leave(token)
     if not math.isfinite(left + right):
         # a* a = I iff (c a)* (c a) = c^2 I: decide on the exact rescale c a
         c = _pow2_scale(a)
@@ -529,9 +583,12 @@ def is_pair_idempotent(e: PairElement) -> bool:
     non-finite entry fails the test.
     """
     p, m = _same_dim_matrices(e.plus, e.minus)
-    with np.errstate(over="ignore", invalid="ignore"):
+    token = _set_errors(over="ignore", invalid="ignore")
+    try:
         pmp, mpm = p @ m @ p, m @ p @ m
-    if not (np.isfinite(pmp).all() and np.isfinite(mpm).all()) and (
+    finally:
+        _leave(token)
+    if not (_all_finite(pmp) and _all_finite(mpm)) and (
             np.isfinite(p).all() and np.isfinite(m).all()):
         raise ValueOverflowError(
             f"pair of scales {_largest_part(p):.3e} and {_largest_part(m):.3e} (largest real "
@@ -572,7 +629,7 @@ def _rows_from_json(rows, dtype, what: str) -> np.ndarray:
         raise DecodeError(f"{what} entries must be finite: {exc}") from None
     except ValueError as exc:  # rows of unequal length, or text below the second level
         raise DecodeError(f"{what} must be equal-length rows of numbers: {exc}") from None
-    if not np.isfinite(m).all():
+    if not _all_finite(m):
         raise DecodeError(f"{what} entries must be finite")
     return m
 
@@ -624,7 +681,7 @@ def random_matrix(n: int, rng) -> np.ndarray:
     """Complex Ginibre draw: independent standard complex Gaussian entries."""
     n = check_size(n)
     rng = rng_from(rng)
-    return (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) / np.sqrt(2)
+    return (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) / _SQRT2
 
 
 def random_hermitian(n: int, rng) -> np.ndarray:

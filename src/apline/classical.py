@@ -39,21 +39,28 @@ Value = Union[float, Infinity]
 
 
 def _as_real(v, what: str) -> float:
-    """float(v) for a real number v, else NotARealError: the one reader of values and weights."""
+    """float(v) for a real number v, else NotARealError: the one reader of values and weights.
+
+    A number beyond the float range, such as the integer 10**400, raises
+    ValueOverflowError.
+    """
     # float() would parse "1", count a bool as 0 or 1 and drop a numpy complex's imaginary part
     if not isinstance(v, (str, bytes, bool, np.bool_, complex, np.complexfloating)):
         try:
             return float(v)
         except (TypeError, ValueError):  # None, a Python complex, a list
             pass
+        except OverflowError as exc:
+            raise ValueOverflowError(
+                f"{what} must be real numbers in the float range, got {v!r:.40}: {exc}") from None
     raise NotARealError(f"{what} must be real numbers, got {v!r:.40}")
 
 
 def _as_value(v) -> Value:
-    if is_inf(v):
+    if v is INF:  # is_inf(v): Infinity.__new__ returns its one instance
         return INF
     f = _as_real(v, "values")
-    if not np.isfinite(f):
+    if not math.isfinite(f):
         raise NonFiniteError("values must be finite floats or INF")
     return f
 
@@ -103,10 +110,10 @@ class Measure:
     weights: tuple
 
     def __init__(self, weights: Sequence[float]):
-        ws = tuple(np.inf if is_inf(w) else _as_real(w, "weights") for w in weights)
+        ws = tuple(math.inf if w is INF else _as_real(w, "weights") for w in weights)
         for p, w in enumerate(ws):
-            if not np.isfinite(w) or w < 0:
-                error = NegativeWeightError if np.isfinite(w) else NonFiniteError
+            if not math.isfinite(w) or w < 0:
+                error = NegativeWeightError if math.isfinite(w) else NonFiniteError
                 raise error(f"weights must be finite and nonnegative: {w} at site {p}")
         object.__setattr__(self, "weights", ws)
 

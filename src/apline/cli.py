@@ -16,7 +16,7 @@ import click
 
 from . import DEFAULT_TRIALS, algebra, obstate
 from .crossratio import INF, classical_cr, is_inf
-from .errors import AplineError
+from .errors import AplineError, NotARealError
 
 
 def _parse_scalar(token: str):
@@ -194,11 +194,17 @@ def _values_from_json(obj, what: str) -> list:
 
 
 def _real_from_json(v) -> float:
+    """A JSON entry: a string as a command-line token, anything else as classical reads it."""
     if isinstance(v, str):
         return _parse_real(v)
-    if isinstance(v, bool):  # float() would read JSON true and false as 1 and 0
-        raise click.BadParameter(f"not a real number: {json.dumps(v)}")
-    return float(v)
+    from .classical import _as_real
+
+    try:
+        return _as_real(v, "entries")
+    except NotARealError:  # true, null, a list or an object
+        raise click.BadParameter(f"not a real number: {json.dumps(v)}") from None
+    except AplineError as exc:  # an integer beyond the float range
+        raise click.BadParameter(str(exc)) from None
 
 
 def _load_classical_problem(path: str) -> dict:

@@ -63,9 +63,12 @@ def is_inf(v) -> bool:
     return isinstance(v, Infinity)
 
 
+# Infinity.__new__ returns its one instance, so on the package's hot paths the test
+# v is INF stands for is_inf(v).
+
 def _homogeneous(v) -> tuple[complex, complex]:
     """Extended scalar -> homogeneous pair (p, q) with value p/q; INF -> (1, 0)."""
-    if is_inf(v):
+    if v is INF:
         return (1.0 + 0j, 0j)
     z = complex(v)
     if not cmath.isfinite(z):  # a float inf or nan is not the point INF
@@ -74,7 +77,7 @@ def _homogeneous(v) -> tuple[complex, complex]:
 
 
 def _is_real_value(v) -> bool:
-    return is_inf(v) or not isinstance(v, complex) or v.imag == 0
+    return v is INF or not isinstance(v, complex) or v.imag == 0
 
 
 def _det(u: tuple, v: tuple) -> complex:

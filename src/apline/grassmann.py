@@ -36,6 +36,7 @@ from which the gate bounds the margin of two images under one map.
 
 from __future__ import annotations
 
+import cmath
 import math
 import warnings
 import weakref
@@ -75,7 +76,7 @@ class SubspacePoint:
         if cols.ndim != 2 or cols.shape[0] != 2 * cols.shape[1] or not cols.size:
             raise DimensionError(
                 f"a point of the projective line needs a 2n x n basis, n >= 1, got {cols.shape}")
-        if not np.isfinite(cols).all():
+        if not algebra._all_finite(cols):
             raise NonFiniteError("basis entries must be finite")
         # cols = Q R with Q orthonormal, so cols and the n x n factor R share singular values;
         # R's diagonal and norm settle the rank rule, or else its SVD does
@@ -154,8 +155,8 @@ def _pair_value(fn, x: SubspacePoint, a):
     x._memo[fn] maps id(a) to (a weak reference to a, the value), and an
     entry is read only while its reference still gives a.  Like _memoized,
     only for functions of x's read-only basis and a's read-only basis or rep
-    alone that cannot warn; a value is a read-only array or a point (a map's
-    image of x), shared by every caller.  The one value that is not the bits
+    alone that cannot warn; a value is a read-only array, a bool or a point (a
+    map's image of x), shared by every caller.  The one value that is not the bits
     a new call would compute is the gate's first answer for two images
     (see _moved_pair_margin).  An exception is not cached.
     When a dies, its reference's callback removes the entry.  The callback
@@ -205,7 +206,7 @@ def is_orthocomplement(x: np.ndarray, y: np.ndarray) -> bool:
     one n x n Gram matrix, no factorization.
     """
     gram = x.conj().T @ y
-    return bool(np.sqrt(2.0) * algebra.norm(gram) <= TOL_EQ * (1.0 + np.sqrt(x.shape[1])))
+    return algebra._SQRT2 * algebra.norm(gram) <= TOL_EQ * (1.0 + math.sqrt(x.shape[1]))
 
 
 # --- base points and charts -------------------------------------------------
@@ -300,8 +301,11 @@ def _graph_point(cols: np.ndarray, value: np.ndarray, horizon: str) -> SubspaceP
     times the warning decade, and the point's block in the chart with that
     horizon is invertible far above TRANSVERSALITY_RTOL (see _guard).
     """
-    with np.errstate(over="ignore", invalid="ignore"):
+    token = algebra._set_errors(over="ignore", invalid="ignore")
+    try:
         bound = value.shape[0] * np.abs(value).max(initial=0.0)
+    finally:
+        algebra._leave(token)
     if value.size and bound <= _GRAPH_NORM_BOUND:
         x = SubspacePoint._full_rank(cols)
         x._memo[_graph_point] = horizon
@@ -668,7 +672,7 @@ def scalar_action(r, a: SubspacePoint, x: SubspacePoint,
     standard frame a = infinity, x = 0 this is chart(c) -> chart(r c).)
     """
     r = complex(r)
-    if not np.isfinite(r):
+    if not cmath.isfinite(r):
         raise NonFiniteError("scalar_action needs a finite scalar")
     _require_transversal(((x, a, "scalar_action needs transversal (x, a)"),
                           (y, a, "scalar_action needs y in U_a")))
@@ -783,7 +787,7 @@ def random_point(n: int, rng) -> SubspacePoint:
     rng = algebra.rng_from(rng)
     for _ in range(100):
         cols = (rng.standard_normal((2 * n, n))
-                + 1j * rng.standard_normal((2 * n, n))) / np.sqrt(2)
+                + 1j * rng.standard_normal((2 * n, n))) / algebra._SQRT2
         try:
             return SubspacePoint(cols)
         except SingularError:  # a measure-zero event
@@ -797,7 +801,7 @@ def random_map(n: int, rng) -> ProjectiveMap:
     rng = algebra.rng_from(rng)
     for _ in range(100):
         rep = (rng.standard_normal((2 * n, 2 * n))
-               + 1j * rng.standard_normal((2 * n, 2 * n))) / np.sqrt(2)
+               + 1j * rng.standard_normal((2 * n, 2 * n))) / algebra._SQRT2
         try:
             return ProjectiveMap(rep)
         except SingularError:  # a measure-zero event

@@ -29,6 +29,7 @@ Convention notes (all verified by the calibration tests):
 
 from __future__ import annotations
 
+import cmath
 import itertools
 from functools import lru_cache
 
@@ -186,7 +187,7 @@ def _is_lagrangian(x: SubspacePoint) -> bool:
 
 def s1_action_map(theta: float, n: int) -> ProjectiveMap:
     """The invertible map e^{i theta} P(im N, ker S) + P(im S, ker N)."""
-    if not np.isfinite(theta):
+    if not cmath.isfinite(theta):  # np.isfinite's decision on a real or complex scalar
         raise NonFiniteError("the circle action needs a finite angle")
     north, south = poles(n)
     # N is orthogonal to S, so their margin is 1 and e^{i theta} P_N + P_S is unitary; the

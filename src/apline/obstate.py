@@ -83,9 +83,14 @@ def new_obstate(A: SubspacePoint, W: SubspacePoint, A0: SubspacePoint,
         (W, A0, "A0 and W are not transversal"),
         (A, Winf, "A and Winf are not transversal")), TransversalityError)
     # A0 in R already puts it in R_{N,S} (see hermitian.membership)
-    if strong and not grassmann.is_orthocomplement(A0.basis, Winf.basis):
+    if strong and not grassmann._pair_value(_antipodal, A0, Winf):
         raise NotAntipodalError("strong obstate needs Winf = alpha(A0)")
     return Obstate(A, W, A0, Winf, bool(strong))
+
+
+def _antipodal(A0: SubspacePoint, Winf: SubspacePoint) -> bool:
+    """Whether Winf = alpha(A0): a pair value, kept while both live (the base points always do)."""
+    return grassmann.is_orthocomplement(A0.basis, Winf.basis)
 
 
 def state_from_density(w) -> SubspacePoint:
@@ -95,7 +100,7 @@ def state_from_density(w) -> SubspacePoint:
     required here and is reported by report() as "positive" (is_positive).
     """
     w = algebra.as_matrix(w)
-    if not np.isfinite(w).all():  # is_hermitian is False on NaN: name the cause first
+    if not algebra._all_finite(w):  # is_hermitian is False on NaN: name the cause first
         raise NonFiniteError("density entries must be finite")
     if not algebra.is_hermitian(w):
         raise NotHermitianError("density matrices must be Hermitian")
@@ -105,7 +110,7 @@ def state_from_density(w) -> SubspacePoint:
 def pure_state_point(psi) -> SubspacePoint:
     """The state point of a unit ray: density psi psi* / <psi, psi>."""
     psi = np.asarray(psi, dtype=complex).reshape(-1, 1)
-    if not np.isfinite(psi).all():
+    if not algebra._all_finite(psi):
         raise NonFiniteError("pure states need a finite vector")
     if not psi.size:
         raise DimensionError("pure states need a vector of length n >= 1")
@@ -145,8 +150,7 @@ def transport(o: Obstate, g: grassmann.ProjectiveMap) -> Obstate:
     """
     ref_observable = apply_map(g, o.ref_observable)
     ref_state = apply_map(g, o.ref_state)
-    strong = o.strong and grassmann.is_orthocomplement(ref_observable.basis,
-                                                       ref_state.basis)
+    strong = o.strong and grassmann._pair_value(_antipodal, ref_observable, ref_state)
     return new_obstate(apply_map(g, o.observable), apply_map(g, o.state),
                        ref_observable, ref_state, strong=strong)
 

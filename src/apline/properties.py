@@ -60,9 +60,9 @@ def _mres(a, b) -> float:
     """Relative Frobenius residual between two matrices (or scalars)."""
     a = np.asarray(a, dtype=complex)
     b = np.asarray(b, dtype=complex)
-    sa = float(np.linalg.norm(a))
-    sb = float(np.linalg.norm(b))
-    return float(np.linalg.norm(a - b)) / (1.0 + max(sa, sb))
+    sa = algebra.norm(a)
+    sb = algebra.norm(b)
+    return algebra.norm(a - b) / (1.0 + max(sa, sb))
 
 
 def _sres(a, b) -> float:
@@ -73,7 +73,7 @@ def _sres(a, b) -> float:
 
 def _pres(x: grassmann.SubspacePoint, y: grassmann.SubspacePoint) -> float:
     """Gap between two points of the same Grassmannian (projector distance)."""
-    return float(np.linalg.norm(x.projector - y.projector)) / (1.0 + math.sqrt(x.n))
+    return algebra.norm(x.projector - y.projector) / (1.0 + math.sqrt(x.n))
 
 
 def _bres(ok: bool) -> float:
@@ -238,8 +238,8 @@ def _t_projector_laws(rng, n: int) -> float:
     p = grassmann.projector(x, a)
     rs = [
         _mres(p @ p, p),
-        float(np.linalg.norm(p @ x.basis - x.basis)),
-        float(np.linalg.norm(p @ a.basis)),
+        algebra.norm(p @ x.basis - x.basis),
+        algebra.norm(p @ a.basis),
         _mres(grassmann.projector(a, x), np.eye(2 * n) - p),
     ]
     return max(rs)
@@ -352,8 +352,8 @@ def _t_transition(rng, n: int) -> float:
     y = grassmann.SubspacePoint(u)
     p = crossratio.transition_probability(x, y)
     q = crossratio.transition_probability(y, x)
-    vv = v / np.linalg.norm(v)
-    uu = u / np.linalg.norm(u)
+    vv = v / algebra.norm(v)
+    uu = u / algebra.norm(u)
     direct = float(abs((vv.conj().T @ uu)[0, 0]) ** 2)
     rs = [abs(p - q), abs(p - direct), max(0.0, -p), max(0.0, p - 1.0)]
     rs.append(abs(crossratio.transition_probability(x, x) - 1.0))
@@ -549,7 +549,7 @@ def _line_set_residual(p: grassmann.SubspacePoint, fam: hermitian.LineFamily,
     dev = m_p - fam.base
     d = fam.direction
     s = complex(np.vdot(d, dev) / np.vdot(d, d))
-    resid = float(np.linalg.norm(dev - s * d)) / (1.0 + float(np.linalg.norm(m_p)))
+    resid = algebra.norm(dev - s * d) / (1.0 + algebra.norm(m_p))
     return resid
 
 
@@ -624,7 +624,7 @@ def _t_conservation(rng, n: int) -> float:
 def _t_pure_reduction(rng, n: int) -> float:
     a = algebra.random_hermitian(n, rng)
     psi = rng.standard_normal((n, 1)) + 1j * rng.standard_normal((n, 1))
-    psi = psi / np.linalg.norm(psi)
+    psi = psi / algebra.norm(psi)
     o = obstate.standard_obstate(a, psi @ psi.conj().T)
     target = complex((psi.conj().T @ a @ psi)[0, 0])
     rs = [_sres(obstate.expectation(o), target), _bres(obstate.is_pure(o))]
@@ -685,7 +685,7 @@ def _t_moments(rng, n: int) -> float:
 def _t_pure_line(rng, n: int) -> float:
     a = algebra.random_hermitian(n, rng)
     psi = rng.standard_normal((n, 1)) + 1j * rng.standard_normal((n, 1))
-    psi = psi / np.linalg.norm(psi)
+    psi = psi / algebra.norm(psi)
     o = obstate.standard_obstate(a, psi @ psi.conj().T)
     ev = obstate.expectation(o)
     pe = obstate.pure_expectation(o)
@@ -927,7 +927,7 @@ def run_property(spec: PropertySpec, n_list: Sequence[int], trials: int,
             except Exception as exc:  # noqa: BLE001 - a raising trial is a failure
                 outcomes.append((float("inf"), f"{type(exc).__name__}: {exc}"))
     failed = [i for i, (residual, _) in enumerate(outcomes) if not residual <= tolerance]
-    finite = [residual for residual, _ in outcomes if np.isfinite(residual)]
+    finite = [residual for residual, _ in outcomes if math.isfinite(residual)]
     result = {
         "summary": spec.summary,
         "tolerance": tolerance,
@@ -941,7 +941,7 @@ def run_property(spec: PropertySpec, n_list: Sequence[int], trials: int,
         residual, error = outcomes[i]
         result["example_failure"] = example = {
             "trial": i, "n": ns[i % len(ns)], "sub_seed": sub_seed(seed, spec.pid, i),
-            "residual": residual if np.isfinite(residual) else "inf"}
+            "residual": residual if math.isfinite(residual) else "inf"}
         if error is not None:
             example["error"] = error
     return result

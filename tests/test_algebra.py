@@ -615,6 +615,12 @@ def _bad_size_calls():
         ("random-density-zero", lambda: algebra.random_density(0, rng)),
         ("sweep-trials-zero", lambda: properties.run_sweep(n_list=[1], trials=0)),
         ("sweep-n-zero", lambda: properties.run_sweep(n_list=[1, 0], trials=1)),
+        # a bool is no size, although operator.index reads True as 1; the cached base
+        # points, poles and Cayley matrix of n = 1 are no cache hit for it either
+        ("zero-point-bool", lambda: grassmann.zero_point(True)),
+        ("poles-bool", lambda: hermitian.poles(True)),
+        ("cayley-matrix-bool", lambda: hermitian.cayley_matrix(True)),
+        ("random-point-bool", lambda: grassmann.random_point(True, rng)),
     ]
 
 
@@ -635,7 +641,7 @@ def test_a_sweep_of_no_size_is_a_dimension_error():
 
 def test_check_size_takes_ints_and_numpy_integers():
     assert algebra.check_size(3) == 3 and type(algebra.check_size(np.int64(3))) is int
-    for bad in (2.0, "2", None):
+    for bad in (2.0, "2", None, True, False, np.True_):
         with pytest.raises(DimensionError):
             algebra.check_size(bad)
 
@@ -714,3 +720,146 @@ def test_random_invertible_gives_up_with_a_typed_error_after_its_draws(monkeypat
     with pytest.raises(SingularError, match="^could not draw an invertible matrix$"):
         algebra.random_invertible(2, 0)
     assert len(draws) == 100
+
+
+# --- per-call fixed costs outside the seam ----------------------------------------------
+# algebra._all_finite, algebra.norm and algebra._set_errors stand in for np.isfinite(a).all(),
+# float(np.linalg.norm(a)) and entering np.errstate; each must decide and compute exactly
+# as they do.  The suite runs with RuntimeWarning as an error, and these tests also turn
+# every other warning into one.
+
+def _finiteness_cases():
+    """(id, array): finite arrays in every layout and at scales whose dot overflows, arrays
+    with a NaN or an infinity in a real or an imaginary part, empty and 0-d arrays."""
+    rng = np.random.default_rng(350)
+    cases = [("empty", np.zeros((0, 3))), ("empty-complex", np.zeros(0, dtype=complex)),
+             ("0-d", np.array(1.5)), ("0-d-nan", np.array(complex(0.0, np.nan)))]
+    for n in (1, 2, 4, 16):
+        for dtype in (complex, float):
+            a = _draw((2 * n, n), dtype, 350 + n)
+            for scale in (0, 1000, -1000, 511, 512):
+                # 2**511 is the last scale whose dot stays finite at n = 1; 2**1000 overflows
+                scaled = a * 2.0 ** scale
+                parts = ("real", "imag") if dtype is complex else ("real",)
+                for bad in (None, np.nan, np.inf, -np.inf):
+                    for part in parts if bad is not None else ("real",):
+                        b = scaled.copy()
+                        if bad is not None:
+                            i, j = rng.integers(b.shape[0]), rng.integers(b.shape[1])
+                            getattr(b, part)[i, j] = bad
+                        for layout, c in _layouts(b).items():
+                            cases.append((f"n{n}-{dtype.__name__}-2^{scale}-{bad}-{part}-"
+                                          f"{layout}", c))
+                        cases.append((f"n{n}-{dtype.__name__}-2^{scale}-{bad}-{part}-T", b.T))
+    return cases
+
+
+def test_all_finite_is_the_mask_on_every_input():
+    overflowed = 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for name, a in _finiteness_cases():
+            want = bool(np.isfinite(a).all())
+            assert algebra._all_finite(a) is want, name
+            # the cases where the dot proves nothing and the mask decides are reached
+            overflowed += want and not np.isfinite(np.vdot(a, a))
+    assert overflowed >= 50
+
+
+def _norm_grid():
+    """(id, array): n = 1..16 at scales 1e-160 to 1e150, in every layout, transposed, as
+    real views, and 0-d and 1-d inputs."""
+    cases = [("0-d", np.array(3.0 - 4.0j)), ("0-d-real", np.array(-2.5)),
+             ("1-d", _draw((5,), complex, 360)), ("1-d-real", _draw((7,), float, 361)),
+             ("empty", np.zeros((0, 2), dtype=complex))]
+    for n in range(1, 17):
+        for dtype in (complex, float):
+            a = _draw((2 * n, n), dtype, 370 + n)
+            for scale in (1e-160, 1e-100, 1e-10, 1.0, 1e10, 1e100, 1e150):
+                b = a * scale
+                for layout, c in _layouts(b).items():
+                    cases.append((f"n{n}-{dtype.__name__}-{scale}-{layout}", c))
+                cases.append((f"n{n}-{dtype.__name__}-{scale}-T", b.T))
+                cases.append((f"n{n}-{dtype.__name__}-{scale}-real", b.real))
+                cases.append((f"n{n}-{dtype.__name__}-{scale}-strided-real",
+                              _layouts(b)["strided"].real))
+    return cases
+
+
+def test_norm_is_numpys_norm_bit_for_bit():
+    cases = _norm_grid()
+    assert len(cases) > 800
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for name, a in cases:
+            got, want = algebra.norm(a), float(np.linalg.norm(a))
+            assert type(got) is float and got.hex() == want.hex(), name
+
+
+@pytest.mark.parametrize("a", [1e200 * np.eye(2), 1e200 * np.eye(3) * (1 + 1j),
+                               np.array([1e200, -1e200])],
+                         ids=["real", "complex", "1-d"])
+def test_norm_overflows_with_numpys_warning(a):
+    def outcome(norm):
+        with warnings.catch_warnings(record=True) as record:
+            warnings.simplefilter("always")
+            value = norm(a)
+        return value, [(r.category, str(r.message)) for r in record]
+    got, want = outcome(algebra.norm), outcome(lambda m: float(np.linalg.norm(m)))
+    assert got == want and got[0] == np.inf and got[1]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(RuntimeWarning, match="overflow"):
+            algebra.norm(a)
+
+
+def test_norm_of_other_inputs_is_numpys_norm():
+    for a in ([[3, 4]], np.arange(4).reshape(2, 2), np.ones(3, dtype=np.float32), 2.0):
+        assert algebra.norm(a) == float(np.linalg.norm(a))
+
+
+def _caller_state():
+    """An error state no default holds: every mode set, a callback and another bufsize."""
+    return np.errstate(call=lambda err, flag: None, all="warn", under="raise", divide="print")
+
+
+@pytest.mark.parametrize("modes", [{"over": "ignore", "invalid": "ignore"},
+                                   {"over": "ignore"}], ids=["over-invalid", "over"])
+@pytest.mark.parametrize("internals", [True, False], ids=["extobj", "no-extobj"])
+def test_the_call_time_error_state_is_the_one_np_errstate_enters(monkeypatch, modes,
+                                                                 internals):
+    seam = algebra if internals else _seam_without_error_state_internals(monkeypatch)
+
+    def read():
+        return np.geterr(), np.geterrcall(), np.getbufsize()
+    old_bufsize = np.setbufsize(16384)
+    try:
+        with _caller_state():
+            outside = read()
+            with np.errstate(**modes):
+                want = read()
+            token = seam._set_errors(**modes)
+            try:
+                got = read()
+            finally:
+                seam._leave(token)
+            assert got == want and read() == outside
+    finally:
+        np.setbufsize(old_bufsize)
+    # the caller's other modes, its callback and its bufsize are kept
+    assert got[0]["under"] == "raise" and got[0]["divide"] == "print" and got[2] == 16384
+
+
+def test_the_predicates_keep_the_callers_error_state():
+    big = 1e200 * np.eye(2)
+    with _caller_state():
+        before = np.geterr(), np.geterrcall(), np.getbufsize()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert not algebra.almost_equal(big, 2 * big)
+            assert algebra.is_hermitian(big) and algebra.is_psd(big)
+            assert not algebra.is_unitary(big)
+            with pytest.raises(ValueOverflowError):
+                algebra.is_pair_idempotent(algebra.PairElement(big, big))
+            grassmann.point_from_chart(big)
+        assert (np.geterr(), np.geterrcall(), np.getbufsize()) == before

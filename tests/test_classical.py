@@ -1,10 +1,13 @@
+import copy
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from apline import classical
-from apline.crossratio import INF, is_inf
+from apline.crossratio import INF, Infinity, is_inf
 from apline.errors import (
     AplineError,
     DegenerateReferenceError,
@@ -357,3 +360,25 @@ def test_classical_values_read_real_numbers_of_every_type():
     assert got[:3] == (1.0, -2.0, 0.5) and all(type(v) is float for v in got[:3])
     assert is_inf(got[3])
     assert classical.Measure([2, np.float64(0.25)]).weights == (2.0, 0.25)
+
+
+@pytest.mark.parametrize("value", [10 ** 400, -10 ** 400], ids=["positive", "negative"])
+@pytest.mark.parametrize("make, what", [
+    pytest.param(classical.Measure, "weights", id="weight"),
+    pytest.param(classical.ClassicalFn, "values", id="value"),
+])
+def test_an_integer_beyond_the_float_range_is_a_typed_overflow_error(make, what, value):
+    # float(10 ** 400) raises a bare OverflowError; the reader names the range instead
+    with pytest.raises(ValueOverflowError,
+                       match=f"^{what} must be real numbers in the float range, got -?1000"):
+        make([1.0, value])
+
+
+def test_the_infinity_point_is_its_one_instance():
+    # the hot paths test a value with "v is INF", which is is_inf(v) because every
+    # construction of Infinity, a copy included, returns the one instance
+    for v in (Infinity(), copy.copy(INF), copy.deepcopy(INF), pickle.loads(pickle.dumps(INF))):
+        assert v is INF and is_inf(v)
+    assert classical.ClassicalFn([Infinity()]).values[0] is INF
+    with pytest.raises(NonFiniteError, match="weights must be finite and nonnegative: inf"):
+        classical.Measure([Infinity()])

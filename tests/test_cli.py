@@ -282,6 +282,23 @@ def test_classical_malformed_json_entry_is_a_clean_error(tmp_path, entry):
     assert isinstance(res.exception, SystemExit)
 
 
+@pytest.mark.parametrize("entry, message", [
+    ("true", "not a real number: true"),
+    ("null", "not a real number: null"),
+    ("[1, 2]", "not a real number: [1, 2]"),
+    ("1" + "0" * 400, "entries must be real numbers in the float range, got 1000"),
+    ('"x"', "not a number or 'inf': 'x'"),
+], ids=["true", "null", "list", "integer-beyond-float", "text"])
+def test_a_classical_json_entry_is_read_by_the_classical_reader(tmp_path, entry, message):
+    # non-string entries go through classical._as_real, strings through the token parser;
+    # either way the command ends in a click error, never a traceback
+    path = tmp_path / "entry.json"
+    path.write_text('{"mu": [1, 1], "f": [2, %s], "g": [1, 1]}' % entry)
+    res = runner.invoke(main, ["classical", "pairing", str(path)], catch_exceptions=False)
+    assert res.exit_code == 1
+    assert f"Error: {path}: malformed entry: {message}" in res.output
+
+
 def test_expect_names_every_missing_slot(tmp_path):
     path = tmp_path / "missing.json"
     path.write_text(json.dumps({"A": {"chart": [[1]]}}))

@@ -11,7 +11,7 @@ import warnings
 import numpy as np
 import pytest
 
-from apline import algebra, crossratio, grassmann, hermitian, obstate, properties
+from apline import algebra, classical, crossratio, grassmann, hermitian, obstate, properties
 from apline.crossratio import INF
 from apline.errors import (DimensionError, NonFiniteError, NotInChartError,
                            NotTransversalError, SingularError, ValueOverflowError)
@@ -718,3 +718,108 @@ def test_a_moved_pair_bound_is_below_the_margin_and_outlives_the_map(counts):
     # a proven lower bound of the exact margin, which the gate did not cache
     assert id(ga) not in gx._memo.get(grassmann._principal_sines, {})
     assert 10 * grassmann.TRANSVERSALITY_RTOL < bound <= grassmann.transversality_margin(gx, ga)
+
+
+# --- numpy's Python wrappers outside the seam -----------------------------------------------
+# At n <= 16 a call of np.isfinite, np.linalg.norm or np.errstate costs about as much as
+# the arithmetic it guards.  The library proves finiteness by one dot (algebra._all_finite),
+# norms by numpy's own steps (algebra.norm), scalars by math and cmath, and builds error
+# states at call time (algebra._set_errors), so its hot paths call none of them.
+
+class _View:
+    """A module whose named attributes are replaced; every other name is the module's."""
+
+    def __init__(self, module, **replaced):
+        self.__dict__.update(replaced)
+        self._module = module
+
+    def __getattr__(self, name):
+        return getattr(self._module, name)
+
+
+_LIBRARY = (algebra, classical, crossratio, grassmann, hermitian, obstate, properties)
+
+
+@pytest.fixture
+def wrapper_calls(monkeypatch):
+    """Calls that library code makes of np.errstate (entries), np.linalg.norm and np.isfinite
+    (on an array, or on a scalar).
+
+    Each library module's np is swapped for a view of numpy that counts those names, so
+    numpy's own calls are not counted: a Generator's uniform tests its bounds with
+    np.isfinite.
+    """
+    tally = dict.fromkeys(("errstate", "norm", "isfinite_array", "isfinite_scalar"), 0)
+
+    class errstate(np.errstate):
+        def __enter__(self):
+            tally["errstate"] += 1
+            return super().__enter__()
+
+    def isfinite(x, *args, **kwargs):
+        tally["isfinite_array" if isinstance(x, np.ndarray) else "isfinite_scalar"] += 1
+        return np.isfinite(x, *args, **kwargs)
+
+    def norm(*args, **kwargs):
+        tally["norm"] += 1
+        return np.linalg.norm(*args, **kwargs)
+    view = _View(np, errstate=errstate, isfinite=isfinite, linalg=_View(np.linalg, norm=norm))
+    for module in _LIBRARY:
+        monkeypatch.setattr(module, "np", view)
+    return tally
+
+
+_NO_WRAPPER_CALLS = {"errstate": 0, "norm": 0, "isfinite_array": 0, "isfinite_scalar": 0}
+
+
+def test_the_wrapper_count_sees_each_wrapper(wrapper_calls):
+    # the slow paths still ask numpy: a norm of integers, and the mask after a dot that
+    # overflows; the other two names are seen as library code would call them
+    algebra.norm(np.arange(4))
+    algebra._all_finite(np.full(4, 1e300))
+    obstate.np.isfinite(1.0)
+    with grassmann.np.errstate(over="ignore"):
+        pass
+    assert wrapper_calls == {"errstate": 1, "norm": 1, "isfinite_array": 1, "isfinite_scalar": 1}
+
+
+def test_a_warm_standard_report_calls_no_numpy_wrapper(wrapper_calls, cold_base_points):
+    rng = np.random.default_rng(41)
+    psi = rng.standard_normal((4, 1)) + 1j * rng.standard_normal((4, 1))
+    payloads = [{"A": {"chart": algebra.random_hermitian(4, rng).tolist()},
+                 "W": {"density": w.tolist()}, "A0": "zero", "Winf": "infinity"}
+                for w in (algebra.random_density(4, rng), psi @ psi.conj().T)]
+    for payload in payloads:  # fills the frame's caches
+        obstate.report(obstate.obstate_from_json(payload))
+    _reset(wrapper_calls)
+    for payload in payloads:  # a mixed and a pure state, as apline expect decodes them
+        obstate.report(obstate.obstate_from_json(payload))
+    assert wrapper_calls == _NO_WRAPPER_CALLS
+
+
+def test_a_warm_kernel_and_unitary_torsor_at_n16_call_no_numpy_wrapper(wrapper_calls):
+    n = 16
+    rng = np.random.default_rng(42)
+    _warm(n)
+    quad = [(rng.standard_normal((2 * n, n)) + 1j * rng.standard_normal((2 * n, n)))
+            for _ in range(4)]
+    rep = grassmann.random_map(n, rng).rep
+    rns = [hermitian.random_r_point(n, rng).basis for _ in range(3)]
+    _reset(wrapper_calls)
+    # the geometry benchmark's op: points from bases, the kernel before and after a map,
+    # and the Cayley unitary of the torsor of three R_{N,S} points
+    points = [grassmann.SubspacePoint(b) for b in quad]
+    crossratio.kernel(*points)
+    g = grassmann.ProjectiveMap(rep)
+    crossratio.kernel(*(grassmann.apply_map(g, p) for p in points))
+    hermitian.cayley_to_unitary(hermitian.unitary_torsor(
+        *(grassmann.SubspacePoint(b) for b in rns)))
+    assert wrapper_calls == _NO_WRAPPER_CALLS
+
+
+def test_warm_classical_fn_obstate_trials_call_no_numpy_wrapper(wrapper_calls):
+    spec = properties.SPECS["classical.fn_obstate"]
+    properties.run_property(spec, properties.DEFAULT_N_LIST, 10, 0)
+    _reset(wrapper_calls)
+    result = properties.run_property(spec, properties.DEFAULT_N_LIST, 10, 0)
+    assert result["ok"] and wrapper_calls == _NO_WRAPPER_CALLS

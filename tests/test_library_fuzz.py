@@ -15,7 +15,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from apline import algebra, crossratio, grassmann, hermitian, obstate
+from apline import algebra, classical, crossratio, grassmann, hermitian, obstate
 from apline.errors import (AplineError, DimensionError, NotInUniverseError,
                            NotTransversalError)
 
@@ -256,3 +256,60 @@ def test_the_unitary_torsor_and_the_cayley_unitary_near_the_edge_of_the_universe
         got = grassmann.chart_repr(grassmann.apply_map(hermitian.cayley_matrix(n).inverse(), w))
         want = us[0] @ us[1].conj().T @ us[2]
         assert np.linalg.norm(got - want) <= 1e-7 * (1.0 + np.linalg.norm(want))
+
+
+# --- the public constructors at the edges of the float range -----------------------------
+
+# binary exponents of an input's scale: a dot of the entries stays finite at 2^+-500 and
+# overflows or underflows at 2^+-1000, where the finiteness proof falls through to the mask
+_SCALES = st.sampled_from([-1000, -500, 500, 1000])
+
+
+@st.composite
+def _scaled_inputs(draw):
+    """(n, a 2n x 2n complex Gaussian draw, per-entry scales), the scales one 2^k or two.
+
+    Two scales put entries at 2^k and 2^-k (or 2^k and 1) into one input, a dynamic range
+    that the rank rule may reject.
+    """
+    n = draw(_N)
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    g = (rng.standard_normal((2 * n, 2 * n)) + 1j * rng.standard_normal((2 * n, 2 * n))) / 2
+    k = draw(_SCALES)
+    low = draw(st.sampled_from([k, -k, 0]))
+    scales = np.where(rng.random((2 * n, 2 * n)) < 0.5, 2.0 ** k, 2.0 ** low)
+    return n, g, scales
+
+
+def _constructor_calls(n, g, scales):
+    """(name, call) of each public constructor on the scaled input."""
+    m = g * scales
+    h = (g[:n, :n] + g[:n, :n].conj().T) * scales[:n, :n]
+    h = (h + h.conj().T) / 2  # Hermitian: a density need not be positive here
+    weights = list(np.abs(m[0]))
+    big = [int(v * 2.0 ** 52) << 1000 for v in np.abs(g[0])]
+    return (("SubspacePoint", lambda: grassmann.SubspacePoint(m[:, :n]).basis),
+            ("point_from_chart", lambda: grassmann.point_from_chart(m[:n, :n]).basis),
+            ("state_from_density", lambda: obstate.state_from_density(h).basis),
+            ("ProjectiveMap", lambda: grassmann.ProjectiveMap(m).rep),
+            ("Measure", lambda: classical.Measure(weights).weights),
+            ("ClassicalFn", lambda: classical.ClassicalFn(list(m[0].real)).values),
+            # Python integers up to 2^1056, beyond the float range from 2^1024
+            ("Measure-int", lambda: classical.Measure(big).weights),
+            ("ClassicalFn-int", lambda: classical.ClassicalFn([-v for v in big]).values))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(_scaled_inputs())
+def test_the_public_constructors_at_the_edges_of_the_float_range(case):
+    n, g, scales = case
+    for name, call in _constructor_calls(n, g, scales):
+        value = _checked(call)
+        if isinstance(value, AplineError):
+            continue
+        value = np.asarray(value, dtype=complex if name != "Measure" else float)
+        assert np.isfinite(value).all(), name
+        if name in ("SubspacePoint", "point_from_chart", "state_from_density"):
+            # an orthonormal basis of an n-dimensional subspace of C^2n
+            assert value.shape == (2 * n, n), name
+            assert np.linalg.norm(value.conj().T @ value - np.eye(n)) <= 1e-12, name
