@@ -13,13 +13,13 @@ from __future__ import annotations
 import cmath
 import math
 import operator
-from functools import lru_cache
+from functools import lru_cache, wraps
 from typing import NamedTuple
 
 import numpy as np
 
-from .errors import (DecodeError, DimensionError, NonFiniteError, SingularError,
-                     ValueOverflowError)
+from .errors import (DecodeError, DimensionError, NonFiniteError, NotARealError,
+                     SingularError, ValueOverflowError)
 
 # Tolerances of the double-precision backend.  Dimensions stay small
 # (n <= 16), which keeps conditioning mild enough for these to be safe.
@@ -54,6 +54,40 @@ def check_size(n, what: str = "a size") -> int:
     if size < 1:
         raise DimensionError(f"{what} must be a whole number n >= 1, got {n!r:.40}")
     return size
+
+
+def _as_real(v, what: str) -> float:
+    """float(v) for a real number v, else NotARealError: the one reader of real scalars.
+
+    A number beyond the float range, such as the integer 10**400, raises
+    ValueOverflowError.
+    """
+    # float() would parse "1", count a bool as 0 or 1 and drop a numpy complex's imaginary part
+    if not isinstance(v, (str, bytes, bool, np.bool_, complex, np.complexfloating)):
+        try:
+            return float(v)
+        except (TypeError, ValueError):  # None, a Python complex, a list
+            pass
+        except OverflowError as exc:
+            raise ValueOverflowError(
+                f"{what} must be real numbers in the float range, got {v!r:.40}: {exc}") from None
+    raise NotARealError(f"{what} must be real numbers, got {v!r:.40}")
+
+
+def sized_cache(fn):
+    """fn cached once per size: check_size(n) runs first, then lru_cache(fn) on the int.
+
+    So a numpy integer finds the entry of its int, and a bad size raises on every call,
+    whatever the cache holds.  cache_clear and cache_info are the cache's own.
+    """
+    cached = lru_cache(maxsize=None)(fn)
+
+    @wraps(fn)
+    def sized(n):
+        return cached(check_size(n))
+
+    sized.cache_clear, sized.cache_info = cached.cache_clear, cached.cache_info
+    return sized
 
 
 def identity(n: int) -> np.ndarray:

@@ -21,7 +21,7 @@ from typing import Callable, Sequence, Union
 
 import numpy as np
 
-from .algebra import rng_from
+from .algebra import _as_real, rng_from
 from .crossratio import INF, Infinity, classical_cr, is_inf
 from .errors import (
     DegenerateReferenceError,
@@ -30,30 +30,11 @@ from .errors import (
     NegativeWeightError,
     NonFiniteError,
     NotAPermutationError,
-    NotARealError,
     ValueOverflowError,
     ZeroWeightError,
 )
 
 Value = Union[float, Infinity]
-
-
-def _as_real(v, what: str) -> float:
-    """float(v) for a real number v, else NotARealError: the one reader of values and weights.
-
-    A number beyond the float range, such as the integer 10**400, raises
-    ValueOverflowError.
-    """
-    # float() would parse "1", count a bool as 0 or 1 and drop a numpy complex's imaginary part
-    if not isinstance(v, (str, bytes, bool, np.bool_, complex, np.complexfloating)):
-        try:
-            return float(v)
-        except (TypeError, ValueError):  # None, a Python complex, a list
-            pass
-        except OverflowError as exc:
-            raise ValueOverflowError(
-                f"{what} must be real numbers in the float range, got {v!r:.40}: {exc}") from None
-    raise NotARealError(f"{what} must be real numbers, got {v!r:.40}")
 
 
 def _as_value(v) -> Value:

@@ -197,10 +197,8 @@ def _real_from_json(v) -> float:
     """A JSON entry: a string as a command-line token, anything else as classical reads it."""
     if isinstance(v, str):
         return _parse_real(v)
-    from .classical import _as_real
-
     try:
-        return _as_real(v, "entries")
+        return algebra._as_real(v, "entries")
     except NotARealError:  # true, null, a list or an object
         raise click.BadParameter(f"not a real number: {json.dumps(v)}") from None
     except AplineError as exc:  # an integer beyond the float range

@@ -40,7 +40,7 @@ import cmath
 import math
 import warnings
 import weakref
-from functools import lru_cache, wraps
+from functools import wraps
 
 import numpy as np
 
@@ -211,14 +211,13 @@ def is_orthocomplement(x: np.ndarray, y: np.ndarray) -> bool:
 
 # --- base points and charts -------------------------------------------------
 
-@lru_cache(maxsize=None)
+@algebra.sized_cache
 def zero_point(n: int) -> SubspacePoint:
     """The base point 0 = [(1, 0)] = span[I; 0]; one cached point per n, shared and read-only."""
-    n = algebra.check_size(n)
     return _base_point(np.vstack([np.eye(n), np.zeros((n, n))]), "zero")
 
 
-@lru_cache(maxsize=None)
+@algebra.sized_cache
 def infinity_point(n: int) -> SubspacePoint:
     """The base point oo = [(0, 1)] = span[0; I]; one cached point per n, shared and read-only.
 
@@ -226,7 +225,6 @@ def infinity_point(n: int) -> SubspacePoint:
     value of infinity, which reports in their frame read, are computed
     here, once per n.
     """
-    n = algebra.check_size(n)
     infinity = _base_point(np.vstack([np.zeros((n, n)), np.eye(n)]), "infinity")
     zero = zero_point(n)
     _sines(zero, infinity)
@@ -257,10 +255,9 @@ def _is_infinity_point(x: SubspacePoint) -> bool:
     return x._memo.get(_base_point) == "infinity"
 
 
-@lru_cache(maxsize=None)
+@algebra.sized_cache
 def one_point(n: int) -> SubspacePoint:
     """The base point 1 = [(1, 1)] = span[I; I]; one cached point per n, shared and read-only."""
-    n = algebra.check_size(n)
     return SubspacePoint(np.vstack([np.eye(n), np.eye(n)]))
 
 

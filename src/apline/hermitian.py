@@ -19,19 +19,14 @@ Convention notes (all verified by the calibration tests):
   rep(theta) = e^{i theta} P(image N, kernel S) + P(image S, kernel N).
   This is the orientation for which the square of the quarter turn is
   beta and the quarter turn at 0 is the base point [(1, 1)].
-* unitary_torsor uses the pair order (S, N), which is the order that
-  realizes the Cayley-chart law u_x u_y* u_z (the Cayley matrix sends
-  0 -> N and infinity -> S, so the chart pair (infinity, 0) downstairs
-  is (S, N) upstairs).
 * The Cayley frame is read in closed form from the exact pole columns
   N0 = [iI; I] and S0 = [-iI; I], as C^{-1} = C*/2 (see _pole_blocks).
 """
 
 from __future__ import annotations
 
-import cmath
 import itertools
-from functools import lru_cache
+import math
 
 import numpy as np
 
@@ -71,30 +66,28 @@ def _same_n(*points: SubspacePoint) -> None:
         raise DimensionError(f"points of mixed dimensions: n = {sizes}")
 
 
-@lru_cache(maxsize=None)
+@algebra.sized_cache
 def omega_matrix(n: int) -> np.ndarray:
     """Form matrix of omega(u, v) = u1* v2 - u2* v1: [[0, I], [-I, 0]]; cached per n, read-only."""
-    n = algebra.check_size(n)
     eye = np.eye(n)
     omega = np.block([[np.zeros((n, n)), eye], [-eye, np.zeros((n, n))]])
     omega.setflags(write=False)
     return omega
 
 
-@lru_cache(maxsize=None)
+@algebra.sized_cache
 def j_matrix(n: int) -> np.ndarray:
     """J = [[0, -I], [I, 0]]; J^2 = -1.  Cached per n, read-only."""
-    n = algebra.check_size(n)
     eye = np.eye(n)
     j = np.block([[np.zeros((n, n)), -eye], [eye, np.zeros((n, n))]])
     j.setflags(write=False)
     return j
 
 
-@lru_cache(maxsize=None)
+@algebra.sized_cache
 def cayley_matrix(n: int) -> ProjectiveMap:
     """The Cayley matrix C = [[i, -i], [1, 1]] blocks; C(0) = N, C(inf) = S.  Cached per n."""
-    eye = np.eye(algebra.check_size(n))
+    eye = np.eye(n)
     # C / sqrt 2 is unitary (exact entries), so C is invertible with condition number 1
     return ProjectiveMap._invertible(np.block([[1j * eye, -1j * eye], [eye, eye]]),
                                      grassmann._UNITARY_COND)
@@ -130,21 +123,13 @@ def beta(x: SubspacePoint) -> SubspacePoint:
     return SubspacePoint._full_rank(j_matrix(x.n) @ x.basis)
 
 
+# no library code reads this table: benchmarks/tests checks that the tracer restores it
 _INVOLUTIONS = {"tau": tau, "alpha": alpha, "beta": beta}
 
 
-def involution(x: SubspacePoint, kind: str) -> SubspacePoint:
-    """Dispatch to tau / alpha / beta by name."""
-    try:
-        return _INVOLUTIONS[kind](x)
-    except KeyError:
-        raise ValueError(f"unknown involution {kind!r}; pick tau, alpha or beta") from None
-
-
-@lru_cache(maxsize=None)
+@algebra.sized_cache
 def poles(n: int) -> tuple[SubspacePoint, SubspacePoint]:
     """North and south pole N = span[iI; I], S = span[-iI; I]; one cached pair per n, read-only."""
-    n = algebra.check_size(n)
     eye = np.eye(n)
     north = SubspacePoint(np.vstack([1j * eye, eye]))
     south = SubspacePoint(np.vstack([-1j * eye, eye]))
@@ -186,8 +171,9 @@ def _is_lagrangian(x: SubspacePoint) -> bool:
 # --- circle action -------------------------------------------------------------
 
 def s1_action_map(theta: float, n: int) -> ProjectiveMap:
-    """The invertible map e^{i theta} P(im N, ker S) + P(im S, ker N)."""
-    if not cmath.isfinite(theta):  # np.isfinite's decision on a real or complex scalar
+    """The unitary map e^{i theta} P(im N, ker S) + P(im S, ker N) of a real angle theta."""
+    theta = algebra._as_real(theta, "angles")
+    if not math.isfinite(theta):
         raise NonFiniteError("the circle action needs a finite angle")
     north, south = poles(n)
     # N is orthogonal to S, so their margin is 1 and e^{i theta} P_N + P_S is unitary; the
@@ -218,7 +204,10 @@ def _pole_blocks(x: SubspacePoint) -> tuple[np.ndarray, np.ndarray]:
     R_{N,S} membership bounds ||E||_F by eps = TOL_EQ (1 + sqrt n) / sqrt 2: A and B
     have condition number at most sqrt((1 + eps) / (1 - eps)), and u = B A^-1 has
     u* u - I = A^-* (2E) A^-1, so ||u* u - I||_F = ||u u* - I||_F <= 2 eps / (1 - eps)
-    and cond(u) < 1 + 3 eps, up to a few n eps_machine.
+    and cond(u) < 1 + 3 eps, up to a few n eps_machine.  So the torsor's product p =
+    u_x u_y* u_z has p* p = I + F with ||F||_F <~ 3 delta for delta = 2 eps / (1 - eps),
+    one polar step q = p (3I - p* p) / 2 has q* q - I = -3/4 F^2 + 1/4 F^3 = O(delta^2),
+    and the columns X = C [I; q] have X* Omega X = 2i (q* q - I): a member.
     """
     n = x.n
     top, bottom = x.basis[:n], x.basis[n:]
@@ -273,23 +262,19 @@ def random_r_point(n: int, rng) -> SubspacePoint:
 
 def unitary_torsor(x: SubspacePoint, y: SubspacePoint,
                    z: SubspacePoint) -> SubspacePoint:
-    """The torsor law x ._y z on R_{N,S}; u_{x ._y z} = u_x u_y* u_z.
+    """The torsor law x ._y z on R_{N,S}: the point of u_x u_y* u_z, the Cayley law in U(n).
 
-    Realized as the (S, N)-pair group law M_{xSNz} Y = (P(im x, ker S) - P(im N, ker z)) Y
-    (pair order: see module docstring) in the pole frame: N0* S0 = 0, so P(im x, ker S) =
-    X (N0* X)^-1 N0* and P(im N, ker z) = I - Z (S0* Z)^-1 S0*, two n x n solves.  Members
-    near the edge of R_{N,S} can give a result off it, as their Lagrangian residuals add
-    up (three at 0.99 of membership's tolerance gave up to 2.97 times it).
+    The product of the memoized Cayley unitaries takes one Newton-Schulz polar step
+    u (3I - u* u) / 2 (Higham, Functions of Matrices, 2008, sec. 8.3), so the torsor of
+    any three members is a member (bound: see _pole_blocks).
     """
     _same_n(x, y, z)
     if not all(membership(p, "RNS") for p in (x, y, z)):
         raise NotInUniverseError("unitary_torsor needs points of R_{N,S}")
-    (nx, _), (ny, sy), (_, sz) = (_pole_blocks(p) for p in (x, y, z))
-    # N0* X and S0* Z are unitary up to eps, so both solves are well conditioned
-    my = x.basis @ algebra.solve(nx, ny) - y.basis + z.basis @ algebra.solve(sz, sy)
-    # M = C [[0, u_z^-1], [u_x, 0]] C^-1 and C / sqrt 2 is unitary, so M is unitary up to
-    # membership's tolerance and M Y has condition number ~ 1
-    return SubspacePoint._full_rank(my)
+    ux, uy, uz = (_cayley_unitary(p) for p in (x, y, z))
+    u = ux @ (uy.conj().T @ uz)
+    u = 1.5 * u - 0.5 * (u @ (u.conj().T @ u))
+    return _r_point(u)
 
 
 @grassmann._memoized

@@ -290,7 +290,7 @@ def test_classical_malformed_json_entry_is_a_clean_error(tmp_path, entry):
     ('"x"', "not a number or 'inf': 'x'"),
 ], ids=["true", "null", "list", "integer-beyond-float", "text"])
 def test_a_classical_json_entry_is_read_by_the_classical_reader(tmp_path, entry, message):
-    # non-string entries go through classical._as_real, strings through the token parser;
+    # non-string entries go through algebra._as_real, strings through the token parser;
     # either way the command ends in a click error, never a traceback
     path = tmp_path / "entry.json"
     path.write_text('{"mu": [1, 1], "f": [2, %s], "g": [1, 1]}' % entry)

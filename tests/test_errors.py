@@ -13,7 +13,6 @@ _UNTYPED = {"ValueError", "KeyError", "TypeError"}
 # (module, enclosing function, exception): argument-name errors of library calls, and
 # the unknown-id error of run_sweep, which `apline check` formats
 _ALLOWED = [
-    ("hermitian", "involution", "ValueError"),
     ("hermitian", "membership", "ValueError"),
     ("properties", "run_sweep", "KeyError"),
 ]

@@ -132,10 +132,10 @@ def test_unitary_torsor_runs_no_pole_margin_svd(counts):
     hermitian.poles(3)
     _reset(counts)
     hermitian.unitary_torsor(x, y, z)
-    # M is unitary, so the result point needs no rank SVD either; the QR canonicalizes it,
-    # and each of M's two projectors is an n x n solve in the pole frame: N* X and S* Z,
-    # whose condition number membership bounds by 1 + O(eps)
-    assert counts == _tally(qr=1, solve=2)
+    # the Cayley law reads u_x, u_y and u_z, one n x n inverse each on fresh members (see
+    # test_cayley_to_unitary_runs_no_svd_on_the_constant_map), and the polar step's result
+    # is unitary, so its point needs no rank SVD: the QR canonicalizes it
+    assert counts == _tally(inv=3, qr=1)
 
 
 @pytest.mark.parametrize("n", [3, 16])
@@ -157,8 +157,9 @@ def test_unitary_torsor_runs_no_2n_by_2n_lapack_call(monkeypatch, n):
     for name in (*_COUNTED, "eigh", "det"):
         record(np.linalg, name)
     hermitian.unitary_torsor(x, y, z)
-    # the two solves are n x n, and the QR of M Y (geqrf, then ungqr) is 2n x n
-    assert sorted(shapes) == [(n, n), (n, n), (2 * n, n), (2 * n, n)]
+    # the three Cayley unitaries' inverses are n x n, and the QR of C [I; u] (geqrf, then
+    # ungqr) is 2n x n
+    assert sorted(shapes) == [(n, n), (n, n), (n, n), (2 * n, n), (2 * n, n)]
 
 
 def test_cayley_to_unitary_runs_no_svd_on_the_constant_map(counts):

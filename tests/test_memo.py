@@ -19,7 +19,7 @@ from click.testing import CliRunner
 import apline
 from apline import algebra, grassmann, hermitian, obstate
 from apline.cli import main
-from apline.errors import (AplineError, NotHermitianError, NotInChartError,
+from apline.errors import (AplineError, DimensionError, NotHermitianError, NotInChartError,
                            NotInUniverseError, ValueOverflowError)
 from apline.grassmann import SubspacePoint
 
@@ -250,6 +250,20 @@ def test_memo_tags_are_names(cold_base_points):
     map_ref, source_ref = grassmann.apply_map(g, x)._memo[grassmann.apply_map]
     assert isinstance(map_ref, weakref.ref) and isinstance(source_ref, weakref.ref)
     assert (map_ref(), source_ref()) == (g, x)
+
+
+@pytest.mark.parametrize("fn", [grassmann.zero_point, grassmann.infinity_point,
+                                grassmann.one_point, hermitian.poles, hermitian.cayley_matrix,
+                                hermitian.omega_matrix, hermitian.j_matrix],
+                         ids=lambda fn: fn.__name__)
+def test_a_size_is_checked_before_the_cache(fn):
+    # a numpy integer finds the entry of its int, and a bad size raises on a warm cache
+    # as on a cold one: 2.0 equals np.int64(2), and a list is no cache key
+    assert fn(np.int64(2)) is fn(2)
+    for bad in (2.0, [2]):
+        with pytest.raises(DimensionError, match="^a size must be a whole number n >= 1"):
+            fn(bad)
+    assert fn.cache_info().currsize >= 1
 
 
 def test_the_chart_guard_reads_sines_to_a_named_base_point_and_builds_none(cold_base_points):
