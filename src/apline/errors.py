@@ -58,6 +58,10 @@ class NotUnitaryError(AplineError, ValueError):
     """The matrix is not unitary (within tolerance)."""
 
 
+class UnknownSpaceError(AplineError, ValueError):
+    """A space name that membership does not know: R, Rprime and RNS are the names."""
+
+
 # --- obstate construction (each names the violated clause) ---------------
 
 class ObstateError(AplineError, ValueError):

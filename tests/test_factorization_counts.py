@@ -20,13 +20,14 @@ from apline.errors import (DimensionError, NonFiniteError, NotInChartError,
 _COUNTED = ("svd", "qr", "inv", "solve", "eigvalsh")
 
 # The linalg seam calls LAPACK gufuncs directly (see algebra.thin_qr,
-# algebra.singular_values, algebra.proven_inverse, algebra.solve and algebra.eigvalsh);
-# they are counted where the seam binds them, beside the np.linalg calls.  A QR is its
-# geqrf gufunc, unless it is the one that solves with R and runs through np.linalg.qr.
+# algebra.singular_values, algebra.svd, algebra.proven_inverse, algebra.solve and
+# algebra.eigvalsh); they are counted where the seam binds them, beside the np.linalg
+# calls.  A QR is its geqrf gufunc, unless it is the one that solves with R and runs
+# through np.linalg.qr.  An SVD is either svd gufunc: singular values, or the full SVD.
 # A solve is either solve gufunc, as numpy picks them by the right-hand side's ndim.
 # Eigen-decompositions and determinants are not counted.
-_SEAM = (("_svd_gufunc", "svd"), ("_inv_gufunc", "inv"), ("_qr_r_raw_gufunc", "qr"),
-         ("_solve_gufunc", "solve"), ("_solve1_gufunc", "solve"),
+_SEAM = (("_svd_gufunc", "svd"), ("_svd_f_gufunc", "svd"), ("_inv_gufunc", "inv"),
+         ("_qr_r_raw_gufunc", "qr"), ("_solve_gufunc", "solve"), ("_solve1_gufunc", "solve"),
          ("_eigvalsh_gufunc", "eigvalsh"))
 
 
@@ -124,6 +125,21 @@ def test_inverse_runs_no_svd(counts):
     assert counts == _tally(inv=1)
     # a second call returns the same map and runs nothing
     assert g.inverse() is inverse and counts == _tally(inv=1)
+
+
+@pytest.mark.parametrize("involution", [hermitian.tau, hermitian.alpha], ids=["tau", "alpha"])
+def test_an_involution_of_a_fresh_point_runs_its_full_svd_on_the_seam(
+        monkeypatch, counts, involution):
+    wrapper_calls = []
+    svd = np.linalg.svd
+    monkeypatch.setattr(np.linalg, "svd", lambda *args, **kwargs: wrapper_calls.append(args)
+                        or svd(*args, **kwargs))
+    x = grassmann.random_point(3, 0)
+    _reset(counts)
+    involution(x)
+    # the null space's full SVD, as the svd_f gufunc and not np.linalg.svd, and the QR of
+    # its basis
+    assert counts == _tally(svd=1, qr=1) and wrapper_calls == []
 
 
 def test_unitary_torsor_runs_no_pole_margin_svd(counts):
@@ -723,9 +739,11 @@ def test_a_moved_pair_bound_is_below_the_margin_and_outlives_the_map(counts):
 
 # --- numpy's Python wrappers outside the seam -----------------------------------------------
 # At n <= 16 a call of np.isfinite, np.linalg.norm or np.errstate costs about as much as
-# the arithmetic it guards.  The library proves finiteness by one dot (algebra._all_finite),
-# norms by numpy's own steps (algebra.norm), scalars by math and cmath, and builds error
-# states at call time (algebra._set_errors), so its hot paths call none of them.
+# the arithmetic it guards, and so does a call of np.vstack, np.hstack, np.block or np.eye
+# beside the copy it makes.  The library proves finiteness by one dot (algebra._all_finite),
+# norms by numpy's own steps (algebra.norm), scalars by math and cmath, builds error
+# states at call time (algebra._set_errors), stacks by np.concatenate and reads the
+# identity from algebra._eye, so its hot paths call none of them.
 
 class _View:
     """A module whose named attributes are replaced; every other name is the module's."""
@@ -743,14 +761,14 @@ _LIBRARY = (algebra, classical, crossratio, grassmann, hermitian, obstate, prope
 
 @pytest.fixture
 def wrapper_calls(monkeypatch):
-    """Calls that library code makes of np.errstate (entries), np.linalg.norm and np.isfinite
-    (on an array, or on a scalar).
+    """Calls that library code makes of np.errstate (entries), np.linalg.norm, np.isfinite
+    (on an array, or on a scalar), np.vstack, np.hstack, np.block and np.eye.
 
     Each library module's np is swapped for a view of numpy that counts those names, so
     numpy's own calls are not counted: a Generator's uniform tests its bounds with
     np.isfinite.
     """
-    tally = dict.fromkeys(("errstate", "norm", "isfinite_array", "isfinite_scalar"), 0)
+    tally = dict.fromkeys(_NO_WRAPPER_CALLS, 0)
 
     class errstate(np.errstate):
         def __enter__(self):
@@ -764,13 +782,21 @@ def wrapper_calls(monkeypatch):
     def norm(*args, **kwargs):
         tally["norm"] += 1
         return np.linalg.norm(*args, **kwargs)
-    view = _View(np, errstate=errstate, isfinite=isfinite, linalg=_View(np.linalg, norm=norm))
+    def counted(name):
+        def call(*args, **kwargs):
+            tally[name] += 1
+            return getattr(np, name)(*args, **kwargs)
+        return call
+    view = _View(np, errstate=errstate, isfinite=isfinite, linalg=_View(np.linalg, norm=norm),
+                 **{name: counted(name) for name in _STACKING})
     for module in _LIBRARY:
         monkeypatch.setattr(module, "np", view)
     return tally
 
 
-_NO_WRAPPER_CALLS = {"errstate": 0, "norm": 0, "isfinite_array": 0, "isfinite_scalar": 0}
+_STACKING = ("vstack", "hstack", "block", "eye")
+_NO_WRAPPER_CALLS = {"errstate": 0, "norm": 0, "isfinite_array": 0, "isfinite_scalar": 0,
+                     **dict.fromkeys(_STACKING, 0)}
 
 
 def test_the_wrapper_count_sees_each_wrapper(wrapper_calls):
@@ -781,7 +807,13 @@ def test_the_wrapper_count_sees_each_wrapper(wrapper_calls):
     obstate.np.isfinite(1.0)
     with grassmann.np.errstate(over="ignore"):
         pass
-    assert wrapper_calls == {"errstate": 1, "norm": 1, "isfinite_array": 1, "isfinite_scalar": 1}
+    # and the stacking and the identity as the builders of one new n call them
+    for builder in (hermitian.poles, hermitian.omega_matrix):
+        builder.cache_clear()
+        builder(5)
+    properties.np.hstack([np.eye(2), np.eye(2)])
+    assert wrapper_calls == {"errstate": 1, "norm": 1, "isfinite_array": 1, "isfinite_scalar": 1,
+                             "vstack": 2, "hstack": 1, "block": 1, "eye": 2}
 
 
 def test_a_warm_standard_report_calls_no_numpy_wrapper(wrapper_calls, cold_base_points):

@@ -16,6 +16,7 @@ from apline.errors import (
     NotRankOneError,
     NotTransversalError,
     NotUnitaryError,
+    UnknownSpaceError,
 )
 
 RNG = np.random.default_rng(3133)
@@ -50,8 +51,10 @@ def test_membership_r_is_hermitian_graphs():
     assert hermitian.membership(grassmann.infinity_point(3), "R")
     a = h + 1j * np.eye(3)  # skew part pushes the graph off the real locus
     assert not hermitian.membership(grassmann.point_from_chart(a), "R")
-    with pytest.raises(ValueError):
+    # a typed error that is still the ValueError it was, with its message
+    with pytest.raises(UnknownSpaceError, match=r"^unknown space 'bogus'; pick R, Rprime or RNS$"):
         hermitian.membership(grassmann.zero_point(2), "bogus")
+    assert issubclass(UnknownSpaceError, AplineError) and issubclass(UnknownSpaceError, ValueError)
 
 
 def _eq_threshold(n):
