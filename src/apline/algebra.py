@@ -18,8 +18,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import (DecodeError, DimensionError, NonFiniteError, NotARealError,
-                     SingularError, ValueOverflowError)
+from .errors import (DecodeError, DimensionError, NonFiniteError, NotANumberError,
+                     NotARealError, SingularError, ValueOverflowError)
 
 # Tolerances of the double-precision backend.  Dimensions stay small
 # (n <= 16), which keeps conditioning mild enough for these to be safe.
@@ -32,12 +32,27 @@ _SQRT2 = math.sqrt(2.0)  # np.sqrt(2)'s bits, read without a ufunc call
 
 def as_matrix(a) -> np.ndarray:
     """Coerce to a square complex matrix (complex128, C-contiguous copy)."""
-    m = np.array(a, dtype=complex)
+    m = np.array(_numeric(a, "matrix"), dtype=complex)
     if m.ndim == 0:
         m = m.reshape(1, 1)
     if m.ndim != 2 or m.shape[0] != m.shape[1] or not m.size:
         raise DimensionError(f"expected a square matrix of size n >= 1, got shape {m.shape}")
     return m
+
+
+def _numeric(a, what: str) -> np.ndarray:
+    """a as an array of numbers or bools (an array of them is not copied): the one reader
+    of public arrays.  Entries that make an object or a string array, which numpy would
+    read as NaN (None) or parse ("2"), raise NotANumberError."""
+    if type(a) is not np.ndarray:
+        try:
+            a = np.asarray(a)
+        except ValueError as exc:  # rows of unequal length
+            raise DimensionError(f"{what} must be equal-length rows of numbers: {exc}") from None
+    if a.dtype.kind not in "biufc":
+        raise NotANumberError(f"{what} entries must be numbers in the float range, "
+                              f"got an array of dtype {a.dtype}")
+    return a
 
 
 def check_size(n, what: str = "a size") -> int:
@@ -57,21 +72,33 @@ def check_size(n, what: str = "a size") -> int:
 
 
 def _as_real(v, what: str) -> float:
-    """float(v) for a real number v, else NotARealError: the one reader of real scalars.
+    """float(v) for a real number v, else NotARealError: the one reader of real scalars."""
+    # float() would drop a numpy complex's imaginary part
+    if isinstance(v, (complex, np.complexfloating)):
+        raise NotARealError(f"{what} must be real numbers, got {v!r:.40}")
+    return _as_scalar(float, v, what, "real numbers", NotARealError)
 
-    A number beyond the float range, such as the integer 10**400, raises
-    ValueOverflowError.
+
+def _as_complex(v, what: str) -> complex:
+    """complex(v) for a number v, else NotANumberError: the one reader of complex scalars."""
+    return _as_scalar(complex, v, what, "numbers", NotANumberError)
+
+
+def _as_scalar(kind, v, what: str, noun: str, error):
+    """kind(v), float or complex, for a number v, NaN and infinities included; else error.
+
+    A number beyond the float range, such as the integer 10**400, raises ValueOverflowError.
     """
-    # float() would parse "1", count a bool as 0 or 1 and drop a numpy complex's imaginary part
-    if not isinstance(v, (str, bytes, bool, np.bool_, complex, np.complexfloating)):
+    # kind() would parse "1" and count a bool as 0 or 1
+    if not isinstance(v, (str, bytes, bool, np.bool_)):
         try:
-            return float(v)
-        except (TypeError, ValueError):  # None, a Python complex, a list
+            return kind(v)
+        except (TypeError, ValueError):  # None, INF, a list, a Python complex for float
             pass
         except OverflowError as exc:
             raise ValueOverflowError(
-                f"{what} must be real numbers in the float range, got {v!r:.40}: {exc}") from None
-    raise NotARealError(f"{what} must be real numbers, got {v!r:.40}")
+                f"{what} must be {noun} in the float range, got {v!r:.40}: {exc}") from None
+    raise error(f"{what} must be {noun}, got {v!r:.40}")
 
 
 def sized_cache(fn):
@@ -96,11 +123,6 @@ def _eye(n: int) -> np.ndarray:
     eye = np.eye(n)
     eye.setflags(write=False)
     return eye
-
-
-def identity(n: int) -> np.ndarray:
-    """np.eye(n, dtype=complex): a new writable array."""
-    return _eye(n).astype(complex)
 
 
 def zero(n: int) -> np.ndarray:
@@ -573,7 +595,7 @@ def is_unitary(a, tol: float = TOL_EQ) -> bool:
 
 def _is_unitary(a: np.ndarray, unit: float, tol: float) -> bool:
     """a* a = unit^2 I = a a* at the relative tolerance."""
-    eye = unit * unit * identity(a.shape[0])
+    eye = unit * unit * _eye(a.shape[0])
     token = _set_errors(over="ignore", invalid="ignore")
     try:
         left, right = norm(a.conj().T @ a - eye), norm(a @ a.conj().T - eye)

@@ -70,14 +70,10 @@ def _homogeneous(v) -> tuple[complex, complex]:
     """Extended scalar -> homogeneous pair (p, q) with value p/q; INF -> (1, 0)."""
     if v is INF:
         return (1.0 + 0j, 0j)
-    z = complex(v)
+    z = algebra._as_complex(v, "scalar values")
     if not cmath.isfinite(z):  # a float inf or nan is not the point INF
         raise NonFiniteError("scalar values must be finite numbers or INF")
     return (z, 1.0 + 0j)
-
-
-def _is_real_value(v) -> bool:
-    return v is INF or not isinstance(v, complex) or v.imag == 0
 
 
 def _det(u: tuple, v: tuple) -> complex:
@@ -97,8 +93,7 @@ def classical_cr(a, b, c, d):
     denominator vanishes and the numerator does not; raises
     IndeterminateError when both vanish.  Real inputs give a real float.
     """
-    real = all(_is_real_value(v) for v in (a, b, c, d))
-    ha, hb, hc, hd = (_homogeneous(v) for v in (a, b, c, d))
+    ha, hb, hc, hd = homogeneous = [_homogeneous(v) for v in (a, b, c, d)]
     num = _det(hc, ha) * _det(hd, hb)
     den = _det(hc, hb) * _det(hd, ha)
     if den == 0:
@@ -106,6 +101,7 @@ def classical_cr(a, b, c, d):
             raise IndeterminateError(
                 "cross-ratio is 0/0: fewer than three distinct values")
         return INF
+    real = all(p.imag == 0 for p, _ in homogeneous)
     return float((num / den).real) if real else num / den
 
 

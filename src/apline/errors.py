@@ -122,5 +122,9 @@ class NotARealError(AplineError, ValueError):
     """A classical value or weight is no real number: a string, a bool, None or a complex."""
 
 
+class NotANumberError(AplineError, ValueError):
+    """A scalar or an array entry is no number: a string, a bool scalar, None, INF or an object."""
+
+
 class NotAPermutationError(AplineError, ValueError):
     """The images of a bijection are not a permutation of the sites 0..m-1."""

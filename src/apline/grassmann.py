@@ -72,7 +72,7 @@ class SubspacePoint:
     __slots__ = ("n", "basis", "_memo", "__weakref__")
 
     def __init__(self, columns):
-        cols = np.asarray(columns, dtype=complex)
+        cols = np.asarray(algebra._numeric(columns, "basis"), dtype=complex)
         if cols.ndim != 2 or cols.shape[0] != 2 * cols.shape[1] or not cols.size:
             raise DimensionError(
                 f"a point of the projective line needs a 2n x n basis, n >= 1, got {cols.shape}")
@@ -214,7 +214,7 @@ def is_orthocomplement(x: np.ndarray, y: np.ndarray) -> bool:
 @algebra.sized_cache
 def zero_point(n: int) -> SubspacePoint:
     """The base point 0 = [(1, 0)] = span[I; 0]; one cached point per n, shared and read-only."""
-    return _base_point(np.vstack([np.eye(n), np.zeros((n, n))]), "zero")
+    return _base_point(np.concatenate((algebra._eye(n), np.zeros((n, n)))), "zero")
 
 
 @algebra.sized_cache
@@ -225,7 +225,7 @@ def infinity_point(n: int) -> SubspacePoint:
     value of infinity, which reports in their frame read, are computed
     here, once per n.
     """
-    infinity = _base_point(np.vstack([np.zeros((n, n)), np.eye(n)]), "infinity")
+    infinity = _base_point(np.concatenate((np.zeros((n, n)), algebra._eye(n))), "infinity")
     zero = zero_point(n)
     _sines(zero, infinity)
     _sines(infinity, zero)
@@ -258,7 +258,8 @@ def _is_infinity_point(x: SubspacePoint) -> bool:
 @algebra.sized_cache
 def one_point(n: int) -> SubspacePoint:
     """The base point 1 = [(1, 1)] = span[I; I]; one cached point per n, shared and read-only."""
-    return SubspacePoint(np.vstack([np.eye(n), np.eye(n)]))
+    eye = algebra._eye(n)
+    return SubspacePoint(np.concatenate((eye, eye)))
 
 
 # Frobenius norm of a chart value up to which its graph basis is built
@@ -668,7 +669,7 @@ def scalar_action(r, a: SubspacePoint, x: SubspacePoint,
     fixed for r != 0 and r = 0 sends everything to the origin.  (In the
     standard frame a = infinity, x = 0 this is chart(c) -> chart(r c).)
     """
-    r = complex(r)
+    r = algebra._as_complex(r, "scalars")
     if not cmath.isfinite(r):
         raise NonFiniteError("scalar_action needs a finite scalar")
     _require_transversal(((x, a, "scalar_action needs transversal (x, a)"),
@@ -700,7 +701,7 @@ class ProjectiveMap:
     __slots__ = ("rep", "_cond", "_inverse", "__weakref__")
 
     def __init__(self, rep):
-        rep = np.asarray(rep, dtype=complex)
+        rep = np.asarray(algebra._numeric(rep, "projective map rep"), dtype=complex)
         if rep.ndim != 2 or rep.shape[0] != rep.shape[1] or rep.shape[0] % 2 or not rep.size:
             raise DimensionError(f"projective map rep must be 2n x 2n, n >= 1, got {rep.shape}")
         cond = algebra.invertible_cond(rep)

@@ -15,6 +15,8 @@ Convention notes (all verified by the calibration tests):
 
 * omega(u, v) = u1* v2 - u2* v1, with form matrix Omega = [[0, I], [-I, 0]];
   J = [[0, -I], [I, 0]] (so J^2 = -1 and beta = [J] fixes exactly N and S).
+  Omega, J and C act as block swaps, never as 2n x 2n matrices:
+  J X = -Omega X = [-X2; X1] (see _j_basis) and 2 C^{-1} X = [X2 - i X1; X2 + i X1].
 * The circle action places the phase on the N-component:
   rep(theta) = e^{i theta} P(image N, kernel S) + P(image S, kernel N).
   This is the orientation for which the square of the quarter turn is
@@ -67,45 +69,27 @@ def _same_n(*points: SubspacePoint) -> None:
         raise DimensionError(f"points of mixed dimensions: n = {sizes}")
 
 
-@algebra.sized_cache
-def omega_matrix(n: int) -> np.ndarray:
-    """Form matrix of omega(u, v) = u1* v2 - u2* v1: [[0, I], [-I, 0]]; cached per n, read-only."""
-    eye = np.eye(n)
-    omega = np.block([[np.zeros((n, n)), eye], [-eye, np.zeros((n, n))]])
-    omega.setflags(write=False)
-    return omega
+def _j_basis(x: SubspacePoint) -> np.ndarray:
+    """J X = [-X2; X1] for the basis X = [X1; X2] of x, a new array; X* Omega = (J X)*."""
+    n = x.n
+    return np.concatenate((-x.basis[n:], x.basis[:n]))
 
 
-@algebra.sized_cache
-def j_matrix(n: int) -> np.ndarray:
-    """J = [[0, -I], [I, 0]]; J^2 = -1.  Cached per n, read-only."""
-    eye = np.eye(n)
-    j = np.block([[np.zeros((n, n)), -eye], [eye, np.zeros((n, n))]])
-    j.setflags(write=False)
-    return j
-
-
-@algebra.sized_cache
-def cayley_matrix(n: int) -> ProjectiveMap:
-    """The Cayley matrix C = [[i, -i], [1, 1]] blocks; C(0) = N, C(inf) = S.  Cached per n."""
-    eye = np.eye(n)
-    # C / sqrt 2 is unitary (exact entries), so C is invertible with condition number 1
-    return ProjectiveMap._invertible(np.block([[1j * eye, -1j * eye], [eye, eye]]),
-                                     grassmann._UNITARY_COND)
-
-
-def _null_space_point(rows: np.ndarray) -> SubspacePoint:
-    """The n-dimensional null space of an n x 2n full-rank row matrix."""
-    _, _, vh = algebra.svd(rows)
-    n = rows.shape[0]
+def _orthocomplement(cols: np.ndarray) -> SubspacePoint:
+    """The orthocomplement of the span of 2n x n full-rank columns: the null space of cols*."""
+    _, _, vh = algebra.svd(cols.conj().T)
+    n = cols.shape[1]
     # the rows of vh are orthonormal, so these columns are too
     return SubspacePoint._full_rank(vh[n:, :].conj().T)
 
 
 @grassmann._memoized
 def tau(x: SubspacePoint) -> SubspacePoint:
-    """The omega-orthocomplement; on the chart, tau(a) = a*.  Cached on x and shared."""
-    return _null_space_point(x.basis.conj().T @ omega_matrix(x.n))
+    """The omega-orthocomplement; on the chart, tau(a) = a*.  Cached on x and shared.
+
+    The null space of X* Omega = (J X)*, the orthocomplement of J X.
+    """
+    return _orthocomplement(_j_basis(x))
 
 
 @grassmann._memoized
@@ -114,14 +98,14 @@ def alpha(x: SubspacePoint) -> SubspacePoint:
 
     Cached on x and shared, like tau and beta.
     """
-    return _null_space_point(x.basis.conj().T)
+    return _orthocomplement(x.basis)
 
 
 @grassmann._memoized
 def beta(x: SubspacePoint) -> SubspacePoint:
     """The point map [J]; equals alpha o tau = tau o alpha.  Cached on x and shared."""
     # J is unitary, so J X is orthonormal
-    return SubspacePoint._full_rank(j_matrix(x.n) @ x.basis)
+    return SubspacePoint._full_rank(_j_basis(x))
 
 
 # no library code reads this table: benchmarks/tests checks that the tracer restores it
@@ -131,9 +115,9 @@ _INVOLUTIONS = {"tau": tau, "alpha": alpha, "beta": beta}
 @algebra.sized_cache
 def poles(n: int) -> tuple[SubspacePoint, SubspacePoint]:
     """North and south pole N = span[iI; I], S = span[-iI; I]; one cached pair per n, read-only."""
-    eye = np.eye(n)
-    north = SubspacePoint(np.vstack([1j * eye, eye]))
-    south = SubspacePoint(np.vstack([-1j * eye, eye]))
+    eye = algebra._eye(n)
+    north = SubspacePoint(np.concatenate((1j * eye, eye)))
+    south = SubspacePoint(np.concatenate((-1j * eye, eye)))
     return north, south
 
 
@@ -163,10 +147,11 @@ def membership(x: SubspacePoint, space: str) -> bool:
 
 @grassmann._memoized
 def _is_lagrangian(x: SubspacePoint) -> bool:
-    """The test of membership, whichever space it names; cached on x."""
-    n = x.n
-    omega_x = np.concatenate((x.basis[n:], -x.basis[:n]))
-    return grassmann.is_orthocomplement(x.basis, omega_x)
+    """The test of membership, whichever space it names; cached on x.
+
+    J X = -Omega X, so the Gram X* (J X) is -X* Omega X, of the same norm.
+    """
+    return grassmann.is_orthocomplement(x.basis, _j_basis(x))
 
 
 # --- circle action -------------------------------------------------------------

@@ -109,7 +109,7 @@ def state_from_density(w) -> SubspacePoint:
 
 def pure_state_point(psi) -> SubspacePoint:
     """The state point of a unit ray: density psi psi* / <psi, psi>."""
-    psi = np.asarray(psi, dtype=complex).reshape(-1, 1)
+    psi = np.asarray(algebra._numeric(psi, "pure state"), dtype=complex).reshape(-1, 1)
     if not algebra._all_finite(psi):
         raise NonFiniteError("pure states need a finite vector")
     if not psi.size:
@@ -313,7 +313,8 @@ def _completion_parameter(fam: "hermitian.LineFamily", factors, target: Subspace
     s = algebra.singular_values(np.concatenate((fam.raw_basis(root), target.basis), axis=1))
     if s[-1] / s[0] > COMPLETION_TOL:
         raise NonUniqueCompletionError(
-            "completion-point refinement did not converge")
+            "the closed-form completion point failed its singular-value check "
+            "against COMPLETION_TOL")
     return root
 
 

@@ -1,4 +1,5 @@
 import ast
+import cmath
 import hashlib
 import json
 import warnings
@@ -9,8 +10,9 @@ import pytest
 
 import apline
 from apline import algebra, grassmann, hermitian
-from apline.errors import (DecodeError, DimensionError, NonFiniteError, SingularError,
-                           ValueOverflowError)
+from apline.crossratio import INF
+from apline.errors import (AplineError, DecodeError, DimensionError, NonFiniteError,
+                           NotANumberError, SingularError, ValueOverflowError)
 
 RNG = np.random.default_rng(20240811)
 
@@ -473,9 +475,9 @@ def test_the_seam_is_bitwise_numpy_on_the_call_sites_inputs(n):
     # the sine residual of grassmann._principal_sines
     residual = a - x @ (x.conj().T @ a)
     _same_bits(algebra.singular_values(residual), np.linalg.svd(residual, compute_uv=False))
-    # the full SVDs of hermitian._null_space_point: X* Omega for tau, X* (a transposed
-    # view) for alpha, and its null space basis (F-ordered)
-    _same_svd(x.conj().T @ hermitian.omega_matrix(n))
+    # the full SVDs of hermitian._orthocomplement, each of a transposed view: (J X)* for
+    # tau and X* for alpha, and its null space basis (F-ordered)
+    _same_svd(hermitian._j_basis(grassmann.SubspacePoint._full_rank(x)).conj().T)
     _same_svd(x.conj().T)
     _, _, vh = algebra.svd(rng.standard_normal((n, 2 * n)) + 0j)
     null = vh[n:, :].conj().T
@@ -612,17 +614,10 @@ def test_no_library_module_bypasses_the_linalg_seam():
 # np.vstack, np.hstack and np.block are Python wrappers around np.concatenate, and np.eye
 # builds a new identity on every call; at n <= 16 each costs about as much as the copy it
 # makes.  So library code stacks with np.concatenate and reads the identity from
-# algebra._eye.  The exempt sites, by module and site, with the reason each keeps numpy's:
-_ONCE_PER_N = "runs once per n, under algebra.sized_cache"
+# algebra._eye, the one exempt site, by module and site, with the reason it keeps numpy's:
 _STACKING_EXEMPT = {
-    "algebra": {"_eye:np.eye": "the cached identity itself; " + _ONCE_PER_N},
-    "grassmann": {f"{fn}:np.{name}": _ONCE_PER_N
-                  for fn in ("zero_point", "infinity_point", "one_point")
-                  for name in ("vstack", "eye")},
-    "hermitian": {**{f"{fn}:np.{name}": _ONCE_PER_N
-                     for fn in ("omega_matrix", "j_matrix", "cayley_matrix")
-                     for name in ("block", "eye")},
-                  "poles:np.vstack": _ONCE_PER_N, "poles:np.eye": _ONCE_PER_N},
+    "algebra": {"_eye:np.eye": "the cached identity itself; runs once per n, "
+                               "under algebra.sized_cache"},
 }
 _STACKING = {"vstack", "hstack", "block", "eye"}
 
@@ -651,8 +646,6 @@ def test_the_cached_identity_is_a_read_only_np_eye_checked_before_its_cache():
     for n in _SEAM_N:
         eye, want = algebra._eye(n), np.eye(n)
         _same_layout(eye, want, writeable=False)
-        _same_layout(algebra.identity(n), np.eye(n, dtype=complex))
-        assert algebra.identity(n) is not algebra.identity(n)
     assert algebra._eye(np.int64(2)) is algebra._eye(2)
     with pytest.raises(ValueError, match="read-only"):
         algebra._eye(2)[0, 0] = 2.0
@@ -738,7 +731,15 @@ def _kernel_builder(kind, n, monkeypatch):
 def _lagrangian_builder(kind, n, monkeypatch):
     x = hermitian._r_point(_unitary(kind, n, 9))
     got = _concatenated(monkeypatch, hermitian, lambda: hermitian._is_lagrangian(x))
-    return got, [np.vstack([x.basis[n:], -x.basis[:n]])]
+    return got, [np.vstack([-x.basis[n:], x.basis[:n]])]
+
+
+def _involution_builder(involution):
+    def builder(kind, n, monkeypatch):
+        x, = _points(kind, n, 22, 1)
+        got = _concatenated(monkeypatch, hermitian, lambda: involution(x))
+        return got, [np.vstack([-x.basis[n:], x.basis[:n]])]
+    return builder
 
 
 def _r_point_builder(kind, n, monkeypatch):
@@ -811,7 +812,8 @@ def _completion_builder(kind, n, monkeypatch):
 _BUILDERS = {
     "point_from_chart": _chart_builder, "point_from_cochart": _cochart_builder,
     "projector_matrix": _projector_builder, "kernel": _kernel_builder,
-    "is_lagrangian": _lagrangian_builder, "r_point": _r_point_builder,
+    "is_lagrangian": _lagrangian_builder, "tau": _involution_builder(hermitian.tau),
+    "beta": _involution_builder(hermitian.beta), "r_point": _r_point_builder,
     "transport_to_zero": _transport_builder, "aut_omega_random": _aut_omega_builder,
     "u_group_random": _u_group_builder, "chart_values": _chart_values_builder,
     "raw_basis": _raw_basis_builder, "completion_parameter": _completion_builder,
@@ -827,6 +829,25 @@ def test_each_rewritten_builder_stacks_the_bits_and_layout_of_its_numpy_form(
     assert len(got) == len(want)
     for g, w in zip(got, want):
         _same_layout(g, w)
+
+
+@pytest.mark.parametrize("n", [1, 2, 5])
+def test_the_base_points_and_poles_stack_the_bits_of_their_numpy_form(
+        monkeypatch, cold_base_points, n):
+    eye, zero = np.eye(n), np.zeros((n, n))
+    forms = [(grassmann, grassmann.zero_point, [np.vstack([eye, zero])]),
+             (grassmann, grassmann.infinity_point, [np.vstack([zero, eye])]),
+             (grassmann, grassmann.one_point, [np.vstack([eye, eye])]),
+             (hermitian, hermitian.poles, [np.vstack([1j * eye, eye]),
+                                           np.vstack([-1j * eye, eye])])]
+    for module, builder, want in forms:
+        # infinity_point goes on to fill its memo, which stacks more
+        got = _concatenated(monkeypatch, module, lambda: builder(n))[:len(want)]
+        points = builder(n) if isinstance(builder(n), tuple) else (builder(n),)
+        assert len(got) == len(want) == len(points)
+        for g, w, point in zip(got, want, points):
+            _same_layout(g, w)
+            _same_layout(point.basis, grassmann.SubspacePoint(w).basis, writeable=False)
 
 
 def test_the_identity_map_is_numpys_identity():
@@ -848,10 +869,7 @@ def _bad_size_calls():
         ("random-point-fraction", lambda: grassmann.random_point(2.5, rng)),
         ("random-map-fraction", lambda: grassmann.random_map(1.5, rng)),
         ("poles-negative", lambda: hermitian.poles(-2)),
-        ("omega-matrix-negative", lambda: hermitian.omega_matrix(-1)),
-        ("j-matrix-zero", lambda: hermitian.j_matrix(0)),
-        ("cayley-matrix-zero", lambda: hermitian.cayley_matrix(0)),
-        ("identity-negative", lambda: algebra.identity(-1)),
+        ("eye-negative", lambda: algebra._eye(-1)),
         ("zero-fraction", lambda: algebra.zero(1.5)),
         ("random-matrix-negative", lambda: algebra.random_matrix(-1, rng)),
         ("random-matrix-zero", lambda: algebra.random_matrix(0, rng)),
@@ -863,10 +881,10 @@ def _bad_size_calls():
         ("sweep-trials-zero", lambda: properties.run_sweep(n_list=[1], trials=0)),
         ("sweep-n-zero", lambda: properties.run_sweep(n_list=[1, 0], trials=1)),
         # a bool is no size, although operator.index reads True as 1; the cached base
-        # points, poles and Cayley matrix of n = 1 are no cache hit for it either
+        # points, poles and identity of n = 1 are no cache hit for it either
         ("zero-point-bool", lambda: grassmann.zero_point(True)),
         ("poles-bool", lambda: hermitian.poles(True)),
-        ("cayley-matrix-bool", lambda: hermitian.cayley_matrix(True)),
+        ("eye-bool", lambda: algebra._eye(True)),
         ("random-point-bool", lambda: grassmann.random_point(True, rng)),
     ]
 
@@ -891,6 +909,41 @@ def test_check_size_takes_ints_and_numpy_integers():
     for bad in (2.0, "2", None, True, False, np.True_):
         with pytest.raises(DimensionError):
             algebra.check_size(bad)
+
+
+@pytest.mark.parametrize("entry", [None, "2", INF, 10 ** 400], ids=["none", "string", "inf",
+                                                                   "beyond-the-float-range"])
+def test_a_public_array_entry_that_is_no_number_is_a_typed_error(entry):
+    # never NaN for None, nor numpy's parse of "2", nor a bare TypeError or OverflowError
+    for call in (algebra.adjoint, algebra.is_hermitian):
+        with pytest.raises(NotANumberError, match="^matrix entries must be numbers in the float "
+                                                  "range, got an array of dtype "):
+            call([[1.0, entry], [0.0, 1.0]])
+    assert issubclass(NotANumberError, AplineError) and issubclass(NotANumberError, ValueError)
+    with pytest.raises(DimensionError, match="^matrix must be equal-length rows of numbers: "):
+        algebra.adjoint([[1.0, [1.0]], [0.0, 1.0]])
+
+
+def test_public_arrays_of_numbers_and_bools_keep_their_values():
+    for rows in ([[True, False], [False, True]], np.eye(2, dtype=bool), [[1, 0], [0, 1]],
+                 np.eye(2, dtype=np.float32), [[1.0, 0j], [0, np.float64(1.0)]]):
+        _same_bits(algebra.as_matrix(rows), np.eye(2, dtype=complex))
+    a = algebra.random_matrix(3, RNG)
+    assert algebra._numeric(a, "matrix") is a  # an array of numbers is not copied
+    _same_bits(algebra.as_matrix(a), a)
+
+
+def test_the_complex_reader_reads_numbers_and_names_the_rest():
+    for v, want in ((2, 2 + 0j), (np.float32(0.5), 0.5 + 0j), (2j, 2j), (np.complex64(1j), 1j)):
+        got = algebra._as_complex(v, "scalars")
+        assert type(got) is complex and got == want
+    assert cmath.isnan(algebra._as_complex(float("nan"), "scalars"))  # for the caller to name
+    for bad in (None, "2", True, np.True_, INF, [1]):
+        with pytest.raises(NotANumberError, match="^scalars must be numbers, got "):
+            algebra._as_complex(bad, "scalars")
+    with pytest.raises(ValueOverflowError,
+                       match="^scalars must be numbers in the float range, got 1000"):
+        algebra._as_complex(10 ** 400, "scalars")
 
 
 def test_almost_equal_compares_at_tol_eq():

@@ -375,7 +375,8 @@ def test_expect_and_import_start_without_scipy():
         assert res.exit_code == 0, res.output
         assert "scipy" not in sys.modules
         assert "apline.classical" not in sys.modules
-        omega = hermitian.omega_matrix(2)
+        eye, zero = np.eye(2), np.zeros((2, 2))
+        omega = np.block([[zero, eye], [-eye, zero]])
         for g in (hermitian.u_group_random(2, 0), hermitian.aut_omega_random(2, 0)):
             assert np.allclose(g.rep.conj().T @ omega @ g.rep, omega)
         assert "scipy.linalg" in sys.modules

@@ -22,6 +22,25 @@ from apline.errors import (
 RNG = np.random.default_rng(3133)
 
 
+# The structure maps as 2n x 2n matrices, for the oracles: the library applies them as
+# block swaps (hermitian._j_basis, hermitian._pole_blocks) and builds none of them.
+def _omega(n):
+    """The form matrix Omega = [[0, I], [-I, 0]] of omega(u, v) = u1* v2 - u2* v1."""
+    eye, zero = np.eye(n), np.zeros((n, n))
+    return np.block([[zero, eye], [-eye, zero]])
+
+
+def _j(n):
+    """The complex structure J = [[0, -I], [I, 0]] = -Omega."""
+    return -_omega(n)
+
+
+def _cayley(n):
+    """The Cayley matrix C = [[iI, -iI], [I, I]]: C(0) = N and C(inf) = S."""
+    eye = np.eye(n)
+    return np.block([[1j * eye, -1j * eye], [eye, eye]])
+
+
 def test_involutions_klein_four():
     x = grassmann.random_point(3, RNG)
     t, al, be = hermitian.tau, hermitian.alpha, hermitian.beta
@@ -77,7 +96,7 @@ def _r_points_near_threshold(n, count=5, rng=RNG, factors=(0.1, 0.9, 1.1, 10.0))
         x = hermitian.random_r_point(n, rng)
         k = algebra.random_matrix(n, rng)
         k = _unit(k - k.conj().T)
-        omega_x = hermitian.omega_matrix(n) @ x.basis
+        omega_x = _omega(n) @ x.basis
         for factor in factors:
             eps = factor * _eq_threshold(n) / (2.0 * np.sqrt(2.0))
             yield factor, grassmann.SubspacePoint(x.basis + eps * omega_x @ k)
@@ -110,7 +129,7 @@ def test_real_points_sit_far_from_the_rprime_and_pole_thresholds(n):
         for pole in (north, south):
             assert grassmann.transversality_margin(x, pole) == pytest.approx(
                 np.sqrt(2.0) - 1.0, abs=1e-9)
-        s = np.linalg.svd(np.hstack([x.basis, hermitian.j_matrix(n) @ x.basis]),
+        s = np.linalg.svd(np.hstack([x.basis, _j(n) @ x.basis]),
                           compute_uv=False)
         assert s[-1] / s[0] == pytest.approx(1.0, abs=1e-9)
 
@@ -516,17 +535,45 @@ def test_unitary_torsor_rejects_points_outside_the_universe():
 
 
 @pytest.mark.parametrize("n", [1, 2, 5])
-def test_constant_points_maps_and_forms_are_shared_and_read_only(n):
+def test_the_poles_are_shared_and_read_only(n):
     north, south = hermitian.poles(n)
     assert hermitian.poles(n)[0] is north and hermitian.poles(n)[1] is south
     assert not north.basis.flags.writeable and not south.basis.flags.writeable
-    c = hermitian.cayley_matrix(n)
-    assert hermitian.cayley_matrix(n) is c
-    assert not c.rep.flags.writeable
-    for form in (hermitian.omega_matrix, hermitian.j_matrix):
-        assert form(n) is form(n)
-        assert not form(n).flags.writeable
-    assert np.array_equal(hermitian.j_matrix(n) @ hermitian.j_matrix(n), -np.eye(2 * n))
+    # C(0) = N and C(inf) = S, and J^2 = -1
+    c = _cayley(n)
+    assert north == grassmann.apply_map(grassmann.ProjectiveMap(c), grassmann.zero_point(n))
+    assert south == grassmann.apply_map(grassmann.ProjectiveMap(c), grassmann.infinity_point(n))
+    assert np.array_equal(_j(n) @ _j(n), -np.eye(2 * n))
+
+
+def _structure_map_points(n):
+    """Random, R, chart, diagonal-chart and base points of size n: the last two carry exact zeros."""
+    rng = np.random.default_rng(n)
+    points = [grassmann.random_point(n, rng) for _ in range(3)]
+    points += [hermitian.random_r_point(n, rng) for _ in range(3)]
+    points += [grassmann.point_from_chart(algebra.random_matrix(n, rng)),
+               grassmann.point_from_cochart(algebra.random_hermitian(n, rng))]
+    points += [grassmann.point_from_chart(np.diag(rng.standard_normal(n))) for _ in range(2)]
+    return points + [grassmann.zero_point(n), grassmann.infinity_point(n),
+                     grassmann.one_point(n), *hermitian.poles(n)]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 6, 16])
+def test_tau_keeps_the_bits_of_the_null_space_of_x_star_omega(n):
+    for x in _structure_map_points(n):
+        _, _, vh = np.linalg.svd(x.basis.conj().T @ _omega(n))
+        want = grassmann.SubspacePoint._full_rank(vh[n:, :].conj().T)
+        assert hermitian.tau(x).basis.tobytes() == want.basis.tobytes()
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 6, 16])
+def test_beta_spans_j_x_and_the_lagrangian_test_decides_on_omega_x(n):
+    near = _r_points_near_threshold(n, 2, np.random.default_rng(n))
+    points = _structure_map_points(n) + [x for _, x in near]
+    for x in points:
+        assert hermitian.beta(x) == grassmann.SubspacePoint(_j(n) @ x.basis)
+        want = grassmann.is_orthocomplement(x.basis, _omega(n) @ x.basis)
+        assert hermitian._is_lagrangian(x) is want
 
 
 def test_involutions_and_circle_action_keep_their_bits():
@@ -534,7 +581,7 @@ def test_involutions_and_circle_action_keep_their_bits():
     n = 3
     x = grassmann.random_point(n, rng)
     assert (hermitian.beta(x).basis.tobytes()
-            == grassmann.SubspacePoint(hermitian.j_matrix(n) @ x.basis).basis.tobytes())
+            == grassmann.SubspacePoint(np.vstack([-x.basis[n:], x.basis[:n]])).basis.tobytes())
     _, _, vh = np.linalg.svd(x.basis.conj().T)
     assert (hermitian.alpha(x).basis.tobytes()
             == grassmann.SubspacePoint(vh[n:, :].conj().T).basis.tobytes())
@@ -671,7 +718,7 @@ def test_sampled_and_cayley_points_keep_the_bits_of_their_checked_forms():
     assert x.basis.tobytes() == want.basis.tobytes()
     # the pole-frame blocks against the chart of C^-1 x, moved by the checked map
     u = hermitian.cayley_to_unitary(x)
-    moved = grassmann.chart_repr(grassmann.apply_map(hermitian.cayley_matrix(n).inverse(), x))
+    moved = grassmann.chart_repr(grassmann.apply_map(grassmann.ProjectiveMap(_cayley(n)).inverse(), x))
     assert np.linalg.norm(u - moved) <= 1e-13 * (1.0 + np.linalg.norm(u))
 
 
@@ -683,7 +730,7 @@ def test_the_cayley_unitary_of_a_member_near_the_threshold_meets_its_proven_boun
     assert len(near) == 5
     for x in near:
         assert hermitian.membership(x, "RNS")
-        g = np.linalg.norm(x.basis.conj().T @ hermitian.omega_matrix(n) @ x.basis)
+        g = np.linalg.norm(x.basis.conj().T @ _omega(n) @ x.basis)
         u = hermitian.cayley_to_unitary(x)
         bound = 2.0 * g / (1.0 - g) + 1e-13 * n
         for gram in (u.conj().T @ u, u @ u.conj().T):

@@ -16,8 +16,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from apline import algebra, classical, crossratio, grassmann, hermitian, obstate
-from apline.errors import (AplineError, DimensionError, NotInUniverseError,
-                           NotTransversalError)
+from apline.crossratio import INF
+from apline.errors import (AplineError, DimensionError, NotANumberError, NotInUniverseError,
+                           NotTransversalError, ValueOverflowError)
 
 # 10-based exponents of the smallest singular value: dense around the transversality
 # threshold (a sine of about 2e-8) and the guards' sine bound, sparse elsewhere
@@ -310,3 +311,49 @@ def test_the_public_constructors_at_the_edges_of_the_float_range(case):
             # an orthonormal basis of an n-dimensional subspace of C^2n
             assert value.shape == (2 * n, n), name
             assert np.linalg.norm(value.conj().T @ value - np.eye(n)) <= 1e-12, name
+
+
+# --- the readers of public scalars and arrays ---------------------------------------------
+
+# a value of each kind that a scalar or an array entry may be given: no number, a bool, the
+# point INF, an integer beyond the float range, a list, non-finite floats, numpy and complex
+_CATALOGUE = (None, "2", True, INF, 10 ** 400, [1], np.nan, np.inf, -np.inf, np.float32(0.5),
+              2j)
+
+
+def _pair(r):
+    """An extended scalar as the numbers (p, q) of p / q: INF is (1, 0), and NaN stays NaN."""
+    return (1.0, 0.0) if r is INF else (r, 1.0)
+
+
+def _catalogue_calls(v):
+    """(name, call) of each public entry point that reads v as a scalar or an array entry."""
+    zero, infinity = grassmann.zero_point(1), grassmann.infinity_point(1)
+    y = grassmann.point_from_chart(np.array([[2.0]]))
+    return (("scalar_action", lambda: grassmann.scalar_action(v, infinity, zero, y).basis),
+            ("classical_cr", lambda: _pair(crossratio.classical_cr(v, 1.0, 0.0, INF))),
+            ("ratio", lambda: _pair(crossratio.ratio(v, 1.0, 0.0))),
+            ("proj_equal", lambda: crossratio.proj_equal(v, 1.0)),
+            ("is_hermitian", lambda: algebra.is_hermitian([[1.0, v], [v, 1.0]])),
+            ("inverse", lambda: algebra.inverse([[1.0, v], [0.0, 1.0]])),
+            ("SubspacePoint", lambda: grassmann.SubspacePoint([[1.0], [v]]).basis),
+            ("ProjectiveMap", lambda: grassmann.ProjectiveMap([[1.0, v], [0.0, 1.0]]).rep),
+            ("pure_state_point", lambda: obstate.pure_state_point([1.0, v]).basis),
+            ("pure_state_point-scalar", lambda: obstate.pure_state_point(v).basis))
+
+
+def test_each_reader_of_public_scalars_and_arrays_gives_a_value_or_a_typed_error():
+    for v in _CATALOGUE:
+        for name, call in _catalogue_calls(v):
+            # _outcome lets only an AplineError through, fails on a NaN value, and raises
+            # on a RuntimeWarning
+            value, caught = _outcome(call)
+            assert caught == [], (name, v)
+    # a number of every kind is read, and none that is not a number
+    assert crossratio.classical_cr(np.float32(0.5), 1.0, 0.0, INF) == 0.5
+    assert crossratio.classical_cr(2j, 1.0, 0.0, INF) == 2j
+    # a numpy complex that is no Python complex is read as complex, not as its real part
+    assert crossratio.classical_cr(np.complex64(2j), 1.0, 0.0, INF) == 2j
+    for v, error in ((None, NotANumberError), ("2", NotANumberError), (True, NotANumberError),
+                     ([1], NotANumberError), (10 ** 400, ValueOverflowError)):
+        assert _outcome(lambda: crossratio.proj_equal(v, 1.0))[0][0] is error

@@ -362,6 +362,10 @@ def test_a_complex_root_has_no_completion_point():
         obstate._completion_parameter(fam, obstate._line_factors(fam), target)
 
 
+_FAILED_CHECK = ("the closed-form completion point failed its singular-value check "
+                 "against COMPLETION_TOL")
+
+
 def test_a_root_that_fails_its_verification_is_a_completion_error(monkeypatch):
     # a computed root's normalized smallest singular value is a rounding residual, never
     # exactly 0 here, so a tolerance of 0 rejects the closed-form root
@@ -370,10 +374,10 @@ def test_a_root_that_fails_its_verification_is_a_completion_error(monkeypatch):
     assert np.isfinite(complex(obstate.pure_expectation(o)))
     monkeypatch.setattr(obstate, "COMPLETION_TOL", 0.0)
     with pytest.raises(NonUniqueCompletionError,
-                       match="^completion-point refinement did not converge$"):
+                       match=f"^{_FAILED_CHECK}$"):
         obstate.pure_expectation(o)
     assert (obstate.report(o)["pure_expectation_error"]
-            == "completion-point refinement did not converge")
+            == _FAILED_CHECK)
 
 
 def _report_from_public_calls(o):
