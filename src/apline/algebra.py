@@ -164,27 +164,61 @@ def almost_equal(a, b) -> bool:
     """Relative Frobenius comparison: ||a - b|| <= TOL_EQ * (1 + max(||a||, ||b||)).
 
     When a norm overflows, the test decides on one exact power-of-two rescale
-    of a and b, as in exact arithmetic.  A non-finite entry fails it.
+    of a and b, as in exact arithmetic (_at_scale).  A non-finite entry fails it.
     """
-    a = np.asarray(a, dtype=complex)
-    b = np.asarray(b, dtype=complex)
+    return _almost_equal(np.asarray(_numeric(a, "array"), dtype=complex),
+                         np.asarray(_numeric(b, "array"), dtype=complex))
+
+
+def _almost_equal(a: np.ndarray, b: np.ndarray) -> bool:
+    """almost_equal of two complex arrays, read as they are."""
     if a.shape != b.shape:
         raise DimensionError(f"shape mismatch: {a.shape} vs {b.shape}")
-    token = _set_errors(over="ignore", invalid="ignore")
-    try:
-        gap, size = norm(a - b), max(norm(a), norm(b))
-    finally:
-        _leave(token)
-    if math.isfinite(gap + size):
-        return gap <= TOL_EQ * (1.0 + size)
-    if not (np.isfinite(a).all() and np.isfinite(b).all()):
-        return False
-    # A sum of squares overflowed, so max(||a||, ||b||) >= ||a - b|| / 2 > 6e153, where
+    # A sum of squares that overflows makes max(||a||, ||b||) >= ||a - b|| / 2 > 6e153, where
     # 1 + max rounds to max: the test is ||a - b|| <= TOL_EQ max(||a||, ||b||), which one
     # exact power-of-two scale of both keeps.  The scaled max is above 2**99, where 1 +
     # max rounds to max too.
-    c = _pow2_scale(a if _largest_part(a) >= _largest_part(b) else b)
-    return almost_equal(c * a, c * b)
+    scaled = _at_scale(_distance, a, b)
+    if scaled is None:
+        return False
+    (gap, size), _ = scaled
+    return gap <= TOL_EQ * (1.0 + size)
+
+
+def _distance(c: float, a: np.ndarray, b: np.ndarray) -> tuple[float, float]:
+    """(||a - b||, max(||a||, ||b||)), the measure of almost_equal."""
+    return norm(a - b), max(norm(a), norm(b))
+
+
+def _quietly(fn, *args):
+    """fn(*args) with overflow and invalid values ignored, the caller's other error modes kept."""
+    token = _set_errors(over="ignore", invalid="ignore")
+    try:
+        return fn(*args)
+    finally:
+        _leave(token)
+
+
+def _at_scale(measure, *arrays) -> tuple | None:
+    """(measure(c, *(c a for a in arrays)), c), measured quietly: the one overflow rule.
+
+    measure returns a tuple of norms, or of floats a norm bounds, and c is
+    1.0 when they are finite.  When one overflows and every entry is finite,
+    c is the exact power of two _pow2_scale of the array with the largest
+    part.  The predicates measured here (almost_equal, hermitian_gap,
+    _is_psd, _is_unitary) do not change under a positive rescale, so they
+    decide on the scaled copies as in exact arithmetic; their norms are
+    finite and far above 1.  A finite norm is at most the square root of
+    the float range, about 1.3e154, so the values are finite exactly when
+    their sum is.  A non-finite entry gives None.
+    """
+    value = _quietly(measure, 1.0, *arrays)
+    if math.isfinite(sum(value)):
+        return value, 1.0
+    if not all(np.isfinite(a).all() for a in arrays):
+        return None
+    c = _pow2_scale(max(arrays, key=_largest_part))
+    return _quietly(measure, c, *(c * a for a in arrays)), c
 
 
 def _same_dim_matrices(*args) -> tuple:
@@ -239,19 +273,17 @@ def hermitian_gap(a: np.ndarray) -> tuple[float, float]:
     """(||a - a*||, ||a||): is_hermitian(a, tol) is _hermitian_within(gap, size, tol).
 
     When a norm overflows, they are the norms of the exact power-of-two
-    rescale of a, on which the test decides as in exact arithmetic.  A
-    non-finite a gives NaN, which fails the test at every tolerance.
+    rescale of a (_at_scale), on which the test decides as in exact
+    arithmetic.  A non-finite a gives NaN, which fails the test at every
+    tolerance.
     """
-    token = _set_errors(over="ignore", invalid="ignore")
-    try:
-        gap, size = norm(a - a.conj().T), norm(a)
-    finally:
-        _leave(token)
-    if math.isfinite(gap + size):
-        return gap, size
-    if not np.isfinite(a).all():
-        return math.nan, math.nan
-    return hermitian_gap(a * _pow2_scale(a))
+    scaled = _at_scale(_skew_and_size, a)
+    return (math.nan, math.nan) if scaled is None else scaled[0]
+
+
+def _skew_and_size(c: float, a: np.ndarray) -> tuple[float, float]:
+    """(||a - a*||, ||a||), the measure of hermitian_gap."""
+    return norm(a - a.conj().T), norm(a)
 
 
 def is_psd(a) -> bool:
@@ -272,17 +304,25 @@ def _is_psd(a: np.ndarray) -> bool:
     Such an a has entry (j, i) equal in value to the conjugate of entry (i, j),
     so a - a* is zero and a finite a passes is_hermitian.  The symmetrization
     stays: the two entries can differ in the sign of an exact zero, and the
-    eigenvalues eigvalsh computes depend on that sign.
+    eigenvalues eigvalsh computes depend on that sign.  A non-finite entry fails.
     """
-    token = _set_errors(over="ignore")
-    try:
-        size = norm(a)
-    finally:
-        _leave(token)
-    if not math.isfinite(size):  # a non-finite entry fails is_hermitian
-        return bool(np.isfinite(a).all()) and _is_psd(a * _pow2_scale(a))
-    evals = eigvalsh((a + a.conj().T) / 2)
-    return bool(evals.min(initial=0.0) >= -TOL_PSD * (1.0 + size))
+    scaled = _at_scale(_size_and_floor, a)
+    if scaled is None:
+        return False
+    (size, least), _ = scaled
+    return least >= -TOL_PSD * (1.0 + size)
+
+
+def _size_and_floor(c: float, a: np.ndarray) -> tuple[float, float]:
+    """(||a||, the least eigenvalue of (a + a*) / 2), the measure of _is_psd.
+
+    The eigenvalues are computed only for a finite norm, which bounds the
+    entries, so the symmetrization cannot overflow.
+    """
+    size = norm(a)
+    if not math.isfinite(size):
+        return size, 0.0
+    return size, float(eigvalsh((a + a.conj().T) / 2).min(initial=0.0))
 
 
 def leq(a, b) -> bool:
@@ -384,10 +424,10 @@ def inverse(a) -> np.ndarray:
 # under the wrappers' own error state.  A QR runs both of its gufuncs (geqrf, then
 # ungqr) under one such state and returns geqrf's packed factor, whose upper
 # triangle is R.  Where numpy lacks these gufuncs, the public wrappers run instead.
-# Three callers keep numpy's wrappers: the sweep harness in properties, the QR that
-# solves with R (obstate._line_factors) and hermitian's LineFamily, the one full SVD
-# outside the seam.  The obstates benchmark's trace counts only np.linalg calls, and
-# these two are the ones that keep its linalg.qr and linalg.svd counts above 0.
+# Two callers keep numpy's wrappers: the QR that solves with R (obstate._line_factors)
+# and hermitian's LineFamily, the one full SVD outside the seam.  The obstates
+# benchmark's trace counts only np.linalg calls, and these two are the ones that keep
+# its linalg.qr and linalg.svd counts above 0.
 
 try:
     from numpy.linalg._umath_linalg import det as _det_gufunc
@@ -436,12 +476,10 @@ def _lapack_state(message: str):
     return _make_extobj(call=raise_linalg_error, all=None, **_LAPACK_ERRORS)
 
 
-# The predicates that ignore an overflow (almost_equal, hermitian_gap, _is_psd,
-# _is_unitary, is_pair_idempotent and grassmann's _graph_point) set only some error
-# modes and keep the caller's others, so their state cannot be built at import.
-# _set_errors(**modes) builds it when called, from the current state, exactly as
-# entering np.errstate(**modes) does, and sets it the seam's way; _leave(token)
-# resets it, in a finally.
+# _quietly ignores overflow and invalid values and keeps the caller's other error
+# modes, so its state cannot be built at import.  _set_errors(**modes) builds it when
+# called, from the current state, exactly as entering np.errstate(**modes) does, and
+# sets it the seam's way; _leave(token) resets it, in _quietly's finally.
 
 if _make_extobj is None:  # pragma: no cover - depends on the numpy version
     def _set_errors(**modes):
@@ -590,24 +628,24 @@ def det(a: np.ndarray):
 
 
 def is_unitary(a, tol: float = TOL_EQ) -> bool:
-    return _is_unitary(as_matrix(a), 1.0, tol)
+    return _is_unitary(as_matrix(a), tol)
 
 
-def _is_unitary(a: np.ndarray, unit: float, tol: float) -> bool:
-    """a* a = unit^2 I = a a* at the relative tolerance."""
-    eye = unit * unit * _eye(a.shape[0])
-    token = _set_errors(over="ignore", invalid="ignore")
-    try:
-        left, right = norm(a.conj().T @ a - eye), norm(a @ a.conj().T - eye)
-    finally:
-        _leave(token)
-    if not math.isfinite(left + right):
-        # a* a = I iff (c a)* (c a) = c^2 I: decide on the exact rescale c a
-        c = _pow2_scale(a)
-        return bool(np.isfinite(a).all()) and _is_unitary(c * a, c, tol)
-    # finite gaps bound ||a||^2 by sqrt(n) (||a* a - I|| + sqrt(n)): no overflow
-    scale = unit * unit + norm(a) ** 2
+def _is_unitary(a: np.ndarray, tol: float) -> bool:
+    """a* a = I = a a* at the relative tolerance; a* a = I iff (c a)* (c a) = c^2 I (_at_scale)."""
+    scaled = _at_scale(_unitary_gaps, a)
+    if scaled is None:
+        return False
+    (left, right, size), c = scaled
+    # finite gaps bound ||a||^2 by sqrt(n) (||a* a - c^2 I|| + c^2 sqrt(n)): no overflow
+    scale = c * c + size ** 2
     return left <= tol * scale and right <= tol * scale
+
+
+def _unitary_gaps(c: float, a: np.ndarray) -> tuple[float, float, float]:
+    """(||a* a - c^2 I||, ||a a* - c^2 I||, ||a||), the measure of _is_unitary."""
+    eye = c * c * _eye(a.shape[0])
+    return norm(a.conj().T @ a - eye), norm(a @ a.conj().T - eye), norm(a)
 
 
 def trace_normalized(a) -> complex:
@@ -661,17 +699,18 @@ def is_pair_idempotent(e: PairElement) -> bool:
     non-finite entry fails the test.
     """
     p, m = _same_dim_matrices(e.plus, e.minus)
-    token = _set_errors(over="ignore", invalid="ignore")
-    try:
-        pmp, mpm = p @ m @ p, m @ p @ m
-    finally:
-        _leave(token)
+    pmp, mpm = _quietly(_triple_products, p, m)
     if not (_all_finite(pmp) and _all_finite(mpm)) and (
             np.isfinite(p).all() and np.isfinite(m).all()):
         raise ValueOverflowError(
             f"pair of scales {_largest_part(p):.3e} and {_largest_part(m):.3e} (largest real "
             "or imaginary parts) overflows the float range in its triple products")
-    return almost_equal(pmp, p) and almost_equal(mpm, m)
+    return _almost_equal(pmp, p) and _almost_equal(mpm, m)
+
+
+def _triple_products(p: np.ndarray, m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(p m p, m p m), the triple products of is_pair_idempotent."""
+    return p @ m @ p, m @ p @ m
 
 
 # --- JSON decoding ---------------------------------------------------------

@@ -2,8 +2,7 @@
 
 All output is deterministic given the flags: reports carry no timestamps,
 hostnames, or library versions, so identical invocations are byte-identical
-(the acceptance suite checks this).  The seed defaults to the MATRYOSHKA_SEED
-environment variable when set.
+(the acceptance suite checks this).
 """
 
 from __future__ import annotations
@@ -143,8 +142,7 @@ def _text_report(report: dict) -> str:
               help="Dimension to sweep (repeatable; default 1 2 3 4 6).")
 @click.option("--trials", default=DEFAULT_TRIALS, show_default=True,
               type=click.IntRange(min=1), help="Trials per property.")
-@click.option("--seed", envvar="MATRYOSHKA_SEED", default=0, show_default=True,
-              type=int, help="Sweep seed (env MATRYOSHKA_SEED).")
+@click.option("--seed", default=0, show_default=True, type=int, help="Sweep seed.")
 @click.option("--tol", default=None, type=float,
               help="Override every property tolerance.")
 @click.option("--property", "property_ids", multiple=True,

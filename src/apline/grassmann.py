@@ -193,8 +193,9 @@ def _orthogonal_projector(x: SubspacePoint) -> np.ndarray:
 def point_eq(x: SubspacePoint, y: SubspacePoint) -> bool:
     """Basis-independent equality: ||P_x - P_y|| <= TOL_EQ (relative)."""
     # orthogonal projectors of orthonormal bases have entries of modulus at most 1 and
-    # norm sqrt(n), so no norm here overflows and almost_equal needs no rescale
-    return algebra.almost_equal(x.projector, y.projector)
+    # norm sqrt(n), so no norm here overflows and almost_equal needs no rescale; they are
+    # complex arrays already, read as they are
+    return algebra._almost_equal(x.projector, y.projector)
 
 
 def is_orthocomplement(x: np.ndarray, y: np.ndarray) -> bool:
@@ -299,12 +300,7 @@ def _graph_point(cols: np.ndarray, value: np.ndarray, horizon: str) -> SubspaceP
     times the warning decade, and the point's block in the chart with that
     horizon is invertible far above TRANSVERSALITY_RTOL (see _guard).
     """
-    token = algebra._set_errors(over="ignore", invalid="ignore")
-    try:
-        bound = value.shape[0] * np.abs(value).max(initial=0.0)
-    finally:
-        algebra._leave(token)
-    if value.size and bound <= _GRAPH_NORM_BOUND:
+    if value.size and algebra._quietly(_entry_bound, value) <= _GRAPH_NORM_BOUND:
         x = SubspacePoint._full_rank(cols)
         x._memo[_graph_point] = horizon
         return x
@@ -317,6 +313,11 @@ def _graph_point(cols: np.ndarray, value: np.ndarray, horizon: str) -> SubspaceP
             f"{chart} value of scale {scale:.3e} (largest singular value) is out of "
             f"range: its graph basis has condition number at or above 1/TOL_INV = "
             f"{1 / TOL_INV:.0e}") from None
+
+
+def _entry_bound(value: np.ndarray) -> float:
+    """n max|a_ij|, a bound on ||a||_F for an n x n a (inf, quietly, when it overflows)."""
+    return value.shape[0] * np.abs(value).max(initial=0.0)
 
 
 def point_from_chart(a) -> SubspacePoint:

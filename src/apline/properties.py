@@ -173,7 +173,7 @@ def _t_pstar(rng, n: int) -> float:
     b = algebra.random_psd(n, rng)
     c = a @ b @ algebra.adjoint(a)
     rs = [_bres(algebra.is_psd(c)), _bres(algebra.leq(algebra.zero(n), b))]
-    evs = np.linalg.eigvalsh((c + algebra.adjoint(c)) / 2.0)
+    evs = algebra.eigvalsh((c + algebra.adjoint(c)) / 2.0)
     rs.append(max(0.0, float(-evs.min())) / (1.0 + float(np.abs(evs).max())))
     g = algebra.random_invertible(n, rng)
     rs.append(_bres(algebra.is_invertible(
@@ -381,7 +381,7 @@ def _t_klein_four(rng, n: int) -> float:
     g = algebra.random_invertible(n, rng)
     rs.append(_pres(al(grassmann.point_from_chart(g)),
                     grassmann.point_from_chart(
-                        -np.linalg.inv(algebra.adjoint(g)))))
+                        -algebra.proven_inverse(algebra.adjoint(g)))))
     return max(rs)
 
 
@@ -430,7 +430,7 @@ def _t_unitary_universe(rng, n: int) -> float:
     h = algebra.random_hermitian(n, rng)
     eye = algebra._eye(n)
     rs.append(_mres(hermitian.cayley_to_unitary(grassmann.point_from_chart(h)),
-                    (h + 1j * eye) @ np.linalg.inv(h - 1j * eye)))
+                    (h + 1j * eye) @ algebra.proven_inverse(h - 1j * eye)))
     return max(rs)
 
 
@@ -438,14 +438,9 @@ def _t_unitary_universe(rng, n: int) -> float:
        "points transversal to a universe point stay in the universe", 1e-9)
 def _t_affine_part(rng, n: int) -> float:
     a = hermitian.random_r_point(n, rng)
-    g = hermitian.transport_to_zero(a)
-    z = np.zeros((n, n))
-    eye = algebra._eye(n)
-    swap = grassmann.ProjectiveMap(np.concatenate((np.concatenate((z, eye), axis=1),
-                                                   np.concatenate((eye, z), axis=1))))
-    k = swap @ g  # sends a to the horizon of the standard chart
+    g = hermitian.transport_to_zero(a)  # a to 0, the horizon of the cochart
     h = algebra.random_hermitian(n, rng)
-    x = grassmann.apply_map(k.inverse(), grassmann.point_from_chart(h))
+    x = grassmann.apply_map(g.inverse(), grassmann.point_from_cochart(h))
     rs = [
         _bres(hermitian.membership(x, "R")),
         _bres(_meets_poles(x)),
@@ -545,8 +540,10 @@ def _line_set_residual(p: grassmann.SubspacePoint, fam: hermitian.LineFamily,
     n = p.n
     if not grassmann.is_transversal(p, chart_point):
         return _pres(p, fam.point(INF))
-    pq = np.linalg.solve(fam.frame, p.basis)
-    m_p = pq[n:] @ np.linalg.inv(pq[:n])
+    # its own solve, not chart_in_frame: the check must not run through the base-point
+    # shortcut it is audited against (tests/test_shortcut_audit.py)
+    pq = algebra.solve(fam.frame, p.basis)
+    m_p = pq[n:] @ algebra.proven_inverse(pq[:n])
     dev = m_p - fam.base
     d = fam.direction
     s = complex(np.vdot(d, dev) / np.vdot(d, d))

@@ -551,7 +551,7 @@ def test_an_exactly_singular_proven_inverse_is_numpys_error_without_a_warning(dt
 
 
 # Outside algebra, no library module may call the numpy functions the seam stands in for,
-# so none can bypass its error policy or its counting.  properties.py is the test harness.
+# so none can bypass its error policy or its counting; the sweep harness in properties too.
 # The exempt sites, by module and site, with the reason each keeps numpy's wrapper:
 _SEAM_EXEMPT = {
     "hermitian": {
@@ -598,7 +598,7 @@ def _scan(find):
 def test_no_library_module_bypasses_the_linalg_seam():
     found = _scan(_seam_bypasses)
     assert {module: sites for module, sites in found.items()
-            if module not in ("algebra", "properties")
+            if module != "algebra"
             and set(sites) - set(_SEAM_EXEMPT.get(module, ()))} == {}
     # each exempt site is still there, so the list cannot outlive its reason
     for module, sites in _SEAM_EXEMPT.items():
@@ -1163,3 +1163,88 @@ def test_the_predicates_keep_the_callers_error_state():
                 algebra.is_pair_idempotent(algebra.PairElement(big, big))
             grassmann.point_from_chart(big)
         assert (np.geterr(), np.geterrcall(), np.getbufsize()) == before
+
+
+# --- the overflow rule ------------------------------------------------------------------
+# algebra._at_scale is the one overflow rule: the projective predicates measure at scale 1,
+# and once on the exact power-of-two rescale when a norm overflows; algebra._quietly is the
+# one place that ignores overflow and invalid values.
+
+def _uses(node, name, where="<module>"):
+    """The site (a function's qualified name) of each use of name, as a name or attribute."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield from _uses(child, name,
+                             child.name if where == "<module>" else f"{where}.{child.name}")
+            continue
+        if (isinstance(child, ast.Name) and child.id == name
+                or isinstance(child, ast.Attribute) and child.attr == name):
+            yield where
+        yield from _uses(child, name, where)
+
+
+def _recursions(tree):
+    """The name of each function that calls itself by name."""
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and any(
+                isinstance(call, ast.Call) and isinstance(call.func, ast.Name)
+                and call.func.id == node.name for call in ast.walk(node)):
+            yield node.name
+
+
+def test_one_quiet_state_one_rescale_and_no_recursion_in_algebra():
+    def sites(name):
+        return {module: sorted(set(found)) for module, found in
+                _scan(lambda tree: _uses(tree, name)).items() if found}
+    # _enter is the seam's own definition where numpy lacks _make_extobj
+    assert sites("_set_errors") == {"algebra": ["_enter", "_quietly"]}
+    assert sites("_pow2_scale") == {"algebra": ["_at_scale"], "obstate": ["pure_state_point"]}
+    assert sites("_at_scale") == {"algebra": ["_almost_equal", "_is_psd", "_is_unitary",
+                                              "hermitian_gap"]}
+    assert _scan(lambda tree: list(_recursions(tree)))["algebra"] == []
+
+
+def _recording(seen):
+    """A measure that records each scale and arrays it is given and returns their norms."""
+    def measure(c, *arrays):
+        seen.append((c, arrays))
+        return tuple(algebra.norm(a) for a in arrays)
+    return measure
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0.0, np.nan),
+                                 complex(1.0, -np.inf)],
+                         ids=["nan", "inf", "-inf", "nan-imag", "-inf-imag"])
+def test_at_scale_is_none_on_a_non_finite_entry(bad):
+    a = _draw((3, 3), complex, 901)
+    b = a.copy()
+    b[1, 2] = bad
+    with _caller_state(), warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert algebra._at_scale(_recording([]), a, b) is None
+        assert algebra._at_scale(_recording([]), b) is None
+
+
+@pytest.mark.parametrize("n", [1, 4, 16])
+def test_at_scale_measures_at_one_and_on_the_exact_power_of_two_rescale(n):
+    a, b = _draw((n, n), complex, 910 + n), _draw((n, n), complex, 920 + n)
+    # numpy's default error state, which ignores the underflow of squares at 2**-1000
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for k in (0, -1000, 1000):
+            x, y = 2.0 ** k * a, 2.0 ** k * b
+            seen = []
+            value, c = algebra._at_scale(_recording(seen), x, y)
+            if k < 1000:  # no norm overflows, underflowed squares included: scale 1
+                assert c == 1.0 and len(seen) == 1 and seen[0][1] == (x, y)
+                assert value == (algebra.norm(x), algebra.norm(y))
+                continue
+            # the array with the largest part sets c, which brings that part into
+            # [2**99, 2**100); the rescale is exact, so it is 2**-k times a and b
+            largest = max(algebra._largest_part(x), algebra._largest_part(y))
+            assert 2.0 ** 99 <= c * largest < 2.0 ** 100 and np.frexp(c)[0] == 0.5
+            assert len(seen) == 2 and seen[1][0] == c
+            for got, want in zip(seen[1][1], (c * 2.0 ** k * a, c * 2.0 ** k * b)):
+                _same_bits(got, want)
+            assert value == tuple(algebra.norm(m) for m in seen[1][1])
+            assert all(np.isfinite(value)) and min(value) > 1.0

@@ -114,12 +114,11 @@ def test_check_seed_changes_subseeds_not_schema():
         json.loads(r2.output)["properties"].keys()
 
 
-def test_check_env_var_seed(monkeypatch):
-    r_env = runner.invoke(main, ["check", "--n", "1", "--trials", "2",
-                                 "--property", "algebra.trace"],
-                          env={"MATRYOSHKA_SEED": "99"})
-    assert r_env.exit_code == 0
-    assert json.loads(r_env.output)["seed"] == 99
+def test_no_option_reads_an_environment_variable():
+    # output is deterministic given the flags, so no environment variable stands in for one
+    for command in main.commands.values():
+        assert [p.name for p in command.params if p.envvar is not None] == [], command.name
+    assert main.context_settings.get("auto_envvar_prefix") is None
 
 
 def test_check_property_filter_and_unknown_id():

@@ -335,6 +335,8 @@ def _catalogue_calls(v):
             ("ratio", lambda: _pair(crossratio.ratio(v, 1.0, 0.0))),
             ("proj_equal", lambda: crossratio.proj_equal(v, 1.0)),
             ("is_hermitian", lambda: algebra.is_hermitian([[1.0, v], [v, 1.0]])),
+            ("almost_equal", lambda: algebra.almost_equal([[1.0, v]], [[1.0, 1.0]])),
+            ("almost_equal-right", lambda: algebra.almost_equal([[1.0, 1.0]], [[v, 1.0]])),
             ("inverse", lambda: algebra.inverse([[1.0, v], [0.0, 1.0]])),
             ("SubspacePoint", lambda: grassmann.SubspacePoint([[1.0], [v]]).basis),
             ("ProjectiveMap", lambda: grassmann.ProjectiveMap([[1.0, v], [0.0, 1.0]]).rep),
@@ -357,3 +359,10 @@ def test_each_reader_of_public_scalars_and_arrays_gives_a_value_or_a_typed_error
     for v, error in ((None, NotANumberError), ("2", NotANumberError), (True, NotANumberError),
                      ([1], NotANumberError), (10 ** 400, ValueOverflowError)):
         assert _outcome(lambda: crossratio.proj_equal(v, 1.0))[0][0] is error
+    # almost_equal reads its arrays as the other entry points do: no entry is parsed or
+    # read as NaN, and ragged rows are a dimension error
+    for a, b, error in (([[None]], [[1]], NotANumberError), ([["2"]], [[2]], NotANumberError),
+                        ([[1, 2], [3]], [[1]], DimensionError),
+                        ([[1.0, INF]], [[1.0, 1.0]], NotANumberError),
+                        ([[1.0]], [[10 ** 400]], NotANumberError)):
+        assert _outcome(lambda: algebra.almost_equal(a, b))[0][0] is error
