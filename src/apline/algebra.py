@@ -131,12 +131,38 @@ def zero(n: int) -> np.ndarray:
 
 
 def norm(a) -> float:
-    """Frobenius norm: float(np.linalg.norm(a)), bit for bit and with its warnings.
+    """Frobenius norm: float(np.linalg.norm(a)), bit for bit where that is finite.
+
+    Where the sum of squares overflows and every entry is finite, the norm
+    is taken of the exact power-of-two rescale of a (_pow2_scale) and scaled
+    back; a norm beyond the float range raises ValueOverflowError naming
+    a's scale.  No floating-point warning is raised.  A NaN or infinite
+    entry gives numpy's NaN or inf.
+    """
+    value = _quietly(_norm, a)
+    if math.isfinite(value):
+        return value
+    x = np.asarray(a)
+    if not np.isfinite(x).all():
+        return value
+    x = x.astype(np.result_type(x, np.float64))  # a float32 rescale would overflow again
+    c = _pow2_scale(x)
+    value = _quietly(_norm, c * x) / c
+    if math.isinf(value):
+        raise ValueOverflowError(f"array of scale {_largest_part(x):.3e} (largest real or "
+                                 "imaginary part) has a norm beyond the float range")
+    return value
+
+
+def _norm(a) -> float:
+    """norm(a) with numpy's overflow: float(np.linalg.norm(a)), bit for bit and with its warnings.
 
     For a float64 or complex128 array these are np.linalg.norm's own steps,
     less its Python wrapper: ravel in memory order, the sum of squares of
     the real and imaginary parts by dot (which warns on overflow), then the
     square root, which IEEE rounds correctly in math.sqrt as in np.sqrt.
+    The library's own norms run here, under the overflow rule or on
+    values it bounds.
     """
     if type(a) is np.ndarray and a.dtype.char in "dD":
         x = a.ravel(order="K")
@@ -187,7 +213,7 @@ def _almost_equal(a: np.ndarray, b: np.ndarray) -> bool:
 
 def _distance(c: float, a: np.ndarray, b: np.ndarray) -> tuple[float, float]:
     """(||a - b||, max(||a||, ||b||)), the measure of almost_equal."""
-    return norm(a - b), max(norm(a), norm(b))
+    return _norm(a - b), max(_norm(a), _norm(b))
 
 
 def _quietly(fn, *args):
@@ -283,7 +309,7 @@ def hermitian_gap(a: np.ndarray) -> tuple[float, float]:
 
 def _skew_and_size(c: float, a: np.ndarray) -> tuple[float, float]:
     """(||a - a*||, ||a||), the measure of hermitian_gap."""
-    return norm(a - a.conj().T), norm(a)
+    return _norm(a - a.conj().T), _norm(a)
 
 
 def is_psd(a) -> bool:
@@ -319,7 +345,7 @@ def _size_and_floor(c: float, a: np.ndarray) -> tuple[float, float]:
     The eigenvalues are computed only for a finite norm, which bounds the
     entries, so the symmetrization cannot overflow.
     """
-    size = norm(a)
+    size = _norm(a)
     if not math.isfinite(size):
         return size, 0.0
     return size, float(eigvalsh((a + a.conj().T) / 2).min(initial=0.0))
@@ -424,10 +450,10 @@ def inverse(a) -> np.ndarray:
 # under the wrappers' own error state.  A QR runs both of its gufuncs (geqrf, then
 # ungqr) under one such state and returns geqrf's packed factor, whose upper
 # triangle is R.  Where numpy lacks these gufuncs, the public wrappers run instead.
-# Two callers keep numpy's wrappers: the QR that solves with R (obstate._line_factors)
-# and hermitian's LineFamily, the one full SVD outside the seam.  The obstates
-# benchmark's trace counts only np.linalg calls, and these two are the ones that keep
-# its linalg.qr and linalg.svd counts above 0.
+# Two private entries run numpy's wrappers themselves: _numpy_qr (np.linalg.qr, for
+# the R that obstate._line_factors solves with) and _numpy_svd (np.linalg.svd, for
+# hermitian's LineFamily).  The obstates benchmark's trace counts only np.linalg calls,
+# and these two keep its linalg.qr and linalg.svd counts above 0 until it counts here.
 
 try:
     from numpy.linalg._umath_linalg import det as _det_gufunc
@@ -513,23 +539,22 @@ def _lapack(state, gufunc, *args, signature: str):
         _leave(token)
 
 
-def thin_qr(a: np.ndarray, with_r: bool = False):
+def thin_qr(a: np.ndarray):
     """(Q, F) of the thin QR a = Q R of an m x n array a, m >= n, with R = np.triu(F[:n]).
 
     Bitwise np.linalg.qr(a) for the library's complex128 and float64 arrays:
-    Q is its Q, and np.triu(F[:n]) its R.  With with_r, that is the call
-    itself and F is R.  Otherwise it is what np.linalg.qr does inside its
-    wrapper, less the triu: geqrf writes R and the reflectors into a copy F
-    of a in numpy's common type and returns tau, and ungqr forms Q from
-    them.  numpy runs each gufunc under its own copy of one error state,
-    and a failure (LAPACK's info != 0, raised as the invalid flag) raises
-    before the second runs, so one state around both is the same.  Without
-    the gufuncs, F is numpy's R.  Finite columns near the float range can
-    overflow in the factorization: that raises ValueOverflowError naming
-    their scale, never returns a NaN factor.  A non-finite reflector makes
-    Q non-finite, so testing Q and F is testing Q and R.
+    Q is its Q, and np.triu(F[:n]) its R.  It is what np.linalg.qr does
+    inside its wrapper, less the triu: geqrf writes R and the reflectors
+    into a copy F of a in numpy's common type and returns tau, and ungqr
+    forms Q from them.  numpy runs each gufunc under its own copy of one
+    error state, and a failure (LAPACK's info != 0, raised as the invalid
+    flag) raises before the second runs, so one state around both is the
+    same.  Without the gufuncs, F is numpy's R.  Finite columns near the
+    float range can overflow in the factorization: that raises
+    ValueOverflowError naming their scale, never returns a NaN factor.  A
+    non-finite reflector makes Q non-finite, so testing Q and F is testing Q and R.
     """
-    if with_r or _qr_r_raw_gufunc is None:
+    if _qr_r_raw_gufunc is None:
         q, packed = np.linalg.qr(a)
     else:
         complex_ = a.dtype.kind == "c"
@@ -541,10 +566,23 @@ def thin_qr(a: np.ndarray, with_r: bool = False):
         finally:
             _leave(token)
     if not (_all_finite(q) and _all_finite(packed)):
-        raise ValueOverflowError(
-            f"basis of scale {_largest_part(a):.3e} (largest real or imaginary part) "
-            "overflows the float range in its QR factorization")
+        raise _qr_overflow(a)
     return q, packed
+
+
+def _numpy_qr(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(Q, R) = np.linalg.qr(a), with thin_qr's ValueOverflowError for a non-finite factor."""
+    q, r = np.linalg.qr(a)
+    if not (_all_finite(q) and _all_finite(r)):
+        raise _qr_overflow(a)
+    return q, r
+
+
+def _qr_overflow(a: np.ndarray) -> ValueOverflowError:
+    """The error of a QR of finite columns a whose factors overflow, naming a's scale."""
+    return ValueOverflowError(
+        f"basis of scale {_largest_part(a):.3e} (largest real or imaginary part) "
+        "overflows the float range in its QR factorization")
 
 
 def singular_values(a: np.ndarray) -> np.ndarray:
@@ -568,6 +606,11 @@ def svd(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         return np.linalg.svd(a)
     return _lapack(_SVD_FAILED, _svd_f_gufunc, a,
                    signature="D->DdD" if a.dtype.kind == "c" else "d->ddd")
+
+
+def _numpy_svd(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """np.linalg.svd(a), run through numpy's wrapper: the bits of svd(a)."""
+    return np.linalg.svd(a)
 
 
 def proven_inverse(a: np.ndarray) -> np.ndarray:
@@ -645,7 +688,7 @@ def _is_unitary(a: np.ndarray, tol: float) -> bool:
 def _unitary_gaps(c: float, a: np.ndarray) -> tuple[float, float, float]:
     """(||a* a - c^2 I||, ||a a* - c^2 I||, ||a||), the measure of _is_unitary."""
     eye = c * c * _eye(a.shape[0])
-    return norm(a.conj().T @ a - eye), norm(a @ a.conj().T - eye), norm(a)
+    return _norm(a.conj().T @ a - eye), _norm(a @ a.conj().T - eye), _norm(a)
 
 
 def trace_normalized(a) -> complex:

@@ -138,7 +138,7 @@ def _text_report(report: dict) -> str:
 
 
 @main.command()
-@click.option("--n", "n_list", multiple=True, type=int,
+@click.option("--n", "n_list", multiple=True, type=click.IntRange(min=1),
               help="Dimension to sweep (repeatable; default 1 2 3 4 6).")
 @click.option("--trials", default=DEFAULT_TRIALS, show_default=True,
               type=click.IntRange(min=1), help="Trials per property.")
@@ -156,8 +156,6 @@ def check(ctx, n_list, trials, seed, tol, property_ids, as_json) -> None:
     from . import properties
 
     ns = tuple(n_list) if n_list else properties.DEFAULT_N_LIST
-    if any(n < 1 for n in ns):
-        raise click.ClickException("--n must be >= 1")
     try:
         report = properties.run_sweep(
             n_list=ns, trials=trials, seed=seed,

@@ -207,7 +207,7 @@ def is_orthocomplement(x: np.ndarray, y: np.ndarray) -> bool:
     one n x n Gram matrix, no factorization.
     """
     gram = x.conj().T @ y
-    return algebra._SQRT2 * algebra.norm(gram) <= TOL_EQ * (1.0 + math.sqrt(x.shape[1]))
+    return algebra._SQRT2 * algebra._norm(gram) <= TOL_EQ * (1.0 + math.sqrt(x.shape[1]))
 
 
 # --- base points and charts -------------------------------------------------

@@ -459,9 +459,7 @@ class LineFamily:
     __slots__ = ("frame", "base", "direction", "n", "u", "s", "vh")
 
     def __init__(self, frame: np.ndarray, base: np.ndarray, direction: np.ndarray):
-        # np.linalg.svd, not algebra.svd: the obstates workload's only one, whose trace
-        # benchmarks/tests/test_benchmark.py asserts (linalg.svd > 0)
-        u, s, vh = np.linalg.svd(direction)
+        u, s, vh = algebra._numpy_svd(direction)
         self.frame = frame
         self.base = base
         self.direction = direction

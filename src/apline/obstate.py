@@ -280,9 +280,7 @@ def _line_factors(fam: "hermitian.LineFamily"):
     line(t) = L0 + t q v^* with L0 = frame [I; base] and q = s frame [0; u],
     for the direction d = s u v^* that fam carries.
     """
-    # the library's one np.linalg.qr, for the R that the solve reads; it is also the obstates
-    # workload's only one, whose trace benchmarks/tests/test_benchmark.py asserts (linalg.qr > 0)
-    q_basis, r = algebra.thin_qr(fam.raw_basis(0.0), with_r=True)
+    q_basis, r = algebra._numpy_qr(fam.raw_basis(0.0))
     return q_basis, r, fam.s * (fam.frame[:, fam.n:] @ fam.u)
 
 

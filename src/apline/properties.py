@@ -60,9 +60,9 @@ def _mres(a, b) -> float:
     """Relative Frobenius residual between two matrices (or scalars)."""
     a = np.asarray(a, dtype=complex)
     b = np.asarray(b, dtype=complex)
-    sa = algebra.norm(a)
-    sb = algebra.norm(b)
-    return algebra.norm(a - b) / (1.0 + max(sa, sb))
+    sa = algebra._norm(a)
+    sb = algebra._norm(b)
+    return algebra._norm(a - b) / (1.0 + max(sa, sb))
 
 
 def _sres(a, b) -> float:
@@ -73,7 +73,7 @@ def _sres(a, b) -> float:
 
 def _pres(x: grassmann.SubspacePoint, y: grassmann.SubspacePoint) -> float:
     """Gap between two points of the same Grassmannian (projector distance)."""
-    return algebra.norm(x.projector - y.projector) / (1.0 + math.sqrt(x.n))
+    return algebra._norm(x.projector - y.projector) / (1.0 + math.sqrt(x.n))
 
 
 def _bres(ok: bool) -> float:
@@ -238,8 +238,8 @@ def _t_projector_laws(rng, n: int) -> float:
     p = grassmann.projector(x, a)
     rs = [
         _mres(p @ p, p),
-        algebra.norm(p @ x.basis - x.basis),
-        algebra.norm(p @ a.basis),
+        algebra._norm(p @ x.basis - x.basis),
+        algebra._norm(p @ a.basis),
         _mres(grassmann.projector(a, x), algebra._eye(2 * n) - p),
     ]
     return max(rs)
@@ -352,8 +352,8 @@ def _t_transition(rng, n: int) -> float:
     y = grassmann.SubspacePoint(u)
     p = crossratio.transition_probability(x, y)
     q = crossratio.transition_probability(y, x)
-    vv = v / algebra.norm(v)
-    uu = u / algebra.norm(u)
+    vv = v / algebra._norm(v)
+    uu = u / algebra._norm(u)
     direct = float(abs((vv.conj().T @ uu)[0, 0]) ** 2)
     rs = [abs(p - q), abs(p - direct), max(0.0, -p), max(0.0, p - 1.0)]
     rs.append(abs(crossratio.transition_probability(x, x) - 1.0))
@@ -547,7 +547,7 @@ def _line_set_residual(p: grassmann.SubspacePoint, fam: hermitian.LineFamily,
     dev = m_p - fam.base
     d = fam.direction
     s = complex(np.vdot(d, dev) / np.vdot(d, d))
-    resid = algebra.norm(dev - s * d) / (1.0 + algebra.norm(m_p))
+    resid = algebra._norm(dev - s * d) / (1.0 + algebra._norm(m_p))
     return resid
 
 
@@ -622,7 +622,7 @@ def _t_conservation(rng, n: int) -> float:
 def _t_pure_reduction(rng, n: int) -> float:
     a = algebra.random_hermitian(n, rng)
     psi = rng.standard_normal((n, 1)) + 1j * rng.standard_normal((n, 1))
-    psi = psi / algebra.norm(psi)
+    psi = psi / algebra._norm(psi)
     o = obstate.standard_obstate(a, psi @ psi.conj().T)
     target = complex((psi.conj().T @ a @ psi)[0, 0])
     rs = [_sres(obstate.expectation(o), target), _bres(obstate.is_pure(o))]
@@ -683,7 +683,7 @@ def _t_moments(rng, n: int) -> float:
 def _t_pure_line(rng, n: int) -> float:
     a = algebra.random_hermitian(n, rng)
     psi = rng.standard_normal((n, 1)) + 1j * rng.standard_normal((n, 1))
-    psi = psi / algebra.norm(psi)
+    psi = psi / algebra._norm(psi)
     o = obstate.standard_obstate(a, psi @ psi.conj().T)
     ev = obstate.expectation(o)
     pe = obstate.pure_expectation(o)

@@ -2,6 +2,7 @@ import ast
 import cmath
 import hashlib
 import json
+import math
 import warnings
 from pathlib import Path
 
@@ -269,7 +270,7 @@ def _check_seam(n, dtype, seed, seam=algebra):
             _same_svd(b, seam)
     for name, a in (*_layouts(tall).items(), *_layouts(square).items()):
         want_q, want_r = np.linalg.qr(a)
-        q, r = seam.thin_qr(a, with_r=True)
+        q, r = seam._numpy_qr(a)
         _same_bits(q, want_q)
         _same_bits(r, want_r)
         q_packed, packed = seam.thin_qr(a)
@@ -391,6 +392,27 @@ def test_each_seam_gufunc_runs_under_the_error_state_of_numpys_wrapper(monkeypat
 
 def test_each_seam_gufunc_runs_under_numpys_error_state_without_its_internals(monkeypatch):
     _check_error_states(monkeypatch, _seam_without_error_state_internals(monkeypatch), complex)
+
+
+@pytest.mark.parametrize("dtype", [complex, float], ids=["complex128", "float64"])
+def test_a_q_only_qr_skips_numpys_wrapper_and_enters_one_error_state(monkeypatch, dtype):
+    from numpy._core import _ufunc_config
+    a = np.random.default_rng(36).standard_normal((8, 4)).astype(dtype)
+    wrapper_calls, states, built = [], [], []
+    qr, enter, make = np.linalg.qr, algebra._enter, _ufunc_config._make_extobj
+    monkeypatch.setattr(np.linalg, "qr", lambda *args: wrapper_calls.append(args) or qr(*args))
+    monkeypatch.setattr(algebra, "_enter", lambda state: states.append(state) or enter(state))
+    # every np.errstate entered builds its state here
+    monkeypatch.setattr(_ufunc_config, "_make_extobj",
+                        lambda **kwargs: built.append(kwargs) or make(**kwargs))
+    algebra.thin_qr(a)
+    # geqrf and ungqr run under one error state, the one built at import: no np.linalg.qr
+    # and no np.errstate
+    assert (len(wrapper_calls), states, built) == (0, [algebra._QR_FAILED], [])
+    algebra._numpy_qr(a)
+    # the QR that solves with R (obstate._line_factors) is np.linalg.qr itself, which enters
+    # an np.errstate of its own around each of its two gufuncs
+    assert (len(wrapper_calls), len(states), len(built)) == (1, 1, 2)
 
 
 def _failures(seam):
@@ -535,10 +557,10 @@ def test_finite_entries_that_overflow_are_scale_errors_in_the_svd_and_the_qr():
         warnings.simplefilter("error")
         with pytest.raises(ValueOverflowError, match=r"^matrix of scale 1\.500e\+308 .* SVD$"):
             algebra.is_invertible(1.5e308 * np.array([[1.0, 1.0], [1.0, -1.0]]))
-        for with_r in (False, True):
+        for qr in (algebra.thin_qr, algebra._numpy_qr):
             with pytest.raises(ValueOverflowError,
                                match=r"^basis of scale 1\.500e\+308 .* QR factorization$"):
-                algebra.thin_qr(np.array([[1.5e308], [1.5e308]], dtype=complex), with_r)
+                qr(np.array([[1.5e308], [1.5e308]], dtype=complex))
 
 
 @pytest.mark.parametrize("dtype", [complex, float], ids=["complex128", "float64"])
@@ -552,17 +574,6 @@ def test_an_exactly_singular_proven_inverse_is_numpys_error_without_a_warning(dt
 
 # Outside algebra, no library module may call the numpy functions the seam stands in for,
 # so none can bypass its error policy or its counting; the sweep harness in properties too.
-# The exempt sites, by module and site, with the reason each keeps numpy's wrapper:
-_SEAM_EXEMPT = {
-    "hermitian": {
-        "LineFamily.__init__:linalg.svd": "a full SVD, for u, s and vh; the obstates "
-                                          "benchmark's trace counts it as linalg.svd",
-    },
-    "obstate": {
-        "_line_factors:thin_qr(with_r=True)": "solves with numpy's R; the obstates "
-                                              "benchmark's trace counts it as linalg.qr",
-    },
-}
 _LINALG_SEAM = {"qr", "inv", "svd", "solve", "eigh", "eigvalsh", "det"}
 
 
@@ -578,16 +589,12 @@ def _calls(node, where="<module>"):
 
 
 def _seam_bypasses(tree):
-    """'site:linalg.name' of each np.linalg call the seam stands in for, and
-    'site:thin_qr(with_r=True)' of each QR that asks numpy for R."""
+    """'site:linalg.name' of each np.linalg call the seam stands in for."""
     for where, call in _calls(tree):
         func = call.func
         if (isinstance(func, ast.Attribute) and isinstance(func.value, ast.Attribute)
                 and func.value.attr == "linalg" and func.attr in _LINALG_SEAM):
             yield f"{where}:linalg.{func.attr}"
-        if any(k.arg == "with_r" and isinstance(k.value, ast.Constant)
-               and k.value.value is True for k in call.keywords):
-            yield f"{where}:thin_qr(with_r=True)"
 
 
 def _scan(find):
@@ -598,16 +605,13 @@ def _scan(find):
 def test_no_library_module_bypasses_the_linalg_seam():
     found = _scan(_seam_bypasses)
     assert {module: sites for module, sites in found.items()
-            if module != "algebra"
-            and set(sites) - set(_SEAM_EXEMPT.get(module, ()))} == {}
-    # each exempt site is still there, so the list cannot outlive its reason
-    for module, sites in _SEAM_EXEMPT.items():
-        assert set(sites) <= set(found[module])
-    # the scan sees such calls where they are: each seam entry's fallback
+            if module != "algebra" and sites} == {}
+    # the scan sees such calls where they are: each seam entry's fallback, and the two
+    # entries that keep numpy's wrappers for the obstates benchmark's trace
     assert sorted(found["algebra"]) == [
-        "det:linalg.det", "eigh:linalg.eigh", "eigvalsh:linalg.eigvalsh",
-        "proven_inverse:linalg.inv", "singular_values:linalg.svd", "solve:linalg.solve",
-        "svd:linalg.svd", "thin_qr:linalg.qr"]
+        "_numpy_qr:linalg.qr", "_numpy_svd:linalg.svd", "det:linalg.det", "eigh:linalg.eigh",
+        "eigvalsh:linalg.eigvalsh", "proven_inverse:linalg.inv", "singular_values:linalg.svd",
+        "solve:linalg.solve", "svd:linalg.svd", "thin_qr:linalg.qr"]
 
 
 # --- stacking and the identity ----------------------------------------------------------
@@ -1023,7 +1027,7 @@ def test_random_invertible_gives_up_with_a_typed_error_after_its_draws(monkeypat
 
 
 # --- per-call fixed costs outside the seam ----------------------------------------------
-# algebra._all_finite, algebra.norm and algebra._set_errors stand in for np.isfinite(a).all(),
+# algebra._all_finite, algebra._norm and algebra._set_errors stand in for np.isfinite(a).all(),
 # float(np.linalg.norm(a)) and entering np.errstate; each must decide and compute exactly
 # as they do.  The suite runs with RuntimeWarning as an error, and these tests also turn
 # every other warning into one.
@@ -1092,25 +1096,41 @@ def test_norm_is_numpys_norm_bit_for_bit():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for name, a in cases:
-            got, want = algebra.norm(a), float(np.linalg.norm(a))
-            assert type(got) is float and got.hex() == want.hex(), name
+            want = float(np.linalg.norm(a))
+            for norm in (algebra.norm, algebra._norm):
+                got = norm(a)
+                assert type(got) is float and got.hex() == want.hex(), name
 
 
 @pytest.mark.parametrize("a", [1e200 * np.eye(2), 1e200 * np.eye(3) * (1 + 1j),
-                               np.array([1e200, -1e200])],
-                         ids=["real", "complex", "1-d"])
-def test_norm_overflows_with_numpys_warning(a):
-    def outcome(norm):
-        with warnings.catch_warnings(record=True) as record:
-            warnings.simplefilter("always")
-            value = norm(a)
-        return value, [(r.category, str(r.message)) for r in record]
-    got, want = outcome(algebra.norm), outcome(lambda m: float(np.linalg.norm(m)))
-    assert got == want and got[0] == np.inf and got[1]
+                               np.array([1e200, -1e200]), np.full(2, 1e20, dtype=np.float32)],
+                         ids=["real", "complex", "1-d", "float32"])
+def test_norm_rescales_where_numpys_sum_of_squares_overflows(a):
+    # the library's own norm keeps numpy's overflow, warning and all
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         with pytest.raises(RuntimeWarning, match="overflow"):
-            algebra.norm(a)
+            algebra._norm(a)
+    # the public norm is the norm of an exact power-of-two rescale, scaled back: numpy's
+    # bits at any power of two that keeps the squares in range, and no warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = algebra.norm(a)
+    a = a.astype(np.result_type(a, np.float64))
+    k = int(np.frexp(np.abs(a).max())[1])  # 2**-k a has its largest modulus in [1/2, 1)
+    assert got == float(np.linalg.norm(2.0 ** -k * a)) * 2.0 ** k
+    # each case's nonzero entries share one modulus
+    assert got == pytest.approx(np.abs(a).max() * math.sqrt(np.count_nonzero(a)), rel=1e-15)
+
+
+def test_a_norm_beyond_the_float_range_is_a_scale_error_and_a_non_finite_entry_numpys():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueOverflowError,
+                           match=r"^array of scale 1\.000e\+308 .* float range$"):
+            algebra.norm(np.full((2, 2), 1e308))
+        assert algebra.norm(np.array([np.inf, 1e200])) == math.inf
+        assert math.isnan(algebra.norm(np.array([np.nan, 1e200])))
 
 
 def test_norm_of_other_inputs_is_numpys_norm():
@@ -1198,7 +1218,9 @@ def test_one_quiet_state_one_rescale_and_no_recursion_in_algebra():
                 _scan(lambda tree: _uses(tree, name)).items() if found}
     # _enter is the seam's own definition where numpy lacks _make_extobj
     assert sites("_set_errors") == {"algebra": ["_enter", "_quietly"]}
-    assert sites("_pow2_scale") == {"algebra": ["_at_scale"], "obstate": ["pure_state_point"]}
+    # the public norm scales its result back, so it rescales once by itself
+    assert sites("_pow2_scale") == {"algebra": ["_at_scale", "norm"],
+                                    "obstate": ["pure_state_point"]}
     assert sites("_at_scale") == {"algebra": ["_almost_equal", "_is_psd", "_is_unitary",
                                               "hermitian_gap"]}
     assert _scan(lambda tree: list(_recursions(tree)))["algebra"] == []
@@ -1208,7 +1230,7 @@ def _recording(seen):
     """A measure that records each scale and arrays it is given and returns their norms."""
     def measure(c, *arrays):
         seen.append((c, arrays))
-        return tuple(algebra.norm(a) for a in arrays)
+        return tuple(algebra._norm(a) for a in arrays)
     return measure
 
 

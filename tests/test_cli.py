@@ -149,8 +149,9 @@ def test_check_exact_backend_is_a_clean_error():
 
 def test_check_rejects_a_size_below_one():
     res = runner.invoke(main, ["check", "--n", "0"])
-    assert res.exit_code == 1
-    assert "--n must be >= 1" in res.output
+    # click's usage error, as for --trials 0
+    assert res.exit_code == 2
+    assert "Invalid value for '--n': 0 is not in the range x>=1." in res.output
 
 
 def test_check_tol_override_can_fail():

@@ -7,6 +7,7 @@ timing.
 """
 
 import warnings
+from collections.abc import Mapping
 
 import numpy as np
 import pytest
@@ -19,16 +20,34 @@ from apline.errors import (DimensionError, NonFiniteError, NotInChartError,
 
 _COUNTED = ("svd", "qr", "inv", "solve", "eigvalsh")
 
-# The linalg seam calls LAPACK gufuncs directly (see algebra.thin_qr,
-# algebra.singular_values, algebra.svd, algebra.proven_inverse, algebra.solve and
-# algebra.eigvalsh); they are counted where the seam binds them, beside the np.linalg
-# calls.  A QR is its geqrf gufunc, unless it is the one that solves with R and runs
-# through np.linalg.qr.  An SVD is either svd gufunc: singular values, or the full SVD.
-# A solve is either solve gufunc, as numpy picks them by the right-hand side's ndim.
-# Eigen-decompositions and determinants are not counted.
-_SEAM = (("_svd_gufunc", "svd"), ("_svd_f_gufunc", "svd"), ("_inv_gufunc", "inv"),
-         ("_qr_r_raw_gufunc", "qr"), ("_solve_gufunc", "solve"), ("_solve1_gufunc", "solve"),
-         ("_eigvalsh_gufunc", "eigvalsh"))
+# The kind of each seam entry the counts fixture counts: a QR takes numpy's R or not, and an
+# SVD gives singular values or the full SVD.  Eigen-decompositions and determinants are
+# not counted.
+_KINDS = {"thin_qr": "qr", "_numpy_qr": "qr", "singular_values": "svd", "svd": "svd",
+          "_numpy_svd": "svd", "proven_inverse": "inv", "solve": "solve",
+          "eigvalsh": "eigvalsh"}
+
+
+class _Counts(Mapping):
+    """The calls of each counted kind in a seam log (conftest.seam_log), counted when read."""
+
+    def __init__(self, log):
+        self.log = log
+
+    def __getitem__(self, kind):
+        return sum(_KINDS.get(entry) == kind for entry, _ in self.log)
+
+    def __iter__(self):
+        return iter(_COUNTED)
+
+    def __len__(self):
+        return len(_COUNTED)
+
+    def __repr__(self):
+        return repr(dict(self))
+
+    def clear(self):
+        self.log.clear()
 
 
 def _tally(**pinned):
@@ -37,89 +56,46 @@ def _tally(**pinned):
 
 
 @pytest.fixture
-def counts(monkeypatch):
-    tally = _tally()
-
-    def count(owner, attr, name):
-        original = getattr(owner, attr)
-        if original is None:  # the seam runs np.linalg, which is counted already
-            return
-
-        def counted(*args, **kwargs):
-            tally[name] += 1
-            return original(*args, **kwargs)
-        monkeypatch.setattr(owner, attr, counted)
-    for name in _COUNTED:
-        count(np.linalg, name, name)
-    for attr, name in _SEAM:
-        count(algebra, attr, name)
-    return tally
-
-
-def _reset(tally):
-    for name in tally:
-        tally[name] = 0
+def counts(seam_log):
+    """The test's factorizations, by kind."""
+    return _Counts(seam_log)
 
 
 def test_apply_map_runs_one_qr_and_no_svd(counts):
     rng = np.random.default_rng(11)
     g = grassmann.random_map(3, rng)
     x = grassmann.random_point(3, rng)
-    _reset(counts)
+    counts.clear()
     image = grassmann.apply_map(g, x)
     assert counts == _tally(qr=1)
     # a repeat while g lives returns the image cached on x and runs nothing
     assert grassmann.apply_map(g, x) is image and counts == _tally(qr=1)
 
 
-@pytest.mark.parametrize("dtype", [complex, float], ids=["complex128", "float64"])
-def test_a_q_only_qr_skips_numpys_wrapper_and_enters_one_error_state(monkeypatch, dtype):
-    from numpy._core import _ufunc_config
-    a = np.random.default_rng(36).standard_normal((8, 4)).astype(dtype)
-    wrapper_calls, states, built = [], [], []
-    qr, enter, make = np.linalg.qr, algebra._enter, _ufunc_config._make_extobj
-    monkeypatch.setattr(np.linalg, "qr", lambda *args: wrapper_calls.append(args) or qr(*args))
-    monkeypatch.setattr(algebra, "_enter", lambda state: states.append(state) or enter(state))
-    # every np.errstate entered builds its state here
-    monkeypatch.setattr(_ufunc_config, "_make_extobj",
-                        lambda **kwargs: built.append(kwargs) or make(**kwargs))
-    algebra.thin_qr(a)
-    # geqrf and ungqr run under one error state, the one built at import: no np.linalg.qr
-    # and no np.errstate
-    assert (len(wrapper_calls), states, built) == (0, [algebra._QR_FAILED], [])
-    algebra.thin_qr(a, with_r=True)
-    # a QR that solves with R (obstate._line_factors) is np.linalg.qr itself, which enters
-    # an np.errstate of its own around each of its two gufuncs
-    assert (len(wrapper_calls), len(states), len(built)) == (1, 1, 2)
-
-
 def test_a_public_point_proves_its_rank_from_r_and_runs_the_svd_only_near_singular(
-        monkeypatch, counts):
-    wrapper_calls = []
-    qr = np.linalg.qr
-    monkeypatch.setattr(np.linalg, "qr", lambda *args: wrapper_calls.append(args) or qr(*args))
+        seam_log):
     rng = np.random.default_rng(38)
     cols = rng.standard_normal((8, 4)) + 1j * rng.standard_normal((8, 4))
-    _reset(counts)
+    seam_log.clear()
     grassmann.SubspacePoint(cols)
-    # the QR's geqrf, with no np.linalg.qr and no singular_values: the bound on R decides
-    assert counts == _tally(qr=1) and wrapper_calls == []
+    # the QR's gufuncs, with no np.linalg.qr and no singular_values: the bound on R decides
+    assert seam_log.entries() == ["thin_qr"]
     # column sets of condition number about 1e9 and 1e11 are past the bound: the SVD decides
     u, _, vh = np.linalg.svd(cols, full_matrices=False)
     for exponent, singular in ((-9, False), (-11, True)):
-        _reset(counts)
+        seam_log.clear()
         try:
             grassmann.SubspacePoint((u * np.logspace(0, exponent, 4)) @ vh)
         except SingularError:
             assert singular
         else:
             assert not singular
-        assert counts == _tally(qr=1, svd=1) and wrapper_calls == []
+        assert seam_log.entries() == ["thin_qr", "singular_values"]
 
 
 def test_inverse_runs_no_svd(counts):
     g = grassmann.random_map(3, np.random.default_rng(12))
-    _reset(counts)
+    counts.clear()
     inverse = g.inverse()
     # the rep's inverse, and no SVD of it
     assert counts == _tally(inv=1)
@@ -128,25 +104,20 @@ def test_inverse_runs_no_svd(counts):
 
 
 @pytest.mark.parametrize("involution", [hermitian.tau, hermitian.alpha], ids=["tau", "alpha"])
-def test_an_involution_of_a_fresh_point_runs_its_full_svd_on_the_seam(
-        monkeypatch, counts, involution):
-    wrapper_calls = []
-    svd = np.linalg.svd
-    monkeypatch.setattr(np.linalg, "svd", lambda *args, **kwargs: wrapper_calls.append(args)
-                        or svd(*args, **kwargs))
+def test_an_involution_of_a_fresh_point_runs_its_full_svd_on_the_seam(seam_log, involution):
     x = grassmann.random_point(3, 0)
-    _reset(counts)
+    seam_log.clear()
     involution(x)
     # the null space's full SVD, as the svd_f gufunc and not np.linalg.svd, and the QR of
     # its basis
-    assert counts == _tally(svd=1, qr=1) and wrapper_calls == []
+    assert seam_log.entries() == ["svd", "thin_qr"]
 
 
 def test_unitary_torsor_runs_no_pole_margin_svd(counts):
     rng = np.random.default_rng(13)
     x, y, z = (hermitian.random_r_point(3, rng) for _ in range(3))
     hermitian.poles(3)
-    _reset(counts)
+    counts.clear()
     hermitian.unitary_torsor(x, y, z)
     # the Cayley law reads u_x, u_y and u_z, one n x n inverse each on fresh members (see
     # test_cayley_to_unitary_runs_no_svd_on_the_constant_map), and the polar step's result
@@ -155,32 +126,19 @@ def test_unitary_torsor_runs_no_pole_margin_svd(counts):
 
 
 @pytest.mark.parametrize("n", [3, 16])
-def test_unitary_torsor_runs_no_2n_by_2n_lapack_call(monkeypatch, n):
+def test_unitary_torsor_runs_no_2n_by_2n_lapack_call(seam_log, n):
     rng = np.random.default_rng(130 + n)
     x, y, z = (hermitian.random_r_point(n, rng) for _ in range(3))
     hermitian.poles(n)
-    shapes = []
-
-    def record(owner, attr):
-        original = getattr(owner, attr)
-        if original is not None:
-            monkeypatch.setattr(owner, attr, lambda *args, **kwargs: (
-                shapes.append(np.shape(args[0])) or original(*args, **kwargs)))
-    # every LAPACK gufunc of the seam, and every np.linalg factorization
-    for attr in dir(algebra):
-        if attr.endswith("_gufunc"):
-            record(algebra, attr)
-    for name in (*_COUNTED, "eigh", "det"):
-        record(np.linalg, name)
+    seam_log.clear()
     hermitian.unitary_torsor(x, y, z)
-    # the three Cayley unitaries' inverses are n x n, and the QR of C [I; u] (geqrf, then
-    # ungqr) is 2n x n
-    assert sorted(shapes) == [(n, n), (n, n), (n, n), (2 * n, n), (2 * n, n)]
+    # the three Cayley unitaries' inverses are n x n, and the QR of C [I; u] is 2n x n
+    assert sorted(shape for _, shape in seam_log) == [(n, n), (n, n), (n, n), (2 * n, n)]
 
 
 def test_cayley_to_unitary_runs_no_svd_on_the_constant_map(counts):
     x = hermitian.random_r_point(3, np.random.default_rng(14))
-    _reset(counts)
+    counts.clear()
     hermitian.cayley_to_unitary(x)
     # C^-1 = C*/2 exactly, so 2 C^-1 X = [N0* X; S0* X] needs no QR, and membership proves
     # N0* X invertible, so no SVD is left: the inverse of N0* X
@@ -219,7 +177,7 @@ def _pure_obstate(n, seed):
 
 def test_pure_expectation_runs_one_rank_one_solve_per_target(counts, cold_base_points):
     o = _pure_obstate(4, 15)
-    _reset(counts)
+    counts.clear()
     obstate.pure_expectation(o)
     # line_family: the SVD of the distance's sines of W to Winf = infinity; the chart
     # search settles (W, 0) by W's tag and (infinity, 0), (0, infinity) by the base
@@ -234,7 +192,7 @@ def test_pure_expectation_runs_one_rank_one_solve_per_target(counts, cold_base_p
 def test_line_family_horizon_point_runs_no_svd(counts):
     o = _pure_obstate(4, 16)
     fam = hermitian.line_family(o.state, o.ref_state)
-    _reset(counts)
+    counts.clear()
     fam.raw_basis(INF)
     assert counts == _tally()
 
@@ -242,26 +200,11 @@ def test_line_family_horizon_point_runs_no_svd(counts):
 def test_kernel_of_a_well_separated_quadruple_runs_only_its_three_margins(counts):
     rng = np.random.default_rng(17)
     x, a, b, y = (grassmann.random_point(4, rng) for _ in range(4))
-    _reset(counts)
+    counts.clear()
     crossratio.kernel(x, a, b, y)
     # the margins bound both graph blocks' condition, so neither block runs its own SVD:
     # the three margins, one solve for both graph decompositions and the blocks' inverses
     assert counts == _tally(svd=3, inv=2, solve=1)
-
-
-def test_kernel_runs_one_solve(monkeypatch):
-    rng = np.random.default_rng(19)
-    x, a, b, y = (grassmann.random_point(4, rng) for _ in range(4))
-    solves = []
-    solve = algebra.solve
-
-    def counted(*args):
-        solves.append(args)
-        return solve(*args)
-    monkeypatch.setattr(algebra, "solve", counted)
-    crossratio.kernel(x, a, b, y)
-    # b and y share the frame [A | X], so one solve gives both graph decompositions
-    assert len(solves) == 1
 
 
 def _conditioned_map(n, rng):
@@ -276,7 +219,7 @@ def test_kernel_of_a_quadruple_moved_by_one_map_runs_no_margin_svd(counts):
     g = _conditioned_map(4, rng)
     crossratio.kernel(x, a, b, y)
     moved = [grassmann.apply_map(g, p) for p in (x, a, b, y)]
-    _reset(counts)
+    counts.clear()
     crossratio.kernel(*moved)
     # each moved margin is bounded by its sources' sine, cached by the first kernel's gate,
     # over cond(g); the bounds' products pass the margin-product test, so neither graph
@@ -284,27 +227,9 @@ def test_kernel_of_a_quadruple_moved_by_one_map_runs_no_margin_svd(counts):
     assert counts == _tally(inv=2, solve=1)
 
 
-@pytest.mark.parametrize("pid, calls", [
-    # R's diagonal proves the rank of the random points and of torsor_product's result
-    # points, so none runs a rank SVD (tests/test_shortcut_audit.py counts them)
-    ("grassmann.torsor_group", {"thin_qr": 190, "singular_values": 130, "proven_inverse": 120}),
-    # the moved quadruple's three margins are bounds, and R's diagonal proves the random
-    # points' rank
-    ("crossratio.naturality", {"thin_qr": 80, "singular_values": 40, "proven_inverse": 40}),
-    # the moved pair (A0, Winf) is bounded from the sines of (0, infinity)
-    ("obstate.invariance", {"thin_qr": 60, "singular_values": 30, "proven_inverse": 40}),
-])
-def test_the_moved_pair_and_torsor_trials_skip_their_proven_svds(seam_calls, pid, calls):
-    spec = properties.SPECS[pid]
-    properties.run_property(spec, properties.DEFAULT_N_LIST, 10, 0)  # fills the per-n caches
-    _reset(seam_calls)
-    properties.run_property(spec, properties.DEFAULT_N_LIST, 10, 0)
-    assert seam_calls == calls
-
-
 def test_projective_map_runs_one_svd_and_keeps_its_condition_number(counts):
     rep = _conditioned_map(3, np.random.default_rng(35)).rep
-    _reset(counts)
+    counts.clear()
     g = grassmann.ProjectiveMap(rep)
     assert counts == _tally(svd=1)
     s = np.linalg.svd(rep, compute_uv=False)
@@ -331,7 +256,7 @@ def test_projective_map_keeps_its_errors_from_its_one_svd(counts, rep, error, ma
 @pytest.mark.parametrize("make", [grassmann.point_from_chart, grassmann.point_from_cochart])
 def test_graph_point_of_a_moderate_value_runs_no_svd(counts, make):
     value = algebra.random_hermitian(4, np.random.default_rng(18))
-    _reset(counts)
+    counts.clear()
     make(value)
     # a graph basis of a value with ||a||_F <= 1e6 has full rank by its singular values
     assert counts == _tally(qr=1)
@@ -364,7 +289,7 @@ def test_decoding_a_standard_frame_payload_runs_no_svd(counts, cold_base_points)
     payload = {"A": {"chart": algebra.random_hermitian(4, rng).tolist()},
                "W": {"density": algebra.random_density(4, rng).tolist()},
                "A0": "zero", "Winf": "infinity"}
-    _reset(counts)
+    counts.clear()
     obstate.obstate_from_json(payload)
     # the QRs of A's and W's graph bases; the gate reads (A0, Winf) from the base points
     # and passes (W, A0) and (A, Winf) by the graph tags, and membership and the
@@ -374,7 +299,7 @@ def test_decoding_a_standard_frame_payload_runs_no_svd(counts, cold_base_points)
 def test_standard_frame_mixed_report_svd_count(counts, cold_base_points):
     o = _mixed_obstate(4, 19)
     _warm(4)
-    _reset(counts)
+    counts.clear()
     obstate.report(o)
     # the pure test's sines of W to Winf, whose count rejects the pair, are the one SVD.
     # Inverses: the kernel's cochart(W) and chart(A), which the normal form and A's order
@@ -386,7 +311,7 @@ def test_standard_frame_mixed_report_svd_count(counts, cold_base_points):
 def test_standard_frame_pure_report_svd_count(counts, cold_base_points):
     o = _pure_obstate(4, 20)
     _warm(4)
-    _reset(counts)
+    counts.clear()
     obstate.report(o)
     # pure_expectation: 4 SVDs, 1 QR and 4 solves (see above), and no inverse, as W's
     # cochart is the kernel's; the kernel's 2 inverses.  W's chart guard fails without an
@@ -399,7 +324,7 @@ def test_standard_frame_pure_report_svd_count(counts, cold_base_points):
 def test_warm_frame_mixed_report_svd_count(counts, cold_base_points):
     obstate.report(_mixed_obstate(4, 21))
     o = _mixed_obstate(4, 19)
-    _reset(counts)
+    counts.clear()
     obstate.report(o)
     # the cold count: the base points' values a warm frame could save are computed with them
     assert counts == _tally(svd=1, inv=3, eigvalsh=2)
@@ -408,7 +333,7 @@ def test_warm_frame_mixed_report_svd_count(counts, cold_base_points):
 def test_warm_frame_pure_report_svd_count(counts, cold_base_points):
     obstate.report(_pure_obstate(4, 21))
     o = _pure_obstate(4, 20)
-    _reset(counts)
+    counts.clear()
     obstate.report(o)
     # likewise the cold count; the QR is pure_expectation's line(0)
     assert counts == _tally(svd=4, qr=1, inv=2, solve=4)
@@ -417,7 +342,7 @@ def test_warm_frame_pure_report_svd_count(counts, cold_base_points):
 def test_warm_mixed_is_pure_runs_no_svd(counts, cold_base_points):
     o = _mixed_obstate(4, 19)
     obstate.report(o)
-    _reset(counts)
+    counts.clear()
     assert not obstate.is_pure(o)
     # the distance's decision, as for the report's pure: the sines of W to
     # infinity are cached on W
@@ -431,7 +356,7 @@ def _transported_obstate(seed):
 
 def test_transported_frame_expectation_svd_count(counts, cold_base_points):
     o = _transported_obstate(31)
-    _reset(counts)
+    counts.clear()
     obstate.expectation(o)
     # no slot is a base point or a graph point tagged with one, but the kernel's three
     # margins are the pairs new_obstate measured, whose sines the first point of each pair
@@ -442,7 +367,7 @@ def test_transported_frame_expectation_svd_count(counts, cold_base_points):
 def test_transported_frame_report_svd_count(counts, cold_base_points):
     obstate.report(_transported_obstate(30))
     o = _transported_obstate(31)
-    _reset(counts)
+    counts.clear()
     obstate.report(o)
     # expectation: 1 solve and 2 inverses (see above); normal form: the inverse of N0* A0
     # for the transport, the QRs of A and W moved by it, and their 2 chart blocks (an SVD
@@ -458,7 +383,7 @@ def test_order_tests_after_a_transported_report_run_no_svd_and_no_inverse(counts
                                                                          cold_base_points):
     o = _transported_obstate(31)
     report = obstate.report(o)
-    _reset(counts)
+    counts.clear()
     flags = (obstate.is_positive(o), obstate.is_cyclically_ordered(o), obstate.is_positive(o))
     assert flags == (report["positive"], report["cyclically_ordered"], report["positive"])
     # the report left the order values of A0, W and A cut at Winf in their pair tables, so
@@ -470,7 +395,7 @@ def test_a_repeated_torsor_product_runs_only_its_result_point(counts):
     rng = np.random.default_rng(32)
     x, y, z, a, b = (grassmann.random_point(4, rng) for _ in range(5))
     grassmann.torsor_product(x, y, z, a, b)
-    _reset(counts)
+    counts.clear()
     grassmann.torsor_product(x, y, z, a, b)
     # the six margins and both projectors of m are kept on the pairs' first points; the
     # new point m y needs no rank SVD, as R's diagonal proves its rank: its QR
@@ -482,7 +407,7 @@ def test_a_repeated_tangent_product_runs_no_alpha_svd_and_no_repeated_margin(cou
     base = hermitian.random_r_point(4, rng)
     x, y, w = (grassmann.random_point(4, rng) for _ in range(3))
     hermitian.tangent_product(base, x, y)
-    _reset(counts)
+    counts.clear()
     hermitian.tangent_product(base, x, w)
     # alpha(base) and transport_to_zero(base) are cached on base, the margin of
     # (x, alpha(base)) and the moved factor g x on x, with its chart value, and g's inverse
@@ -492,38 +417,22 @@ def test_a_repeated_tangent_product_runs_no_alpha_svd_and_no_repeated_margin(cou
     assert counts == _tally(svd=2, qr=3, inv=1)
 
 
-@pytest.fixture
-def seam_calls(monkeypatch):
-    """Calls of the linalg seam's three routines, by name."""
-    tally = dict.fromkeys(("thin_qr", "singular_values", "proven_inverse"), 0)
-
-    def count(name):
-        original = getattr(algebra, name)
-
-        def counted(*args, **kwargs):
-            tally[name] += 1
-            return original(*args, **kwargs)
-        monkeypatch.setattr(algebra, name, counted)
-    for name in tally:
-        count(name)
-    return tally
-
-
-def test_the_tangent_algebra_trials_transport_each_live_pair_once(seam_calls):
+def test_the_tangent_algebra_trials_transport_each_live_pair_once(seam_log):
     spec = properties.SPECS["hermitian.tangent_algebra"]
     properties.run_property(spec, properties.DEFAULT_N_LIST, 10, 0)  # fills the per-n caches
-    _reset(seam_calls)
+    seam_log.clear()
     properties.run_property(spec, properties.DEFAULT_N_LIST, 10, 0)
     # each repeated tangent_product reads its factor moved by g = transport_to_zero(base), the
     # factor's chart value and g's inverse from the memos, and each trial's R_{N,S} point
     # is built as C [I; u] by one QR, with no graph point moved by C
-    assert seam_calls == {"thin_qr": 361, "singular_values": 181, "proven_inverse": 110}
+    assert seam_log.calls("thin_qr", "singular_values", "proven_inverse") == {
+        "thin_qr": 361, "singular_values": 181, "proven_inverse": 110}
 
 
 def test_arithmetic_distance_runs_one_svd(counts):
     rng = np.random.default_rng(22)
     x, y = (grassmann.random_point(4, rng) for _ in range(2))
-    _reset(counts)
+    counts.clear()
     hermitian.arithmetic_distance(x, y)
     # the sines of the principal angles, from one 2n x n SVD; no chart is searched
     assert counts == _tally(svd=1)
@@ -538,11 +447,11 @@ def test_a_chart_guard_runs_its_svd_unless_memoized_sines_settle_it(counts, valu
         assert (s > grassmann._HORIZON_SINE_BOUND) is settled
         fresh, memoized = (value(np.diag([1.0, s])) for _ in range(2))
         grassmann.transversality_margin(memoized, base(2))
-        _reset(counts)
+        counts.clear()
         chart(fresh)
         # no sines in the memo: the guard's SVD
         assert counts == _tally(svd=1, inv=1)
-        _reset(counts)
+        counts.clear()
         chart(memoized)
         # a smallest sine above the bound settles the guard; at or below it the SVD
         # runs, and here passes (the sine is above TRANSVERSALITY_RTOL)
@@ -558,7 +467,7 @@ def test_a_graph_point_at_the_norm_bound_passes_its_horizon_gate_by_its_tag(coun
     a = np.full((n, n), 1e6 / n)
     assert n * np.abs(a).max() == 1e6
     x, horizon = make(a), base(n)
-    _reset(counts)
+    counts.clear()
     margins = grassmann._require_transversal(((x, horizon, "gate"),))
     assert counts == _tally() and margins == (grassmann._GRAPH_MARGIN_BOUND,)
     # the bound is proven: the margin measured afresh (about 5e-7) is not below it
@@ -577,7 +486,7 @@ def test_a_horizon_gate_is_measured_unless_a_tagged_point_meets_its_base_point(c
                  (grassmann.SubspacePoint(tagged.basis), base(n)),  # equal, not built as a graph
                  (tagged, grassmann.SubspacePoint(base(n).basis)),  # equal to the base point
                  (make(np.eye(n)), other)):  # the base point of the other horizon
-        _reset(counts)
+        counts.clear()
         margins = grassmann._require_transversal(((x, a, "gate"),))
         assert counts == _tally(svd=1)
         assert margins == (grassmann.transversality_margin(x, a),)
@@ -596,7 +505,7 @@ def test_memoized_sines_prove_a_pure_state_off_the_chart_as_its_svd_does(counts,
     assert sines[-1] < 1e-12 and sines[0] > 0.5
     errors = []
     for x, svds in ((fresh, 1), (memoized, 0)):
-        _reset(counts)
+        counts.clear()
         with pytest.raises(NotInChartError) as info:
             grassmann.chart_repr(x)
         assert counts == _tally(svd=svds)
@@ -613,7 +522,7 @@ def test_the_failure_certificate_fires_only_where_the_svd_fails(counts, s, fails
     grassmann._sines(memoized, grassmann.infinity_point(2))
     values, svds = [], []
     for x in (fresh, memoized):
-        _reset(counts)
+        counts.clear()
         try:
             values.append(grassmann.chart_repr(x).tobytes())
         except NotInChartError as exc:
@@ -703,7 +612,7 @@ def _equal_sources(rng):
 def test_a_moved_pair_without_a_proven_bound_is_measured_with_its_decision_and_warning(counts,
                                                                                       build):
     gx, ga, held = build(np.random.default_rng(36))
-    _reset(counts)
+    counts.clear()
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         try:
@@ -723,7 +632,7 @@ def test_a_moved_pair_without_a_proven_bound_is_measured_with_its_decision_and_w
 def test_a_moved_pair_bound_is_below_the_margin_and_outlives_the_map(counts):
     rng = np.random.default_rng(37)
     x, a, g, gx, ga = _moved_pair(4, rng)
-    _reset(counts)
+    counts.clear()
     (bound,) = grassmann._require_transversal(((gx, ga, "gate"),))
     assert counts == _tally()
     # the bound is kept with the pair: a later gate reads it after the map has died
@@ -739,7 +648,7 @@ def test_a_moved_pair_bound_is_below_the_margin_and_outlives_the_map(counts):
 # At n <= 16 a call of np.isfinite, np.linalg.norm or np.errstate costs about as much as
 # the arithmetic it guards, and so does a call of np.vstack, np.hstack, np.block or np.eye
 # beside the copy it makes.  The library proves finiteness by one dot (algebra._all_finite),
-# norms by numpy's own steps (algebra.norm), scalars by math and cmath, builds error
+# norms by numpy's own steps (algebra._norm), scalars by math and cmath, builds error
 # states at call time (algebra._set_errors), stacks by np.concatenate and reads the
 # identity from algebra._eye, so its hot paths call none of them.
 
@@ -824,7 +733,7 @@ def test_a_warm_standard_report_calls_no_numpy_wrapper(wrapper_calls, cold_base_
                 for w in (algebra.random_density(4, rng), psi @ psi.conj().T)]
     for payload in payloads:  # fills the frame's caches
         obstate.report(obstate.obstate_from_json(payload))
-    _reset(wrapper_calls)
+    wrapper_calls.update(_NO_WRAPPER_CALLS)
     for payload in payloads:  # a mixed and a pure state, as apline expect decodes them
         obstate.report(obstate.obstate_from_json(payload))
     assert wrapper_calls == _NO_WRAPPER_CALLS
@@ -838,7 +747,7 @@ def test_a_warm_kernel_and_unitary_torsor_at_n16_call_no_numpy_wrapper(wrapper_c
             for _ in range(4)]
     rep = grassmann.random_map(n, rng).rep
     rns = [hermitian.random_r_point(n, rng).basis for _ in range(3)]
-    _reset(wrapper_calls)
+    wrapper_calls.update(_NO_WRAPPER_CALLS)
     # the geometry benchmark's op: points from bases, the kernel before and after a map,
     # and the Cayley unitary of the torsor of three R_{N,S} points
     points = [grassmann.SubspacePoint(b) for b in quad]
@@ -853,6 +762,6 @@ def test_a_warm_kernel_and_unitary_torsor_at_n16_call_no_numpy_wrapper(wrapper_c
 def test_warm_classical_fn_obstate_trials_call_no_numpy_wrapper(wrapper_calls):
     spec = properties.SPECS["classical.fn_obstate"]
     properties.run_property(spec, properties.DEFAULT_N_LIST, 10, 0)
-    _reset(wrapper_calls)
+    wrapper_calls.update(_NO_WRAPPER_CALLS)
     result = properties.run_property(spec, properties.DEFAULT_N_LIST, 10, 0)
     assert result["ok"] and wrapper_calls == _NO_WRAPPER_CALLS

@@ -117,29 +117,21 @@ def shortcuts_off(monkeypatch):
 _SEAM = ("thin_qr", "singular_values", "proven_inverse", "solve")
 
 
-def _warm_seam_calls(pid):
+def _warm_seam_calls(seam_log, pid):
     """The seam calls of pid's 10 trials at seed 0, run a second time on warm base points."""
     spec = properties.SPECS[pid]
     properties.run_property(spec, properties.DEFAULT_N_LIST, 10, 0)
-    tally = dict.fromkeys(_SEAM, 0)
-
-    def counting(name, original):
-        def counted(*args, **kwargs):
-            tally[name] += 1
-            return original(*args, **kwargs)
-        return counted
-    with pytest.MonkeyPatch.context() as seam:
-        for name in _SEAM:
-            seam.setattr(algebra, name, counting(name, getattr(algebra, name)))
-        properties.run_property(spec, properties.DEFAULT_N_LIST, 10, 0)
-    return tally
+    seam_log.clear()
+    properties.run_property(spec, properties.DEFAULT_N_LIST, 10, 0)
+    return seam_log.calls(*_SEAM)
 
 
 def _calls(thin_qr, singular_values, proven_inverse, solve):
     return dict(zip(_SEAM, (thin_qr, singular_values, proven_inverse, solve)))
 
 
-# (switch, property, seam calls with every shortcut on, with the switch applied)
+# (switch, property, seam calls of its warm trials with every shortcut on, with the switch
+# applied)
 _BITES = [
     ("graph tags", "obstate.moments", _calls(60, 0, 60, 0), _calls(60, 60, 60, 0)),
     ("memoized-sine guards", "obstate.positivity",
@@ -149,9 +141,11 @@ _BITES = [
      _calls(80, 40, 40, 20), _calls(80, 70, 40, 20)),
     # the moved pair (A0, Winf) is bounded from the sines of (0, infinity)
     ("moved-pair gates", "obstate.invariance", _calls(60, 30, 40, 10), _calls(60, 40, 40, 10)),
-    # the random points and torsor_product's result points prove their rank from R
+    # R's diagonal proves the rank of the random points and of torsor_product's result
+    # points, so none runs a rank SVD
     ("rank bound on R", "grassmann.torsor_group",
      _calls(190, 130, 120, 0), _calls(190, 320, 120, 0)),
+    # R's diagonal proves the random points' rank
     ("rank bound on R", "crossratio.naturality", _calls(80, 40, 40, 20), _calls(80, 80, 40, 20)),
     ("(0, inf) kernel", "obstate.conservation", _calls(30, 0, 30, 0), _calls(30, 40, 40, 20)),
     # the sweep's _line_set_residual adds its own 60 solves and 60 inverses to both rows
@@ -170,11 +164,11 @@ def test_every_switch_has_a_bite_case():
 
 @pytest.mark.parametrize("switch, pid, on, off", _BITES,
                          ids=[f"{switch}-{pid}" for switch, pid, *_ in _BITES])
-def test_each_switch_bites(monkeypatch, new_base_points, switch, pid, on, off):
-    assert _warm_seam_calls(pid) == on
+def test_each_switch_bites(monkeypatch, seam_log, new_base_points, switch, pid, on, off):
+    assert _warm_seam_calls(seam_log, pid) == on
     new_base_points()
     _SWITCHES[switch](monkeypatch)
-    assert _warm_seam_calls(pid) == off
+    assert _warm_seam_calls(seam_log, pid) == off
 
 
 # --- switched off, no output moves -----------------------------------------------------

@@ -1,4 +1,5 @@
-"""Print the size of the package: its lines, their split by kind, and its runtime dependencies.
+"""Print the size of the package and of its tests: their lines, split by kind, and the
+package's runtime dependencies.
 
     python3 tools/size_report.py
 
@@ -33,25 +34,25 @@ def docstring_lines(tree: ast.Module) -> set:
     return lines
 
 
-def split(path: Path) -> dict:
-    text = path.read_text(encoding="utf-8")
-    docs = docstring_lines(ast.parse(text))
+def split(directory: Path) -> dict:
+    """The lines of the .py files in directory, in total and by kind."""
     counts = dict.fromkeys(("lines", "docstring", "comment", "blank", "code"), 0)
-    for number, line in enumerate(text.splitlines(), start=1):
-        counts["lines"] += 1
-        stripped = line.strip()
-        kind = ("docstring" if number in docs else "comment" if stripped.startswith("#")
-                else "blank" if not stripped else "code")
-        counts[kind] += 1
+    for path in sorted(directory.glob("*.py")):
+        text = path.read_text(encoding="utf-8")
+        docs = docstring_lines(ast.parse(text))
+        for number, line in enumerate(text.splitlines(), start=1):
+            counts["lines"] += 1
+            stripped = line.strip()
+            kind = ("docstring" if number in docs else "comment" if stripped.startswith("#")
+                    else "blank" if not stripped else "code")
+            counts[kind] += 1
     return counts
 
 
 def main(root: Path) -> None:
-    total = dict.fromkeys(("lines", "docstring", "comment", "blank", "code"), 0)
-    for path in sorted((root / "src" / "apline").glob("*.py")):
-        for kind, count in split(path).items():
-            total[kind] += count
-    print("src/apline: " + ", ".join(f"{count} {kind}" for kind, count in total.items()))
+    for name in ("src/apline", "tests"):
+        counts = split(root / name)
+        print(f"{name}: " + ", ".join(f"{count} {kind}" for kind, count in counts.items()))
     if tomllib is None:
         print("runtime dependencies: unread (tomllib needs Python 3.11)")
         return
