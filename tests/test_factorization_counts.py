@@ -207,6 +207,15 @@ def test_kernel_of_a_well_separated_quadruple_runs_only_its_three_margins(counts
     assert counts == _tally(svd=3, inv=2, solve=1)
 
 
+def test_kernel_runs_one_solve(seam_log):
+    rng = np.random.default_rng(19)
+    x, a, b, y = (grassmann.random_point(4, rng) for _ in range(4))
+    seam_log.clear()
+    crossratio.kernel(x, a, b, y)
+    # b and y share the frame [A | X], so one solve gives both graph decompositions
+    assert seam_log.calls("solve") == {"solve": 1}
+
+
 def _conditioned_map(n, rng):
     """A map U diag(s) V with unitary U, V and s in [1/e, e]: condition number at most e^2."""
     u, v = (algebra.random_unitary(2 * n, rng) for _ in range(2))
@@ -225,6 +234,24 @@ def test_kernel_of_a_quadruple_moved_by_one_map_runs_no_margin_svd(counts):
     # over cond(g); the bounds' products pass the margin-product test, so neither graph
     # block runs its SVD: the solve and the blocks' inverses
     assert counts == _tally(inv=2, solve=1)
+
+
+@pytest.mark.parametrize("pid, calls", [
+    # R's diagonal proves the rank of the random points and of torsor_product's result
+    # points, so none runs a rank SVD (tests/test_shortcut_audit.py counts them)
+    ("grassmann.torsor_group", {"thin_qr": 190, "singular_values": 130, "proven_inverse": 120}),
+    # the moved quadruple's three margins are bounds, and R's diagonal proves the random
+    # points' rank
+    ("crossratio.naturality", {"thin_qr": 80, "singular_values": 40, "proven_inverse": 40}),
+    # the moved pair (A0, Winf) is bounded from the sines of (0, infinity)
+    ("obstate.invariance", {"thin_qr": 60, "singular_values": 30, "proven_inverse": 40}),
+])
+def test_the_moved_pair_and_torsor_trials_skip_their_proven_svds(seam_log, pid, calls):
+    spec = properties.SPECS[pid]
+    properties.run_property(spec, properties.DEFAULT_N_LIST, 10, 0)  # fills the per-n caches
+    seam_log.clear()
+    properties.run_property(spec, properties.DEFAULT_N_LIST, 10, 0)
+    assert seam_log.calls(*calls) == calls
 
 
 def test_projective_map_runs_one_svd_and_keeps_its_condition_number(counts):
