@@ -908,6 +908,26 @@ def test_a_sweep_of_no_size_is_a_dimension_error():
         properties.run_sweep(n_list=())
 
 
+@pytest.mark.parametrize("selection, message", [
+    # a bare string was read one character at a time, as the ids ".", "a", "a", ...
+    ("algebra.trace", "^properties must be a collection of ids, not the string 'algebra.trace'$"),
+    # building the unknown-id message raised a bare TypeError
+    ([None], "^a property id must be a string, got None$"),
+    (["algebra.trace", 7], "^a property id must be a string, got 7$"),
+    # an empty selection reported no property and "ok": true
+    ([], "^the sweep needs at least one property$"),
+    ((), "^the sweep needs at least one property$"),
+], ids=["bare-string", "none-id", "int-id", "empty-list", "empty-tuple"])
+def test_a_sweep_of_no_property_or_of_no_id_is_a_dimension_error(monkeypatch, selection,
+                                                                 message):
+    from apline import properties
+    drawn = []
+    monkeypatch.setattr(properties, "sub_seed", lambda *args: drawn.append(args) or 0)
+    with pytest.raises(DimensionError, match=message):
+        properties.run_sweep(trials=1, properties=selection)
+    assert drawn == []
+
+
 def test_check_size_takes_ints_and_numpy_integers():
     assert algebra.check_size(3) == 3 and type(algebra.check_size(np.int64(3))) is int
     for bad in (2.0, "2", None, True, False, np.True_):

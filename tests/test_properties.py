@@ -1,11 +1,12 @@
 import ast
 import json
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from apline import algebra, classical, grassmann, hermitian, obstate, properties
+from apline import DEFAULT_TRIALS, algebra, classical, grassmann, hermitian, obstate, properties
 from apline.crossratio import INF
 from apline.errors import DimensionError, IndeterminateError, NonFiniteError
 
@@ -82,6 +83,71 @@ def test_a_sampler_that_never_accepts_is_a_reported_failure(monkeypatch):
                                   n_list=[2], trials=1, seed=0)
     assert rep["fail_count"] == 1
     assert rep["example_failure"]["error"].startswith("ResamplingExhausted: ")
+
+
+def _harness_spec(trial):
+    return properties.PropertySpec(pid="harness.probe", summary="probe", tolerance=1.0,
+                                   trial=trial)
+
+
+def test_every_trial_draws_from_its_own_sub_seeded_generator_across_blocks():
+    # three blocks of generators, the last one short; the draws are those of one
+    # default_rng(sub_seed(seed, pid, i)) per trial, in trial order
+    trials = 2 * DEFAULT_TRIALS + 3
+    drawn = []
+    spec = _harness_spec(lambda rng, n: drawn.append(rng.random()) or drawn[-1])
+    rep = properties.run_property(spec, [1, 2], trials, 9)
+    assert rep["pass_count"] == trials
+    assert drawn == [np.random.default_rng(properties.sub_seed(9, "harness.probe", i)).random()
+                     for i in range(trials)]
+
+
+def test_no_generator_is_built_more_than_one_block_ahead_of_its_trial(monkeypatch):
+    # so apline check --trials 1000000 holds one block of generators, not a million
+    trials = 2 * DEFAULT_TRIALS + 3
+    events = []
+    sub_seed = properties.sub_seed
+    monkeypatch.setattr(properties, "sub_seed",
+                        lambda seed, pid, i: events.append(("built", i)) or sub_seed(seed, pid, i))
+    properties.run_property(_harness_spec(lambda rng, n: events.append(("ran", None)) or 0.0),
+                            [1], trials, 0)
+    built, ran = [], 0
+    for event, i in events:
+        if event == "built":
+            assert i < ran + DEFAULT_TRIALS, f"generator {i} built after only {ran} trials ran"
+            built.append(i)
+        else:
+            assert ran in built  # each trial's generator exists before the trial runs
+            ran += 1
+    assert (built, ran) == (list(range(trials)), trials)
+
+
+class _Escape(BaseException):
+    pass
+
+
+def test_a_transversality_warning_in_a_trial_is_silent_and_the_filters_are_restored():
+    def warns(rng, n):
+        warnings.warn("margin near the threshold", grassmann.TransversalityWarning)
+        return 0.0
+
+    def escapes(rng, n):
+        raise _Escape
+
+    with warnings.catch_warnings(record=True) as shown:
+        warnings.simplefilter("always")
+        before = list(warnings.filters)
+        assert properties.run_property(_harness_spec(warns), [1], 3, 0)["pass_count"] == 3
+        assert shown == [] and warnings.filters == before
+        rep = properties.run_property(_harness_spec(lambda rng, n: 1 / 0), [1], 2, 0)
+        assert rep["fail_count"] == 2 and warnings.filters == before
+        with pytest.raises(_Escape):  # not an Exception, so the harness lets it out
+            properties.run_property(_harness_spec(escapes), [1], 2, 0)
+        assert warnings.filters == before
+        # the filter covers TransversalityWarning alone
+        other = _harness_spec(lambda rng, n: warnings.warn("other", UserWarning) or 0.0)
+        properties.run_property(other, [1], 1, 0)
+        assert [type(w.message) for w in shown] == [UserWarning]
 
 
 @pytest.mark.parametrize("n_list, trials, message", [
