@@ -61,6 +61,8 @@ def check_size(n, what: str = "a size") -> int:
     Anything else raises DimensionError: the one check of every function that
     takes a size n, so -1, 0, 2.5 and True never reach numpy.
     """
+    if type(n) is int and n >= 1:  # the common case: operator.index(n) is n
+        return n
     try:
         # operator.index reads True as 1; numpy's bool it already rejects
         size = 0 if isinstance(n, bool) else operator.index(n)
@@ -73,6 +75,8 @@ def check_size(n, what: str = "a size") -> int:
 
 def _as_real(v, what: str) -> float:
     """float(v) for a real number v, else NotARealError: the one reader of real scalars."""
+    if type(v) is float:  # the common case: float(v) is v
+        return v
     # float() would drop a numpy complex's imaginary part
     if isinstance(v, (complex, np.complexfloating)):
         raise NotARealError(f"{what} must be real numbers, got {v!r:.40}")
@@ -81,6 +85,10 @@ def _as_real(v, what: str) -> float:
 
 def _as_complex(v, what: str) -> complex:
     """complex(v) for a number v, else NotANumberError: the one reader of complex scalars."""
+    if type(v) is complex:  # the common cases: complex(v) is v, and a float's complex(v)
+        return v
+    if type(v) is float:
+        return complex(v)
     return _as_scalar(complex, v, what, "numbers", NotANumberError)
 
 
@@ -553,19 +561,33 @@ def thin_qr(a: np.ndarray):
     float range can overflow in the factorization: that raises
     ValueOverflowError naming their scale, never returns a NaN factor.  A
     non-finite reflector makes Q non-finite, so testing Q and F is testing Q and R.
+    A finite sum of squares of a's entries proves both factors finite, and
+    then neither is scanned (see the note at the site).
     """
+    bounded = False
     if _qr_r_raw_gufunc is None:
         q, packed = np.linalg.qr(a)
     else:
         complex_ = a.dtype.kind == "c"
         packed = a.astype(np.complex128 if complex_ else np.float64)  # geqrf overwrites it
+        # A finite sum of squares of the input proves both factors finite, before they
+        # exist.  A NaN or infinite entry makes the sum non-finite (_all_finite), so a
+        # finite sum gives finite entries and ||a||_F < sqrt(DBL_MAX) ~ 1.34e154.
+        # Householder QR then stays far from overflow: every column of every
+        # intermediate R has norm at most ||a||_F (1 + gamma), as the reflectors are
+        # unitary; zlarfg takes its norms scaled and gives |tau| <= 2 and reflector
+        # entries |v_i| <= 1, so each update w = A* v, A - tau v w* stays below a small
+        # multiple of sqrt(m) ||a||_F; ungqr applies the same reflectors to the identity,
+        # whose entries stay at most 1 + gamma.  A sum that overflows (finite entries
+        # near the float range) or is non-finite proves nothing, and the scans decide.
+        bounded = cmath.isfinite(np.vdot(packed, packed))
         token = _enter(_QR_FAILED)
         try:
             tau = _qr_r_raw_gufunc(packed, signature="D->D" if complex_ else "d->d")
             q = _qr_reduced_gufunc(packed, tau, signature="DD->D" if complex_ else "dd->d")
         finally:
             _leave(token)
-    if not (_all_finite(q) and _all_finite(packed)):
+    if not (bounded or (_all_finite(q) and _all_finite(packed))):
         raise _qr_overflow(a)
     return q, packed
 

@@ -38,6 +38,8 @@ Value = Union[float, Infinity]
 
 
 def _as_value(v) -> Value:
+    if type(v) is float and math.isfinite(v):  # the common case: _as_real(v) is v
+        return v
     if v is INF:  # is_inf(v): Infinity.__new__ returns its one instance
         return INF
     f = _as_real(v, "values")
@@ -67,7 +69,7 @@ class ClassicalFn:
     values: tuple
 
     def __init__(self, values: Sequence):
-        object.__setattr__(self, "values", tuple(_as_value(v) for v in values))
+        object.__setattr__(self, "values", tuple([_as_value(v) for v in values]))
 
     @property
     def size(self) -> int:
@@ -91,7 +93,7 @@ class Measure:
     weights: tuple
 
     def __init__(self, weights: Sequence[float]):
-        ws = tuple(math.inf if w is INF else _as_real(w, "weights") for w in weights)
+        ws = tuple([math.inf if w is INF else _as_real(w, "weights") for w in weights])
         for p, w in enumerate(ws):
             if not math.isfinite(w) or w < 0:
                 error = NegativeWeightError if math.isfinite(w) else NonFiniteError

@@ -21,6 +21,7 @@ IEEE infinities are ever formed).
 from __future__ import annotations
 
 import cmath
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,6 +33,7 @@ from .errors import (
     IndeterminateError,
     NonFiniteError,
     SingularError,
+    ValueOverflowError,
 )
 from .grassmann import SubspacePoint
 
@@ -68,6 +70,8 @@ def is_inf(v) -> bool:
 
 def _homogeneous(v) -> tuple[complex, complex]:
     """Extended scalar -> homogeneous pair (p, q) with value p/q; INF -> (1, 0)."""
+    if type(v) is float and math.isfinite(v):  # the common case: _as_complex(v) is complex(v)
+        return (complex(v), 1.0 + 0j)
     if v is INF:
         return (1.0 + 0j, 0j)
     z = algebra._as_complex(v, "scalar values")
@@ -92,17 +96,61 @@ def classical_cr(a, b, c, d):
     four must be pairwise distinct (projectively).  Returns INF when the
     denominator vanishes and the numerator does not; raises
     IndeterminateError when both vanish.  Real inputs give a real float.
+    Where a product of the formula leaves the float range, it is evaluated
+    on exact power-of-two rescales; a value beyond the float range raises
+    ValueOverflowError.
     """
     ha, hb, hc, hd = homogeneous = [_homogeneous(v) for v in (a, b, c, d)]
-    num = _det(hc, ha) * _det(hd, hb)
-    den = _det(hc, hb) * _det(hd, ha)
-    if den == 0:
-        if num == 0:
+    # A determinant is the difference of two finite values rounded once, or +-1 or 0 with
+    # INF, so it is 0 exactly when its two points are equal.  Its products can overflow or
+    # underflow, so INF and 0/0 are decided on the determinants themselves.
+    d_ca, d_db, d_cb, d_da = _det(hc, ha), _det(hd, hb), _det(hc, hb), _det(hd, ha)
+    num, den = d_ca * d_db, d_cb * d_da
+    if den and cmath.isfinite(num) and cmath.isfinite(den):
+        value = num / den
+        # the quotient can overflow, and a product of nonzero determinants underflow to 0
+        if not cmath.isfinite(value) or (not num and d_ca and d_db):
+            value = _rescaled_cr(ha, hb, hc, hd)
+    elif not (d_cb and d_da):
+        if not (d_ca and d_db):
             raise IndeterminateError(
                 "cross-ratio is 0/0: fewer than three distinct values")
         return INF
+    else:  # a product overflowed, or the denominator underflowed to 0
+        value = _rescaled_cr(ha, hb, hc, hd) if d_ca and d_db else 0j
     real = all(p.imag == 0 for p, _ in homogeneous)
-    return float((num / den).real) if real else num / den
+    return float(value.real) if real else value
+
+
+def _rescaled_cr(ha, hb, hc, hd) -> complex:
+    """CR(a, b; c, d) of four nonzero determinants of the pairs, on exact power-of-two rescales.
+
+    A determinant that overflows, the difference of two finite values near
+    the float range, is taken of its two pairs halved, and counts 4 times
+    that.  Each determinant is then scaled by the power of two that brings
+    its largest real or imaginary part into [0.5, 1), the quotient of the
+    scaled ones is taken, finite and nonzero, and the powers of two are
+    applied last.  A value beyond the float range raises ValueOverflowError;
+    one below it rounds to 0 or a subnormal.
+    """
+    scaled, exponent = [], 0
+    for k, (u, v) in enumerate(((hc, ha), (hd, hb), (hc, hb), (hd, ha))):
+        det, e = _det(u, v), 0
+        if not cmath.isfinite(det):
+            det, e = _det((u[0] / 2, u[1] / 2), (v[0] / 2, v[1] / 2)), 2
+        m = math.frexp(max(abs(det.real), abs(det.imag)))[1]
+        scaled.append(_ldexp(det, -m))
+        exponent += e + m if k < 2 else -e - m
+    try:
+        return _ldexp(scaled[0] * scaled[1] / (scaled[2] * scaled[3]), exponent)
+    except OverflowError:
+        raise ValueOverflowError(
+            "the cross-ratio of these values is beyond the float range") from None
+
+
+def _ldexp(z: complex, k: int) -> complex:
+    """z 2**k, exact where it neither overflows (OverflowError) nor underflows."""
+    return complex(math.ldexp(z.real, k), math.ldexp(z.imag, k))
 
 
 def ratio(c, b, a):

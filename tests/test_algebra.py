@@ -563,6 +563,52 @@ def test_finite_entries_that_overflow_are_scale_errors_in_the_svd_and_the_qr():
                 qr(np.array([[1.5e308], [1.5e308]], dtype=complex))
 
 
+def _bases_near_the_root_of_the_float_range():
+    """200 derandomized tall bases at n in {1, 2, 4, 6, 16}, of Frobenius norm 1e150 to 1e154.3.
+
+    The sum of squares overflows from a norm of about 1.34e154, inside the range.
+    Real and complex, generic, with one column carrying the norm, and with two
+    nearly parallel columns (a tiny R entry beside huge ones).
+    """
+    rng = np.random.default_rng(43)
+    for n in (1, 2, 4, 6, 16):
+        for k in range(40):
+            a = _draw((2 * n, n), complex if k % 2 else float, int(rng.integers(2 ** 32)))
+            if k % 4 == 1:
+                a[:, 1:] *= 1e-30
+            elif k % 4 == 3 and n > 1:
+                a[:, 1] = a[:, 0] * (1 + 1e-14)
+            # half of them dense about the root, where the sum of squares starts to overflow
+            exponent = rng.uniform(150.0, 154.3) if k < 20 else rng.uniform(154.0, 154.3)
+            yield a * (10.0 ** exponent / np.linalg.norm(a))
+
+
+def test_a_finite_sum_of_squares_proves_both_qr_factors_finite(monkeypatch):
+    scans = []
+    all_finite = algebra._all_finite
+    monkeypatch.setattr(algebra, "_all_finite", lambda a: scans.append(a) or all_finite(a))
+    proven = unproven = 0
+    for a in _bases_near_the_root_of_the_float_range():
+        scans.clear()
+        if not cmath.isfinite(np.vdot(a, a)):
+            # nothing is proven, and the scans decide: numpy's finite factors or a scale error
+            unproven += 1
+            try:
+                q, packed = algebra.thin_qr(a)
+            except ValueOverflowError:
+                continue
+            assert scans and np.isfinite(q).all() and np.isfinite(packed).all()
+            continue
+        proven += 1
+        q, packed = algebra.thin_qr(a)
+        assert scans == []
+        assert np.isfinite(q).all() and np.isfinite(packed).all()
+        want_q, want_r = np.linalg.qr(a)
+        _same_bits(q, want_q)
+        _same_bits(np.triu(packed[:a.shape[1]]), want_r)
+    assert proven >= 100 and unproven >= 20
+
+
 @pytest.mark.parametrize("dtype", [complex, float], ids=["complex128", "float64"])
 def test_an_exactly_singular_proven_inverse_is_numpys_error_without_a_warning(dtype):
     a = np.array([[1.0, 2.0], [2.0, 4.0]], dtype=dtype)

@@ -48,6 +48,18 @@ def test_crossratio_rejects_non_finite_scalars(token):
     assert isinstance(res.exception, SystemExit)
 
 
+def test_crossratio_of_values_near_the_ends_of_the_float_range_is_a_number_or_a_scale_error():
+    # products of the determinants overflow (the report was nan+0j) or underflow (0/0)
+    for values in (["1e200", "2e200", "3e200", "4e200"], ["1e-200", "2e-200", "3e-200", "4e-200"]):
+        res = runner.invoke(main, ["crossratio", *values])
+        assert res.exit_code == 0, res.output
+        assert float(res.output) == pytest.approx(4.0 / 3.0)
+    res = runner.invoke(main, ["crossratio", "--", "0", "1e300", "1.0000000000000002e300",
+                               "1e-300"])
+    assert res.exit_code == 1
+    assert res.output == "Error: the cross-ratio of these values is beyond the float range\n"
+
+
 def test_crossratio_negative_values_after_double_dash():
     res = runner.invoke(main, ["crossratio", "--", "-1", "2", "3", "4"])
     assert res.exit_code == 0

@@ -1,4 +1,8 @@
+import cmath
+import math
+import sys
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -13,6 +17,7 @@ from apline.errors import (
     IndeterminateError,
     NotTransversalError,
     SingularError,
+    ValueOverflowError,
 )
 
 RNG = np.random.default_rng(424242)
@@ -73,6 +78,84 @@ def test_proj_equal_on_extended_scalars():
     assert crossratio.proj_equal(INF, INF)
     assert crossratio.proj_equal(2.0, 2.0 + 0.0j)
     assert not crossratio.proj_equal(2.0, INF)
+
+
+# --- the scalar cross-ratio at the ends of the float range -------------------------------
+
+def test_classical_cr_of_finite_distinct_values_near_the_ends_of_the_float_range():
+    # products of determinants underflowed to 0 (read as 0/0) or overflowed (NaN, +-inf)
+    assert classical_cr(1e-200, 2e-200, 3e-200, 4e-200) == 4.0 / 3.0
+    assert classical_cr(1e200, 2e200, 3e200, 4e200) == pytest.approx(4.0 / 3.0, rel=1e-15)
+    assert classical_cr(1.0, 2.0, 3.0, 1e308) == 2.0
+    with pytest.raises(ValueOverflowError, match="^the cross-ratio of these values is beyond "
+                                                 "the float range$"):
+        classical_cr(0.0, 1e300, math.nextafter(1e300, math.inf), 1e-300)
+    # INF and 0/0 are decided on exact zeros of the determinants, not of their products
+    assert is_inf(classical_cr(1e-200, 2e-200, 3e-200, 1e-200))
+    assert classical_cr(0.0, 1e-200, 0.0, 2e-200) == 0.0
+    assert classical_cr(1e200, 2e200, 1e200, 3e200) == 0.0
+    with pytest.raises(IndeterminateError):
+        classical_cr(1e-200, 1e-200, 1e-200, 2e-200)
+    # a determinant that overflows is the difference of two values near the float range
+    assert classical_cr(1e308, -1e308, 0.0, 1.0) == pytest.approx(1.0, rel=1e-15)
+    assert classical_cr(1e308, 0.0, -1e308, INF) == 2.0
+
+
+@pytest.mark.parametrize("k", [-1000, -700, -560, -300, 300, 520, 700, 1000])
+def test_classical_cr_is_bitwise_invariant_under_power_of_two_rescales(k):
+    # each determinant of the rescaled values is the unscaled one times 2**k exactly, and
+    # a product that leaves the float range is evaluated on exact power-of-two rescales
+    for values in ((0.0, 1.0, 2.0, 3.0), (3.0, 1.0, 0.0, INF), (1 + 2j, 3 - 1j, -2 + 0.5j, 4j),
+                   (0.5j, INF, -1.5, 2 + 2j), (-3.0, 0.25, 7.0, -1.0)):
+        scaled = [v if v is INF else v * 2.0 ** k for v in values]
+        want, got = classical_cr(*values), classical_cr(*scaled)
+        assert type(got) is type(want) and repr(got) == repr(want), (values, k)
+
+
+def _formula_products(a, b, c, d):
+    """(num, den) of the formula as its products give them, unscaled."""
+    ha, hb, hc, hd = (crossratio._homogeneous(v) for v in (a, b, c, d))
+    det = crossratio._det
+    return det(hc, ha) * det(hd, hb), det(hc, hb) * det(hd, ha)
+
+
+def _extreme_values(rng):
+    """Four finite floats at independent or shared binary scales across the float range."""
+    shared = int(rng.integers(-1074, 1024))
+    values = []
+    for _ in range(4):
+        e = shared if rng.random() < 0.5 else int(rng.integers(-1074, 1024))
+        values.append(float(rng.choice([-1.0, 1.0])) * math.ldexp(rng.uniform(0.5, 1.0), e))
+    if rng.random() < 0.25:  # two values one ulp apart
+        values[2] = math.nextafter(values[0], math.inf)
+    return values
+
+
+def test_classical_cr_of_finite_values_is_the_rounded_exact_value_or_the_formulas_quotient():
+    rng = np.random.default_rng(20261022)
+    rescaled = 0
+    for _ in range(3000):
+        a, b, c, d = _extreme_values(rng)
+        fa, fb, fc, fd = map(Fraction, (a, b, c, d))
+        dets = (fc - fa, fd - fb, fc - fb, fd - fa)
+        if not (dets[2] and dets[3]):
+            continue  # INF or 0/0, decided on the determinants
+        exact = dets[0] * dets[1] / (dets[2] * dets[3])
+        num, den = _formula_products(a, b, c, d)
+        if (den and cmath.isfinite(num) and cmath.isfinite(den) and (num or exact == 0)
+                and cmath.isfinite(num / den)):
+            # the products are finite and so is their quotient: its bits, whatever the rounding
+            assert repr(classical_cr(a, b, c, d)) == repr(float((num / den).real))
+            continue
+        rescaled += 1
+        if abs(exact) > Fraction(sys.float_info.max):
+            with pytest.raises(ValueOverflowError):
+                classical_cr(a, b, c, d)
+            continue
+        # four rounded determinants, three rounded products and quotients, one ldexp
+        got = Fraction(classical_cr(a, b, c, d))
+        assert abs(got - exact) <= 8 * Fraction(2) ** -53 * abs(exact) + Fraction(2) ** -1074
+    assert rescaled >= 1000
 
 
 def _kernel_quadruple(n):

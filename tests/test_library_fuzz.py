@@ -8,7 +8,10 @@ guard or a gate settled by memoized sines or a graph point's tag decides as
 its SVD does.
 """
 
+import cmath
 import json
+import math
+import operator
 import warnings
 
 import numpy as np
@@ -17,8 +20,9 @@ from hypothesis import strategies as st
 
 from apline import algebra, classical, crossratio, grassmann, hermitian, obstate
 from apline.crossratio import INF
-from apline.errors import (AplineError, DimensionError, NotANumberError, NotInUniverseError,
-                           NotTransversalError, ValueOverflowError)
+from apline.errors import (AplineError, DimensionError, NonFiniteError, NotANumberError,
+                           NotARealError, NotInUniverseError, NotTransversalError,
+                           ValueOverflowError)
 
 # 10-based exponents of the smallest singular value: dense around the transversality
 # threshold (a sine of about 2e-8) and the guards' sine bound, sparse elsewhere
@@ -366,3 +370,111 @@ def test_each_reader_of_public_scalars_and_arrays_gives_a_value_or_a_typed_error
                         ([[1.0, INF]], [[1.0, 1.0]], NotANumberError),
                         ([[1.0]], [[10 ** 400]], NotANumberError)):
         assert _outcome(lambda: algebra.almost_equal(a, b))[0][0] is error
+
+
+# --- the exact-type paths of the scalar readers --------------------------------------------
+# Each reader first takes the exact builtin type it reads (type(v) is float, not isinstance)
+# and returns what its general path returns.  The references below are those general paths;
+# a float subclass whose __float__ differs from its own value, int and complex subclasses and
+# numpy's float64 (a float subclass) tell type(v) is from isinstance.
+
+
+class _FloatReading(float):
+    """A float whose float() and complex() read another value."""
+
+    def __new__(cls, value, reads):
+        self = super().__new__(cls, value)
+        self.reads = reads
+        return self
+
+    def __float__(self):
+        return self.reads
+
+
+class _Int(int):
+    pass
+
+
+class _Complex(complex):
+    pass
+
+
+def _reference_as_real(v, what):
+    if isinstance(v, (complex, np.complexfloating)):
+        raise NotARealError(f"{what} must be real numbers, got {v!r:.40}")
+    return algebra._as_scalar(float, v, what, "real numbers", NotARealError)
+
+
+def _reference_as_complex(v, what):
+    return algebra._as_scalar(complex, v, what, "numbers", NotANumberError)
+
+
+def _reference_check_size(n, what="a size"):
+    try:
+        size = 0 if isinstance(n, bool) else operator.index(n)
+    except TypeError:
+        size = 0
+    if size < 1:
+        raise DimensionError(f"{what} must be a whole number n >= 1, got {n!r:.40}")
+    return size
+
+
+def _reference_as_value(v):
+    if v is INF:
+        return INF
+    f = _reference_as_real(v, "values")
+    if not math.isfinite(f):
+        raise NonFiniteError("values must be finite floats or INF")
+    return f
+
+
+def _reference_homogeneous(v):
+    if v is INF:
+        return (1.0 + 0j, 0j)
+    z = _reference_as_complex(v, "scalar values")
+    if not cmath.isfinite(z):
+        raise NonFiniteError("scalar values must be finite numbers or INF")
+    return (z, 1.0 + 0j)
+
+
+_READERS = (
+    ("_as_real", lambda v: algebra._as_real(v, "values"),
+     lambda v: _reference_as_real(v, "values")),
+    ("_as_complex", lambda v: algebra._as_complex(v, "numbers"),
+     lambda v: _reference_as_complex(v, "numbers")),
+    ("check_size", algebra.check_size, _reference_check_size),
+    ("classical._as_value", classical._as_value, _reference_as_value),
+    ("crossratio._homogeneous", crossratio._homogeneous, _reference_homogeneous))
+
+_READ_VALUES = (*_CATALOGUE, 0.5, -0.0, 0.0, 1e308, 5e-324, -3.25, 1, 3, 0, -1, 2 ** 53 + 1,
+                complex(-0.0, -0.0), 2.5 + 0j, complex(1.0, math.inf), 1e308j,
+                _FloatReading(0.5, 2.0), _FloatReading(0.5, math.inf), _FloatReading(-0.0, 0.0),
+                _Int(3), _Int(0), _Complex(1j), np.float64(0.5), np.float64(-0.0),
+                np.float64(np.inf), np.float32(np.nan), np.int64(3), np.int64(0), np.bool_(True),
+                np.complex128(1j))
+
+
+def _read(reader, v):
+    """reader(v)'s value with its type and repr (which shows a zero's sign), or its error."""
+    try:
+        value = reader(v)
+    except AplineError as exc:
+        return type(exc), str(exc)
+    parts = value if isinstance(value, tuple) else (value,)
+    return type(value), tuple(type(p) for p in parts), repr(value)
+
+
+def test_each_scalar_readers_exact_type_path_reads_as_its_general_path():
+    for name, reader, reference in _READERS:
+        for v in _READ_VALUES:
+            assert _read(reader, v) == _read(reference, v), (name, v)
+
+
+def test_the_exact_types_are_read_as_the_very_object():
+    for v in (0.5, -0.0, 1e308, 5e-324):
+        assert algebra._as_real(v, "values") is v
+        assert classical._as_value(v) is v
+    for z in (0.5j, complex(-0.0, 1.0), 2.5 + 0j):
+        assert algebra._as_complex(z, "numbers") is z
+    for n in (1, 4, 2 ** 70):
+        assert algebra.check_size(n) is n
